@@ -45,8 +45,6 @@ from .groups import (
     isotypical_projection,
     multiplicity_vector,
     phi_Z2,
-    vrep_add,
-    vrep_neg,
 )
 from .maslov import (
     LagrangianFrame,

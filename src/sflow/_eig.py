@@ -74,6 +74,15 @@ def eigh_error(block: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
     return err
 
 
+def opnorms(m: np.ndarray) -> np.ndarray:
+    """Two-norm of each matrix in a (..., r, c) stack, from one batched SVD.
+    Zero-size matrices have norm 0."""
+    m = np.asarray(m, dtype=float)
+    if m.size == 0:
+        return np.zeros(m.shape[:-2])
+    return np.linalg.norm(m, 2, axis=(-2, -1))
+
+
 def spectral_norm_sym(block: np.ndarray) -> float:
     """Two-norm of a symmetric matrix, via its eigenvalues."""
     w, _ = jacobi_eigh(block)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._eig import opnorms
 from .cogredient import parametrix
 from .errors import (
     ConsistencyFailure,
@@ -166,7 +167,7 @@ def _parse_action(raw, where: str = "action") -> dict:
         raise SchemaError(f"{where} must be an object")
     _no_extras(raw, {"matrices"}, where)
     mats = _want(raw, "matrices", dict, where)
-    out = {}
+    out, parsed = {}, []
     dim = None
     for key, val in mats.items():
         try:
@@ -181,12 +182,16 @@ def _parse_action(raw, where: str = "action") -> dict:
             raise DimensionMismatch(
                 f"{where}.matrices[{key}] is {len(mat)}x{len(mat)}, "
                 f"others are {dim}x{dim}")
-        arr = np.array(mat)
-        if np.linalg.norm(arr.T @ arr - np.eye(dim), 2) > 1e-10:
-            raise SchemaError(f"{where}.matrices[{key}] not orthogonal")
         out[str(idx)] = mat
+        parsed.append(mat)
     if not out:
         raise SchemaError(f"{where}.matrices is empty")
+    stack = np.array(parsed)
+    bad = np.flatnonzero(
+        opnorms(np.swapaxes(stack, 1, 2) @ stack - np.eye(dim)) > 1e-10)
+    if bad.size:
+        key = list(mats)[bad[0]]
+        raise SchemaError(f"{where}.matrices[{key}] not orthogonal")
     return {"matrices": out}
 
 

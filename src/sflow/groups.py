@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._eig import jacobi_eigh
+from ._eig import jacobi_eigh, opnorms
 from .errors import (
     BadAction,
     BadCharacterTable,
@@ -28,6 +28,7 @@ MULTIPLICITY_TOL = 1e-6
 PROJECTION_TOL = 1e-8
 ACTION_ORTHOGONALITY_TOL = 1e-10
 HOMOMORPHISM_TOL = 1e-9
+HOMOMORPHISM_BATCH = 1 << 12
 FRAME_TOL = 1e-8
 INVARIANCE_TOL = 1e-7
 
@@ -262,35 +263,41 @@ class OrthogonalAction:
 
     def __init__(self, group: FiniteGroup, matrices: Sequence[np.ndarray]):
         self.group = group
-        mats = []
         if len(matrices) != group.order:
             raise BadAction(
                 f"{len(matrices)} matrices for a group of order {group.order}")
-        dim = None
-        for g, m in enumerate(matrices):
-            m = np.asarray(m, dtype=float)
+        mats = [np.asarray(m, dtype=float) for m in matrices]
+        for g, m in enumerate(mats):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise BadAction(f"matrix for element {g} is not square: {m.shape}")
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
+            if m.shape[0] != mats[0].shape[0]:
                 raise BadAction(
                     f"matrix for element {g} has dimension {m.shape[0]}, "
-                    f"expected {dim}")
-            defect = _opnorm(m.T @ m - np.eye(dim))
-            if defect > ACTION_ORTHOGONALITY_TOL:
-                raise BadAction(
-                    f"matrix for element {g} not orthogonal: defect {defect:.3e}")
-            mats.append(m)
-        self.matrices = tuple(mats)
-        self.dim = int(dim if dim is not None else 0)
-        for a in range(group.order):
-            for b in range(group.order):
-                defect = _opnorm(self.matrices[a] @ self.matrices[b]
-                                 - self.matrices[group.mul(a, b)])
-                if defect > HOMOMORPHISM_TOL:
-                    raise BadAction(
-                        f"homomorphism fails at ({a}, {b}): defect {defect:.3e}")
+                    f"expected {mats[0].shape[0]}")
+        # (|G|, d, d), read-only; `matrices` holds views of its slices
+        stack = np.array(mats)
+        stack.flags.writeable = False
+        self.stack = stack
+        self.matrices = tuple(stack)
+        self.dim = dim = stack.shape[1]
+        defects = opnorms(np.swapaxes(stack, 1, 2) @ stack - np.eye(dim))
+        bad = np.flatnonzero(defects > ACTION_ORTHOGONALITY_TOL)
+        if bad.size:
+            raise BadAction(f"matrix for element {bad[0]} not orthogonal: "
+                            f"defect {defects[bad[0]]:.3e}")
+        # all |G|^2 products, as many table rows at a time as keep each
+        # temporary within HOMOMORPHISM_BATCH entries (at least one row), so
+        # memory stays near |G| d^2 for large explicit groups
+        table = np.array(group.mult_table, dtype=np.intp)
+        step = max(1, HOMOMORPHISM_BATCH // max(1, group.order * dim * dim))
+        for a0 in range(0, group.order, step):
+            rows = slice(a0, a0 + step)
+            defects = opnorms(stack[rows, None] @ stack - stack[table[rows]])
+            bad = np.argwhere(defects > HOMOMORPHISM_TOL)
+            if bad.size:
+                a, b = bad[0]
+                raise BadAction(f"homomorphism fails at ({a0 + a}, {b}): "
+                                f"defect {defects[a, b]:.3e}")
 
     def matrix(self, g: int) -> np.ndarray:
         return self.matrices[g]
@@ -440,12 +447,6 @@ def build_group(preset: str, n: int | None = None, *,
 # --- operations ----------------------------------------------------------
 
 
-def _opnorm(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
-
-
 def character_of_subspace(action: OrthogonalAction, basis: np.ndarray,
                           tol_inv: float = INVARIANCE_TOL) -> np.ndarray:
     """Character of the subspace spanned by orthonormal `basis` columns,
@@ -461,23 +462,17 @@ def character_of_subspace(action: OrthogonalAction, basis: np.ndarray,
     k = basis.shape[1]
     if k == 0:
         return np.zeros(action.group.n_classes)
-    gram_defect = _opnorm(basis.T @ basis - np.eye(k))
+    gram_defect = float(opnorms(basis.T @ basis - np.eye(k)))
     if gram_defect > FRAME_TOL:
         raise NotOrthonormal(f"basis columns not orthonormal: defect {gram_defect:.3e}")
     proj = basis @ basis.T
-    worst = 0.0
-    worst_g = 0
-    for g, rho in enumerate(action.matrices):
-        defect = _opnorm(rho @ proj - proj @ rho)
-        if defect > worst:
-            worst, worst_g = defect, g
-    if worst > tol_inv:
-        raise NotInvariant(
-            f"span not invariant: commutator norm {worst:.3e} at element {worst_g}")
-    values = np.empty(action.group.n_classes)
-    for c, rep in enumerate(action.group.class_representatives()):
-        values[c] = float(np.trace(basis.T @ action.matrices[rep] @ basis))
-    return values
+    defects = opnorms(action.stack @ proj - proj @ action.stack)
+    worst_g = int(np.argmax(defects))
+    if defects[worst_g] > tol_inv:
+        raise NotInvariant(f"span not invariant: commutator norm "
+                           f"{defects[worst_g]:.3e} at element {worst_g}")
+    reps = action.stack[list(action.group.class_representatives())]
+    return np.trace(basis.T @ reps @ basis, axis1=1, axis2=2)
 
 
 def multiplicity_vector(chi: Sequence[float],
@@ -497,14 +492,6 @@ def multiplicity_vector(chi: Sequence[float],
                 f"{MULTIPLICITY_TOL} of an integer")
         coeffs.append(int(rounded))
     return VirtualRep(table, tuple(coeffs))
-
-
-def vrep_add(a: VirtualRep, b: VirtualRep) -> VirtualRep:
-    return a + b
-
-
-def vrep_neg(a: VirtualRep) -> VirtualRep:
-    return -a
 
 
 def forgetful_F(a: VirtualRep) -> int:
@@ -546,18 +533,16 @@ def isotypical_projection(action: OrthogonalAction, table: RealCharacterTable,
     if not 0 <= nu < table.n_irreps:
         raise WrongGroup(f"irrep index {nu} out of range")
     ir = table.irreps[nu]
-    d = action.dim
-    acc = np.zeros((d, d))
-    for g, rho in enumerate(action.matrices):
-        acc += ir.values[action.group.class_of[g]] * rho
+    coef = np.asarray(ir.values)[list(action.group.class_of)]
+    # summed in element order, as a running sum over the elements would be
+    acc = (coef[:, None, None] * action.stack).sum(axis=0)
     proj = acc * (ir.degree / (ir.schur_norm * action.group.order))
     proj = (proj + proj.T) / 2.0
 
     def _ok(p: np.ndarray) -> bool:
-        if _opnorm(p @ p - p) > PROJECTION_TOL:
-            return False
-        return all(_opnorm(rho @ p - p @ rho) <= PROJECTION_TOL
-                   for rho in action.matrices)
+        checks = np.concatenate([(p @ p - p)[None],
+                                 action.stack @ p - p @ action.stack])
+        return not np.any(opnorms(checks) > PROJECTION_TOL)
 
     if _ok(proj):
         return proj

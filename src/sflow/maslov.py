@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._eig import jacobi_eigh, spectral_norm_sym
+from ._eig import jacobi_eigh, opnorms, spectral_norm_sym
 from .errors import (
     ConsistencyFailure,
     NotLagrangian,
@@ -72,7 +72,7 @@ class LagrangianFrame:
         if f.shape[1]:
             j = SymplecticSpace(f.shape[1]).J
             p = f @ f.T
-            defect = np.linalg.norm(p @ j @ p, 2)
+            defect = float(opnorms(p @ j @ p))
             if defect > LAGRANGIAN_TOL:
                 raise NotLagrangian(f"symplectic defect {defect:.3e}")
         f = f.copy()
@@ -118,7 +118,7 @@ def is_lagrangian(frame: np.ndarray | LagrangianFrame) -> bool:
         raise NotOrthonormal("frame columns are not orthonormal")
     j = SymplecticSpace(f.shape[1]).J
     p = f @ f.T
-    return bool(np.linalg.norm(p @ j @ p, 2) <= LAGRANGIAN_TOL)
+    return bool(opnorms(p @ j @ p) <= LAGRANGIAN_TOL)
 
 
 def gap_distance(f1: LagrangianFrame, f2: LagrangianFrame) -> float:

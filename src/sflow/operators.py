@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._eig import EPS, eigh_error, jacobi_eigh
+from ._eig import EPS, eigh_error, jacobi_eigh, opnorms
 from .errors import (
     BoundaryHit,
     DimMismatch,
@@ -62,7 +62,7 @@ class CPS:
         b = np.asarray(self.block, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise DimMismatch(f"block must be square, got shape {b.shape}")
-        b = (b + b.T) / 2.0
+        b = 0.5 * b + 0.5 * b.T
         b.flags.writeable = False
         object.__setattr__(self, "block", b)
 
@@ -170,7 +170,8 @@ def spectral_interval_frame(op: CPS, a: float, b: float,
     if op.minus_tail and a - closed_left_tol <= -1.0 <= b:
         raise InfiniteRank(f"window [{a}, {b}] contains the -1 tail")
     spec = spectrum if spectrum is not None else block_spectrum(op, tol_cluster)
-    for e in spec.eigenvalues:
+    # Python floats: a distance past the float range is inf, without a warning
+    for e in spec.eigenvalues.tolist():
         if closed_left_tol == 0.0 and abs(e - a) <= spec.tol:
             raise BoundaryHit(f"eigenvalue {e} at window edge {a}")
         if abs(e - b) <= spec.tol:
@@ -290,7 +291,7 @@ class OperatorPath:
 def _sym(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
-    return (m + m.T) / 2.0
+    return 0.5 * m + 0.5 * m.T
 
 
 def _specnorm(m: np.ndarray) -> float:
@@ -409,17 +410,8 @@ def check_equivariance(op: CPS, action: OrthogonalAction) -> float:
     if action.dim != op.dim:
         raise DimMismatch(
             f"action dimension {action.dim} vs block dimension {op.dim}")
-    worst = 0.0
-    for rho in action.matrices:
-        worst = max(worst, _commutator_norm(rho, op.block))
-    return worst
-
-
-def _commutator_norm(rho: np.ndarray, block: np.ndarray) -> float:
-    c = rho @ block - block @ rho
-    if c.size == 0:
-        return 0.0
-    return float(np.linalg.norm(c, 2))
+    rho = action.stack
+    return float(np.max(opnorms(rho @ op.block - op.block @ rho)))
 
 
 def morse_class(op: CPS, action: OrthogonalAction, table: RealCharacterTable, *,

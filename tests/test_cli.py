@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,19 @@ def test_exit_code_nan_block():
     assert code == 4
     assert report["error"]["code"] == 4
     assert "EigenFailure" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("entry", [1.7e308, -1.7e308])
+def test_huge_finite_entries_run_without_overflow(entry):
+    # symmetrizing and the window-edge test must not overflow on entries
+    # near the top of the float range
+    doc = scalar_job()
+    doc["path"] = {"kind": "affine", "A": [[entry]], "B": [[0]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, code = run(parse_job(json.dumps(doc)))
+    assert code == 0, report["error"]
+    assert report["sfl"] == 0
 
 
 def test_exit_code_not_equivariant():

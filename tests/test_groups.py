@@ -191,6 +191,29 @@ def test_action_validation():
         OrthogonalAction(group, [np.eye(2), rot60])
 
 
+@pytest.mark.parametrize("batch", [1, 1 << 12])
+def test_action_errors_name_their_witness(batch, monkeypatch):
+    # batch 1 checks one row of the table at a time, the default all at once
+    monkeypatch.setattr("sflow.groups.HOMOMORPHISM_BATCH", batch)
+    group, _ = build_group("cyclic", 2)
+    with pytest.raises(BadAction, match="element 1 not orthogonal: defect 3.000e"):
+        OrthogonalAction(group, [np.eye(1), np.array([[2.0]])])
+    with pytest.raises(BadAction, match="element 0 not orthogonal"):
+        OrthogonalAction(group, [np.array([[2.0]]), np.array([[2.0]])])
+    c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
+    rot60 = np.array([[c, -s], [s, c]])
+    # (0, b) and (1, 0) hold; (1, 1) is the first failing pair in row order
+    with pytest.raises(BadAction, match=r"homomorphism fails at \(1, 1\): "
+                       r"defect 1\.732e\+00"):
+        OrthogonalAction(group, [np.eye(2), rot60])
+    group3, _ = build_group("cyclic", 3)
+    # element 1 acts as the identity, so 1 * 1 = 2 is the first pair to fail
+    c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)
+    rot120 = np.array([[c, -s], [s, c]])
+    with pytest.raises(BadAction, match=r"homomorphism fails at \(1, 1\)"):
+        OrthogonalAction(group3, [np.eye(2), np.eye(2), rot120])
+
+
 def test_action_extended():
     _, _, action = _z2_diag_action()
     big = action.extended(2)
@@ -246,6 +269,35 @@ def test_character_rejects_bad_frames():
     with pytest.raises(NotInvariant):
         # span(e1) is not swap-invariant
         character_of_subspace(swap, np.array([[1.0], [0.0]]))
+
+
+def test_not_invariant_names_the_worst_element():
+    # C4 on the plane by quarter turns: only the half-turn (element 2) keeps
+    # span(e1); elements 1 and 3 tie for the worst commutator, and the first
+    # of them is the witness
+    group, _ = build_group("cyclic", 4)
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    action = OrthogonalAction(
+        group, [np.linalg.matrix_power(quarter, k) for k in range(4)])
+    with pytest.raises(NotInvariant,
+                       match="commutator norm 1.000e\\+00 at element 1$"):
+        character_of_subspace(action, np.array([[1.0], [0.0]]))
+    # D3 on the plane, element f * 3 + t acting as S^f R^t, and a tilted
+    # line: the witness is the element whose commutator is largest, as a
+    # one-matrix-at-a-time scan finds it, not the first one that fails
+    group3, _ = build_group("dihedral", 3)
+    c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)
+    rot = np.array([[c, -s], [s, c]])
+    mats = [np.linalg.matrix_power(np.diag([1.0, -1.0]), f)
+            @ np.linalg.matrix_power(rot, t) for f in range(2) for t in range(3)]
+    d3 = OrthogonalAction(group3, mats)
+    v = np.array([[np.cos(0.3)], [np.sin(0.3)]])
+    p = v @ v.T
+    norms = [np.linalg.norm(m @ p - p @ m, 2) for m in mats]
+    worst = int(np.argmax(norms))
+    assert worst > min(g for g, n in enumerate(norms) if n > 1e-7)
+    with pytest.raises(NotInvariant, match=f"{norms[worst]:.3e} at element {worst}$"):
+        character_of_subspace(d3, v)
 
 
 # --- multiplicity vectors --------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sflow import jacobi_eigh, spectral_norm_sym
-from sflow._eig import eigh_error
+from sflow._eig import eigh_error, opnorms
 from sflow.errors import (
     BoundaryHit,
     DimMismatch,
@@ -199,6 +199,19 @@ def test_eigensolver_rejects_non_finite_blocks(bad):
         jacobi_eigh(m)
     with pytest.raises(EigenFailure):
         block_spectrum(CPS(m))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 3), (4, 8, 8), (6, 4, 4), (12, 8, 8),
+                                   (1, 5, 5), (3, 2, 4, 3), (3, 0, 0), (2, 3, 0)])
+def test_opnorms_matches_one_norm_per_matrix(shape):
+    rng = np.random.default_rng(sum(shape))
+    m = rng.standard_normal(shape)
+    got = opnorms(m)
+    assert got.shape == shape[:-2]
+    flat = m.reshape((int(np.prod(shape[:-2])),) + shape[-2:])
+    want = [np.linalg.norm(x, 2) if x.size else 0.0 for x in flat]
+    assert got.ravel().tolist() == want  # bit for bit, not approximately
+    assert float(opnorms(flat[0])) == want[0]
 
 
 def test_block_spectrum_carries_its_error_bound():
@@ -434,6 +447,19 @@ def test_check_equivariance():
     assert check_equivariance(CPS(np.diag([1.0, 2.0])), swap) == pytest.approx(1.0)
     with pytest.raises(DimMismatch):
         check_equivariance(CPS(np.eye(3)), diag)
+
+
+def test_check_equivariance_matches_a_scan_over_the_elements():
+    group, _ = build_group("dihedral", 4)
+    c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
+    rot = np.array([[c, -s], [s, c]])
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))
+    mats = [q @ np.linalg.matrix_power(np.diag([1.0, -1.0]), f)
+            @ np.linalg.matrix_power(rot, t) @ q.T for f in range(2) for t in range(4)]
+    action = OrthogonalAction(group, mats)
+    block = np.array([[1.0, 0.3], [0.3, -2.0]])
+    want = max(np.linalg.norm(m @ block - block @ m, 2) for m in mats)
+    assert check_equivariance(CPS(block), action) == want
 
 
 def test_morse_class_trivial_group():
