@@ -66,6 +66,7 @@ from .operators import (
     FSComponent,
     OperatorPath,
     Spectrum,
+    block_spectra,
     block_spectrum,
     check_equivariance,
     compress,

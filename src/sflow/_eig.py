@@ -17,20 +17,23 @@ EPS = float(np.finfo(float).eps)
 
 def jacobi_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a
-    symmetric matrix.
+    symmetric matrix, or of each matrix in a (k, n, n) stack.
 
-    The name predates the LAPACK backend. Raises EigenFailure on non-finite
-    entries or when LAPACK does not converge, never returns a NaN spectrum.
+    The name predates the LAPACK backend. A stack is solved in one call and
+    gives the same bits as solving its matrices one at a time. Raises
+    EigenFailure on non-finite entries or when LAPACK does not converge,
+    never returns a NaN spectrum.
     """
     block = np.asarray(block, dtype=float)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {block.shape}")
+    if block.ndim not in (2, 3) or block.shape[-1] != block.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, "
+                         f"got shape {block.shape}")
     if not np.isfinite(block).all():
         raise EigenFailure("block has non-finite entries")
     # eigh reads one triangle only; average away roundoff asymmetry so the
     # spectrum is that of the symmetric part (halving first cannot overflow)
     try:
-        w, v = np.linalg.eigh(0.5 * block + 0.5 * block.T)
+        w, v = np.linalg.eigh(0.5 * block + 0.5 * block.swapaxes(-1, -2))
     except np.linalg.LinAlgError as e:
         raise EigenFailure(f"LAPACK eigh failed: {e}") from None
     if not np.isfinite(w).all():
@@ -38,9 +41,20 @@ def jacobi_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def eigh_error(block: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    # Frobenius norm of each matrix in a (..., r, c) stack: sqrt of the BLAS
+    # dot of each flattened matrix with itself, the same dot (and so the same
+    # bits) as np.linalg.norm on one matrix
+    f = m.reshape(m.shape[:-2] + (1, -1))
+    return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
+
+
+def eigh_error(block: np.ndarray, w: np.ndarray,
+               v: np.ndarray) -> float | np.ndarray:
     """Upper bound on max_i |lambda_i(A) - w_i|, where A is the symmetric part
-    of block and (w ascending, v) a computed decomposition of it.
+    of block and (w ascending, v) a computed decomposition of it. For a
+    (k, n, n) stack with (k, n) and (k, n, n) eigendata, an array of k
+    bounds, each equal to the bound for its matrix alone.
 
     With R = A V - V diag(w) and E = V^T V - I, Weyl's inequality on the
     orthogonal polar factor of V gives
@@ -48,30 +62,33 @@ def eigh_error(block: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
     (Parlett, The Symmetric Eigenvalue Problem, ch. 4). Frobenius norms
     stand in for the 2-norms, terms for the rounding of both matrix products
     are added, and the sum is rounded up by a relative (n + 2)^2 eps that
-    covers the norm sums. A is scaled by a power of two first, so no
-    intermediate overflows for finite input. Raises EigenFailure if the
-    bound is not finite.
+    covers the norm sums. Each A is scaled by a power of two first, so no
+    intermediate overflows for finite input. Raises EigenFailure if a bound
+    is not finite.
     """
-    n = w.size
-    if n == 0:
-        return 0.0
     block = np.asarray(block, dtype=float)
-    peak = float(np.max(np.abs(block)))
-    exp = int(np.frexp(peak)[1]) if peak > 0.0 else 0
-    half = np.ldexp(0.5, -exp)  # exact: symmetrize and scale in one step
-    a = half * block + half * block.T
-    ws = np.ldexp(w, -exp)
-    res = np.linalg.norm(a @ v - v * ws)
-    orth = np.linalg.norm(v.T @ v - np.eye(n))
-    size = np.linalg.norm(a) + float(np.max(np.abs(ws)))
-    vnorm = float(np.linalg.norm(v))
+    single = block.ndim == 2
+    if single:
+        block, w, v = block[None], w[None], v[None]
+    k, n = w.shape
+    if n == 0 or k == 0:
+        return 0.0 if single else np.zeros(k)
+    # frexp gives exponent 0 for a zero matrix, which then stays unscaled
+    exp = np.frexp(np.abs(block).max(axis=(1, 2)))[1]
+    half = np.ldexp(0.5, -exp)[:, None, None]  # exact: symmetrize and scale
+    a = half * block + half * block.swapaxes(1, 2)
+    ws = np.ldexp(w, -exp[:, None])
+    res, orth, anorm, vnorm = _frobenius(np.stack(
+        [a @ v - v * ws[:, None, :], v.swapaxes(1, 2) @ v - np.eye(n), a, v]))
+    size = anorm + np.abs(ws).max(axis=1)
     gamma = (n + 2) * EPS / (1.0 - (n + 2) * EPS)
     bound = (res + gamma * vnorm * size
              + (orth + gamma * vnorm * vnorm) * size)
-    err = float(np.ldexp(bound * (1.0 + (n + 2) ** 2 * EPS), exp))
-    if not np.isfinite(err):
-        raise EigenFailure(f"eigenvalue error bound is {err}")
-    return err
+    err = np.ldexp(bound * (1.0 + (n + 2) ** 2 * EPS), exp)
+    if not np.isfinite(err).all():
+        bad = err[~np.isfinite(err)][0]
+        raise EigenFailure(f"eigenvalue error bound is {float(bad)}")
+    return float(err[0]) if single else err
 
 
 def opnorms(m: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ def _split_blocks(block: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     k_eigs = np.where(pos, 0.0, w - 1.0)
     s = (v * s_eigs) @ v.T
     k = (v * k_eigs) @ v.T
-    return (s + s.T) / 2.0, (k + k.T) / 2.0
+    return 0.5 * s + 0.5 * s.T, 0.5 * k + 0.5 * k.T
 
 
 def split_positive(op: CPS, tol_cluster: float = 1e-8) -> tuple[CPS, CPS]:
@@ -79,7 +79,7 @@ def _inv_sqrt(block: np.ndarray, margin: float) -> np.ndarray:
         raise NotPositive(f"eigenvalue {float(w[0]):.3e} at or below margin "
                           f"{margin:.3e}")
     out = (v / np.sqrt(w)) @ v.T
-    return (out + out.T) / 2.0
+    return 0.5 * out + 0.5 * out.T
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,14 @@ class Parametrix:
         k_blend = self._hat_blend(lam)
         m = _inv_sqrt(block - k_blend, POSITIVITY_MARGIN)
         k = m.T @ k_blend @ m
-        k = sgn * (k + k.T) / 2.0
+        k = sgn * (0.5 * k + 0.5 * k.T)
         return m, k
 
     def transformed_block(self, lam: float) -> np.ndarray:
         m, _ = self.at(lam)
         block = self.path.block_at(lam)
         out = m.T @ block @ m
-        return (out + out.T) / 2.0
+        return 0.5 * out + 0.5 * out.T
 
     def transformed_path(self) -> OperatorPath:
         """Piecewise-linear path through sign * I + K at the samples. Its
@@ -197,7 +197,7 @@ def parametrix_fs_plus(path: OperatorPath, samples: int = 17) -> Parametrix:
         m = _inv_sqrt(path.block_at(lam) - k_blend, POSITIVITY_MARGIN)
         k = m.T @ k_blend @ m
         ms.append(m)
-        ks.append((k + k.T) / 2.0)
+        ks.append(0.5 * k + 0.5 * k.T)
     px = Parametrix(sign=1, lambdas=tuple(float(a) for a in anchors),
                     M=tuple(ms), K=tuple(ks),
                     anchors=tuple(float(a) for a in anchors),
@@ -271,11 +271,11 @@ def pointwise_section(op: CPS, tol_cluster: float = 1e-8) -> PointwiseSection:
     q_eigs = np.where(w_v > 0.0, 1.0, -1.0)
     q_block = (v * q_eigs) @ v.T
     m_block = (v * np.sqrt(np.abs(w_v))) @ v.T
-    q_block = (q_block + q_block.T) / 2.0
-    m_block = (m_block + m_block.T) / 2.0
+    q_block = 0.5 * q_block + 0.5 * q_block.T
+    m_block = 0.5 * m_block + 0.5 * m_block.T
 
     k_block = op.block - m_block @ q_block @ m_block.T
-    k_block = (k_block + k_block.T) / 2.0
+    k_block = 0.5 * k_block + 0.5 * k_block.T
     res = spectral_norm_sym(op.block - (m_block @ q_block @ m_block.T + k_block))
     bound = RESIDUAL_FACTOR * (1.0 + _op_norm(op))
     k0 = (v * np.where(in_kernel, 1.0, 0.0)) @ v.T

@@ -16,9 +16,11 @@ import numpy as np
 from .errors import (
     CertificationFailed,
     DimMismatch,
+    EigenFailure,
     EndpointNotInvertible,
     NotEquivariant,
     OutOfRange,
+    SflowError,
     WrongGroup,
 )
 from .groups import (
@@ -33,15 +35,19 @@ from .operators import (
     CPS,
     OperatorPath,
     Spectrum,
-    block_spectrum,
-    check_equivariance,
+    block_spectra,
     compress,
+    equivariance_defects,
     morse_class,
     spectral_interval_frame,
 )
 
 MARGIN_FLOOR = 1e-7
 MAX_DEPTH = 40
+# past this depth a bisection midpoint can round onto an end of its segment
+DEPTH_CAP = 53
+# segments certified per round of find_partition, with one stacked eigensolve
+BISECTION_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,9 @@ class FlowOptions:
     tol_cluster and tol_invert are relative factors, applied as
     factor * (1 + ||block||). min_depth forces that many bisection levels
     before a segment may be accepted, which is how independence of the result
-    from the partition is exercised.
+    from the partition is exercised. max_depth is at most DEPTH_CAP = 53:
+    every midpoint down to that depth is a double strictly inside its
+    segment.
     """
 
     tol_cluster: float = 1e-8
@@ -68,6 +76,9 @@ class FlowOptions:
                 f"min_depth {self.min_depth} exceeds max_depth {self.max_depth}")
         if self.max_depth < 0 or self.min_depth < 0:
             raise OutOfRange("depths must be nonnegative")
+        if self.max_depth > DEPTH_CAP:
+            raise OutOfRange(
+                f"max_depth {self.max_depth} exceeds {DEPTH_CAP}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +130,6 @@ class SflReport:
     partition: CertifiedPartition
     segment_contributions: tuple[VirtualRep, ...]
     crossings: tuple[Crossing, ...]
-    certified: bool = True
 
 
 class _SpectraCache:
@@ -129,17 +139,41 @@ class _SpectraCache:
         self.path = path
         self.tol_cluster = tol_cluster
         self._ops: dict[float, CPS] = {}
-        self._spectra: dict[float, Spectrum] = {}
+        # a parameter whose block failed to solve maps to its EigenFailure,
+        # raised whenever its spectrum is asked for
+        self._spectra: dict[float, Spectrum | EigenFailure] = {}
 
     def op(self, lam: float) -> CPS:
         if lam not in self._ops:
             self._ops[lam] = self.path.at(lam)
         return self._ops[lam]
 
+    def fill(self, lams: list[float]) -> None:
+        """Solve every parameter not yet cached in one stacked eigensolve."""
+        new = [lam for lam in dict.fromkeys(lams) if lam not in self._spectra]
+        if not new:
+            return
+        blocks = self.path.blocks_at(new)
+        try:
+            spectra = block_spectra(blocks, self.tol_cluster)
+        except EigenFailure:
+            # one bad block fails the whole stack: solve them one at a time
+            # so the failure belongs to its own parameter alone
+            spectra = []
+            for block in blocks:
+                try:
+                    spectra += block_spectra(block[None], self.tol_cluster)
+                except EigenFailure as e:
+                    spectra.append(e)
+        self._spectra.update(zip(new, spectra))
+
     def spectrum(self, lam: float) -> Spectrum:
         if lam not in self._spectra:
-            self._spectra[lam] = block_spectrum(self.op(lam), self.tol_cluster)
-        return self._spectra[lam]
+            self.fill([lam])
+        spec = self._spectra[lam]
+        if isinstance(spec, EigenFailure):
+            raise spec
+        return spec
 
 
 def _fold(lo: float, hi: float) -> tuple[float, float]:
@@ -229,6 +263,7 @@ def _try_certify(cache: _SpectraCache, opts: FlowOptions, left: float,
 
 
 def _require_invertible_ends(cache: _SpectraCache, opts: FlowOptions) -> None:
+    cache.fill([0.0, 1.0])
     for lam in (0.0, 1.0):
         spec = cache.spectrum(lam)
         threshold = opts.tol_invert * (1.0 + spec.block_norm)
@@ -242,49 +277,77 @@ def find_partition(path: OperatorPath, opts: FlowOptions | None = None, *,
                    cache: _SpectraCache | None = None) -> CertifiedPartition:
     """Certify a partition of [0, 1] with one spectral level per segment.
 
-    Bisects recursively; a segment is accepted once the Lipschitz eigenvalue
-    envelopes leave a gap whose half width clears the margin floor and the
-    cluster tolerance, and the rank inside the level band is constant across
-    its three samples. Fails once a segment would need more than max_depth
-    bisections.
+    A segment is accepted once the Lipschitz eigenvalue envelopes leave a gap
+    whose half width clears the margin floor and the cluster tolerance, and
+    the rank inside the level band is constant across its three samples;
+    otherwise it is bisected. Fails once a segment would need more than
+    max_depth bisections.
+
+    Bisection runs over a left-to-right worklist of pending segments. Each
+    round takes the leftmost BISECTION_BATCH of them, solves all their
+    missing samples in one stacked eigensolve and tries them in order. A
+    failure is raised only once no pending segment lies to its left, and
+    everything to its right is dropped, so the partition and the failure are
+    those of a depth-first recursion, and a path that cannot be certified
+    costs at most about BISECTION_BATCH * (max_depth + 1) segments.
     """
     opts = opts or FlowOptions()
     cache = cache or _SpectraCache(path, opts.tol_cluster)
     _require_invertible_ends(cache, opts)
 
-    knots: list[float] = [0.0]
-    levels: list[float] = []
-    margins: list[float] = []
-
-    def descend(left: float, right: float, depth: int) -> None:
-        if depth >= opts.min_depth:
-            found = _try_certify(cache, opts, left, right)
-            if found is not None:
-                level, margin = found
-                knots.append(right)
-                levels.append(float(level))
-                margins.append(float(margin))
-                return
-            if depth >= opts.max_depth:
-                raise CertificationFailed(
-                    f"no certified level on [{left}, {right}] at depth {depth}")
-        mid = (left + right) / 2.0
-        descend(left, mid, depth + 1)
-        descend(mid, right, depth + 1)
-
-    descend(0.0, 1.0, 0)
-    return CertifiedPartition(tuple(knots), tuple(levels), tuple(margins))
+    accepted: list[tuple[float, float, float]] = []  # (right, level, margin)
+    failure: SflowError | None = None
+    pending: list[tuple[float, float, int]] = [(0.0, 1.0, 0)]
+    while pending:
+        batch = pending[:BISECTION_BATCH]
+        later = pending[BISECTION_BATCH:]
+        cache.fill([lam for left, right, depth in batch
+                    if depth >= opts.min_depth
+                    for lam in (left, (left + right) / 2.0, right)])
+        split: list[tuple[float, float, int]] = []
+        for left, right, depth in batch:
+            fault: SflowError | None = None
+            if depth >= opts.min_depth:
+                try:
+                    found = _try_certify(cache, opts, left, right)
+                except EigenFailure as e:
+                    found, fault = None, e
+                if found is not None:
+                    level, margin = found
+                    accepted.append((right, float(level), float(margin)))
+                    continue
+                if fault is None and depth >= opts.max_depth:
+                    fault = CertificationFailed(
+                        f"no certified level on [{left}, {right}] at depth {depth}")
+            if fault is not None:
+                # only a failure further left can still come first
+                failure, later = fault, []
+                break
+            mid = (left + right) / 2.0
+            split += [(left, mid, depth + 1), (mid, right, depth + 1)]
+        pending = split + later
+    if failure is not None:
+        raise failure
+    rights, levels, margins = zip(*sorted(accepted))
+    return CertifiedPartition((0.0,) + rights, levels, margins)
 
 
 def _interval_class(cache: _SpectraCache, lam: float, level: float,
                     action: OrthogonalAction, table: RealCharacterTable,
-                    opts: FlowOptions) -> VirtualRep:
-    op = cache.op(lam)
+                    opts: FlowOptions,
+                    known: dict[tuple[float, int], VirtualRep]) -> VirtualRep:
+    # The frame of [0, level] at one knot is a run of clusters starting at
+    # the first one >= -tol, so its column count fixes it and its class:
+    # known memoizes the class by (knot, column count). The frame itself is
+    # still built every time, for its boundary checks.
     spec = cache.spectrum(lam)
-    frame = spectral_interval_frame(op, 0.0, level, spectrum=spec,
+    frame = spectral_interval_frame(cache.op(lam), 0.0, level, spectrum=spec,
                                     closed_left_tol=spec.tol)
-    chi = character_of_subspace(action, frame, tol_inv=opts.tol_invariance)
-    return multiplicity_vector(chi, table)
+    key = (lam, frame.shape[1])
+    if key not in known:
+        chi = character_of_subspace(action, frame, tol_inv=opts.tol_invariance)
+        known[key] = multiplicity_vector(chi, table)
+    return known[key]
 
 
 def _check_equivariance_along(cache: _SpectraCache, action: OrthogonalAction,
@@ -292,9 +355,9 @@ def _check_equivariance_along(cache: _SpectraCache, action: OrthogonalAction,
                               opts: FlowOptions) -> None:
     lams = list(partition.knots)
     lams += [(a + b) / 2.0 for a, b in zip(partition.knots, partition.knots[1:])]
-    for lam in lams:
-        op = cache.op(lam)
-        defect = check_equivariance(op, action)
+    cache.fill(lams)
+    defects = equivariance_defects(cache.path.blocks_at(lams), action).tolist()
+    for lam, defect in zip(lams, defects):
         scale = 1.0 + cache.spectrum(lam).block_norm
         if defect > opts.tol_equivariance * scale:
             raise NotEquivariant(
@@ -325,11 +388,13 @@ def sfl_G(path: OperatorPath, action: OrthogonalAction,
 
     contributions: list[VirtualRep] = []
     total = VirtualRep.zero(table)
+    known: dict[tuple[float, int], VirtualRep] = {}
     for i in range(partition.n_segments):
         level = partition.levels[i]
-        left = _interval_class(cache, partition.knots[i], level, action, table, opts)
+        left = _interval_class(cache, partition.knots[i], level, action, table,
+                               opts, known)
         right = _interval_class(cache, partition.knots[i + 1], level, action,
-                                table, opts)
+                                table, opts, known)
         change = right - left
         contributions.append(change)
         total = total + change

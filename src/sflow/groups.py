@@ -537,7 +537,7 @@ def isotypical_projection(action: OrthogonalAction, table: RealCharacterTable,
     # summed in element order, as a running sum over the elements would be
     acc = (coef[:, None, None] * action.stack).sum(axis=0)
     proj = acc * (ir.degree / (ir.schur_norm * action.group.order))
-    proj = (proj + proj.T) / 2.0
+    proj = 0.5 * proj + 0.5 * proj.T
 
     def _ok(p: np.ndarray) -> bool:
         checks = np.concatenate([(p @ p - p)[None],

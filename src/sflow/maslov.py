@@ -67,7 +67,7 @@ class LagrangianFrame:
         if f.ndim != 2 or f.shape[0] != 2 * f.shape[1]:
             raise NotLagrangian(f"frame shape {f.shape}, need (2m, m)")
         gram = f.T @ f - np.eye(f.shape[1])
-        if f.shape[1] and spectral_norm_sym((gram + gram.T) / 2.0) > ORTHONORMAL_TOL:
+        if f.shape[1] and spectral_norm_sym(0.5 * gram + 0.5 * gram.T) > ORTHONORMAL_TOL:
             raise NotOrthonormal("frame columns are not orthonormal")
         if f.shape[1]:
             j = SymplecticSpace(f.shape[1]).J
@@ -114,7 +114,7 @@ def is_lagrangian(frame: np.ndarray | LagrangianFrame) -> bool:
     if f.ndim != 2 or f.shape[0] != 2 * f.shape[1]:
         return False
     gram = f.T @ f - np.eye(f.shape[1])
-    if f.shape[1] and spectral_norm_sym((gram + gram.T) / 2.0) > ORTHONORMAL_TOL:
+    if f.shape[1] and spectral_norm_sym(0.5 * gram + 0.5 * gram.T) > ORTHONORMAL_TOL:
         raise NotOrthonormal("frame columns are not orthonormal")
     j = SymplecticSpace(f.shape[1]).J
     p = f @ f.T
@@ -124,7 +124,7 @@ def is_lagrangian(frame: np.ndarray | LagrangianFrame) -> bool:
 def gap_distance(f1: LagrangianFrame, f2: LagrangianFrame) -> float:
     """Spectral-norm distance of the orthogonal projections, in [0, 1]."""
     diff = f1.projection() - f2.projection()
-    return spectral_norm_sym((diff + diff.T) / 2.0)
+    return spectral_norm_sym(0.5 * diff + 0.5 * diff.T)
 
 
 def fredholm_pair_dims(f: LagrangianFrame, w: LagrangianFrame
@@ -172,7 +172,7 @@ def maslov_operator_spectrum(block: np.ndarray, tol_cluster: float = 1e-8
 def _arctan_block(block: np.ndarray) -> np.ndarray:
     w, v = jacobi_eigh(block)
     out = (v * np.arctan(w)) @ v.T
-    return (out + out.T) / 2.0
+    return 0.5 * out + 0.5 * out.T
 
 
 def _arctan_path(path: OperatorPath, per_segment: int = 4) -> OperatorPath:

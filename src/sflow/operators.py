@@ -133,22 +133,39 @@ class Spectrum:
         return float(np.min(np.abs(self.eigenvalues)))
 
 
+def block_spectra(blocks: np.ndarray,
+                  tol_cluster: float = CLUSTER_FACTOR) -> list[Spectrum]:
+    """One Spectrum per matrix of a (k, n, n) stack of symmetric blocks, from
+    one stacked eigensolve: eigenvalues within tol_cluster * (1 + ||block||)
+    of their neighbour merge into one cluster."""
+    w, v = jacobi_eigh(blocks)
+    # broadcast, so that a substitute bound returning one scalar (as tests
+    # install) applies to every matrix
+    errs = np.broadcast_to(eigh_error(blocks, w, v), w.shape[:1]).tolist()
+    out = []
+    for wi, vi, err in zip(w, v, errs):
+        vals = wi.tolist()
+        n = len(vals)
+        # ascending, so the largest magnitude is at one end
+        tol = tol_cluster * (1.0 + (max(abs(vals[0]), abs(vals[-1]))
+                                    if n else 0.0))
+        clusters = []
+        i = 0
+        while i < n:
+            j = i + 1
+            while j < n and vals[j] - vals[j - 1] <= tol:
+                j += 1
+            value = vals[i] if j == i + 1 else float(np.mean(wi[i:j]))
+            clusters.append(EigenCluster(value, vi[:, i:j]))
+            i = j
+        out.append(Spectrum(wi, tuple(clusters), tol, err))
+    return out
+
+
 def block_spectrum(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> Spectrum:
     """Eigen-decompose the block and merge eigenvalues within
     tol_cluster * (1 + ||block||) into clusters."""
-    w, v = jacobi_eigh(op.block)
-    norm = float(np.max(np.abs(w))) if w.size else 0.0
-    tol = tol_cluster * (1.0 + norm)
-    clusters = []
-    i = 0
-    n = w.size
-    while i < n:
-        j = i + 1
-        while j < n and w[j] - w[j - 1] <= tol:
-            j += 1
-        clusters.append(EigenCluster(float(np.mean(w[i:j])), v[:, i:j]))
-        i = j
-    return Spectrum(w, tuple(clusters), tol, eigh_error(op.block, w, v))
+    return block_spectra(op.block[None], tol_cluster)[0]
 
 
 def spectral_interval_frame(op: CPS, a: float, b: float,
@@ -245,7 +262,8 @@ class OperatorPath:
         self.mat_a = None
         self.mat_b = None
         self.knots = knots
-        self.samples = tuple(mats)
+        self._sample_stack = np.stack(mats)
+        self.samples = tuple(self._sample_stack)
         self.plus_tail = bool(plus_tail)
         self.minus_tail = bool(minus_tail)
         self.dim = dim
@@ -274,6 +292,31 @@ class OperatorPath:
             return self.samples[i + 1].copy()
         t = (lam - self.knots[i]) / (self.knots[i + 1] - self.knots[i])
         return (1.0 - t) * self.samples[i] + t * self.samples[i + 1]
+
+    def blocks_at(self, lams: Sequence[float]) -> np.ndarray:
+        """(k, n, n) stack of the symmetrized blocks at k parameters, equal
+        bit for bit to at(lam).block for each lam."""
+        lams = np.asarray(lams, dtype=float)
+        if lams.ndim != 1:
+            raise OutOfRange(f"expected a list of parameters, got shape {lams.shape}")
+        outside = lams[~((lams >= 0.0) & (lams <= 1.0))]
+        if outside.size:
+            raise OutOfRange(f"parameter {float(outside[0])} outside [0, 1]")
+        t = lams[:, None, None]
+        if self.kind == "affine":
+            blocks = self.mat_a + t * self.mat_b
+        else:
+            knots = self.knots
+            i = np.minimum(np.searchsorted(knots, lams, side="right") - 1,
+                           knots.size - 2)
+            lo, hi = knots[i], knots[i + 1]
+            s = ((lams - lo) / (hi - lo))[:, None, None]
+            stack = self._sample_stack
+            blocks = (1.0 - s) * stack[i] + s * stack[i + 1]
+            # a knot parameter takes its sample as given, as block_at does
+            blocks = np.where((lams == lo)[:, None, None], stack[i], blocks)
+            blocks = np.where((lams == hi)[:, None, None], stack[i + 1], blocks)
+        return 0.5 * blocks + 0.5 * np.swapaxes(blocks, 1, 2)
 
     def at(self, lam: float) -> CPS:
         return CPS(self.block_at(lam), plus_tail=self.plus_tail,
@@ -405,13 +448,21 @@ def compress(path: OperatorPath, m: int = 0) -> OperatorPath:
     return OperatorPath.piecewise_linear(path.knot_values(), samples)
 
 
+def equivariance_defects(blocks: np.ndarray,
+                         action: OrthogonalAction) -> np.ndarray:
+    """Largest commutator norm between each block of a (k, n, n) stack and
+    any action matrix, from one stacked product."""
+    if action.dim != blocks.shape[-1]:
+        raise DimMismatch(f"action dimension {action.dim} vs block dimension "
+                          f"{blocks.shape[-1]}")
+    rho = action.stack
+    b = blocks[:, None]
+    return np.max(opnorms(rho @ b - b @ rho), axis=1)
+
+
 def check_equivariance(op: CPS, action: OrthogonalAction) -> float:
     """Largest commutator norm between the block and any action matrix."""
-    if action.dim != op.dim:
-        raise DimMismatch(
-            f"action dimension {action.dim} vs block dimension {op.dim}")
-    rho = action.stack
-    return float(np.max(opnorms(rho @ op.block - op.block @ rho)))
+    return float(equivariance_defects(op.block[None], action)[0])
 
 
 def morse_class(op: CPS, action: OrthogonalAction, table: RealCharacterTable, *,

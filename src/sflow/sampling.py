@@ -39,7 +39,7 @@ def reynolds_symmetric(action: OrthogonalAction, x: np.ndarray) -> np.ndarray:
         rho = action.matrix(g)
         avg += rho @ x @ rho.T
     avg /= action.group.order
-    return (avg + avg.T) / 2.0
+    return 0.5 * avg + 0.5 * avg.T
 
 
 def _reynolds(action: OrthogonalAction, x: np.ndarray) -> np.ndarray:

@@ -427,3 +427,41 @@ def test_cli_subprocess_smoke():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["sfl"] == 1
     assert "sflow INFO" in proc.stderr
+
+
+@pytest.mark.parametrize("entry", [1.7e308, -1.7e308, 1e308])
+@pytest.mark.parametrize("tail", [{"plus": True, "minus": False},
+                                  {"plus": False, "minus": True}])
+def test_cogredient_huge_entries_fail_without_overflow(entry, tail):
+    # every symmetrization on the normal-form route halves before it adds,
+    # so the job ends in a certification error, not in a RuntimeWarning
+    doc = scalar_job("cogredient")
+    doc["path"] = {"kind": "affine", "A": [[entry]], "B": [[0]]}
+    doc["tail"] = tail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, code = run(parse_job(json.dumps(doc)))
+    assert code == 4, report["error"]
+    assert "non-finite" not in report["error"]["message"]
+
+
+def test_max_depth_above_the_cap_exits_2():
+    doc = scalar_job()
+    doc["options"] = {"max_depth": 54}
+    report, code = run(parse_job(json.dumps(doc)))
+    assert code == 2
+    assert "max_depth 54 exceeds 53" in report["error"]["message"]
+
+
+def test_max_depth_at_the_cap_fails_on_the_leftmost_segment():
+    doc = scalar_job()
+    doc["action"] = {"matrices": {"0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
+    doc["path"] = {"kind": "affine", "A": [[0.3, 0, 0], [0, 0.7, 0], [0, 0, 1e7]],
+                   "B": [[0, 0, 0]] * 3}
+    doc["tail"] = {"plus": True, "minus": True}
+    doc["options"] = {"max_depth": 53}
+    report, code = run(parse_job(json.dumps(doc)))
+    assert code == 4
+    assert report["error"]["message"] == (
+        "CertificationFailed: no certified level on "
+        "[0.0, 1.1102230246251565e-16] at depth 53")

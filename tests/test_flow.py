@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from sflow import flow
 from sflow.errors import (
     CertificationFailed,
     DimMismatch,
+    EigenFailure,
     EndpointNotInvertible,
     NotEquivariant,
     OutOfRange,
@@ -20,7 +22,12 @@ from sflow.flow import (
     verify_axioms,
 )
 from sflow.groups import OrthogonalAction, build_group, forgetful_F
-from sflow.operators import OperatorPath, reverse
+from sflow.operators import (
+    OperatorPath,
+    block_spectrum,
+    check_equivariance,
+    reverse,
+)
 from sflow.sampling import identity_action, preset_action, random_equivariant_path
 
 
@@ -156,7 +163,6 @@ def test_scalar_up_crossing_flow():
     report = sfl_G(_scalar_up_path(), action, table)
     assert report.sfl == 1
     assert report.sfl_G.coeffs == (1,)
-    assert report.certified
     assert forgetful_F(report.sfl_G) == report.sfl
 
 
@@ -288,3 +294,157 @@ def test_verify_axioms_passes():
     assert report.by_name("concatenation").failures == ()
     with pytest.raises(KeyError):
         report.by_name("nonsense")
+
+
+# --- batched bisection --------------------------------------------------------
+
+
+def _find_partition_recursive(path, opts):
+    # the depth-first recursion find_partition replaced: the reference its
+    # worklist must agree with on every partition and every failure
+    cache = flow._SpectraCache(path, opts.tol_cluster)
+    flow._require_invertible_ends(cache, opts)
+    knots, levels, margins = [0.0], [], []
+
+    def descend(left, right, depth):
+        if depth >= opts.min_depth:
+            found = flow._try_certify(cache, opts, left, right)
+            if found is not None:
+                knots.append(right)
+                levels.append(float(found[0]))
+                margins.append(float(found[1]))
+                return
+            if depth >= opts.max_depth:
+                raise CertificationFailed(
+                    f"no certified level on [{left}, {right}] at depth {depth}")
+        mid = (left + right) / 2.0
+        descend(left, mid, depth + 1)
+        descend(mid, right, depth + 1)
+
+    descend(0.0, 1.0, 0)
+    return CertifiedPartition(tuple(knots), tuple(levels), tuple(margins))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (CertificationFailed, EigenFailure) as e:
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("preset,n,dim", [("trivial", 1, 3), ("cyclic", 2, 4),
+                                          ("dihedral", 3, 4)])
+def test_batched_bisection_matches_the_recursion(preset, n, dim, monkeypatch):
+    rng = np.random.default_rng(dim + n)
+    table, action = preset_action(preset, n, dim, rng)
+    tails = [(False, False), (True, False), (False, True), (True, True)]
+    failures = 0
+    for i in range(8):
+        path = random_equivariant_path(action, rng, plus_tail=tails[i % 4][0],
+                                       minus_tail=tails[i % 4][1])
+        for min_depth in range(4):
+            # small depth budgets fail part of the way through, with pending
+            # segments on both sides of the failure
+            for max_depth in (min_depth, min_depth + 2, 40):
+                opts = FlowOptions(min_depth=min_depth, max_depth=max_depth)
+                want = _outcome(_find_partition_recursive, path, opts)
+                # also with rounds too small to hold one bisection level
+                for batch in (flow.BISECTION_BATCH, 1, 3):
+                    monkeypatch.setattr(flow, "BISECTION_BATCH", batch)
+                    assert _outcome(find_partition, path, opts) == want
+                failures += isinstance(want, tuple)
+    assert failures > 0
+
+
+def test_uncertifiable_path_fails_leftmost_within_bounded_work(monkeypatch):
+    # the level band needs a margin of about 0.2 and the widest gap in
+    # [0, 1] gives 0.2 less the solver error, on every segment at every depth
+    path = OperatorPath.affine(np.diag([0.3, 0.7, 1e7]), np.zeros((3, 3)),
+                               plus_tail=True, minus_tail=True)
+    solved = []
+    stacked = flow.block_spectra
+
+    def counting(blocks, tol):
+        solved.append(len(blocks))
+        return stacked(blocks, tol)
+
+    monkeypatch.setattr(flow, "block_spectra", counting)
+    with pytest.raises(CertificationFailed) as info:
+        find_partition(path)
+    assert str(info.value) == ("no certified level on [0.0, 9.094947017729282e-13]"
+                               " at depth 40")
+    assert sum(solved) <= 3 * flow.BISECTION_BATCH * 41
+
+
+def test_max_depth_is_capped_where_midpoints_stay_inside():
+    assert FlowOptions(max_depth=53).max_depth == 53
+    with pytest.raises(OutOfRange):
+        FlowOptions(max_depth=54)
+    left, right = 0.0, 1.0
+    for _ in range(53):
+        mid = (left + right) / 2.0
+        assert left < mid < right
+        right = mid
+
+
+class _BadSolvePath:
+    """Constant block that no level certifies (see the test above), except
+    that the solve fails on the parameters in (bad_lo, bad_hi)."""
+
+    lipschitz = 0.0
+    plus_tail = minus_tail = True
+    dim = 3
+
+    def __init__(self, bad_lo, bad_hi):
+        self.bad = (bad_lo, bad_hi)
+
+    def blocks_at(self, lams):
+        lams = np.asarray(lams)
+        blocks = np.repeat(np.diag([0.3, 0.7, 1e7])[None], lams.size, axis=0)
+        blocks[(lams > self.bad[0]) & (lams < self.bad[1])] = np.nan
+        return blocks
+
+
+@pytest.mark.parametrize("bad", [(0.6, 0.7), (0.1, 0.2)])
+def test_a_failed_solve_is_raised_in_depth_first_order(bad):
+    # on (0.6, 0.7) the failed solve comes up while segments to its left are
+    # still pending, and one of them fails certification first
+    opts = FlowOptions(max_depth=4)
+    want = _outcome(_find_partition_recursive, _BadSolvePath(*bad), opts)
+    assert want[0] == ("CertificationFailed" if bad[0] > 0.5 else "EigenFailure")
+    assert _outcome(find_partition, _BadSolvePath(*bad), opts) == want
+
+
+def test_a_failed_solve_belongs_to_its_own_parameter():
+    class Stub:
+        def blocks_at(self, lams):
+            blocks = np.stack([np.eye(2) * lam for lam in lams])
+            blocks[np.asarray(lams) == 0.25] = np.nan
+            return blocks
+
+    cache = flow._SpectraCache(Stub(), 1e-8)
+    cache.fill([0.5, 0.25, 0.75])
+    assert cache.spectrum(0.5).eigenvalues.tolist() == [0.5, 0.5]
+    assert cache.spectrum(0.75).eigenvalues.tolist() == [0.75, 0.75]
+    for _ in range(2):
+        with pytest.raises(EigenFailure):
+            cache.spectrum(0.25)
+
+
+def test_equivariance_check_names_the_first_failing_parameter():
+    table, action = _z2_diag_setup()
+    # off-diagonal coupling grows along the path and breaks equivariance
+    # everywhere but at 0
+    path = OperatorPath.affine(np.diag([-1.0, 1.0]),
+                               np.array([[2.0, 0.1], [0.1, -2.0]]))
+    part = CertifiedPartition((0.0, 0.25, 0.5, 1.0), (0.5, 0.5, 0.5),
+                              (0.1, 0.1, 0.1))
+    lams = list(part.knots) + [0.125, 0.375, 0.75]
+    first = next(lam for lam in lams
+                 if check_equivariance(path.at(lam), action) > 1e-8 * (
+                     1.0 + block_spectrum(path.at(lam)).block_norm))
+    defect = check_equivariance(path.at(first), action)
+    with pytest.raises(NotEquivariant) as info:
+        sfl_G(path, action, table, partition=part)
+    assert str(info.value).startswith(
+        f"commutator norm {defect:.3e} at parameter {first} exceeds")

@@ -23,6 +23,7 @@ from sflow.operators import (
     CPS,
     FSComponent,
     OperatorPath,
+    block_spectra,
     block_spectrum,
     check_equivariance,
     compress,
@@ -485,3 +486,102 @@ def test_morse_class_rejections():
         morse_class(CPS(np.diag([0.0, 1.0])), diag, table)
     with pytest.raises(NotEquivariant):
         morse_class(CPS(np.diag([1.0, -1.0])), swap, table)
+
+
+# --- stacked solves and blocks ----------------------------------------------
+
+
+def _eigh_error_one_matrix(block, w, v):
+    # the per-matrix bound, written with np.linalg.norm: the reference the
+    # stacked eigh_error must match bit for bit
+    n = w.size
+    if n == 0:
+        return 0.0
+    peak = float(np.max(np.abs(block)))
+    exp = int(np.frexp(peak)[1]) if peak > 0.0 else 0
+    half = np.ldexp(0.5, -exp)
+    a = half * block + half * block.T
+    ws = np.ldexp(w, -exp)
+    res = np.linalg.norm(a @ v - v * ws)
+    orth = np.linalg.norm(v.T @ v - np.eye(n))
+    size = np.linalg.norm(a) + float(np.max(np.abs(ws)))
+    vnorm = float(np.linalg.norm(v))
+    eps = float(np.finfo(float).eps)
+    gamma = (n + 2) * eps / (1.0 - (n + 2) * eps)
+    bound = (res + gamma * vnorm * size
+             + (orth + gamma * vnorm * vnorm) * size)
+    return float(np.ldexp(bound * (1.0 + (n + 2) ** 2 * eps), exp))
+
+
+def _symmetric_stack(n, rng):
+    # random, clustered (repeated eigenvalues), zero, and near-overflow
+    # blocks; the largest keeps its eigenvalues finite
+    raw = rng.standard_normal((4, n, n))
+    stack = 0.5 * raw + 0.5 * np.swapaxes(raw, 1, 2)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n))) if n else (np.eye(0), 0)
+    repeated = np.diag(np.resize([-1.0, 2.0, 3.0], n))
+    stack[1] = q @ repeated @ q.T
+    stack[2] = 0.0
+    stack[3] *= 1e308 / (4.0 * max(n, 1))
+    return stack
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_stacked_eigensolve_matches_one_matrix_at_a_time(n):
+    rng = np.random.default_rng(100 + n)
+    stack = _symmetric_stack(n, rng)
+    w, v = jacobi_eigh(stack)
+    errs = eigh_error(stack, w, v)
+    spectra = block_spectra(stack)
+    assert w.shape == (4, n) and v.shape == (4, n, n) and errs.shape == (4,)
+    for i, block in enumerate(stack):
+        wi, vi = jacobi_eigh(block)
+        w_ref, v_ref = np.linalg.eigh(0.5 * block + 0.5 * block.T)
+        assert np.array_equal(wi, w_ref) and np.array_equal(vi, v_ref)
+        assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
+        err = _eigh_error_one_matrix(block, wi, vi)
+        assert errs[i] == err and eigh_error(block, wi, vi) == err
+        one = block_spectrum(CPS(block))
+        assert np.array_equal(spectra[i].eigenvalues, one.eigenvalues)
+        assert (spectra[i].tol, spectra[i].err) == (one.tol, one.err) == (
+            one.tol, err)
+        assert [c.value for c in spectra[i].clusters] == [
+            c.value for c in one.clusters]
+        for got, want in zip(spectra[i].clusters, one.clusters):
+            assert np.array_equal(got.vectors, want.vectors)
+    if n:
+        assert len(block_spectrum(CPS(stack[1])).clusters) == min(n, 3)
+
+
+def test_stacked_eigensolve_rejects_any_bad_matrix():
+    stack = np.stack([np.eye(2), np.eye(2)])
+    stack[1, 0, 1] = stack[1, 1, 0] = np.nan
+    with pytest.raises(EigenFailure):
+        jacobi_eigh(stack)
+    with pytest.raises(EigenFailure):
+        block_spectra(stack)
+    with pytest.raises(ValueError):
+        jacobi_eigh(np.zeros((2, 2, 3)))
+
+
+def test_blocks_at_matches_at():
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 4, 4))
+    knots = [0.0, 0.2, 0.55, 1.0]
+    samples = rng.standard_normal((4, 4, 4))
+    samples[1, 0, 0] = -0.0  # a knot keeps its sample, signed zeros too
+    paths = [OperatorPath.affine(a, b, plus_tail=True),
+             OperatorPath.piecewise_linear(knots, list(samples)),
+             reverse(OperatorPath.piecewise_linear(knots, list(samples)))]
+    lams = knots + [0.1, 0.3, 0.5, 0.55 + 1e-17, 0.999, 0.2 - 1e-16,
+                    float(np.nextafter(0.55, 1.0))] + rng.random(20).tolist()
+    for path in paths:
+        blocks = path.blocks_at(lams)
+        assert blocks.shape == (len(lams), 4, 4)
+        for lam, block in zip(lams, blocks):
+            want = path.at(lam).block
+            assert np.array_equal(block, want)
+            assert np.array_equal(np.signbit(block), np.signbit(want))
+        assert path.blocks_at([]).shape == (0, 4, 4)
+        with pytest.raises(OutOfRange):
+            path.blocks_at([0.5, 1.5])
