@@ -133,12 +133,14 @@ class SflReport:
 
 
 class _SpectraCache:
-    """Memoized block spectra along one path at one cluster tolerance."""
+    """Memoized blocks and block spectra along one path at one cluster
+    tolerance."""
 
     def __init__(self, path: OperatorPath, tol_cluster: float):
         self.path = path
         self.tol_cluster = tol_cluster
         self._ops: dict[float, CPS] = {}
+        self._blocks: dict[float, np.ndarray] = {}
         # a parameter whose block failed to solve maps to its EigenFailure,
         # raised whenever its spectrum is asked for
         self._spectra: dict[float, Spectrum | EigenFailure] = {}
@@ -148,12 +150,21 @@ class _SpectraCache:
             self._ops[lam] = self.path.at(lam)
         return self._ops[lam]
 
+    def blocks(self, lams: list[float]) -> np.ndarray:
+        """(k, n, n) stack of the symmetrized blocks at k parameters, each
+        equal bit for bit to path.at(lam).block and built once."""
+        new = [lam for lam in dict.fromkeys(lams) if lam not in self._blocks]
+        if new:
+            b = np.stack([self.path.block_at(lam) for lam in new])
+            self._blocks.update(zip(new, 0.5 * b + 0.5 * np.swapaxes(b, 1, 2)))
+        return np.stack([self._blocks[lam] for lam in lams])
+
     def fill(self, lams: list[float]) -> None:
         """Solve every parameter not yet cached in one stacked eigensolve."""
         new = [lam for lam in dict.fromkeys(lams) if lam not in self._spectra]
         if not new:
             return
-        blocks = self.path.blocks_at(new)
+        blocks = self.blocks(new)
         try:
             spectra = block_spectra(blocks, self.tol_cluster)
         except EigenFailure:
@@ -356,7 +367,7 @@ def _check_equivariance_along(cache: _SpectraCache, action: OrthogonalAction,
     lams = list(partition.knots)
     lams += [(a + b) / 2.0 for a, b in zip(partition.knots, partition.knots[1:])]
     cache.fill(lams)
-    defects = equivariance_defects(cache.path.blocks_at(lams), action).tolist()
+    defects = equivariance_defects(cache.blocks(lams), action).tolist()
     for lam, defect in zip(lams, defects):
         scale = 1.0 + cache.spectrum(lam).block_norm
         if defect > opts.tol_equivariance * scale:

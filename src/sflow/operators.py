@@ -27,6 +27,7 @@ from .errors import (
     TailMismatch,
 )
 from .groups import (
+    HOMOMORPHISM_BATCH,
     OrthogonalAction,
     RealCharacterTable,
     VirtualRep,
@@ -262,8 +263,7 @@ class OperatorPath:
         self.mat_a = None
         self.mat_b = None
         self.knots = knots
-        self._sample_stack = np.stack(mats)
-        self.samples = tuple(self._sample_stack)
+        self.samples = tuple(mats)
         self.plus_tail = bool(plus_tail)
         self.minus_tail = bool(minus_tail)
         self.dim = dim
@@ -292,31 +292,6 @@ class OperatorPath:
             return self.samples[i + 1].copy()
         t = (lam - self.knots[i]) / (self.knots[i + 1] - self.knots[i])
         return (1.0 - t) * self.samples[i] + t * self.samples[i + 1]
-
-    def blocks_at(self, lams: Sequence[float]) -> np.ndarray:
-        """(k, n, n) stack of the symmetrized blocks at k parameters, equal
-        bit for bit to at(lam).block for each lam."""
-        lams = np.asarray(lams, dtype=float)
-        if lams.ndim != 1:
-            raise OutOfRange(f"expected a list of parameters, got shape {lams.shape}")
-        outside = lams[~((lams >= 0.0) & (lams <= 1.0))]
-        if outside.size:
-            raise OutOfRange(f"parameter {float(outside[0])} outside [0, 1]")
-        t = lams[:, None, None]
-        if self.kind == "affine":
-            blocks = self.mat_a + t * self.mat_b
-        else:
-            knots = self.knots
-            i = np.minimum(np.searchsorted(knots, lams, side="right") - 1,
-                           knots.size - 2)
-            lo, hi = knots[i], knots[i + 1]
-            s = ((lams - lo) / (hi - lo))[:, None, None]
-            stack = self._sample_stack
-            blocks = (1.0 - s) * stack[i] + s * stack[i + 1]
-            # a knot parameter takes its sample as given, as block_at does
-            blocks = np.where((lams == lo)[:, None, None], stack[i], blocks)
-            blocks = np.where((lams == hi)[:, None, None], stack[i + 1], blocks)
-        return 0.5 * blocks + 0.5 * np.swapaxes(blocks, 1, 2)
 
     def at(self, lam: float) -> CPS:
         return CPS(self.block_at(lam), plus_tail=self.plus_tail,
@@ -451,13 +426,19 @@ def compress(path: OperatorPath, m: int = 0) -> OperatorPath:
 def equivariance_defects(blocks: np.ndarray,
                          action: OrthogonalAction) -> np.ndarray:
     """Largest commutator norm between each block of a (k, n, n) stack and
-    any action matrix, from one stacked product."""
+    any action matrix, from stacked products over as many blocks at a time
+    as keep each temporary within HOMOMORPHISM_BATCH entries (at least one
+    block), so memory stays near |G| n^2 for large explicit groups."""
     if action.dim != blocks.shape[-1]:
         raise DimMismatch(f"action dimension {action.dim} vs block dimension "
                           f"{blocks.shape[-1]}")
     rho = action.stack
-    b = blocks[:, None]
-    return np.max(opnorms(rho @ b - b @ rho), axis=1)
+    step = max(1, HOMOMORPHISM_BATCH // max(1, rho.size))
+    defects = np.empty(len(blocks))
+    for k0 in range(0, len(blocks), step):
+        b = blocks[k0:k0 + step, None]
+        defects[k0:k0 + step] = np.max(opnorms(rho @ b - b @ rho), axis=1)
+    return defects
 
 
 def check_equivariance(op: CPS, action: OrthogonalAction) -> float:

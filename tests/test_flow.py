@@ -398,11 +398,11 @@ class _BadSolvePath:
     def __init__(self, bad_lo, bad_hi):
         self.bad = (bad_lo, bad_hi)
 
-    def blocks_at(self, lams):
-        lams = np.asarray(lams)
-        blocks = np.repeat(np.diag([0.3, 0.7, 1e7])[None], lams.size, axis=0)
-        blocks[(lams > self.bad[0]) & (lams < self.bad[1])] = np.nan
-        return blocks
+    def block_at(self, lam):
+        block = np.diag([0.3, 0.7, 1e7])
+        if self.bad[0] < lam < self.bad[1]:
+            block[:] = np.nan
+        return block
 
 
 @pytest.mark.parametrize("bad", [(0.6, 0.7), (0.1, 0.2)])
@@ -417,10 +417,8 @@ def test_a_failed_solve_is_raised_in_depth_first_order(bad):
 
 def test_a_failed_solve_belongs_to_its_own_parameter():
     class Stub:
-        def blocks_at(self, lams):
-            blocks = np.stack([np.eye(2) * lam for lam in lams])
-            blocks[np.asarray(lams) == 0.25] = np.nan
-            return blocks
+        def block_at(self, lam):
+            return np.eye(2) * (np.nan if lam == 0.25 else lam)
 
     cache = flow._SpectraCache(Stub(), 1e-8)
     cache.fill([0.5, 0.25, 0.75])
@@ -431,7 +429,33 @@ def test_a_failed_solve_belongs_to_its_own_parameter():
             cache.spectrum(0.25)
 
 
-def test_equivariance_check_names_the_first_failing_parameter():
+def test_cached_blocks_match_at_and_are_built_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 4, 4))
+    knots = [0.0, 0.2, 0.55, 1.0]
+    samples = rng.standard_normal((4, 4, 4))
+    samples[1, 0, 0] = -0.0  # a knot keeps its sample, signed zeros too
+    lams = knots + [0.1, 0.3, 0.5, 0.999, float(np.nextafter(0.55, 1.0))]
+    for path in (OperatorPath.affine(a, b, plus_tail=True),
+                 OperatorPath.piecewise_linear(knots, list(samples)),
+                 reverse(OperatorPath.piecewise_linear(knots, list(samples)))):
+        cache = flow._SpectraCache(path, 1e-8)
+        built = []
+        monkeypatch.setattr(path, "block_at",
+                            lambda lam, f=path.block_at: built.append(lam) or f(lam))
+        cache.fill(lams[:5])
+        blocks = cache.blocks(lams + lams[::-1])
+        assert sorted(built) == sorted(lams)
+        for lam, block in zip(lams + lams[::-1], blocks):
+            want = path.at(lam).block
+            assert np.array_equal(block, want)
+            assert np.array_equal(np.signbit(block), np.signbit(want))
+
+
+@pytest.mark.parametrize("batch", [1, 1 << 30])
+def test_equivariance_check_names_the_first_failing_parameter(batch, monkeypatch):
+    # one parameter per commutator product, or all of them in one
+    monkeypatch.setattr("sflow.operators.HOMOMORPHISM_BATCH", batch)
     table, action = _z2_diag_setup()
     # off-diagonal coupling grows along the path and breaks equivariance
     # everywhere but at 0

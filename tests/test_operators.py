@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sflow import jacobi_eigh, spectral_norm_sym
+from sflow import jacobi_eigh, operators, spectral_norm_sym
 from sflow._eig import eigh_error, opnorms
 from sflow.errors import (
     BoundaryHit,
@@ -30,6 +30,7 @@ from sflow.operators import (
     concatenate,
     direct_sum,
     direct_sum_paths,
+    equivariance_defects,
     evaluate,
     morse_class,
     negate,
@@ -463,6 +464,36 @@ def test_check_equivariance_matches_a_scan_over_the_elements():
     assert check_equivariance(CPS(block), action) == want
 
 
+@pytest.mark.parametrize("batch", [1, 40, 1 << 30])
+def test_equivariance_defects_in_bounded_chunks(batch, monkeypatch):
+    # batch 1 takes one block at a time, 40 two D4 blocks of size 2, and
+    # 1 << 30 the whole stack at once; the defects are the same bits
+    group, _ = build_group("dihedral", 4)
+    c, s = np.cos(np.pi / 2), np.sin(np.pi / 2)
+    rot = np.array([[c, -s], [s, c]])
+    mats = [np.linalg.matrix_power(np.diag([1.0, -1.0]), f)
+            @ np.linalg.matrix_power(rot, t) for f in range(2) for t in range(4)]
+    action = OrthogonalAction(group, mats)
+    rng = np.random.default_rng(11)
+    blocks = rng.standard_normal((7, 2, 2))
+    blocks = 0.5 * blocks + 0.5 * np.swapaxes(blocks, 1, 2)
+    want = [check_equivariance(CPS(b), action) for b in blocks]
+
+    seen = []
+    real_opnorms = operators.opnorms
+
+    def counting(m):
+        seen.append(m.size)
+        return real_opnorms(m)
+
+    monkeypatch.setattr(operators, "HOMOMORPHISM_BATCH", batch)
+    monkeypatch.setattr(operators, "opnorms", counting)
+    assert equivariance_defects(blocks, action).tolist() == want
+    assert max(seen) <= max(batch, 8 * 2 * 2)
+    assert sum(seen) == 7 * 8 * 2 * 2
+    assert equivariance_defects(blocks[:0], action).shape == (0,)
+
+
 def test_morse_class_trivial_group():
     group, table = build_group("trivial")
     action = OrthogonalAction(group, [np.eye(2)])
@@ -562,26 +593,3 @@ def test_stacked_eigensolve_rejects_any_bad_matrix():
         block_spectra(stack)
     with pytest.raises(ValueError):
         jacobi_eigh(np.zeros((2, 2, 3)))
-
-
-def test_blocks_at_matches_at():
-    rng = np.random.default_rng(5)
-    a, b = rng.standard_normal((2, 4, 4))
-    knots = [0.0, 0.2, 0.55, 1.0]
-    samples = rng.standard_normal((4, 4, 4))
-    samples[1, 0, 0] = -0.0  # a knot keeps its sample, signed zeros too
-    paths = [OperatorPath.affine(a, b, plus_tail=True),
-             OperatorPath.piecewise_linear(knots, list(samples)),
-             reverse(OperatorPath.piecewise_linear(knots, list(samples)))]
-    lams = knots + [0.1, 0.3, 0.5, 0.55 + 1e-17, 0.999, 0.2 - 1e-16,
-                    float(np.nextafter(0.55, 1.0))] + rng.random(20).tolist()
-    for path in paths:
-        blocks = path.blocks_at(lams)
-        assert blocks.shape == (len(lams), 4, 4)
-        for lam, block in zip(lams, blocks):
-            want = path.at(lam).block
-            assert np.array_equal(block, want)
-            assert np.array_equal(np.signbit(block), np.signbit(want))
-        assert path.blocks_at([]).shape == (0, 4, 4)
-        with pytest.raises(OutOfRange):
-            path.blocks_at([0.5, 1.5])
