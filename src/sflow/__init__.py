@@ -73,7 +73,6 @@ from .operators import (
     concatenate,
     direct_sum,
     direct_sum_paths,
-    evaluate,
     morse_class,
     negate,
     reverse,

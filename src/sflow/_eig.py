@@ -100,9 +100,33 @@ def opnorms(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, 2, axis=(-2, -1))
 
 
-def spectral_norm_sym(block: np.ndarray) -> float:
-    """Two-norm of a symmetric matrix, via its eigenvalues."""
+def spectral_norm_sym(block: np.ndarray) -> float | np.ndarray:
+    """Two-norm of a symmetric matrix via its eigenvalues, or an array of
+    them for a (k, n, n) stack; 0 for a 0 x 0 matrix."""
     w, _ = jacobi_eigh(block)
-    if w.size == 0:
-        return 0.0
-    return float(np.max(np.abs(w)))
+    norms = np.abs(w).max(axis=-1, initial=0.0)
+    return float(norms) if w.ndim == 1 else norms
+
+
+def solve_each(solve, blocks: np.ndarray, *, strict: bool = False):
+    """One result per matrix of a (k, n, n) stack from one stacked solve.
+
+    solve maps a stack to a sequence with one entry per matrix. When the
+    whole stack raises EigenFailure, each matrix is solved alone, so that a
+    failure belongs to its own matrix: with strict, the first failing
+    matrix's EigenFailure is raised, as a loop over the matrices would raise
+    it; otherwise it takes that matrix's place in the returned list, for
+    callers that interleave it with checks of their own.
+    """
+    try:
+        return solve(blocks)
+    except EigenFailure:
+        out = []
+        for block in blocks:
+            try:
+                out.extend(solve(block[None]))
+            except EigenFailure as e:
+                if strict:
+                    raise
+                out.append(e)
+        return out

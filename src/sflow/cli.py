@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -79,6 +80,23 @@ class JobSpec:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _finite(x: int | float) -> bool:
+    # JSON admits NaN and Infinity, a literal such as 1e400 parses to inf,
+    # and an integer can be too large for any float
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _number(x, where: str) -> float:
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise SchemaError(f"{where} contains a non-number")
+    if not _finite(x):
+        raise SchemaError(f"{where} contains a non-finite number")
+    return float(x)
+
+
 def _want(obj: dict, field: str, kind, where: str):
     if field not in obj:
         raise SchemaError(f"{where}.{field} is missing")
@@ -86,6 +104,8 @@ def _want(obj: dict, field: str, kind, where: str):
     if kind is float:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise SchemaError(f"{where}.{field} must be a number")
+        if not _finite(val):
+            raise SchemaError(f"{where}.{field} must be finite")
         return float(val)
     if kind is int:
         if not isinstance(val, int) or isinstance(val, bool):
@@ -111,10 +131,8 @@ def _matrix(raw, where: str) -> list[list[float]]:
     for i, row in enumerate(raw):
         if len(row) != n:
             raise SchemaError(f"{where}[{i}] has length {len(row)}, expected {n}")
-        for x in row:
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise SchemaError(f"{where}[{i}] contains a non-number")
-        out.append([float(x) for x in row])
+        at = f"{where}[{i}]"
+        out.append([_number(x, at) for x in row])
     return out
 
 
@@ -154,8 +172,9 @@ def _parse_group(raw, where: str = "group") -> dict:
             "name": _want(rec, "name", str, f"{where}.char_table[{i}]"),
             "degree": _want(rec, "degree", int, f"{where}.char_table[{i}]"),
             "schur": _want(rec, "schur", int, f"{where}.char_table[{i}]"),
-            "values": [float(v) for v in _want(rec, "values", list,
-                                               f"{where}.char_table[{i}]")],
+            "values": [_number(v, f"{where}.char_table[{i}].values")
+                       for v in _want(rec, "values", list,
+                                      f"{where}.char_table[{i}]")],
         })
     return {"order": order, "mult_table": [list(r) for r in table],
             "classes": [sorted(int(x) for x in c) for c in classes],
@@ -213,6 +232,8 @@ def _parse_path(raw, where: str = "path") -> dict:
         if not all(isinstance(k, (int, float)) and not isinstance(k, bool)
                    for k in knots):
             raise SchemaError(f"{where}.knots must be numbers")
+        if not all(_finite(k) for k in knots):
+            raise SchemaError(f"{where}.knots must be finite")
         samples_raw = _want(raw, "samples", list, where)
         samples = [_matrix(s, f"{where}.samples[{i}]")
                    for i, s in enumerate(samples_raw)]

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._eig import jacobi_eigh, spectral_norm_sym
+from ._eig import jacobi_eigh, solve_each, spectral_norm_sym
 from .errors import (
     CoverFailure,
+    EigenFailure,
     NotFSi,
     NotFSplus,
     NotPositive,
@@ -32,22 +33,27 @@ MIN_SINGULAR = 1e-10
 COVER_SUBSTEPS = 8
 
 
-def _op_norm(op: CPS) -> float:
-    norm = spectral_norm_sym(op.block) if op.dim else 0.0
-    if op.plus_tail or op.minus_tail:
+def _residual_bound(norm: float, tails: tuple[bool, bool]) -> float:
+    # residual tolerance for an operator whose block has two-norm norm; a
+    # tail contributes its unit norm
+    if any(tails):
         norm = max(norm, 1.0)
-    return norm
+    return RESIDUAL_FACTOR * (1.0 + norm)
 
 
-def _split_blocks(block: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of S = P+ L P+ + P0- and K = P0- (L - I) P0- for one operator."""
-    w, v = jacobi_eigh(block)
-    pos = w > tol
-    s_eigs = np.where(pos, w, 1.0)
-    k_eigs = np.where(pos, 0.0, w - 1.0)
-    s = (v * s_eigs) @ v.T
-    k = (v * k_eigs) @ v.T
-    return 0.5 * s + 0.5 * s.T, 0.5 * k + 0.5 * k.T
+def _split_blocks(w: np.ndarray, v: np.ndarray,
+                  tol: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of S = P+ L P+ + P0- and K = P0- (L - I) P0- from the
+    eigendata (w, v) of L: one operator, or a (k, n, n) stack of them with
+    w of shape (k, n) and one tolerance per operator."""
+    pos = w > np.asarray(tol)[..., None]
+    s_eigs = np.where(pos, w, 1.0)[..., None, :]
+    k_eigs = np.where(pos, 0.0, w - 1.0)[..., None, :]
+    vt = np.swapaxes(v, -1, -2)
+    s = (v * s_eigs) @ vt
+    k = (v * k_eigs) @ vt
+    return (0.5 * s + 0.5 * np.swapaxes(s, -1, -2),
+            0.5 * k + 0.5 * np.swapaxes(k, -1, -2))
 
 
 def split_positive(op: CPS, tol_cluster: float = 1e-8) -> tuple[CPS, CPS]:
@@ -61,10 +67,10 @@ def split_positive(op: CPS, tol_cluster: float = 1e-8) -> tuple[CPS, CPS]:
     if op.component not in (FSComponent.FS_PLUS, FSComponent.FINITE):
         raise NotFSplus(f"component {op.component.name} has nonpositive "
                         "essential spectrum")
-    w, _ = jacobi_eigh(op.block)
+    w, v = jacobi_eigh(op.block)
     norm = float(np.max(np.abs(w))) if w.size else 0.0
     tol = tol_cluster * (1.0 + norm)
-    s_block, k_block = _split_blocks(op.block, tol)
+    s_block, k_block = _split_blocks(w, v, tol)
     ws, _ = jacobi_eigh(s_block)
     if ws.size and float(ws[0]) <= tol:
         raise NotPositive(f"split left eigenvalue {float(ws[0]):.3e} in S")
@@ -73,13 +79,30 @@ def split_positive(op: CPS, tol_cluster: float = 1e-8) -> tuple[CPS, CPS]:
     return s, k
 
 
-def _inv_sqrt(block: np.ndarray, margin: float) -> np.ndarray:
-    w, v = jacobi_eigh(block)
-    if w.size and float(w[0]) <= margin:
-        raise NotPositive(f"eigenvalue {float(w[0]):.3e} at or below margin "
-                          f"{margin:.3e}")
-    out = (v / np.sqrt(w)) @ v.T
-    return 0.5 * out + 0.5 * out.T
+def _eigh_pairs(blocks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    # jacobi_eigh of a stack as one (w, v) pair per matrix, for solve_each
+    return list(zip(*jacobi_eigh(blocks)))
+
+
+def _inv_sqrt(blocks: np.ndarray, margin: float) -> np.ndarray:
+    """Symmetric inverse square root of a positive definite matrix, or of
+    each matrix of a (k, n, n) stack from one stacked solve. The first matrix
+    in order that cannot be solved, or whose smallest eigenvalue is at most
+    margin, raises."""
+    single = blocks.ndim == 2
+    if single:
+        blocks = blocks[None]
+    pairs = solve_each(_eigh_pairs, blocks)
+    for pair in pairs:
+        if isinstance(pair, EigenFailure):
+            raise pair
+        if pair[0].size and float(pair[0][0]) <= margin:
+            raise NotPositive(f"eigenvalue {float(pair[0][0]):.3e} at or "
+                              f"below margin {margin:.3e}")
+    w, v = (np.stack(x) for x in zip(*pairs))
+    out = (v / np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)
+    out = 0.5 * out + 0.5 * out.swapaxes(1, 2)
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -134,30 +157,49 @@ class Parametrix:
                                              plus_tail=self.path.plus_tail,
                                              minus_tail=self.path.minus_tail)
 
+    def _residuals(self, blocks: np.ndarray, *, strict: bool) -> list:
+        # two-norm of M' L M - (sign I + K) at every sample, L from blocks,
+        # as solve_each returns them
+        m = np.stack(self.M)
+        target = self.sign * np.eye(self.path.dim) + np.stack(self.K)
+        return solve_each(spectral_norm_sym,
+                          m.swapaxes(1, 2) @ blocks @ m - target, strict=strict)
+
     def max_residual(self) -> float:
-        worst = 0.0
-        for lam, m, k in zip(self.lambdas, self.M, self.K):
-            block = self.path.block_at(lam)
-            target = self.sign * np.eye(self.path.dim) + k
-            worst = max(worst, spectral_norm_sym(m.T @ block @ m - target))
-        return worst
+        blocks = np.stack([self.path.block_at(lam) for lam in self.lambdas])
+        return float(np.max(self._residuals(blocks, strict=True), initial=0.0))
+
+
+def _lowest(blocks: np.ndarray) -> list[float]:
+    # smallest eigenvalue of each matrix of a stack (1.0 for a 0 x 0 one)
+    w, _ = jacobi_eigh(blocks)
+    return (w[:, 0] if w.shape[1] else np.ones(len(w))).tolist()
 
 
 def _check_cover(path: OperatorPath, anchors: np.ndarray,
-                 corrections: list[np.ndarray]) -> None:
+                 corrections: np.ndarray) -> None:
     """Certify L_lam - K_j positive definite with Weyl slack across the hat
     support of every anchor j. Positivity of both frozen neighbours on a
-    segment makes every hat blend on it positive too."""
+    segment makes every hat blend on it positive too.
+
+    The samples are solved in stacked chunks of as many blocks as there are
+    anchors, built one chunk at a time, and checked in the order anchor by
+    anchor, so the first failing sample raises."""
     lip = path.lipschitz
-    for j, k_j in enumerate(corrections):
+    grid = []  # (anchor index, parameter, slack) in checking order
+    for j in range(len(anchors)):
         lo = anchors[max(j - 1, 0)]
         hi = anchors[min(j + 1, len(anchors) - 1)]
         step = (hi - lo) / COVER_SUBSTEPS
         slack = lip * step / 2.0
-        for i in range(COVER_SUBSTEPS + 1):
-            lam = lo + i * step
-            w, _ = jacobi_eigh(path.block_at(lam) - k_j)
-            low = float(w[0]) if w.size else 1.0
+        grid += [(j, lo + i * step, slack) for i in range(COVER_SUBSTEPS + 1)]
+    for start in range(0, len(grid), len(anchors)):
+        chunk = grid[start:start + len(anchors)]
+        blocks = np.stack([path.block_at(lam) - corrections[j]
+                           for j, lam, _ in chunk])
+        for (j, lam, slack), low in zip(chunk, solve_each(_lowest, blocks)):
+            if isinstance(low, EigenFailure):
+                raise low
             if low - slack <= POSITIVITY_MARGIN:
                 raise CoverFailure(
                     f"frozen split at anchor {anchors[j]:.6g} loses "
@@ -180,45 +222,48 @@ def parametrix_fs_plus(path: OperatorPath, samples: int = 17) -> Parametrix:
         raise OutOfRange("need at least 2 samples")
     anchors = np.linspace(0.0, 1.0, samples)
     spacing = 1.0 / (samples - 1)
-    corrections = []
-    for lam in anchors:
-        block = path.block_at(lam)
-        w, _ = jacobi_eigh(block)
-        norm = float(np.max(np.abs(w))) if w.size else 0.0
+    drift = 4.0 * path.lipschitz * spacing
+
+    def correction(blocks: np.ndarray) -> np.ndarray:
+        w, v = jacobi_eigh(blocks)
+        norm = np.abs(w).max(axis=1, initial=0.0)
         # absorb a near-zero band wide enough that eigenvalues entering it
         # between anchors cannot drag the frozen positive part below zero
-        cut = max(2.0 * 1e-8 * (1.0 + norm), 4.0 * path.lipschitz * spacing)
-        _, k_block = _split_blocks(block, cut)
-        corrections.append(k_block)
+        cut = np.maximum(2.0 * 1e-8 * (1.0 + norm), drift)
+        return _split_blocks(w, v, cut)[1]
+
+    blocks = np.stack([path.block_at(lam) for lam in anchors])
+    corrections = solve_each(correction, blocks, strict=True)
     _check_cover(path, anchors, corrections)
 
-    ms, ks = [], []
-    for lam, k_blend in zip(anchors, corrections):
-        m = _inv_sqrt(path.block_at(lam) - k_blend, POSITIVITY_MARGIN)
-        k = m.T @ k_blend @ m
-        ms.append(m)
-        ks.append(0.5 * k + 0.5 * k.T)
+    m = _inv_sqrt(blocks - corrections, POSITIVITY_MARGIN)
+    k = m.swapaxes(1, 2) @ corrections @ m
     px = Parametrix(sign=1, lambdas=tuple(float(a) for a in anchors),
-                    M=tuple(ms), K=tuple(ks),
+                    M=tuple(m), K=tuple(0.5 * k + 0.5 * k.swapaxes(1, 2)),
                     anchors=tuple(float(a) for a in anchors),
                     anchor_corrections=tuple(corrections), path=path)
-    _check_residual(px)
+    _check_residual(px, blocks)
     return px
 
 
-def _check_residual(px: Parametrix) -> None:
-    for lam, m, k in zip(px.lambdas, px.M, px.K):
-        op = px.path.at(lam)
-        target = px.sign * np.eye(px.path.dim) + k
-        res = spectral_norm_sym(m.T @ op.block @ m - target)
-        bound = RESIDUAL_FACTOR * (1.0 + _op_norm(op))
+def _check_residual(px: Parametrix, b: np.ndarray) -> None:
+    # the checks of each sample in turn, b holding its block_at: its
+    # residual, then the smallest singular value of its M
+    blocks = 0.5 * b + 0.5 * b.swapaxes(1, 2)  # each path.at(lam).block
+    residuals = px._residuals(blocks, strict=False)
+    norms = solve_each(spectral_norm_sym, blocks)
+    smallest = np.linalg.svd(np.stack(px.M), compute_uv=False)[:, -1].tolist()
+    for lam, res, norm, sv in zip(px.lambdas, residuals, norms, smallest):
+        for value in (res, norm):
+            if isinstance(value, EigenFailure):
+                raise value
+        bound = _residual_bound(float(norm), px.path.tails)
         if res > bound:
             raise ResidualTooLarge(
                 f"residual {res:.3e} at sample {lam} exceeds {bound:.3e}")
-        sv = np.linalg.svd(m, compute_uv=False)
-        if float(sv[-1]) <= MIN_SINGULAR:
+        if sv <= MIN_SINGULAR:
             raise NotPositive(f"M at sample {lam} has singular value "
-                              f"{float(sv[-1]):.3e}")
+                              f"{sv:.3e}")
 
 
 def parametrix(path: OperatorPath, samples: int = 17) -> Parametrix:
@@ -277,7 +322,7 @@ def pointwise_section(op: CPS, tol_cluster: float = 1e-8) -> PointwiseSection:
     k_block = op.block - m_block @ q_block @ m_block.T
     k_block = 0.5 * k_block + 0.5 * k_block.T
     res = spectral_norm_sym(op.block - (m_block @ q_block @ m_block.T + k_block))
-    bound = RESIDUAL_FACTOR * (1.0 + _op_norm(op))
+    bound = _residual_bound(spectral_norm_sym(op.block), op.tails)
     k0 = (v * np.where(in_kernel, 1.0, 0.0)) @ v.T
     drift = spectral_norm_sym(k_block + k0)
     if max(res, drift) > bound:

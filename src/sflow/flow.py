@@ -9,10 +9,12 @@ flow is then the telescoping sum of the classes of the eigenspaces in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._eig import solve_each
 from .errors import (
     CertificationFailed,
     DimMismatch,
@@ -59,7 +61,8 @@ class FlowOptions:
     before a segment may be accepted, which is how independence of the result
     from the partition is exercised. max_depth is at most DEPTH_CAP = 53:
     every midpoint down to that depth is a double strictly inside its
-    segment.
+    segment. Every tolerance and margin_floor must be finite and
+    nonnegative.
     """
 
     tol_cluster: float = 1e-8
@@ -71,6 +74,13 @@ class FlowOptions:
     min_depth: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("tol_cluster", "tol_invert", "tol_equivariance",
+                     "tol_invariance", "margin_floor"):
+            value = getattr(self, name)
+            # NaN fails every comparison, so it must be rejected explicitly
+            if not math.isfinite(value) or value < 0.0:
+                raise OutOfRange(f"{name} must be finite and nonnegative, "
+                                 f"got {value}")
         if self.min_depth > self.max_depth:
             raise OutOfRange(
                 f"min_depth {self.min_depth} exceeds max_depth {self.max_depth}")
@@ -164,18 +174,8 @@ class _SpectraCache:
         new = [lam for lam in dict.fromkeys(lams) if lam not in self._spectra]
         if not new:
             return
-        blocks = self.blocks(new)
-        try:
-            spectra = block_spectra(blocks, self.tol_cluster)
-        except EigenFailure:
-            # one bad block fails the whole stack: solve them one at a time
-            # so the failure belongs to its own parameter alone
-            spectra = []
-            for block in blocks:
-                try:
-                    spectra += block_spectra(block[None], self.tol_cluster)
-                except EigenFailure as e:
-                    spectra.append(e)
+        spectra = solve_each(lambda b: block_spectra(b, self.tol_cluster),
+                             self.blocks(new))
         self._spectra.update(zip(new, spectra))
 
     def spectrum(self, lam: float) -> Spectrum:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._eig import jacobi_eigh, opnorms, spectral_norm_sym
+from ._eig import jacobi_eigh, opnorms, solve_each, spectral_norm_sym
 from .errors import (
     ConsistencyFailure,
     NotLagrangian,
@@ -169,10 +169,11 @@ def maslov_operator_spectrum(block: np.ndarray, tol_cluster: float = 1e-8
             for c in spec.clusters]
 
 
-def _arctan_block(block: np.ndarray) -> np.ndarray:
-    w, v = jacobi_eigh(block)
-    out = (v * np.arctan(w)) @ v.T
-    return 0.5 * out + 0.5 * out.T
+def _arctan_blocks(blocks: np.ndarray) -> np.ndarray:
+    # arctan of each symmetric matrix of a (k, n, n) stack
+    w, v = jacobi_eigh(blocks)
+    out = (v * np.arctan(w)[:, None, :]) @ v.swapaxes(1, 2)
+    return 0.5 * out + 0.5 * out.swapaxes(1, 2)
 
 
 def _arctan_path(path: OperatorPath, per_segment: int = 4) -> OperatorPath:
@@ -182,7 +183,8 @@ def _arctan_path(path: OperatorPath, per_segment: int = 4) -> OperatorPath:
         for i in range(per_segment):
             grid.append(a + (b - a) * i / per_segment)
     grid.append(1.0)
-    samples = [_arctan_block(path.block_at(lam)) for lam in grid]
+    blocks = np.stack([path.block_at(lam) for lam in grid])
+    samples = solve_each(_arctan_blocks, blocks, strict=True)
     return OperatorPath.piecewise_linear(grid, samples)
 
 

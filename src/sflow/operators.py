@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._eig import EPS, eigh_error, jacobi_eigh, opnorms
+from ._eig import EPS, eigh_error, jacobi_eigh, opnorms, solve_each
 from .errors import (
     BoundaryHit,
     DimMismatch,
@@ -267,11 +267,9 @@ class OperatorPath:
         self.plus_tail = bool(plus_tail)
         self.minus_tail = bool(minus_tail)
         self.dim = dim
-        lip = 0.0
-        for i in range(knots.size - 1):
-            dt = knots[i + 1] - knots[i]
-            lip = max(lip, _specnorm(mats[i + 1] - mats[i]) / dt)
-        self.lipschitz = lip
+        stack = np.stack(mats)
+        speeds = solve_each(_specnorm, stack[1:] - stack[:-1], strict=True)
+        self.lipschitz = float(np.max(speeds / np.diff(knots), initial=0.0))
         return self
 
     @property
@@ -312,18 +310,20 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * m.T
 
 
-def _specnorm(m: np.ndarray) -> float:
-    # upper bound on the two-norm of a symmetric matrix: the largest computed
-    # absolute eigenvalue plus the solver error, rounded up
-    if m.shape[0] == 0:
-        return 0.0
-    w, v = jacobi_eigh(m)
-    return float((np.max(np.abs(w)) + eigh_error(m, w, v)) * (1.0 + 2.0 * EPS))
-
-
-def evaluate(path: OperatorPath, lam: float) -> CPS:
-    """Operator at parameter lam in [0, 1]."""
-    return path.at(lam)
+def _specnorm(m: np.ndarray) -> float | np.ndarray:
+    # upper bound on the two-norm of a symmetric matrix, or of each matrix of
+    # a (k, n, n) stack: the largest computed absolute eigenvalue plus the
+    # solver error, rounded up
+    single = m.ndim == 2
+    if single:
+        m = m[None]
+    if m.shape[-1] == 0:
+        norms = np.zeros(len(m))
+    else:
+        w, v = jacobi_eigh(m)
+        norms = ((np.abs(w).max(axis=1) + eigh_error(m, w, v))
+                 * (1.0 + 2.0 * EPS))
+    return float(norms[0]) if single else norms
 
 
 def direct_sum(a: CPS, b: CPS) -> CPS:

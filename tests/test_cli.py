@@ -206,6 +206,62 @@ def test_exit_code_singular_endpoint():
     assert "endpoint 0.0" in report["error"]["message"]
 
 
+# an integer literal too large for a float is not finite either
+NON_FINITE = pytest.mark.parametrize(
+    "spelling", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                 "1" + "0" * 400],
+    ids=["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "int400"])
+
+
+@NON_FINITE
+@pytest.mark.parametrize("where", ["path", "action"])
+def test_non_finite_matrix_entries_exit_2(spelling, where, monkeypatch, capsys):
+    # JSON admits NaN and Infinity and parses 1e400 to inf: all are rejected
+    # at the boundary instead of failing the eigensolver with exit 4
+    doc = scalar_job()
+    doc[where] = ({"kind": "affine", "A": [[-1]], "B": [["X"]]}
+                  if where == "path" else {"matrices": {"0": [["X"]]}})
+    text = json.dumps(doc).replace('"X"', spelling)
+    with pytest.raises(SchemaError) as info:
+        parse_job(text)
+    assert "non-finite" in str(info.value)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main([]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["code"] == 2
+    assert "SchemaError" in report["error"]["message"]
+
+
+@NON_FINITE
+def test_non_finite_options_knots_and_characters_exit_2(spelling):
+    doc = scalar_job()
+    doc["group"] = {"order": 1, "mult_table": [[0]], "classes": [[0]],
+                    "char_table": [{"name": "trivial", "degree": 1,
+                                    "schur": 1, "values": ["X"]}]}
+    with pytest.raises(SchemaError, match="values contains a non-finite"):
+        parse_job(json.dumps(doc).replace('"X"', spelling))
+    # a non-number character value is a schema error too, not a ValueError
+    with pytest.raises(SchemaError, match="values contains a non-number"):
+        parse_job(json.dumps(doc))
+    doc = scalar_job()
+    doc["options"] = {"tol_cluster": "X"}
+    with pytest.raises(SchemaError, match="options.tol_cluster must be finite"):
+        parse_job(json.dumps(doc).replace('"X"', spelling))
+    doc = scalar_job()
+    doc["path"] = {"kind": "piecewise_linear", "knots": [0, "X", 1],
+                   "samples": [[[-1]], [[0]], [[1]]]}
+    with pytest.raises(SchemaError, match="path.knots must be finite"):
+        parse_job(json.dumps(doc).replace('"X"', spelling))
+
+
+def test_negative_tolerance_option_exits_2():
+    doc = scalar_job()
+    doc["options"] = {"tol_cluster": -1e-8}
+    report, code = run(parse_job(json.dumps(doc)))
+    assert code == 2
+    assert "OutOfRange: tol_cluster" in report["error"]["message"]
+
+
 def test_exit_code_certification_failed():
     doc = scalar_job()
     doc["path"] = {"kind": "piecewise_linear", "knots": [0.0, 0.5, 1.0],
@@ -219,12 +275,15 @@ def test_exit_code_certification_failed():
 
 def test_exit_code_nan_block():
     # a NaN block has no spectrum; it must fail the eigensolve with exit 4,
-    # never carry NaN eigenvalues into a report or exit 1
+    # never carry NaN eigenvalues into a report or exit 1. The JSON boundary
+    # rejects NaN, so it is put into the parsed job.
     doc = scalar_job()
     doc["action"] = {"matrices": {"0": [[1, 0], [0, 1]]}}
-    doc["path"] = {"kind": "affine", "A": [[float("nan"), 0], [0, 1]],
+    doc["path"] = {"kind": "affine", "A": [[0, 0], [0, 1]],
                    "B": [[1, 0], [0, 1]]}
-    report, code = run(parse_job(json.dumps(doc)))
+    job = parse_job(json.dumps(doc))
+    job.path["A"][0][0] = float("nan")
+    report, code = run(job)
     assert code == 4
     assert report["error"]["code"] == 4
     assert "EigenFailure" in report["error"]["message"]

@@ -3,16 +3,31 @@
 import numpy as np
 import pytest
 
+from sflow import _eig, cogredient, operators
+from sflow._eig import EPS, eigh_error, jacobi_eigh
 from sflow.cogredient import (
+    COVER_SUBSTEPS,
+    MIN_SINGULAR,
+    POSITIVITY_MARGIN,
+    RESIDUAL_FACTOR,
+    _check_cover,
     parametrix,
     parametrix_fs_plus,
     pointwise_section,
     split_positive,
 )
-from sflow.errors import CoverFailure, NotFSi, NotFSplus, OutOfRange
+from sflow.errors import (
+    CoverFailure,
+    EigenFailure,
+    NotFSi,
+    NotFSplus,
+    NotPositive,
+    OutOfRange,
+    ResidualTooLarge,
+)
 from sflow.flow import sfl_G
 from sflow.groups import OrthogonalAction, build_group
-from sflow.operators import CPS, OperatorPath, check_equivariance
+from sflow.operators import CPS, OperatorPath, check_equivariance, negate
 from sflow.sampling import haar_orthogonal, preset_action, random_equivariant_path
 
 
@@ -211,3 +226,241 @@ def test_section_rejects_one_sided_operators():
         pointwise_section(CPS(np.eye(1)))
     with pytest.raises(NotFSi):
         pointwise_section(CPS(np.eye(1), plus_tail=True))
+
+
+# --- stacked solves against the normal form one sample at a time ---------------
+
+
+def _ref_norm(m):
+    w, _ = jacobi_eigh(m)
+    return float(np.max(np.abs(w))) if w.size else 0.0
+
+
+def _ref_specnorm(m):
+    w, v = jacobi_eigh(m)
+    return float((np.max(np.abs(w)) + eigh_error(m, w, v)) * (1.0 + 2.0 * EPS))
+
+
+def _ref_correction(block, tol):
+    w, v = jacobi_eigh(block)
+    k = (v * np.where(w > tol, 0.0, w - 1.0)) @ v.T
+    return 0.5 * k + 0.5 * k.T
+
+
+def _ref_inv_sqrt(block, margin):
+    w, v = jacobi_eigh(block)
+    if w.size and float(w[0]) <= margin:
+        raise NotPositive(f"eigenvalue {float(w[0]):.3e} at or below margin "
+                          f"{margin:.3e}")
+    out = (v / np.sqrt(w)) @ v.T
+    return 0.5 * out + 0.5 * out.T
+
+
+def _ref_cover(path, anchors, corrections):
+    lip = path.lipschitz
+    for j, k_j in enumerate(corrections):
+        lo = anchors[max(j - 1, 0)]
+        hi = anchors[min(j + 1, len(anchors) - 1)]
+        step = (hi - lo) / COVER_SUBSTEPS
+        slack = lip * step / 2.0
+        for i in range(COVER_SUBSTEPS + 1):
+            lam = lo + i * step
+            w, _ = jacobi_eigh(path.block_at(lam) - k_j)
+            low = float(w[0]) if w.size else 1.0
+            if low - slack <= POSITIVITY_MARGIN:
+                raise CoverFailure(
+                    f"frozen split at anchor {anchors[j]:.6g} loses "
+                    f"positivity near {lam:.6g} (eigenvalue {low:.3e}, "
+                    f"slack {slack:.3e}); refine samples")
+
+
+def _ref_parametrix(path, samples):
+    """The one-sided normal form with one eigensolve per sample in Python
+    loops: (M, K, corrections, max_residual, transformed Lipschitz bound)."""
+    sign, fs_plus = 1, path
+    if path.minus_tail and not path.plus_tail:
+        sign, fs_plus = -1, negate(path)
+    anchors = np.linspace(0.0, 1.0, samples)
+    spacing = 1.0 / (samples - 1)
+    corrections = []
+    for lam in anchors:
+        block = fs_plus.block_at(lam)
+        cut = max(2.0 * 1e-8 * (1.0 + _ref_norm(block)),
+                  4.0 * fs_plus.lipschitz * spacing)
+        corrections.append(_ref_correction(block, cut))
+    _ref_cover(fs_plus, anchors, corrections)
+    ms, ks = [], []
+    for lam, k_blend in zip(anchors, corrections):
+        m = _ref_inv_sqrt(fs_plus.block_at(lam) - k_blend, POSITIVITY_MARGIN)
+        k = m.T @ k_blend @ m
+        ms.append(m)
+        ks.append(0.5 * k + 0.5 * k.T)
+    for lam, m, k in zip(anchors.tolist(), ms, ks):
+        op = fs_plus.at(lam)
+        res = _ref_norm(m.T @ op.block @ m - (np.eye(path.dim) + k))
+        norm = _ref_norm(op.block)
+        bound = RESIDUAL_FACTOR * (1.0 + (max(norm, 1.0) if any(op.tails)
+                                          else norm))
+        if res > bound:
+            raise ResidualTooLarge(
+                f"residual {res:.3e} at sample {lam} exceeds {bound:.3e}")
+        sv = np.linalg.svd(m, compute_uv=False)
+        if float(sv[-1]) <= MIN_SINGULAR:
+            raise NotPositive(f"M at sample {lam} has singular value "
+                              f"{float(sv[-1]):.3e}")
+    if sign < 0:
+        ks = [-k for k in ks]
+    worst = 0.0
+    for lam, m, k in zip(anchors, ms, ks):
+        target = sign * np.eye(path.dim) + k
+        worst = max(worst, _ref_norm(m.T @ path.block_at(lam) @ m - target))
+    mats = [sign * np.eye(path.dim) + k for k in ks]
+    mats = [0.5 * x + 0.5 * x.T for x in mats]
+    knots = anchors.tolist()
+    lip = 0.0
+    for i in range(len(mats) - 1):
+        lip = max(lip, _ref_specnorm(mats[i + 1] - mats[i])
+                  / (knots[i + 1] - knots[i]))
+    return ms, ks, corrections, worst, lip
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as e:  # noqa: BLE001 - the comparison covers failures
+        return type(e).__name__, str(e)
+
+
+def _same_bits(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_stacked_parametrix_matches_one_sample_at_a_time(dim):
+    rng = np.random.default_rng(100 + dim)
+    group, _ = build_group("trivial")
+    action = OrthogonalAction(group, [np.eye(dim)])
+    solved = 0
+    for kind in ("affine", "pl"):
+        for tails in ({"plus_tail": True}, {"minus_tail": True}, {}):
+            for samples in (17, 64):
+                p = random_equivariant_path(action, rng, kind=kind, **tails)
+                want = _outcome(lambda: _ref_parametrix(p, samples))
+                got = _outcome(lambda: parametrix(p, samples))
+                if isinstance(want, tuple) and isinstance(want[0], str):
+                    assert got == want
+                    continue
+                ms, ks, corrections, worst, lip = want
+                assert _same_bits(got.M, ms)
+                assert _same_bits(got.K, ks)
+                assert _same_bits(got.anchor_corrections, corrections)
+                assert got.max_residual() == worst
+                assert got.transformed_path().lipschitz == lip
+                solved += 1
+    assert solved >= 6
+
+
+@pytest.mark.parametrize("entry", [1.7e308, -1.7e308, 1e308])
+@pytest.mark.parametrize("tails", [{"plus_tail": True}, {"minus_tail": True}])
+def test_stacked_parametrix_fails_as_one_sample_at_a_time(entry, tails):
+    p = OperatorPath.affine(np.array([[entry]]), np.zeros((1, 1)), **tails)
+    want = _outcome(lambda: _ref_parametrix(p, 64))
+    assert isinstance(want[0], str)
+    assert _outcome(lambda: parametrix(p, 64)) == want
+
+
+def test_late_cover_failure_names_the_first_failing_sample():
+    # flat until 0.9, then the eigenvalue drops through zero: the cover fails
+    # near the end of the grid, in a later stacked chunk than the first
+    p = OperatorPath.piecewise_linear([0.0, 0.9, 1.0],
+                                      [np.eye(2), np.eye(2),
+                                       np.diag([-3.0, 1.0])], plus_tail=True)
+    want = _outcome(lambda: _ref_parametrix(p, 17))
+    assert want[0] == "CoverFailure"
+    with pytest.raises(CoverFailure) as info:
+        parametrix(p, 17)
+    assert str(info.value) == want[1]
+    anchor = float(want[1].split("anchor ")[1].split()[0])
+    assert anchor > 2.0 / 16  # past the anchors of the first chunk
+
+
+class _StubPath:
+    """Cover-check input with one unsolvable sample: the block is the scalar
+    value of the parameter, NaN at bad, and 0 (failing the cover) at low."""
+
+    def __init__(self, bad, low):
+        self.bad, self.low, self.lipschitz = bad, low, 0.0
+
+    def block_at(self, lam):
+        if lam == self.bad:
+            return np.array([[np.nan]])
+        return np.array([[0.0 if lam == self.low else 1.0]])
+
+
+# with 5 anchors the grid runs 0, 1/32, ..., 7/32, 1/4 around anchor 0, and
+# its 7th and 8th samples sit in the same stacked chunk
+@pytest.mark.parametrize("bad, low, raised", [(0.25, 0.21875, CoverFailure),
+                                              (0.21875, 0.25, EigenFailure)])
+def test_unsolvable_sample_does_not_preempt_an_earlier_cover_failure(
+        bad, low, raised):
+    anchors = np.linspace(0.0, 1.0, 5)
+    corrections = np.zeros((5, 1, 1))
+    stub = _StubPath(bad, low)
+    want = _outcome(lambda: _ref_cover(stub, anchors, corrections))
+    assert want[0] == raised.__name__
+    with pytest.raises(raised) as info:
+        _check_cover(stub, anchors, corrections)
+    assert str(info.value) == want[1]
+
+
+def _count_solves(monkeypatch):
+    # every stacked eigensolve the normal form makes, by stack size
+    sizes = []
+    real = _eig.jacobi_eigh
+
+    def counting(blocks):
+        sizes.append(1 if np.ndim(blocks) == 2 else len(blocks))
+        return real(blocks)
+
+    for module in (_eig, cogredient, operators):
+        monkeypatch.setattr(module, "jacobi_eigh", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("samples", [33, 64, 100])
+def test_cover_check_solves_in_chunks_of_at_most_samples(samples, monkeypatch):
+    p = OperatorPath.affine(np.diag([-3.0, 2.0]), np.diag([6.0, 1.0]),
+                            plus_tail=True)
+    sizes = _count_solves(monkeypatch)
+    in_cover = []
+    real_cover = cogredient._check_cover
+
+    def cover(*args):
+        start = len(sizes)
+        real_cover(*args)
+        in_cover.extend(sizes[start:])
+
+    monkeypatch.setattr(cogredient, "_check_cover", cover)
+    parametrix(p, samples=samples)
+    assert in_cover == [samples] * (COVER_SUBSTEPS + 1)
+    assert max(sizes) <= samples
+
+
+@pytest.mark.parametrize("tails, negated", [({"plus_tail": True}, 0),
+                                            ({"minus_tail": True}, 1)])
+def test_normal_form_makes_a_fixed_number_of_solves(tails, negated,
+                                                    monkeypatch):
+    # anchors 1, cover COVER_SUBSTEPS + 1, inverse roots 1, residual check
+    # 2, max_residual 1, the transformed path's Lipschitz bound 1, and the
+    # negated path's Lipschitz bound on the negative side
+    rng = np.random.default_rng(5)
+    table, action = preset_action("cyclic", 2, 3, rng)
+    p = random_equivariant_path(action, rng, kind="pl", **tails)
+    counts = []
+    for samples in (64, 128):
+        sizes = _count_solves(monkeypatch)
+        px = parametrix(p, samples=samples)
+        px.max_residual()
+        px.transformed_path()
+        counts.append(len(sizes))
+    assert counts[0] == counts[1] == COVER_SUBSTEPS + 7 + negated

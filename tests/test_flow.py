@@ -59,6 +59,27 @@ def test_flow_options_validation():
         FlowOptions(max_depth=-1)
 
 
+@pytest.mark.parametrize("field", ["tol_cluster", "tol_invert",
+                                   "tol_equivariance", "tol_invariance",
+                                   "margin_floor"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   -1e-8])
+def test_flow_options_reject_non_finite_and_negative_tolerances(field, value):
+    with pytest.raises(OutOfRange) as info:
+        FlowOptions(**{field: value})
+    assert field in str(info.value)
+    assert getattr(FlowOptions(**{field: 0.0}), field) == 0.0
+
+
+def test_nan_cluster_tolerance_cannot_hide_a_crossing():
+    # NaN fails every comparison: unchecked, it made this flow read 0
+    table, action = _trivial_setup(1)
+    assert sfl_G(_scalar_up_path(), action, table).sfl == 1
+    with pytest.raises(OutOfRange):
+        sfl_G(_scalar_up_path(), action, table,
+              FlowOptions(tol_cluster=float("nan")))
+
+
 def test_partition_invariants():
     good = CertifiedPartition((0.0, 0.5, 1.0), (0.3, 0.4), (0.1, 0.1))
     assert good.n_segments == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sflow._eig import jacobi_eigh
 from sflow.errors import (
     NotLagrangian,
     NotOrthonormal,
@@ -13,6 +14,7 @@ from sflow.groups import OrthogonalAction, build_group, multiplicity_vector
 from sflow.groups import character_of_subspace
 from sflow.maslov import (
     LagrangianFrame,
+    _arctan_path,
     SymplecticSpace,
     fredholm_pair_dims,
     gap_distance,
@@ -264,3 +266,29 @@ def test_split_window_classes_add_up():
                                        table)
 
         assert klass(-a, a) - klass(0.0, a) == klass(-a, 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_arctan_path_matches_one_block_at_a_time(dim):
+    rng = np.random.default_rng(300 + dim)
+    a = reynolds_symmetric(identity_action(build_group("trivial")[0], dim),
+                           rng.standard_normal((dim, dim)))
+    paths = [OperatorPath.affine(a, 3.0 * np.eye(dim) - a),
+             OperatorPath.piecewise_linear(
+                 [0.0, 0.3, 0.35, 1.0],
+                 [a, -a, 1e3 * np.eye(dim), rng.standard_normal((dim, dim))])]
+    for path in paths:
+        moved = _arctan_path(path)
+        grid = []
+        for lo, hi in zip(path.knots, path.knots[1:]):
+            grid += [lo + (hi - lo) * i / 4 for i in range(4)]
+        grid.append(1.0)
+        assert moved.knots.tolist() == grid
+        want = []
+        for lam in grid:
+            w, v = jacobi_eigh(path.block_at(lam))
+            out = (v * np.arctan(w)) @ v.T
+            out = 0.5 * out + 0.5 * out.T
+            want.append(0.5 * out + 0.5 * out.T)
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in zip(moved.samples, want, strict=True))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sflow import jacobi_eigh, operators, spectral_norm_sym
-from sflow._eig import eigh_error, opnorms
+from sflow._eig import EPS, eigh_error, opnorms, solve_each
 from sflow.errors import (
     BoundaryHit,
     DimMismatch,
@@ -31,7 +31,6 @@ from sflow.operators import (
     direct_sum,
     direct_sum_paths,
     equivariance_defects,
-    evaluate,
     morse_class,
     negate,
     reverse,
@@ -286,7 +285,7 @@ def test_affine_path():
     assert np.allclose(p.block_at(1.0), np.diag([1.0, 2.0]))
     assert np.allclose(p.block_at(0.5), np.diag([0.0, 2.0]))
     assert p.lipschitz == pytest.approx(2.0)
-    assert evaluate(p, 0.5).dim == 2
+    assert p.at(0.5).dim == 2
     with pytest.raises(OutOfRange):
         p.block_at(-0.1)
     with pytest.raises(OutOfRange):
@@ -593,3 +592,52 @@ def test_stacked_eigensolve_rejects_any_bad_matrix():
         block_spectra(stack)
     with pytest.raises(ValueError):
         jacobi_eigh(np.zeros((2, 2, 3)))
+
+
+def _specnorm_one_piece(m):
+    # the Lipschitz speed of one piece, from its own eigensolve
+    if m.shape[0] == 0:
+        return 0.0
+    w, v = jacobi_eigh(m)
+    return float((np.max(np.abs(w)) + eigh_error(m, w, v)) * (1.0 + 2.0 * EPS))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+def test_piecewise_lipschitz_matches_a_per_piece_loop(n):
+    rng = np.random.default_rng(200 + n)
+    for pieces in (1, 2, 6, 63):
+        knots = np.concatenate([[0.0], np.sort(rng.uniform(size=pieces - 1)),
+                                [1.0]])
+        raw = rng.standard_normal((pieces + 1, n, n))
+        raw[-1] *= 1e300  # one piece near the top of the float range
+        p = OperatorPath.piecewise_linear(knots, list(raw))
+        mats = [0.5 * m + 0.5 * m.T for m in raw]
+        lip = 0.0
+        for i in range(pieces):
+            lip = max(lip, _specnorm_one_piece(mats[i + 1] - mats[i])
+                      / (knots[i + 1] - knots[i]))
+        assert p.lipschitz == lip
+        diffs = np.stack(mats[1:]) - np.stack(mats[:-1])
+        stacked = operators._specnorm(diffs)
+        assert stacked.tolist() == [_specnorm_one_piece(d) for d in diffs]
+        assert [operators._specnorm(d) for d in diffs] == stacked.tolist()
+
+
+def test_solve_each_keeps_each_failure_with_its_matrix():
+    stack = np.stack([np.eye(2), np.full((2, 2), np.nan), 2.0 * np.eye(2),
+                      np.full((2, 2), np.inf)])
+
+    def lowest(blocks):
+        if np.any(np.isnan(blocks)):  # a second message, for the NaN block
+            raise EigenFailure("NaN block")
+        return jacobi_eigh(blocks)[0][:, 0].tolist()
+
+    got = solve_each(lowest, stack)
+    assert got[0] == 1.0 and got[2] == 2.0
+    assert str(got[1]) == "NaN block"
+    assert str(got[3]) == "block has non-finite entries"
+    with pytest.raises(EigenFailure, match="NaN block"):
+        solve_each(lowest, stack, strict=True)
+    with pytest.raises(EigenFailure, match="non-finite"):
+        solve_each(lowest, stack[[0, 3, 1]], strict=True)
+    assert solve_each(lowest, stack[[0, 2]]) == [1.0, 2.0]
