@@ -93,11 +93,28 @@ def eigh_error(block: np.ndarray, w: np.ndarray,
 
 def opnorms(m: np.ndarray) -> np.ndarray:
     """Two-norm of each matrix in a (..., r, c) stack, from one batched SVD.
-    Zero-size matrices have norm 0."""
+    Zero-size matrices have norm 0, and a matrix with a non-finite entry,
+    such as a product that overflowed, has norm inf."""
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return np.zeros(m.shape[:-2])
-    return np.linalg.norm(m, 2, axis=(-2, -1))
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.norm(m, 2, axis=(-2, -1))
+    out = np.full(finite.shape, np.inf)
+    out[finite] = opnorms(m[finite])
+    return out
+
+
+def block_diag(*mats: np.ndarray) -> np.ndarray:
+    """Matrix with the given matrices along its diagonal and zeros elsewhere."""
+    out = np.zeros((sum(m.shape[0] for m in mats),
+                    sum(m.shape[1] for m in mats)))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
 
 
 def spectral_norm_sym(block: np.ndarray) -> float | np.ndarray:

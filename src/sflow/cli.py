@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._eig import opnorms
 from .cogredient import parametrix
 from .errors import (
     ConsistencyFailure,
@@ -29,31 +28,46 @@ from .errors import (
     TableMismatch,
     WrongGroup,
 )
-from .flow import FlowOptions, morse_oracle_sfl_G, sfl_G, verify_axioms
+from .flow import (
+    MAX_DEPTH,
+    FlowOptions,
+    SflReport,
+    morse_oracle_sfl_G,
+    sfl_G,
+    verify_axioms,
+)
 from .groups import (
     FiniteGroup,
     OrthogonalAction,
     RealCharacterTable,
+    VirtualRep,
     build_group,
     forgetful_F,
     phi_Z2,
 )
-from .maslov import maslov_index_G
-from .operators import OperatorPath
+from .maslov import _checked_flow
+from .operators import CLUSTER_FACTOR, INVERT_FACTOR, OperatorPath
 
 logger = logging.getLogger("sflow")
 
 COMMANDS = ("sfl", "maslov", "cogredient", "oracle", "verify")
 
 OPTION_DEFAULTS = {
-    "tol_cluster": 1e-8,
-    "tol_invert": 1e-10,
-    "max_depth": 40,
+    "tol_cluster": CLUSTER_FACTOR,
+    "tol_invert": INVERT_FACTOR,
+    "max_depth": MAX_DEPTH,
     "m": 0,
     "seed": 0,
     "samples": 64,
     "instances": 20,
 }
+# inclusive ranges of the integer options; FlowOptions bounds max_depth. The
+# caps bound what one job allocates: m adds 2m rows and columns to the
+# oracle's block and to each action matrix (2 MiB plus 8 KiB per block row
+# at 256), a cogredient stack holds `samples` path blocks, and verify keeps
+# up to six failure witnesses per instance
+_INT_RANGES = {"m": (0, 256), "seed": (0, math.inf), "samples": (2, 1024),
+               "instances": (1, 1000)}
 
 EXIT_UNEXPECTED = 1
 
@@ -136,6 +150,15 @@ def _matrix(raw, where: str) -> list[list[float]]:
     return out
 
 
+def _elements(raw, order: int, where: str) -> list[int]:
+    if not isinstance(raw, list):
+        raise SchemaError(f"{where} must be an array")
+    for x in raw:
+        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < order:
+            raise SchemaError(f"{where} has an entry outside 0..{order - 1}")
+    return list(raw)
+
+
 def _parse_group(raw, where: str = "group") -> dict:
     if not isinstance(raw, dict):
         raise SchemaError(f"{where} must be an object")
@@ -156,12 +179,10 @@ def _parse_group(raw, where: str = "group") -> dict:
     if len(table) != order or any(not isinstance(r, list) or len(r) != order
                                   for r in table):
         raise SchemaError(f"{where}.mult_table must be {order}x{order}")
-    for i, row in enumerate(table):
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < order:
-                raise SchemaError(f"{where}.mult_table[{i}] has an entry "
-                                  f"outside 0..{order - 1}")
-    classes = _want(raw, "classes", list, where)
+    table = [_elements(r, order, f"{where}.mult_table[{i}]")
+             for i, r in enumerate(table)]
+    classes = [sorted(_elements(c, order, f"{where}.classes[{i}]"))
+               for i, c in enumerate(_want(raw, "classes", list, where))]
     chars = _want(raw, "char_table", list, where)
     out_chars = []
     for i, rec in enumerate(chars):
@@ -176,8 +197,7 @@ def _parse_group(raw, where: str = "group") -> dict:
                        for v in _want(rec, "values", list,
                                       f"{where}.char_table[{i}]")],
         })
-    return {"order": order, "mult_table": [list(r) for r in table],
-            "classes": [sorted(int(x) for x in c) for c in classes],
+    return {"order": order, "mult_table": table, "classes": classes,
             "char_table": out_chars}
 
 
@@ -186,7 +206,7 @@ def _parse_action(raw, where: str = "action") -> dict:
         raise SchemaError(f"{where} must be an object")
     _no_extras(raw, {"matrices"}, where)
     mats = _want(raw, "matrices", dict, where)
-    out, parsed = {}, []
+    out = {}
     dim = None
     for key, val in mats.items():
         try:
@@ -202,15 +222,8 @@ def _parse_action(raw, where: str = "action") -> dict:
                 f"{where}.matrices[{key}] is {len(mat)}x{len(mat)}, "
                 f"others are {dim}x{dim}")
         out[str(idx)] = mat
-        parsed.append(mat)
     if not out:
         raise SchemaError(f"{where}.matrices is empty")
-    stack = np.array(parsed)
-    bad = np.flatnonzero(
-        opnorms(np.swapaxes(stack, 1, 2) @ stack - np.eye(dim)) > 1e-10)
-    if bad.size:
-        key = list(mats)[bad[0]]
-        raise SchemaError(f"{where}.matrices[{key}] not orthogonal")
     return {"matrices": out}
 
 
@@ -240,6 +253,8 @@ def _parse_path(raw, where: str = "path") -> dict:
         if len(samples) != len(knots):
             raise SchemaError(f"{where} has {len(knots)} knots but "
                               f"{len(samples)} samples")
+        if not samples:
+            raise SchemaError(f"{where}.samples is empty")
         dims = {len(s) for s in samples}
         if len(dims) > 1:
             raise DimensionMismatch(f"{where}.samples mix dimensions {sorted(dims)}")
@@ -248,14 +263,24 @@ def _parse_path(raw, where: str = "path") -> dict:
     raise SchemaError(f"{where}.kind {kind!r} is not a path kind")
 
 
-def parse_job(text: str) -> JobSpec:
-    """Validate a JSON job document and fill defaults."""
+def parse_job(text: str, *, command: str | None = None,
+              seed: int | None = None) -> JobSpec:
+    """Validate a JSON job document and fill defaults. A command or seed
+    given here replaces the document's before any check, so it is validated
+    like a value written in the document."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:
+        # an integer literal past Python's digit limit, or nesting too deep
+        raise ParseError(str(e)) from None
     if not isinstance(raw, dict):
         raise SchemaError("top level must be an object")
+    if command is not None:
+        raw["command"] = command
+    if seed is not None and isinstance(raw.setdefault("options", {}), dict):
+        raw["options"]["seed"] = seed
     _no_extras(raw, {"command", "group", "action", "path", "tail", "options"},
                "job")
 
@@ -283,37 +308,28 @@ def parse_job(text: str) -> JobSpec:
         if not isinstance(raw["options"], dict):
             raise SchemaError("options must be an object")
         _no_extras(raw["options"], set(OPTION_DEFAULTS), "options")
-        for key, val in raw["options"].items():
-            if key in ("max_depth", "m", "seed", "samples", "instances"):
-                options[key] = _want(raw["options"], key, int, "options")
-            else:
-                options[key] = _want(raw["options"], key, float, "options")
+        for key in raw["options"]:
+            val = _want(raw["options"], key, type(OPTION_DEFAULTS[key]),
+                        "options")
+            lo, hi = _INT_RANGES.get(key, (-math.inf, math.inf))
+            if not lo <= val <= hi:
+                raise SchemaError(f"options.{key} must be in {lo}..{hi}, "
+                                  f"got {val}")
+            options[key] = val
 
     if action is None:
         raise SchemaError("job.action is required")
     if command != "verify" and path is None:
         raise SchemaError(f"job.path is required for command {command!r}")
 
-    job = JobSpec(command, group, action, path, tail, options)
-    _check_dimensions(job)
-    return job
-
-
-def _path_dim(path: dict) -> int:
-    if path["kind"] == "affine":
-        return len(path["A"])
-    return len(path["samples"][0])
-
-
-def _check_dimensions(job: JobSpec) -> None:
-    if job.action is None or job.path is None:
-        return
-    dims = {len(m) for m in job.action["matrices"].values()}
-    adim = dims.pop()
-    pdim = _path_dim(job.path)
-    if adim != pdim:
-        raise DimensionMismatch(f"path blocks are {pdim}x{pdim} but action "
-                                f"matrices are {adim}x{adim}")
+    if path is not None:
+        adim = len(next(iter(action["matrices"].values())))
+        pdim = len(path["A"] if path["kind"] == "affine"
+                   else path["samples"][0])
+        if adim != pdim:
+            raise DimensionMismatch(f"path blocks are {pdim}x{pdim} but "
+                                    f"action matrices are {adim}x{adim}")
+    return JobSpec(command, group, action, path, tail, options)
 
 
 def _materialize_group(spec: dict) -> tuple[FiniteGroup, RealCharacterTable]:
@@ -352,64 +368,53 @@ def _materialize_path(spec: dict, tail: dict) -> OperatorPath:
         plus_tail=tail["plus"], minus_tail=tail["minus"])
 
 
-def _flow_options(options: dict) -> FlowOptions:
-    return FlowOptions(tol_cluster=options["tol_cluster"],
-                       tol_invert=options["tol_invert"],
-                       max_depth=options["max_depth"])
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
-def _maybe_phi(vr) -> list[int] | None:
+def _report(klass: VirtualRep, flow: SflReport | None = None,
+            **extra) -> dict:
+    """Success report of a flow class, with the partition and crossings of
+    the flow it came from (null without one); phi for order-two groups."""
+    out = {"sfl": forgetful_F(klass), "sfl_G": klass.as_dict(),
+           "partition": None, "crossings": None, "certified": True,
+           "error": None, **extra}
+    if flow is not None:
+        p = flow.partition
+        out["partition"] = {"knots": list(p.knots), "levels": list(p.levels),
+                            "margins": list(p.margins)}
+        out["crossings"] = [{"interval": list(c.interval),
+                             "class": c.klass.as_dict()}
+                            for c in flow.crossings]
     try:
-        return list(phi_Z2(vr))
+        out["phi"] = list(phi_Z2(klass))
     except WrongGroup:
-        return None
+        pass
+    return out
 
 
-def _partition_block(report) -> dict:
-    return {"knots": list(report.partition.knots),
-            "levels": list(report.partition.levels),
-            "margins": list(report.partition.margins)}
-
-
-def _crossings_block(report) -> list[dict]:
-    return [{"interval": list(c.interval), "class": c.klass.as_dict()}
-            for c in report.crossings]
+def _failure(e: Exception, code: int) -> tuple[dict, int]:
+    """Error report and exit code for an exception."""
+    message = f"{type(e).__name__}: {e}"
+    logger.error("%s", message)
+    return {"error": {"code": code, "message": message}}, code
 
 
 def run(job: JobSpec) -> tuple[dict, int]:
     """Execute a job. Returns (report document, exit code); never raises for
     conditions covered by the exit-code contract."""
     try:
-        report = _dispatch(job)
-        return _jsonable(report), 0
+        return _dispatch(job), 0
     except SflowError as e:
-        logger.error("%s: %s", type(e).__name__, e)
-        return {"error": {"code": e.exit_code,
-                          "message": f"{type(e).__name__}: {e}"}}, e.exit_code
+        return _failure(e, e.exit_code)
     except Exception as e:  # noqa: BLE001 - contract: always emit a report
-        logger.error("unexpected %s: %s", type(e).__name__, e)
-        return {"error": {"code": EXIT_UNEXPECTED,
-                          "message": f"{type(e).__name__}: {e}"}}, EXIT_UNEXPECTED
+        return _failure(e, EXIT_UNEXPECTED)
 
 
 def _dispatch(job: JobSpec) -> dict:
     group, table = _materialize_group(job.group)
-    opts = _flow_options(job.options)
+    opts = FlowOptions(tol_cluster=job.options["tol_cluster"],
+                       tol_invert=job.options["tol_invert"],
+                       max_depth=job.options["max_depth"])
+    action = _materialize_action(job.action, group)
 
     if job.command == "verify":
-        action = _materialize_action(job.action, group)
         suite = verify_axioms(action, table, seed=job.options["seed"],
                               instances=job.options["instances"], opts=opts)
         return {
@@ -422,22 +427,10 @@ def _dispatch(job: JobSpec) -> dict:
             "error": None,
         }
 
-    action = _materialize_action(job.action, group)
     path = _materialize_path(job.path, job.tail)
-    if action.dim != path.dim:
-        raise DimensionMismatch(f"path blocks are {path.dim}x{path.dim} but "
-                                f"action matrices are {action.dim}x{action.dim}")
-
     if job.command == "oracle":
-        vr = morse_oracle_sfl_G(path, action, table, m=job.options["m"],
-                                opts=opts)
-        out = {"sfl": forgetful_F(vr), "sfl_G": vr.as_dict(),
-               "partition": None, "crossings": None, "certified": True,
-               "error": None}
-        phi = _maybe_phi(vr)
-        if phi is not None:
-            out["phi"] = phi
-        return out
+        return _report(morse_oracle_sfl_G(path, action, table,
+                                          m=job.options["m"], opts=opts))
 
     if job.command == "cogredient":
         px = parametrix(path, samples=job.options["samples"])
@@ -447,40 +440,13 @@ def _dispatch(job: JobSpec) -> dict:
             raise ConsistencyFailure(
                 "flow changed under the congruence: "
                 f"{direct.sfl_G.as_dict()} vs {transformed.sfl_G.as_dict()}")
-        out = {"sfl": direct.sfl, "sfl_G": direct.sfl_G.as_dict(),
-               "partition": _partition_block(direct),
-               "crossings": _crossings_block(direct),
-               "certified": True,
-               "parametrix": {"sign": px.sign,
-                              "samples": len(px.lambdas),
-                              "max_residual": px.max_residual()},
-               "error": None}
-        phi = _maybe_phi(direct.sfl_G)
-        if phi is not None:
-            out["phi"] = phi
-        return out
+        return _report(direct.sfl_G, direct,
+                       parametrix={"sign": px.sign, "samples": len(px.lambdas),
+                                   "max_residual": px.max_residual()})
 
-    if job.command == "maslov":
-        vr = maslov_index_G(path, action, table, opts)
-        direct = sfl_G(path, action, table, opts)
-        out = {"sfl": direct.sfl, "sfl_G": vr.as_dict(),
-               "partition": _partition_block(direct),
-               "crossings": _crossings_block(direct),
-               "certified": True, "error": None}
-        phi = _maybe_phi(vr)
-        if phi is not None:
-            out["phi"] = phi
-        return out
-
-    report = sfl_G(path, action, table, opts)
-    out = {"sfl": report.sfl, "sfl_G": report.sfl_G.as_dict(),
-           "partition": _partition_block(report),
-           "crossings": _crossings_block(report),
-           "certified": True, "error": None}
-    phi = _maybe_phi(report.sfl_G)
-    if phi is not None:
-        out["phi"] = phi
-    return out
+    flow = (_checked_flow if job.command == "maslov" else sfl_G)(
+        path, action, table, opts)
+    return _report(flow.sfl_G, flow)
 
 
 def emit_report(report: dict) -> str:
@@ -529,22 +495,15 @@ def main(argv: list[str] | None = None) -> int:
                 text = fh.read()
         else:
             text = sys.stdin.read()
-    except OSError as e:
-        report, code = {"error": {"code": 2, "message": f"OSError: {e}"}}, 2
+    except (OSError, UnicodeDecodeError) as e:
+        report, code = _failure(e, 2)
     else:
         try:
-            job = parse_job(text)
-            if args.command:
-                job.command = args.command
-            if args.seed is not None:
-                job.options["seed"] = args.seed
+            job = parse_job(text, command=args.command, seed=args.seed)
             logger.info("running %s job", job.command)
             report, code = run(job)
         except SflowError as e:
-            logger.error("%s: %s", type(e).__name__, e)
-            report, code = {"error": {"code": e.exit_code,
-                                      "message": f"{type(e).__name__}: {e}"}}, \
-                e.exit_code
+            report, code = _failure(e, e.exit_code)
 
     data = emit_report(report)
     if args.output:

@@ -25,7 +25,7 @@ from .errors import (
     OutOfRange,
     ResidualTooLarge,
 )
-from .operators import CPS, FSComponent, OperatorPath, negate
+from .operators import CLUSTER_FACTOR, CPS, FSComponent, OperatorPath, negate
 
 POSITIVITY_MARGIN = 1e-8
 RESIDUAL_FACTOR = 1e-9
@@ -56,7 +56,7 @@ def _split_blocks(w: np.ndarray, v: np.ndarray,
             0.5 * k + 0.5 * np.swapaxes(k, -1, -2))
 
 
-def split_positive(op: CPS, tol_cluster: float = 1e-8) -> tuple[CPS, CPS]:
+def split_positive(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> tuple[CPS, CPS]:
     """Split an operator with positive essential spectrum as S + K with S
     positive definite and K symmetric of finite rank.
 
@@ -109,20 +109,19 @@ def _inv_sqrt(blocks: np.ndarray, margin: float) -> np.ndarray:
 class Parametrix:
     """Sampled congruence data along a path: at sample lambdas[j] the
     invertible block M[j] satisfies M' L M = sign * I + K[j] up to the
-    residual bound, with K[j] symmetric of finite rank. anchors and
-    anchor_corrections hold the frozen splits the blend is built from; the
-    source path is kept for mid-sample evaluation."""
+    residual bound, with K[j] symmetric of finite rank. The samples are the
+    anchors of the blend, and anchor_corrections holds the frozen split at
+    each; the source path is kept for mid-sample evaluation."""
 
     sign: int
     lambdas: tuple[float, ...]
     M: tuple[np.ndarray, ...]
     K: tuple[np.ndarray, ...]
-    anchors: tuple[float, ...]
     anchor_corrections: tuple[np.ndarray, ...]
     path: OperatorPath
 
     def _hat_blend(self, lam: float) -> np.ndarray:
-        grid = self.anchors
+        grid = self.lambdas
         j = int(np.searchsorted(grid, lam, side="right")) - 1
         j = min(max(j, 0), len(grid) - 2)
         t = (lam - grid[j]) / (grid[j + 1] - grid[j])
@@ -140,12 +139,6 @@ class Parametrix:
         k = m.T @ k_blend @ m
         k = sgn * (0.5 * k + 0.5 * k.T)
         return m, k
-
-    def transformed_block(self, lam: float) -> np.ndarray:
-        m, _ = self.at(lam)
-        block = self.path.block_at(lam)
-        out = m.T @ block @ m
-        return 0.5 * out + 0.5 * out.T
 
     def transformed_path(self) -> OperatorPath:
         """Piecewise-linear path through sign * I + K at the samples. Its
@@ -229,7 +222,7 @@ def parametrix_fs_plus(path: OperatorPath, samples: int = 17) -> Parametrix:
         norm = np.abs(w).max(axis=1, initial=0.0)
         # absorb a near-zero band wide enough that eigenvalues entering it
         # between anchors cannot drag the frozen positive part below zero
-        cut = np.maximum(2.0 * 1e-8 * (1.0 + norm), drift)
+        cut = np.maximum(2.0 * CLUSTER_FACTOR * (1.0 + norm), drift)
         return _split_blocks(w, v, cut)[1]
 
     blocks = np.stack([path.block_at(lam) for lam in anchors])
@@ -240,7 +233,6 @@ def parametrix_fs_plus(path: OperatorPath, samples: int = 17) -> Parametrix:
     k = m.swapaxes(1, 2) @ corrections @ m
     px = Parametrix(sign=1, lambdas=tuple(float(a) for a in anchors),
                     M=tuple(m), K=tuple(0.5 * k + 0.5 * k.swapaxes(1, 2)),
-                    anchors=tuple(float(a) for a in anchors),
                     anchor_corrections=tuple(corrections), path=path)
     _check_residual(px, blocks)
     return px
@@ -269,19 +261,15 @@ def _check_residual(px: Parametrix, b: np.ndarray) -> None:
 def parametrix(path: OperatorPath, samples: int = 17) -> Parametrix:
     """Normal form for a one-sided path: direct for positive essential
     spectrum, through negation with flipped sign for negative."""
-    plus, minus = path.plus_tail, path.minus_tail
-    if minus and not plus:
-        flipped = parametrix_fs_plus(negate(path), samples)
-        return Parametrix(sign=-1, lambdas=flipped.lambdas, M=flipped.M,
-                          K=tuple(-k for k in flipped.K),
-                          anchors=flipped.anchors,
-                          anchor_corrections=flipped.anchor_corrections,
-                          path=path)
-    if plus and not minus:
+    if path.plus_tail and path.minus_tail:
+        raise NotFSplus("two-sided essential spectrum has no one-sided "
+                        "parametrix")
+    if not path.minus_tail:
         return parametrix_fs_plus(path, samples)
-    if not plus and not minus:
-        return parametrix_fs_plus(path, samples)
-    raise NotFSplus("two-sided essential spectrum has no one-sided parametrix")
+    flipped = parametrix_fs_plus(negate(path), samples)
+    return Parametrix(sign=-1, lambdas=flipped.lambdas, M=flipped.M,
+                      K=tuple(-k for k in flipped.K),
+                      anchor_corrections=flipped.anchor_corrections, path=path)
 
 
 @dataclass(frozen=True)
@@ -294,7 +282,7 @@ class PointwiseSection:
     kernel_dim: int
 
 
-def pointwise_section(op: CPS, tol_cluster: float = 1e-8) -> PointwiseSection:
+def pointwise_section(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> PointwiseSection:
     """Factor a two-sided operator as M Q M' + K with Q a symmetry, M an
     invertible block map acting as the identity on the tails, and K symmetric
     of rank equal to the kernel dimension.

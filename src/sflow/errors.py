@@ -80,8 +80,8 @@ class OutOfRange(InvalidInput):
     """Parameter outside its admissible interval."""
 
 
-class DimMismatch(InvalidInput):
-    """Block or action dimensions do not line up."""
+class DimensionMismatch(InvalidInput):
+    """Block, action or job-document matrix dimensions do not line up."""
 
 
 class TailMismatch(InvalidInput):
@@ -175,7 +175,3 @@ class ParseError(InvalidInput):
 
 class SchemaError(InvalidInput):
     """Job document violates the input schema."""
-
-
-class DimensionMismatch(SchemaError):
-    """Matrix shapes inside a job document are inconsistent."""

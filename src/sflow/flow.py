@@ -17,7 +17,7 @@ import numpy as np
 from ._eig import solve_each
 from .errors import (
     CertificationFailed,
-    DimMismatch,
+    DimensionMismatch,
     EigenFailure,
     EndpointNotInvertible,
     NotEquivariant,
@@ -26,6 +26,7 @@ from .errors import (
     WrongGroup,
 )
 from .groups import (
+    INVARIANCE_TOL,
     OrthogonalAction,
     RealCharacterTable,
     VirtualRep,
@@ -34,7 +35,10 @@ from .groups import (
     multiplicity_vector,
 )
 from .operators import (
+    CLUSTER_FACTOR,
     CPS,
+    EQUIVARIANCE_FACTOR,
+    INVERT_FACTOR,
     OperatorPath,
     Spectrum,
     block_spectra,
@@ -65,10 +69,10 @@ class FlowOptions:
     nonnegative.
     """
 
-    tol_cluster: float = 1e-8
-    tol_invert: float = 1e-10
-    tol_equivariance: float = 1e-8
-    tol_invariance: float = 1e-7
+    tol_cluster: float = CLUSTER_FACTOR
+    tol_invert: float = INVERT_FACTOR
+    tol_equivariance: float = EQUIVARIANCE_FACTOR
+    tol_invariance: float = INVARIANCE_TOL
     margin_floor: float = MARGIN_FLOOR
     max_depth: int = MAX_DEPTH
     min_depth: int = 0
@@ -233,12 +237,9 @@ def _try_certify(cache: _SpectraCache, opts: FlowOptions, left: float,
         folded.append(_fold(lo, hi))
     forbidden = _merge(folded)
 
-    if has_tails:
-        cap = 1.0
-    elif forbidden:
+    cap = 1.0
+    if forbidden and not has_tails:
         cap = forbidden[-1][1] + 1.0
-    else:
-        cap = 1.0
 
     norm_bound = 0.0
     for w in (wl, wm, wr):
@@ -386,7 +387,7 @@ def sfl_G(path: OperatorPath, action: OrthogonalAction,
     """
     opts = opts or FlowOptions()
     if action.dim != path.dim:
-        raise DimMismatch(
+        raise DimensionMismatch(
             f"action dimension {action.dim} vs path dimension {path.dim}")
     if table.group != action.group:
         raise WrongGroup("character table and action belong to different groups")

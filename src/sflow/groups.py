@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._eig import jacobi_eigh, opnorms
+from ._eig import block_diag, jacobi_eigh, opnorms
 from .errors import (
     BadAction,
     BadCharacterTable,
@@ -280,7 +280,9 @@ class OrthogonalAction:
         self.stack = stack
         self.matrices = tuple(stack)
         self.dim = dim = stack.shape[1]
-        defects = opnorms(np.swapaxes(stack, 1, 2) @ stack - np.eye(dim))
+        # entries past about 1e154 overflow the product: its norm is inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            defects = opnorms(np.swapaxes(stack, 1, 2) @ stack - np.eye(dim))
         bad = np.flatnonzero(defects > ACTION_ORTHOGONALITY_TOL)
         if bad.size:
             raise BadAction(f"matrix for element {bad[0]} not orthogonal: "
@@ -307,12 +309,8 @@ class OrthogonalAction:
         action, appended after the existing ones."""
         if extra == 0:
             return self
-        mats = []
-        for m in self.matrices:
-            big = np.eye(self.dim + extra)
-            big[: self.dim, : self.dim] = m
-            mats.append(big)
-        return OrthogonalAction(self.group, mats)
+        return OrthogonalAction(self.group, [block_diag(m, np.eye(extra))
+                                            for m in self.matrices])
 
     def __repr__(self) -> str:
         return f"OrthogonalAction(order={self.group.order}, dim={self.dim})"
@@ -322,13 +320,8 @@ def direct_sum_action(a: OrthogonalAction, b: OrthogonalAction) -> OrthogonalAct
     """Block-diagonal join of two actions of the same group."""
     if a.group != b.group:
         raise WrongGroup("direct sum of actions of different groups")
-    mats = []
-    for ma, mb in zip(a.matrices, b.matrices):
-        big = np.zeros((a.dim + b.dim, a.dim + b.dim))
-        big[: a.dim, : a.dim] = ma
-        big[a.dim:, a.dim:] = mb
-        mats.append(big)
-    return OrthogonalAction(a.group, mats)
+    return OrthogonalAction(a.group, [block_diag(ma, mb)
+                                      for ma, mb in zip(a.matrices, b.matrices)])
 
 
 # --- preset groups -------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import (
     NotSymmetric,
     TailMismatch,
 )
-from .flow import FlowOptions, sfl_G
+from .flow import FlowOptions, SflReport, sfl_G
 from .groups import (
     OrthogonalAction,
     RealCharacterTable,
@@ -31,7 +31,14 @@ from .groups import (
     forgetful_F,
     phi_Z2,
 )
-from .operators import CPS, OperatorPath, block_spectrum, direct_sum_paths, negate
+from .operators import (
+    CLUSTER_FACTOR,
+    CPS,
+    OperatorPath,
+    block_spectrum,
+    direct_sum_paths,
+    negate,
+)
 from .sampling import identity_action
 
 ORTHONORMAL_TOL = 1e-10
@@ -108,17 +115,15 @@ def graph_lagrangian(block: np.ndarray) -> LagrangianFrame:
 
 
 def is_lagrangian(frame: np.ndarray | LagrangianFrame) -> bool:
+    """Whether the frame is a LagrangianFrame or passes its checks. Columns
+    that are not orthonormal raise NotOrthonormal, as in LagrangianFrame."""
     if isinstance(frame, LagrangianFrame):
         return True
-    f = np.asarray(frame, dtype=float)
-    if f.ndim != 2 or f.shape[0] != 2 * f.shape[1]:
+    try:
+        LagrangianFrame(frame)
+    except NotLagrangian:
         return False
-    gram = f.T @ f - np.eye(f.shape[1])
-    if f.shape[1] and spectral_norm_sym(0.5 * gram + 0.5 * gram.T) > ORTHONORMAL_TOL:
-        raise NotOrthonormal("frame columns are not orthonormal")
-    j = SymplecticSpace(f.shape[1]).J
-    p = f @ f.T
-    return bool(opnorms(p @ j @ p) <= LAGRANGIAN_TOL)
+    return True
 
 
 def gap_distance(f1: LagrangianFrame, f2: LagrangianFrame) -> float:
@@ -156,7 +161,8 @@ class WindowEigenvalue:
     vectors: np.ndarray
 
 
-def maslov_operator_spectrum(block: np.ndarray, tol_cluster: float = 1e-8
+def maslov_operator_spectrum(block: np.ndarray,
+                             tol_cluster: float = CLUSTER_FACTOR
                              ) -> list[WindowEigenvalue]:
     """Window spectrum of the boundary-value operator of one graph: exactly
     arctan of each block eigenvalue, multiplicities preserved."""
@@ -188,6 +194,23 @@ def _arctan_path(path: OperatorPath, per_segment: int = 4) -> OperatorPath:
     return OperatorPath.piecewise_linear(grid, samples)
 
 
+def _checked_flow(path: OperatorPath, action: OrthogonalAction,
+                  table: RealCharacterTable,
+                  opts: FlowOptions | None = None) -> SflReport:
+    # the flow of the path itself, once the arctangent route has given the
+    # same class
+    if path.plus_tail or path.minus_tail:
+        raise TailMismatch("graph paths live on a finite block, no tails")
+    opts = opts or FlowOptions()
+    direct = sfl_G(path, action, table, opts)
+    transformed = sfl_G(_arctan_path(path), action, table, opts).sfl_G
+    if direct.sfl_G != transformed:
+        raise ConsistencyFailure(
+            f"index routes disagree: transformed {transformed.as_dict()} vs "
+            f"direct {direct.sfl_G.as_dict()}")
+    return direct
+
+
 def maslov_index_G(path: OperatorPath, action: OrthogonalAction,
                    table: RealCharacterTable,
                    opts: FlowOptions | None = None) -> VirtualRep:
@@ -197,16 +220,7 @@ def maslov_index_G(path: OperatorPath, action: OrthogonalAction,
     Computed as the flow of the arctangent-transformed path, then compared
     with the flow of the original path; the two must agree exactly.
     """
-    if path.plus_tail or path.minus_tail:
-        raise TailMismatch("graph paths live on a finite block, no tails")
-    opts = opts or FlowOptions()
-    direct = sfl_G(path, action, table, opts).sfl_G
-    transformed = sfl_G(_arctan_path(path), action, table, opts).sfl_G
-    if direct != transformed:
-        raise ConsistencyFailure(
-            f"index routes disagree: transformed {transformed.as_dict()} vs "
-            f"direct {direct.as_dict()}")
-    return transformed
+    return _checked_flow(path, action, table, opts).sfl_G
 
 
 @dataclass(frozen=True)

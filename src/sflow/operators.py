@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._eig import EPS, eigh_error, jacobi_eigh, opnorms, solve_each
+from ._eig import EPS, block_diag, eigh_error, jacobi_eigh, opnorms, solve_each
 from .errors import (
     BoundaryHit,
-    DimMismatch,
+    DimensionMismatch,
     EndpointMismatch,
     InfiniteRank,
     NotEquivariant,
@@ -28,6 +28,7 @@ from .errors import (
 )
 from .groups import (
     HOMOMORPHISM_BATCH,
+    INVARIANCE_TOL,
     OrthogonalAction,
     RealCharacterTable,
     VirtualRep,
@@ -62,7 +63,7 @@ class CPS:
     def __post_init__(self) -> None:
         b = np.asarray(self.block, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise DimMismatch(f"block must be square, got shape {b.shape}")
+            raise DimensionMismatch(f"block must be square, got shape {b.shape}")
         b = 0.5 * b + 0.5 * b.T
         b.flags.writeable = False
         object.__setattr__(self, "block", b)
@@ -224,7 +225,7 @@ class OperatorPath:
         a = _sym(np.asarray(a, dtype=float))
         b = _sym(np.asarray(b, dtype=float))
         if a.shape != b.shape:
-            raise DimMismatch(f"shapes {a.shape} and {b.shape} differ")
+            raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
         self.kind = "affine"
         self.mat_a = a
         self.mat_b = b
@@ -252,13 +253,13 @@ class OperatorPath:
         if np.any(np.diff(knots) <= 0):
             raise OutOfRange("knots must be strictly increasing")
         if len(samples) != knots.size:
-            raise DimMismatch(f"{len(samples)} samples for {knots.size} knots")
+            raise DimensionMismatch(f"{len(samples)} samples for {knots.size} knots")
         mats = [_sym(np.asarray(s, dtype=float)) for s in samples]
         dim = mats[0].shape[0]
         for i, m in enumerate(mats):
             if m.shape != (dim, dim):
-                raise DimMismatch(f"sample {i} has shape {m.shape}, expected "
-                                  f"({dim}, {dim})")
+                raise DimensionMismatch(f"sample {i} has shape {m.shape}, "
+                                        f"expected ({dim}, {dim})")
         self.kind = "piecewise_linear"
         self.mat_a = None
         self.mat_b = None
@@ -306,7 +307,7 @@ class OperatorPath:
 
 def _sym(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return 0.5 * m + 0.5 * m.T
 
 
@@ -328,10 +329,7 @@ def _specnorm(m: np.ndarray) -> float | np.ndarray:
 
 def direct_sum(a: CPS, b: CPS) -> CPS:
     """Block-diagonal join; tail flags are merged."""
-    big = np.zeros((a.dim + b.dim, a.dim + b.dim))
-    big[: a.dim, : a.dim] = a.block
-    big[a.dim:, a.dim:] = b.block
-    return CPS(big, plus_tail=a.plus_tail or b.plus_tail,
+    return CPS(block_diag(a.block, b.block), plus_tail=a.plus_tail or b.plus_tail,
                minus_tail=a.minus_tail or b.minus_tail)
 
 
@@ -340,20 +338,13 @@ def direct_sum_paths(p: OperatorPath, q: OperatorPath) -> OperatorPath:
     plus = p.plus_tail or q.plus_tail
     minus = p.minus_tail or q.minus_tail
     if p.kind == "affine" and q.kind == "affine":
-        a = _blockdiag(p.mat_a, q.mat_a)
-        b = _blockdiag(p.mat_b, q.mat_b)
-        return OperatorPath.affine(a, b, plus_tail=plus, minus_tail=minus)
+        return OperatorPath.affine(block_diag(p.mat_a, q.mat_a),
+                                   block_diag(p.mat_b, q.mat_b),
+                                   plus_tail=plus, minus_tail=minus)
     ts = np.unique(np.concatenate([p.knot_values(), q.knot_values()]))
-    samples = [_blockdiag(p.block_at(t), q.block_at(t)) for t in ts]
+    samples = [block_diag(p.block_at(t), q.block_at(t)) for t in ts]
     return OperatorPath.piecewise_linear(ts, samples, plus_tail=plus,
                                          minus_tail=minus)
-
-
-def _blockdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    big = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    big[: a.shape[0], : a.shape[1]] = a
-    big[a.shape[0]:, a.shape[1]:] = b
-    return big
 
 
 def concatenate(p: OperatorPath, q: OperatorPath) -> OperatorPath:
@@ -362,7 +353,7 @@ def concatenate(p: OperatorPath, q: OperatorPath) -> OperatorPath:
     if p.tails != q.tails:
         raise TailMismatch(f"tails {p.tails} vs {q.tails}")
     if p.dim != q.dim:
-        raise DimMismatch(f"dimensions {p.dim} and {q.dim} differ")
+        raise DimensionMismatch(f"dimensions {p.dim} and {q.dim} differ")
     junction_gap = _specnorm(p.block_at(1.0) - q.block_at(0.0))
     if junction_gap > JUNCTION_TOL:
         raise EndpointMismatch(
@@ -403,23 +394,12 @@ def compress(path: OperatorPath, m: int = 0) -> OperatorPath:
     of its scalar value appended to the block, tail flags dropped."""
     if m < 0:
         raise OutOfRange(f"m must be nonnegative, got {m}")
-    extra_vals = [1.0] * (m if path.plus_tail else 0) \
-        + [-1.0] * (m if path.minus_tail else 0)
-    extra = len(extra_vals)
-    if extra == 0:
-        if path.kind == "affine":
-            return OperatorPath.affine(path.mat_a, path.mat_b)
-        return OperatorPath.piecewise_linear(
-            path.knot_values(), [path.block_at(k) for k in path.knot_values()])
-
-    def extend(block: np.ndarray, moving: bool) -> np.ndarray:
-        tail = np.diag(extra_vals) if not moving else np.zeros((extra, extra))
-        return _blockdiag(block, tail)
-
+    tail = np.diag([1.0] * (m if path.plus_tail else 0)
+                   + [-1.0] * (m if path.minus_tail else 0))
     if path.kind == "affine":
-        return OperatorPath.affine(extend(path.mat_a, False),
-                                   extend(path.mat_b, True))
-    samples = [extend(path.block_at(k), False) for k in path.knot_values()]
+        return OperatorPath.affine(block_diag(path.mat_a, tail),
+                                   block_diag(path.mat_b, np.zeros_like(tail)))
+    samples = [block_diag(path.block_at(k), tail) for k in path.knot_values()]
     return OperatorPath.piecewise_linear(path.knot_values(), samples)
 
 
@@ -430,14 +410,16 @@ def equivariance_defects(blocks: np.ndarray,
     as keep each temporary within HOMOMORPHISM_BATCH entries (at least one
     block), so memory stays near |G| n^2 for large explicit groups."""
     if action.dim != blocks.shape[-1]:
-        raise DimMismatch(f"action dimension {action.dim} vs block dimension "
-                          f"{blocks.shape[-1]}")
+        raise DimensionMismatch(f"action dimension {action.dim} vs block "
+                                f"dimension {blocks.shape[-1]}")
     rho = action.stack
     step = max(1, HOMOMORPHISM_BATCH // max(1, rho.size))
     defects = np.empty(len(blocks))
     for k0 in range(0, len(blocks), step):
         b = blocks[k0:k0 + step, None]
-        defects[k0:k0 + step] = np.max(opnorms(rho @ b - b @ rho), axis=1)
+        # a commutator that overflows has norm inf and fails every check
+        with np.errstate(over="ignore", invalid="ignore"):
+            defects[k0:k0 + step] = np.max(opnorms(rho @ b - b @ rho), axis=1)
     return defects
 
 
@@ -450,7 +432,7 @@ def morse_class(op: CPS, action: OrthogonalAction, table: RealCharacterTable, *,
                 tol_cluster: float = CLUSTER_FACTOR,
                 tol_invert: float = INVERT_FACTOR,
                 tol_equivariance: float = EQUIVARIANCE_FACTOR,
-                tol_invariance: float = 1e-7) -> VirtualRep:
+                tol_invariance: float = INVARIANCE_TOL) -> VirtualRep:
     """Class of the negative eigenspace of an invertible finite-dimensional
     equivariant operator."""
     if op.plus_tail or op.minus_tail:

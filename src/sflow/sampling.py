@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._eig import jacobi_eigh, spectral_norm_sym
+from ._eig import block_diag, jacobi_eigh, spectral_norm_sym
 from .errors import OutOfRange
 from .groups import (
     FiniteGroup,
@@ -34,11 +34,7 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def reynolds_symmetric(action: OrthogonalAction, x: np.ndarray) -> np.ndarray:
     """Group average of x, symmetrized. Lands in the commutant exactly."""
-    avg = np.zeros_like(x, dtype=float)
-    for g in range(action.group.order):
-        rho = action.matrix(g)
-        avg += rho @ x @ rho.T
-    avg /= action.group.order
+    avg = _reynolds(action, x)
     return 0.5 * avg + 0.5 * avg.T
 
 
@@ -249,16 +245,8 @@ def preset_action(preset: str, n: int, dim: int,
         blocks.append(pick)
         remaining -= degrees[table.index_of(pick)]
 
-    mats = []
-    for g in range(group.order):
-        parts = [_irrep_matrices(preset, n, name)[g] for name in blocks]
-        full = np.zeros((dim, dim))
-        row = 0
-        for p in parts:
-            d = p.shape[0]
-            full[row:row + d, row:row + d] = p
-            row += d
-        mats.append(full)
+    parts = [_irrep_matrices(preset, n, name) for name in blocks]
+    mats = [block_diag(*(p[g] for p in parts)) for g in range(group.order)]
     if conjugate and dim > 0:
         c = haar_orthogonal(dim, rng)
         mats = [c.T @ m @ c for m in mats]

@@ -9,9 +9,12 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sflow
 from sflow.cli import (
+    COMMANDS,
     OPTION_DEFAULTS,
     JobSpec,
     emit_report,
@@ -19,7 +22,7 @@ from sflow.cli import (
     parse_job,
     run,
 )
-from sflow.errors import DimensionMismatch, ParseError, SchemaError
+from sflow.errors import DimensionMismatch, ParseError, SchemaError, SflowError
 
 
 def golden_job() -> dict:
@@ -41,6 +44,41 @@ def scalar_job(command="sfl") -> dict:
         "action": {"matrices": {"0": [[1]]}},
         "path": {"kind": "affine", "A": [[-1]], "B": [[2]]},
     }
+
+
+def explicit_job() -> dict:
+    # the golden job over the order-2 group given by its tables
+    doc = golden_job()
+    doc["group"] = {
+        "order": 2,
+        "mult_table": [[0, 1], [1, 0]],
+        "classes": [[0], [1]],
+        "char_table": [
+            {"name": "trivial", "degree": 1, "schur": 1, "values": [1, 1]},
+            {"name": "sign", "degree": 1, "schur": 1, "values": [1, -1]},
+        ],
+    }
+    return doc
+
+
+def piecewise_job() -> dict:
+    doc = golden_job()
+    doc["path"] = {"kind": "piecewise_linear", "knots": [0, 0.5, 1],
+                   "samples": [[[-1, 0], [0, 1]], [[0.5, 0], [0, 0.5]],
+                               [[1, 0], [0, -1]]]}
+    return doc
+
+
+FLOW_KEYS = {"sfl", "sfl_G", "partition", "crossings", "certified", "error",
+             "phi"}
+
+
+def assert_plain(obj):
+    # reports hold JSON's own Python types only, never numpy scalars
+    assert type(obj) in (dict, list, str, int, float, bool, type(None)), obj
+    for item in obj.values() if isinstance(obj, dict) else (
+            obj if isinstance(obj, list) else ()):
+        assert_plain(item)
 
 
 # --- parsing -----------------------------------------------------------------
@@ -107,11 +145,13 @@ def test_verify_needs_no_path():
 
 
 def test_parse_rejects_non_orthogonal_action():
+    # OrthogonalAction checks orthogonality, with its witness, at run time
     doc = golden_job()
     doc["action"]["matrices"]["1"] = [[1, 0], [0, -2]]
-    with pytest.raises(SchemaError) as err:
-        parse_job(json.dumps(doc))
-    assert "action.matrices[1] not orthogonal" in str(err.value)
+    report, code = run(parse_job(json.dumps(doc)))
+    assert code == 2
+    assert report["error"]["message"] == (
+        "BadAction: matrix for element 1 not orthogonal: defect 3.000e+00")
 
 
 def test_parse_rejects_dimension_mixes():
@@ -161,6 +201,96 @@ def test_parse_tail_flags():
     doc["tail"] = {"plus": "yes"}
     with pytest.raises(SchemaError):
         parse_job(json.dumps(doc))
+
+
+@pytest.mark.parametrize("classes", [
+    [["a"], [1]], [[0.5], [1]], [[0], [1.7]], [[0], [2]], [[-1], [1]],
+    [[True], [1]], [0, [1]], [[0], None]])
+def test_parse_rejects_bad_class_entries(classes, monkeypatch, capsys):
+    # every entry is an element index, checked like the mult_table entries
+    doc = explicit_job()
+    doc["group"]["classes"] = classes
+    with pytest.raises(SchemaError, match=r"group\.classes\[[01]\] "):
+        parse_job(json.dumps(doc))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main([]) == 2
+    assert "SchemaError" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
+# the documented ranges, each probed one past its end
+@pytest.mark.parametrize("key, value", [
+    ("m", -1), ("m", 257), ("seed", -1), ("samples", 1), ("samples", 1025),
+    ("instances", 0), ("instances", -3), ("instances", 1001)])
+def test_integer_options_outside_their_range_exit_2(key, value):
+    doc = scalar_job("verify")
+    doc["options"] = {key: value}
+    with pytest.raises(SchemaError, match=rf"options\.{key} must be in "):
+        parse_job(json.dumps(doc))
+
+
+def test_integer_options_at_their_limits_parse():
+    doc = scalar_job()
+    doc["options"] = {"m": 256, "seed": 10 ** 40, "samples": 1024,
+                      "instances": 1000}
+    assert parse_job(json.dumps(doc)).options["seed"] == 10 ** 40
+
+
+@pytest.mark.parametrize("text", [
+    '{"command": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+    ids=["5000-digit-integer", "nested-100000-deep"])
+def test_unreadable_literals_are_parse_errors(text):
+    # past the interpreter's integer digit limit, or nested too deep
+    with pytest.raises(ParseError):
+        parse_job(text)
+
+
+def test_parse_rejects_empty_piecewise_path():
+    doc = scalar_job()
+    doc["path"] = {"kind": "piecewise_linear", "knots": [], "samples": []}
+    with pytest.raises(SchemaError, match="path.samples is empty"):
+        parse_job(json.dumps(doc))
+
+
+def _node_paths(doc, at=()):
+    yield at
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _node_paths(value, at + (key,))
+
+
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+# negative or huge: never a group size, where a huge value would be allocated
+EXTREME_INTS = st.integers(-10 ** 40, -1) | st.integers(10 ** 3, 10 ** 40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mutated_documents_fail_only_with_sflow_errors(data):
+    doc = data.draw(st.sampled_from(
+        [golden_job, explicit_job, piecewise_job, scalar_job]))()
+    doc["options"] = {"instances": 1, "samples": 3, "max_depth": 12}
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.sampled_from(list(_node_paths(doc))[1:]))
+        bounded = at[0] == "options" or "classes" in at
+        value = data.draw(SMALL_JSON | EXTREME_INTS if bounded else SMALL_JSON)
+        holder = doc
+        for key in at[:-1]:
+            holder = holder[key]
+        holder[at[-1]] = value
+    command = data.draw(st.none() | st.sampled_from(COMMANDS + ("bogus",)))
+    seed = data.draw(st.none() | st.integers(-3, 3) | EXTREME_INTS)
+    try:
+        job = parse_job(json.dumps(doc), command=command, seed=seed)
+    except SflowError:
+        return
+    report, code = run(job)
+    assert code != 1, report
 
 
 # --- running jobs ---------------------------------------------------------------
@@ -302,6 +432,25 @@ def test_huge_finite_entries_run_without_overflow(entry):
     assert report["sfl"] == 0
 
 
+@pytest.mark.parametrize("where, value, code, message", [
+    # the commutator with diag(1, -1) doubles the entry past the float range
+    ("path", [[-1, 1.7e308], [1.7e308, 1]], 5,
+     "NotEquivariant: commutator norm inf at parameter 0.0 exceeds 1.700e+300"),
+    # the Gram matrix of these columns overflows, with inf - inf entries
+    ("action", [[1e200, -1e200], [1e200, 1e200]], 2,
+     "BadAction: matrix for element 0 not orthogonal: defect inf"),
+], ids=["path", "action"])
+def test_overflowing_products_fail_their_checks(where, value, code, message):
+    # an overflowed product has an infinite norm, never a NaN that passes
+    doc = golden_job()
+    if where == "path":
+        doc["path"]["A"] = value
+    else:
+        doc["action"]["matrices"]["0"] = value
+    report, got = run(parse_job(json.dumps(doc)))
+    assert (got, report["error"]["message"]) == (code, message)
+
+
 def test_exit_code_not_equivariant():
     doc = golden_job()
     doc["path"]["A"] = [[-1, 0.5], [0.5, 1]]
@@ -343,6 +492,8 @@ def test_oracle_command():
     doc["command"] = "oracle"
     report, code = run(parse_job(json.dumps(doc)))
     assert code == 0
+    assert set(report) == FLOW_KEYS
+    assert_plain(report)
     assert report["sfl"] == 0
     assert report["sfl_G"] == {"trivial": 1, "sign": -1}
     assert report["phi"] == [0, 1]
@@ -350,13 +501,23 @@ def test_oracle_command():
     assert report["crossings"] is None
 
 
+def assert_same_flow(report, doc):
+    # sfl, partition and crossings are those of the sfl job on the same path
+    flow, code = run(parse_job(json.dumps(dict(doc, command="sfl"))))
+    assert code == 0
+    for key in ("sfl", "partition", "crossings"):
+        assert report[key] == flow[key]
+
+
 def test_maslov_command():
     doc = golden_job()
     doc["command"] = "maslov"
     report, code = run(parse_job(json.dumps(doc)))
     assert code == 0
+    assert set(report) == FLOW_KEYS
+    assert_plain(report)
     assert report["sfl_G"] == {"trivial": 1, "sign": -1}
-    assert report["partition"] is not None
+    assert_same_flow(report, doc)
 
 
 def test_cogredient_command():
@@ -367,6 +528,9 @@ def test_cogredient_command():
     doc["tail"] = {"plus": True}
     report, code = run(parse_job(json.dumps(doc)))
     assert code == 0
+    assert set(report) == FLOW_KEYS | {"parametrix"}
+    assert_plain(report)
+    assert_same_flow(report, doc)
     assert report["parametrix"]["sign"] == 1
     assert report["parametrix"]["samples"] == OPTION_DEFAULTS["samples"]
     assert report["parametrix"]["max_residual"] <= 1e-9 * (1.0 + 3.0)
@@ -450,11 +614,33 @@ def test_main_seed_override(tmp_path):
     assert json.loads(dst.read_text())["seed"] == 5
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--command", "sfl"], "job.path is required for command 'sfl'"),
+    (["--seed", "-1"], "options.seed must be in 0..inf, got -1")],
+    ids=["command-without-path", "negative-seed"])
+def test_main_overrides_are_validated(argv, message, monkeypatch, capsys):
+    # an override goes through the same checks as the document's own value
+    doc = scalar_job("verify")
+    del doc["path"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == {"code": 2, "message": f"SchemaError: {message}"}
+
+
 def test_main_missing_input_file(tmp_path, capsys):
     code = main(["--input", str(tmp_path / "nope.json")])
     assert code == 2
     out = capsys.readouterr().out
     assert json.loads(out)["error"]["code"] == 2
+
+
+def test_main_undecodable_input_file(tmp_path, capsys):
+    src = tmp_path / "job.json"
+    src.write_bytes(b"\xff{}")
+    assert main(["--input", str(src)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["message"].startswith("UnicodeDecodeError: ")
 
 
 def test_main_reads_stdin(monkeypatch, capsys):

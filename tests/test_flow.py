@@ -6,7 +6,7 @@ import pytest
 from sflow import flow
 from sflow.errors import (
     CertificationFailed,
-    DimMismatch,
+    DimensionMismatch,
     EigenFailure,
     EndpointNotInvertible,
     NotEquivariant,
@@ -281,7 +281,7 @@ def test_forgetful_compatibility():
 
 def test_flow_rejects_bad_inputs():
     table, action = _z2_diag_setup()
-    with pytest.raises(DimMismatch):
+    with pytest.raises(DimensionMismatch):
         sfl_G(_scalar_up_path(), action, table)
     _, table3 = build_group("cyclic", 3)
     p = OperatorPath.affine(np.diag([-1.0, 1.0]), np.diag([2.0, -2.0]))

@@ -9,7 +9,7 @@ from sflow import jacobi_eigh, operators, spectral_norm_sym
 from sflow._eig import EPS, eigh_error, opnorms, solve_each
 from sflow.errors import (
     BoundaryHit,
-    DimMismatch,
+    DimensionMismatch,
     EigenFailure,
     EndpointMismatch,
     InfiniteRank,
@@ -65,7 +65,7 @@ def test_cps_components():
     assert both.component is FSComponent.FS_I
     assert both.essential_values() == (1.0, -1.0)
     assert CPS(block).essential_values() == ()
-    with pytest.raises(DimMismatch):
+    with pytest.raises(DimensionMismatch):
         CPS(np.zeros((2, 3)))
 
 
@@ -290,7 +290,7 @@ def test_affine_path():
         p.block_at(-0.1)
     with pytest.raises(OutOfRange):
         p.block_at(1.0001)
-    with pytest.raises(DimMismatch):
+    with pytest.raises(DimensionMismatch):
         OperatorPath.affine(np.eye(2), np.eye(3))
     with pytest.raises(TypeError):
         OperatorPath()
@@ -319,9 +319,9 @@ def test_piecewise_linear_validation():
         OperatorPath.piecewise_linear([0.0, 0.5, 0.5, 1.0], [np.zeros((1, 1))] * 4)
     with pytest.raises(OutOfRange):
         OperatorPath.piecewise_linear([0.0], [np.zeros((1, 1))])
-    with pytest.raises(DimMismatch):
+    with pytest.raises(DimensionMismatch):
         OperatorPath.piecewise_linear([0.0, 1.0], [np.zeros((1, 1))] * 3)
-    with pytest.raises(DimMismatch):
+    with pytest.raises(DimensionMismatch):
         OperatorPath.piecewise_linear([0.0, 1.0], [np.zeros((1, 1)), np.zeros((2, 2))])
 
 
@@ -380,7 +380,7 @@ def test_concatenate_rejects_mismatches():
         concatenate(p, OperatorPath.affine(5 * np.eye(1), np.eye(1)))
     with pytest.raises(TailMismatch):
         concatenate(p, OperatorPath.affine(np.eye(1), np.eye(1), plus_tail=True))
-    with pytest.raises(DimMismatch):
+    with pytest.raises(DimensionMismatch):
         concatenate(p, OperatorPath.affine(np.eye(2), np.eye(2)))
 
 
@@ -446,7 +446,7 @@ def test_check_equivariance():
     assert check_equivariance(CPS(np.diag([1.0, 2.0])), diag) == 0.0
     # [swap, diag(1,2)] = [[0,1],[-1,0]], spectral norm 1
     assert check_equivariance(CPS(np.diag([1.0, 2.0])), swap) == pytest.approx(1.0)
-    with pytest.raises(DimMismatch):
+    with pytest.raises(DimensionMismatch):
         check_equivariance(CPS(np.eye(3)), diag)
 
 
