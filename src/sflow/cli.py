@@ -22,6 +22,7 @@ from .cogredient import parametrix
 from .errors import (
     ConsistencyFailure,
     DimensionMismatch,
+    InvalidInput,
     ParseError,
     SchemaError,
     SflowError,
@@ -477,8 +478,14 @@ def _setup_logging() -> None:
         logger.error("SFLOW_LOG=%s not recognized, using 'error'", level_name)
 
 
+class _Parser(argparse.ArgumentParser):
+    # an argument error becomes a report like any other invalid input
+    def error(self, message: str):
+        raise InvalidInput(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sflow",
         description="equivariant spectral flow of symmetric operator paths")
     parser.add_argument("--input", help="job document; stdin when omitted")
@@ -486,28 +493,28 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--command", choices=COMMANDS,
                         help="override the document's command")
     parser.add_argument("--seed", type=int, help="override options.seed")
-    args = parser.parse_args(argv)
     _setup_logging()
 
+    output = None
     try:
+        args = parser.parse_args(argv)
+        output = args.output
         if args.input:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
         else:
             text = sys.stdin.read()
+        job = parse_job(text, command=args.command, seed=args.seed)
+        logger.info("running %s job", job.command)
+        report, code = run(job)
     except (OSError, UnicodeDecodeError) as e:
         report, code = _failure(e, 2)
-    else:
-        try:
-            job = parse_job(text, command=args.command, seed=args.seed)
-            logger.info("running %s job", job.command)
-            report, code = run(job)
-        except SflowError as e:
-            report, code = _failure(e, e.exit_code)
+    except SflowError as e:
+        report, code = _failure(e, e.exit_code)
 
     data = emit_report(report)
-    if args.output:
-        _write_atomic(args.output, data)
+    if output:
+        _write_atomic(output, data)
     else:
         sys.stdout.write(data)
     logger.info("exit code %d", code)

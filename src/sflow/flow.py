@@ -26,7 +26,6 @@ from .errors import (
     WrongGroup,
 )
 from .groups import (
-    INVARIANCE_TOL,
     OrthogonalAction,
     RealCharacterTable,
     VirtualRep,
@@ -65,21 +64,16 @@ class FlowOptions:
     before a segment may be accepted, which is how independence of the result
     from the partition is exercised. max_depth is at most DEPTH_CAP = 53:
     every midpoint down to that depth is a double strictly inside its
-    segment. Every tolerance and margin_floor must be finite and
-    nonnegative.
+    segment. Both tolerances must be finite and nonnegative.
     """
 
     tol_cluster: float = CLUSTER_FACTOR
     tol_invert: float = INVERT_FACTOR
-    tol_equivariance: float = EQUIVARIANCE_FACTOR
-    tol_invariance: float = INVARIANCE_TOL
-    margin_floor: float = MARGIN_FLOOR
     max_depth: int = MAX_DEPTH
     min_depth: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("tol_cluster", "tol_invert", "tol_equivariance",
-                     "tol_invariance", "margin_floor"):
+        for name in ("tol_cluster", "tol_invert"):
             value = getattr(self, name)
             # NaN fails every comparison, so it must be rejected explicitly
             if not math.isfinite(value) or value < 0.0:
@@ -246,7 +240,7 @@ def _try_certify(cache: _SpectraCache, opts: FlowOptions, left: float,
         if w.size:
             norm_bound = max(norm_bound, float(np.max(np.abs(w))))
     norm_bound += rad
-    required = max(opts.margin_floor,
+    required = max(MARGIN_FLOOR,
                    2.0 * opts.tol_cluster * (1.0 + norm_bound))
 
     best: tuple[float, float] | None = None  # (width, level)
@@ -346,7 +340,6 @@ def find_partition(path: OperatorPath, opts: FlowOptions | None = None, *,
 
 def _interval_class(cache: _SpectraCache, lam: float, level: float,
                     action: OrthogonalAction, table: RealCharacterTable,
-                    opts: FlowOptions,
                     known: dict[tuple[float, int], VirtualRep]) -> VirtualRep:
     # The frame of [0, level] at one knot is a run of clusters starting at
     # the first one >= -tol, so its column count fixes it and its class:
@@ -357,24 +350,23 @@ def _interval_class(cache: _SpectraCache, lam: float, level: float,
                                     closed_left_tol=spec.tol)
     key = (lam, frame.shape[1])
     if key not in known:
-        chi = character_of_subspace(action, frame, tol_inv=opts.tol_invariance)
+        chi = character_of_subspace(action, frame)
         known[key] = multiplicity_vector(chi, table)
     return known[key]
 
 
 def _check_equivariance_along(cache: _SpectraCache, action: OrthogonalAction,
-                              partition: CertifiedPartition,
-                              opts: FlowOptions) -> None:
+                              partition: CertifiedPartition) -> None:
     lams = list(partition.knots)
     lams += [(a + b) / 2.0 for a, b in zip(partition.knots, partition.knots[1:])]
     cache.fill(lams)
     defects = equivariance_defects(cache.blocks(lams), action).tolist()
     for lam, defect in zip(lams, defects):
         scale = 1.0 + cache.spectrum(lam).block_norm
-        if defect > opts.tol_equivariance * scale:
+        if defect > EQUIVARIANCE_FACTOR * scale:
             raise NotEquivariant(
                 f"commutator norm {defect:.3e} at parameter {lam} exceeds "
-                f"{opts.tol_equivariance * scale:.3e}")
+                f"{EQUIVARIANCE_FACTOR * scale:.3e}")
 
 
 def sfl_G(path: OperatorPath, action: OrthogonalAction,
@@ -396,7 +388,7 @@ def sfl_G(path: OperatorPath, action: OrthogonalAction,
         partition = find_partition(path, opts, cache=cache)
     else:
         _require_invertible_ends(cache, opts)
-    _check_equivariance_along(cache, action, partition, opts)
+    _check_equivariance_along(cache, action, partition)
 
     contributions: list[VirtualRep] = []
     total = VirtualRep.zero(table)
@@ -404,9 +396,9 @@ def sfl_G(path: OperatorPath, action: OrthogonalAction,
     for i in range(partition.n_segments):
         level = partition.levels[i]
         left = _interval_class(cache, partition.knots[i], level, action, table,
-                               opts, known)
+                               known)
         right = _interval_class(cache, partition.knots[i + 1], level, action,
-                                table, opts, known)
+                                table, known)
         change = right - left
         contributions.append(change)
         total = total + change
@@ -430,9 +422,7 @@ def morse_oracle_sfl_G(path: OperatorPath, action: OrthogonalAction,
     finite = compress(path, m)
     extra = m * (int(path.plus_tail) + int(path.minus_tail))
     act = action.extended(extra)
-    kwargs = dict(tol_cluster=opts.tol_cluster, tol_invert=opts.tol_invert,
-                  tol_equivariance=opts.tol_equivariance,
-                  tol_invariance=opts.tol_invariance)
+    kwargs = dict(tol_cluster=opts.tol_cluster, tol_invert=opts.tol_invert)
     start = morse_class(finite.at(0.0), act, table, **kwargs)
     end = morse_class(finite.at(1.0), act, table, **kwargs)
     return start - end

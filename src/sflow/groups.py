@@ -3,9 +3,8 @@ vectors of irreducible multiplicities that the flow takes values in."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -80,10 +79,17 @@ class FiniteGroup:
             inverses.append(candidates[0])
         self.inverses = tuple(inverses)
 
+        # (ab)c against a(bc) for all triples, as many rows a at a time as
+        # keep each temporary within HOMOMORPHISM_BATCH entries (at least one
+        # row), so memory stays near order^2 rather than order^3
         t = np.array(table, dtype=np.intp)
-        if not np.array_equal(t[t, :], t[:, t]):
-            bad = np.argwhere(t[t, :] != t[:, t])[0]
-            raise NonGroup(f"associativity fails at {tuple(int(x) for x in bad)}")
+        step = max(1, HOMOMORPHISM_BATCH // (n * n))
+        for a0 in range(0, n, step):
+            rows = t[a0:a0 + step]
+            bad = t[rows] != rows[:, t]
+            if bad.any():
+                a, b, c = (int(x) for x in np.argwhere(bad)[0])
+                raise NonGroup(f"associativity fails at {(a0 + a, b, c)}")
 
         seen = [False] * n
         classes = []
@@ -331,17 +337,6 @@ def _cyclic_table(n: int) -> list[list[int]]:
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
-def _cyclic_irreps(n: int) -> list[Irrep]:
-    # classes are singletons {0}, {1}, ..., {n-1} in that order
-    irreps = [Irrep("trivial", 1, 1, tuple(1.0 for _ in range(n)))]
-    if n % 2 == 0:
-        irreps.append(Irrep("sign", 1, 1, tuple((-1.0) ** j for j in range(n))))
-    for k in range(1, (n - 1) // 2 + 1):
-        vals = tuple(2.0 * math.cos(2.0 * math.pi * k * j / n) for j in range(n))
-        irreps.append(Irrep(f"plane_{k}", 2, 2, vals))
-    return irreps
-
-
 def _dihedral_table(n: int) -> list[list[int]]:
     # element f*n + t is reflection^f rotation^t;
     # (f1,t1)*(f2,t2) = (f1 xor f2, t2 + (-1)^f2 * t1)
@@ -357,34 +352,42 @@ def _dihedral_table(n: int) -> list[list[int]]:
     return table
 
 
-def _dihedral_irreps(n: int) -> list[Irrep]:
-    # class order (by minimal element): identity, rotation pairs t=1.., then
-    # for even n the half-turn, then reflections (one class if n odd, two if
-    # n even, split by rotation parity)
-    reps: list[tuple[int, int]] = [(0, 0)]
-    for t in range(1, (n - 1) // 2 + 1):
-        reps.append((0, t))
-    if n % 2 == 0 and n >= 2:
-        reps.append((0, n // 2))
-    if n % 2 == 1:
-        reps.append((1, 0))
-    else:
-        reps.append((1, 0))
-        reps.append((1, 1))
+_FLIP = np.array([[1.0, 0.0], [0.0, -1.0]])
 
-    def build(name: str, degree: int, schur: int, chi) -> Irrep:
-        return Irrep(name, degree, schur,
-                     tuple(float(chi(f, t)) for f, t in reps))
 
-    irreps = [build("trivial", 1, 1, lambda f, t: 1.0),
-              build("sign", 1, 1, lambda f, t: -1.0 if f else 1.0)]
+def _preset_irreps(preset: str, n: int) -> list[tuple[str, int, np.ndarray]]:
+    """The real irreducibles of a preset group in character-table order: name,
+    Schur norm and a (|G|, d, d) stack of orthogonal matrices, one per
+    element. The table's characters are their traces and the preset actions
+    their direct sums, so the two cannot disagree."""
+    if preset == "trivial":
+        return [("trivial", 1, np.ones((1, 1, 1)))]
+    if preset == "dihedral" and n == 1:
+        # order 2; same abstract group as cyclic(2)
+        preset, n = "cyclic", 2
+    dihedral = preset == "dihedral"
+    # element f*n + t is reflection^f rotation^t (f = 0 for cyclic groups)
+    f, t = np.divmod(np.arange((1 + dihedral) * n), n)
+
+    def line(values: np.ndarray) -> np.ndarray:
+        return np.asarray(values, dtype=float).reshape(-1, 1, 1)
+
+    def plane(k: int) -> np.ndarray:
+        theta = 2.0 * np.pi * k * t / n
+        c, s = np.cos(theta), np.sin(theta)
+        mats = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+        mats[n:] = _FLIP @ mats[n:]
+        return mats
+
+    irreps = [("trivial", 1, line(np.ones(len(t))))]
+    if dihedral:
+        irreps.append(("sign", 1, line((-1.0) ** f)))
     if n % 2 == 0:
-        irreps.append(build("alt", 1, 1, lambda f, t: (-1.0) ** t))
-        irreps.append(build("alt_sign", 1, 1, lambda f, t: (-1.0) ** (t + f)))
-    for k in range(1, (n - 1) // 2 + 1 if n % 2 else n // 2):
-        irreps.append(build(
-            f"plane_{k}", 2, 1,
-            lambda f, t, k=k: 0.0 if f else 2.0 * math.cos(2.0 * math.pi * k * t / n)))
+        irreps.append(("alt" if dihedral else "sign", 1, line((-1.0) ** t)))
+        if dihedral:
+            irreps.append(("alt_sign", 1, line((-1.0) ** (t + f))))
+    for k in range(1, (n + 1) // 2):
+        irreps.append((f"plane_{k}", 1 if dihedral else 2, plane(k)))
     return irreps
 
 
@@ -399,25 +402,6 @@ def build_group(preset: str, n: int | None = None, *,
     character values must be listed per conjugacy class, classes ordered by
     their minimal element.
     """
-    if preset == "trivial":
-        group = FiniteGroup(((0,),), name="trivial")
-        table = RealCharacterTable(group, [Irrep("trivial", 1, 1, (1.0,))])
-        return group, table
-    if preset == "cyclic":
-        if n is None or n < 1:
-            raise NonGroup(f"cyclic preset needs n >= 1, got {n}")
-        group = FiniteGroup(tuple(map(tuple, _cyclic_table(n))), name=f"cyclic_{n}")
-        return group, RealCharacterTable(group, _cyclic_irreps(n))
-    if preset == "dihedral":
-        if n is None or n < 1:
-            raise NonGroup(f"dihedral preset needs n >= 1, got {n}")
-        if n == 1:
-            # order 2; same abstract group as cyclic(2)
-            group = FiniteGroup(tuple(map(tuple, _cyclic_table(2))), name="dihedral_1")
-            return group, RealCharacterTable(group, _cyclic_irreps(2))
-        group = FiniteGroup(tuple(map(tuple, _dihedral_table(n))),
-                            name=f"dihedral_{n}")
-        return group, RealCharacterTable(group, _dihedral_irreps(n))
     if preset == "explicit":
         if mult_table is None or char_table is None:
             raise NonGroup("explicit preset needs mult_table and char_table")
@@ -434,19 +418,36 @@ def build_group(preset: str, n: int | None = None, *,
                 except (KeyError, TypeError, ValueError) as exc:
                     raise BadCharacterTable(f"bad irrep record {item!r}") from exc
         return group, RealCharacterTable(group, irreps)
-    raise NonGroup(f"unknown preset {preset!r}")
+    if preset == "trivial":
+        group = FiniteGroup(((0,),), name="trivial")
+    elif preset in ("cyclic", "dihedral"):
+        if n is None or n < 1:
+            raise NonGroup(f"{preset} preset needs n >= 1, got {n}")
+        if preset == "dihedral" and n > 1:
+            mult = _dihedral_table(n)
+        else:
+            # dihedral(1) has order 2; same abstract group as cyclic(2)
+            mult = _cyclic_table(n if preset == "cyclic" else 2)
+        group = FiniteGroup(tuple(map(tuple, mult)), name=f"{preset}_{n}")
+    else:
+        raise NonGroup(f"unknown preset {preset!r}")
+    reps = list(group.class_representatives())
+    return group, RealCharacterTable(group, [
+        Irrep(name, mats.shape[1], schur,
+              tuple(mats[reps].trace(axis1=1, axis2=2).tolist()))
+        for name, schur, mats in _preset_irreps(preset, n)])
 
 
 # --- operations ----------------------------------------------------------
 
 
-def character_of_subspace(action: OrthogonalAction, basis: np.ndarray,
-                          tol_inv: float = INVARIANCE_TOL) -> np.ndarray:
+def character_of_subspace(action: OrthogonalAction,
+                          basis: np.ndarray) -> np.ndarray:
     """Character of the subspace spanned by orthonormal `basis` columns,
     evaluated at one representative per conjugacy class.
 
     The span must be invariant under the action: the projection onto it has
-    to commute with every group matrix within tol_inv.
+    to commute with every group matrix within INVARIANCE_TOL.
     """
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != action.dim:
@@ -461,7 +462,7 @@ def character_of_subspace(action: OrthogonalAction, basis: np.ndarray,
     proj = basis @ basis.T
     defects = opnorms(action.stack @ proj - proj @ action.stack)
     worst_g = int(np.argmax(defects))
-    if defects[worst_g] > tol_inv:
+    if defects[worst_g] > INVARIANCE_TOL:
         raise NotInvariant(f"span not invariant: commutator norm "
                            f"{defects[worst_g]:.3e} at element {worst_g}")
     reps = action.stack[list(action.group.class_representatives())]

@@ -28,7 +28,6 @@ from .groups import (
     RealCharacterTable,
     VirtualRep,
     build_group,
-    forgetful_F,
     phi_Z2,
 )
 from .operators import (
@@ -101,13 +100,18 @@ def horizontal_lagrangian(m: int) -> LagrangianFrame:
     return LagrangianFrame(f)
 
 
-def graph_lagrangian(block: np.ndarray) -> LagrangianFrame:
-    """Orthonormalized frame of {(u, L u)} for a symmetric block L."""
+def _symmetric(block: np.ndarray) -> np.ndarray:
     l = np.asarray(block, dtype=float)
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
         raise NotSymmetric(f"need a square matrix, got shape {l.shape}")
     if np.max(np.abs(l - l.T), initial=0.0) > SYMMETRY_TOL:
         raise NotSymmetric("block is not symmetric")
+    return l
+
+
+def graph_lagrangian(block: np.ndarray) -> LagrangianFrame:
+    """Orthonormalized frame of {(u, L u)} for a symmetric block L."""
+    l = _symmetric(block)
     m = l.shape[0]
     stacked = np.vstack([np.eye(m), l])
     q, _ = np.linalg.qr(stacked)
@@ -166,10 +170,7 @@ def maslov_operator_spectrum(block: np.ndarray,
                              ) -> list[WindowEigenvalue]:
     """Window spectrum of the boundary-value operator of one graph: exactly
     arctan of each block eigenvalue, multiplicities preserved."""
-    l = np.asarray(block, dtype=float)
-    if np.max(np.abs(l - l.T), initial=0.0) > SYMMETRY_TOL:
-        raise NotSymmetric("block is not symmetric")
-    spec = block_spectrum(CPS(l), tol_cluster)
+    spec = block_spectrum(CPS(_symmetric(block)), tol_cluster)
     return [WindowEigenvalue(float(np.arctan(c.value)), c.multiplicity,
                              c.vectors)
             for c in spec.clusters]

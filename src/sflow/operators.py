@@ -28,7 +28,6 @@ from .errors import (
 )
 from .groups import (
     HOMOMORPHISM_BATCH,
-    INVARIANCE_TOL,
     OrthogonalAction,
     RealCharacterTable,
     VirtualRep,
@@ -430,9 +429,7 @@ def check_equivariance(op: CPS, action: OrthogonalAction) -> float:
 
 def morse_class(op: CPS, action: OrthogonalAction, table: RealCharacterTable, *,
                 tol_cluster: float = CLUSTER_FACTOR,
-                tol_invert: float = INVERT_FACTOR,
-                tol_equivariance: float = EQUIVARIANCE_FACTOR,
-                tol_invariance: float = INVARIANCE_TOL) -> VirtualRep:
+                tol_invert: float = INVERT_FACTOR) -> VirtualRep:
     """Class of the negative eigenspace of an invertible finite-dimensional
     equivariant operator."""
     if op.plus_tail or op.minus_tail:
@@ -440,12 +437,12 @@ def morse_class(op: CPS, action: OrthogonalAction, table: RealCharacterTable, *,
     spec = block_spectrum(op, tol_cluster)
     scale = 1.0 + spec.block_norm
     defect = check_equivariance(op, action)
-    if defect > tol_equivariance * scale:
+    if defect > EQUIVARIANCE_FACTOR * scale:
         raise NotEquivariant(f"commutator norm {defect:.3e} exceeds tolerance")
     if spec.min_abs() <= tol_invert * scale:
         raise NotInvertible(
             f"eigenvalue {spec.min_abs():.3e} within invertibility threshold")
     picked = [c.vectors for c in spec.clusters if c.value < 0.0]
     frame = np.concatenate(picked, axis=1) if picked else np.zeros((op.dim, 0))
-    chi = character_of_subspace(action, frame, tol_inv=tol_invariance)
+    chi = character_of_subspace(action, frame)
     return multiplicity_vector(chi, table)

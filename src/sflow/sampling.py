@@ -16,6 +16,7 @@ from .groups import (
     FiniteGroup,
     OrthogonalAction,
     RealCharacterTable,
+    _preset_irreps,
     build_group,
 )
 from .operators import OperatorPath
@@ -173,55 +174,6 @@ def conjugate_path(path: OperatorPath, u: np.ndarray) -> OperatorPath:
 # --- concrete actions for the preset groups --------------------------------
 
 
-def _rot(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-_FLIP = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-
-def _cyclic_irrep_matrices(n: int, name: str) -> list[np.ndarray]:
-    if name == "trivial":
-        return [np.eye(1) for _ in range(n)]
-    if name == "sign":
-        return [np.array([[(-1.0) ** j]]) for j in range(n)]
-    k = int(name.split("_")[1])
-    return [_rot(2.0 * np.pi * k * j / n) for j in range(n)]
-
-
-def _dihedral_irrep_matrices(n: int, name: str) -> list[np.ndarray]:
-    # elements indexed f * n + t
-    out = []
-    for f in (0, 1):
-        for t in range(n):
-            if name == "trivial":
-                m = np.eye(1)
-            elif name == "sign":
-                m = np.array([[(-1.0) ** f]])
-            elif name == "alt":
-                m = np.array([[(-1.0) ** t]])
-            elif name == "alt_sign":
-                m = np.array([[(-1.0) ** (t + f)]])
-            else:
-                k = int(name.split("_")[1])
-                m = _rot(2.0 * np.pi * k * t / n)
-                if f:
-                    m = _FLIP @ m
-            out.append(m)
-    return out
-
-
-def _irrep_matrices(preset: str, n: int, name: str) -> list[np.ndarray]:
-    if preset == "trivial":
-        return [np.eye(1)]
-    if preset == "cyclic":
-        return _cyclic_irrep_matrices(n, name)
-    if preset == "dihedral":
-        return _dihedral_irrep_matrices(n, name)
-    raise OutOfRange(f"no irrep realizations for preset {preset!r}")
-
-
 def identity_action(group: FiniteGroup, dim: int) -> OrthogonalAction:
     return OrthogonalAction(group, [np.eye(dim)] * group.order)
 
@@ -236,16 +188,14 @@ def preset_action(preset: str, n: int, dim: int,
     of basis."""
     rng = rng or np.random.default_rng(0)
     group, table = build_group(preset, n)
-    degrees = [irr.degree for irr in table.irreps]
-    blocks: list[str] = []
+    stacks = [mats for _, _, mats in _preset_irreps(preset, n)]
+    parts: list[np.ndarray] = []
     remaining = dim
     while remaining > 0:
-        options = [irr.name for irr in table.irreps if irr.degree <= remaining]
-        pick = options[int(rng.integers(len(options)))]
-        blocks.append(pick)
-        remaining -= degrees[table.index_of(pick)]
+        options = [mats for mats in stacks if mats.shape[1] <= remaining]
+        parts.append(options[int(rng.integers(len(options)))])
+        remaining -= parts[-1].shape[1]
 
-    parts = [_irrep_matrices(preset, n, name) for name in blocks]
     mats = [block_diag(*(p[g] for p in parts)) for g in range(group.order)]
     if conjugate and dim > 0:
         c = haar_orthogonal(dim, rng)

@@ -628,6 +628,27 @@ def test_main_overrides_are_validated(argv, message, monkeypatch, capsys):
     assert report["error"] == {"code": 2, "message": f"SchemaError: {message}"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["--command", "bogus"], "argument --command: invalid choice: 'bogus'"),
+    (["--bogus"], "unrecognized arguments: --bogus")],
+    ids=["seed-not-int", "unknown-command", "unknown-flag"])
+def test_main_argument_errors_print_a_report(argv, message, monkeypatch,
+                                             capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(scalar_job())))
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"]["code"] == 2
+    assert report["error"]["message"].startswith(f"InvalidInput: {message}")
+
+
+def test_main_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "usage: sflow" in capsys.readouterr().out
+
+
 def test_main_missing_input_file(tmp_path, capsys):
     code = main(["--input", str(tmp_path / "nope.json")])
     assert code == 2

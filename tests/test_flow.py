@@ -21,14 +21,24 @@ from sflow.flow import (
     sfl_G,
     verify_axioms,
 )
-from sflow.groups import OrthogonalAction, build_group, forgetful_F
+from sflow.groups import (
+    OrthogonalAction,
+    _preset_irreps,
+    build_group,
+    forgetful_F,
+)
 from sflow.operators import (
     OperatorPath,
     block_spectrum,
     check_equivariance,
     reverse,
 )
-from sflow.sampling import identity_action, preset_action, random_equivariant_path
+from sflow.sampling import (
+    haar_orthogonal,
+    identity_action,
+    preset_action,
+    random_equivariant_path,
+)
 
 
 def _trivial_setup(dim):
@@ -59,9 +69,7 @@ def test_flow_options_validation():
         FlowOptions(max_depth=-1)
 
 
-@pytest.mark.parametrize("field", ["tol_cluster", "tol_invert",
-                                   "tol_equivariance", "tol_invariance",
-                                   "margin_floor"])
+@pytest.mark.parametrize("field", ["tol_cluster", "tol_invert"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
                                    -1e-8])
 def test_flow_options_reject_non_finite_and_negative_tolerances(field, value):
@@ -228,6 +236,64 @@ def test_normalization_one_sided_tail_path():
                             plus_tail=True, minus_tail=True)
     report = sfl_G(p, action, table)
     assert report.sfl == 1
+
+
+def _normalization_class(group, table, mats, rng):
+    # (lam - 1/2) I on one irreducible, hidden behind a Haar change of basis:
+    # one upward crossing of the whole space at lam = 1/2
+    dim = mats.shape[1]
+    c = haar_orthogonal(dim, rng)
+    action = OrthogonalAction(group, c.T @ mats @ c)
+    path = OperatorPath.affine(-0.5 * np.eye(dim), np.eye(dim))
+    report = sfl_G(path, action, table)
+    assert morse_oracle_sfl_G(path, action, table) == report.sfl_G
+    return report
+
+
+def test_normalization_on_each_preset_irreducible():
+    # the normalisation axiom restated equivariantly: the class is exactly
+    # the irreducible the path runs on
+    rng = np.random.default_rng(29)
+    presets = [("trivial", 1)] + [(p, n) for p in ("cyclic", "dihedral")
+                                  for n in range(1, 7)]
+    checked = 0
+    for preset, n in presets:
+        group, table = build_group(preset, n)
+        for i, (name, _, mats) in enumerate(_preset_irreps(preset, n)):
+            klass = _normalization_class(group, table, mats, rng).sfl_G
+            unit = tuple(int(j == i) for j in range(table.n_irreps))
+            assert klass.coeffs == unit, (preset, n, name)
+            checked += 1
+    assert checked == 40
+
+
+def test_normalization_on_the_quaternionic_irreducible_of_q8():
+    # Q8 = {1, -1, i, -i, j, -j, k, -k} as unit quaternions (w, x, y, z); its
+    # quaternionic irreducible is left multiplication on H = R^4
+    quats = [s * e for e in np.eye(4) for s in (1.0, -1.0)]
+
+    def left(q):
+        w, x, y, z = q
+        return np.array([[w, -x, -y, -z], [x, w, -z, y],
+                         [y, z, w, -x], [z, -y, x, w]])
+
+    mats = np.array([left(q) for q in quats])
+    index = {tuple(q): g for g, q in enumerate(quats)}
+    mult = [[index[tuple(a @ q)] for q in quats] for a in mats]
+    # classes {1}, {-1}, {+-i}, {+-j}, {+-k}
+    chars = [("trivial", 1, 1, [1, 1, 1, 1, 1]),
+             ("i", 1, 1, [1, 1, 1, -1, -1]),
+             ("j", 1, 1, [1, 1, -1, 1, -1]),
+             ("k", 1, 1, [1, 1, -1, -1, 1]),
+             ("H", 4, 4, [4, -4, 0, 0, 0])]
+    group, table = build_group("explicit", mult_table=mult, char_table=[
+        {"name": nm, "degree": d, "schur": s, "values": v}
+        for nm, d, s, v in chars])
+    report = _normalization_class(group, table, mats,
+                                  np.random.default_rng(31))
+    assert report.sfl_G.as_dict() == {"trivial": 0, "i": 0, "j": 0, "k": 0,
+                                      "H": 1}
+    assert report.sfl == 4
 
 
 def test_partition_reuse_and_independence():

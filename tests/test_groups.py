@@ -1,8 +1,11 @@
 """Group presets, character tables, multiplicity vectors, projections."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sflow import groups
 from sflow.errors import (
     BadAction,
     BadCharacterTable,
@@ -147,6 +150,34 @@ def test_non_group_tables():
         FiniteGroup(((0, 1), (1, 1)))  # 1 has no inverse
     with pytest.raises(NonGroup):
         FiniteGroup(((0, 5), (1, 0)))  # entry out of range
+
+
+# a Latin square with identity 0 and unique inverses that is not associative
+_LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1),
+          (4, 3, 1, 2, 0))
+
+
+@pytest.mark.parametrize("batch", [groups.HOMOMORPHISM_BATCH, 1])
+def test_associativity_names_the_first_failing_triple(batch, monkeypatch):
+    # the batch of 1 checks one row a at a time
+    monkeypatch.setattr(groups, "HOMOMORPHISM_BATCH", batch)
+    t = _LOOP5
+    first = next((a, b, c) for a in range(5) for b in range(5)
+                 for c in range(5) if t[t[a][b]][c] != t[a][t[b][c]])
+    with pytest.raises(NonGroup) as info:
+        FiniteGroup(_LOOP5)
+    assert str(info.value) == f"associativity fails at {first}"
+
+
+def test_associativity_check_memory_is_bounded():
+    # checking all order^3 triples at once peaked at 130 MiB for this group
+    tracemalloc.start()
+    try:
+        build_group("dihedral", 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_bad_character_tables():

@@ -158,6 +158,8 @@ def test_window_vectors_span_block_eigenspaces():
                            atol=1e-8)
     with pytest.raises(NotSymmetric):
         maslov_operator_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotSymmetric):
+        maslov_operator_spectrum(np.zeros((2, 3)))
 
 
 def test_window_kernel_matches_intersection():
