@@ -106,6 +106,25 @@ def opnorms(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def opnorms_within(m: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
+    """opnorms of a (..., r, c) stack as far as each is compared with its tol
+    (broadcast over the stack): an entry is <= tol exactly when its opnorms
+    value is, and every entry above tol is that exact value. ||X||_2 <=
+    ||X||_F (Golub & Van Loan, Matrix Computations, 2.3), so only matrices
+    whose Frobenius norm, rounded up by 1 + 4 (r c + 2) eps, exceeds tol get
+    an SVD. That factor covers the rounding of the r c squares summed and of
+    the square root, and LAPACK's SVD error, a modest multiple of eps."""
+    m = np.asarray(m, dtype=float)
+    if m.size == 0:
+        return np.zeros(m.shape[:-2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _frobenius(m)
+        norms *= 1.0 + 4 * (m.shape[-1] * m.shape[-2] + 2) * EPS
+    exact = ~(norms <= tol)  # NaN fails the screen
+    norms[exact] = opnorms(m[exact])
+    return norms
+
+
 def block_diag(*mats: np.ndarray) -> np.ndarray:
     """Matrix with the given matrices along its diagonal and zeros elsewhere."""
     out = np.zeros((sum(m.shape[0] for m in mats),

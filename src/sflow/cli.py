@@ -466,13 +466,22 @@ def _write_atomic(path: str, data: str) -> None:
         raise
 
 
+class _Stderr(logging.StreamHandler):
+    # writes to sys.stderr as it is when a record is emitted, not to a stream
+    # that was sys.stderr when the handler was installed and may be closed
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
 def _setup_logging() -> None:
     level_name = os.environ.get("SFLOW_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO,
               "debug": logging.DEBUG}
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("sflow %(levelname)s: %(message)s"))
-    logger.addHandler(handler)
+    # one handler however often main() runs, so each record logs once
+    if not any(isinstance(h, _Stderr) for h in logger.handlers):
+        handler = _Stderr()
+        handler.setFormatter(
+            logging.Formatter("sflow %(levelname)s: %(message)s"))
+        logger.addHandler(handler)
     logger.setLevel(levels.get(level_name, logging.ERROR))
     if level_name not in levels:
         logger.error("SFLOW_LOG=%s not recognized, using 'error'", level_name)

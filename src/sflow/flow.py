@@ -29,9 +29,8 @@ from .groups import (
     OrthogonalAction,
     RealCharacterTable,
     VirtualRep,
-    character_of_subspace,
     forgetful_F,
-    multiplicity_vector,
+    subspace_classes,
 )
 from .operators import (
     CLUSTER_FACTOR,
@@ -338,21 +337,34 @@ def find_partition(path: OperatorPath, opts: FlowOptions | None = None, *,
     return CertifiedPartition((0.0,) + rights, levels, margins)
 
 
-def _interval_class(cache: _SpectraCache, lam: float, level: float,
-                    action: OrthogonalAction, table: RealCharacterTable,
-                    known: dict[tuple[float, int], VirtualRep]) -> VirtualRep:
-    # The frame of [0, level] at one knot is a run of clusters starting at
-    # the first one >= -tol, so its column count fixes it and its class:
-    # known memoizes the class by (knot, column count). The frame itself is
-    # still built every time, for its boundary checks.
-    spec = cache.spectrum(lam)
-    frame = spectral_interval_frame(cache.op(lam), 0.0, level, spectrum=spec,
-                                    closed_left_tol=spec.tol)
-    key = (lam, frame.shape[1])
-    if key not in known:
-        chi = character_of_subspace(action, frame)
-        known[key] = multiplicity_vector(chi, table)
-    return known[key]
+def _knot_classes(cache: _SpectraCache, action: OrthogonalAction,
+                  table: RealCharacterTable,
+                  partition: CertifiedPartition) -> list[VirtualRep]:
+    """Class of the frame of [0, level] at the left and right knot of each
+    segment, in order. A frame is a run of clusters from the first >= -tol,
+    so (knot, column count) fixes it, and the distinct ones take their
+    classes in one stacked pass. Every frame is still built for its boundary
+    checks; failures are raised in the order of a per-frame loop."""
+    frames: dict[tuple[float, int], np.ndarray] = {}
+    keys: list[tuple[float, int]] = []
+    fault: SflowError | None = None
+    try:
+        for i, level in enumerate(partition.levels):
+            for lam in partition.knots[i:i + 2]:
+                spec = cache.spectrum(lam)
+                frame = spectral_interval_frame(cache.op(lam), 0.0, level,
+                                                spectrum=spec,
+                                                closed_left_tol=spec.tol)
+                keys.append((lam, frame.shape[1]))
+                frames.setdefault(keys[-1], frame)
+    except SflowError as e:
+        fault = e
+    classes = dict(zip(frames, subspace_classes(action, table,
+                                                list(frames.values()))))
+    for klass in [*classes.values(), fault]:
+        if isinstance(klass, SflowError):
+            raise klass
+    return [classes[key] for key in keys]
 
 
 def _check_equivariance_along(cache: _SpectraCache, action: OrthogonalAction,
@@ -360,13 +372,18 @@ def _check_equivariance_along(cache: _SpectraCache, action: OrthogonalAction,
     lams = list(partition.knots)
     lams += [(a + b) / 2.0 for a, b in zip(partition.knots, partition.knots[1:])]
     cache.fill(lams)
-    defects = equivariance_defects(cache.blocks(lams), action).tolist()
-    for lam, defect in zip(lams, defects):
-        scale = 1.0 + cache.spectrum(lam).block_norm
-        if defect > EQUIVARIANCE_FACTOR * scale:
+    # a parameter whose solve failed gets tol inf, and cache.spectrum raises
+    # its EigenFailure below, in parameter order
+    tols = [EQUIVARIANCE_FACTOR * (1.0 + s.block_norm)
+            if isinstance(s, Spectrum) else math.inf
+            for s in map(cache._spectra.get, lams)]
+    defects = equivariance_defects(cache.blocks(lams), action, tols).tolist()
+    for lam, defect, tol in zip(lams, defects, tols):
+        cache.spectrum(lam)
+        if defect > tol:
             raise NotEquivariant(
                 f"commutator norm {defect:.3e} at parameter {lam} exceeds "
-                f"{EQUIVARIANCE_FACTOR * scale:.3e}")
+                f"{tol:.3e}")
 
 
 def sfl_G(path: OperatorPath, action: OrthogonalAction,
@@ -390,18 +407,10 @@ def sfl_G(path: OperatorPath, action: OrthogonalAction,
         _require_invertible_ends(cache, opts)
     _check_equivariance_along(cache, action, partition)
 
-    contributions: list[VirtualRep] = []
-    total = VirtualRep.zero(table)
-    known: dict[tuple[float, int], VirtualRep] = {}
-    for i in range(partition.n_segments):
-        level = partition.levels[i]
-        left = _interval_class(cache, partition.knots[i], level, action, table,
-                               known)
-        right = _interval_class(cache, partition.knots[i + 1], level, action,
-                                table, known)
-        change = right - left
-        contributions.append(change)
-        total = total + change
+    classes = _knot_classes(cache, action, table, partition)
+    contributions = [right - left
+                     for left, right in zip(classes[::2], classes[1::2])]
+    total = sum(contributions, VirtualRep.zero(table))
 
     crossings = tuple(
         Crossing((partition.knots[i], partition.knots[i + 1]), i, c)

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._eig import block_diag, jacobi_eigh, opnorms
+from ._eig import block_diag, jacobi_eigh, opnorms_within
 from .errors import (
     BadAction,
     BadCharacterTable,
@@ -17,6 +17,7 @@ from .errors import (
     NotInvariant,
     NotOrthonormal,
     ProjectionResidual,
+    SflowError,
     TableMismatch,
     WrongGroup,
 )
@@ -268,7 +269,6 @@ class OrthogonalAction:
     """Orthogonal matrices for every group element, one fixed dimension."""
 
     def __init__(self, group: FiniteGroup, matrices: Sequence[np.ndarray]):
-        self.group = group
         if len(matrices) != group.order:
             raise BadAction(
                 f"{len(matrices)} matrices for a group of order {group.order}")
@@ -280,15 +280,12 @@ class OrthogonalAction:
                 raise BadAction(
                     f"matrix for element {g} has dimension {m.shape[0]}, "
                     f"expected {mats[0].shape[0]}")
-        # (|G|, d, d), read-only; `matrices` holds views of its slices
-        stack = np.array(mats)
-        stack.flags.writeable = False
-        self.stack = stack
-        self.matrices = tuple(stack)
-        self.dim = dim = stack.shape[1]
+        self._adopt(group, np.array(mats))
+        stack, dim = self.stack, self.dim
         # entries past about 1e154 overflow the product: its norm is inf
         with np.errstate(over="ignore", invalid="ignore"):
-            defects = opnorms(np.swapaxes(stack, 1, 2) @ stack - np.eye(dim))
+            defects = opnorms_within(np.swapaxes(stack, 1, 2) @ stack
+                                     - np.eye(dim), ACTION_ORTHOGONALITY_TOL)
         bad = np.flatnonzero(defects > ACTION_ORTHOGONALITY_TOL)
         if bad.size:
             raise BadAction(f"matrix for element {bad[0]} not orthogonal: "
@@ -300,12 +297,23 @@ class OrthogonalAction:
         step = max(1, HOMOMORPHISM_BATCH // max(1, group.order * dim * dim))
         for a0 in range(0, group.order, step):
             rows = slice(a0, a0 + step)
-            defects = opnorms(stack[rows, None] @ stack - stack[table[rows]])
+            defects = opnorms_within(stack[rows, None] @ stack
+                                     - stack[table[rows]], HOMOMORPHISM_TOL)
             bad = np.argwhere(defects > HOMOMORPHISM_TOL)
             if bad.size:
                 a, b = bad[0]
                 raise BadAction(f"homomorphism fails at ({a0 + a}, {b}): "
                                 f"defect {defects[a, b]:.3e}")
+
+    def _adopt(self, group: FiniteGroup,
+               stack: np.ndarray) -> "OrthogonalAction":
+        # (|G|, d, d), read-only; `matrices` holds views of its slices. Sums
+        # and extensions of valid actions are valid, and adopt their stacks
+        # without the checks.
+        stack.flags.writeable = False
+        self.group, self.stack, self.matrices = group, stack, tuple(stack)
+        self.dim = stack.shape[1]
+        return self
 
     def matrix(self, g: int) -> np.ndarray:
         return self.matrices[g]
@@ -315,8 +323,8 @@ class OrthogonalAction:
         action, appended after the existing ones."""
         if extra == 0:
             return self
-        return OrthogonalAction(self.group, [block_diag(m, np.eye(extra))
-                                            for m in self.matrices])
+        return object.__new__(OrthogonalAction)._adopt(self.group, np.array(
+            [block_diag(m, np.eye(extra)) for m in self.matrices]))
 
     def __repr__(self) -> str:
         return f"OrthogonalAction(order={self.group.order}, dim={self.dim})"
@@ -326,8 +334,8 @@ def direct_sum_action(a: OrthogonalAction, b: OrthogonalAction) -> OrthogonalAct
     """Block-diagonal join of two actions of the same group."""
     if a.group != b.group:
         raise WrongGroup("direct sum of actions of different groups")
-    return OrthogonalAction(a.group, [block_diag(ma, mb)
-                                      for ma, mb in zip(a.matrices, b.matrices)])
+    return object.__new__(OrthogonalAction)._adopt(a.group, np.array(
+        [block_diag(ma, mb) for ma, mb in zip(a.matrices, b.matrices)]))
 
 
 # --- preset groups -------------------------------------------------------
@@ -441,51 +449,102 @@ def build_group(preset: str, n: int | None = None, *,
 # --- operations ----------------------------------------------------------
 
 
+def subspace_classes(action: OrthogonalAction, table: RealCharacterTable,
+                     frames: Sequence[np.ndarray]) -> list[VirtualRep | SflowError]:
+    """Class of the span of each frame's orthonormal columns or, in its
+    place, the first error its checks raise: NotOrthonormal, NotInvariant
+    (the projector F F^T must commute with every group matrix within
+    INVARIANCE_TOL), then NonIntegralMultiplicity. Frames are padded with
+    zero columns and checked as many at a time as keep each temporary within
+    HOMOMORPHISM_BATCH entries (at least one frame)."""
+    chi, faults = _characters(action, frames)
+    return [f or c for f, c in zip(faults, _multiplicities(chi, table))]
+
+
+def _characters(action: OrthogonalAction, frames: Sequence[np.ndarray]
+                ) -> tuple[np.ndarray, list[SflowError | None]]:
+    # characters are traces of the projectors at the class representatives
+    frames = [np.asarray(f, dtype=float) for f in frames]
+    n, order = action.dim, action.group.order
+    for f in frames:
+        if f.ndim != 2 or f.shape[0] != n:
+            raise NotOrthonormal(f"basis shape {f.shape} does not match "
+                                 f"action dimension {n}")
+    ks = np.array([f.shape[1] for f in frames], dtype=np.intp)
+    cols = np.arange(ks.max(initial=0))
+    reps = action.stack[list(action.group.class_representatives())]
+    gram, comm = np.empty(len(frames)), np.empty((len(frames), order))
+    chi = np.empty((len(frames), len(reps)))
+    step = max(1, HOMOMORPHISM_BATCH // max(1, order * n * n))
+    for f0 in range(0, len(frames), step):
+        part = slice(f0, f0 + step)
+        pad = np.zeros((len(ks[part]), n, cols.size))
+        for p, f in zip(pad, frames[part]):
+            p[:, :f.shape[1]] = f
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = pad.swapaxes(1, 2) @ pad
+            g[:, cols, cols] -= cols < ks[part, None]
+            gram[part] = opnorms_within(g, FRAME_TOL)
+            proj = (pad @ pad.swapaxes(1, 2))[:, None]
+            comm[part] = opnorms_within(action.stack @ proj
+                                        - proj @ action.stack, INVARIANCE_TOL)
+            chi[part] = np.einsum("cij,fji->fc", reps, proj[:, 0])
+    faults: list[SflowError | None] = []
+    for defect, row in zip(gram.tolist(), comm.tolist()):
+        worst = int(np.argmax(row))
+        if defect > FRAME_TOL:
+            faults.append(NotOrthonormal(
+                f"basis columns not orthonormal: defect {defect:.3e}"))
+        elif row[worst] > INVARIANCE_TOL:
+            faults.append(NotInvariant(f"span not invariant: commutator norm "
+                                       f"{row[worst]:.3e} at element {worst}"))
+        else:
+            faults.append(None)
+    return chi, faults
+
+
+def _multiplicities(chi: np.ndarray, table: RealCharacterTable
+                    ) -> list[VirtualRep | NonIntegralMultiplicity]:
+    # each row of a (k, classes) array resolved by one product with the table
+    group = table.group
+    if chi.shape[1] != group.n_classes:
+        raise TableMismatch(
+            f"{chi.shape[1]} character values for {group.n_classes} classes")
+    raw = chi @ np.array([[s * v / (group.order * ir.schur_norm)
+                           for s, v in zip(group.class_sizes, ir.values)]
+                          for ir in table.irreps]).T
+    coeffs = np.round(raw)
+    with np.errstate(invalid="ignore"):
+        off = ~(np.abs(raw - coeffs) < MULTIPLICITY_TOL)  # NaN is off
+    out: list[VirtualRep | NonIntegralMultiplicity] = []
+    for r, c, bad in zip(raw.tolist(), coeffs.tolist(), off):
+        if bad.any():
+            j = int(np.argmax(bad))
+            out.append(NonIntegralMultiplicity(
+                f"multiplicity of {table.irreps[j].name} is {r[j]}, not "
+                f"within {MULTIPLICITY_TOL} of an integer"))
+        else:
+            out.append(VirtualRep(table, tuple(c)))
+    return out
+
+
 def character_of_subspace(action: OrthogonalAction,
                           basis: np.ndarray) -> np.ndarray:
-    """Character of the subspace spanned by orthonormal `basis` columns,
-    evaluated at one representative per conjugacy class.
-
-    The span must be invariant under the action: the projection onto it has
-    to commute with every group matrix within INVARIANCE_TOL.
-    """
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != action.dim:
-        raise NotOrthonormal(
-            f"basis shape {basis.shape} does not match action dimension {action.dim}")
-    k = basis.shape[1]
-    if k == 0:
-        return np.zeros(action.group.n_classes)
-    gram_defect = float(opnorms(basis.T @ basis - np.eye(k)))
-    if gram_defect > FRAME_TOL:
-        raise NotOrthonormal(f"basis columns not orthonormal: defect {gram_defect:.3e}")
-    proj = basis @ basis.T
-    defects = opnorms(action.stack @ proj - proj @ action.stack)
-    worst_g = int(np.argmax(defects))
-    if defects[worst_g] > INVARIANCE_TOL:
-        raise NotInvariant(f"span not invariant: commutator norm "
-                           f"{defects[worst_g]:.3e} at element {worst_g}")
-    reps = action.stack[list(action.group.class_representatives())]
-    return np.trace(basis.T @ reps @ basis, axis1=1, axis2=2)
+    """Character of the subspace spanned by orthonormal `basis` columns at
+    one representative per conjugacy class, as subspace_classes checks it."""
+    chi, (fault,) = _characters(action, [basis])
+    if fault is not None:
+        raise fault
+    return chi[0]
 
 
 def multiplicity_vector(chi: Sequence[float],
                         table: RealCharacterTable) -> VirtualRep:
     """Resolve a character into integer multiplicities of the table's irreps."""
-    chi = [float(x) for x in chi]
-    if len(chi) != table.group.n_classes:
-        raise TableMismatch(
-            f"{len(chi)} character values for {table.group.n_classes} classes")
-    coeffs = []
-    for ir in table.irreps:
-        raw = table.pair(chi, ir.values) / ir.schur_norm
-        rounded = round(raw)
-        if abs(raw - rounded) >= MULTIPLICITY_TOL:
-            raise NonIntegralMultiplicity(
-                f"multiplicity of {ir.name} is {raw}, not within "
-                f"{MULTIPLICITY_TOL} of an integer")
-        coeffs.append(int(rounded))
-    return VirtualRep(table, tuple(coeffs))
+    (klass,) = _multiplicities(np.array(chi, dtype=float).reshape(1, -1), table)
+    if isinstance(klass, SflowError):
+        raise klass
+    return klass
 
 
 def forgetful_F(a: VirtualRep) -> int:
@@ -536,7 +595,8 @@ def isotypical_projection(action: OrthogonalAction, table: RealCharacterTable,
     def _ok(p: np.ndarray) -> bool:
         checks = np.concatenate([(p @ p - p)[None],
                                  action.stack @ p - p @ action.stack])
-        return not np.any(opnorms(checks) > PROJECTION_TOL)
+        return not np.any(opnorms_within(checks, PROJECTION_TOL)
+                          > PROJECTION_TOL)
 
     if _ok(proj):
         return proj

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._eig import jacobi_eigh, opnorms, solve_each, spectral_norm_sym
+from ._eig import jacobi_eigh, opnorms_within, solve_each, spectral_norm_sym
 from .errors import (
     ConsistencyFailure,
     NotLagrangian,
@@ -78,7 +78,7 @@ class LagrangianFrame:
         if f.shape[1]:
             j = SymplecticSpace(f.shape[1]).J
             p = f @ f.T
-            defect = float(opnorms(p @ j @ p))
+            defect = float(opnorms_within(p @ j @ p, LAGRANGIAN_TOL))
             if defect > LAGRANGIAN_TOL:
                 raise NotLagrangian(f"symplectic defect {defect:.3e}")
         f = f.copy()

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._eig import EPS, block_diag, eigh_error, jacobi_eigh, opnorms, solve_each
+from ._eig import (EPS, block_diag, eigh_error, jacobi_eigh, opnorms,
+                   opnorms_within, solve_each)
 from .errors import (
     BoundaryHit,
     DimensionMismatch,
@@ -225,6 +226,8 @@ class OperatorPath:
         b = _sym(np.asarray(b, dtype=float))
         if a.shape != b.shape:
             raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
+        if not np.isfinite(b).all():  # the Lipschitz bound is read from b
+            raise OutOfRange("b has non-finite entries")
         self.kind = "affine"
         self.mat_a = a
         self.mat_b = b
@@ -268,6 +271,8 @@ class OperatorPath:
         self.minus_tail = bool(minus_tail)
         self.dim = dim
         stack = np.stack(mats)
+        if not np.isfinite(stack).all():  # and from the sample differences
+            raise OutOfRange("samples have non-finite entries")
         speeds = solve_each(_specnorm, stack[1:] - stack[:-1], strict=True)
         self.lipschitz = float(np.max(speeds / np.diff(knots), initial=0.0))
         return self
@@ -402,12 +407,14 @@ def compress(path: OperatorPath, m: int = 0) -> OperatorPath:
     return OperatorPath.piecewise_linear(path.knot_values(), samples)
 
 
-def equivariance_defects(blocks: np.ndarray,
-                         action: OrthogonalAction) -> np.ndarray:
+def equivariance_defects(blocks: np.ndarray, action: OrthogonalAction,
+                         tol: Sequence[float] | None = None) -> np.ndarray:
     """Largest commutator norm between each block of a (k, n, n) stack and
     any action matrix, from stacked products over as many blocks at a time
     as keep each temporary within HOMOMORPHISM_BATCH entries (at least one
-    block), so memory stays near |G| n^2 for large explicit groups."""
+    block), so memory stays near |G| n^2 for large explicit groups. Given a
+    tol per block, a defect is exact only where it exceeds its tol, as in
+    opnorms_within."""
     if action.dim != blocks.shape[-1]:
         raise DimensionMismatch(f"action dimension {action.dim} vs block "
                                 f"dimension {blocks.shape[-1]}")
@@ -418,7 +425,10 @@ def equivariance_defects(blocks: np.ndarray,
         b = blocks[k0:k0 + step, None]
         # a commutator that overflows has norm inf and fails every check
         with np.errstate(over="ignore", invalid="ignore"):
-            defects[k0:k0 + step] = np.max(opnorms(rho @ b - b @ rho), axis=1)
+            c = rho @ b - b @ rho
+        norms = (opnorms(c) if tol is None else
+                 opnorms_within(c, np.asarray(tol)[k0:k0 + step, None]))
+        defects[k0:k0 + step] = np.max(norms, axis=1)
     return defects
 
 
@@ -436,8 +446,9 @@ def morse_class(op: CPS, action: OrthogonalAction, table: RealCharacterTable, *,
         raise InfiniteRank("negative-space class needs a finite-dimensional operator")
     spec = block_spectrum(op, tol_cluster)
     scale = 1.0 + spec.block_norm
-    defect = check_equivariance(op, action)
-    if defect > EQUIVARIANCE_FACTOR * scale:
+    tol = EQUIVARIANCE_FACTOR * scale
+    defect = float(equivariance_defects(op.block[None], action, [tol])[0])
+    if defect > tol:
         raise NotEquivariant(f"commutator norm {defect:.3e} exceeds tolerance")
     if spec.min_abs() <= tol_invert * scale:
         raise NotInvertible(

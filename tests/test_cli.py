@@ -731,3 +731,25 @@ def test_max_depth_at_the_cap_fails_on_the_leftmost_segment():
     assert report["error"]["message"] == (
         "CertificationFailed: no certified level on "
         "[0.0, 1.1102230246251565e-16] at depth 53")
+
+
+def test_repeated_main_calls_log_each_error_once(monkeypatch, capsys):
+    # every main() call sets up logging; a handler added by each call would
+    # print each record once more per earlier call
+    from sflow import cli
+
+    monkeypatch.setattr(cli.logger, "handlers", [])
+    monkeypatch.delenv("SFLOW_LOG", raising=False)
+    for i in range(1, 4):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("{not json"))
+        assert main([]) == 2
+        err = capsys.readouterr().err
+        assert err.count("ParseError") == 1, (i, err)
+        assert err.startswith("sflow ERROR: ParseError")
+    assert len(cli.logger.handlers) == 1
+    # the handler writes to sys.stderr as it is now, not to the stream that
+    # was sys.stderr when main() installed it
+    late = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", late)
+    cli._failure(ParseError("late"), 2)
+    assert late.getvalue() == "sflow ERROR: ParseError: late\n"

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from sflow import flow
+from sflow import groups
 from sflow.errors import (
+    BoundaryHit,
     CertificationFailed,
     DimensionMismatch,
     EigenFailure,
     EndpointNotInvertible,
     NotEquivariant,
+    NotInvariant,
     OutOfRange,
     WrongGroup,
 )
@@ -25,13 +28,17 @@ from sflow.groups import (
     OrthogonalAction,
     _preset_irreps,
     build_group,
+    character_of_subspace,
     forgetful_F,
+    multiplicity_vector,
+    subspace_classes,
 )
 from sflow.operators import (
     OperatorPath,
     block_spectrum,
     check_equivariance,
     reverse,
+    spectral_interval_frame,
 )
 from sflow.sampling import (
     haar_orthogonal,
@@ -267,7 +274,7 @@ def test_normalization_on_each_preset_irreducible():
     assert checked == 40
 
 
-def test_normalization_on_the_quaternionic_irreducible_of_q8():
+def _q8():
     # Q8 = {1, -1, i, -i, j, -j, k, -k} as unit quaternions (w, x, y, z); its
     # quaternionic irreducible is left multiplication on H = R^4
     quats = [s * e for e in np.eye(4) for s in (1.0, -1.0)]
@@ -289,6 +296,11 @@ def test_normalization_on_the_quaternionic_irreducible_of_q8():
     group, table = build_group("explicit", mult_table=mult, char_table=[
         {"name": nm, "degree": d, "schur": s, "values": v}
         for nm, d, s, v in chars])
+    return group, table, mats
+
+
+def test_normalization_on_the_quaternionic_irreducible_of_q8():
+    group, table, mats = _q8()
     report = _normalization_class(group, table, mats,
                                   np.random.default_rng(31))
     assert report.sfl_G.as_dict() == {"trivial": 0, "i": 0, "j": 0, "k": 0,
@@ -559,3 +571,118 @@ def test_equivariance_check_names_the_first_failing_parameter(batch, monkeypatch
         sfl_G(path, action, table, partition=part)
     assert str(info.value).startswith(
         f"commutator norm {defect:.3e} at parameter {first} exceeds")
+
+
+# --- stacked class pass --------------------------------------------------------
+
+
+def _q8_action(rng):
+    # H plus the one-dimensional "i" character, behind a Haar change of basis
+    group, table, h = _q8()
+    sign = [1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0]
+    c = haar_orthogonal(5, rng)
+    mats = [c.T @ np.block([[m, np.zeros((4, 1))], [np.zeros((1, 4)), s]]) @ c
+            for m, s in zip(h, sign)]
+    return table, OrthogonalAction(group, mats)
+
+
+def _class_setups(rng):
+    yield _trivial_setup(3)
+    yield preset_action("cyclic", 3, 5, rng, conjugate=True)
+    yield preset_action("dihedral", 4, 6, rng, conjugate=True)
+    yield _q8_action(rng)
+
+
+def _reference_class(action, table, frame):
+    # one frame at a time, from the trace of F^T rho F and the class pairing
+    reps = action.stack[list(table.group.class_representatives())]
+    chi = np.trace(frame.T @ reps @ frame, axis1=1, axis2=2)
+    return tuple(round(table.pair(chi, ir.values) / ir.schur_norm)
+                 for ir in table.irreps)
+
+
+def _knot_frames(path, partition):
+    for i, level in enumerate(partition.levels):
+        for lam in partition.knots[i:i + 2]:
+            spec = block_spectrum(path.at(lam))
+            yield spectral_interval_frame(path.at(lam), 0.0, level,
+                                          spectrum=spec,
+                                          closed_left_tol=spec.tol)
+
+
+def test_stacked_classes_match_the_per_frame_classes():
+    # trivial, cyclic, dihedral and the quaternionic Q8 table: every segment
+    # contribution is the difference of the per-frame classes at its knots
+    rng = np.random.default_rng(37)
+    crossings = 0
+    for table, action in _class_setups(rng):
+        for tails in [(False, False), (True, False), (False, True)]:
+            path = random_equivariant_path(action, rng, plus_tail=tails[0],
+                                           minus_tail=tails[1])
+            report = sfl_G(path, action, table)
+            frames = list(_knot_frames(path, report.partition))
+            want = [_reference_class(action, table, f) for f in frames]
+            got = [c.coeffs for c in report.segment_contributions]
+            assert got == [tuple(b - a for a, b in zip(left, right))
+                           for left, right in zip(want[::2], want[1::2])]
+            assert subspace_classes(action, table, frames) == [
+                multiplicity_vector(character_of_subspace(action, f), table)
+                for f in frames]
+            crossings += len(report.crossings)
+    assert crossings > 0
+
+
+def _c4_split_path():
+    # C4 by quarter turns on the plane: an equivariant block is a multiple of
+    # the identity, and diag(0.3, 0.3 + 1e-9) is one within the equivariance
+    # tolerance; with a cluster tolerance of 1e-12 its eigenvalues split, and
+    # a level between them gives the frame span(e1), which is not invariant
+    group, table = build_group("cyclic", 4)
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    action = OrthogonalAction(
+        group, [np.linalg.matrix_power(quarter, k) for k in range(4)])
+    split = np.diag([0.3, 0.3 + 1e-9])
+    path = OperatorPath.piecewise_linear([0.0, 0.5, 1.0],
+                                         [split, split, 0.7 * np.eye(2)])
+    return path, action, table
+
+
+@pytest.mark.parametrize("levels, error, message", [
+    # the first frame fails invariance, the last one sits on its level
+    ((0.3 + 5e-10, 0.7), NotInvariant,
+     "span not invariant: commutator norm 1.000e+00 at element 1"),
+    # the first frame sits on its level, the third one fails invariance
+    ((0.3, 0.3 + 5e-10), BoundaryHit, "eigenvalue 0.3 at window edge 0.3"),
+])
+def test_class_failures_are_raised_in_frame_order(levels, error, message):
+    path, action, table = _c4_split_path()
+    part = CertifiedPartition((0.0, 0.5, 1.0), levels, (1e-12, 1e-12))
+    with pytest.raises(error) as info:
+        sfl_G(path, action, table, FlowOptions(tol_cluster=1e-12),
+              partition=part)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("batch", [1, groups.HOMOMORPHISM_BATCH])
+def test_class_pass_temporaries_stay_within_the_batch(batch, monkeypatch):
+    # batch 1 checks one frame at a time; each screened stack holds at most
+    # |G| n^2 entries then, or batch entries otherwise
+    rng = np.random.default_rng(41)
+    table, action = preset_action("dihedral", 4, 6, rng, conjugate=True)
+    path = random_equivariant_path(action, rng)
+    frames = list(_knot_frames(path, find_partition(path)))
+    want = subspace_classes(action, table, frames)
+    seen = []
+    real = groups.opnorms_within
+
+    def counting(m, tol):
+        seen.append(m.size)
+        return real(m, tol)
+
+    monkeypatch.setattr(groups, "HOMOMORPHISM_BATCH", batch)
+    monkeypatch.setattr(groups, "opnorms_within", counting)
+    assert subspace_classes(action, table, frames) == want
+    assert max(seen) <= max(batch, 8 * 6 * 6)
+    # one Gram and one invariance check per chunk
+    step = max(1, batch // (8 * 6 * 6))
+    assert len(seen) == 2 * -(-len(frames) // step)

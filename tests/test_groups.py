@@ -268,6 +268,38 @@ def test_direct_sum_action():
         direct_sum_action(diag, other)
 
 
+def test_combined_actions_are_adopted_without_revalidation(monkeypatch):
+    # sums and extensions of valid actions are valid: they skip the |G|^2
+    # checks and equal the actions a validating construction gives
+    from sflow.sampling import preset_action
+
+    rng = np.random.default_rng(43)
+    _, a = preset_action("dihedral", 4, 3, rng, conjugate=True)
+    _, b = preset_action("dihedral", 4, 2, rng, conjugate=True)
+    calls = []
+    real = groups.opnorms_within
+    monkeypatch.setattr(groups, "opnorms_within",
+                        lambda m, tol: calls.append(m.shape) or real(m, tol))
+    combined = [direct_sum_action(a, b), a.extended(3), b.extended(1)]
+    assert calls == []
+    for act in combined:
+        checked = OrthogonalAction(act.group, list(act.matrices))
+        assert calls  # the validating construction ran its checks
+        assert checked.dim == act.dim
+        assert np.array_equal(checked.stack, act.stack)
+        assert all(np.shares_memory(m, act.stack) for m in act.matrices)
+        with pytest.raises(ValueError):
+            act.stack[0, 0, 0] = 2.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_user_actions_with_non_finite_entries_are_rejected(bad):
+    # a non-finite matrix fails the Frobenius screen and gets norm inf
+    group, _ = build_group("cyclic", 2)
+    with pytest.raises(BadAction, match="element 1 not orthogonal: defect inf"):
+        OrthogonalAction(group, [np.eye(2), np.full((2, 2), bad)])
+
+
 # --- characters of subspaces ----------------------------------------------
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sflow import jacobi_eigh, operators, spectral_norm_sym
-from sflow._eig import EPS, eigh_error, opnorms, solve_each
+from sflow._eig import EPS, eigh_error, opnorms, opnorms_within, solve_each
 from sflow.errors import (
     BoundaryHit,
     DimensionMismatch,
@@ -215,6 +215,63 @@ def test_opnorms_matches_one_norm_per_matrix(shape):
     assert float(opnorms(flat[0])) == want[0]
 
 
+def _assert_screen_contract(m, tol):
+    # an entry passes exactly when its exact norm does, and a failing entry
+    # is the exact norm itself
+    exact = opnorms(m)
+    got = opnorms_within(m, tol)
+    tol = np.broadcast_to(tol, exact.shape)
+    assert got.shape == exact.shape
+    assert np.array_equal(got > tol, exact > tol)
+    assert np.array_equal(got[exact > tol], exact[exact > tol])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 5), (8, 8), (1, 7)])
+def test_screen_is_exact_at_the_edge_of_rank_one_stacks(shape):
+    # ||X||_2 == ||X||_F for rank one, so the computed Frobenius norm falls
+    # below the computed 2-norm for many of them: without the round-up a
+    # tolerance one ulp below the 2-norm would pass
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    m = (rng.standard_normal((200, shape[0], 1))
+         @ rng.standard_normal((200, 1, shape[1])))
+    exact = opnorms(m)
+    _assert_screen_contract(m, exact)
+    _assert_screen_contract(m, np.nextafter(exact, 0.0))
+    assert np.array_equal(opnorms_within(m, np.nextafter(exact, 0.0)), exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 2.0))
+def test_screen_matches_opnorms_on_random_stacks(r, c, k, seed, scale):
+    # per-matrix tolerances around the norms: some pass on the Frobenius
+    # bound, some only on the exact norm, some fail
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((k, r, c)) * rng.uniform(0.0, 1.0, (k, 1, 1))
+    exact = opnorms(m)
+    _assert_screen_contract(m, exact * rng.uniform(0.0, scale, k))
+    _assert_screen_contract(m, exact)
+    _assert_screen_contract(m, float(exact[0]))
+
+
+def test_screen_gives_non_finite_matrices_an_infinite_norm():
+    m = np.stack([np.eye(2), np.full((2, 2), np.nan), np.eye(2) * 1e-3,
+                  np.array([[np.inf, 0.0], [0.0, 1.0]])])
+    with np.errstate(over="ignore"):
+        m = np.concatenate([m, (np.full((1, 2, 2), 1e200)
+                                @ np.full((1, 2, 2), 1e200))])
+    got = opnorms_within(m, [2.0, 2.0, 2.0, np.inf, 1e300])
+    assert got.tolist()[1:] == [np.inf, got[2], np.inf, np.inf]
+    assert got[0] <= 2.0 and got[2] <= 2.0
+    for tol in (0.0, 1.0, 1e300, np.inf):
+        _assert_screen_contract(m, tol)
+    # the Frobenius sum of 1e200-sized finite entries overflows; the matrix
+    # still gets its exact norm
+    big = np.full((1, 2, 2), 1e200)
+    assert opnorms_within(big, 1.0).tolist() == opnorms(big).tolist()
+    assert opnorms_within(np.zeros((3, 0, 2)), 1.0).tolist() == [0.0] * 3
+
+
 def test_block_spectrum_carries_its_error_bound():
     a, exact = _toeplitz(8)
     spec = block_spectrum(CPS(a))
@@ -331,6 +388,22 @@ def test_knot_snapping():
                                       [np.eye(1), 2.0 * np.eye(1)])
     assert p.knot_values()[0] == 0.0
     assert p.knot_values()[-1] == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_paths_reject_data_their_lipschitz_bound_cannot_cover(bad):
+    # a non-finite velocity or sample is an input error, not a failed
+    # eigensolve inside the Lipschitz bound
+    m = np.eye(2)
+    m[0, 1] = bad
+    with pytest.raises(OutOfRange, match="b has non-finite entries"):
+        OperatorPath.affine(np.eye(2), m)
+    for i in range(3):
+        samples = [np.eye(2)] * 3
+        samples[i] = m
+        with pytest.raises(OutOfRange,
+                           match="samples have non-finite entries"):
+            OperatorPath.piecewise_linear([0.0, 0.5, 1.0], samples)
 
 
 # --- path algebra ----------------------------------------------------------
