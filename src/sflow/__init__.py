@@ -30,6 +30,7 @@ from .flow import (
     find_partition,
     morse_oracle_sfl_G,
     sfl_G,
+    sfl_G_each,
     verify_axioms,
 )
 from .groups import (

@@ -159,7 +159,7 @@ class Parametrix:
                           m.swapaxes(1, 2) @ blocks @ m - target, strict=strict)
 
     def max_residual(self) -> float:
-        blocks = np.stack([self.path.block_at(lam) for lam in self.lambdas])
+        blocks = self.path.blocks_at(self.lambdas)
         return float(np.max(self._residuals(blocks, strict=True), initial=0.0))
 
 
@@ -188,8 +188,8 @@ def _check_cover(path: OperatorPath, anchors: np.ndarray,
         grid += [(j, lo + i * step, slack) for i in range(COVER_SUBSTEPS + 1)]
     for start in range(0, len(grid), len(anchors)):
         chunk = grid[start:start + len(anchors)]
-        blocks = np.stack([path.block_at(lam) - corrections[j]
-                           for j, lam, _ in chunk])
+        blocks = (path.blocks_at([lam for _, lam, _ in chunk])
+                  - corrections[[j for j, _, _ in chunk]])
         for (j, lam, slack), low in zip(chunk, solve_each(_lowest, blocks)):
             if isinstance(low, EigenFailure):
                 raise low
@@ -225,7 +225,7 @@ def parametrix_fs_plus(path: OperatorPath, samples: int = 17) -> Parametrix:
         cut = np.maximum(2.0 * CLUSTER_FACTOR * (1.0 + norm), drift)
         return _split_blocks(w, v, cut)[1]
 
-    blocks = np.stack([path.block_at(lam) for lam in anchors])
+    blocks = path.blocks_at(anchors)
     corrections = solve_each(correction, blocks, strict=True)
     _check_cover(path, anchors, corrections)
 

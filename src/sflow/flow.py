@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .groups import (
 )
 from .operators import (
     CLUSTER_FACTOR,
-    CPS,
     EQUIVARIANCE_FACTOR,
     INVERT_FACTOR,
     OperatorPath,
@@ -146,34 +146,23 @@ class _SpectraCache:
     def __init__(self, path: OperatorPath, tol_cluster: float):
         self.path = path
         self.tol_cluster = tol_cluster
-        self._ops: dict[float, CPS] = {}
         self._blocks: dict[float, np.ndarray] = {}
         # a parameter whose block failed to solve maps to its EigenFailure,
         # raised whenever its spectrum is asked for
         self._spectra: dict[float, Spectrum | EigenFailure] = {}
-
-    def op(self, lam: float) -> CPS:
-        if lam not in self._ops:
-            self._ops[lam] = self.path.at(lam)
-        return self._ops[lam]
 
     def blocks(self, lams: list[float]) -> np.ndarray:
         """(k, n, n) stack of the symmetrized blocks at k parameters, each
         equal bit for bit to path.at(lam).block and built once."""
         new = [lam for lam in dict.fromkeys(lams) if lam not in self._blocks]
         if new:
-            b = np.stack([self.path.block_at(lam) for lam in new])
+            b = self.path.blocks_at(new)
             self._blocks.update(zip(new, 0.5 * b + 0.5 * np.swapaxes(b, 1, 2)))
         return np.stack([self._blocks[lam] for lam in lams])
 
     def fill(self, lams: list[float]) -> None:
         """Solve every parameter not yet cached in one stacked eigensolve."""
-        new = [lam for lam in dict.fromkeys(lams) if lam not in self._spectra]
-        if not new:
-            return
-        spectra = solve_each(lambda b: block_spectra(b, self.tol_cluster),
-                             self.blocks(new))
-        self._spectra.update(zip(new, spectra))
+        _fill_each([(self, lams)])
 
     def spectrum(self, lam: float) -> Spectrum:
         if lam not in self._spectra:
@@ -184,87 +173,125 @@ class _SpectraCache:
         return spec
 
 
-def _fold(lo: float, hi: float) -> tuple[float, float]:
-    # image of [lo, hi] under absolute value
-    if hi <= 0.0:
-        return (-hi, -lo)
-    if lo >= 0.0:
-        return (lo, hi)
-    return (0.0, max(-lo, hi))
+def _fill_each(wanted: list[tuple[_SpectraCache, list[float]]]) -> None:
+    """Solve the parameters not yet cached, of every (cache, parameters)
+    pair, in one stacked eigensolve per block dimension and cluster
+    tolerance. A block that fails to solve fails alone (solve_each)."""
+    stacks: dict[tuple[int, float], list] = {}
+    for cache, lams in wanted:
+        new = [lam for lam in dict.fromkeys(lams) if lam not in cache._spectra]
+        if new:
+            blocks = cache.blocks(new)
+            stacks.setdefault((blocks.shape[-1], cache.tol_cluster),
+                              []).append((cache, new, blocks))
+    for (_, tol), parts in stacks.items():
+        spectra = solve_each(lambda b: block_spectra(b, tol),
+                             np.concatenate([b for _, _, b in parts]))
+        k = 0
+        for cache, new, _ in parts:
+            cache._spectra.update(zip(new, spectra[k:k + len(new)]))
+            k += len(new)
 
 
-def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not intervals:
-        return []
-    intervals.sort()
-    merged = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        mlo, mhi = merged[-1]
-        if lo <= mhi:
-            merged[-1] = (mlo, max(mhi, hi))
+def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
+             tails: np.ndarray, tol_cluster: float
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Look for one admissible level on each of S segments at once.
+
+    w is the (S, 3, n) array of the eigenvalues at the left end, midpoint and
+    right end of each segment, err the (S, 3) solver error bounds of those
+    spectra, rad the Lipschitz radius of each segment and tails whether its
+    path has a tail. Returns (ok, level, margin): a segment is certified
+    where ok holds, at the middle of the first widest gap that the folded
+    envelopes leave in [0, cap] (cap is 1 with tails, else one past the top
+    envelope), when the gap's half width less the error clears the required
+    margin and the rank inside the level band is the same at the three
+    samples."""
+    wl, wm, wr = w[:, 0], w[:, 1], w[:, 2]
+    r = rad[:, None]
+    # an infinite radius (an overflowed Lipschitz bound) gives inf - inf only
+    # in gaps that are not open, and an infinite required margin
+    with np.errstate(over="ignore", invalid="ignore"):
+        # envelope of each eigenvalue over its segment: inside the midpoint
+        # tube and inside the union of the endpoint tubes
+        lo = np.maximum(wm, np.minimum(wl, wr)) - r
+        hi = np.minimum(wm, np.maximum(wl, wr)) + r
+        apart = lo > hi
+        lo, hi = np.where(apart, wm - r, lo), np.where(apart, wm + r, hi)
+        # their images under absolute value
+        neg, pos = hi <= 0.0, lo >= 0.0
+        lo, hi = (np.where(neg, -hi, np.where(pos, lo, 0.0)),
+                  np.where(neg, -lo, np.where(pos, hi, np.maximum(-lo, hi))))
+        cap = np.where(tails, 1.0, hi.max(axis=1, initial=0.0) + 1.0)[:, None]
+        # the gap below the j-th envelope in order of lower ends runs from
+        # the highest upper end before it; where envelopes overlap it is
+        # empty, so the nonempty gaps are those between merged envelopes,
+        # followed by the gap up to cap
+        order = np.argsort(lo, axis=1, kind="stable")
+        lo = np.take_along_axis(lo, order, axis=1)
+        top = np.maximum.accumulate(np.take_along_axis(hi, order, axis=1), axis=1)
+        gap_lo = np.maximum(0.0, np.minimum(np.concatenate(
+            [np.zeros((len(w), 1)), top], axis=1), cap))
+        gap_hi = np.minimum(np.concatenate([lo, cap], axis=1), cap)
+        open_ = gap_hi > gap_lo
+        widths = np.where(open_, gap_hi - gap_lo, -np.inf)
+        best = np.argmax(widths, axis=1)[:, None]  # the first widest
+        width = np.take_along_axis(widths, best, axis=1)[:, 0]
+        level = ((np.take_along_axis(gap_lo, best, axis=1)
+                  + np.take_along_axis(gap_hi, best, axis=1)) / 2.0)[:, 0]
+        # the envelopes hold the computed eigenvalues; the exact ones may sit
+        # up to err further in, which the margin pays for without moving the
+        # level
+        margin = width / 2.0 - err.max(axis=1)
+        norm_bound = np.abs(w).max(axis=(1, 2), initial=0.0) + rad
+        required = np.maximum(MARGIN_FLOOR,
+                              2.0 * tol_cluster * (1.0 + norm_bound))
+        counts = np.count_nonzero(np.abs(w) <= level[:, None, None], axis=2)
+    ok = (open_.any(axis=1) & (margin > required)
+          & (counts == counts[:, :1]).all(axis=1))
+    return ok, level, margin
+
+
+def _certify_each(segments: list[tuple[_SpectraCache, float, float]],
+                  tol_cluster: float
+                  ) -> list[tuple[float, float] | EigenFailure | None]:
+    """(level, margin) or None for each (cache, left, right) segment, from
+    one _certify pass per block dimension. A segment whose samples failed
+    to solve gets, in place, the first EigenFailure of its left end,
+    midpoint and right end."""
+    out: list[tuple[float, float] | EigenFailure | None] = [None] * len(segments)
+    by_dim: dict[int, list] = {}
+    for k, (cache, left, right) in enumerate(segments):
+        try:
+            specs = [cache.spectrum(lam)
+                     for lam in (left, (left + right) / 2.0, right)]
+        except EigenFailure as e:
+            out[k] = e
         else:
-            merged.append((lo, hi))
-    return merged
+            by_dim.setdefault(specs[0].eigenvalues.size, []).append(
+                (k, specs, cache.path, right - left))
+    for group in by_dim.values():
+        ok, level, margin = _certify(
+            np.array([[s.eigenvalues for s in specs] for _, specs, _, _ in group]),
+            np.array([[s.err for s in specs] for _, specs, _, _ in group]),
+            np.array([path.lipschitz * width / 2.0 for _, _, path, width in group]),
+            np.array([path.plus_tail or path.minus_tail for _, _, path, _ in group]),
+            tol_cluster)
+        for (k, *_), good, lv, mg in zip(group, ok.tolist(), level.tolist(),
+                                         margin.tolist()):
+            if good:
+                out[k] = (lv, mg)
+    return out
 
 
 def _try_certify(cache: _SpectraCache, opts: FlowOptions, left: float,
                  right: float) -> tuple[float, float] | None:
     """Look for one admissible level on [left, right]. Returns (level, margin)
     or None if the sampled eigenvalue envelopes leave no wide enough gap."""
-    path = cache.path
-    mid = (left + right) / 2.0
-    wl = cache.spectrum(left).eigenvalues
-    wm = cache.spectrum(mid).eigenvalues
-    wr = cache.spectrum(right).eigenvalues
-    rad = path.lipschitz * (right - left) / 2.0
-    has_tails = path.plus_tail or path.minus_tail
-
-    folded: list[tuple[float, float]] = []
-    for k in range(wl.size):
-        # envelope of the k-th eigenvalue over the segment: inside the
-        # midpoint tube and inside the union of the endpoint tubes
-        lo = max(wm[k], min(wl[k], wr[k])) - rad
-        hi = min(wm[k], max(wl[k], wr[k])) + rad
-        if lo > hi:
-            lo, hi = wm[k] - rad, wm[k] + rad
-        folded.append(_fold(lo, hi))
-    forbidden = _merge(folded)
-
-    cap = 1.0
-    if forbidden and not has_tails:
-        cap = forbidden[-1][1] + 1.0
-
-    norm_bound = 0.0
-    for w in (wl, wm, wr):
-        if w.size:
-            norm_bound = max(norm_bound, float(np.max(np.abs(w))))
-    norm_bound += rad
-    required = max(MARGIN_FLOOR,
-                   2.0 * opts.tol_cluster * (1.0 + norm_bound))
-
-    best: tuple[float, float] | None = None  # (width, level)
-    prev = 0.0
-    pieces = [p for p in forbidden if p[0] < cap]
-    for lo, hi in pieces + [(cap, cap)]:
-        gap_lo, gap_hi = prev, min(lo, cap)
-        if gap_hi > gap_lo:
-            width = gap_hi - gap_lo
-            if best is None or width > best[0]:
-                best = (width, (gap_lo + gap_hi) / 2.0)
-        prev = max(prev, min(hi, cap))
-    if best is None:
-        return None
-    width, level = best
-    # the envelopes hold the computed eigenvalues; the exact ones may sit up
-    # to err further in, which the margin pays for without moving the level
-    margin = width / 2.0 - max(cache.spectrum(lam).err
-                               for lam in (left, mid, right))
-    if margin <= required:
-        return None
-    counts = {int(np.count_nonzero(np.abs(w) <= level)) for w in (wl, wm, wr)}
-    if len(counts) != 1:
-        return None
-    return level, margin
+    found = _certify_each([(cache, left, right)], opts.tol_cluster)[0]
+    if isinstance(found, EigenFailure):
+        raise found
+    return found
 
 
 def _require_invertible_ends(cache: _SpectraCache, opts: FlowOptions) -> None:
@@ -278,8 +305,75 @@ def _require_invertible_ends(cache: _SpectraCache, opts: FlowOptions) -> None:
                 f"threshold {threshold:.3e}")
 
 
-def find_partition(path: OperatorPath, opts: FlowOptions | None = None, *,
-                   cache: _SpectraCache | None = None) -> CertifiedPartition:
+def _partitions(caches: list[_SpectraCache], opts: FlowOptions
+                ) -> list[CertifiedPartition | SflowError]:
+    """find_partition for the path of each cache, in shared rounds.
+
+    Each path keeps its own left-to-right worklist. A round takes the
+    leftmost BISECTION_BATCH pending segments of every path, solves their
+    missing samples together and tests them together, then accepts or
+    splits each path's segments in order; the first round solves 0, 1/2
+    and 1 of every path."""
+    out: list[CertifiedPartition | SflowError | None] = [None] * len(caches)
+    _fill_each([(cache, [0.0, 0.5, 1.0]) for cache in caches])
+    # per live path: pending (left, right, depth) segments, accepted
+    # (right, level, margin) ones, and the leftmost failure so far
+    live: dict[int, tuple[list, list, SflowError | None]] = {}
+    for k, cache in enumerate(caches):
+        try:
+            _require_invertible_ends(cache, opts)
+        except SflowError as e:
+            out[k] = e
+        else:
+            live[k] = ([(0.0, 1.0, 0)], [], None)
+    while live:
+        batches = {k: pending[:BISECTION_BATCH]
+                   for k, (pending, _, _) in live.items()}
+        tried = {k: [(left, right) for left, right, depth in batch
+                     if depth >= opts.min_depth]
+                 for k, batch in batches.items()}
+        _fill_each([(caches[k], [lam for left, right in segs
+                                 for lam in (left, (left + right) / 2.0, right)])
+                    for k, segs in tried.items()])
+        segments = [(k, left, right) for k, segs in tried.items()
+                    for left, right in segs]
+        found = dict(zip([(k, left) for k, left, _ in segments], _certify_each(
+            [(caches[k], left, right) for k, left, right in segments],
+            opts.tol_cluster)))
+        for k, batch in batches.items():
+            pending, accepted, failure = live.pop(k)
+            later = pending[BISECTION_BATCH:]
+            split: list[tuple[float, float, int]] = []
+            for left, right, depth in batch:
+                fault: SflowError | None = None
+                if depth >= opts.min_depth:
+                    level_margin = found[(k, left)]
+                    if isinstance(level_margin, tuple):
+                        accepted.append((right, *level_margin))
+                        continue
+                    fault = level_margin
+                    if fault is None and depth >= opts.max_depth:
+                        fault = CertificationFailed(
+                            f"no certified level on [{left}, {right}] at "
+                            f"depth {depth}")
+                if fault is not None:
+                    # only a failure further left can still come first
+                    failure, later = fault, []
+                    break
+                mid = (left + right) / 2.0
+                split += [(left, mid, depth + 1), (mid, right, depth + 1)]
+            if split or later:
+                live[k] = (split + later, accepted, failure)
+            elif failure is not None:
+                out[k] = failure
+            else:
+                rights, levels, margins = zip(*sorted(accepted))
+                out[k] = CertifiedPartition((0.0,) + rights, levels, margins)
+    return out
+
+
+def find_partition(path: OperatorPath,
+                   opts: FlowOptions | None = None) -> CertifiedPartition:
     """Certify a partition of [0, 1] with one spectral level per segment.
 
     A segment is accepted once the Lipschitz eigenvalue envelopes leave a gap
@@ -297,93 +391,148 @@ def find_partition(path: OperatorPath, opts: FlowOptions | None = None, *,
     costs at most about BISECTION_BATCH * (max_depth + 1) segments.
     """
     opts = opts or FlowOptions()
-    cache = cache or _SpectraCache(path, opts.tol_cluster)
-    _require_invertible_ends(cache, opts)
-
-    accepted: list[tuple[float, float, float]] = []  # (right, level, margin)
-    failure: SflowError | None = None
-    pending: list[tuple[float, float, int]] = [(0.0, 1.0, 0)]
-    while pending:
-        batch = pending[:BISECTION_BATCH]
-        later = pending[BISECTION_BATCH:]
-        cache.fill([lam for left, right, depth in batch
-                    if depth >= opts.min_depth
-                    for lam in (left, (left + right) / 2.0, right)])
-        split: list[tuple[float, float, int]] = []
-        for left, right, depth in batch:
-            fault: SflowError | None = None
-            if depth >= opts.min_depth:
-                try:
-                    found = _try_certify(cache, opts, left, right)
-                except EigenFailure as e:
-                    found, fault = None, e
-                if found is not None:
-                    level, margin = found
-                    accepted.append((right, float(level), float(margin)))
-                    continue
-                if fault is None and depth >= opts.max_depth:
-                    fault = CertificationFailed(
-                        f"no certified level on [{left}, {right}] at depth {depth}")
-            if fault is not None:
-                # only a failure further left can still come first
-                failure, later = fault, []
-                break
-            mid = (left + right) / 2.0
-            split += [(left, mid, depth + 1), (mid, right, depth + 1)]
-        pending = split + later
-    if failure is not None:
-        raise failure
-    rights, levels, margins = zip(*sorted(accepted))
-    return CertifiedPartition((0.0,) + rights, levels, margins)
+    part = _partitions([_SpectraCache(path, opts.tol_cluster)], opts)[0]
+    if isinstance(part, SflowError):
+        raise part
+    return part
 
 
-def _knot_classes(cache: _SpectraCache, action: OrthogonalAction,
-                  table: RealCharacterTable,
-                  partition: CertifiedPartition) -> list[VirtualRep]:
-    """Class of the frame of [0, level] at the left and right knot of each
-    segment, in order. A frame is a run of clusters from the first >= -tol,
-    so (knot, column count) fixes it, and the distinct ones take their
-    classes in one stacked pass. Every frame is still built for its boundary
-    checks; failures are raised in the order of a per-frame loop."""
-    frames: dict[tuple[float, int], np.ndarray] = {}
-    keys: list[tuple[float, int]] = []
-    fault: SflowError | None = None
-    try:
-        for i, level in enumerate(partition.levels):
-            for lam in partition.knots[i:i + 2]:
-                spec = cache.spectrum(lam)
-                frame = spectral_interval_frame(cache.op(lam), 0.0, level,
-                                                spectrum=spec,
-                                                closed_left_tol=spec.tol)
-                keys.append((lam, frame.shape[1]))
-                frames.setdefault(keys[-1], frame)
-    except SflowError as e:
-        fault = e
-    classes = dict(zip(frames, subspace_classes(action, table,
-                                                list(frames.values()))))
-    for klass in [*classes.values(), fault]:
-        if isinstance(klass, SflowError):
-            raise klass
-    return [classes[key] for key in keys]
+@dataclass
+class _Flow:
+    """One request of sfl_G_each on its way to a report or an error."""
+
+    path: OperatorPath
+    action: OrthogonalAction
+    cache: _SpectraCache
+    partition: CertifiedPartition | None
+    outcome: SflReport | SflowError | None = None
 
 
-def _check_equivariance_along(cache: _SpectraCache, action: OrthogonalAction,
-                              partition: CertifiedPartition) -> None:
-    lams = list(partition.knots)
-    lams += [(a + b) / 2.0 for a, b in zip(partition.knots, partition.knots[1:])]
-    cache.fill(lams)
+def _check_equivariance(flows: list[_Flow]) -> None:
+    """Commutators of the blocks at the knots and midpoints of each flow's
+    partition with their common action, in one stacked pass. A flow's first
+    failure in parameter order, a failed solve or a defect over its
+    tolerance, becomes its outcome."""
+    lams = [[*f.partition.knots,
+             *((a + b) / 2.0 for a, b in zip(f.partition.knots,
+                                             f.partition.knots[1:]))]
+            for f in flows]
+    _fill_each([(f.cache, ls) for f, ls in zip(flows, lams)])
     # a parameter whose solve failed gets tol inf, and cache.spectrum raises
     # its EigenFailure below, in parameter order
-    tols = [EQUIVARIANCE_FACTOR * (1.0 + s.block_norm)
-            if isinstance(s, Spectrum) else math.inf
-            for s in map(cache._spectra.get, lams)]
-    defects = equivariance_defects(cache.blocks(lams), action, tols).tolist()
-    for lam, defect, tol in zip(lams, defects, tols):
-        cache.spectrum(lam)
-        if defect > tol:
-            raise NotEquivariant(
-                f"commutator norm {defect:.3e} at parameter {lam} exceeds "
-                f"{tol:.3e}")
+    tols = [[EQUIVARIANCE_FACTOR * (1.0 + s.block_norm)
+             if isinstance(s, Spectrum) else math.inf
+             for s in map(f.cache._spectra.get, ls)]
+            for f, ls in zip(flows, lams)]
+    defects = equivariance_defects(
+        np.concatenate([f.cache.blocks(ls) for f, ls in zip(flows, lams)]),
+        flows[0].action, [t for ts in tols for t in ts]).tolist()
+    start = 0
+    for f, ls, ts in zip(flows, lams, tols):
+        for lam, defect, tol in zip(ls, defects[start:], ts):
+            try:
+                f.cache.spectrum(lam)
+            except EigenFailure as e:
+                f.outcome = e
+                break
+            if defect > tol:
+                f.outcome = NotEquivariant(
+                    f"commutator norm {defect:.3e} at parameter {lam} "
+                    f"exceeds {tol:.3e}")
+                break
+        start += len(ls)
+
+
+def _take_classes(flows: list[_Flow], table: RealCharacterTable) -> None:
+    """Report of each flow from the classes of the frames of [0, level] at
+    the left and right knot of each of its segments, taken for every flow of
+    one action in one stacked pass. A frame is a run of clusters from the
+    first >= -tol, so (knot, column count) fixes it and only the distinct
+    ones are classified. Every frame is still built for its boundary checks;
+    each flow's first failure is that of a per-frame loop."""
+    frames: dict[tuple[int, float, int], np.ndarray] = {}
+    keys: list[list[tuple[int, float, int]]] = []
+    faults: list[SflowError | None] = []
+    for k, f in enumerate(flows):
+        keys.append([])
+        faults.append(None)
+        try:
+            for i, level in enumerate(f.partition.levels):
+                for lam in f.partition.knots[i:i + 2]:
+                    spec = f.cache.spectrum(lam)
+                    frame = spectral_interval_frame(f.path, 0.0, level,
+                                                    spectrum=spec,
+                                                    closed_left_tol=spec.tol)
+                    keys[k].append((k, lam, frame.shape[1]))
+                    frames.setdefault(keys[k][-1], frame)
+        except SflowError as e:
+            faults[k] = e
+    classes = dict(zip(frames, subspace_classes(flows[0].action, table,
+                                                list(frames.values()))))
+    for f, ks, fault in zip(flows, keys, faults):
+        errors = [c for c in [*(classes[key] for key in dict.fromkeys(ks)), fault]
+                  if isinstance(c, SflowError)]
+        f.outcome = (errors[0] if errors else
+                     _flow_report(f.partition, [classes[key] for key in ks], table))
+
+
+def _flow_report(partition: CertifiedPartition, classes: list[VirtualRep],
+                 table: RealCharacterTable) -> SflReport:
+    contributions = [right - left
+                     for left, right in zip(classes[::2], classes[1::2])]
+    total = sum(contributions, VirtualRep.zero(table))
+    crossings = tuple(
+        Crossing((partition.knots[i], partition.knots[i + 1]), i, c)
+        for i, c in enumerate(contributions) if not c.is_zero())
+    return SflReport(sfl_G=total, sfl=forgetful_F(total), partition=partition,
+                     segment_contributions=tuple(contributions), crossings=crossings)
+
+
+def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
+               table: RealCharacterTable, opts: FlowOptions | None = None, *,
+               partitions: Sequence[CertifiedPartition | None] | None = None
+               ) -> list[SflReport | SflowError]:
+    """sfl_G of each (path, action) request: its report, or in its place the
+    error its own sfl_G call raises.
+
+    The requests share their work. Bisection runs in shared rounds
+    (_partitions); then the blocks at knots and midpoints of all flows of
+    one action are checked for equivariance in one stacked pass, and their
+    knot frames take their classes in another. partitions, when given, holds
+    one certificate per request to use instead of bisection, or None.
+    """
+    opts = opts or FlowOptions()
+    flows = [_Flow(path, action, _SpectraCache(path, opts.tol_cluster), part)
+             for (path, action), part in zip(
+                 requests, partitions or [None] * len(requests))]
+    for f in flows:
+        if f.action.dim != f.path.dim:
+            f.outcome = DimensionMismatch(f"action dimension {f.action.dim} "
+                                          f"vs path dimension {f.path.dim}")
+        elif table.group != f.action.group:
+            f.outcome = WrongGroup(
+                "character table and action belong to different groups")
+        elif f.partition is not None:
+            try:
+                _require_invertible_ends(f.cache, opts)
+            except SflowError as e:
+                f.outcome = e
+    bisect = [f for f in flows if f.outcome is None and f.partition is None]
+    for f, part in zip(bisect, _partitions([f.cache for f in bisect], opts)):
+        if isinstance(part, SflowError):
+            f.outcome = part
+        else:
+            f.partition = part
+    by_action: dict[int, list[_Flow]] = {}
+    for f in flows:
+        if f.outcome is None:
+            by_action.setdefault(id(f.action), []).append(f)
+    for group in by_action.values():
+        _check_equivariance(group)
+        equivariant = [f for f in group if f.outcome is None]
+        if equivariant:
+            _take_classes(equivariant, table)
+    return [f.outcome for f in flows]
 
 
 def sfl_G(path: OperatorPath, action: OrthogonalAction,
@@ -394,29 +543,10 @@ def sfl_G(path: OperatorPath, action: OrthogonalAction,
     Returns the virtual class together with the certificate. The plain
     integer flow is the forgetful image of the class.
     """
-    opts = opts or FlowOptions()
-    if action.dim != path.dim:
-        raise DimensionMismatch(
-            f"action dimension {action.dim} vs path dimension {path.dim}")
-    if table.group != action.group:
-        raise WrongGroup("character table and action belong to different groups")
-    cache = _SpectraCache(path, opts.tol_cluster)
-    if partition is None:
-        partition = find_partition(path, opts, cache=cache)
-    else:
-        _require_invertible_ends(cache, opts)
-    _check_equivariance_along(cache, action, partition)
-
-    classes = _knot_classes(cache, action, table, partition)
-    contributions = [right - left
-                     for left, right in zip(classes[::2], classes[1::2])]
-    total = sum(contributions, VirtualRep.zero(table))
-
-    crossings = tuple(
-        Crossing((partition.knots[i], partition.knots[i + 1]), i, c)
-        for i, c in enumerate(contributions) if not c.is_zero())
-    return SflReport(sfl_G=total, sfl=forgetful_F(total), partition=partition,
-                     segment_contributions=tuple(contributions), crossings=crossings)
+    out = sfl_G_each([(path, action)], table, opts, partitions=[partition])[0]
+    if isinstance(out, SflowError):
+        raise out
+    return out
 
 
 def morse_oracle_sfl_G(path: OperatorPath, action: OrthogonalAction,
@@ -475,6 +605,11 @@ def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,
     (including closed loops), additivity under direct sums, invariance under
     reparametrization, and invariance under equivariant conjugation. Each
     suite runs `instances` randomized cases; failures carry a witness string.
+
+    Flows draw no random numbers, so every case is drawn first and all the
+    flows go to one sfl_G_each call. The error raised is the one a case by
+    case run raises first: if a draw fails, the first error among the flows
+    requested before it, else the draw's own.
     """
     from . import sampling
     from .groups import direct_sum_action
@@ -483,76 +618,83 @@ def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,
     opts = opts or FlowOptions()
     rng = np.random.default_rng(seed)
     tail_cycle = [(False, False), (True, False), (False, True), (True, True)]
+    requests: list[tuple[OperatorPath, OrthogonalAction]] = []
+    # (suite, witness prefix, flows summed on the left, on the right); a
+    # right side of None asks for a zero class
+    checks: list[tuple[str, str, list[int], list[int] | None]] = []
 
-    def flow(p: OperatorPath, act: OrthogonalAction = action) -> VirtualRep:
-        return sfl_G(p, act, table, opts).sfl_G
+    def flow(p: OperatorPath, act: OrthogonalAction = action) -> int:
+        requests.append((p, act))
+        return len(requests) - 1
 
-    results = []
+    def draw_cases() -> None:
+        for i in range(instances):
+            tails = tail_cycle[i % 4]
+            p = sampling.random_invertible_path(action, rng, plus_tail=tails[0],
+                                                minus_tail=tails[1])
+            checks.append(("vanishing", f"instance {i}: invertible path has flow",
+                           [flow(p)], None))
 
-    failures: list[str] = []
-    for i in range(instances):
-        tails = tail_cycle[i % 4]
-        p = sampling.random_invertible_path(action, rng, plus_tail=tails[0],
-                                            minus_tail=tails[1])
-        got = flow(p)
-        if not got.is_zero():
-            failures.append(f"instance {i}: invertible path has flow {got}")
-    results.append(AxiomResult("vanishing", instances, tuple(failures)))
+        for i in range(instances):
+            tails = tail_cycle[i % 4]
+            p = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
+                                                 minus_tail=tails[1])
+            q = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
+                                                 minus_tail=tails[1],
+                                                 start_block=p.block_at(1.0))
+            checks.append(("concatenation", f"instance {i}: concatenation",
+                           [flow(concatenate(p, q))], [flow(p), flow(q)]))
+            checks.append(("concatenation", f"instance {i}: closed loop has flow",
+                           [flow(concatenate(p, reverse(p)))], None))
 
-    failures = []
-    for i in range(instances):
-        tails = tail_cycle[i % 4]
-        p = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
-                                             minus_tail=tails[1])
-        q = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
-                                             minus_tail=tails[1],
-                                             start_block=p.block_at(1.0))
-        joined = concatenate(p, q)
-        lhs = flow(joined)
-        rhs = flow(p) + flow(q)
-        if lhs != rhs:
-            failures.append(f"instance {i}: concatenation {lhs} != {rhs}")
-        loop = flow(concatenate(p, reverse(p)))
-        if not loop.is_zero():
-            failures.append(f"instance {i}: closed loop has flow {loop}")
-    results.append(AxiomResult("concatenation", instances, tuple(failures)))
+        double = direct_sum_action(action, action)
+        for i in range(instances):
+            tails_p = tail_cycle[i % 4]
+            tails_q = tail_cycle[(i + 1) % 4]
+            p = sampling.random_equivariant_path(action, rng, plus_tail=tails_p[0],
+                                                 minus_tail=tails_p[1])
+            q = sampling.random_equivariant_path(action, rng, plus_tail=tails_q[0],
+                                                 minus_tail=tails_q[1])
+            checks.append(("direct_sum", f"instance {i}: direct sum",
+                           [flow(direct_sum_paths(p, q), double)],
+                           [flow(p), flow(q)]))
 
-    failures = []
-    double = direct_sum_action(action, action)
-    for i in range(instances):
-        tails_p = tail_cycle[i % 4]
-        tails_q = tail_cycle[(i + 1) % 4]
-        p = sampling.random_equivariant_path(action, rng, plus_tail=tails_p[0],
-                                             minus_tail=tails_p[1])
-        q = sampling.random_equivariant_path(action, rng, plus_tail=tails_q[0],
-                                             minus_tail=tails_q[1])
-        lhs = flow(direct_sum_paths(p, q), double)
-        rhs = flow(p) + flow(q)
-        if lhs != rhs:
-            failures.append(f"instance {i}: direct sum {lhs} != {rhs}")
-    results.append(AxiomResult("direct_sum", instances, tuple(failures)))
+        for i in range(instances):
+            tails = tail_cycle[i % 4]
+            p = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
+                                                 minus_tail=tails[1], kind="affine")
+            q = sampling.reparametrize(p, rng)
+            checks.append(("reparametrization", f"instance {i}: reparametrization",
+                           [flow(q)], [flow(p)]))
 
-    failures = []
-    for i in range(instances):
-        tails = tail_cycle[i % 4]
-        p = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
-                                             minus_tail=tails[1], kind="affine")
-        q = sampling.reparametrize(p, rng)
-        lhs, rhs = flow(q), flow(p)
-        if lhs != rhs:
-            failures.append(f"instance {i}: reparametrization {lhs} != {rhs}")
-    results.append(AxiomResult("reparametrization", instances, tuple(failures)))
+        for i in range(instances):
+            tails = tail_cycle[i % 4]
+            p = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
+                                                 minus_tail=tails[1])
+            u = sampling.random_equivariant_orthogonal(action, rng)
+            checks.append(("conjugation", f"instance {i}: conjugation",
+                           [flow(sampling.conjugate_path(p, u))], [flow(p)]))
 
-    failures = []
-    for i in range(instances):
-        tails = tail_cycle[i % 4]
-        p = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
-                                             minus_tail=tails[1])
-        u = sampling.random_equivariant_orthogonal(action, rng)
-        lhs = flow(sampling.conjugate_path(p, u))
-        rhs = flow(p)
-        if lhs != rhs:
-            failures.append(f"instance {i}: conjugation {lhs} != {rhs}")
-    results.append(AxiomResult("conjugation", instances, tuple(failures)))
+    fault: SflowError | None = None
+    try:
+        draw_cases()
+    except SflowError as e:
+        fault = e
+    reports = sfl_G_each(requests, table, opts)
+    for report in [*reports, fault]:
+        if isinstance(report, SflowError):
+            raise report
 
-    return AxiomSuiteReport(tuple(results))
+    def total(flows: list[int] | None) -> VirtualRep:
+        return sum((reports[k].sfl_G for k in flows or []), VirtualRep.zero(table))
+
+    names = ["vanishing", "concatenation", "direct_sum", "reparametrization",
+             "conjugation"]
+    failures: dict[str, list[str]] = {name: [] for name in names}
+    for suite, prefix, lhs, rhs in checks:
+        got, want = total(lhs), total(rhs)
+        if got != want:
+            failures[suite].append(f"{prefix} {got}" if rhs is None
+                                   else f"{prefix} {got} != {want}")
+    return AxiomSuiteReport(tuple(AxiomResult(name, instances, tuple(failures[name]))
+                                  for name in names))

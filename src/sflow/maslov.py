@@ -20,9 +20,10 @@ from .errors import (
     NotLagrangian,
     NotOrthonormal,
     NotSymmetric,
+    SflowError,
     TailMismatch,
 )
-from .flow import FlowOptions, SflReport, sfl_G
+from .flow import FlowOptions, SflReport, sfl_G, sfl_G_each
 from .groups import (
     OrthogonalAction,
     RealCharacterTable,
@@ -190,8 +191,7 @@ def _arctan_path(path: OperatorPath, per_segment: int = 4) -> OperatorPath:
         for i in range(per_segment):
             grid.append(a + (b - a) * i / per_segment)
     grid.append(1.0)
-    blocks = np.stack([path.block_at(lam) for lam in grid])
-    samples = solve_each(_arctan_blocks, blocks, strict=True)
+    samples = solve_each(_arctan_blocks, path.blocks_at(grid), strict=True)
     return OperatorPath.piecewise_linear(grid, samples)
 
 
@@ -203,11 +203,19 @@ def _checked_flow(path: OperatorPath, action: OrthogonalAction,
     if path.plus_tail or path.minus_tail:
         raise TailMismatch("graph paths live on a finite block, no tails")
     opts = opts or FlowOptions()
-    direct = sfl_G(path, action, table, opts)
-    transformed = sfl_G(_arctan_path(path), action, table, opts).sfl_G
-    if direct.sfl_G != transformed:
+    try:
+        arctan = _arctan_path(path)
+    except SflowError:
+        sfl_G(path, action, table, opts)  # the direct flow's error comes first
+        raise
+    direct, transformed = sfl_G_each([(path, action), (arctan, action)],
+                                     table, opts)
+    for report in (direct, transformed):
+        if isinstance(report, SflowError):
+            raise report
+    if direct.sfl_G != transformed.sfl_G:
         raise ConsistencyFailure(
-            f"index routes disagree: transformed {transformed.as_dict()} vs "
+            f"index routes disagree: transformed {transformed.sfl_G.as_dict()} vs "
             f"direct {direct.sfl_G.as_dict()}")
     return direct
 

@@ -10,6 +10,7 @@ downstream certification relies on.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,20 +115,33 @@ class EigenCluster:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full block eigendata: raw ascending eigenvalues, the clustering used,
-    the absolute tolerance that produced it, and err, a bound on how far any
-    computed eigenvalue lies from the exact one."""
+    """Full block eigendata: raw ascending eigenvalues and their orthonormal
+    eigenvector columns, the largest eigenvalue magnitude, the absolute
+    clustering tolerance, and err, a bound on how far any computed
+    eigenvalue lies from the exact one. The clusters are built on first use,
+    since only the spectra at knots need them."""
 
     eigenvalues: np.ndarray
-    clusters: tuple[EigenCluster, ...]
+    vectors: np.ndarray
+    block_norm: float
     tol: float
     err: float
 
-    @property
-    def block_norm(self) -> float:
-        if self.eigenvalues.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.eigenvalues)))
+    @functools.cached_property
+    def clusters(self) -> tuple[EigenCluster, ...]:
+        """Runs of eigenvalues each within tol of its neighbour, one cluster
+        per run, valued at the run's mean."""
+        vals = self.eigenvalues.tolist()
+        clusters = []
+        i = 0
+        while i < len(vals):
+            j = i + 1
+            while j < len(vals) and vals[j] - vals[j - 1] <= self.tol:
+                j += 1
+            value = vals[i] if j == i + 1 else float(np.mean(self.eigenvalues[i:j]))
+            clusters.append(EigenCluster(value, self.vectors[:, i:j]))
+            i = j
+        return tuple(clusters)
 
     def min_abs(self) -> float:
         if self.eigenvalues.size == 0:
@@ -144,24 +158,12 @@ def block_spectra(blocks: np.ndarray,
     # broadcast, so that a substitute bound returning one scalar (as tests
     # install) applies to every matrix
     errs = np.broadcast_to(eigh_error(blocks, w, v), w.shape[:1]).tolist()
-    out = []
-    for wi, vi, err in zip(w, v, errs):
-        vals = wi.tolist()
-        n = len(vals)
-        # ascending, so the largest magnitude is at one end
-        tol = tol_cluster * (1.0 + (max(abs(vals[0]), abs(vals[-1]))
-                                    if n else 0.0))
-        clusters = []
-        i = 0
-        while i < n:
-            j = i + 1
-            while j < n and vals[j] - vals[j - 1] <= tol:
-                j += 1
-            value = vals[i] if j == i + 1 else float(np.mean(wi[i:j]))
-            clusters.append(EigenCluster(value, vi[:, i:j]))
-            i = j
-        out.append(Spectrum(wi, tuple(clusters), tol, err))
-    return out
+    # ascending, so the largest magnitude is at one end
+    norms = (np.abs(w[:, [0, -1]]).max(axis=1) if w.shape[1]
+             else np.zeros(len(w)))
+    tols = (tol_cluster * (1.0 + norms)).tolist()
+    return [Spectrum(wi, vi, norm, tol, err)
+            for wi, vi, norm, tol, err in zip(w, v, norms.tolist(), tols, errs)]
 
 
 def block_spectrum(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> Spectrum:
@@ -170,17 +172,19 @@ def block_spectrum(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> Spectrum:
     return block_spectra(op.block[None], tol_cluster)[0]
 
 
-def spectral_interval_frame(op: CPS, a: float, b: float,
+def spectral_interval_frame(op: CPS | OperatorPath, a: float, b: float,
                             tol_cluster: float = CLUSTER_FACTOR, *,
                             spectrum: Spectrum | None = None,
                             closed_left_tol: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the eigenspaces with eigenvalues in [a, b].
 
-    Raises InfiniteRank if a tail value lies in the window and BoundaryHit if
-    an eigenvalue sits within the cluster tolerance of a window edge. With
-    closed_left_tol > 0 the left edge is treated as closed with that slack and
-    its boundary guard is waived; callers use this for windows anchored at 0,
-    where a kernel vector must count as inside.
+    op supplies the tails and the dimension, and its block is solved unless
+    spectrum is given; with a spectrum, op may be the path the spectrum was
+    taken on. Raises InfiniteRank if a tail value lies in the window and
+    BoundaryHit if an eigenvalue sits within the cluster tolerance of a
+    window edge. With closed_left_tol > 0 the left edge is treated as closed
+    with that slack and its boundary guard is waived; callers use this for
+    windows anchored at 0, where a kernel vector must count as inside.
     """
     if not a <= b:
         raise OutOfRange(f"empty window [{a}, {b}]")
@@ -265,12 +269,13 @@ class OperatorPath:
         self.kind = "piecewise_linear"
         self.mat_a = None
         self.mat_b = None
+        stack = np.stack(mats)
         self.knots = knots
-        self.samples = tuple(mats)
+        self._stack = stack
+        self.samples = tuple(stack)
         self.plus_tail = bool(plus_tail)
         self.minus_tail = bool(minus_tail)
         self.dim = dim
-        stack = np.stack(mats)
         if not np.isfinite(stack).all():  # and from the sample differences
             raise OutOfRange("samples have non-finite entries")
         speeds = solve_each(_specnorm, stack[1:] - stack[:-1], strict=True)
@@ -281,20 +286,32 @@ class OperatorPath:
     def tails(self) -> tuple[bool, bool]:
         return (self.plus_tail, self.minus_tail)
 
-    def block_at(self, lam: float) -> np.ndarray:
-        if not 0.0 <= lam <= 1.0:
-            raise OutOfRange(f"parameter {lam} outside [0, 1]")
+    def blocks_at(self, lams: Sequence[float]) -> np.ndarray:
+        """(k, d, d) stack of the blocks at k parameters, interpolated in one
+        pass. A parameter on a knot gets that knot's sample, signed zeros
+        included; elsewhere each entry is (1 - t) s_i + t s_(i+1), computed
+        entry by entry, so a block's bits do not depend on the other
+        parameters."""
+        lams = np.asarray(lams, dtype=float).reshape(-1)
+        outside = ~((lams >= 0.0) & (lams <= 1.0))  # NaN is outside
+        if outside.any():
+            raise OutOfRange(f"parameter {lams[outside][0]} outside [0, 1]")
         if self.kind == "affine":
-            return self.mat_a + lam * self.mat_b
-        i = int(np.searchsorted(self.knots, lam, side="right")) - 1
-        if i >= self.knots.size - 1:
-            i = self.knots.size - 2
-        if lam == self.knots[i]:
-            return self.samples[i].copy()
-        if lam == self.knots[i + 1]:
-            return self.samples[i + 1].copy()
-        t = (lam - self.knots[i]) / (self.knots[i + 1] - self.knots[i])
-        return (1.0 - t) * self.samples[i] + t * self.samples[i + 1]
+            return self.mat_a + lams[:, None, None] * self.mat_b
+        stack = self._stack
+        i = np.minimum(np.searchsorted(self.knots, lams, side="right") - 1,
+                       self.knots.size - 2)
+        lo, hi = self.knots[i], self.knots[i + 1]
+        t = ((lams - lo) / (hi - lo))[:, None, None]
+        out = (1.0 - t) * stack[i] + t * stack[i + 1]
+        at_hi = lams == hi
+        out[at_hi] = stack[i[at_hi] + 1]
+        at_lo = lams == lo
+        out[at_lo] = stack[i[at_lo]]
+        return out
+
+    def block_at(self, lam: float) -> np.ndarray:
+        return self.blocks_at([lam])[0]
 
     def at(self, lam: float) -> CPS:
         return CPS(self.block_at(lam), plus_tail=self.plus_tail,
@@ -346,7 +363,7 @@ def direct_sum_paths(p: OperatorPath, q: OperatorPath) -> OperatorPath:
                                    block_diag(p.mat_b, q.mat_b),
                                    plus_tail=plus, minus_tail=minus)
     ts = np.unique(np.concatenate([p.knot_values(), q.knot_values()]))
-    samples = [block_diag(p.block_at(t), q.block_at(t)) for t in ts]
+    samples = [block_diag(a, b) for a, b in zip(p.blocks_at(ts), q.blocks_at(ts))]
     return OperatorPath.piecewise_linear(ts, samples, plus_tail=plus,
                                          minus_tail=minus)
 
@@ -364,10 +381,9 @@ def concatenate(p: OperatorPath, q: OperatorPath) -> OperatorPath:
             f"p(1) and q(0) differ by {junction_gap:.3e} > {JUNCTION_TOL}")
     knots_p = [k / 2.0 for k in p.knot_values()]
     knots_q = [0.5 + k / 2.0 for k in q.knot_values()]
-    samples_p = [p.block_at(k) for k in p.knot_values()]
-    samples_q = [q.block_at(k) for k in q.knot_values()[1:]]
+    samples = [*p.blocks_at(p.knots), *q.blocks_at(q.knots[1:])]
     return OperatorPath.piecewise_linear(
-        knots_p + knots_q[1:], samples_p + samples_q,
+        knots_p + knots_q[1:], samples,
         plus_tail=p.plus_tail, minus_tail=p.minus_tail)
 
 
@@ -377,7 +393,7 @@ def reverse(p: OperatorPath) -> OperatorPath:
         return OperatorPath.affine(p.mat_a + p.mat_b, -p.mat_b,
                                    plus_tail=p.plus_tail, minus_tail=p.minus_tail)
     knots = [1.0 - k for k in reversed(p.knot_values())]
-    samples = list(reversed([p.block_at(k) for k in p.knot_values()]))
+    samples = list(p.blocks_at(p.knots)[::-1])
     return OperatorPath.piecewise_linear(knots, samples, plus_tail=p.plus_tail,
                                          minus_tail=p.minus_tail)
 
@@ -387,7 +403,7 @@ def negate(p: OperatorPath) -> OperatorPath:
     if p.kind == "affine":
         return OperatorPath.affine(-p.mat_a, -p.mat_b, plus_tail=p.minus_tail,
                                    minus_tail=p.plus_tail)
-    samples = [-p.block_at(k) for k in p.knot_values()]
+    samples = list(-p.blocks_at(p.knots))
     return OperatorPath.piecewise_linear(p.knot_values(), samples,
                                          plus_tail=p.minus_tail,
                                          minus_tail=p.plus_tail)
@@ -403,7 +419,7 @@ def compress(path: OperatorPath, m: int = 0) -> OperatorPath:
     if path.kind == "affine":
         return OperatorPath.affine(block_diag(path.mat_a, tail),
                                    block_diag(path.mat_b, np.zeros_like(tail)))
-    samples = [block_diag(path.block_at(k), tail) for k in path.knot_values()]
+    samples = [block_diag(b, tail) for b in path.blocks_at(path.knots)]
     return OperatorPath.piecewise_linear(path.knot_values(), samples)
 
 

@@ -396,6 +396,9 @@ class _StubPath:
             return np.array([[np.nan]])
         return np.array([[0.0 if lam == self.low else 1.0]])
 
+    def blocks_at(self, lams):
+        return np.stack([self.block_at(lam) for lam in lams])
+
 
 # with 5 anchors the grid runs 0, 1/32, ..., 7/32, 1/4 around anchor 0, and
 # its 7th and 8th samples sit in the same stacked chunk

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sflow import flow
 from sflow import groups
+from sflow import sampling
+from sflow._eig import EPS
 from sflow.errors import (
     BoundaryHit,
     CertificationFailed,
@@ -14,14 +18,17 @@ from sflow.errors import (
     NotEquivariant,
     NotInvariant,
     OutOfRange,
+    SflowError,
     WrongGroup,
 )
 from sflow.flow import (
     CertifiedPartition,
     FlowOptions,
+    SflReport,
     find_partition,
     morse_oracle_sfl_G,
     sfl_G,
+    sfl_G_each,
     verify_axioms,
 )
 from sflow.groups import (
@@ -37,6 +44,8 @@ from sflow.operators import (
     OperatorPath,
     block_spectrum,
     check_equivariance,
+    concatenate,
+    direct_sum_paths,
     reverse,
     spectral_interval_frame,
 )
@@ -503,6 +512,9 @@ class _BadSolvePath:
             block[:] = np.nan
         return block
 
+    def blocks_at(self, lams):
+        return np.stack([self.block_at(lam) for lam in lams])
+
 
 @pytest.mark.parametrize("bad", [(0.6, 0.7), (0.1, 0.2)])
 def test_a_failed_solve_is_raised_in_depth_first_order(bad):
@@ -516,8 +528,9 @@ def test_a_failed_solve_is_raised_in_depth_first_order(bad):
 
 def test_a_failed_solve_belongs_to_its_own_parameter():
     class Stub:
-        def block_at(self, lam):
-            return np.eye(2) * (np.nan if lam == 0.25 else lam)
+        def blocks_at(self, lams):
+            return np.stack([np.eye(2) * (np.nan if lam == 0.25 else lam)
+                             for lam in lams])
 
     cache = flow._SpectraCache(Stub(), 1e-8)
     cache.fill([0.5, 0.25, 0.75])
@@ -540,8 +553,8 @@ def test_cached_blocks_match_at_and_are_built_once(monkeypatch):
                  reverse(OperatorPath.piecewise_linear(knots, list(samples)))):
         cache = flow._SpectraCache(path, 1e-8)
         built = []
-        monkeypatch.setattr(path, "block_at",
-                            lambda lam, f=path.block_at: built.append(lam) or f(lam))
+        monkeypatch.setattr(path, "blocks_at",
+                            lambda lams, f=path.blocks_at: built.extend(lams) or f(lams))
         cache.fill(lams[:5])
         blocks = cache.blocks(lams + lams[::-1])
         assert sorted(built) == sorted(lams)
@@ -686,3 +699,348 @@ def test_class_pass_temporaries_stay_within_the_batch(batch, monkeypatch):
     # one Gram and one invariance check per chunk
     step = max(1, batch // (8 * 6 * 6))
     assert len(seen) == 2 * -(-len(frames) // step)
+
+
+# --- flows of many requests -----------------------------------------------------
+
+
+_TAILS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def _same_flow(got, want):
+    # a report equal to want's, or want's error type and message
+    if isinstance(want, SflowError):
+        return type(got) is type(want) and str(got) == str(want)
+    return (isinstance(got, SflReport) and got.partition == want.partition
+            and got.segment_contributions == want.segment_contributions
+            and got.sfl_G == want.sfl_G and got.crossings == want.crossings)
+
+
+def _own_call(path, action, table, opts):
+    try:
+        return sfl_G(path, action, table, opts)
+    except SflowError as e:
+        return e
+
+
+def _mixed_requests(rng):
+    # dims 1-8, each with two actions of D3 and all four tail patterns
+    requests = []
+    for dim in range(1, 9):
+        table, plain = preset_action("dihedral", 3, dim, rng)
+        _, hidden = preset_action("dihedral", 3, dim, rng, conjugate=True)
+        for i, (plus, minus) in enumerate(_TAILS):
+            action = (plain, hidden)[i % 2]
+            requests.append((random_equivariant_path(
+                action, rng, plus_tail=plus, minus_tail=minus), action))
+    return table, requests
+
+
+@pytest.mark.parametrize("opts", [FlowOptions(), FlowOptions(min_depth=2),
+                                  FlowOptions(min_depth=1, max_depth=45)])
+def test_each_request_gets_the_flow_of_its_own_call(opts):
+    table, requests = _mixed_requests(np.random.default_rng(71))
+    got = sfl_G_each(requests, table, opts)
+    assert len(got) == len(requests)
+    for (path, action), report in zip(requests, got):
+        want = _own_call(path, action, table, opts)
+        assert isinstance(want, SflReport)
+        assert _same_flow(report, want)
+
+
+def test_shared_rounds_solve_the_same_blocks_in_fewer_stacks(monkeypatch):
+    table, requests = _mixed_requests(np.random.default_rng(72))
+    stacks = []
+    real = flow.block_spectra
+
+    def counting(blocks, tol):
+        stacks.append(len(blocks))
+        return real(blocks, tol)
+
+    monkeypatch.setattr(flow, "block_spectra", counting)
+    alone = []
+    for path, action in requests:
+        stacks.clear()
+        sfl_G(path, action, table)
+        alone.append(list(stacks))
+    stacks.clear()
+    sfl_G_each(requests, table)
+    # every dimension's rounds share one stacked solve each
+    assert sum(stacks) == sum(map(sum, alone))
+    assert len(stacks) <= 8 * max(map(len, alone))
+    assert len(stacks) < sum(map(len, alone))
+
+
+class _NanAt:
+    """A path whose block at one parameter cannot be solved."""
+
+    def __init__(self, path, bad):
+        self.path, self.bad = path, bad
+
+    def __getattr__(self, name):
+        return getattr(self.path, name)
+
+    def blocks_at(self, lams):
+        blocks = self.path.blocks_at(lams)
+        blocks[np.asarray(lams) == self.bad] = np.nan
+        return blocks
+
+
+def test_each_request_gets_the_error_of_its_own_call():
+    rng = np.random.default_rng(73)
+    group, table = build_group("cyclic", 2)
+    action = OrthogonalAction(group, [np.eye(3), np.diag([1.0, -1.0, 1.0])])
+    other, _ = build_group("cyclic", 3)
+    good = [random_equivariant_path(action, rng, plus_tail=plus, minus_tail=minus)
+            for plus, minus in _TAILS]
+    bad = [
+        # a kernel vector at the start
+        OperatorPath.affine(np.diag([0.0, 1.0, 2.0]), np.eye(3)),
+        # no level certifies, at any depth (see the bisection tests above)
+        OperatorPath.affine(np.diag([0.3, 0.7, 1e7]), np.zeros((3, 3)),
+                            plus_tail=True, minus_tail=True),
+        # a coupling across the two isotypic parts
+        OperatorPath.affine(np.diag([-1.0, 1.0, 2.0]),
+                            np.array([[2.0, 0.1, 0.0], [0.1, -2.0, 0.0],
+                                      [0.0, 0.0, 0.0]])),
+        # the first round's midpoint cannot be solved
+        _NanAt(good[0], 0.5),
+        # a sample deeper down cannot be solved
+        _NanAt(good[1], 0.25),
+    ]
+    requests = [(good[0], action), (bad[0], action), (good[1], action),
+                (bad[1], action), (bad[2], action), (good[2], action),
+                (bad[3], action), (bad[4], action), (good[3], action),
+                (good[0], identity_action(group, 2)),
+                (good[1], OrthogonalAction(other, [np.eye(3)] * 3))]
+    opts = FlowOptions(max_depth=6)
+    got = sfl_G_each(requests, table, opts)
+    want = [_own_call(path, act, table, opts) for path, act in requests]
+    assert [type(w).__name__ for w in want] == [
+        "SflReport", "EndpointNotInvertible", "SflReport", "CertificationFailed",
+        "NotEquivariant", "SflReport", "EigenFailure", "EigenFailure",
+        "SflReport", "DimensionMismatch", "WrongGroup"]
+    for g, w in zip(got, want):
+        assert _same_flow(g, w)
+
+
+def _try_certify_one_segment(wl, wm, wr, errs, rad, has_tails, tol_cluster):
+    # the scalar certifier the array pass replaced, on the envelope data of
+    # one segment: the reference its level and margin must match bit for bit
+    def fold(lo, hi):
+        if hi <= 0.0:
+            return (-hi, -lo)
+        if lo >= 0.0:
+            return (lo, hi)
+        return (0.0, max(-lo, hi))
+
+    folded = []
+    for k in range(wl.size):
+        lo = max(wm[k], min(wl[k], wr[k])) - rad
+        hi = min(wm[k], max(wl[k], wr[k])) + rad
+        if lo > hi:
+            lo, hi = wm[k] - rad, wm[k] + rad
+        folded.append(fold(lo, hi))
+    forbidden = []
+    for lo, hi in sorted(folded):
+        if forbidden and lo <= forbidden[-1][1]:
+            forbidden[-1] = (forbidden[-1][0], max(forbidden[-1][1], hi))
+        else:
+            forbidden.append((lo, hi))
+    cap = 1.0
+    if forbidden and not has_tails:
+        cap = forbidden[-1][1] + 1.0
+    norm_bound = 0.0
+    for w in (wl, wm, wr):
+        if w.size:
+            norm_bound = max(norm_bound, float(np.max(np.abs(w))))
+    norm_bound += rad
+    required = max(flow.MARGIN_FLOOR, 2.0 * tol_cluster * (1.0 + norm_bound))
+    best = None
+    prev = 0.0
+    pieces = [p for p in forbidden if p[0] < cap]
+    for lo, hi in pieces + [(cap, cap)]:
+        gap_lo, gap_hi = prev, min(lo, cap)
+        if gap_hi > gap_lo:
+            width = gap_hi - gap_lo
+            if best is None or width > best[0]:
+                best = (width, (gap_lo + gap_hi) / 2.0)
+        prev = max(prev, min(hi, cap))
+    if best is None:
+        return None
+    width, level = best
+    margin = width / 2.0 - max(errs)
+    if margin <= required:
+        return None
+    counts = {int(np.count_nonzero(np.abs(w) <= level)) for w in (wl, wm, wr)}
+    if len(counts) != 1:
+        return None
+    return level, margin
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_array_certifier_matches_the_scalar_one(n):
+    # eigenvalues on a grid of eighths, so envelopes tie and touch, with
+    # radii and errors that empty or narrow the gaps
+    rng = np.random.default_rng(80 + n)
+    count = 400
+    w = np.sort(rng.integers(-12, 13, size=(count, 3, n)) / 8.0, axis=2)
+    w[:40] = w[:40, :1]  # flat segments
+    err = rng.choice([0.0, 1e-9, 1.0 / 64.0], size=(count, 3))
+    rad = rng.choice([0.0, 1.0 / 64.0, 1.0 / 16.0, 0.25, 2.0], size=count)
+    tails = rng.random(count) < 0.5
+    outcomes = set()
+    for tol in (1e-8, 0.05):
+        ok, level, margin = flow._certify(w, err, rad, tails, tol)
+        for s in range(count):
+            want = _try_certify_one_segment(w[s, 0], w[s, 1], w[s, 2],
+                                            err[s].tolist(), float(rad[s]),
+                                            bool(tails[s]), tol)
+            got = (float(level[s]), float(margin[s])) if ok[s] else None
+            assert got == want
+            outcomes.add(want is None)
+    # without eigenvalues every segment certifies
+    assert outcomes == ({False} if n == 0 else {True, False})
+
+
+def test_array_certifier_handles_an_infinite_radius():
+    w = np.array([[[-1.0, 2.0]] * 3])
+    ok, _, _ = flow._certify(w, np.zeros((1, 3)), np.array([np.inf]),
+                             np.array([False]), 1e-8)
+    assert ok.tolist() == [False]
+
+
+def _verify_axioms_case_by_case(action, table, *, seed, instances, opts):
+    # the loop verify_axioms replaced, one flow at a time: the reference
+    # for the first error raised
+    from sflow.groups import direct_sum_action
+
+    rng = np.random.default_rng(seed)
+    tail_cycle = _TAILS
+
+    def flow_of(p, act=action):
+        return sfl_G(p, act, table, opts).sfl_G
+
+    results = []
+    failures = []
+    for i in range(instances):
+        tails = tail_cycle[i % 4]
+        p = sampling.random_invertible_path(action, rng, plus_tail=tails[0],
+                                            minus_tail=tails[1])
+        got = flow_of(p)
+        if not got.is_zero():
+            failures.append(f"instance {i}: invertible path has flow {got}")
+    results.append(("vanishing", tuple(failures)))
+    failures = []
+    for i in range(instances):
+        tails = tail_cycle[i % 4]
+        p = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
+                                             minus_tail=tails[1])
+        q = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
+                                             minus_tail=tails[1],
+                                             start_block=p.block_at(1.0))
+        lhs = flow_of(concatenate(p, q))
+        rhs = flow_of(p) + flow_of(q)
+        if lhs != rhs:
+            failures.append(f"instance {i}: concatenation {lhs} != {rhs}")
+        loop = flow_of(concatenate(p, reverse(p)))
+        if not loop.is_zero():
+            failures.append(f"instance {i}: closed loop has flow {loop}")
+    results.append(("concatenation", tuple(failures)))
+    failures = []
+    double = direct_sum_action(action, action)
+    for i in range(instances):
+        tails_p, tails_q = tail_cycle[i % 4], tail_cycle[(i + 1) % 4]
+        p = sampling.random_equivariant_path(action, rng, plus_tail=tails_p[0],
+                                             minus_tail=tails_p[1])
+        q = sampling.random_equivariant_path(action, rng, plus_tail=tails_q[0],
+                                             minus_tail=tails_q[1])
+        lhs = flow_of(direct_sum_paths(p, q), double)
+        rhs = flow_of(p) + flow_of(q)
+        if lhs != rhs:
+            failures.append(f"instance {i}: direct sum {lhs} != {rhs}")
+    results.append(("direct_sum", tuple(failures)))
+    failures = []
+    for i in range(instances):
+        tails = tail_cycle[i % 4]
+        p = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
+                                             minus_tail=tails[1], kind="affine")
+        q = sampling.reparametrize(p, rng)
+        lhs, rhs = flow_of(q), flow_of(p)
+        if lhs != rhs:
+            failures.append(f"instance {i}: reparametrization {lhs} != {rhs}")
+    results.append(("reparametrization", tuple(failures)))
+    failures = []
+    for i in range(instances):
+        tails = tail_cycle[i % 4]
+        p = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
+                                             minus_tail=tails[1])
+        u = sampling.random_equivariant_orthogonal(action, rng)
+        lhs = flow_of(sampling.conjugate_path(p, u))
+        rhs = flow_of(p)
+        if lhs != rhs:
+            failures.append(f"instance {i}: conjugation {lhs} != {rhs}")
+    results.append(("conjugation", tuple(failures)))
+    return results
+
+
+def test_verify_axioms_raises_the_error_a_case_by_case_run_raises(monkeypatch):
+    # with max_depth 0 some flows fail; a draw that fails comes first only if
+    # no flow requested before it failed
+    rng = np.random.default_rng(5)
+    table, action = preset_action("cyclic", 3, 3, rng, conjugate=True)
+    real = sampling.random_equivariant_path
+    kinds = set()
+    for max_depth in (0, flow.MAX_DEPTH):
+        opts = FlowOptions(max_depth=max_depth)
+        for fail_at in (None, 0, 1, 2, 4, 7, 11):
+            outcomes = []
+            for run in (verify_axioms, _verify_axioms_case_by_case):
+                drawn = []
+
+                def draw(*args, **kwargs):
+                    drawn.append(None)
+                    if len(drawn) - 1 == fail_at:
+                        raise OutOfRange(f"draw {fail_at} failed")
+                    return real(*args, **kwargs)
+
+                monkeypatch.setattr(sampling, "random_equivariant_path", draw)
+                try:
+                    out = run(action, table, seed=3, instances=2, opts=opts)
+                    outcomes.append(
+                        [(r.name, r.failures) for r in out.results]
+                        if run is verify_axioms else out)
+                except SflowError as e:
+                    outcomes.append((type(e).__name__, str(e)))
+            assert outcomes[0] == outcomes[1]
+            kinds.add(outcomes[0][0] if isinstance(outcomes[0], tuple) else "ok")
+    assert kinds == {"ok", "OutOfRange", "CertificationFailed"}
+
+
+_PRESETS = [("trivial", 1), ("cyclic", 3), ("dihedral", 4), ("cyclic", 2)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(_PRESETS), st.integers(1, 6), st.sampled_from(_TAILS),
+       st.integers(0, 2 ** 32 - 1))
+def test_certified_segments_keep_every_eigenvalue_off_the_level(preset, dim,
+                                                                 tails, seed):
+    # a dense scan of each certified segment, separate from the certifier:
+    # every computed eigenvalue stays at least the margin, less the scan's
+    # own eigensolver error, away from +-level
+    rng = np.random.default_rng(seed)
+    table, action = preset_action(*preset, dim, rng, conjugate=True)
+    paths = [random_equivariant_path(action, rng, plus_tail=tails[0],
+                                     minus_tail=tails[1]) for _ in range(3)]
+    for path, report in zip(paths, sfl_G_each([(p, action) for p in paths],
+                                              table)):
+        assert isinstance(report, SflReport)
+        part = report.partition
+        for (a, b), level, margin in zip(zip(part.knots, part.knots[1:]),
+                                         part.levels, part.margins):
+            blocks = path.blocks_at(np.linspace(a, b, 33))
+            w = np.linalg.eigvalsh(0.5 * blocks + 0.5 * blocks.swapaxes(1, 2))
+            # backward stability of the symmetric eigensolver, generously
+            scan_err = 16 * dim * EPS * (1.0 + np.abs(w).max(axis=1))
+            distance = np.minimum(np.abs(w - level), np.abs(w + level)).min(axis=1)
+            assert (distance >= margin - scan_err).all()

@@ -3,18 +3,24 @@
 import numpy as np
 import pytest
 
+from sflow import maslov
 from sflow._eig import jacobi_eigh
 from sflow.errors import (
+    ConsistencyFailure,
+    EigenFailure,
     NotLagrangian,
     NotOrthonormal,
     NotSymmetric,
+    SflowError,
     TailMismatch,
 )
+from sflow.flow import FlowOptions, sfl_G
 from sflow.groups import OrthogonalAction, build_group, multiplicity_vector
 from sflow.groups import character_of_subspace
 from sflow.maslov import (
     LagrangianFrame,
     _arctan_path,
+    _checked_flow,
     SymplecticSpace,
     fredholm_pair_dims,
     gap_distance,
@@ -198,6 +204,47 @@ def test_index_refines_under_symmetry():
     p = OperatorPath.affine(np.diag([-1.0, 1.0]), np.diag([2.0, -2.0]))
     vr = maslov_index_G(p, action, table)
     assert vr.as_dict() == {"trivial": 1, "sign": -1}
+
+
+def _checked_flow_one_at_a_time(path, action, table, opts):
+    # the sequence _checked_flow replaced, one flow at a time: the reference
+    # for the first error raised
+    if path.plus_tail or path.minus_tail:
+        raise TailMismatch("graph paths live on a finite block, no tails")
+    direct = sfl_G(path, action, table, opts)
+    transformed = sfl_G(maslov._arctan_path(path), action, table, opts).sfl_G
+    if direct.sfl_G != transformed:
+        raise ConsistencyFailure("index routes disagree")
+    return direct
+
+
+def test_checked_flow_raises_the_error_a_one_at_a_time_run_raises(monkeypatch):
+    # a singular start fails the direct flow, and its error comes before
+    # that of an arctangent path that cannot be built
+    group, table = build_group("cyclic", 2)
+    action = OrthogonalAction(group, [np.eye(2), np.diag([1.0, -1.0])])
+    crossing = OperatorPath.affine(np.diag([-1.0, 1.0]), np.diag([2.0, -2.0]))
+    singular = OperatorPath.affine(np.diag([0.0, 1.0]), np.eye(2))
+    real = maslov._arctan_path
+    kinds = set()
+    for path in (crossing, singular):
+        for arctan_fails in (False, True):
+            def arctan(path, fails=arctan_fails):
+                if fails:
+                    raise EigenFailure("no arctangent path")
+                return real(path)
+
+            monkeypatch.setattr(maslov, "_arctan_path", arctan)
+            outcomes = []
+            for run in (_checked_flow, _checked_flow_one_at_a_time):
+                try:
+                    report = run(path, action, table, FlowOptions())
+                    outcomes.append(("ok", report.sfl_G, report.partition))
+                except SflowError as e:
+                    outcomes.append((type(e).__name__, str(e)))
+            assert outcomes[0] == outcomes[1]
+            kinds.add(outcomes[0][0])
+    assert kinds == {"ok", "EigenFailure", "EndpointNotInvertible"}
 
 
 def test_index_rejects_tails():

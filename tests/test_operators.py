@@ -714,3 +714,52 @@ def test_solve_each_keeps_each_failure_with_its_matrix():
     with pytest.raises(EigenFailure, match="non-finite"):
         solve_each(lowest, stack[[0, 3, 1]], strict=True)
     assert solve_each(lowest, stack[[0, 2]]) == [1.0, 2.0]
+
+
+def _block_at_one_parameter(path, lam):
+    # the per-parameter interpolation blocks_at replaced: the reference its
+    # blocks must match bit for bit
+    if path.kind == "affine":
+        return path.mat_a + lam * path.mat_b
+    i = int(np.searchsorted(path.knots, lam, side="right")) - 1
+    i = min(i, path.knots.size - 2)
+    if lam == path.knots[i]:
+        return path.samples[i].copy()
+    if lam == path.knots[i + 1]:
+        return path.samples[i + 1].copy()
+    t = (lam - path.knots[i]) / (path.knots[i + 1] - path.knots[i])
+    return (1.0 - t) * path.samples[i] + t * path.samples[i + 1]
+
+
+def test_stacked_interpolation_matches_one_parameter_at_a_time():
+    rng = np.random.default_rng(9)
+    knots = [0.0, 0.2, 0.55, 1.0]
+    samples = rng.standard_normal((4, 3, 3))
+    # signed zeros at knots, which interpolation with a positive neighbour
+    # would turn into +0.0: at an inner knot and at the last one
+    samples[1, 0, 0] = samples[3, 2, 2] = -0.0
+    samples[2, 0, 0] = samples[2, 2, 2] = 1.0
+    a, b = rng.standard_normal((2, 3, 3))
+    b[0, 0] = 0.0
+    lams = knots + [0.1, 0.3, 0.5, 0.999, float(np.nextafter(0.55, 1.0)),
+                    float(np.nextafter(0.2, 0.0)), 5e-324]
+    pl = OperatorPath.piecewise_linear(knots, list(samples))
+    for path in (OperatorPath.affine(a, b), OperatorPath.affine(-0.0 * a, b),
+                 pl, reverse(pl), negate(pl), direct_sum_paths(pl, pl),
+                 OperatorPath.piecewise_linear([0.0, 1.0], [np.zeros((0, 0))] * 2)):
+        blocks = path.blocks_at(lams)
+        assert blocks.shape == (len(lams), path.dim, path.dim)
+        assert path.blocks_at([]).shape == (0, path.dim, path.dim)
+        for lam, block in zip(lams, blocks):
+            want = _block_at_one_parameter(path, lam)
+            for got in (block, path.block_at(lam)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_stacked_interpolation_names_the_first_parameter_outside():
+    path = OperatorPath.affine(np.eye(2), np.eye(2))
+    for lams, bad in [([0.5, 1.5, -1.0], "1.5"), ([0.0, np.nan], "nan"),
+                      ([-1e-300], "-1e-300")]:
+        with pytest.raises(OutOfRange, match=rf"parameter {bad} outside"):
+            path.blocks_at(lams)
