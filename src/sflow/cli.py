@@ -35,6 +35,7 @@ from .flow import (
     SflReport,
     morse_oracle_sfl_G,
     sfl_G,
+    sfl_G_pair,
     verify_axioms,
 )
 from .groups import (
@@ -435,8 +436,8 @@ def _dispatch(job: JobSpec) -> dict:
 
     if job.command == "cogredient":
         px = parametrix(path, samples=job.options["samples"])
-        direct = sfl_G(path, action, table, opts)
-        transformed = sfl_G(px.transformed_path(), action, table, opts)
+        direct, transformed = sfl_G_pair(path, px.transformed_path, action,
+                                         table, opts)
         if direct.sfl_G != transformed.sfl_G:
             raise ConsistencyFailure(
                 "flow changed under the congruence: "

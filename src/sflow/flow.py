@@ -2,7 +2,8 @@
 
 A partition certificate is a list of parameter knots and positive levels such
 that on each segment no block eigenvalue can touch the level band, by a
-Lipschitz perturbation bound checked on endpoint and midpoint samples. The
+perturbation bound checked on endpoint and midpoint samples, at the speed of
+the fastest path piece that meets the segment. The
 flow is then the telescoping sum of the classes of the eigenspaces in
 [0, level] at consecutive knots, an integer vector of irrep multiplicities.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -252,6 +253,21 @@ def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
     return ok, level, margin
 
 
+def _radii(segments: list[tuple[_SpectraCache, float, float]]) -> np.ndarray:
+    """Lipschitz radius speed * (right - left) / 2 of each (cache, left,
+    right) segment, where speed is that of the fastest piece of the cache's
+    path meeting [left, right] (Weyl: no eigenvalue moves faster there), from
+    one segment_speeds call per path."""
+    ends = np.array([(left, right) for _, left, right in segments]).reshape(-1, 2)
+    by_path: dict[int, tuple[OperatorPath, list[int]]] = {}
+    for k, (cache, _, _) in enumerate(segments):
+        by_path.setdefault(id(cache), (cache.path, []))[1].append(k)
+    speed = np.empty(len(segments))
+    for path, ks in by_path.values():
+        speed[ks] = path.segment_speeds(ends[ks])
+    return speed * (ends[:, 1] - ends[:, 0]) / 2.0
+
+
 def _certify_each(segments: list[tuple[_SpectraCache, float, float]],
                   tol_cluster: float
                   ) -> list[tuple[float, float] | EigenFailure | None]:
@@ -260,6 +276,7 @@ def _certify_each(segments: list[tuple[_SpectraCache, float, float]],
     to solve gets, in place, the first EigenFailure of its left end,
     midpoint and right end."""
     out: list[tuple[float, float] | EigenFailure | None] = [None] * len(segments)
+    rad = _radii(segments)
     by_dim: dict[int, list] = {}
     for k, (cache, left, right) in enumerate(segments):
         try:
@@ -269,13 +286,13 @@ def _certify_each(segments: list[tuple[_SpectraCache, float, float]],
             out[k] = e
         else:
             by_dim.setdefault(specs[0].eigenvalues.size, []).append(
-                (k, specs, cache.path, right - left))
+                (k, specs, cache.path))
     for group in by_dim.values():
         ok, level, margin = _certify(
-            np.array([[s.eigenvalues for s in specs] for _, specs, _, _ in group]),
-            np.array([[s.err for s in specs] for _, specs, _, _ in group]),
-            np.array([path.lipschitz * width / 2.0 for _, _, path, width in group]),
-            np.array([path.plus_tail or path.minus_tail for _, _, path, _ in group]),
+            np.array([[s.eigenvalues for s in specs] for _, specs, _ in group]),
+            np.array([[s.err for s in specs] for _, specs, _ in group]),
+            rad[[k for k, _, _ in group]],
+            np.array([path.plus_tail or path.minus_tail for _, _, path in group]),
             tol_cluster)
         for (k, *_), good, lv, mg in zip(group, ok.tolist(), level.tolist(),
                                          margin.tolist()):
@@ -478,14 +495,18 @@ def _take_classes(flows: list[_Flow], table: RealCharacterTable) -> None:
 
 def _flow_report(partition: CertifiedPartition, classes: list[VirtualRep],
                  table: RealCharacterTable) -> SflReport:
-    contributions = [right - left
-                     for left, right in zip(classes[::2], classes[1::2])]
-    total = sum(contributions, VirtualRep.zero(table))
+    # each segment's contribution is its right knot class less its left one,
+    # taken on the coefficient tuples so that each VirtualRep is built once
+    coeffs = [c.coeffs for c in classes]
+    diffs = [tuple(b - a for a, b in zip(left, right))
+             for left, right in zip(coeffs[::2], coeffs[1::2])]
+    contributions = tuple(VirtualRep(table, d) for d in diffs)
+    total = VirtualRep(table, tuple(map(sum, zip(*diffs))))
     crossings = tuple(
         Crossing((partition.knots[i], partition.knots[i + 1]), i, c)
-        for i, c in enumerate(contributions) if not c.is_zero())
+        for i, (d, c) in enumerate(zip(diffs, contributions)) if any(d))
     return SflReport(sfl_G=total, sfl=forgetful_F(total), partition=partition,
-                     segment_contributions=tuple(contributions), crossings=crossings)
+                     segment_contributions=contributions, crossings=crossings)
 
 
 def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
@@ -547,6 +568,24 @@ def sfl_G(path: OperatorPath, action: OrthogonalAction,
     if isinstance(out, SflowError):
         raise out
     return out
+
+
+def sfl_G_pair(path: OperatorPath, second: Callable[[], OperatorPath],
+               action: OrthogonalAction, table: RealCharacterTable,
+               opts: FlowOptions | None = None) -> tuple[SflReport, SflReport]:
+    """Reports of path and of the path second() builds, certified in shared
+    rounds. The error raised is the first of: sfl_G of path, second(), sfl_G
+    of its path, as a run of those three steps in order raises them."""
+    try:
+        other = second()
+    except SflowError:
+        sfl_G(path, action, table, opts)  # the direct flow's error comes first
+        raise
+    reports = sfl_G_each([(path, action), (other, action)], table, opts)
+    for report in reports:
+        if isinstance(report, SflowError):
+            raise report
+    return reports[0], reports[1]
 
 
 def morse_oracle_sfl_G(path: OperatorPath, action: OrthogonalAction,

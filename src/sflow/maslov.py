@@ -20,10 +20,9 @@ from .errors import (
     NotLagrangian,
     NotOrthonormal,
     NotSymmetric,
-    SflowError,
     TailMismatch,
 )
-from .flow import FlowOptions, SflReport, sfl_G, sfl_G_each
+from .flow import FlowOptions, SflReport, sfl_G, sfl_G_pair
 from .groups import (
     OrthogonalAction,
     RealCharacterTable,
@@ -202,17 +201,8 @@ def _checked_flow(path: OperatorPath, action: OrthogonalAction,
     # same class
     if path.plus_tail or path.minus_tail:
         raise TailMismatch("graph paths live on a finite block, no tails")
-    opts = opts or FlowOptions()
-    try:
-        arctan = _arctan_path(path)
-    except SflowError:
-        sfl_G(path, action, table, opts)  # the direct flow's error comes first
-        raise
-    direct, transformed = sfl_G_each([(path, action), (arctan, action)],
+    direct, transformed = sfl_G_pair(path, lambda: _arctan_path(path), action,
                                      table, opts)
-    for report in (direct, transformed):
-        if isinstance(report, SflowError):
-            raise report
     if direct.sfl_G != transformed.sfl_G:
         raise ConsistencyFailure(
             f"index routes disagree: transformed {transformed.sfl_G.as_dict()} vs "

@@ -209,9 +209,11 @@ def spectral_interval_frame(op: CPS | OperatorPath, a: float, b: float,
 class OperatorPath:
     """Affine or piecewise-linear path of blocks with fixed tails.
 
-    The Lipschitz bound is recomputed from the data on construction and never
-    trusted from the caller; certification downstream depends on it being a
-    true upper bound for the block's spectral-norm velocity.
+    The speed of each piece (speeds, one per pair of consecutive knots) and
+    the Lipschitz bound, their maximum, are recomputed from the data on
+    construction and never trusted from the caller; certification downstream
+    depends on them being true upper bounds for the block's spectral-norm
+    velocity.
     """
 
     def __init__(self) -> None:
@@ -241,6 +243,7 @@ class OperatorPath:
         self.minus_tail = bool(minus_tail)
         self.dim = a.shape[0]
         self.lipschitz = _specnorm(b)
+        self.speeds = np.array([self.lipschitz])
         return self
 
     @classmethod
@@ -278,8 +281,9 @@ class OperatorPath:
         self.dim = dim
         if not np.isfinite(stack).all():  # and from the sample differences
             raise OutOfRange("samples have non-finite entries")
-        speeds = solve_each(_specnorm, stack[1:] - stack[:-1], strict=True)
-        self.lipschitz = float(np.max(speeds / np.diff(knots), initial=0.0))
+        self.speeds = (solve_each(_specnorm, stack[1:] - stack[:-1], strict=True)
+                       / np.diff(knots))
+        self.lipschitz = float(np.max(self.speeds, initial=0.0))
         return self
 
     @property
@@ -312,6 +316,21 @@ class OperatorPath:
 
     def block_at(self, lam: float) -> np.ndarray:
         return self.blocks_at([lam])[0]
+
+    def segment_speeds(self, ends: np.ndarray) -> np.ndarray:
+        """Largest speed among the pieces that meet each segment of an
+        (m, 2) array of (left, right) ends, left < right: the piece holding
+        left from the right, the piece holding right from the left, and
+        every piece between."""
+        # each row becomes the half-open range of pieces [first, stop): first
+        # starts at the last knot at or below left, and stop is the knot at
+        # right, or the first knot past it
+        at = np.searchsorted(self.knots, ends, side="right") - 1
+        at[:, 1] += self.knots[at[:, 1]] != ends[:, 1]
+        # the odd reductions run between segments and are dropped; the
+        # appended entry lies past every kept range
+        return np.maximum.reduceat(np.append(self.speeds, 0.0),
+                                   at.reshape(-1))[::2]
 
     def at(self, lam: float) -> CPS:
         return CPS(self.block_at(lam), plus_tail=self.plus_tail,

@@ -8,11 +8,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sflow
+from sflow import cli
 from sflow.cli import (
     COMMANDS,
     OPTION_DEFAULTS,
@@ -22,7 +24,16 @@ from sflow.cli import (
     parse_job,
     run,
 )
-from sflow.errors import DimensionMismatch, ParseError, SchemaError, SflowError
+from sflow.cogredient import Parametrix
+from sflow.errors import (
+    DimensionMismatch,
+    OutOfRange,
+    ParseError,
+    SchemaError,
+    SflowError,
+)
+from sflow.flow import sfl_G
+from sflow.operators import OperatorPath
 
 
 def golden_job() -> dict:
@@ -753,3 +764,59 @@ def test_repeated_main_calls_log_each_error_once(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stderr", late)
     cli._failure(ParseError("late"), 2)
     assert late.getvalue() == "sflow ERROR: ParseError: late\n"
+
+
+def _pair_one_by_one(path, second, action, table, opts=None):
+    # the cogredient steps before its two flows shared rounds: the direct
+    # flow, then the transformed path, then its flow
+    direct = sfl_G(path, action, table, opts)
+    return direct, sfl_G(second(), action, table, opts)
+
+
+def _transformed_raises(px):
+    raise OutOfRange("no transformed path")
+
+
+def _transformed_singular(px):
+    d = px.path.dim
+    return OperatorPath.affine(np.zeros((d, d)), np.eye(d),
+                               plus_tail=px.path.plus_tail,
+                               minus_tail=px.path.minus_tail)
+
+
+@pytest.mark.parametrize("transformed", [None, _transformed_raises,
+                                         _transformed_singular])
+def test_cogredient_errors_come_in_the_order_of_sequential_flows(transformed,
+                                                                  monkeypatch):
+    # the parametrix fails first, then the direct flow, then the transformed
+    # path and its flow, exactly as one step after the other
+    if transformed is not None:
+        monkeypatch.setattr(Parametrix, "transformed_path", transformed)
+    paths = [
+        {"kind": "piecewise_linear", "knots": [0, 0.4, 1],
+         "samples": [[[3, 0], [0, -1]], [[-2, 0], [0, 0.5]],
+                     [[-1, 0], [0, 2]]]},
+        # a kernel vector at the start
+        {"kind": "affine", "A": [[0, 0], [0, -1]], "B": [[1, 0], [0, 2]]},
+    ]
+    outcomes = set()
+    for path in paths:
+        for tail in ({"plus": True}, {"minus": True},
+                     {"plus": True, "minus": True}):
+            for options in ({"max_depth": 1}, {"max_depth": 3}, {},
+                            {"samples": 2}):
+                doc = dict(golden_job(), command="cogredient", path=path,
+                           tail=tail, options=options)
+                job = parse_job(json.dumps(doc))
+                got = run(job)
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "sfl_G_pair", _pair_one_by_one)
+                    want = run(job)
+                assert got == want
+                error = got[0]["error"]
+                outcomes.add(error["message"].split(":")[0] if error else "ok")
+    want_kinds = {"CertificationFailed", "EndpointNotInvertible", "NotFSplus",
+                  "CoverFailure"}
+    assert want_kinds <= outcomes
+    assert ("ok" in outcomes) == (transformed is None)
+    assert ("OutOfRange" in outcomes) == (transformed is _transformed_raises)

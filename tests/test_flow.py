@@ -1,5 +1,7 @@
 """Certified partitions, the equivariant flow, the endpoint oracle, axioms."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from sflow import flow
 from sflow import groups
 from sflow import sampling
 from sflow._eig import EPS
+from sflow.cogredient import parametrix
 from sflow.errors import (
     BoundaryHit,
     CertificationFailed,
@@ -500,6 +503,8 @@ class _BadSolvePath:
     that the solve fails on the parameters in (bad_lo, bad_hi)."""
 
     lipschitz = 0.0
+    knots, speeds = np.array([0.0, 1.0]), np.array([0.0])
+    segment_speeds = OperatorPath.segment_speeds
     plus_tail = minus_tail = True
     dim = 3
 
@@ -524,6 +529,40 @@ def test_a_failed_solve_is_raised_in_depth_first_order(bad):
     want = _outcome(_find_partition_recursive, _BadSolvePath(*bad), opts)
     assert want[0] == ("CertificationFailed" if bad[0] > 0.5 else "EigenFailure")
     assert _outcome(find_partition, _BadSolvePath(*bad), opts) == want
+
+
+def _at_global_speed(path):
+    # the same path with every piece at the Lipschitz bound, the radius every
+    # segment paid before segments were bounded by the pieces they meet
+    slow = copy.copy(path)
+    slow.speeds = np.full_like(path.speeds, path.lipschitz)
+    return slow
+
+
+def test_piece_speeds_coarsen_the_partition_and_keep_the_classes():
+    rng = np.random.default_rng(91)
+    requests = []
+    for preset, n, dim in (("trivial", 1, 2), ("cyclic", 3, 3),
+                           ("dihedral", 4, 4)):
+        table, action = preset_action(preset, n, dim, rng, conjugate=True)
+        for plus, minus in _TAILS:
+            p = random_equivariant_path(action, rng, plus_tail=plus,
+                                        minus_tail=minus, kind="pl")
+            q = random_equivariant_path(action, rng, plus_tail=plus,
+                                        minus_tail=minus,
+                                        start_block=p.block_at(1.0))
+            paths = [p, concatenate(p, q)]
+            if not (plus and minus):
+                paths.append(parametrix(p, 64).transformed_path())
+            requests += [(path, action, table) for path in paths]
+    fewer = 0
+    for path, action, table in requests:
+        new, old = sfl_G_each([(path, action), (_at_global_speed(path), action)],
+                              table)
+        assert set(new.partition.knots) <= set(old.partition.knots)
+        assert new.sfl_G == old.sfl_G
+        fewer += new.partition.n_segments < old.partition.n_segments
+    assert fewer > len(requests) // 2
 
 
 def test_a_failed_solve_belongs_to_its_own_parameter():
@@ -1027,11 +1066,15 @@ def test_certified_segments_keep_every_eigenvalue_off_the_level(preset, dim,
                                                                  tails, seed):
     # a dense scan of each certified segment, separate from the certifier:
     # every computed eigenvalue stays at least the margin, less the scan's
-    # own eigensolver error, away from +-level
+    # own eigensolver error, away from +-level; also on the transformed
+    # paths of the normal forms
     rng = np.random.default_rng(seed)
     table, action = preset_action(*preset, dim, rng, conjugate=True)
     paths = [random_equivariant_path(action, rng, plus_tail=tails[0],
                                      minus_tail=tails[1]) for _ in range(3)]
+    if tails != (True, True):
+        # 64 pieces whose speeds differ the most
+        paths += [parametrix(p, 64).transformed_path() for p in paths]
     for path, report in zip(paths, sfl_G_each([(p, action) for p in paths],
                                               table)):
         assert isinstance(report, SflReport)

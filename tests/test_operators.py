@@ -696,6 +696,50 @@ def test_piecewise_lipschitz_matches_a_per_piece_loop(n):
         assert [operators._specnorm(d) for d in diffs] == stacked.tolist()
 
 
+def _segment_speed_loop(p, left, right):
+    # the fastest piece [k_i, k_(i+1)] meeting [left, right] in more than a
+    # point
+    knots = p.knot_values()
+    return max(float(p.speeds[i]) for i in range(knots.size - 1)
+               if knots[i] < right and knots[i + 1] > left)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_segment_speeds_match_a_per_piece_loop(n):
+    rng = np.random.default_rng(300 + n)
+    for pieces in (1, 2, 6, 63):
+        knots = np.concatenate([[0.0], np.sort(rng.uniform(size=pieces - 1)),
+                                [1.0]])
+        raw = rng.standard_normal((pieces + 1, n, n))
+        raw[pieces // 2] *= 1e300  # pieces near the top of the float range
+        paths = [OperatorPath.piecewise_linear(knots, list(raw)),
+                 OperatorPath.affine(raw[0], raw[1])]
+        # ends on knots, inside pieces, and at 0 and 1
+        points = np.unique(np.concatenate([knots,
+                                           rng.uniform(size=pieces + 2)]))
+        pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
+        picks = rng.choice(len(pairs), size=min(len(pairs), 300), replace=False)
+        ends = np.array([pairs[k] for k in picks])
+        for p in paths:
+            assert p.speeds.shape == (p.knot_values().size - 1,)
+            assert p.lipschitz == max(p.speeds.tolist(), default=0.0)
+            got = p.segment_speeds(ends)
+            assert got.tolist() == [_segment_speed_loop(p, a, b)
+                                    for a, b in ends]
+            assert p.segment_speeds(np.array([[0.0, 1.0]])).tolist() == [
+                p.lipschitz]
+            for (a, b), speed in list(zip(ends, got))[:40]:
+                # no pair of dense samples inside [a, b] moves faster, up to
+                # the rounding of the interpolated blocks themselves
+                lams = np.linspace(a, b, 9)
+                blocks = p.blocks_at(lams)
+                moved = np.linalg.norm(blocks[1:] - blocks[:-1], ord=2,
+                                       axis=(1, 2)) if n else np.zeros(8)
+                size = np.abs(blocks).max(initial=0.0)
+                assert (moved <= speed * np.diff(lams)
+                        + 8 * (n + 1) * EPS * size).all()
+
+
 def test_solve_each_keeps_each_failure_with_its_matrix():
     stack = np.stack([np.eye(2), np.full((2, 2), np.nan), 2.0 * np.eye(2),
                       np.full((2, 2), np.inf)])
