@@ -2,7 +2,9 @@
 
 One job per invocation. The report is emitted even on failure, with an error
 object and a matching process exit code, and identical jobs always produce
-byte-identical reports.
+byte-identical reports. `parse_job` reads a document once, straight into the
+objects `run` executes; its errors come in document order, first every schema
+check, then the construction of the group, options, action and path.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -76,24 +79,15 @@ EXIT_UNEXPECTED = 1
 
 @dataclass
 class JobSpec:
-    """Validated, normalized job: plain lists and scalars only, so equality
-    and re-emission are structural."""
+    """Validated job: the objects `run` executes, and the plain options
+    (seed, instances, m, samples) its commands read."""
 
     command: str
-    group: dict
-    action: dict | None
-    path: dict | None
-    tail: dict
+    table: RealCharacterTable
+    action: OrthogonalAction
+    path: OperatorPath | None
+    opts: FlowOptions
     options: dict
-
-    def to_document(self) -> str:
-        doc = {"command": self.command, "group": self.group,
-               "tail": self.tail, "options": self.options}
-        if self.action is not None:
-            doc["action"] = self.action
-        if self.path is not None:
-            doc["path"] = self.path
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _finite(x: int | float) -> bool:
@@ -161,7 +155,9 @@ def _elements(raw, order: int, where: str) -> list[int]:
     return list(raw)
 
 
-def _parse_group(raw, where: str = "group") -> dict:
+def _parse_group(raw, where: str = "group"):
+    """Check a group object; returns the constructor of its group and
+    character table."""
     if not isinstance(raw, dict):
         raise SchemaError(f"{where} must be an object")
     if "preset" in raw:
@@ -169,12 +165,12 @@ def _parse_group(raw, where: str = "group") -> dict:
         preset = _want(raw, "preset", str, where)
         if preset not in ("trivial", "cyclic", "dihedral"):
             raise SchemaError(f"{where}.preset {preset!r} is not a preset")
-        out = {"preset": preset}
+        n = None
         if preset != "trivial":
-            out["n"] = _want(raw, "n", int, where)
-            if out["n"] < 1:
+            n = _want(raw, "n", int, where)
+            if n < 1:
                 raise SchemaError(f"{where}.n must be positive")
-        return out
+        return lambda: build_group(preset, n)
     _no_extras(raw, {"order", "mult_table", "classes", "char_table"}, where)
     order = _want(raw, "order", int, where)
     table = _want(raw, "mult_table", list, where)
@@ -183,7 +179,7 @@ def _parse_group(raw, where: str = "group") -> dict:
         raise SchemaError(f"{where}.mult_table must be {order}x{order}")
     table = [_elements(r, order, f"{where}.mult_table[{i}]")
              for i, r in enumerate(table)]
-    classes = [sorted(_elements(c, order, f"{where}.classes[{i}]"))
+    classes = [_elements(c, order, f"{where}.classes[{i}]")
                for i, c in enumerate(_want(raw, "classes", list, where))]
     chars = _want(raw, "char_table", list, where)
     out_chars = []
@@ -199,23 +195,36 @@ def _parse_group(raw, where: str = "group") -> dict:
                        for v in _want(rec, "values", list,
                                       f"{where}.char_table[{i}]")],
         })
-    return {"order": order, "mult_table": table, "classes": classes,
-            "char_table": out_chars}
+
+    def build() -> tuple[FiniteGroup, RealCharacterTable]:
+        group, char_table = build_group("explicit", mult_table=np.array(table),
+                                        char_table=out_chars)
+        given = sorted(tuple(sorted(c)) for c in classes)
+        actual = sorted(tuple(sorted(c)) for c in group.conjugacy_classes)
+        if given != actual:
+            raise TableMismatch(f"declared classes {given} differ from the "
+                                f"table's classes {actual}")
+        return group, char_table
+    return build
 
 
-def _parse_action(raw, where: str = "action") -> dict:
+def _parse_action(raw, where: str = "action"):
+    """Check an action object; returns the size of its matrices and the
+    constructor of the action of a group."""
     if not isinstance(raw, dict):
         raise SchemaError(f"{where} must be an object")
     _no_extras(raw, {"matrices"}, where)
-    mats = _want(raw, "matrices", dict, where)
-    out = {}
+    mats = {}
     dim = None
-    for key, val in mats.items():
+    for key, val in _want(raw, "matrices", dict, where).items():
         try:
             idx = int(key)
         except ValueError:
+            idx = -1
+        # only the spelling str(g) names element g, so no two keys collide
+        if idx < 0 or str(idx) != key:
             raise SchemaError(f"{where}.matrices key {key!r} is not an "
-                              "element index") from None
+                              "element index")
         mat = _matrix(val, f"{where}.matrices[{key}]")
         if dim is None:
             dim = len(mat)
@@ -223,13 +232,25 @@ def _parse_action(raw, where: str = "action") -> dict:
             raise DimensionMismatch(
                 f"{where}.matrices[{key}] is {len(mat)}x{len(mat)}, "
                 f"others are {dim}x{dim}")
-        out[str(idx)] = mat
-    if not out:
+        mats[idx] = mat
+    if not mats:
         raise SchemaError(f"{where}.matrices is empty")
-    return {"matrices": out}
+
+    def build(group: FiniteGroup) -> OrthogonalAction:
+        missing = [g for g in range(group.order) if g not in mats]
+        if missing:
+            raise SchemaError(f"{where}.matrices[{missing[0]}] is missing")
+        extra = sorted(g for g in mats if g >= group.order)
+        if extra:
+            raise SchemaError(f"{where}.matrices[{extra[0]}] is not an element")
+        return OrthogonalAction(group, [np.array(mats[g])
+                                        for g in range(group.order)])
+    return dim, build
 
 
-def _parse_path(raw, where: str = "path") -> dict:
+def _parse_path(raw, where: str = "path"):
+    """Check a path object; returns the size of its blocks and the
+    constructor of the path, which takes the tail flags."""
     if not isinstance(raw, dict):
         raise SchemaError(f"{where} must be an object")
     kind = _want(raw, "kind", str, where)
@@ -240,7 +261,7 @@ def _parse_path(raw, where: str = "path") -> dict:
         if len(a) != len(b):
             raise DimensionMismatch(f"{where}.A is {len(a)}x{len(a)} but "
                                     f"{where}.B is {len(b)}x{len(b)}")
-        return {"kind": kind, "A": a, "B": b}
+        return len(a), partial(OperatorPath.affine, np.array(a), np.array(b))
     if kind == "piecewise_linear":
         _no_extras(raw, {"kind", "knots", "samples"}, where)
         knots = _want(raw, "knots", list, where)
@@ -260,16 +281,21 @@ def _parse_path(raw, where: str = "path") -> dict:
         dims = {len(s) for s in samples}
         if len(dims) > 1:
             raise DimensionMismatch(f"{where}.samples mix dimensions {sorted(dims)}")
-        return {"kind": kind, "knots": [float(k) for k in knots],
-                "samples": samples}
+        return len(samples[0]), partial(OperatorPath.piecewise_linear,
+                                        [float(k) for k in knots],
+                                        [np.array(s) for s in samples])
     raise SchemaError(f"{where}.kind {kind!r} is not a path kind")
 
 
 def parse_job(text: str, *, command: str | None = None,
               seed: int | None = None) -> JobSpec:
-    """Validate a JSON job document and fill defaults. A command or seed
-    given here replaces the document's before any check, so it is validated
-    like a value written in the document."""
+    """Validate a JSON job document, fill defaults and build the objects the
+    job runs on. A command or seed given here replaces the document's before
+    any check, so it is validated like a value written in the document.
+
+    Errors come in document order: first every schema check, then the
+    construction of the group, the flow options, the action and the path
+    (not built for verify), each raising its own error."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -290,20 +316,17 @@ def parse_job(text: str, *, command: str | None = None,
     if command not in COMMANDS:
         raise SchemaError(f"job.command {command!r} is not one of "
                           f"{'/'.join(COMMANDS)}")
-    group = _parse_group(_want(raw, "group", dict, "job"))
+    make_group = _parse_group(_want(raw, "group", dict, "job"))
     action = _parse_action(raw["action"]) if "action" in raw else None
     path = _parse_path(raw["path"]) if "path" in raw else None
 
-    tail = {"plus": False, "minus": False}
-    if "tail" in raw:
-        if not isinstance(raw["tail"], dict):
-            raise SchemaError("tail must be an object")
-        _no_extras(raw["tail"], {"plus", "minus"}, "tail")
-        for key in ("plus", "minus"):
-            if key in raw["tail"]:
-                if not isinstance(raw["tail"][key], bool):
-                    raise SchemaError(f"tail.{key} must be a boolean")
-                tail[key] = raw["tail"][key]
+    tail = raw.get("tail", {})
+    if not isinstance(tail, dict):
+        raise SchemaError("tail must be an object")
+    _no_extras(tail, {"plus", "minus"}, "tail")
+    for key in ("plus", "minus"):
+        if not isinstance(tail.get(key, False), bool):
+            raise SchemaError(f"tail.{key} must be a boolean")
 
     options = dict(OPTION_DEFAULTS)
     if "options" in raw:
@@ -323,51 +346,21 @@ def parse_job(text: str, *, command: str | None = None,
         raise SchemaError("job.action is required")
     if command != "verify" and path is None:
         raise SchemaError(f"job.path is required for command {command!r}")
-
+    adim, make_action = action
     if path is not None:
-        adim = len(next(iter(action["matrices"].values())))
-        pdim = len(path["A"] if path["kind"] == "affine"
-                   else path["samples"][0])
+        pdim, make_path = path
         if adim != pdim:
             raise DimensionMismatch(f"path blocks are {pdim}x{pdim} but "
                                     f"action matrices are {adim}x{adim}")
-    return JobSpec(command, group, action, path, tail, options)
 
-
-def _materialize_group(spec: dict) -> tuple[FiniteGroup, RealCharacterTable]:
-    if "preset" in spec:
-        return build_group(spec["preset"], spec.get("n"))
-    group, table = build_group("explicit",
-                               mult_table=np.array(spec["mult_table"]),
-                               char_table=spec["char_table"])
-    given = sorted(tuple(sorted(c)) for c in spec["classes"])
-    actual = sorted(tuple(sorted(c)) for c in group.conjugacy_classes)
-    if given != actual:
-        raise TableMismatch(f"declared classes {given} differ from the "
-                            f"table's classes {actual}")
-    return group, table
-
-
-def _materialize_action(spec: dict, group: FiniteGroup) -> OrthogonalAction:
-    mats = spec["matrices"]
-    missing = [g for g in range(group.order) if str(g) not in mats]
-    if missing:
-        raise SchemaError(f"action.matrices[{missing[0]}] is missing")
-    extra = sorted(int(k) for k in mats if not 0 <= int(k) < group.order)
-    if extra:
-        raise SchemaError(f"action.matrices[{extra[0]}] is not an element")
-    return OrthogonalAction(group, [np.array(mats[str(g)])
-                                    for g in range(group.order)])
-
-
-def _materialize_path(spec: dict, tail: dict) -> OperatorPath:
-    if spec["kind"] == "affine":
-        return OperatorPath.affine(np.array(spec["A"]), np.array(spec["B"]),
-                                   plus_tail=tail["plus"],
-                                   minus_tail=tail["minus"])
-    return OperatorPath.piecewise_linear(
-        spec["knots"], [np.array(s) for s in spec["samples"]],
-        plus_tail=tail["plus"], minus_tail=tail["minus"])
+    group, table = make_group()
+    opts = FlowOptions(tol_cluster=options["tol_cluster"],
+                       tol_invert=options["tol_invert"],
+                       max_depth=options["max_depth"])
+    action = make_action(group)
+    path = None if command == "verify" else make_path(
+        plus_tail=tail.get("plus", False), minus_tail=tail.get("minus", False))
+    return JobSpec(command, table, action, path, opts, options)
 
 
 def _report(klass: VirtualRep, flow: SflReport | None = None,
@@ -410,12 +403,7 @@ def run(job: JobSpec) -> tuple[dict, int]:
 
 
 def _dispatch(job: JobSpec) -> dict:
-    group, table = _materialize_group(job.group)
-    opts = FlowOptions(tol_cluster=job.options["tol_cluster"],
-                       tol_invert=job.options["tol_invert"],
-                       max_depth=job.options["max_depth"])
-    action = _materialize_action(job.action, group)
-
+    action, table, opts, path = job.action, job.table, job.opts, job.path
     if job.command == "verify":
         suite = verify_axioms(action, table, seed=job.options["seed"],
                               instances=job.options["instances"], opts=opts)
@@ -429,7 +417,6 @@ def _dispatch(job: JobSpec) -> dict:
             "error": None,
         }
 
-    path = _materialize_path(job.path, job.tail)
     if job.command == "oracle":
         return _report(morse_oracle_sfl_G(path, action, table,
                                           m=job.options["m"], opts=opts))
@@ -521,6 +508,8 @@ def main(argv: list[str] | None = None) -> int:
         report, code = _failure(e, 2)
     except SflowError as e:
         report, code = _failure(e, e.exit_code)
+    except Exception as e:  # noqa: BLE001 - a job's objects failed to build
+        report, code = _failure(e, EXIT_UNEXPECTED)
 
     data = emit_report(report)
     if output:

@@ -114,10 +114,6 @@ class CertifiedPartition:
         if any(m <= 0.0 for m in self.margins):
             raise OutOfRange("margins must be positive")
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.levels)
-
 
 @dataclass(frozen=True)
 class Crossing:
@@ -299,16 +295,6 @@ def _certify_each(segments: list[tuple[_SpectraCache, float, float]],
             if good:
                 out[k] = (lv, mg)
     return out
-
-
-def _try_certify(cache: _SpectraCache, opts: FlowOptions, left: float,
-                 right: float) -> tuple[float, float] | None:
-    """Look for one admissible level on [left, right]. Returns (level, margin)
-    or None if the sampled eigenvalue envelopes leave no wide enough gap."""
-    found = _certify_each([(cache, left, right)], opts.tol_cluster)[0]
-    if isinstance(found, EigenFailure):
-        raise found
-    return found
 
 
 def _require_invertible_ends(cache: _SpectraCache, opts: FlowOptions) -> None:
@@ -627,12 +613,6 @@ class AxiomSuiteReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def by_name(self, name: str) -> AxiomResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
 
 def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,

@@ -87,14 +87,6 @@ class CPS:
     def tails(self) -> tuple[bool, bool]:
         return (self.plus_tail, self.minus_tail)
 
-    def essential_values(self) -> tuple[float, ...]:
-        vals = []
-        if self.plus_tail:
-            vals.append(1.0)
-        if self.minus_tail:
-            vals.append(-1.0)
-        return tuple(vals)
-
     def __repr__(self) -> str:
         return (f"CPS(dim={self.dim}, plus_tail={self.plus_tail}, "
                 f"minus_tail={self.minus_tail})")

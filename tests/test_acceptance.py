@@ -264,8 +264,8 @@ def test_criterion_8_certification_soundness(crit3_pool):
         refined = sfl_G(path, action, table, forced)
         if refined.sfl_G != rep.sfl_G:
             failures.append(f"{label}: refinement changed the flow")
-        if refined.partition.n_segments < 16:
+        if len(refined.partition.levels) < 16:
             failures.append(f"{label}: forced refinement produced only "
-                            f"{refined.partition.n_segments} segments")
+                            f"{len(refined.partition.levels)} segments")
     _finish(8, failures, f"all margins positive; four forced bisection levels "
                          f"leave the flow unchanged on {len(instances)} paths")

@@ -26,13 +26,16 @@ from sflow.cli import (
 )
 from sflow.cogredient import Parametrix
 from sflow.errors import (
+    BadAction,
     DimensionMismatch,
+    NonGroup,
     OutOfRange,
     ParseError,
     SchemaError,
     SflowError,
+    TableMismatch,
 )
-from sflow.flow import sfl_G
+from sflow.flow import FlowOptions, sfl_G
 from sflow.operators import OperatorPath
 
 
@@ -84,6 +87,15 @@ FLOW_KEYS = {"sfl", "sfl_G", "partition", "crossings", "certified", "error",
              "phi"}
 
 
+def main_error(doc, monkeypatch, capsys):
+    """Exit code and error message of main on the document over stdin."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code = main([])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == code
+    return code, error["message"]
+
+
 def assert_plain(obj):
     # reports hold JSON's own Python types only, never numpy scalars
     assert type(obj) in (dict, list, str, int, float, bool, type(None)), obj
@@ -98,15 +110,10 @@ def assert_plain(obj):
 def test_parse_fills_defaults():
     job = parse_job(json.dumps(scalar_job()))
     assert job.command == "sfl"
-    assert job.tail == {"plus": False, "minus": False}
+    assert job.path.tails == (False, False)
     assert job.options == OPTION_DEFAULTS
     assert job.options is not OPTION_DEFAULTS
-
-
-def test_parse_round_trip():
-    job = parse_job(json.dumps(golden_job()))
-    again = parse_job(job.to_document())
-    assert again == job
+    assert job.opts == FlowOptions()
 
 
 def test_parse_error_carries_position():
@@ -155,14 +162,37 @@ def test_verify_needs_no_path():
     assert job.path is None
 
 
-def test_parse_rejects_non_orthogonal_action():
-    # OrthogonalAction checks orthogonality, with its witness, at run time
+def test_parse_rejects_non_orthogonal_action(monkeypatch, capsys):
+    # OrthogonalAction checks orthogonality, with its witness, once the
+    # document has passed every schema check
     doc = golden_job()
     doc["action"]["matrices"]["1"] = [[1, 0], [0, -2]]
-    report, code = run(parse_job(json.dumps(doc)))
-    assert code == 2
-    assert report["error"]["message"] == (
-        "BadAction: matrix for element 1 not orthogonal: defect 3.000e+00")
+    with pytest.raises(BadAction):
+        parse_job(json.dumps(doc))
+    assert main_error(doc, monkeypatch, capsys) == (
+        2, "BadAction: matrix for element 1 not orthogonal: defect 3.000e+00")
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "-1", "1_0", "\u0661", "x"])
+def test_parse_rejects_non_canonical_element_keys(key, monkeypatch, capsys):
+    # only str(g) names element g: "01" must not silently replace "1"
+    doc = golden_job()
+    doc["action"]["matrices"][key] = [[5, 0], [0, 5]]
+    message = f"action.matrices key {key!r} is not an element index"
+    with pytest.raises(SchemaError) as err:
+        parse_job(json.dumps(doc))
+    assert str(err.value) == message
+    assert main_error(doc, monkeypatch, capsys) == (2, f"SchemaError: {message}")
+
+
+def test_parse_rejects_keys_outside_the_group(monkeypatch, capsys):
+    doc = golden_job()
+    doc["action"]["matrices"]["2"] = [[1, 0], [0, 1]]
+    message = "action.matrices[2] is not an element"
+    with pytest.raises(SchemaError) as err:
+        parse_job(json.dumps(doc))
+    assert str(err.value) == message
+    assert main_error(doc, monkeypatch, capsys) == (2, f"SchemaError: {message}")
 
 
 def test_parse_rejects_dimension_mixes():
@@ -208,7 +238,7 @@ def test_parse_tail_flags():
     doc["path"] = {"kind": "affine", "A": [[-0.5]], "B": [[1]]}
     doc["tail"] = {"plus": True, "minus": True}
     job = parse_job(json.dumps(doc))
-    assert job.tail == {"plus": True, "minus": True}
+    assert job.path.tails == (True, True)
     doc["tail"] = {"plus": "yes"}
     with pytest.raises(SchemaError):
         parse_job(json.dumps(doc))
@@ -395,12 +425,14 @@ def test_non_finite_options_knots_and_characters_exit_2(spelling):
         parse_job(json.dumps(doc).replace('"X"', spelling))
 
 
-def test_negative_tolerance_option_exits_2():
+def test_negative_tolerance_option_exits_2(monkeypatch, capsys):
     doc = scalar_job()
     doc["options"] = {"tol_cluster": -1e-8}
-    report, code = run(parse_job(json.dumps(doc)))
+    with pytest.raises(OutOfRange):
+        parse_job(json.dumps(doc))
+    code, message = main_error(doc, monkeypatch, capsys)
     assert code == 2
-    assert "OutOfRange: tol_cluster" in report["error"]["message"]
+    assert "OutOfRange: tol_cluster" in message
 
 
 def test_exit_code_certification_failed():
@@ -417,13 +449,13 @@ def test_exit_code_certification_failed():
 def test_exit_code_nan_block():
     # a NaN block has no spectrum; it must fail the eigensolve with exit 4,
     # never carry NaN eigenvalues into a report or exit 1. The JSON boundary
-    # rejects NaN, so it is put into the parsed job.
+    # rejects NaN, so the parsed job gets a path built with one.
     doc = scalar_job()
     doc["action"] = {"matrices": {"0": [[1, 0], [0, 1]]}}
     doc["path"] = {"kind": "affine", "A": [[0, 0], [0, 1]],
                    "B": [[1, 0], [0, 1]]}
     job = parse_job(json.dumps(doc))
-    job.path["A"][0][0] = float("nan")
+    job.path = OperatorPath.affine(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
     report, code = run(job)
     assert code == 4
     assert report["error"]["code"] == 4
@@ -451,15 +483,18 @@ def test_huge_finite_entries_run_without_overflow(entry):
     ("action", [[1e200, -1e200], [1e200, 1e200]], 2,
      "BadAction: matrix for element 0 not orthogonal: defect inf"),
 ], ids=["path", "action"])
-def test_overflowing_products_fail_their_checks(where, value, code, message):
+def test_overflowing_products_fail_their_checks(where, value, code, message,
+                                               monkeypatch, capsys):
     # an overflowed product has an infinite norm, never a NaN that passes
     doc = golden_job()
     if where == "path":
         doc["path"]["A"] = value
     else:
         doc["action"]["matrices"]["0"] = value
-    report, got = run(parse_job(json.dumps(doc)))
-    assert (got, report["error"]["message"]) == (code, message)
+        # the action is built, and checked, when the job is parsed
+        with pytest.raises(BadAction):
+            parse_job(json.dumps(doc))
+    assert main_error(doc, monkeypatch, capsys) == (code, message)
 
 
 def test_exit_code_not_equivariant():
@@ -470,15 +505,17 @@ def test_exit_code_not_equivariant():
     assert "NotEquivariant" in report["error"]["message"]
 
 
-def test_exit_code_incomplete_action():
+def test_exit_code_incomplete_action(monkeypatch, capsys):
     doc = golden_job()
     del doc["action"]["matrices"]["1"]
-    report, code = run(parse_job(json.dumps(doc)))
+    with pytest.raises(SchemaError):
+        parse_job(json.dumps(doc))
+    code, message = main_error(doc, monkeypatch, capsys)
     assert code == 2
-    assert "action.matrices[1] is missing" in report["error"]["message"]
+    assert "action.matrices[1] is missing" in message
 
 
-def test_explicit_group_job():
+def test_explicit_group_job(monkeypatch, capsys):
     doc = golden_job()
     doc["group"] = {
         "order": 2,
@@ -493,9 +530,11 @@ def test_explicit_group_job():
     assert code == 0
     assert report["sfl_G"] == {"trivial": 1, "sign": -1}
     doc["group"]["classes"] = [[0, 1]]
-    report, code = run(parse_job(json.dumps(doc)))
+    with pytest.raises(TableMismatch):
+        parse_job(json.dumps(doc))
+    code, message = main_error(doc, monkeypatch, capsys)
     assert code == 2
-    assert "TableMismatch" in report["error"]["message"]
+    assert "TableMismatch" in message
 
 
 def test_oracle_command():
@@ -575,6 +614,48 @@ def test_reports_are_byte_identical():
     assert a == b
     assert a.endswith("\n")
     json.loads(a)  # emitted text is well formed
+
+
+def decreasing_knots_job(command) -> dict:
+    doc = scalar_job(command)
+    doc["path"] = {"kind": "piecewise_linear", "knots": [0, 0.6, 0.3, 1],
+                   "samples": [[[-1]], [[0.5]], [[1]], [[2]]]}
+    doc["options"] = {"instances": 1}
+    return doc
+
+
+def test_verify_never_builds_its_path(monkeypatch, capsys):
+    # verify checks the path's schema and size only, so knots out of order
+    # do not fail it; the same path fails an sfl job when it is built
+    text = json.dumps(decreasing_knots_job("verify"))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main([]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert main_error(decreasing_knots_job("sfl"), monkeypatch, capsys) == (
+        2, "OutOfRange: knots must be strictly increasing")
+
+
+def test_schema_errors_come_before_construction_errors(monkeypatch, capsys):
+    # a table that is no group fails only when the group is built, after
+    # the tail flags further down the document were checked
+    doc = explicit_job()
+    doc["group"]["mult_table"] = [[0, 0], [0, 0]]
+    with pytest.raises(NonGroup):
+        parse_job(json.dumps(doc))
+    doc["tail"] = {"plus": 1}
+    assert main_error(doc, monkeypatch, capsys) == (
+        2, "SchemaError: tail.plus must be a boolean")
+
+
+def test_main_reports_an_unexpected_construction_error(monkeypatch, capsys):
+    # anything raised while the job's objects are built gets a report, and
+    # an error outside the contract exits 1 as it does in run
+    def broken(*args, **kwargs):
+        raise RuntimeError("no group")
+
+    monkeypatch.setattr(cli, "build_group", broken)
+    assert main_error(golden_job(), monkeypatch, capsys) == (
+        1, "RuntimeError: no group")
 
 
 def test_run_never_raises_on_garbage_jobspec():
@@ -722,12 +803,14 @@ def test_cogredient_huge_entries_fail_without_overflow(entry, tail):
     assert "non-finite" not in report["error"]["message"]
 
 
-def test_max_depth_above_the_cap_exits_2():
+def test_max_depth_above_the_cap_exits_2(monkeypatch, capsys):
     doc = scalar_job()
     doc["options"] = {"max_depth": 54}
-    report, code = run(parse_job(json.dumps(doc)))
+    with pytest.raises(OutOfRange):
+        parse_job(json.dumps(doc))
+    code, message = main_error(doc, monkeypatch, capsys)
     assert code == 2
-    assert "max_depth 54 exceeds 53" in report["error"]["message"]
+    assert "max_depth 54 exceeds 53" in message
 
 
 def test_max_depth_at_the_cap_fails_on_the_leftmost_segment():

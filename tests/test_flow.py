@@ -109,7 +109,7 @@ def test_nan_cluster_tolerance_cannot_hide_a_crossing():
 
 def test_partition_invariants():
     good = CertifiedPartition((0.0, 0.5, 1.0), (0.3, 0.4), (0.1, 0.1))
-    assert good.n_segments == 2
+    assert len(good.levels) == 2
     with pytest.raises(OutOfRange):
         CertifiedPartition((0.0, 0.5), (0.3,), (0.1,))  # must end at 1
     with pytest.raises(OutOfRange):
@@ -153,7 +153,7 @@ def test_certificate_pays_for_the_eigensolver_error(monkeypatch):
 
 def test_scalar_crossing_certifies():
     part = find_partition(_scalar_up_path())
-    assert part.n_segments == 1
+    assert len(part.levels) == 1
     # the one eigenvalue stays inside [-1, 1]; the level sits above it
     assert part.levels[0] > 1.0
     assert part.margins[0] > 0.0
@@ -169,7 +169,7 @@ def test_tails_cap_levels_below_one():
 def test_min_depth_forces_refinement():
     p = _scalar_up_path()
     part = find_partition(p, FlowOptions(min_depth=2))
-    assert part.n_segments == 4
+    assert len(part.levels) == 4
     assert part.knots == (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -181,7 +181,7 @@ def test_certification_failed_at_zero_depth():
     with pytest.raises(CertificationFailed):
         find_partition(p, FlowOptions(max_depth=0))
     part = find_partition(p)  # deeper bisection succeeds
-    assert part.n_segments > 1
+    assert len(part.levels) > 1
 
 
 def test_endpoint_not_invertible():
@@ -241,7 +241,7 @@ def test_contributions_telescope():
     table, action = _z2_diag_setup()
     p = OperatorPath.affine(np.diag([-1.0, 1.0]), np.diag([2.0, -2.0]))
     report = sfl_G(p, action, table, FlowOptions(min_depth=3))
-    assert report.partition.n_segments == 8
+    assert len(report.partition.levels) == 8
     total = report.segment_contributions[0]
     for c in report.segment_contributions[1:]:
         total = total + c
@@ -402,9 +402,8 @@ def test_verify_axioms_passes():
     assert names == ["vanishing", "concatenation", "direct_sum",
                      "reparametrization", "conjugation"]
     assert all(r.instances == 3 for r in report.results)
-    assert report.by_name("concatenation").failures == ()
-    with pytest.raises(KeyError):
-        report.by_name("nonsense")
+    by_name = {r.name: r for r in report.results}
+    assert by_name["concatenation"].failures == ()
 
 
 # --- batched bisection --------------------------------------------------------
@@ -419,7 +418,10 @@ def _find_partition_recursive(path, opts):
 
     def descend(left, right, depth):
         if depth >= opts.min_depth:
-            found = flow._try_certify(cache, opts, left, right)
+            found = flow._certify_each([(cache, left, right)],
+                                       opts.tol_cluster)[0]
+            if isinstance(found, EigenFailure):
+                raise found
             if found is not None:
                 knots.append(right)
                 levels.append(float(found[0]))
@@ -561,7 +563,7 @@ def test_piece_speeds_coarsen_the_partition_and_keep_the_classes():
                               table)
         assert set(new.partition.knots) <= set(old.partition.knots)
         assert new.sfl_G == old.sfl_G
-        fewer += new.partition.n_segments < old.partition.n_segments
+        fewer += len(new.partition.levels) < len(old.partition.levels)
     assert fewer > len(requests) // 2
 
 

@@ -63,8 +63,6 @@ def test_cps_components():
     assert CPS(block, minus_tail=True).component is FSComponent.FS_MINUS
     both = CPS(block, plus_tail=True, minus_tail=True)
     assert both.component is FSComponent.FS_I
-    assert both.essential_values() == (1.0, -1.0)
-    assert CPS(block).essential_values() == ()
     with pytest.raises(DimensionMismatch):
         CPS(np.zeros((2, 3)))
 

@@ -32,3 +32,31 @@ def test_no_unused_module_imports():
         if unused:
             found[path.name] = unused
     assert not found
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name a node refers to: bare names, attributes and imports."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.asname or sub.name)
+    return out
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    # a private function or class that only its own body or the tests use is
+    # code the package does not need
+    defined, used = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = node.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined[own] = f"{path.name}:{node.lineno} {own}"
+            used |= _names(node) - {own}
+    assert sorted(v for k, v in defined.items() if k not in used) == []
