@@ -66,13 +66,14 @@ OPTION_DEFAULTS = {
     "samples": 64,
     "instances": 20,
 }
-# inclusive ranges of the integer options; FlowOptions bounds max_depth. The
-# caps bound what one job allocates: m adds 2m rows and columns to the
-# oracle's block and to each action matrix (2 MiB plus 8 KiB per block row
-# at 256), a cogredient stack holds `samples` path blocks, and verify keeps
-# up to six failure witnesses per instance
+# inclusive ranges of the integer options and of a preset group's n;
+# FlowOptions bounds max_depth. The caps bound what one job allocates: m adds
+# 2m rows and columns to the oracle's block and to each action matrix (2 MiB
+# plus 8 KiB per block row at 256), a cogredient stack holds `samples` path
+# blocks, verify keeps up to six failure witnesses per instance, and a group
+# table is built and checked in time cubic in its order, at most 2n
 _INT_RANGES = {"m": (0, 256), "seed": (0, math.inf), "samples": (2, 1024),
-               "instances": (1, 1000)}
+               "instances": (1, 1000), "n": (1, 128)}
 
 EXIT_UNEXPECTED = 1
 
@@ -168,8 +169,9 @@ def _parse_group(raw, where: str = "group"):
         n = None
         if preset != "trivial":
             n = _want(raw, "n", int, where)
-            if n < 1:
-                raise SchemaError(f"{where}.n must be positive")
+            lo, hi = _INT_RANGES["n"]
+            if not lo <= n <= hi:
+                raise SchemaError(f"{where}.n must be in {lo}..{hi}, got {n}")
         return lambda: build_group(preset, n)
     _no_extras(raw, {"order", "mult_table", "classes", "char_table"}, where)
     order = _want(raw, "order", int, where)

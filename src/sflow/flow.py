@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._eig import solve_each
+from ._eig import block_diag, solve_each
 from .errors import (
     CertificationFailed,
     DimensionMismatch,
@@ -41,17 +41,20 @@ from .operators import (
     OperatorPath,
     Spectrum,
     block_spectra,
-    compress,
+    cluster_values,
+    compression_tail,
     equivariance_defects,
-    morse_class,
-    spectral_interval_frame,
+    interval_columns,
+    morse_classes,
+    window_faults,
 )
 
 MARGIN_FLOOR = 1e-7
 MAX_DEPTH = 40
 # past this depth a bisection midpoint can round onto an end of its segment
 DEPTH_CAP = 53
-# segments certified per round of find_partition, with one stacked eigensolve
+# pending segments of each path tried per bisection round (_partitions), with
+# one stacked eigensolve
 BISECTION_BATCH = 64
 
 
@@ -448,35 +451,45 @@ def _check_equivariance(flows: list[_Flow]) -> None:
 
 def _take_classes(flows: list[_Flow], table: RealCharacterTable) -> None:
     """Report of each flow from the classes of the frames of [0, level] at
-    the left and right knot of each of its segments, taken for every flow of
-    one action in one stacked pass. A frame is a run of clusters from the
-    first >= -tol, so (knot, column count) fixes it and only the distinct
-    ones are classified. Every frame is still built for its boundary checks;
-    each flow's first failure is that of a per-frame loop."""
-    frames: dict[tuple[int, float, int], np.ndarray] = {}
-    keys: list[list[tuple[int, float, int]]] = []
-    faults: list[SflowError | None] = []
-    for k, f in enumerate(flows):
-        keys.append([])
-        faults.append(None)
-        try:
-            for i, level in enumerate(f.partition.levels):
-                for lam in f.partition.knots[i:i + 2]:
-                    spec = f.cache.spectrum(lam)
-                    frame = spectral_interval_frame(f.path, 0.0, level,
-                                                    spectrum=spec,
-                                                    closed_left_tol=spec.tol)
-                    keys[k].append((k, lam, frame.shape[1]))
-                    frames.setdefault(keys[k][-1], frame)
-        except SflowError as e:
-            faults[k] = e
-    classes = dict(zip(frames, subspace_classes(flows[0].action, table,
-                                                list(frames.values()))))
-    for f, ks, fault in zip(flows, keys, faults):
-        errors = [c for c in [*(classes[key] for key in dict.fromkeys(ks)), fault]
-                  if isinstance(c, SflowError)]
-        f.outcome = (errors[0] if errors else
-                     _flow_report(f.partition, [classes[key] for key in ks], table))
+    the left and right knot of each of its segments, for every flow of one
+    action in one array pass over the stacked knot eigendata, by the rule of
+    spectral_interval_frame with the left edge closed at -tol. The distinct
+    (knot, columns) frames go to one subspace_classes call as one padded
+    stack. Each flow's first failure is that of a per-frame loop;
+    _check_equivariance has solved every knot."""
+    specs = [f.cache.spectrum(lam) for f in flows for lam in f.partition.knots]
+    w = np.array([s.eigenvalues for s in specs])
+    tol = np.array([s.tol for s in specs])
+    # frames 2i and 2i + 1 of a flow are the left and right knot of segment i
+    rows, levels, tails, spans = [], [], [], []
+    for f in flows:
+        first, m = len(rows), len(f.partition.levels)
+        spans.append((first, first + 2 * m))
+        rows += [len(spans) - 1 + first // 2 + (j + 1) // 2 for j in range(2 * m)]
+        levels += [lv for lv in f.partition.levels for _ in "lr"]
+        tails += [f.path.tails] * (2 * m)
+    at = np.array(rows)
+    # the window [0, level] is closed at -tol, as a kernel vector is inside
+    faults = window_faults(w[at], tol[at], 0.0, levels, tol[at], tails)
+    lo, ncols = interval_columns(cluster_values(w, tol)[1][at],
+                                 0.0 - tol[at, None], np.array(levels)[:, None])
+    keys = list(zip(rows, lo.tolist(), ncols.tolist()))
+    distinct: dict[tuple[int, int, int], int] = {}
+    picks = []
+    for start, end in spans:
+        stop = next((i for i in range(start, end) if faults[i] is not None), end)
+        picks.append(([distinct.setdefault(key, len(distinct))
+                       for key in keys[start:stop]],
+                      faults[stop] if stop < end else None))
+    ks = [k for _, _, k in distinct]
+    pad = np.zeros((len(ks), w.shape[1], max(ks, default=0)))
+    for frame, (knot, col, k) in zip(pad, distinct):
+        frame[:, :k] = specs[knot].vectors[:, col:col + k]
+    classes = subspace_classes(flows[0].action, table, pad, ks)
+    for f, (picked, fault) in zip(flows, picks):
+        got = [classes[c] for c in picked]
+        error = next((c for c in got if isinstance(c, SflowError)), fault)
+        f.outcome = error or _flow_report(f.partition, got, table)
 
 
 def _flow_report(partition: CertifiedPartition, classes: list[VirtualRep],
@@ -583,12 +596,11 @@ def morse_oracle_sfl_G(path: OperatorPath, action: OrthogonalAction,
     truncation size m; tail copies contribute equally at both ends and cancel.
     """
     opts = opts or FlowOptions()
-    finite = compress(path, m)
-    extra = m * (int(path.plus_tail) + int(path.minus_tail))
-    act = action.extended(extra)
-    kwargs = dict(tol_cluster=opts.tol_cluster, tol_invert=opts.tol_invert)
-    start = morse_class(finite.at(0.0), act, table, **kwargs)
-    end = morse_class(finite.at(1.0), act, table, **kwargs)
+    tail = compression_tail(path, m)
+    blocks = np.array([block_diag(b, tail) for b in path.blocks_at([0.0, 1.0])])
+    start, end = morse_classes(blocks, action.extended(len(tail)), table,
+                               tol_cluster=opts.tol_cluster,
+                               tol_invert=opts.tol_invert)
     return start - end
 
 

@@ -450,56 +450,66 @@ def build_group(preset: str, n: int | None = None, *,
 
 
 def subspace_classes(action: OrthogonalAction, table: RealCharacterTable,
-                     frames: Sequence[np.ndarray]) -> list[VirtualRep | SflowError]:
+                     frames: Sequence[np.ndarray] | np.ndarray,
+                     ks: Sequence[int] | None = None
+                     ) -> list[VirtualRep | SflowError]:
     """Class of the span of each frame's orthonormal columns or, in its
     place, the first error its checks raise: NotOrthonormal, NotInvariant
     (the projector F F^T must commute with every group matrix within
-    INVARIANCE_TOL), then NonIntegralMultiplicity. Frames are padded with
-    zero columns and checked as many at a time as keep each temporary within
-    HOMOMORPHISM_BATCH entries (at least one frame)."""
-    chi, faults = _characters(action, frames)
-    return [f or c for f, c in zip(faults, _multiplicities(chi, table))]
+    INVARIANCE_TOL), then TableMismatch or NonIntegralMultiplicity. frames
+    is a sequence of (n, k) frames or, with ks, a zero-padded (F, n, kmax)
+    stack whose frame i is its first ks[i] columns. Frames are checked as
+    many at a time as keep each temporary within HOMOMORPHISM_BATCH entries
+    (at least one frame)."""
+    chi, faults = _characters(action, frames, ks)
+    try:
+        classes = _multiplicities(chi, table)
+    except TableMismatch as e:
+        classes = [e] * len(chi)
+    return [f or c for f, c in zip(faults, classes)]
 
 
-def _characters(action: OrthogonalAction, frames: Sequence[np.ndarray]
+def _characters(action: OrthogonalAction, frames, ks: Sequence[int] | None = None
                 ) -> tuple[np.ndarray, list[SflowError | None]]:
-    # characters are traces of the projectors at the class representatives
-    frames = [np.asarray(f, dtype=float) for f in frames]
+    # characters are traces of the projectors at the class representatives;
+    # a sequence of frames is padded with zero columns first
     n, order = action.dim, action.group.order
-    for f in frames:
-        if f.ndim != 2 or f.shape[0] != n:
-            raise NotOrthonormal(f"basis shape {f.shape} does not match "
-                                 f"action dimension {n}")
-    ks = np.array([f.shape[1] for f in frames], dtype=np.intp)
-    cols = np.arange(ks.max(initial=0))
-    reps = action.stack[list(action.group.class_representatives())]
-    gram, comm = np.empty(len(frames)), np.empty((len(frames), order))
-    chi = np.empty((len(frames), len(reps)))
-    step = max(1, HOMOMORPHISM_BATCH // max(1, order * n * n))
-    for f0 in range(0, len(frames), step):
-        part = slice(f0, f0 + step)
-        pad = np.zeros((len(ks[part]), n, cols.size))
-        for p, f in zip(pad, frames[part]):
+    pad = frames
+    if ks is None:
+        frames = [np.asarray(f, dtype=float) for f in frames]
+        for f in frames:
+            if f.ndim != 2 or f.shape[0] != n:
+                raise NotOrthonormal(f"basis shape {f.shape} does not match "
+                                     f"action dimension {n}")
+        ks = np.array([f.shape[1] for f in frames], dtype=np.intp)
+        pad = np.zeros((len(frames), n, ks.max(initial=0)))
+        for p, f in zip(pad, frames):
             p[:, :f.shape[1]] = f
+    ks, cols = np.asarray(ks), np.arange(pad.shape[2])
+    reps = action.stack[list(action.group.class_representatives())]
+    gram, comm = np.empty(len(pad)), np.empty((len(pad), order))
+    chi = np.empty((len(pad), len(reps)))
+    step = max(1, HOMOMORPHISM_BATCH // max(1, order * n * n))
+    for f0 in range(0, len(pad), step):
+        part = slice(f0, f0 + step)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = pad.swapaxes(1, 2) @ pad
+            g = pad[part].swapaxes(1, 2) @ pad[part]
             g[:, cols, cols] -= cols < ks[part, None]
             gram[part] = opnorms_within(g, FRAME_TOL)
-            proj = (pad @ pad.swapaxes(1, 2))[:, None]
+            proj = (pad[part] @ pad[part].swapaxes(1, 2))[:, None]
             comm[part] = opnorms_within(action.stack @ proj
                                         - proj @ action.stack, INVARIANCE_TOL)
             chi[part] = np.einsum("cij,fji->fc", reps, proj[:, 0])
-    faults: list[SflowError | None] = []
-    for defect, row in zip(gram.tolist(), comm.tolist()):
-        worst = int(np.argmax(row))
-        if defect > FRAME_TOL:
-            faults.append(NotOrthonormal(
-                f"basis columns not orthonormal: defect {defect:.3e}"))
-        elif row[worst] > INVARIANCE_TOL:
-            faults.append(NotInvariant(f"span not invariant: commutator norm "
-                                       f"{row[worst]:.3e} at element {worst}"))
+    worst = np.argmax(comm, axis=1)
+    defect = comm[np.arange(len(pad)), worst]
+    faults: list[SflowError | None] = [None] * len(pad)
+    for i in np.flatnonzero((gram > FRAME_TOL) | (defect > INVARIANCE_TOL)):
+        if gram[i] > FRAME_TOL:
+            faults[i] = NotOrthonormal(
+                f"basis columns not orthonormal: defect {gram[i]:.3e}")
         else:
-            faults.append(None)
+            faults[i] = NotInvariant(f"span not invariant: commutator norm "
+                                     f"{defect[i]:.3e} at element {worst[i]}")
     return chi, faults
 
 
@@ -517,9 +527,10 @@ def _multiplicities(chi: np.ndarray, table: RealCharacterTable
     with np.errstate(invalid="ignore"):
         off = ~(np.abs(raw - coeffs) < MULTIPLICITY_TOL)  # NaN is off
     out: list[VirtualRep | NonIntegralMultiplicity] = []
-    for r, c, bad in zip(raw.tolist(), coeffs.tolist(), off):
-        if bad.any():
-            j = int(np.argmax(bad))
+    for r, c, bad, row in zip(raw.tolist(), coeffs.tolist(),
+                              off.any(axis=1).tolist(), off):
+        if bad:
+            j = int(np.argmax(row))
             out.append(NonIntegralMultiplicity(
                 f"multiplicity of {table.irreps[j].name} is {r[j]}, not "
                 f"within {MULTIPLICITY_TOL} of an integer"))

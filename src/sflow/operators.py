@@ -21,11 +21,13 @@ from ._eig import (EPS, block_diag, eigh_error, jacobi_eigh, opnorms,
 from .errors import (
     BoundaryHit,
     DimensionMismatch,
+    EigenFailure,
     EndpointMismatch,
     InfiniteRank,
     NotEquivariant,
     NotInvertible,
     OutOfRange,
+    SflowError,
     TailMismatch,
 )
 from .groups import (
@@ -33,14 +35,15 @@ from .groups import (
     OrthogonalAction,
     RealCharacterTable,
     VirtualRep,
-    character_of_subspace,
-    multiplicity_vector,
+    subspace_classes,
 )
 
 CLUSTER_FACTOR = 1e-8
 INVERT_FACTOR = 1e-10
 EQUIVARIANCE_FACTOR = 1e-8
 JUNCTION_TOL = 1e-9
+# the values of the +1 and -1 tails, in the order of the tail flags
+_TAIL_VALUES = np.array([1.0, -1.0])
 
 
 class FSComponent(enum.Enum):
@@ -121,19 +124,12 @@ class Spectrum:
 
     @functools.cached_property
     def clusters(self) -> tuple[EigenCluster, ...]:
-        """Runs of eigenvalues each within tol of its neighbour, one cluster
-        per run, valued at the run's mean."""
-        vals = self.eigenvalues.tolist()
-        clusters = []
-        i = 0
-        while i < len(vals):
-            j = i + 1
-            while j < len(vals) and vals[j] - vals[j - 1] <= self.tol:
-                j += 1
-            value = vals[i] if j == i + 1 else float(np.mean(self.eigenvalues[i:j]))
-            clusters.append(EigenCluster(value, self.vectors[:, i:j]))
-            i = j
-        return tuple(clusters)
+        """One cluster per run of cluster_values."""
+        starts, values = cluster_values(self.eigenvalues[None],
+                                        np.array([self.tol]))
+        bounds = [*np.flatnonzero(starts[0]).tolist(), self.eigenvalues.size]
+        return tuple(EigenCluster(float(values[0, i]), self.vectors[:, i:j])
+                     for i, j in zip(bounds, bounds[1:]))
 
     def min_abs(self) -> float:
         if self.eigenvalues.size == 0:
@@ -164,11 +160,70 @@ def block_spectrum(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> Spectrum:
     return block_spectra(op.block[None], tol_cluster)[0]
 
 
+def cluster_values(w: np.ndarray,
+                   tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clusters of each row of a (k, n) stack of ascending spectra, at one
+    tolerance per row: (starts, values). starts marks the first eigenvalue
+    of each run of eigenvalues each within tol of its neighbour, and values
+    gives each eigenvalue its run's value: itself when alone, else the bits
+    of np.mean over the run."""
+    starts = np.ones(w.shape, dtype=bool)
+    with np.errstate(over="ignore"):  # a gap past the float range is inf
+        starts[:, 1:] = w[:, 1:] - w[:, :-1] > tol[:, None]
+    if starts.all():  # every run is one eigenvalue, valued at itself
+        return starts, w
+    flat, first = w.reshape(-1), np.flatnonzero(starts)
+    size = np.diff(first, append=flat.size)
+    # np.mean sums from +0.0, pairwise past seven terms; reduceat has its
+    # bits on runs of one and two
+    means = np.add.reduceat(flat, first)
+    means = np.where(size > 1, means + 0.0, means) / size
+    for r in np.flatnonzero(size > 2).tolist():
+        means[r] = np.mean(flat[first[r]:first[r] + size[r]])
+    return starts, np.repeat(means, size).reshape(w.shape)
+
+
+def interval_columns(values: np.ndarray, lower,
+                     upper) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, ncols) per row of a (k, n) cluster_values array: the clusters
+    valued in [lower, upper] are the eigenvector columns lo..lo + ncols, as
+    cluster values ascend. lower and upper are scalars or (k, 1) arrays."""
+    lo = np.count_nonzero(values < lower, axis=1)
+    return lo, np.count_nonzero(values <= upper, axis=1) - lo
+
+
+def window_faults(w: np.ndarray, tol: np.ndarray, a: float,
+                  b: Sequence[float], left_tol: np.ndarray, tails
+                  ) -> list[InfiniteRank | BoundaryHit | None]:
+    """The error spectral_interval_frame raises for the window [a, b[i]] of
+    row i of a (k, n) stack of eigenvalues w, or None: InfiniteRank if a
+    tail value (tails: (plus, minus) flags per row or for all) lies in the
+    window widened by left_tol[i], else BoundaryHit for the first eigenvalue
+    within tol[i] of an edge, where the left edge counts only if left_tol[i]
+    is 0."""
+    lower, b_arr = a - left_tol, np.asarray(b, dtype=float)
+    inside = (np.asarray(tails) & (lower[:, None] <= _TAIL_VALUES)
+              & (_TAIL_VALUES <= b_arr[:, None]))
+    with np.errstate(over="ignore"):  # a distance past the float range is inf
+        left = (left_tol == 0.0)[:, None] & (np.abs(w - a) <= tol[:, None])
+        hit = left | (np.abs(w - b_arr[:, None]) <= tol[:, None])
+    faults: list[InfiniteRank | BoundaryHit | None] = [None] * len(w)
+    for i in np.flatnonzero(inside.any(axis=1) | hit.any(axis=1)):
+        j = int(np.argmax(hit[i])) if w.shape[1] else 0
+        faults[i] = (InfiniteRank(f"window [{a}, {b[i]}] contains the "
+                                  f"{'+1' if inside[i, 0] else '-1'} tail")
+                     if inside[i].any() else
+                     BoundaryHit(f"eigenvalue {float(w[i, j])} at window "
+                                 f"edge {a if left[i, j] else b[i]}"))
+    return faults
+
+
 def spectral_interval_frame(op: CPS | OperatorPath, a: float, b: float,
                             tol_cluster: float = CLUSTER_FACTOR, *,
                             spectrum: Spectrum | None = None,
                             closed_left_tol: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the eigenspaces with eigenvalues in [a, b].
+    """Orthonormal basis of the eigenspaces with eigenvalues in [a, b], the
+    one-spectrum case of window_faults and interval_columns.
 
     op supplies the tails and the dimension, and its block is solved unless
     spectrum is given; with a spectrum, op may be the path the spectrum was
@@ -180,22 +235,21 @@ def spectral_interval_frame(op: CPS | OperatorPath, a: float, b: float,
     """
     if not a <= b:
         raise OutOfRange(f"empty window [{a}, {b}]")
-    if op.plus_tail and a - closed_left_tol <= 1.0 <= b:
-        raise InfiniteRank(f"window [{a}, {b}] contains the +1 tail")
-    if op.minus_tail and a - closed_left_tol <= -1.0 <= b:
-        raise InfiniteRank(f"window [{a}, {b}] contains the -1 tail")
-    spec = spectrum if spectrum is not None else block_spectrum(op, tol_cluster)
-    # Python floats: a distance past the float range is inf, without a warning
-    for e in spec.eigenvalues.tolist():
-        if closed_left_tol == 0.0 and abs(e - a) <= spec.tol:
-            raise BoundaryHit(f"eigenvalue {e} at window edge {a}")
-        if abs(e - b) <= spec.tol:
-            raise BoundaryHit(f"eigenvalue {e} at window edge {b}")
-    picked = [c.vectors for c in spec.clusters
-              if a - closed_left_tol <= c.value <= b]
-    if not picked:
-        return np.zeros((op.dim, 0))
-    return np.concatenate(picked, axis=1)
+    window = (a, [b], np.array([closed_left_tol]), op.tails)
+    if spectrum is None:  # a tail in the window fails before the solve
+        _raise_first(window_faults(np.zeros((1, 0)), np.zeros(1), *window))
+        spectrum = block_spectrum(op, tol_cluster)
+    w, tol = spectrum.eigenvalues[None], np.array([spectrum.tol])
+    _raise_first(window_faults(w, tol, *window))
+    (lo,), (ncols,) = interval_columns(cluster_values(w, tol)[1],
+                                       a - closed_left_tol, b)
+    return spectrum.vectors[:, lo:lo + ncols].copy()
+
+
+def _raise_first(faults: Sequence[Exception | None]) -> None:
+    for fault in faults:
+        if fault is not None:
+            raise fault
 
 
 class OperatorPath:
@@ -420,13 +474,19 @@ def negate(p: OperatorPath) -> OperatorPath:
                                          minus_tail=p.plus_tail)
 
 
+def compression_tail(path: OperatorPath, m: int = 0) -> np.ndarray:
+    """Diagonal block of m copies of each tail value of the path, the part
+    compress appends to every block."""
+    if m < 0:
+        raise OutOfRange(f"m must be nonnegative, got {m}")
+    return np.diag([1.0] * (m if path.plus_tail else 0)
+                   + [-1.0] * (m if path.minus_tail else 0))
+
+
 def compress(path: OperatorPath, m: int = 0) -> OperatorPath:
     """Finite-dimensional model of the path: each tail is replaced by m copies
     of its scalar value appended to the block, tail flags dropped."""
-    if m < 0:
-        raise OutOfRange(f"m must be nonnegative, got {m}")
-    tail = np.diag([1.0] * (m if path.plus_tail else 0)
-                   + [-1.0] * (m if path.minus_tail else 0))
+    tail = compression_tail(path, m)
     if path.kind == "affine":
         return OperatorPath.affine(block_diag(path.mat_a, tail),
                                    block_diag(path.mat_b, np.zeros_like(tail)))
@@ -468,19 +528,49 @@ def morse_class(op: CPS, action: OrthogonalAction, table: RealCharacterTable, *,
                 tol_cluster: float = CLUSTER_FACTOR,
                 tol_invert: float = INVERT_FACTOR) -> VirtualRep:
     """Class of the negative eigenspace of an invertible finite-dimensional
-    equivariant operator."""
+    equivariant operator: the one-block case of morse_classes."""
     if op.plus_tail or op.minus_tail:
         raise InfiniteRank("negative-space class needs a finite-dimensional operator")
-    spec = block_spectrum(op, tol_cluster)
-    scale = 1.0 + spec.block_norm
-    tol = EQUIVARIANCE_FACTOR * scale
-    defect = float(equivariance_defects(op.block[None], action, [tol])[0])
-    if defect > tol:
-        raise NotEquivariant(f"commutator norm {defect:.3e} exceeds tolerance")
-    if spec.min_abs() <= tol_invert * scale:
-        raise NotInvertible(
-            f"eigenvalue {spec.min_abs():.3e} within invertibility threshold")
-    picked = [c.vectors for c in spec.clusters if c.value < 0.0]
-    frame = np.concatenate(picked, axis=1) if picked else np.zeros((op.dim, 0))
-    chi = character_of_subspace(action, frame)
-    return multiplicity_vector(chi, table)
+    return morse_classes(op.block[None], action, table, tol_cluster=tol_cluster,
+                         tol_invert=tol_invert)[0]
+
+
+def morse_classes(blocks: np.ndarray, action: OrthogonalAction,
+                  table: RealCharacterTable, *,
+                  tol_cluster: float = CLUSTER_FACTOR,
+                  tol_invert: float = INVERT_FACTOR) -> list[VirtualRep]:
+    """Classes of the negative eigenspaces of a (k, n, n) stack of invertible
+    equivariant blocks, from one stacked solve, one equivariance check and
+    one subspace_classes call; the negative space is the column range of the
+    clusters valued below 0. Raises the first error of morse_class run on
+    the blocks in order: for each block its failed solve, NotEquivariant,
+    NotInvertible, then its class checks."""
+    specs = solve_each(lambda b: block_spectra(b, tol_cluster), blocks)
+    if isinstance(specs[0], EigenFailure):
+        raise specs[0]
+    scales = [1.0 + s.block_norm if isinstance(s, Spectrum) else np.inf
+              for s in specs]
+    defects = equivariance_defects(
+        blocks, action, [EQUIVARIANCE_FACTOR * c for c in scales]).tolist()
+    good, fault = [], None
+    for spec, scale, defect in zip(specs, scales, defects):
+        if isinstance(spec, EigenFailure):
+            fault = spec
+        elif defect > EQUIVARIANCE_FACTOR * scale:
+            fault = NotEquivariant(f"commutator norm {defect:.3e} exceeds tolerance")
+        elif spec.min_abs() <= tol_invert * scale:
+            fault = NotInvertible(
+                f"eigenvalue {spec.min_abs():.3e} within invertibility threshold")
+        else:
+            good.append(spec)
+            continue
+        break
+    w = np.array([s.eigenvalues for s in good] or np.zeros((0, len(blocks[0]))))
+    values = cluster_values(w, np.array([s.tol for s in good]))[1]
+    # the clusters valued below 0: up to the largest double below 0
+    _, ncols = interval_columns(values, -np.inf, np.nextafter(0.0, -1.0))
+    classes = subspace_classes(action, table, [
+        s.vectors[:, :k] for s, k in zip(good, ncols.tolist())])
+    _raise_first([*(c if isinstance(c, SflowError) else None for c in classes),
+                  fault])
+    return classes

@@ -40,10 +40,12 @@ def reynolds_symmetric(action: OrthogonalAction, x: np.ndarray) -> np.ndarray:
 
 
 def _reynolds(action: OrthogonalAction, x: np.ndarray) -> np.ndarray:
+    # every rho x rho^T from one stacked product, summed in element order
+    # from zero: the bits of a running sum over the elements (a reduction
+    # over the stack's axis would sum 1 x 1 products in another order)
     avg = np.zeros_like(x, dtype=float)
-    for g in range(action.group.order):
-        rho = action.matrix(g)
-        avg += rho @ x @ rho.T
+    for term in action.stack @ x @ action.stack.swapaxes(1, 2):
+        avg += term
     return avg / action.group.order
 
 

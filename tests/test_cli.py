@@ -306,8 +306,12 @@ SMALL_JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)
-# negative or huge: never a group size, where a huge value would be allocated
+# negative or huge, drawn where the schema caps an integer: options, class
+# entries and a preset group's size
 EXTREME_INTS = st.integers(-10 ** 40, -1) | st.integers(10 ** 3, 10 ** 40)
+# element keys that alias "1" under int(), and an unknown field
+ODD_KEYS = st.sampled_from(["0", "1", "01", "+1", " 1", "-1", "1_0", "\u0661",
+                            "unknown"]) | st.text(max_size=3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -318,12 +322,18 @@ def test_mutated_documents_fail_only_with_sflow_errors(data):
     doc["options"] = {"instances": 1, "samples": 3, "max_depth": 12}
     for _ in range(data.draw(st.integers(1, 3))):
         at = data.draw(st.sampled_from(list(_node_paths(doc))[1:]))
-        bounded = at[0] == "options" or "classes" in at
-        value = data.draw(SMALL_JSON | EXTREME_INTS if bounded else SMALL_JSON)
         holder = doc
         for key in at[:-1]:
             holder = holder[key]
-        holder[at[-1]] = value
+        if isinstance(holder, dict) and data.draw(st.booleans()):
+            # move the value to another key, or copy it there
+            moved = data.draw(st.booleans())
+            holder[data.draw(ODD_KEYS)] = (holder.pop(at[-1]) if moved
+                                           else holder[at[-1]])
+            continue
+        bounded = at[0] == "options" or "classes" in at or at == ("group", "n")
+        holder[at[-1]] = data.draw(SMALL_JSON | EXTREME_INTS if bounded
+                                   else SMALL_JSON)
     command = data.draw(st.none() | st.sampled_from(COMMANDS + ("bogus",)))
     seed = data.draw(st.none() | st.integers(-3, 3) | EXTREME_INTS)
     try:
@@ -811,6 +821,22 @@ def test_max_depth_above_the_cap_exits_2(monkeypatch, capsys):
     code, message = main_error(doc, monkeypatch, capsys)
     assert code == 2
     assert "max_depth 54 exceeds 53" in message
+
+
+@pytest.mark.parametrize("preset", ["cyclic", "dihedral"])
+@pytest.mark.parametrize("n", [0, 128, 129, 100_000, 10 ** 40])
+def test_preset_group_size_outside_its_range_exits_2(preset, n, monkeypatch,
+                                                     capsys):
+    # a table of order n or 2n is built and checked in time cubic in n, so n
+    # is capped; at the cap the group is built and the action is short
+    doc = golden_job()
+    doc["group"] = {"preset": preset, "n": n}
+    with pytest.raises(SchemaError):
+        parse_job(json.dumps(doc))
+    code, message = main_error(doc, monkeypatch, capsys)
+    assert code == 2
+    assert message == ("SchemaError: action.matrices[2] is missing" if n == 128
+                       else f"SchemaError: group.n must be in 1..128, got {n}")
 
 
 def test_max_depth_at_the_cap_fails_on_the_leftmost_segment():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sflow import flow
 from sflow import groups
+from sflow import operators
 from sflow import sampling
 from sflow._eig import EPS
 from sflow.cogredient import parametrix
@@ -18,8 +19,10 @@ from sflow.errors import (
     DimensionMismatch,
     EigenFailure,
     EndpointNotInvertible,
+    InfiniteRank,
     NotEquivariant,
     NotInvariant,
+    NotInvertible,
     OutOfRange,
     SflowError,
     WrongGroup,
@@ -47,8 +50,10 @@ from sflow.operators import (
     OperatorPath,
     block_spectrum,
     check_equivariance,
+    compress,
     concatenate,
     direct_sum_paths,
+    morse_class,
     reverse,
     spectral_interval_frame,
 )
@@ -406,6 +411,33 @@ def test_verify_axioms_passes():
     assert by_name["concatenation"].failures == ()
 
 
+def _looped_reynolds(action, x):
+    # the group average as a running sum of rho x rho^T over the elements
+    avg = np.zeros_like(x, dtype=float)
+    for g in range(action.group.order):
+        rho = action.matrix(g)
+        avg += rho @ x @ rho.T
+    return avg / action.group.order
+
+
+def test_stacked_reynolds_average_has_the_bits_of_the_loop():
+    # every block, clamp and equivariant orthogonal matrix a case draw makes
+    # goes through this average
+    rng = np.random.default_rng(103)
+    for preset, n in [("trivial", 1), ("cyclic", 5), ("dihedral", 3),
+                      ("dihedral", 4), ("dihedral", 6)]:
+        for dim in range(1, 13):
+            for conjugate in (False, True):
+                _, action = preset_action(preset, n, dim, rng,
+                                          conjugate=conjugate)
+                for _ in range(3):
+                    x = rng.standard_normal((dim, dim))
+                    got = sampling._reynolds(action, x)
+                    want = _looped_reynolds(action, x)
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # --- batched bisection --------------------------------------------------------
 
 
@@ -740,6 +772,237 @@ def test_class_pass_temporaries_stay_within_the_batch(batch, monkeypatch):
     # one Gram and one invariance check per chunk
     step = max(1, batch // (8 * 6 * 6))
     assert len(seen) == 2 * -(-len(frames) // step)
+
+
+def _frame_by_frame(path, action, table, partition, tol_cluster):
+    # the classes of the knot frames of [0, level], each solved, selected and
+    # classified alone, in loop order: the report's contributions or the
+    # first error. A frame holds the runs of eigenvalues each within tol of
+    # the last whose np.mean lies in [-tol, level]
+    classes = []
+    for i, level in enumerate(partition.levels):
+        for lam in partition.knots[i:i + 2]:
+            spec = block_spectrum(path.at(lam), tol_cluster)
+            try:
+                frame = spectral_interval_frame(path, 0.0, level, spectrum=spec,
+                                                closed_left_tol=spec.tol)
+            except SflowError as e:
+                return e
+            vals, picked, j = spec.eigenvalues.tolist(), [], 0
+            while j < len(vals):
+                k = j + 1
+                while k < len(vals) and vals[k] - vals[k - 1] <= spec.tol:
+                    k += 1
+                if -spec.tol <= float(np.mean(spec.eigenvalues[j:k])) <= level:
+                    picked += range(j, k)
+                j = k
+            assert np.array_equal(frame, spec.vectors[:, picked])
+            (klass,) = subspace_classes(action, table, [frame])
+            if isinstance(klass, SflowError):
+                return klass
+            classes.append(klass.coeffs)
+    return [tuple(b - a for a, b in zip(left, right))
+            for left, right in zip(classes[::2], classes[1::2])]
+
+
+def _edge_partitions(path, rng, tol_cluster):
+    # the certified partition, and copies whose levels sit on, within tol of
+    # or past a knot eigenvalue, or at or above the +-1 tails
+    part = find_partition(path, FlowOptions(tol_cluster=tol_cluster))
+    yield part
+    for _ in range(3):
+        levels = list(part.levels)
+        i = int(rng.integers(len(levels)))
+        spec = block_spectrum(path.at(part.knots[i + int(rng.integers(2))]),
+                              tol_cluster)
+        e = abs(float(rng.choice(spec.eigenvalues)))
+        levels[i] = float(rng.choice([e, e + spec.tol, e + 2.0 * spec.tol,
+                                      1.0, 1.5])) or 0.5
+        yield CertifiedPartition(part.knots, tuple(levels), part.margins)
+
+
+@pytest.mark.parametrize("tol_cluster", [1e-8, 0.0])
+def test_knot_pass_matches_frame_by_frame_selection(tol_cluster):
+    # every flow of one sfl_G_each call per action against its frames taken
+    # one at a time: the same contributions or the same first error
+    rng = np.random.default_rng(83)
+    opts = FlowOptions(tol_cluster=tol_cluster)
+    kinds = set()
+    for table, action in [_trivial_setup(3), _q8_action(rng),
+                          preset_action("dihedral", 4, 6, rng, conjugate=True)]:
+        requests, parts = [], []
+        for i in range(8):
+            plus, minus = _TAILS[i % 4]
+            path = random_equivariant_path(action, rng, plus_tail=plus,
+                                           minus_tail=minus)
+            for part in _edge_partitions(path, rng, tol_cluster):
+                requests.append((path, action))
+                parts.append(part)
+        got = sfl_G_each(requests, table, opts, partitions=parts)
+        for (path, _), part, report in zip(requests, parts, got):
+            want = _frame_by_frame(path, action, table, part, tol_cluster)
+            kinds.add(type(want))
+            if isinstance(want, SflowError):
+                assert type(report) is type(want) and str(report) == str(want)
+            else:
+                assert [c.coeffs for c in report.segment_contributions] == want
+    assert kinds >= {list, BoundaryHit, InfiniteRank}
+
+
+def test_a_knot_eigenvalue_at_minus_tol_is_inside_the_frame():
+    # [0, level] is closed at -tol, so an eigenvalue of exactly -tol at a
+    # knot counts, and a crossing from -tol up to 1 is a flow of -1
+    table, action = _trivial_setup(2)
+    tol = 1e-8 * (1.0 + 2.0)
+    path = OperatorPath.piecewise_linear(
+        [0.0, 1.0], [np.diag([-tol, 2.0]), np.diag([1.0, 2.0])])
+    part = CertifiedPartition((0.0, 1.0), (0.5,), (1e-3,))
+    spec = block_spectrum(path.at(0.0))
+    assert spec.eigenvalues[0] == -spec.tol == -tol
+    assert sfl_G(path, action, table, partition=part).sfl == -1
+
+
+def test_a_knot_that_fails_to_solve_fails_its_flow_only(monkeypatch):
+    # the solve of one knot block raises; its flow gets that EigenFailure and
+    # every other flow of the call keeps the report of its own call
+    table, action = _trivial_setup(2)
+    paths = [OperatorPath.piecewise_linear([0.0, 0.5, 1.0], [
+        np.diag([-1.0, 2.0]), np.diag([0.25 * k, 3.0]), np.diag([1.0, 2.0])])
+        for k in (1, 2, 3)]
+    part = CertifiedPartition((0.0, 0.5, 1.0), (0.1, 0.1), (0.01, 0.01))
+    want = [sfl_G(p, action, table, partition=part) for p in paths]
+    real = flow.block_spectra
+
+    def failing(blocks, tol):
+        if any(b[0, 0] == 0.5 for b in blocks):
+            raise EigenFailure("knot block refused")
+        return real(blocks, tol)
+
+    monkeypatch.setattr(flow, "block_spectra", failing)
+    got = sfl_G_each([(p, action) for p in paths], table, partitions=[part] * 3)
+    assert isinstance(got[1], EigenFailure)
+    assert str(got[1]) == "knot block refused"
+    assert _same_flow(got[0], want[0]) and _same_flow(got[2], want[2])
+
+
+def test_class_pass_reads_the_stacked_eigendata_only(monkeypatch):
+    # no Spectrum.clusters and no spectral_interval_frame on the way to a
+    # report
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-spectrum route taken")
+
+    monkeypatch.setattr(operators.Spectrum, "clusters", property(refuse))
+    for module in (operators, flow):
+        monkeypatch.setattr(module, "spectral_interval_frame", refuse,
+                            raising=False)
+    rng = np.random.default_rng(89)
+    table, action = preset_action("dihedral", 3, 5, rng, conjugate=True)
+    paths = [random_equivariant_path(action, rng, plus_tail=plus,
+                                     minus_tail=minus) for plus, minus in _TAILS]
+    reports = sfl_G_each([(p, action) for p in paths], table)
+    assert all(isinstance(r, SflReport) for r in reports)
+    for p, report in zip(paths, reports):
+        assert morse_oracle_sfl_G(p, action, table, m=1) == report.sfl_G
+
+
+# --- endpoint oracle -------------------------------------------------------------
+
+
+def _sequential_oracle(path, action, table, m, opts):
+    # morse_class of the compressed path at 0, then at 1
+    finite = compress(path, m)
+    act = action.extended(m * (int(path.plus_tail) + int(path.minus_tail)))
+    kwargs = dict(tol_cluster=opts.tol_cluster, tol_invert=opts.tol_invert)
+    try:
+        return (morse_class(finite.at(0.0), act, table, **kwargs)
+                - morse_class(finite.at(1.0), act, table, **kwargs))
+    except SflowError as e:
+        return e
+
+
+def _oracle_cases(rng):
+    # equivariant paths with every tail pattern, and paths whose start or
+    # end is not equivariant, not invertible or both
+    table, action = preset_action("dihedral", 3, 4, rng, conjugate=True)
+    bad = rng.standard_normal((4, 4))
+    bad = bad + bad.T
+    for i in range(8):
+        plus, minus = _TAILS[i % 4]
+        p = random_equivariant_path(action, rng, plus_tail=plus,
+                                    minus_tail=minus)
+        start, end = p.block_at(0.0), p.block_at(1.0)
+        singular = start - float(np.linalg.eigvalsh(start)[0]) * np.eye(4)
+        yield table, action, p
+        for a, b in [(bad, end), (start, bad), (singular, end),
+                     (start, singular), (singular, bad), (bad, singular)]:
+            yield table, action, OperatorPath.affine(a, b - a, plus_tail=plus,
+                                                     minus_tail=minus)
+
+
+def test_oracle_solves_both_endpoints_in_one_stack(monkeypatch):
+    # one stacked solve, one equivariance check and one class call per
+    # oracle, no compressed path, and the endpoint blocks of compress(path,
+    # m) bit for bit
+    rng = np.random.default_rng(97)
+    calls = {"solve": 0, "defects": 0, "classes": 0}
+    seen = []
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    real_classes = operators.morse_classes
+
+    def recording(blocks, *args, **kwargs):
+        seen.append(blocks.copy())
+        return real_classes(blocks, *args, **kwargs)
+
+    table, action = preset_action("dihedral", 3, 4, rng, conjugate=True)
+    for i in range(8):
+        p = random_equivariant_path(action, rng, plus_tail=_TAILS[i % 4][0],
+                                    minus_tail=_TAILS[i % 4][1],
+                                    kind=("affine", "pl")[i // 4])
+        for m in range(4):
+            with monkeypatch.context() as mp:
+                mp.setattr(operators, "block_spectra",
+                           counting("solve", operators.block_spectra))
+                mp.setattr(operators, "equivariance_defects",
+                           counting("defects", operators.equivariance_defects))
+                mp.setattr(operators, "subspace_classes",
+                           counting("classes", operators.subspace_classes))
+                mp.setattr(flow, "morse_classes", recording)
+                mp.setattr(OperatorPath, "_new", None)  # no path is built
+                got = morse_oracle_sfl_G(p, action, table, m)
+            assert calls == {"solve": 1, "defects": 1, "classes": 1}
+            calls.update(solve=0, defects=0, classes=0)
+            finite = compress(p, m)
+            for block, lam in zip(seen.pop(), (0.0, 1.0)):
+                want = finite.at(lam).block
+                assert np.array_equal(block, want)
+                assert np.array_equal(np.signbit(block), np.signbit(want))
+            assert got == _sequential_oracle(p, action, table, m, FlowOptions())
+
+
+def test_oracle_errors_come_in_the_order_of_sequential_endpoints():
+    rng = np.random.default_rng(101)
+    kinds = set()
+    for table, action, p in _oracle_cases(rng):
+        for m in range(4):
+            for opts in (FlowOptions(), FlowOptions(tol_cluster=0.0,
+                                                    tol_invert=0.0)):
+                want = _sequential_oracle(p, action, table, m, opts)
+                try:
+                    got = morse_oracle_sfl_G(p, action, table, m, opts)
+                except SflowError as e:
+                    got = e
+                kinds.add(type(want))
+                if isinstance(want, SflowError):
+                    assert type(got) is type(want) and str(got) == str(want)
+                else:
+                    assert got == want
+    assert kinds >= {groups.VirtualRep, NotEquivariant, NotInvertible}
 
 
 # --- flows of many requests -----------------------------------------------------

@@ -23,18 +23,22 @@ from sflow.operators import (
     CPS,
     FSComponent,
     OperatorPath,
+    Spectrum,
     block_spectra,
     block_spectrum,
     check_equivariance,
+    cluster_values,
     compress,
     concatenate,
     direct_sum,
     direct_sum_paths,
     equivariance_defects,
+    interval_columns,
     morse_class,
     negate,
     reverse,
     spectral_interval_frame,
+    window_faults,
 )
 
 
@@ -330,6 +334,133 @@ def test_interval_frame_accepts_shared_spectrum():
     assert np.allclose(a, b)
 
 
+def _loop_clusters(spec):
+    # (value, first, stop) of each cluster, as a loop over the eigenvalues
+    # forms them: runs each within tol of the last, valued at np.mean
+    vals = spec.eigenvalues.tolist()
+    out, i = [], 0
+    while i < len(vals):
+        j = i + 1
+        while j < len(vals) and vals[j] - vals[j - 1] <= spec.tol:
+            j += 1
+        out.append((vals[i] if j == i + 1 else float(np.mean(spec.eigenvalues[i:j])),
+                    i, j))
+        i = j
+    return out
+
+
+def _loop_frame(spec, a, b, left_tol, plus, minus):
+    # the window [a, b] of one spectrum checked and picked cluster by
+    # cluster: the error, or the (first, stop) columns and whether the picked
+    # clusters are consecutive
+    if plus and a - left_tol <= 1.0 <= b:
+        return InfiniteRank(f"window [{a}, {b}] contains the +1 tail")
+    if minus and a - left_tol <= -1.0 <= b:
+        return InfiniteRank(f"window [{a}, {b}] contains the -1 tail")
+    for e in spec.eigenvalues.tolist():
+        if left_tol == 0.0 and abs(e - a) <= spec.tol:
+            return BoundaryHit(f"eigenvalue {e} at window edge {a}")
+        if abs(e - b) <= spec.tol:
+            return BoundaryHit(f"eigenvalue {e} at window edge {b}")
+    picked = [(i, j) for value, i, j in _loop_clusters(spec)
+              if a - left_tol <= value <= b]
+    assert all(p[1] == q[0] for p, q in zip(picked, picked[1:]))
+    return (picked[0][0], picked[-1][1]) if picked else None
+
+
+def _edge_spectra(rng):
+    # ascending spectra with runs of 1, 2, 3 and 8 or more eigenvalues,
+    # exact repeats, pairs of -0.0, values at exactly -tol, 0 and +-1, and
+    # tolerances of 0 and 1e-8 (1 + norm)
+    for _ in range(300):
+        tol_factor = rng.choice([0.0, 1e-8, 1e-3])
+        parts = []
+        for _ in range(int(rng.integers(1, 6))):
+            x = float(rng.choice([rng.normal(), -1.0, 1.0, 0.0, -0.0,
+                                  rng.normal() * 1e-9]))
+            size = int(rng.choice([1, 1, 2, 3, 8, 9, 12]))
+            spread = rng.choice([0.0, 1e-12, 1e-10]) * rng.random(size)
+            parts.append(x + spread)
+        w = np.sort(np.concatenate(parts))
+        norm = float(np.abs(w).max(initial=0.0))
+        tol = float(tol_factor * (1.0 + norm))
+        if rng.random() < 0.3 and w.size:
+            w[int(rng.integers(w.size))] = -tol  # on the left edge
+            w.sort()
+        if rng.random() < 0.1:
+            w[:] = -0.0
+        v = np.linalg.qr(rng.standard_normal((w.size, w.size)))[0]
+        yield Spectrum(w, v, norm, tol, 0.0)
+
+
+def test_cluster_values_have_the_bits_of_a_loop_over_the_eigenvalues():
+    rng = np.random.default_rng(59)
+    runs = set()
+    for spec in _edge_spectra(rng):
+        want = _loop_clusters(spec)
+        starts, values = cluster_values(spec.eigenvalues[None],
+                                        np.array([spec.tol]))
+        assert np.flatnonzero(starts[0]).tolist() == [i for _, i, _ in want]
+        for value, i, j in want:
+            runs.add(min(j - i, 8))
+            got = values[0, i:j]
+            assert (got == value).all()
+            assert (np.signbit(got) == np.signbit(value)).all()
+        assert [(c.value, c.vectors.shape[1]) for c in spec.clusters] == [
+            (value, j - i) for value, i, j in want]
+        assert all(np.signbit(c.value) == np.signbit(value)
+                   for c, (value, _, _) in zip(spec.clusters, want))
+    assert runs == {1, 2, 3, 4, 5, 6, 7, 8}
+
+
+def test_window_pass_matches_a_per_spectrum_loop():
+    # many spectra and windows at once against one window at a time: the
+    # same error, else the same column range, on levels at, within tol of
+    # and past eigenvalues, windows holding one or both tails, and tol 0
+    rng = np.random.default_rng(61)
+    rows, kinds = [], set()
+    for spec in _edge_spectra(rng):
+        w = spec.eigenvalues
+        for _ in range(6):
+            pick = float(rng.choice(w)) if w.size else 0.5
+            a = float(rng.choice([0.0, 0.0, -1.0, -2.0]))
+            b = float(rng.choice([abs(pick), abs(pick) + spec.tol,
+                                  abs(pick) + 2 * spec.tol, 1.0, 2.5,
+                                  abs(rng.normal())]))
+            left_tol = float(rng.choice([0.0, spec.tol]))
+            plus, minus = bool(rng.random() < 0.3), bool(rng.random() < 0.3)
+            rows.append((spec, a, b, left_tol, plus, minus))
+    for key in {(r[0].eigenvalues.size, r[1]) for r in rows}:
+        group = [r for r in rows if (r[0].eigenvalues.size, r[1]) == key]
+        specs, _, bs, left_tols, plus, minus = zip(*group)
+        w = np.array([s.eigenvalues for s in specs]).reshape(len(group), -1)
+        tol = np.array([s.tol for s in specs])
+        left = np.array(left_tols)
+        faults = window_faults(w, tol, key[1], list(bs), left,
+                               np.array([plus, minus]).T)
+        lo, ncols = interval_columns(cluster_values(w, tol)[1],
+                                     key[1] - left[:, None], np.array(bs)[:, None])
+        for k, (spec, a, b, left_tol, p, m) in enumerate(group):
+            want = _loop_frame(spec, a, b, left_tol, p, m)
+            if isinstance(want, Exception):
+                kinds.add(str(want)[-7:] if isinstance(want, InfiniteRank)
+                          else BoundaryHit)
+                assert type(faults[k]) is type(want)
+                assert str(faults[k]) == str(want)
+                continue
+            kinds.add(want is None)
+            assert faults[k] is None
+            assert ncols[k] == (0 if want is None else want[1] - want[0])
+            if want is not None:
+                assert lo[k] == want[0]
+                op = CPS(np.zeros((spec.eigenvalues.size,) * 2),
+                         plus_tail=p, minus_tail=m)
+                frame = spectral_interval_frame(op, a, b, spectrum=spec,
+                                                closed_left_tol=left_tol)
+                assert np.array_equal(frame, spec.vectors[:, want[0]:want[1]])
+    assert kinds == {"+1 tail", "-1 tail", BoundaryHit, True, False}
+
+
 # --- paths -----------------------------------------------------------------
 
 
@@ -569,6 +700,11 @@ def test_morse_class_trivial_group():
     action = OrthogonalAction(group, [np.eye(2)])
     assert morse_class(CPS(np.diag([-2.0, 3.0])), action, table).coeffs == (1,)
     assert morse_class(CPS(np.diag([1.0, 2.0])), action, table).is_zero()
+    # a cluster straddling 0 has value 0.0, which is not below 0
+    action = OrthogonalAction(group, [np.eye(3)])
+    straddle = CPS(np.diag([-1e-9, 1e-9, 2.0]))
+    assert [c.value for c in block_spectrum(straddle).clusters] == [0.0, 2.0]
+    assert morse_class(straddle, action, table).is_zero()
 
 
 def test_morse_class_z2():
@@ -587,6 +723,12 @@ def test_morse_class_rejections():
         morse_class(CPS(np.diag([0.0, 1.0])), diag, table)
     with pytest.raises(NotEquivariant):
         morse_class(CPS(np.diag([1.0, -1.0])), swap, table)
+    # commutator norm 4e-8 against the tolerance 1e-8 (1 + 1 + 2e-8)
+    with pytest.raises(NotEquivariant, match="commutator norm 4.000e-08"):
+        morse_class(CPS(np.eye(2) + 2e-8 * np.diag([1.0, -1.0])), swap, table)
+    # a block that fails to solve fails before the action's dimension is read
+    with pytest.raises(EigenFailure):
+        morse_class(CPS(np.full((3, 3), np.nan)), diag, table)
 
 
 # --- stacked solves and blocks ----------------------------------------------
