@@ -46,6 +46,7 @@ from .operators import (
     equivariance_defects,
     interval_columns,
     morse_classes,
+    solve_speeds,
     window_faults,
 )
 
@@ -319,14 +320,17 @@ def _partitions(caches: list[_SpectraCache], opts: FlowOptions
     leftmost BISECTION_BATCH pending segments of every path, solves their
     missing samples together and tests them together, then accepts or
     splits each path's segments in order; the first round solves 0, 1/2
-    and 1 of every path."""
+    and 1 of every path, and before it every path's piece speeds are
+    solved together (solve_speeds)."""
     out: list[CertifiedPartition | SflowError | None] = [None] * len(caches)
+    solve_speeds([cache.path for cache in caches])
     _fill_each([(cache, [0.0, 0.5, 1.0]) for cache in caches])
     # per live path: pending (left, right, depth) segments, accepted
     # (right, level, margin) ones, and the leftmost failure so far
     live: dict[int, tuple[list, list, SflowError | None]] = {}
     for k, cache in enumerate(caches):
         try:
+            cache.path.speeds  # raises if they failed to solve
             _require_invertible_ends(cache, opts)
         except SflowError as e:
             out[k] = e

@@ -3,6 +3,7 @@ vectors of irreducible multiplicities that the flow takes values in."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -63,27 +64,23 @@ class FiniteGroup:
                 if not 0 <= x < n:
                     raise NonGroup(f"entry {x} in row {i} out of range 0..{n - 1}")
 
-        identity = None
-        for e in range(n):
-            if all(table[e][g] == g and table[g][e] == g for g in range(n)):
-                identity = e
-                break
-        if identity is None:
+        t, elems = np.array(table, dtype=np.intp), np.arange(n)
+        two_sided = ((t == elems) & (t.T == elems)).all(axis=1)
+        if not two_sided.any():
             raise NonGroup("no two-sided identity element")
-        self.identity = identity
+        self.identity = identity = int(np.argmax(two_sided))
 
-        inverses = []
-        for g in range(n):
-            candidates = [h for h in range(n) if table[g][h] == identity]
-            if len(candidates) != 1 or table[candidates[0]][g] != identity:
-                raise NonGroup(f"element {g} has no unique two-sided inverse")
-            inverses.append(candidates[0])
-        self.inverses = tuple(inverses)
+        hits = t == identity
+        inverses = np.argmax(hits, axis=1)
+        bad = (hits.sum(axis=1) != 1) | (t[inverses, elems] != identity)
+        if bad.any():
+            raise NonGroup(f"element {int(np.argmax(bad))} has no unique "
+                           f"two-sided inverse")
+        self.inverses = tuple(inverses.tolist())
 
         # (ab)c against a(bc) for all triples, as many rows a at a time as
         # keep each temporary within HOMOMORPHISM_BATCH entries (at least one
         # row), so memory stays near order^2 rather than order^3
-        t = np.array(table, dtype=np.intp)
         step = max(1, HOMOMORPHISM_BATCH // (n * n))
         for a0 in range(0, n, step):
             rows = t[a0:a0 + step]
@@ -92,22 +89,15 @@ class FiniteGroup:
                 a, b, c = (int(x) for x in np.argwhere(bad)[0])
                 raise NonGroup(f"associativity fails at {(a0 + a, b, c)}")
 
-        seen = [False] * n
-        classes = []
-        for g in range(n):
-            if seen[g]:
-                continue
-            orbit = sorted({table[table[h][g]][inverses[h]] for h in range(n)})
-            for x in orbit:
-                seen[x] = True
-            classes.append(tuple(orbit))
-        self.conjugacy_classes = tuple(classes)
-        self.class_sizes = tuple(len(c) for c in classes)
-        class_of = [0] * n
-        for idx, cls in enumerate(classes):
-            for g in cls:
-                class_of[g] = idx
-        self.class_of = tuple(class_of)
+        # row g of the orbits holds h g h^-1 for every h; classes are
+        # ordered by their least element
+        orbits = t[t.T, inverses]
+        least, class_of = np.unique(orbits.min(axis=1), return_inverse=True)
+        self.class_of = tuple(class_of.tolist())
+        self.conjugacy_classes = tuple(
+            tuple(np.flatnonzero(class_of == c).tolist())
+            for c in range(len(least)))
+        self.class_sizes = tuple(len(c) for c in self.conjugacy_classes)
 
     @property
     def order(self) -> int:
@@ -155,6 +145,12 @@ class RealCharacterTable:
         self.group = group
         self.irreps = tuple(irreps)
         self._validate()
+        # the matrix _multiplicities resolves characters with
+        self._pairing = np.array([
+            [s * v / (group.order * ir.schur_norm)
+             for s, v in zip(group.class_sizes, ir.values)]
+            for ir in self.irreps]).T
+        self._pairing.flags.writeable = False
 
     def _validate(self) -> None:
         g = self.group
@@ -341,23 +337,11 @@ def direct_sum_action(a: OrthogonalAction, b: OrthogonalAction) -> OrthogonalAct
 # --- preset groups -------------------------------------------------------
 
 
-def _cyclic_table(n: int) -> list[list[int]]:
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
-
-
-def _dihedral_table(n: int) -> list[list[int]]:
-    # element f*n + t is reflection^f rotation^t;
+def _rotation_table(n: int, flips: bool) -> list[list[int]]:
+    # element f*n + t is reflection^f rotation^t (f = 0 without flips);
     # (f1,t1)*(f2,t2) = (f1 xor f2, t2 + (-1)^f2 * t1)
-    order = 2 * n
-    table = [[0] * order for _ in range(order)]
-    for f1 in range(2):
-        for t1 in range(n):
-            for f2 in range(2):
-                for t2 in range(n):
-                    f = f1 ^ f2
-                    t = (t2 + (t1 if f2 == 0 else -t1)) % n
-                    table[f1 * n + t1][f2 * n + t2] = f * n + t
-    return table
+    f, t = np.divmod(np.arange((1 + flips) * n), n)
+    return ((f[:, None] ^ f) * n + (t + (-1) ** f * t[:, None]) % n).tolist()
 
 
 _FLIP = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -408,7 +392,8 @@ def build_group(preset: str, n: int | None = None, *,
     Presets: "trivial", "cyclic" (order n >= 1), "dihedral" (order 2n, n >= 1),
     or "explicit" with a multiplication table and character data. Explicit
     character values must be listed per conjugacy class, classes ordered by
-    their minimal element.
+    their minimal element. A preset is built once per (preset, n), and every
+    call returns the same two objects, which nothing may modify.
     """
     if preset == "explicit":
         if mult_table is None or char_table is None:
@@ -426,16 +411,20 @@ def build_group(preset: str, n: int | None = None, *,
                 except (KeyError, TypeError, ValueError) as exc:
                     raise BadCharacterTable(f"bad irrep record {item!r}") from exc
         return group, RealCharacterTable(group, irreps)
+    return _preset_group(preset, None if preset == "trivial" else n)
+
+
+@functools.lru_cache(maxsize=32)
+def _preset_group(preset: str, n: int | None
+                  ) -> tuple[FiniteGroup, RealCharacterTable]:
     if preset == "trivial":
         group = FiniteGroup(((0,),), name="trivial")
     elif preset in ("cyclic", "dihedral"):
         if n is None or n < 1:
             raise NonGroup(f"{preset} preset needs n >= 1, got {n}")
-        if preset == "dihedral" and n > 1:
-            mult = _dihedral_table(n)
-        else:
-            # dihedral(1) has order 2; same abstract group as cyclic(2)
-            mult = _cyclic_table(n if preset == "cyclic" else 2)
+        # dihedral(1) has order 2; same abstract group as cyclic(2)
+        flips = preset == "dihedral" and n > 1
+        mult = _rotation_table(n if preset == "cyclic" or flips else 2, flips)
         group = FiniteGroup(tuple(map(tuple, mult)), name=f"{preset}_{n}")
     else:
         raise NonGroup(f"unknown preset {preset!r}")
@@ -520,9 +509,7 @@ def _multiplicities(chi: np.ndarray, table: RealCharacterTable
     if chi.shape[1] != group.n_classes:
         raise TableMismatch(
             f"{chi.shape[1]} character values for {group.n_classes} classes")
-    raw = chi @ np.array([[s * v / (group.order * ir.schur_norm)
-                           for s, v in zip(group.class_sizes, ir.values)]
-                          for ir in table.irreps]).T
+    raw = chi @ table._pairing
     coeffs = np.round(raw)
     with np.errstate(invalid="ignore"):
         off = ~(np.abs(raw - coeffs) < MULTIPLICITY_TOL)  # NaN is off

@@ -256,10 +256,10 @@ class OperatorPath:
     """Affine or piecewise-linear path of blocks with fixed tails.
 
     The speed of each piece (speeds, one per pair of consecutive knots) and
-    the Lipschitz bound, their maximum, are recomputed from the data on
-    construction and never trusted from the caller; certification downstream
-    depends on them being true upper bounds for the block's spectral-norm
-    velocity.
+    the Lipschitz bound, their maximum, are computed from the data and never
+    trusted from the caller; certification downstream depends on them being
+    true upper bounds for the block's spectral-norm velocity. They are
+    solved on first read, or for many paths at once by solve_speeds.
     """
 
     def __init__(self) -> None:
@@ -288,8 +288,7 @@ class OperatorPath:
         self.plus_tail = bool(plus_tail)
         self.minus_tail = bool(minus_tail)
         self.dim = a.shape[0]
-        self.lipschitz = _specnorm(b)
-        self.speeds = np.array([self.lipschitz])
+        self._diffs, self._speeds = b[None], None
         return self
 
     @classmethod
@@ -327,10 +326,23 @@ class OperatorPath:
         self.dim = dim
         if not np.isfinite(stack).all():  # and from the sample differences
             raise OutOfRange("samples have non-finite entries")
-        self.speeds = (solve_each(_specnorm, stack[1:] - stack[:-1], strict=True)
-                       / np.diff(knots))
-        self.lipschitz = float(np.max(self.speeds, initial=0.0))
+        with np.errstate(over="ignore"):
+            diffs = stack[1:] - stack[:-1]
+        if not np.isfinite(diffs).all():  # as solving its speed would raise
+            raise EigenFailure("block has non-finite entries")
+        self._diffs, self._speeds = diffs, None
         return self
+
+    @property
+    def speeds(self) -> np.ndarray:
+        if self._speeds is None:
+            self._speeds = (solve_each(_specnorm, self._diffs, strict=True)
+                            / np.diff(self.knots))
+        return self._speeds
+
+    @property
+    def lipschitz(self) -> float:
+        return float(np.max(self.speeds, initial=0.0))
 
     @property
     def tails(self) -> tuple[bool, bool]:
@@ -413,6 +425,26 @@ def _specnorm(m: np.ndarray) -> float | np.ndarray:
     return float(norms[0]) if single else norms
 
 
+def solve_speeds(paths: Sequence[OperatorPath]) -> None:
+    """Solve the piece speeds of every path not solved yet in one stacked
+    _specnorm per block size, each speed with the bits of its path's own
+    solve. A stack that fails to solve is left to each path's first read of
+    its speeds, so that the failure belongs to its own path."""
+    by_dim: dict[int, dict[int, OperatorPath]] = {}
+    for path in paths:
+        if path._speeds is None:
+            by_dim.setdefault(path.dim, {})[id(path)] = path
+    for group in by_dim.values():
+        diffs = [path._diffs for path in group.values()]
+        try:
+            norms = _specnorm(np.concatenate(diffs))
+        except EigenFailure:
+            continue
+        at = np.cumsum([0] + [len(d) for d in diffs])
+        for path, lo, hi in zip(group.values(), at, at[1:]):
+            path._speeds = norms[lo:hi] / np.diff(path.knots)
+
+
 def direct_sum(a: CPS, b: CPS) -> CPS:
     """Block-diagonal join; tail flags are merged."""
     return CPS(block_diag(a.block, b.block), plus_tail=a.plus_tail or b.plus_tail,
@@ -440,10 +472,12 @@ def concatenate(p: OperatorPath, q: OperatorPath) -> OperatorPath:
         raise TailMismatch(f"tails {p.tails} vs {q.tails}")
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimensions {p.dim} and {q.dim} differ")
-    junction_gap = _specnorm(p.block_at(1.0) - q.block_at(0.0))
-    if junction_gap > JUNCTION_TOL:
-        raise EndpointMismatch(
-            f"p(1) and q(0) differ by {junction_gap:.3e} > {JUNCTION_TOL}")
+    end, start = p.block_at(1.0), q.block_at(0.0)
+    if not np.array_equal(end, start):  # equal blocks are 0 apart
+        junction_gap = _specnorm(end - start)
+        if junction_gap > JUNCTION_TOL:
+            raise EndpointMismatch(
+                f"p(1) and q(0) differ by {junction_gap:.3e} > {JUNCTION_TOL}")
     knots_p = [k / 2.0 for k in p.knot_values()]
     knots_q = [0.5 + k / 2.0 for k in q.knot_values()]
     samples = [*p.blocks_at(p.knots), *q.blocks_at(q.knots[1:])]

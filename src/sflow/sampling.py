@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._eig import block_diag, jacobi_eigh, spectral_norm_sym
+from ._eig import block_diag, jacobi_eigh
 from .errors import OutOfRange
 from .groups import (
     FiniteGroup,
@@ -34,34 +34,46 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def reynolds_symmetric(action: OrthogonalAction, x: np.ndarray) -> np.ndarray:
-    """Group average of x, symmetrized. Lands in the commutant exactly."""
+    """Group average of x, or of each matrix of a (k, d, d) stack,
+    symmetrized. Lands in the commutant exactly."""
     avg = _reynolds(action, x)
-    return 0.5 * avg + 0.5 * avg.T
+    return 0.5 * avg + 0.5 * avg.swapaxes(-1, -2)
 
 
 def _reynolds(action: OrthogonalAction, x: np.ndarray) -> np.ndarray:
     # every rho x rho^T from one stacked product, summed in element order
     # from zero: the bits of a running sum over the elements (a reduction
-    # over the stack's axis would sum 1 x 1 products in another order)
+    # over the stack's axis would sum 1 x 1 products in another order); a
+    # stack of x gives each matrix the bits of its own average
+    rho = action.stack if x.ndim == 2 else action.stack[:, None]
     avg = np.zeros_like(x, dtype=float)
-    for term in action.stack @ x @ action.stack.swapaxes(1, 2):
+    for term in rho @ x @ rho.swapaxes(-1, -2):
         avg += term
     return avg / action.group.order
 
 
 def random_equivariant_symmetric(action: OrthogonalAction,
-                                 rng: np.random.Generator) -> np.ndarray:
-    return reynolds_symmetric(action, rng.standard_normal((action.dim,) * 2))
+                                 rng: np.random.Generator,
+                                 k: int | None = None) -> np.ndarray:
+    """Random symmetric block in the commutant, or a (k, d, d) stack of k of
+    them drawn and averaged at once, with the numbers and bits of k draws in
+    turn."""
+    shape = (action.dim,) * 2 if k is None else (k, action.dim, action.dim)
+    return reynolds_symmetric(action, rng.standard_normal(shape))
 
 
 def clamp_spectrum(action: OrthogonalAction, block: np.ndarray,
                    delta: float = CLAMP_DELTA) -> np.ndarray:
     """Push eigenvalues in (-delta, delta) out to +-delta, zeros to +delta,
-    then re-average to scrub roundoff from the reconstruction."""
+    then re-average to scrub roundoff from the reconstruction. A (k, d, d)
+    stack is clamped in one eigensolve, each matrix as if alone."""
     w, v = jacobi_eigh(block)
+    return reynolds_symmetric(action, _clamped(w, v, delta))
+
+
+def _clamped(w: np.ndarray, v: np.ndarray, delta: float) -> np.ndarray:
     clamped = np.where(np.abs(w) >= delta, w, np.where(w >= 0.0, delta, -delta))
-    out = (v * clamped) @ v.T
-    return reynolds_symmetric(action, out)
+    return (v * clamped[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def random_equivariant_invertible(action: OrthogonalAction,
@@ -80,13 +92,15 @@ def random_equivariant_path(action: OrthogonalAction,
 
     kind is "affine", "pl", or None for a coin flip. start_block pins the
     initial block exactly, for building concatenation chains; it is trusted
-    to be equivariant and invertible.
+    to be equivariant and invertible. The endpoints are drawn and clamped as
+    one stack and the interior samples drawn as another.
     """
     if kind is None:
         kind = "affine" if rng.random() < 0.5 else "pl"
-    start = (start_block if start_block is not None
-             else random_equivariant_invertible(action, rng, delta))
-    end = random_equivariant_invertible(action, rng, delta)
+    ends = clamp_spectrum(action, random_equivariant_symmetric(
+        action, rng, 1 if start_block is not None else 2), delta)
+    start = start_block if start_block is not None else ends[0]
+    end = ends[-1]
     if kind == "affine":
         return OperatorPath.affine(start, end - start, plus_tail=plus_tail,
                                    minus_tail=minus_tail)
@@ -94,10 +108,8 @@ def random_equivariant_path(action: OrthogonalAction,
         raise OutOfRange(f"unknown path kind {kind!r}")
     n_interior = int(rng.integers(1, 4))
     knots = np.linspace(0.0, 1.0, n_interior + 2)
-    samples = [start]
-    samples += [random_equivariant_symmetric(action, rng)
-                for _ in range(n_interior)]
-    samples.append(end)
+    samples = [start, *random_equivariant_symmetric(action, rng, n_interior),
+               end]
     return OperatorPath.piecewise_linear(knots, samples, plus_tail=plus_tail,
                                          minus_tail=minus_tail)
 
@@ -107,13 +119,16 @@ def random_invertible_path(action: OrthogonalAction,
                            plus_tail: bool = False, minus_tail: bool = False,
                            delta: float = CLAMP_DELTA) -> OperatorPath:
     """Path invertible at every parameter: a clamped base plus a perturbation
-    kept strictly inside the spectral gap, so no eigenvalue can reach zero."""
-    base = random_equivariant_invertible(action, rng, delta)
+    kept strictly inside the spectral gap, so no eigenvalue can reach zero.
+    The base and the perturbation are drawn as one stack and solved in one
+    eigensolve."""
+    pair = random_equivariant_symmetric(action, rng, 2)
+    w, v = jacobi_eigh(pair)
+    base, bump = reynolds_symmetric(action, _clamped(w[0], v[0], delta)), pair[1]
     if action.dim == 0:
         return OperatorPath.affine(base, np.zeros_like(base),
                                    plus_tail=plus_tail, minus_tail=minus_tail)
-    bump = random_equivariant_symmetric(action, rng)
-    norm = spectral_norm_sym(bump)
+    norm = float(np.abs(w[1]).max())
     if norm > 0.0:
         bump *= (0.4 * delta) / norm
     if rng.random() < 0.5:

@@ -116,6 +116,26 @@ def test_parse_fills_defaults():
     assert job.opts == FlowOptions()
 
 
+def _group_state(table):
+    return repr((vars(table.group), table.irreps, table._pairing.tobytes(),
+                 table._pairing.flags.writeable))
+
+
+def test_preset_jobs_share_one_group_and_table_that_no_job_modifies():
+    a, b = (parse_job(json.dumps(golden_job())) for _ in range(2))
+    assert a.table is b.table
+    assert a.action.group is b.action.group is a.table.group
+    before = _group_state(a.table)
+    for command in COMMANDS:
+        doc = golden_job()
+        doc["command"] = command
+        run(parse_job(json.dumps(doc)))
+    assert _group_state(a.table) == before
+    c, d = (parse_job(json.dumps(explicit_job())) for _ in range(2))
+    assert c.table is not d.table
+    assert c.table == d.table == a.table
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_job("{bad json")

@@ -143,10 +143,11 @@ def test_certificate_pays_for_the_eigensolver_error(monkeypatch):
 
     flat = OperatorPath.affine(np.eye(2), np.zeros((2, 2)))
     near_zero = OperatorPath.affine(np.array([[-0.1]]), np.array([[0.2]]))
+    flat.speeds  # solved here, before the bound below holds
     find_partition(near_zero)
     # a solver error bound of 0.2 shrinks the margin by 0.2 without moving
     # the level, makes eigenvalues of size 0.1 count as possibly zero, and
-    # enters the Lipschitz bound of every path built while it holds
+    # enters the Lipschitz bound of every path solved while it holds
     monkeypatch.setattr(operators, "eigh_error", lambda block, w, v: 0.2)
     part = find_partition(flat)
     assert part.levels == (0.5,)
@@ -538,6 +539,7 @@ class _BadSolvePath:
 
     lipschitz = 0.0
     knots, speeds = np.array([0.0, 1.0]), np.array([0.0])
+    _speeds = speeds  # solved already
     segment_speeds = OperatorPath.segment_speeds
     plus_tail = minus_tail = True
     dim = 3
@@ -569,7 +571,7 @@ def _at_global_speed(path):
     # the same path with every piece at the Lipschitz bound, the radius every
     # segment paid before segments were bounded by the pieces they meet
     slow = copy.copy(path)
-    slow.speeds = np.full_like(path.speeds, path.lipschitz)
+    slow._speeds = np.full_like(path.speeds, path.lipschitz)
     return slow
 
 

@@ -484,3 +484,88 @@ def test_irrep_dataclass_is_frozen():
     ir = Irrep("trivial", 1, 1, (1.0,))
     with pytest.raises(AttributeError):
         ir.degree = 2
+
+
+def test_presets_are_built_once_and_explicit_groups_every_time():
+    for preset, n in (("trivial", None), ("cyclic", 5), ("dihedral", 1),
+                      ("dihedral", 6)):
+        group, table = build_group(preset, n)
+        again = build_group(preset, n)
+        assert again[0] is group and again[1] is table
+    assert build_group("trivial", 3)[1] is build_group("trivial")[1]
+    table = [[0, 1], [1, 0]]
+    chars = [{"name": "a", "degree": 1, "schur": 1, "values": [1, 1]},
+             {"name": "b", "degree": 1, "schur": 1, "values": [1, -1]}]
+    first = build_group("explicit", mult_table=table, char_table=chars)
+    second = build_group("explicit", mult_table=table, char_table=chars)
+    assert first[0] is not second[0] and first[1] is not second[1]
+
+
+@pytest.mark.parametrize("preset, n", [("trivial", None), ("cyclic", 5),
+                                       ("dihedral", 4), ("dihedral", 6)])
+def test_the_class_pairing_is_computed_once_with_the_bits_of_the_loop(preset, n):
+    _, table = build_group(preset, n)
+    group = table.group
+    pairing = np.array([[s * v / (group.order * ir.schur_norm)
+                         for s, v in zip(group.class_sizes, ir.values)]
+                        for ir in table.irreps]).T
+    assert table._pairing.tobytes() == pairing.tobytes()
+    assert not table._pairing.flags.writeable
+    chi = np.array([ir.values for ir in table.irreps])
+    assert [c.coeffs for c in groups._multiplicities(chi, table)] == [
+        tuple(float(i == j) for j in range(table.n_irreps))
+        for i in range(table.n_irreps)]
+
+
+def _group_data_by_loops(table):
+    # identity, inverses and conjugacy classes as element-by-element loops,
+    # the reference for FiniteGroup's array form; None where a check fails
+    n = len(table)
+    identity = next((e for e in range(n) if all(
+        table[e][g] == g and table[g][e] == g for g in range(n))), None)
+    if identity is None:
+        return "no two-sided identity element"
+    inverses = []
+    for g in range(n):
+        candidates = [h for h in range(n) if table[g][h] == identity]
+        if len(candidates) != 1 or table[candidates[0]][g] != identity:
+            return f"element {g} has no unique two-sided inverse"
+        inverses.append(candidates[0])
+    classes, seen = [], set()
+    for g in range(n):
+        if g not in seen:
+            orbit = sorted({table[table[h][g]][inverses[h]] for h in range(n)})
+            seen.update(orbit)
+            classes.append(tuple(orbit))
+    class_of = tuple(next(i for i, c in enumerate(classes) if g in c)
+                     for g in range(n))
+    return identity, tuple(inverses), tuple(classes), class_of
+
+
+def test_group_checks_and_classes_match_element_by_element_loops():
+    rng = np.random.default_rng(6)
+    tables = [rng.integers(0, n, size=(n, n)).tolist()
+              for n in range(1, 6) for _ in range(200)]
+    for preset, n in (("cyclic", 6), ("dihedral", 4), ("dihedral", 5)):
+        group, _ = build_group(preset, n)
+        tables.append([list(row) for row in group.mult_table])
+        for _ in range(60):  # one entry changed
+            t = [list(row) for row in group.mult_table]
+            t[rng.integers(group.order)][rng.integers(group.order)] = int(
+                rng.integers(group.order))
+            tables.append(t)
+    groups_seen = 0
+    for table in tables:
+        want = _group_data_by_loops(table)
+        try:
+            g = FiniteGroup(table)
+        except NonGroup as e:
+            if isinstance(want, str):
+                assert str(e) == want
+            else:  # only associativity is left to fail
+                assert str(e).startswith("associativity fails")
+            continue
+        groups_seen += 1
+        assert (g.identity, g.inverses, g.conjugacy_classes, g.class_of) == want
+        assert g.class_sizes == tuple(len(c) for c in want[2])
+    assert groups_seen > 100

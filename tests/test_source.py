@@ -60,3 +60,52 @@ def test_every_private_definition_has_a_caller_in_the_package():
                     defined[own] = f"{path.name}:{node.lineno} {own}"
             used |= _names(node) - {own}
     assert sorted(v for k, v in defined.items() if k not in used) == []
+
+
+
+def _assigned(node: ast.AST):
+    # (object, attribute) of every attribute a statement sets or deletes, or
+    # changes in place through a subscript, or that a setattr call sets
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        stack = [node.target]
+    else:
+        stack = []
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            stack += t.elts
+        elif isinstance(t, (ast.Starred, ast.Subscript)):
+            stack.append(t.value)
+        elif isinstance(t, ast.Attribute):
+            yield ast.unparse(t.value), t.attr
+    if (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("setattr")
+            and len(node.args) == 3 and isinstance(node.args[1], ast.Constant)):
+        yield ast.unparse(node.args[0]), node.args[1].value
+
+
+def test_nothing_in_the_package_modifies_a_group_or_a_character_table():
+    # build_group hands every job the same preset group and table, so their
+    # attributes are set by their own constructors only: no statement sets
+    # one on another object, and no other method of theirs sets one
+    group, table = sflow.build_group("cyclic", 3)
+    fields = set(vars(group)) | set(vars(table))
+    constructors = {"FiniteGroup": "__post_init__", "RealCharacterTable": "__init__"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            found += [f"{path.name}:{node.lineno} {obj}.{attr}"
+                      for obj, attr in _assigned(node)
+                      if attr in fields and obj != "self"]
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name not in constructors:
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and fn.name != constructors[cls.name]):
+                    found += [f"{path.name}:{node.lineno} {cls.name}.{fn.name}"
+                              for node in ast.walk(fn)
+                              for obj, _ in _assigned(node) if obj == "self"]
+    assert found == []
