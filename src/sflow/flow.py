@@ -158,7 +158,10 @@ class _SpectraCache:
         new = [lam for lam in dict.fromkeys(lams) if lam not in self._blocks]
         if new:
             b = self.path.blocks_at(new)
-            self._blocks.update(zip(new, 0.5 * b + 0.5 * np.swapaxes(b, 1, 2)))
+            b = 0.5 * b + 0.5 * np.swapaxes(b, 1, 2)
+            self._blocks.update(zip(new, b))
+            if len(new) == len(lams):  # every parameter new: b is the stack
+                return b
         return np.stack([self._blocks[lam] for lam in lams])
 
     def fill(self, lams: list[float]) -> None:
@@ -228,18 +231,18 @@ def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
         # the highest upper end before it; where envelopes overlap it is
         # empty, so the nonempty gaps are those between merged envelopes,
         # followed by the gap up to cap
+        rows = np.arange(len(w))
         order = np.argsort(lo, axis=1, kind="stable")
-        lo = np.take_along_axis(lo, order, axis=1)
-        top = np.maximum.accumulate(np.take_along_axis(hi, order, axis=1), axis=1)
+        lo = lo[rows[:, None], order]
+        top = np.maximum.accumulate(hi[rows[:, None], order], axis=1)
         gap_lo = np.maximum(0.0, np.minimum(np.concatenate(
             [np.zeros((len(w), 1)), top], axis=1), cap))
         gap_hi = np.minimum(np.concatenate([lo, cap], axis=1), cap)
         open_ = gap_hi > gap_lo
         widths = np.where(open_, gap_hi - gap_lo, -np.inf)
-        best = np.argmax(widths, axis=1)[:, None]  # the first widest
-        width = np.take_along_axis(widths, best, axis=1)[:, 0]
-        level = ((np.take_along_axis(gap_lo, best, axis=1)
-                  + np.take_along_axis(gap_hi, best, axis=1)) / 2.0)[:, 0]
+        best = np.argmax(widths, axis=1)  # the first widest
+        width = widths[rows, best]
+        level = (gap_lo[rows, best] + gap_hi[rows, best]) / 2.0
         # the envelopes hold the computed eigenvalues; the exact ones may sit
         # up to err further in, which the margin pays for without moving the
         # level
@@ -312,19 +315,28 @@ def _require_invertible_ends(cache: _SpectraCache, opts: FlowOptions) -> None:
                 f"threshold {threshold:.3e}")
 
 
+def _halves(left: float, right: float, depth: int
+            ) -> list[tuple[float, float, int]]:
+    mid = (left + right) / 2.0
+    return [(left, mid, depth + 1), (mid, right, depth + 1)]
+
+
 def _partitions(caches: list[_SpectraCache], opts: FlowOptions
                 ) -> list[CertifiedPartition | SflowError]:
     """find_partition for the path of each cache, in shared rounds.
 
     Each path keeps its own left-to-right worklist. A round takes the
-    leftmost BISECTION_BATCH pending segments of every path, solves their
-    missing samples together and tests them together, then accepts or
-    splits each path's segments in order; the first round solves 0, 1/2
-    and 1 of every path, and before it every path's piece speeds are
-    solved together (solve_speeds)."""
+    leftmost BISECTION_BATCH pending segments of every path and both halves
+    of each, solves their missing samples together and tests them together,
+    then accepts or splits each path's segments in order. A segment that
+    splits resolves its halves from the same round, so only halves that
+    split again leave pending quarters. Before the first round every path's
+    piece speeds are solved together (solve_speeds), and so are 0, 1/4,
+    1/2, 3/4 and 1 of every path, which leaves that round nothing to
+    solve."""
     out: list[CertifiedPartition | SflowError | None] = [None] * len(caches)
     solve_speeds([cache.path for cache in caches])
-    _fill_each([(cache, [0.0, 0.5, 1.0]) for cache in caches])
+    _fill_each([(cache, [0.0, 0.25, 0.5, 0.75, 1.0]) for cache in caches])
     # per live path: pending (left, right, depth) segments, accepted
     # (right, level, margin) ones, and the leftmost failure so far
     live: dict[int, tuple[list, list, SflowError | None]] = {}
@@ -339,7 +351,10 @@ def _partitions(caches: list[_SpectraCache], opts: FlowOptions
     while live:
         batches = {k: pending[:BISECTION_BATCH]
                    for k, (pending, _, _) in live.items()}
-        tried = {k: [(left, right) for left, right, depth in batch
+        # a segment at the depth budget never splits, so its halves are
+        # not needed
+        tried = {k: [(left, right) for seg in batch for left, right, depth in
+                     [seg, *(_halves(*seg) if seg[2] < opts.max_depth else ())]
                      if depth >= opts.min_depth]
                  for k, batch in batches.items()}
         _fill_each([(caches[k], [lam for left, right in segs
@@ -347,17 +362,21 @@ def _partitions(caches: list[_SpectraCache], opts: FlowOptions
                     for k, segs in tried.items()])
         segments = [(k, left, right) for k, segs in tried.items()
                     for left, right in segs]
-        found = dict(zip([(k, left) for k, left, _ in segments], _certify_each(
+        found = dict(zip(segments, _certify_each(
             [(caches[k], left, right) for k, left, right in segments],
             opts.tol_cluster)))
         for k, batch in batches.items():
             pending, accepted, failure = live.pop(k)
             later = pending[BISECTION_BATCH:]
             split: list[tuple[float, float, int]] = []
-            for left, right, depth in batch:
+            # a stack of segments in order, each with whether its halves
+            # were tried in this round
+            todo = [(seg, True) for seg in reversed(batch)]
+            while todo:
+                (left, right, depth), ahead = todo.pop()
                 fault: SflowError | None = None
                 if depth >= opts.min_depth:
-                    level_margin = found[(k, left)]
+                    level_margin = found[(k, left, right)]
                     if isinstance(level_margin, tuple):
                         accepted.append((right, *level_margin))
                         continue
@@ -370,8 +389,11 @@ def _partitions(caches: list[_SpectraCache], opts: FlowOptions
                     # only a failure further left can still come first
                     failure, later = fault, []
                     break
-                mid = (left + right) / 2.0
-                split += [(left, mid, depth + 1), (mid, right, depth + 1)]
+                if ahead:
+                    todo += [(half, False)
+                             for half in reversed(_halves(left, right, depth))]
+                else:
+                    split += _halves(left, right, depth)
             if split or later:
                 live[k] = (split + later, accepted, failure)
             elif failure is not None:
@@ -393,12 +415,14 @@ def find_partition(path: OperatorPath,
     max_depth bisections.
 
     Bisection runs over a left-to-right worklist of pending segments. Each
-    round takes the leftmost BISECTION_BATCH of them, solves all their
-    missing samples in one stacked eigensolve and tries them in order. A
-    failure is raised only once no pending segment lies to its left, and
-    everything to its right is dropped, so the partition and the failure are
-    those of a depth-first recursion, and a path that cannot be certified
-    costs at most about BISECTION_BATCH * (max_depth + 1) segments.
+    round takes the leftmost BISECTION_BATCH of them and both halves of
+    each, solves all their missing samples in one stacked eigensolve and
+    tries the segments in order; a segment that splits resolves its halves
+    from the same round. A failure is raised only once no pending segment
+    lies to its left, and everything to its right is dropped, so the
+    partition and the failure are those of a depth-first recursion, and a
+    path that cannot be certified costs at most (max_depth + 2) // 2 rounds
+    of BISECTION_BATCH segments and their halves.
     """
     opts = opts or FlowOptions()
     part = _partitions([_SpectraCache(path, opts.tol_cluster)], opts)[0]

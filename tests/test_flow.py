@@ -520,6 +520,37 @@ def test_uncertifiable_path_fails_leftmost_within_bounded_work(monkeypatch):
     assert str(info.value) == ("no certified level on [0.0, 9.094947017729282e-13]"
                                " at depth 40")
     assert sum(solved) <= 3 * flow.BISECTION_BATCH * 41
+    # each round tests two levels: depths 0 to 40 in 21 stacked solves
+    assert len(solved) <= 21
+
+
+def test_certifiable_path_takes_one_round_per_two_levels(monkeypatch):
+    rng = np.random.default_rng(17)
+    rounds = []
+    tested = flow._certify_each
+
+    def counting(segments, tol_cluster):
+        rounds.append(len(segments))
+        return tested(segments, tol_cluster)
+
+    deepest = 0
+    for preset, n, dim in (("trivial", 1, 3), ("cyclic", 3, 4),
+                           ("dihedral", 4, 6)):
+        _, action = preset_action(preset, n, dim, rng)
+        for plus, minus in _TAILS:
+            path = random_equivariant_path(action, rng, plus_tail=plus,
+                                           minus_tail=minus)
+            want = _find_partition_recursive(path, FlowOptions())
+            # a segment accepted at depth d has width 2**-d exactly
+            d = max(int(-np.log2(b - a))
+                    for a, b in zip(want.knots, want.knots[1:]))
+            rounds.clear()
+            monkeypatch.setattr(flow, "_certify_each", counting)
+            assert find_partition(path) == want
+            monkeypatch.undo()
+            assert len(rounds) <= (d + 2) // 2
+            deepest = max(deepest, d)
+    assert deepest >= 4
 
 
 def test_max_depth_is_capped_where_midpoints_stay_inside():
@@ -565,6 +596,31 @@ def test_a_failed_solve_is_raised_in_depth_first_order(bad):
     want = _outcome(_find_partition_recursive, _BadSolvePath(*bad), opts)
     assert want[0] == ("CertificationFailed" if bad[0] > 0.5 else "EigenFailure")
     assert _outcome(find_partition, _BadSolvePath(*bad), opts) == want
+
+
+class _CertifiableBadSolvePath(_BadSolvePath):
+    """Constant block that certifies on [0, 1] at depth 0 (level 1/2 in a
+    gap of width 1), except that the solve fails near 1/4 and 3/4."""
+
+    def __init__(self):
+        self.asked = []
+
+    def block_at(self, lam):
+        self.asked.append(lam)
+        block = np.diag([1.0, 2.0, 4.0])
+        if 0.2 < lam < 0.3 or 0.7 < lam < 0.8:
+            block[:] = np.nan
+        return block
+
+
+def test_a_look_ahead_sample_never_fails_a_flow():
+    # the halves of [0, 1] are tried in the first round, and their
+    # midpoints 1/4 and 3/4 fail to solve, but [0, 1] itself certifies
+    want = _find_partition_recursive(_CertifiableBadSolvePath(), FlowOptions())
+    assert want.knots == (0.0, 1.0)
+    path = _CertifiableBadSolvePath()
+    assert find_partition(path) == want
+    assert {0.25, 0.75} <= set(path.asked)
 
 
 def _at_global_speed(path):
