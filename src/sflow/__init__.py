@@ -49,21 +49,17 @@ from .groups import (
 )
 from .maslov import (
     LagrangianFrame,
-    SymplecticSpace,
     WindowEigenvalue,
     Z2ExampleReport,
     fredholm_pair_dims,
-    gap_distance,
     graph_lagrangian,
     horizontal_lagrangian,
-    is_lagrangian,
     maslov_index_G,
     maslov_operator_spectrum,
     z2_example,
 )
 from .operators import (
     CPS,
-    EigenCluster,
     FSComponent,
     OperatorPath,
     Spectrum,
@@ -77,7 +73,6 @@ from .operators import (
     morse_class,
     negate,
     reverse,
-    spectral_interval_frame,
 )
 
 __version__ = "0.1.0"

@@ -50,11 +50,11 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
 
 
 def eigh_error(block: np.ndarray, w: np.ndarray,
-               v: np.ndarray) -> float | np.ndarray:
-    """Upper bound on max_i |lambda_i(A) - w_i|, where A is the symmetric part
-    of block and (w ascending, v) a computed decomposition of it. For a
-    (k, n, n) stack with (k, n) and (k, n, n) eigendata, an array of k
-    bounds, each equal to the bound for its matrix alone.
+               v: np.ndarray) -> np.ndarray:
+    """Upper bound on max_i |lambda_i(A) - w_i| for each matrix of a
+    (k, n, n) stack, where A is the symmetric part of the matrix and (w
+    ascending, v) its row of (k, n) and (k, n, n) computed eigendata. Each
+    bound equals the bound for its matrix alone.
 
     With R = A V - V diag(w) and E = V^T V - I, Weyl's inequality on the
     orthogonal polar factor of V gives
@@ -67,12 +67,9 @@ def eigh_error(block: np.ndarray, w: np.ndarray,
     is not finite.
     """
     block = np.asarray(block, dtype=float)
-    single = block.ndim == 2
-    if single:
-        block, w, v = block[None], w[None], v[None]
     k, n = w.shape
     if n == 0 or k == 0:
-        return 0.0 if single else np.zeros(k)
+        return np.zeros(k)
     # frexp gives exponent 0 for a zero matrix, which then stays unscaled
     exp = np.frexp(np.abs(block).max(axis=(1, 2)))[1]
     half = np.ldexp(0.5, -exp)[:, None, None]  # exact: symmetrize and scale
@@ -88,7 +85,7 @@ def eigh_error(block: np.ndarray, w: np.ndarray,
     if not np.isfinite(err).all():
         bad = err[~np.isfinite(err)][0]
         raise EigenFailure(f"eigenvalue error bound is {float(bad)}")
-    return float(err[0]) if single else err
+    return err
 
 
 def opnorms(m: np.ndarray) -> np.ndarray:

@@ -85,13 +85,10 @@ def _eigh_pairs(blocks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _inv_sqrt(blocks: np.ndarray, margin: float) -> np.ndarray:
-    """Symmetric inverse square root of a positive definite matrix, or of
-    each matrix of a (k, n, n) stack from one stacked solve. The first matrix
-    in order that cannot be solved, or whose smallest eigenvalue is at most
-    margin, raises."""
-    single = blocks.ndim == 2
-    if single:
-        blocks = blocks[None]
+    """Symmetric inverse square root of each positive definite matrix of a
+    (k, n, n) stack, from one stacked solve. The first matrix in order that
+    cannot be solved, or whose smallest eigenvalue is at most margin,
+    raises."""
     pairs = solve_each(_eigh_pairs, blocks)
     for pair in pairs:
         if isinstance(pair, EigenFailure):
@@ -101,8 +98,7 @@ def _inv_sqrt(blocks: np.ndarray, margin: float) -> np.ndarray:
                               f"below margin {margin:.3e}")
     w, v = (np.stack(x) for x in zip(*pairs))
     out = (v / np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)
-    out = 0.5 * out + 0.5 * out.swapaxes(1, 2)
-    return out[0] if single else out
+    return 0.5 * out + 0.5 * out.swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ class Parametrix:
         sgn = float(self.sign)
         block = sgn * self.path.block_at(lam)
         k_blend = self._hat_blend(lam)
-        m = _inv_sqrt(block - k_blend, POSITIVITY_MARGIN)
+        (m,) = _inv_sqrt((block - k_blend)[None], POSITIVITY_MARGIN)
         k = m.T @ k_blend @ m
         k = sgn * (0.5 * k + 0.5 * k.T)
         return m, k

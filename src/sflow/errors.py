@@ -7,11 +7,21 @@ verification failed, 5 equivariance or invariance violated.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 
 class SflowError(Exception):
     """Base class for all library errors."""
 
     exit_code = 4
+
+
+def raise_first(results: Iterable) -> None:
+    """Raise the first SflowError among results; any other entry, such as a
+    result or None, is passed over."""
+    for result in results:
+        if isinstance(result, SflowError):
+            raise result
 
 
 class InvalidInput(SflowError):

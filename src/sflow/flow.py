@@ -26,6 +26,7 @@ from .errors import (
     OutOfRange,
     SflowError,
     WrongGroup,
+    raise_first,
 )
 from .groups import (
     OrthogonalAction,
@@ -40,6 +41,7 @@ from .operators import (
     INVERT_FACTOR,
     OperatorPath,
     Spectrum,
+    _singular_threshold,
     block_spectra,
     cluster_values,
     compression_tail,
@@ -164,13 +166,8 @@ class _SpectraCache:
                 return b
         return np.stack([self._blocks[lam] for lam in lams])
 
-    def fill(self, lams: list[float]) -> None:
-        """Solve every parameter not yet cached in one stacked eigensolve."""
-        _fill_each([(self, lams)])
-
     def spectrum(self, lam: float) -> Spectrum:
-        if lam not in self._spectra:
-            self.fill([lam])
+        """The spectrum at a parameter _fill_each has solved."""
         spec = self._spectra[lam]
         if isinstance(spec, EigenFailure):
             raise spec
@@ -305,11 +302,11 @@ def _certify_each(segments: list[tuple[_SpectraCache, float, float]],
 
 
 def _require_invertible_ends(cache: _SpectraCache, opts: FlowOptions) -> None:
-    cache.fill([0.0, 1.0])
+    _fill_each([(cache, [0.0, 1.0])])
     for lam in (0.0, 1.0):
         spec = cache.spectrum(lam)
-        threshold = opts.tol_invert * (1.0 + spec.block_norm)
-        if spec.min_abs() - spec.err <= threshold:
+        threshold = _singular_threshold(spec, opts.tol_invert)
+        if threshold is not None:
             raise EndpointNotInvertible(
                 f"eigenvalue {spec.min_abs():.3e} at endpoint {lam} within "
                 f"threshold {threshold:.3e}")
@@ -425,10 +422,9 @@ def find_partition(path: OperatorPath,
     of BISECTION_BATCH segments and their halves.
     """
     opts = opts or FlowOptions()
-    part = _partitions([_SpectraCache(path, opts.tol_cluster)], opts)[0]
-    if isinstance(part, SflowError):
-        raise part
-    return part
+    parts = _partitions([_SpectraCache(path, opts.tol_cluster)], opts)
+    raise_first(parts)
+    return parts[0]
 
 
 @dataclass
@@ -480,11 +476,10 @@ def _check_equivariance(flows: list[_Flow]) -> None:
 def _take_classes(flows: list[_Flow], table: RealCharacterTable) -> None:
     """Report of each flow from the classes of the frames of [0, level] at
     the left and right knot of each of its segments, for every flow of one
-    action in one array pass over the stacked knot eigendata, by the rule of
-    spectral_interval_frame with the left edge closed at -tol. The distinct
-    (knot, columns) frames go to one subspace_classes call as one padded
-    stack. Each flow's first failure is that of a per-frame loop;
-    _check_equivariance has solved every knot."""
+    action in one array pass over the stacked knot eigendata, with the left
+    edge closed at -tol. The distinct (knot, columns) frames go to one
+    subspace_classes call as one padded stack. Each flow's first failure is
+    that of a per-frame loop; _check_equivariance has solved every knot."""
     specs = [f.cache.spectrum(lam) for f in flows for lam in f.partition.knots]
     w = np.array([s.eigenvalues for s in specs])
     tol = np.array([s.tol for s in specs])
@@ -498,7 +493,7 @@ def _take_classes(flows: list[_Flow], table: RealCharacterTable) -> None:
         tails += [f.path.tails] * (2 * m)
     at = np.array(rows)
     # the window [0, level] is closed at -tol, as a kernel vector is inside
-    faults = window_faults(w[at], tol[at], 0.0, levels, tol[at], tails)
+    faults = window_faults(w[at], tol[at], levels, tails)
     lo, ncols = interval_columns(cluster_values(w, tol)[1][at],
                                  0.0 - tol[at, None], np.array(levels)[:, None])
     keys = list(zip(rows, lo.tolist(), ncols.tolist()))
@@ -591,10 +586,9 @@ def sfl_G(path: OperatorPath, action: OrthogonalAction,
     Returns the virtual class together with the certificate. The plain
     integer flow is the forgetful image of the class.
     """
-    out = sfl_G_each([(path, action)], table, opts, partitions=[partition])[0]
-    if isinstance(out, SflowError):
-        raise out
-    return out
+    reports = sfl_G_each([(path, action)], table, opts, partitions=[partition])
+    raise_first(reports)
+    return reports[0]
 
 
 def sfl_G_pair(path: OperatorPath, second: Callable[[], OperatorPath],
@@ -609,9 +603,7 @@ def sfl_G_pair(path: OperatorPath, second: Callable[[], OperatorPath],
         sfl_G(path, action, table, opts)  # the direct flow's error comes first
         raise
     reports = sfl_G_each([(path, action), (other, action)], table, opts)
-    for report in reports:
-        if isinstance(report, SflowError):
-            raise report
+    raise_first(reports)
     return reports[0], reports[1]
 
 
@@ -740,9 +732,7 @@ def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,
     except SflowError as e:
         fault = e
     reports = sfl_G_each(requests, table, opts)
-    for report in [*reports, fault]:
-        if isinstance(report, SflowError):
-            raise report
+    raise_first([*reports, fault])
 
     def total(flows: list[int] | None) -> VirtualRep:
         return sum((reports[k].sfl_G for k in flows or []), VirtualRep.zero(table))

@@ -21,6 +21,7 @@ from .errors import (
     SflowError,
     TableMismatch,
     WrongGroup,
+    raise_first,
 )
 
 ORTHOGONALITY_TOL = 1e-9
@@ -530,19 +531,17 @@ def character_of_subspace(action: OrthogonalAction,
                           basis: np.ndarray) -> np.ndarray:
     """Character of the subspace spanned by orthonormal `basis` columns at
     one representative per conjugacy class, as subspace_classes checks it."""
-    chi, (fault,) = _characters(action, [basis])
-    if fault is not None:
-        raise fault
+    chi, faults = _characters(action, [basis])
+    raise_first(faults)
     return chi[0]
 
 
 def multiplicity_vector(chi: Sequence[float],
                         table: RealCharacterTable) -> VirtualRep:
     """Resolve a character into integer multiplicities of the table's irreps."""
-    (klass,) = _multiplicities(np.array(chi, dtype=float).reshape(1, -1), table)
-    if isinstance(klass, SflowError):
-        raise klass
-    return klass
+    classes = _multiplicities(np.array(chi, dtype=float).reshape(1, -1), table)
+    raise_first(classes)
+    return classes[0]
 
 
 def forgetful_F(a: VirtualRep) -> int:

@@ -35,6 +35,7 @@ from .operators import (
     CPS,
     OperatorPath,
     block_spectrum,
+    cluster_values,
     direct_sum_paths,
     negate,
 )
@@ -47,24 +48,10 @@ SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class SymplecticSpace:
-    """R^{2m} with the standard complex structure [[0, -I], [I, 0]]."""
-
-    half_dim: int
-
-    @property
-    def J(self) -> np.ndarray:
-        m = self.half_dim
-        j = np.zeros((2 * m, 2 * m))
-        j[:m, m:] = -np.eye(m)
-        j[m:, :m] = np.eye(m)
-        return j
-
-
-@dataclass(frozen=True)
 class LagrangianFrame:
     """2m x m matrix with orthonormal columns spanning a Lagrangian
-    subspace: the span is orthogonal to its own J-image."""
+    subspace of R^{2m}: the span is orthogonal to its own image under the
+    standard complex structure J = [[0, -I], [I, 0]]."""
 
     frame: np.ndarray
 
@@ -76,7 +63,9 @@ class LagrangianFrame:
         if f.shape[1] and spectral_norm_sym(0.5 * gram + 0.5 * gram.T) > ORTHONORMAL_TOL:
             raise NotOrthonormal("frame columns are not orthonormal")
         if f.shape[1]:
-            j = SymplecticSpace(f.shape[1]).J
+            m = f.shape[1]
+            j = np.block([[np.zeros((m, m)), -np.eye(m)],
+                          [np.eye(m), np.zeros((m, m))]])
             p = f @ f.T
             defect = float(opnorms_within(p @ j @ p, LAGRANGIAN_TOL))
             if defect > LAGRANGIAN_TOL:
@@ -118,24 +107,6 @@ def graph_lagrangian(block: np.ndarray) -> LagrangianFrame:
     return LagrangianFrame(q)
 
 
-def is_lagrangian(frame: np.ndarray | LagrangianFrame) -> bool:
-    """Whether the frame is a LagrangianFrame or passes its checks. Columns
-    that are not orthonormal raise NotOrthonormal, as in LagrangianFrame."""
-    if isinstance(frame, LagrangianFrame):
-        return True
-    try:
-        LagrangianFrame(frame)
-    except NotLagrangian:
-        return False
-    return True
-
-
-def gap_distance(f1: LagrangianFrame, f2: LagrangianFrame) -> float:
-    """Spectral-norm distance of the orthogonal projections, in [0, 1]."""
-    diff = f1.projection() - f2.projection()
-    return spectral_norm_sym(0.5 * diff + 0.5 * diff.T)
-
-
 def fredholm_pair_dims(f: LagrangianFrame, w: LagrangianFrame
                        ) -> tuple[int, int]:
     """(dim of intersection, codimension of the sum) for two frames.
@@ -171,9 +142,11 @@ def maslov_operator_spectrum(block: np.ndarray,
     """Window spectrum of the boundary-value operator of one graph: exactly
     arctan of each block eigenvalue, multiplicities preserved."""
     spec = block_spectrum(CPS(_symmetric(block)), tol_cluster)
-    return [WindowEigenvalue(float(np.arctan(c.value)), c.multiplicity,
-                             c.vectors)
-            for c in spec.clusters]
+    starts, values = cluster_values(spec.eigenvalues[None], np.array([spec.tol]))
+    bounds = [*np.flatnonzero(starts[0]).tolist(), spec.eigenvalues.size]
+    return [WindowEigenvalue(float(np.arctan(values[0, i])), j - i,
+                             spec.vectors[:, i:j])
+            for i, j in zip(bounds, bounds[1:])]
 
 
 def _arctan_blocks(blocks: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ downstream certification relies on.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,8 +26,9 @@ from .errors import (
     NotEquivariant,
     NotInvertible,
     OutOfRange,
-    SflowError,
     TailMismatch,
+    WrongGroup,
+    raise_first,
 )
 from .groups import (
     HOMOMORPHISM_BATCH,
@@ -96,40 +96,17 @@ class CPS:
 
 
 @dataclass(frozen=True)
-class EigenCluster:
-    """A group of numerically coincident block eigenvalues and an orthonormal
-    basis of their joint eigenspace."""
-
-    value: float
-    vectors: np.ndarray
-
-    @property
-    def multiplicity(self) -> int:
-        return self.vectors.shape[1]
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Full block eigendata: raw ascending eigenvalues and their orthonormal
     eigenvector columns, the largest eigenvalue magnitude, the absolute
     clustering tolerance, and err, a bound on how far any computed
-    eigenvalue lies from the exact one. The clusters are built on first use,
-    since only the spectra at knots need them."""
+    eigenvalue lies from the exact one."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     block_norm: float
     tol: float
     err: float
-
-    @functools.cached_property
-    def clusters(self) -> tuple[EigenCluster, ...]:
-        """One cluster per run of cluster_values."""
-        starts, values = cluster_values(self.eigenvalues[None],
-                                        np.array([self.tol]))
-        bounds = [*np.flatnonzero(starts[0]).tolist(), self.eigenvalues.size]
-        return tuple(EigenCluster(float(values[0, i]), self.vectors[:, i:j])
-                     for i, j in zip(bounds, bounds[1:]))
 
     def min_abs(self) -> float:
         if self.eigenvalues.size == 0:
@@ -140,8 +117,8 @@ class Spectrum:
 def block_spectra(blocks: np.ndarray,
                   tol_cluster: float = CLUSTER_FACTOR) -> list[Spectrum]:
     """One Spectrum per matrix of a (k, n, n) stack of symmetric blocks, from
-    one stacked eigensolve: eigenvalues within tol_cluster * (1 + ||block||)
-    of their neighbour merge into one cluster."""
+    one stacked eigensolve, with the clustering tolerance
+    tol_cluster * (1 + ||block||)."""
     w, v = jacobi_eigh(blocks)
     # broadcast, so that a substitute bound returning one scalar (as tests
     # install) applies to every matrix
@@ -155,9 +132,16 @@ def block_spectra(blocks: np.ndarray,
 
 
 def block_spectrum(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> Spectrum:
-    """Eigen-decompose the block and merge eigenvalues within
-    tol_cluster * (1 + ||block||) into clusters."""
+    """The one-block case of block_spectra."""
     return block_spectra(op.block[None], tol_cluster)[0]
+
+
+def _singular_threshold(spec: Spectrum, tol_invert: float) -> float | None:
+    """The invertibility threshold tol_invert * (1 + ||block||) if the
+    smallest eigenvalue magnitude, less the solver error bound, is within
+    it, else None."""
+    threshold = tol_invert * (1.0 + spec.block_norm)
+    return threshold if spec.min_abs() - spec.err <= threshold else None
 
 
 def cluster_values(w: np.ndarray,
@@ -192,64 +176,28 @@ def interval_columns(values: np.ndarray, lower,
     return lo, np.count_nonzero(values <= upper, axis=1) - lo
 
 
-def window_faults(w: np.ndarray, tol: np.ndarray, a: float,
-                  b: Sequence[float], left_tol: np.ndarray, tails
-                  ) -> list[InfiniteRank | BoundaryHit | None]:
-    """The error spectral_interval_frame raises for the window [a, b[i]] of
-    row i of a (k, n) stack of eigenvalues w, or None: InfiniteRank if a
-    tail value (tails: (plus, minus) flags per row or for all) lies in the
-    window widened by left_tol[i], else BoundaryHit for the first eigenvalue
-    within tol[i] of an edge, where the left edge counts only if left_tol[i]
-    is 0."""
-    lower, b_arr = a - left_tol, np.asarray(b, dtype=float)
-    inside = (np.asarray(tails) & (lower[:, None] <= _TAIL_VALUES)
-              & (_TAIL_VALUES <= b_arr[:, None]))
+def window_faults(w: np.ndarray, tol: np.ndarray, levels: Sequence[float],
+                  tails) -> list[InfiniteRank | BoundaryHit | None]:
+    """The error of the window [0, levels[i]], closed at -tol[i], of row i
+    of a (k, n) stack of eigenvalues w, or None: InfiniteRank if a tail
+    value (tails: (plus, minus) flags per row or for all) lies in
+    [-tol[i], levels[i]], else BoundaryHit for the first eigenvalue within
+    tol[i] of the level, or equal to 0 where tol[i] is 0."""
+    b = np.asarray(levels, dtype=float)
+    inside = (np.asarray(tails) & (-tol[:, None] <= _TAIL_VALUES)
+              & (_TAIL_VALUES <= b[:, None]))
     with np.errstate(over="ignore"):  # a distance past the float range is inf
-        left = (left_tol == 0.0)[:, None] & (np.abs(w - a) <= tol[:, None])
-        hit = left | (np.abs(w - b_arr[:, None]) <= tol[:, None])
+        left = (tol == 0.0)[:, None] & (w == 0.0)
+        hit = left | (np.abs(w - b[:, None]) <= tol[:, None])
     faults: list[InfiniteRank | BoundaryHit | None] = [None] * len(w)
     for i in np.flatnonzero(inside.any(axis=1) | hit.any(axis=1)):
         j = int(np.argmax(hit[i])) if w.shape[1] else 0
-        faults[i] = (InfiniteRank(f"window [{a}, {b[i]}] contains the "
+        faults[i] = (InfiniteRank(f"window [0.0, {levels[i]}] contains the "
                                   f"{'+1' if inside[i, 0] else '-1'} tail")
                      if inside[i].any() else
                      BoundaryHit(f"eigenvalue {float(w[i, j])} at window "
-                                 f"edge {a if left[i, j] else b[i]}"))
+                                 f"edge {0.0 if left[i, j] else levels[i]}"))
     return faults
-
-
-def spectral_interval_frame(op: CPS | OperatorPath, a: float, b: float,
-                            tol_cluster: float = CLUSTER_FACTOR, *,
-                            spectrum: Spectrum | None = None,
-                            closed_left_tol: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the eigenspaces with eigenvalues in [a, b], the
-    one-spectrum case of window_faults and interval_columns.
-
-    op supplies the tails and the dimension, and its block is solved unless
-    spectrum is given; with a spectrum, op may be the path the spectrum was
-    taken on. Raises InfiniteRank if a tail value lies in the window and
-    BoundaryHit if an eigenvalue sits within the cluster tolerance of a
-    window edge. With closed_left_tol > 0 the left edge is treated as closed
-    with that slack and its boundary guard is waived; callers use this for
-    windows anchored at 0, where a kernel vector must count as inside.
-    """
-    if not a <= b:
-        raise OutOfRange(f"empty window [{a}, {b}]")
-    window = (a, [b], np.array([closed_left_tol]), op.tails)
-    if spectrum is None:  # a tail in the window fails before the solve
-        _raise_first(window_faults(np.zeros((1, 0)), np.zeros(1), *window))
-        spectrum = block_spectrum(op, tol_cluster)
-    w, tol = spectrum.eigenvalues[None], np.array([spectrum.tol])
-    _raise_first(window_faults(w, tol, *window))
-    (lo,), (ncols,) = interval_columns(cluster_values(w, tol)[1],
-                                       a - closed_left_tol, b)
-    return spectrum.vectors[:, lo:lo + ncols].copy()
-
-
-def _raise_first(faults: Sequence[Exception | None]) -> None:
-    for fault in faults:
-        if fault is not None:
-            raise fault
 
 
 class OperatorPath:
@@ -278,6 +226,8 @@ class OperatorPath:
         b = _sym(np.asarray(b, dtype=float))
         if a.shape != b.shape:
             raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
+        if not np.isfinite(a).all():
+            raise OutOfRange("a has non-finite entries")
         if not np.isfinite(b).all():  # the Lipschitz bound is read from b
             raise OutOfRange("b has non-finite entries")
         self.kind = "affine"
@@ -394,9 +344,6 @@ class OperatorPath:
         return CPS(self.block_at(lam), plus_tail=self.plus_tail,
                    minus_tail=self.minus_tail)
 
-    def knot_values(self) -> np.ndarray:
-        return self.knots.copy()
-
     def __repr__(self) -> str:
         return (f"OperatorPath(kind={self.kind!r}, dim={self.dim}, "
                 f"plus_tail={self.plus_tail}, minus_tail={self.minus_tail}, "
@@ -409,20 +356,15 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * m.T
 
 
-def _specnorm(m: np.ndarray) -> float | np.ndarray:
-    # upper bound on the two-norm of a symmetric matrix, or of each matrix of
-    # a (k, n, n) stack: the largest computed absolute eigenvalue plus the
-    # solver error, rounded up
-    single = m.ndim == 2
-    if single:
-        m = m[None]
+def _specnorm(m: np.ndarray) -> np.ndarray:
+    # upper bound on the two-norm of each symmetric matrix of a (k, n, n)
+    # stack: the largest computed absolute eigenvalue plus the solver error,
+    # rounded up
     if m.shape[-1] == 0:
-        norms = np.zeros(len(m))
-    else:
-        w, v = jacobi_eigh(m)
-        norms = ((np.abs(w).max(axis=1) + eigh_error(m, w, v))
-                 * (1.0 + 2.0 * EPS))
-    return float(norms[0]) if single else norms
+        return np.zeros(len(m))
+    w, v = jacobi_eigh(m)
+    return ((np.abs(w).max(axis=1) + eigh_error(m, w, v))
+            * (1.0 + 2.0 * EPS))
 
 
 def solve_speeds(paths: Sequence[OperatorPath]) -> None:
@@ -459,7 +401,7 @@ def direct_sum_paths(p: OperatorPath, q: OperatorPath) -> OperatorPath:
         return OperatorPath.affine(block_diag(p.mat_a, q.mat_a),
                                    block_diag(p.mat_b, q.mat_b),
                                    plus_tail=plus, minus_tail=minus)
-    ts = np.unique(np.concatenate([p.knot_values(), q.knot_values()]))
+    ts = np.unique(np.concatenate([p.knots, q.knots]))
     samples = [block_diag(a, b) for a, b in zip(p.blocks_at(ts), q.blocks_at(ts))]
     return OperatorPath.piecewise_linear(ts, samples, plus_tail=plus,
                                          minus_tail=minus)
@@ -474,12 +416,12 @@ def concatenate(p: OperatorPath, q: OperatorPath) -> OperatorPath:
         raise DimensionMismatch(f"dimensions {p.dim} and {q.dim} differ")
     end, start = p.block_at(1.0), q.block_at(0.0)
     if not np.array_equal(end, start):  # equal blocks are 0 apart
-        junction_gap = _specnorm(end - start)
+        (junction_gap,) = _specnorm((end - start)[None])
         if junction_gap > JUNCTION_TOL:
             raise EndpointMismatch(
                 f"p(1) and q(0) differ by {junction_gap:.3e} > {JUNCTION_TOL}")
-    knots_p = [k / 2.0 for k in p.knot_values()]
-    knots_q = [0.5 + k / 2.0 for k in q.knot_values()]
+    knots_p = [k / 2.0 for k in p.knots]
+    knots_q = [0.5 + k / 2.0 for k in q.knots]
     samples = [*p.blocks_at(p.knots), *q.blocks_at(q.knots[1:])]
     return OperatorPath.piecewise_linear(
         knots_p + knots_q[1:], samples,
@@ -491,7 +433,7 @@ def reverse(p: OperatorPath) -> OperatorPath:
     if p.kind == "affine":
         return OperatorPath.affine(p.mat_a + p.mat_b, -p.mat_b,
                                    plus_tail=p.plus_tail, minus_tail=p.minus_tail)
-    knots = [1.0 - k for k in reversed(p.knot_values())]
+    knots = [1.0 - k for k in reversed(p.knots)]
     samples = list(p.blocks_at(p.knots)[::-1])
     return OperatorPath.piecewise_linear(knots, samples, plus_tail=p.plus_tail,
                                          minus_tail=p.minus_tail)
@@ -503,7 +445,7 @@ def negate(p: OperatorPath) -> OperatorPath:
         return OperatorPath.affine(-p.mat_a, -p.mat_b, plus_tail=p.minus_tail,
                                    minus_tail=p.plus_tail)
     samples = list(-p.blocks_at(p.knots))
-    return OperatorPath.piecewise_linear(p.knot_values(), samples,
+    return OperatorPath.piecewise_linear(p.knots, samples,
                                          plus_tail=p.minus_tail,
                                          minus_tail=p.plus_tail)
 
@@ -525,7 +467,7 @@ def compress(path: OperatorPath, m: int = 0) -> OperatorPath:
         return OperatorPath.affine(block_diag(path.mat_a, tail),
                                    block_diag(path.mat_b, np.zeros_like(tail)))
     samples = [block_diag(b, tail) for b in path.blocks_at(path.knots)]
-    return OperatorPath.piecewise_linear(path.knot_values(), samples)
+    return OperatorPath.piecewise_linear(path.knots, samples)
 
 
 def equivariance_defects(blocks: np.ndarray, action: OrthogonalAction,
@@ -577,11 +519,12 @@ def morse_classes(blocks: np.ndarray, action: OrthogonalAction,
     equivariant blocks, from one stacked solve, one equivariance check and
     one subspace_classes call; the negative space is the column range of the
     clusters valued below 0. Raises the first error of morse_class run on
-    the blocks in order: for each block its failed solve, NotEquivariant,
-    NotInvertible, then its class checks."""
+    the blocks in order: WrongGroup, then for each block its failed solve,
+    NotEquivariant, NotInvertible, then its class checks."""
+    if table.group != action.group:
+        raise WrongGroup("character table and action belong to different groups")
     specs = solve_each(lambda b: block_spectra(b, tol_cluster), blocks)
-    if isinstance(specs[0], EigenFailure):
-        raise specs[0]
+    raise_first(specs[:1])
     scales = [1.0 + s.block_norm if isinstance(s, Spectrum) else np.inf
               for s in specs]
     defects = equivariance_defects(
@@ -592,7 +535,7 @@ def morse_classes(blocks: np.ndarray, action: OrthogonalAction,
             fault = spec
         elif defect > EQUIVARIANCE_FACTOR * scale:
             fault = NotEquivariant(f"commutator norm {defect:.3e} exceeds tolerance")
-        elif spec.min_abs() <= tol_invert * scale:
+        elif _singular_threshold(spec, tol_invert) is not None:
             fault = NotInvertible(
                 f"eigenvalue {spec.min_abs():.3e} within invertibility threshold")
         else:
@@ -605,6 +548,5 @@ def morse_classes(blocks: np.ndarray, action: OrthogonalAction,
     _, ncols = interval_columns(values, -np.inf, np.nextafter(0.0, -1.0))
     classes = subspace_classes(action, table, [
         s.vectors[:, :k] for s, k in zip(good, ncols.tolist())])
-    _raise_first([*(c if isinstance(c, SflowError) else None for c in classes),
-                  fault])
+    raise_first([*classes, fault])
     return classes

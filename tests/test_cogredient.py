@@ -238,7 +238,8 @@ def _ref_norm(m):
 
 def _ref_specnorm(m):
     w, v = jacobi_eigh(m)
-    return float((np.max(np.abs(w)) + eigh_error(m, w, v)) * (1.0 + 2.0 * EPS))
+    err = eigh_error(m[None], w[None], v[None])[0]
+    return float((np.max(np.abs(w)) + err) * (1.0 + 2.0 * EPS))
 
 
 def _ref_correction(block, tol):

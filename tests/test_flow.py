@@ -20,6 +20,7 @@ from sflow.errors import (
     EigenFailure,
     EndpointNotInvertible,
     InfiniteRank,
+    InvertibilityError,
     NotEquivariant,
     NotInvariant,
     NotInvertible,
@@ -55,7 +56,6 @@ from sflow.operators import (
     direct_sum_paths,
     morse_class,
     reverse,
-    spectral_interval_frame,
 )
 from sflow.sampling import (
     haar_orthogonal,
@@ -451,6 +451,7 @@ def _find_partition_recursive(path, opts):
 
     def descend(left, right, depth):
         if depth >= opts.min_depth:
+            flow._fill_each([(cache, [left, (left + right) / 2.0, right])])
             found = flow._certify_each([(cache, left, right)],
                                        opts.tol_cluster)[0]
             if isinstance(found, EigenFailure):
@@ -664,7 +665,7 @@ def test_a_failed_solve_belongs_to_its_own_parameter():
                              for lam in lams])
 
     cache = flow._SpectraCache(Stub(), 1e-8)
-    cache.fill([0.5, 0.25, 0.75])
+    flow._fill_each([(cache, [0.5, 0.25, 0.75])])
     assert cache.spectrum(0.5).eigenvalues.tolist() == [0.5, 0.5]
     assert cache.spectrum(0.75).eigenvalues.tolist() == [0.75, 0.75]
     for _ in range(2):
@@ -686,7 +687,7 @@ def test_cached_blocks_match_at_and_are_built_once(monkeypatch):
         built = []
         monkeypatch.setattr(path, "blocks_at",
                             lambda lams, f=path.blocks_at: built.extend(lams) or f(lams))
-        cache.fill(lams[:5])
+        flow._fill_each([(cache, lams[:5])])
         blocks = cache.blocks(lams + lams[::-1])
         assert sorted(built) == sorted(lams)
         for lam, block in zip(lams + lams[::-1], blocks):
@@ -745,13 +746,37 @@ def _reference_class(action, table, frame):
                  for ir in table.irreps)
 
 
+def _loop_frame(path, lam, level, tol_cluster=1e-8):
+    # the frame of [0, level], closed at -tol, at one parameter, or the error
+    # of that window, checked and picked eigenvalue by eigenvalue: the frame
+    # holds the runs of eigenvalues each within tol of the last whose np.mean
+    # lies in [-tol, level]
+    spec = block_spectrum(path.at(lam), tol_cluster)
+    tol, vals = spec.tol, spec.eigenvalues.tolist()
+    for value, tail in ((1.0, path.plus_tail), (-1.0, path.minus_tail)):
+        if tail and -tol <= value <= level:
+            return InfiniteRank(f"window [0.0, {level}] contains the "
+                                f"{value:+.0f} tail")
+    for e in vals:
+        if tol == 0.0 and e == 0.0:
+            return BoundaryHit(f"eigenvalue {e} at window edge 0.0")
+        if abs(e - level) <= tol:
+            return BoundaryHit(f"eigenvalue {e} at window edge {level}")
+    picked, j = [], 0
+    while j < len(vals):
+        k = j + 1
+        while k < len(vals) and vals[k] - vals[k - 1] <= tol:
+            k += 1
+        if -tol <= float(np.mean(spec.eigenvalues[j:k])) <= level:
+            picked += range(j, k)
+        j = k
+    return spec.vectors[:, picked]
+
+
 def _knot_frames(path, partition):
     for i, level in enumerate(partition.levels):
         for lam in partition.knots[i:i + 2]:
-            spec = block_spectrum(path.at(lam))
-            yield spectral_interval_frame(path.at(lam), 0.0, level,
-                                          spectrum=spec,
-                                          closed_left_tol=spec.tol)
+            yield _loop_frame(path, lam, level)
 
 
 def test_stacked_classes_match_the_per_frame_classes():
@@ -835,26 +860,13 @@ def test_class_pass_temporaries_stay_within_the_batch(batch, monkeypatch):
 def _frame_by_frame(path, action, table, partition, tol_cluster):
     # the classes of the knot frames of [0, level], each solved, selected and
     # classified alone, in loop order: the report's contributions or the
-    # first error. A frame holds the runs of eigenvalues each within tol of
-    # the last whose np.mean lies in [-tol, level]
+    # first error
     classes = []
     for i, level in enumerate(partition.levels):
         for lam in partition.knots[i:i + 2]:
-            spec = block_spectrum(path.at(lam), tol_cluster)
-            try:
-                frame = spectral_interval_frame(path, 0.0, level, spectrum=spec,
-                                                closed_left_tol=spec.tol)
-            except SflowError as e:
-                return e
-            vals, picked, j = spec.eigenvalues.tolist(), [], 0
-            while j < len(vals):
-                k = j + 1
-                while k < len(vals) and vals[k] - vals[k - 1] <= spec.tol:
-                    k += 1
-                if -spec.tol <= float(np.mean(spec.eigenvalues[j:k])) <= level:
-                    picked += range(j, k)
-                j = k
-            assert np.array_equal(frame, spec.vectors[:, picked])
+            frame = _loop_frame(path, lam, level, tol_cluster)
+            if isinstance(frame, SflowError):
+                return frame
             (klass,) = subspace_classes(action, table, [frame])
             if isinstance(klass, SflowError):
                 return klass
@@ -944,15 +956,19 @@ def test_a_knot_that_fails_to_solve_fails_its_flow_only(monkeypatch):
 
 
 def test_class_pass_reads_the_stacked_eigendata_only(monkeypatch):
-    # no Spectrum.clusters and no spectral_interval_frame on the way to a
-    # report
+    # none of the one-item routes (one block's spectrum, equivariance defect
+    # or negative-space class, one frame's character or multiplicities) on
+    # the way to a report or an oracle class
     def refuse(*args, **kwargs):
-        raise AssertionError("per-spectrum route taken")
+        raise AssertionError("per-item route taken")
 
-    monkeypatch.setattr(operators.Spectrum, "clusters", property(refuse))
-    for module in (operators, flow):
-        monkeypatch.setattr(module, "spectral_interval_frame", refuse,
-                            raising=False)
+    for module, names in [(operators, ["block_spectrum", "check_equivariance",
+                                       "morse_class"]),
+                          (groups, ["character_of_subspace",
+                                    "multiplicity_vector"])]:
+        for name in names:
+            for owner in (module, flow):
+                monkeypatch.setattr(owner, name, refuse, raising=False)
     rng = np.random.default_rng(89)
     table, action = preset_action("dihedral", 3, 5, rng, conjugate=True)
     paths = [random_equivariant_path(action, rng, plus_tail=plus,
@@ -1061,6 +1077,67 @@ def test_oracle_errors_come_in_the_order_of_sequential_endpoints():
                 else:
                     assert got == want
     assert kinds >= {groups.VirtualRep, NotEquivariant, NotInvertible}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_oracle_rejects_a_table_of_another_group_before_solving(seed,
+                                                                monkeypatch):
+    # a C4 action with the table of the other group of order 4, and a D3
+    # action with the C3 table: WrongGroup, as sfl_G raises it
+    rng = np.random.default_rng(seed)
+    _, c4 = preset_action("cyclic", 4, 3, rng)
+    _, d3 = preset_action("dihedral", 3, 3, rng)
+    message = "character table and action belong to different groups"
+    for action, table in [(c4, build_group("dihedral", 2)[1]),
+                          (d3, build_group("cyclic", 3)[1])]:
+        path = random_equivariant_path(action, rng)
+        with pytest.raises(WrongGroup, match=message):
+            sfl_G(path, action, table)
+        with monkeypatch.context() as mp:
+            mp.setattr(operators, "block_spectra", None)  # no solve
+            with pytest.raises(WrongGroup, match=message):
+                morse_oracle_sfl_G(path, action, table)
+            with pytest.raises(WrongGroup, match=message):
+                morse_class(path.at(0.0), action, table)
+
+
+def test_flow_and_oracle_pay_the_eigensolver_error_at_the_ends(monkeypatch):
+    # the start has eigenvalue -0.3; once the solver error bound is 0.5 it
+    # may be 0, and both routes find the start not invertible (exit 3)
+    table, action = _trivial_setup(2)
+    path = OperatorPath.affine(np.diag([-0.3, 1.0]), np.diag([0.6, 0.0]))
+    assert sfl_G(path, action, table).sfl_G.coeffs == (1,)
+    assert morse_oracle_sfl_G(path, action, table).coeffs == (1,)
+    monkeypatch.setattr(operators, "eigh_error", lambda block, w, v: 0.5)
+    for route, error, message in [
+            (sfl_G, EndpointNotInvertible,
+             "eigenvalue 3.000e-01 at endpoint 0.0 within threshold 2.000e-10"),
+            (morse_oracle_sfl_G, NotInvertible,
+             "eigenvalue 3.000e-01 within invertibility threshold")]:
+        with pytest.raises(InvertibilityError) as info:
+            route(path, action, table)
+        assert type(info.value) is error and str(info.value) == message
+        assert info.value.exit_code == 3
+
+
+def test_oracle_raises_the_failed_solve_of_a_later_block():
+    # the first block solves and passes its checks; the second cannot be
+    # solved, and its EigenFailure is raised
+    table, action = _trivial_setup(2)
+    blocks = np.stack([np.diag([-1.0, 2.0]), np.diag([np.nan, 2.0])])
+    assert operators.morse_classes(blocks[:1], action, table)[0].coeffs == (1,)
+    with pytest.raises(EigenFailure):
+        operators.morse_classes(blocks, action, table)
+
+
+def test_a_given_partition_still_needs_invertible_ends():
+    table, action = _trivial_setup(1)
+    path = OperatorPath.affine(np.zeros((1, 1)), np.eye(1))
+    part = CertifiedPartition((0.0, 1.0), (0.5,), (0.1,))
+    with pytest.raises(EndpointNotInvertible, match="at endpoint 0.0"):
+        sfl_G(path, action, table, partition=part)
+    (got,) = sfl_G_each([(path, action)], table, partitions=[part])
+    assert isinstance(got, EndpointNotInvertible)
 
 
 # --- flows of many requests -----------------------------------------------------

@@ -28,6 +28,7 @@ from sflow.groups import (
     isotypical_projection,
     multiplicity_vector,
     phi_Z2,
+    subspace_classes,
 )
 
 
@@ -569,3 +570,20 @@ def test_group_checks_and_classes_match_element_by_element_loops():
         assert (g.identity, g.inverses, g.conjugacy_classes, g.class_of) == want
         assert g.class_sizes == tuple(len(c) for c in want[2])
     assert groups_seen > 100
+
+
+def test_subspace_classes_put_a_table_mismatch_in_each_frames_place():
+    # the C3 table resolves C3 characters only: with the C2 table every frame
+    # that passes its own checks gets the TableMismatch, and a frame that
+    # fails them keeps its own error
+    group, _ = build_group("cyclic", 3)
+    _, c2_table = build_group("cyclic", 2)
+    c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)
+    rot = np.array([[c, -s], [s, c]])
+    action = OrthogonalAction(group, [np.linalg.matrix_power(rot, k)
+                                      for k in range(3)])
+    got = subspace_classes(action, c2_table,
+                           [np.eye(2), np.zeros((2, 0)), 2.0 * np.eye(2)])
+    assert [type(g) for g in got] == [TableMismatch, TableMismatch,
+                                      NotOrthonormal]
+    assert str(got[0]) == "3 character values for 2 classes"

@@ -124,7 +124,7 @@ def _speeds_one(p):
     # each piece's two-norm bound from its own solve, over its knot gap
     diffs = ([p.mat_b] if p.kind == "affine"
              else [b - a for a, b in zip(p.samples, p.samples[1:])])
-    return [operators._specnorm(d) / (hi - lo)
+    return [operators._specnorm(d[None])[0] / (hi - lo)
             for d, lo, hi in zip(diffs, p.knots, p.knots[1:])]
 
 

@@ -1,11 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import sflow
 
 PACKAGE = Path(sflow.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -109,3 +111,21 @@ def test_nothing_in_the_package_modifies_a_group_or_a_character_table():
                               for node in ast.walk(fn)
                               for obj, _ in _assigned(node) if obj == "self"]
     assert found == []
+
+
+def test_every_name_the_benchmark_tracer_hooks_resolves():
+    # perfbench/tracer.py wraps these (module, attribute) pairs by name and
+    # reports a missing one as absent, so a deleted target would only read 0
+    # there; the file is read, not imported
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    (targets,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [ast.unparse(t) for t in node.targets] == ["SFLOW_TARGETS"]]
+    missing = []
+    for module, attribute, _ in targets:
+        owner = importlib.import_module(module)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attribute}")
+    assert targets and missing == []
