@@ -75,7 +75,7 @@ def eigh_error(block: np.ndarray, w: np.ndarray,
     half = np.ldexp(0.5, -exp)[:, None, None]  # exact: symmetrize and scale
     a = half * block + half * block.swapaxes(1, 2)
     ws = np.ldexp(w, -exp[:, None])
-    res, orth, anorm, vnorm = _frobenius(np.stack(
+    res, orth, anorm, vnorm = _frobenius(np.array(
         [a @ v - v * ws[:, None, :], v.swapaxes(1, 2) @ v - np.eye(n), a, v]))
     size = anorm + np.abs(ws).max(axis=1)
     gamma = (n + 2) * EPS / (1.0 - (n + 2) * EPS)
@@ -118,7 +118,8 @@ def opnorms_within(m: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
         norms = _frobenius(m)
         norms *= 1.0 + 4 * (m.shape[-1] * m.shape[-2] + 2) * EPS
     exact = ~(norms <= tol)  # NaN fails the screen
-    norms[exact] = opnorms(m[exact])
+    if exact.any():
+        norms[exact] = opnorms(m[exact])
     return norms
 
 

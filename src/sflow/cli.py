@@ -16,8 +16,10 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -133,18 +135,26 @@ def _no_extras(obj: dict, allowed: set[str], where: str) -> None:
         raise SchemaError(f"{where}.{extras[0]} is not a recognized field")
 
 
-def _matrix(raw, where: str) -> list[list[float]]:
+def _matrix(raw, where: str) -> np.ndarray:
     if (not isinstance(raw, list) or not raw
             or not all(isinstance(r, list) for r in raw)):
         raise SchemaError(f"{where} must be a non-empty array of arrays")
     n = len(raw)
+    # the entry types checked in one pass and the entries converted at once;
+    # a bad entry takes the walk below, which names it
+    if (set(map(len, raw)) == {n}
+            and set(map(type, chain.from_iterable(raw))) <= {int, float}):
+        with suppress(OverflowError):  # an integer past the float range
+            m = np.array(raw, dtype=float)
+            if np.isfinite(m).all():
+                return m
     out = []
     for i, row in enumerate(raw):
         if len(row) != n:
             raise SchemaError(f"{where}[{i}] has length {len(row)}, expected {n}")
         at = f"{where}[{i}]"
         out.append([_number(x, at) for x in row])
-    return out
+    return np.array(out)
 
 
 def _elements(raw, order: int, where: str) -> list[int]:

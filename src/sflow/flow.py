@@ -16,11 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._eig import block_diag, solve_each
+from ._eig import block_diag
 from .errors import (
     CertificationFailed,
     DimensionMismatch,
-    EigenFailure,
     EndpointNotInvertible,
     NotEquivariant,
     OutOfRange,
@@ -32,22 +31,23 @@ from .groups import (
     OrthogonalAction,
     RealCharacterTable,
     VirtualRep,
+    _class_rows,
     forgetful_F,
-    subspace_classes,
 )
 from .operators import (
     CLUSTER_FACTOR,
     EQUIVARIANCE_FACTOR,
     INVERT_FACTOR,
     OperatorPath,
-    Spectrum,
-    _singular_threshold,
-    block_spectra,
+    PathStack,
+    _singular_rows,
     cluster_values,
     compression_tail,
+    eigendata_each,
     equivariance_defects,
     interval_columns,
     morse_classes,
+    segment_speeds,
     solve_speeds,
     window_faults,
 )
@@ -142,56 +142,56 @@ class SflReport:
     crossings: tuple[Crossing, ...]
 
 
-class _SpectraCache:
-    """Memoized blocks and block spectra along one path at one cluster
-    tolerance."""
+class _Eigendata:
+    """Blocks and eigendata of the requests of one sfl_G_each call that
+    share a block size, at one cluster tolerance.
 
-    def __init__(self, path: OperatorPath, tol_cluster: float):
-        self.path = path
-        self.tol_cluster = tol_cluster
-        self._blocks: dict[float, np.ndarray] = {}
-        # a parameter whose block failed to solve maps to its EigenFailure,
-        # raised whenever its spectrum is asked for
-        self._spectra: dict[float, Spectrum | EigenFailure] = {}
+    Each (request, parameter) pair solved is one row of growing arrays: the
+    parameter lam, the symmetrized block, the eigenvalues w, eigenvectors v,
+    block norm, clustering tolerance and solver error bound, and ok, false
+    where the solve failed (errors holds that row's EigenFailure)."""
 
-    def blocks(self, lams: list[float]) -> np.ndarray:
-        """(k, n, n) stack of the symmetrized blocks at k parameters, each
-        equal bit for bit to path.at(lam).block and built once."""
-        new = [lam for lam in dict.fromkeys(lams) if lam not in self._blocks]
-        if new:
-            b = self.path.blocks_at(new)
-            b = 0.5 * b + 0.5 * np.swapaxes(b, 1, 2)
-            self._blocks.update(zip(new, b))
-            if len(new) == len(lams):  # every parameter new: b is the stack
-                return b
-        return np.stack([self._blocks[lam] for lam in lams])
+    def __init__(self, paths: Sequence[OperatorPath], tol_cluster: float):
+        self.paths, self.tol_cluster = list(paths), tol_cluster
+        # the blocks of OperatorPaths are interpolated together; any other
+        # path object gives its own
+        self.own = np.array([not isinstance(p, OperatorPath) for p in paths])
+        self.stack = (None if self.own.all() else PathStack(
+            [p for p, own in zip(paths, self.own) if not own]))
+        self.place = np.cumsum(~self.own) - 1
+        self.size, self.errors = 0, {}
+        self._grow(16 + 8 * len(self.paths))
 
-    def spectrum(self, lam: float) -> Spectrum:
-        """The spectrum at a parameter _fill_each has solved."""
-        spec = self._spectra[lam]
-        if isinstance(spec, EigenFailure):
-            raise spec
-        return spec
+    def _grow(self, rows: int) -> None:
+        n = self.paths[0].dim
+        for name, shape, kind in [("lam", (), float), ("blocks", (n, n), float),
+                                  ("w", (n,), float), ("v", (n, n), float),
+                                  ("norm", (), float), ("tol", (), float),
+                                  ("err", (), float), ("ok", (), bool)]:
+            grown = np.zeros((rows, *shape), dtype=kind)
+            if self.size:
+                grown[:self.size] = getattr(self, name)[:self.size]
+            setattr(self, name, grown)
 
-
-def _fill_each(wanted: list[tuple[_SpectraCache, list[float]]]) -> None:
-    """Solve the parameters not yet cached, of every (cache, parameters)
-    pair, in one stacked eigensolve per block dimension and cluster
-    tolerance. A block that fails to solve fails alone (solve_each)."""
-    stacks: dict[tuple[int, float], list] = {}
-    for cache, lams in wanted:
-        new = [lam for lam in dict.fromkeys(lams) if lam not in cache._spectra]
-        if new:
-            blocks = cache.blocks(new)
-            stacks.setdefault((blocks.shape[-1], cache.tol_cluster),
-                              []).append((cache, new, blocks))
-    for (_, tol), parts in stacks.items():
-        spectra = solve_each(lambda b: block_spectra(b, tol),
-                             np.concatenate([b for _, _, b in parts]))
-        k = 0
-        for cache, new, _ in parts:
-            cache._spectra.update(zip(new, spectra[k:k + len(new)]))
-            k += len(new)
+    def add(self, which: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        """Rows of the blocks of request which[j] at lams[j], interpolated
+        together and solved in one stacked eigensolve; a block that fails
+        to solve fails alone (solve_each)."""
+        b = (self.stack.blocks(self.place[which], lams) if self.stack
+             else np.empty((len(lams),) + self.blocks.shape[1:]))
+        for j in self.own[which].nonzero()[0].tolist():
+            b[j] = self.paths[which[j]].blocks_at([lams[j]])[0]
+        b = 0.5 * b + 0.5 * b.swapaxes(1, 2)
+        start = self.size
+        if start + len(b) > len(self.ok):
+            self._grow(max(2 * len(self.ok), start + len(b)))
+        self.size += len(b)
+        *data, errors = eigendata_each(b, self.tol_cluster)
+        for name, values in zip(("lam", "blocks", "w", "v", "norm", "tol",
+                                 "err", "ok"), (lams, b, *data)):
+            getattr(self, name)[start:self.size] = values
+        self.errors.update((start + i, e) for i, e in errors.items())
+        return np.arange(start, self.size)
 
 
 def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
@@ -229,7 +229,7 @@ def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
         # empty, so the nonempty gaps are those between merged envelopes,
         # followed by the gap up to cap
         rows = np.arange(len(w))
-        order = np.argsort(lo, axis=1, kind="stable")
+        order = lo.argsort(axis=1, kind="stable")
         lo = lo[rows[:, None], order]
         top = np.maximum.accumulate(hi[rows[:, None], order], axis=1)
         gap_lo = np.maximum(0.0, np.minimum(np.concatenate(
@@ -237,7 +237,7 @@ def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
         gap_hi = np.minimum(np.concatenate([lo, cap], axis=1), cap)
         open_ = gap_hi > gap_lo
         widths = np.where(open_, gap_hi - gap_lo, -np.inf)
-        best = np.argmax(widths, axis=1)  # the first widest
+        best = widths.argmax(axis=1)  # the first widest
         width = widths[rows, best]
         level = (gap_lo[rows, best] + gap_hi[rows, best]) / 2.0
         # the envelopes hold the computed eigenvalues; the exact ones may sit
@@ -247,157 +247,157 @@ def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
         norm_bound = np.abs(w).max(axis=(1, 2), initial=0.0) + rad
         required = np.maximum(MARGIN_FLOOR,
                               2.0 * tol_cluster * (1.0 + norm_bound))
-        counts = np.count_nonzero(np.abs(w) <= level[:, None, None], axis=2)
+        counts = (np.abs(w) <= level[:, None, None]).sum(axis=2)
     ok = (open_.any(axis=1) & (margin > required)
           & (counts == counts[:, :1]).all(axis=1))
     return ok, level, margin
 
 
-def _radii(segments: list[tuple[_SpectraCache, float, float]]) -> np.ndarray:
-    """Lipschitz radius speed * (right - left) / 2 of each (cache, left,
-    right) segment, where speed is that of the fastest piece of the cache's
-    path meeting [left, right] (Weyl: no eigenvalue moves faster there), from
-    one segment_speeds call per path."""
-    ends = np.array([(left, right) for _, left, right in segments]).reshape(-1, 2)
-    by_path: dict[int, tuple[OperatorPath, list[int]]] = {}
-    for k, (cache, _, _) in enumerate(segments):
-        by_path.setdefault(id(cache), (cache.path, []))[1].append(k)
-    speed = np.empty(len(segments))
-    for path, ks in by_path.values():
-        speed[ks] = path.segment_speeds(ends[ks])
-    return speed * (ends[:, 1] - ends[:, 0]) / 2.0
+def _end_faults(store: _Eigendata, ends: np.ndarray, tol_invert: float
+                ) -> list[SflowError | None]:
+    """Each request's first failed solve or EndpointNotInvertible, at 0 then
+    at 1 (its row of ends): an eigenvalue that the solver error bound may
+    put within tol_invert * (1 + ||block||) of 0."""
+    min_abs, threshold, singular = _singular_rows(
+        store.w[ends], store.norm[ends], store.err[ends], tol_invert)
+    bad = ~store.ok[ends] | singular
+    faults: list[SflowError | None] = [None] * len(ends)
+    for k in bad.any(axis=1).nonzero()[0].tolist():
+        j = int(bad[k].argmax())
+        faults[k] = (store.errors[ends[k, j]] if not store.ok[ends[k, j]]
+                     else EndpointNotInvertible(
+                         f"eigenvalue {min_abs[k, j]:.3e} at endpoint "
+                         f"{float(j)} within threshold {threshold[k, j]:.3e}"))
+    return faults
 
 
-def _certify_each(segments: list[tuple[_SpectraCache, float, float]],
-                  tol_cluster: float
-                  ) -> list[tuple[float, float] | EigenFailure | None]:
-    """(level, margin) or None for each (cache, left, right) segment, from
-    one _certify pass per block dimension. A segment whose samples failed
-    to solve gets, in place, the first EigenFailure of its left end,
-    midpoint and right end."""
-    out: list[tuple[float, float] | EigenFailure | None] = [None] * len(segments)
-    rad = _radii(segments)
-    by_dim: dict[int, list] = {}
-    for k, (cache, left, right) in enumerate(segments):
-        try:
-            specs = [cache.spectrum(lam)
-                     for lam in (left, (left + right) / 2.0, right)]
-        except EigenFailure as e:
-            out[k] = e
-        else:
-            by_dim.setdefault(specs[0].eigenvalues.size, []).append(
-                (k, specs, cache.path))
-    for group in by_dim.values():
-        ok, level, margin = _certify(
-            np.array([[s.eigenvalues for s in specs] for _, specs, _ in group]),
-            np.array([[s.err for s in specs] for _, specs, _ in group]),
-            rad[[k for k, _, _ in group]],
-            np.array([path.plus_tail or path.minus_tail for _, _, path in group]),
-            tol_cluster)
-        for (k, *_), good, lv, mg in zip(group, ok.tolist(), level.tolist(),
-                                         margin.tolist()):
-            if good:
-                out[k] = (lv, mg)
-    return out
+# the samples of the candidates of one batch segment [a, b] with midpoint m
+# and halves' midpoints q and p, from its points (a, q, m, p, b): the
+# segment (a, m, b) and its halves (a, q, m) and (m, p, b)
+_CANDIDATES = np.array([[0, 2, 4], [0, 1, 2], [2, 3, 4]])
+_HALVES = np.array([0, 1, 1])
+_FIRST = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
-def _require_invertible_ends(cache: _SpectraCache, opts: FlowOptions) -> None:
-    _fill_each([(cache, [0.0, 1.0])])
-    for lam in (0.0, 1.0):
-        spec = cache.spectrum(lam)
-        threshold = _singular_threshold(spec, opts.tol_invert)
-        if threshold is not None:
-            raise EndpointNotInvertible(
-                f"eigenvalue {spec.min_abs():.3e} at endpoint {lam} within "
-                f"threshold {threshold:.3e}")
+def _partitions(store: _Eigendata, reqs: list[int], opts: FlowOptions
+                ) -> list[tuple[CertifiedPartition, np.ndarray] | SflowError]:
+    """find_partition for the path of each request of one store, in shared
+    rounds, with the rows of each partition's knots, then its midpoints.
 
-
-def _halves(left: float, right: float, depth: int
-            ) -> list[tuple[float, float, int]]:
-    mid = (left + right) / 2.0
-    return [(left, mid, depth + 1), (mid, right, depth + 1)]
-
-
-def _partitions(caches: list[_SpectraCache], opts: FlowOptions
-                ) -> list[CertifiedPartition | SflowError]:
-    """find_partition for the path of each cache, in shared rounds.
-
-    Each path keeps its own left-to-right worklist. A round takes the
-    leftmost BISECTION_BATCH pending segments of every path and both halves
-    of each, solves their missing samples together and tests them together,
-    then accepts or splits each path's segments in order. A segment that
-    splits resolves its halves from the same round, so only halves that
-    split again leave pending quarters. Before the first round every path's
+    A pending segment is a row of (request, depth, rows of its left end, of
+    its quarter points and of its right end, -1 where not solved yet), each
+    request's in order from the left. A round's candidates are its batch
+    segments, each followed by its two halves, and its accept and split
+    decisions are masks over them. Before the first round every path's
     piece speeds are solved together (solve_speeds), and so are 0, 1/4,
-    1/2, 3/4 and 1 of every path, which leaves that round nothing to
-    solve."""
-    out: list[CertifiedPartition | SflowError | None] = [None] * len(caches)
-    solve_speeds([cache.path for cache in caches])
-    _fill_each([(cache, [0.0, 0.25, 0.5, 0.75, 1.0]) for cache in caches])
-    # per live path: pending (left, right, depth) segments, accepted
-    # (right, level, margin) ones, and the leftmost failure so far
-    live: dict[int, tuple[list, list, SflowError | None]] = {}
-    for k, cache in enumerate(caches):
+    1/2, 3/4 and 1 of every path."""
+    paths = [store.paths[r] for r in reqs]
+    out: list = [None] * len(reqs)
+    solve_speeds(paths)
+    first = store.add(np.repeat(reqs, 5),
+                      (np.zeros((len(reqs), 1)) + _FIRST).reshape(-1))
+    first = first.reshape(-1, 5)
+    for k, path in enumerate(paths):
         try:
-            cache.path.speeds  # raises if they failed to solve
-            _require_invertible_ends(cache, opts)
+            path.speeds  # raises if they failed to solve
         except SflowError as e:
             out[k] = e
-        else:
-            live[k] = ([(0.0, 1.0, 0)], [], None)
-    while live:
-        batches = {k: pending[:BISECTION_BATCH]
-                   for k, (pending, _, _) in live.items()}
-        # a segment at the depth budget never splits, so its halves are
-        # not needed
-        tried = {k: [(left, right) for seg in batch for left, right, depth in
-                     [seg, *(_halves(*seg) if seg[2] < opts.max_depth else ())]
-                     if depth >= opts.min_depth]
-                 for k, batch in batches.items()}
-        _fill_each([(caches[k], [lam for left, right in segs
-                                 for lam in (left, (left + right) / 2.0, right)])
-                    for k, segs in tried.items()])
-        segments = [(k, left, right) for k, segs in tried.items()
-                    for left, right in segs]
-        found = dict(zip(segments, _certify_each(
-            [(caches[k], left, right) for k, left, right in segments],
-            opts.tol_cluster)))
-        for k, batch in batches.items():
-            pending, accepted, failure = live.pop(k)
-            later = pending[BISECTION_BATCH:]
-            split: list[tuple[float, float, int]] = []
-            # a stack of segments in order, each with whether its halves
-            # were tried in this round
-            todo = [(seg, True) for seg in reversed(batch)]
-            while todo:
-                (left, right, depth), ahead = todo.pop()
-                fault: SflowError | None = None
-                if depth >= opts.min_depth:
-                    level_margin = found[(k, left, right)]
-                    if isinstance(level_margin, tuple):
-                        accepted.append((right, *level_margin))
-                        continue
-                    fault = level_margin
-                    if fault is None and depth >= opts.max_depth:
-                        fault = CertificationFailed(
-                            f"no certified level on [{left}, {right}] at "
-                            f"depth {depth}")
-                if fault is not None:
-                    # only a failure further left can still come first
-                    failure, later = fault, []
-                    break
-                if ahead:
-                    todo += [(half, False)
-                             for half in reversed(_halves(left, right, depth))]
-                else:
-                    split += _halves(left, right, depth)
-            if split or later:
-                live[k] = (split + later, accepted, failure)
-            elif failure is not None:
-                out[k] = failure
-            else:
-                rights, levels, margins = zip(*sorted(accepted))
-                out[k] = CertifiedPartition((0.0,) + rights, levels, margins)
+    live = [k for k in range(len(reqs)) if out[k] is None]
+    for k, fault in zip(live, _end_faults(store, first[live][:, ::4],
+                                          opts.tol_invert)):
+        out[k] = fault
+    live = [k for k in live if out[k] is None]
+    if not live:
+        return out
+    # from here on a request is its position in live
+    of = np.array(reqs, dtype=np.intp)[live]
+    speed_of = segment_speeds([paths[k] for k in live])
+    tails = np.array([paths[k].plus_tail or paths[k].minus_tail
+                      for k in live], dtype=bool)
+    failure: dict[int, SflowError] = {}
+    accepted = []
+    seg = np.concatenate([np.arange(len(live))[:, None],
+                          np.zeros((len(live), 1), dtype=np.intp), first[live]],
+                         axis=1)
+    ends = np.zeros((len(live), 1)) + [0.0, 1.0]
+    while len(seg):
+        later = np.zeros(len(seg), dtype=bool)
+        if len(seg) > BISECTION_BATCH:  # past each request's leftmost batch
+            start = np.flatnonzero(np.diff(seg[:, 0], prepend=-1))
+            later = np.arange(len(seg)) - np.repeat(
+                start, np.diff(start, append=len(seg))) >= BISECTION_BATCH
+        r, d, at, e = seg[~later, 0], seg[~later, 1], seg[~later, 2:], ends[~later]
+        m = (e[:, 0] + e[:, 1]) / 2.0
+        points = np.array([e[:, 0], (e[:, 0] + m) / 2.0, m,
+                           (m + e[:, 1]) / 2.0, e[:, 1]]).T
+        need = at < 0
+        if need.any():
+            # a segment at the depth budget never splits, so the midpoints
+            # of its halves are not needed
+            need[:, 1::2] &= (d < opts.max_depth)[:, None]
+            at[need] = store.add(of[r].repeat(need.sum(axis=1)), points[need])
+        # the candidates, as (left, midpoint, right) parameters and rows;
+        # the halves of a segment at the depth budget are not tried
+        pts = points[:, _CANDIDATES].reshape(-1, 3)
+        rows = at[:, _CANDIDATES].reshape(-1, 3)
+        cr, cd = r.repeat(3), (d[:, None] + _HALVES).reshape(-1)
+        t = ((cd >= opts.min_depth) & (cd <= opts.max_depth)).nonzero()[0]
+        solved = store.ok[rows[t]].all(axis=1)
+        ts = t[solved]
+        ok, level, margin = _certify(
+            store.w[rows[ts]], store.err[rows[ts]],
+            speed_of(cr[ts], pts[ts][:, ::2]) * (pts[ts, 2] - pts[ts, 0]) / 2.0,
+            tails[cr[ts]], opts.tol_cluster)
+        # each candidate is accepted (0), fails its request (1) or splits (2)
+        code = np.full(len(cr), 2)
+        code[t] = np.where(cd[t] < opts.max_depth, 2, 1)
+        code[t[~solved]] = 1
+        code[ts[ok]] = 0
+        # the leaves in depth-first order: each batch segment that is
+        # accepted or fails, else its two halves
+        c = ((code[::3] < 2)[:, None] == (_HALVES == 0)).ravel().nonzero()[0]
+        if (code[c] == 1).any():
+            # a request's first failing leaf ends its round: the leaves and
+            # the pending segments to its right go
+            fault = code[c] == 1
+            start = np.flatnonzero(np.diff(cr[c], prepend=-1))
+            before = np.cumsum(fault) - fault
+            c = c[before == np.repeat(before[start],
+                                      np.diff(start, append=len(c)))]
+            for i in c[code[c] == 1].tolist():
+                failure[int(cr[i])] = (
+                    store.errors[rows[i, store.ok[rows[i]].argmin()]]
+                    if not store.ok[rows[i]].all()
+                    else CertificationFailed(
+                        f"no certified level on [{float(pts[i, 0])}, "
+                        f"{float(pts[i, 2])}] at depth {int(cd[i])}"))
+            later &= ~np.isin(seg[:, 0], cr[c[code[c] == 1]])
+        done, split = c[code[c] == 0], c[code[c] == 2]
+        k = ts.searchsorted(done)
+        accepted.append((cr[done], pts[done, 2], level[k], margin[k],
+                         rows[done, 1], rows[done, 2]))
+        # each split leaf leaves its two halves pending, before the
+        # segments that were not in the batch
+        halves = np.full((2 * len(split), 7), -1)
+        halves[:, :2] = np.array([cr[split], cd[split] + 1]).T.repeat(2, 0)
+        halves[:, [2, 6]] = rows[split][:, [0, 1, 1, 2]].reshape(-1, 2)
+        halves_ends = pts[split][:, [0, 1, 1, 2]].reshape(-1, 2)
+        if later.any():
+            order = np.concatenate([halves[:, 0], seg[later, 0]]).argsort(
+                kind="stable")
+            halves = np.concatenate([halves, seg[later]])[order]
+            halves_ends = np.concatenate([halves_ends, ends[later]])[order]
+        seg, ends = halves, halves_ends
+    kr, right, level, margin, mid, end = (np.concatenate(x)
+                                          for x in zip(*accepted))
+    order = np.lexsort((right, kr))
+    bounds = np.searchsorted(kr[order], np.arange(len(live) + 1))
+    for p, k in enumerate(live):
+        i = order[bounds[p]:bounds[p + 1]]
+        out[k] = failure.get(p) or (
+            CertifiedPartition((0.0, *right[i].tolist()), tuple(level[i].tolist()),
+                               tuple(margin[i].tolist())),
+            np.concatenate([first[k, :1], end[i], mid[i]]))
     return out
 
 
@@ -411,124 +411,122 @@ def find_partition(path: OperatorPath,
     otherwise it is bisected. Fails once a segment would need more than
     max_depth bisections.
 
-    Bisection runs over a left-to-right worklist of pending segments. Each
-    round takes the leftmost BISECTION_BATCH of them and both halves of
-    each, solves all their missing samples in one stacked eigensolve and
-    tries the segments in order; a segment that splits resolves its halves
-    from the same round. A failure is raised only once no pending segment
-    lies to its left, and everything to its right is dropped, so the
-    partition and the failure are those of a depth-first recursion, and a
-    path that cannot be certified costs at most (max_depth + 2) // 2 rounds
-    of BISECTION_BATCH segments and their halves.
+    Each round of bisection takes the leftmost BISECTION_BATCH pending
+    segments and both halves of each, solves their new samples in one
+    stacked eigensolve and tests them together; a segment that splits
+    resolves its halves from the same round. A failure is raised only once
+    no pending segment lies to its left, so the partition and the failure
+    are those of a depth-first recursion, and a path that cannot be
+    certified costs at most (max_depth + 2) // 2 rounds.
     """
     opts = opts or FlowOptions()
-    parts = _partitions([_SpectraCache(path, opts.tol_cluster)], opts)
+    parts = _partitions(_Eigendata([path], opts.tol_cluster), [0], opts)
     raise_first(parts)
-    return parts[0]
+    return parts[0][0]
 
 
 @dataclass
 class _Flow:
-    """One request of sfl_G_each on its way to a report or an error."""
+    """One request of sfl_G_each on its way to a report or an error: req
+    is its request in the eigendata of its block size, and rows are the
+    rows of its partition's knots, then of its midpoints."""
 
     path: OperatorPath
     action: OrthogonalAction
-    cache: _SpectraCache
     partition: CertifiedPartition | None
     outcome: SflReport | SflowError | None = None
+    req: int = -1
+    rows: np.ndarray | None = None
 
 
-def _check_equivariance(flows: list[_Flow]) -> None:
+def _check_equivariance(store: _Eigendata, flows: list[_Flow]) -> None:
     """Commutators of the blocks at the knots and midpoints of each flow's
     partition with their common action, in one stacked pass. A flow's first
     failure in parameter order, a failed solve or a defect over its
     tolerance, becomes its outcome."""
-    lams = [[*f.partition.knots,
-             *((a + b) / 2.0 for a, b in zip(f.partition.knots,
-                                             f.partition.knots[1:]))]
-            for f in flows]
-    _fill_each([(f.cache, ls) for f, ls in zip(flows, lams)])
-    # a parameter whose solve failed gets tol inf, and cache.spectrum raises
-    # its EigenFailure below, in parameter order
-    tols = [[EQUIVARIANCE_FACTOR * (1.0 + s.block_norm)
-             if isinstance(s, Spectrum) else math.inf
-             for s in map(f.cache._spectra.get, ls)]
-            for f, ls in zip(flows, lams)]
-    defects = equivariance_defects(
-        np.concatenate([f.cache.blocks(ls) for f, ls in zip(flows, lams)]),
-        flows[0].action, [t for ts in tols for t in ts]).tolist()
-    start = 0
-    for f, ls, ts in zip(flows, lams, tols):
-        for lam, defect, tol in zip(ls, defects[start:], ts):
-            try:
-                f.cache.spectrum(lam)
-            except EigenFailure as e:
-                f.outcome = e
-                break
-            if defect > tol:
-                f.outcome = NotEquivariant(
-                    f"commutator norm {defect:.3e} at parameter {lam} "
-                    f"exceeds {tol:.3e}")
-                break
-        start += len(ls)
+    rows = np.concatenate([f.rows for f in flows])
+    ok = store.ok[rows]
+    # a parameter whose solve failed gets tol inf, and its EigenFailure
+    tols = np.where(ok, EQUIVARIANCE_FACTOR * (1.0 + store.norm[rows]), np.inf)
+    defects = equivariance_defects(store.blocks[rows], flows[0].action, tols)
+    bad = ~ok | (defects > tols)
+    for f, end in zip(flows, np.cumsum([len(f.rows) for f in flows]).tolist()):
+        i = end - len(f.rows) + int(bad[end - len(f.rows):end].argmax())
+        if bad[i]:
+            f.outcome = (store.errors[rows[i]] if not ok[i] else NotEquivariant(
+                f"commutator norm {defects[i]:.3e} at parameter "
+                f"{float(store.lam[rows[i]])} exceeds {tols[i]:.3e}"))
 
 
-def _take_classes(flows: list[_Flow], table: RealCharacterTable) -> None:
+def _take_classes(store: _Eigendata, flows: list[_Flow],
+                  table: RealCharacterTable) -> None:
     """Report of each flow from the classes of the frames of [0, level] at
     the left and right knot of each of its segments, for every flow of one
     action in one array pass over the stacked knot eigendata, with the left
     edge closed at -tol. The distinct (knot, columns) frames go to one
-    subspace_classes call as one padded stack. Each flow's first failure is
-    that of a per-frame loop; _check_equivariance has solved every knot."""
-    specs = [f.cache.spectrum(lam) for f in flows for lam in f.partition.knots]
-    w = np.array([s.eigenvalues for s in specs])
-    tol = np.array([s.tol for s in specs])
-    # frames 2i and 2i + 1 of a flow are the left and right knot of segment i
-    rows, levels, tails, spans = [], [], [], []
-    for f in flows:
-        first, m = len(rows), len(f.partition.levels)
-        spans.append((first, first + 2 * m))
-        rows += [len(spans) - 1 + first // 2 + (j + 1) // 2 for j in range(2 * m)]
-        levels += [lv for lv in f.partition.levels for _ in "lr"]
-        tails += [f.path.tails] * (2 * m)
-    at = np.array(rows)
+    class pass as one padded stack. Each flow's first failure is that of a
+    per-frame loop; _check_equivariance has solved every knot."""
+    knots = np.concatenate([f.rows[:len(f.partition.knots)] for f in flows])
+    w, tol = store.w[knots], store.tol[knots]
+    # frames 2i and 2i + 1 of a flow are the left and right knot of segment
+    # i: at gives each frame its place in knots
+    size = np.array([len(f.partition.levels) for f in flows])
+    spans = np.cumsum(2 * size)
+    at = (np.arange(spans[-1]) + 1) // 2 + np.repeat(np.arange(len(flows)),
+                                                     2 * size)
+    levels = [lv for f in flows for lv in f.partition.levels for _ in "lr"]
     # the window [0, level] is closed at -tol, as a kernel vector is inside
-    faults = window_faults(w[at], tol[at], levels, tails)
+    faults = window_faults(w[at], tol[at], levels, np.array(
+        [f.path.tails for f in flows]).repeat(2 * size, axis=0))
     lo, ncols = interval_columns(cluster_values(w, tol)[1][at],
                                  0.0 - tol[at, None], np.array(levels)[:, None])
-    keys = list(zip(rows, lo.tolist(), ncols.tolist()))
+    keys = list(zip(at.tolist(), lo.tolist(), ncols.tolist()))
     distinct: dict[tuple[int, int, int], int] = {}
     picks = []
-    for start, end in spans:
+    for start, end in zip([0, *spans[:-1].tolist()], spans.tolist()):
         stop = next((i for i in range(start, end) if faults[i] is not None), end)
         picks.append(([distinct.setdefault(key, len(distinct))
                        for key in keys[start:stop]],
                       faults[stop] if stop < end else None))
-    ks = [k for _, _, k in distinct]
-    pad = np.zeros((len(ks), w.shape[1], max(ks, default=0)))
-    for frame, (knot, col, k) in zip(pad, distinct):
-        frame[:, :k] = specs[knot].vectors[:, col:col + k]
-    classes = subspace_classes(flows[0].action, table, pad, ks)
+    # each distinct frame is the columns [lo, lo + k) of its knot's vectors,
+    # padded with zeros
+    frames = np.array(list(distinct) or np.zeros((0, 3)), dtype=np.intp)
+    ks = frames[:, 2].tolist()
+    cols = np.arange(max(ks, default=0))
+    pad = np.where((cols < frames[:, 2:])[:, None, :], store.v[
+        knots[frames[:, :1, None]], np.arange(w.shape[1])[:, None],
+        np.minimum(frames[:, 1:2] + cols, w.shape[1] - 1)[:, None, :]], 0.0)
+    coeffs, errors = _class_rows(flows[0].action, table, pad, ks)
     for f, (picked, fault) in zip(flows, picks):
-        got = [classes[c] for c in picked]
-        error = next((c for c in got if isinstance(c, SflowError)), fault)
-        f.outcome = error or _flow_report(f.partition, got, table)
+        f.outcome = next((errors[c] for c in picked if errors[c]), fault)
+    good = [(f, picked) for f, (picked, _) in zip(flows, picks)
+            if f.outcome is None]
+    if good:
+        # each segment's contribution is its right knot class less its left
+        # one, taken on the integer-valued coefficient rows of every flow
+        # at once; equal rows share one VirtualRep, as they are immutable
+        c = coeffs[[i for _, picked in good for i in picked]]
+        diffs = c[1::2] - c[::2]
+        at = np.cumsum([0] + [len(picked) // 2 for _, picked in good])
+        made: dict[tuple, VirtualRep] = {}
+        rows, totals = diffs.tolist(), np.add.reduceat(diffs, at[:-1]).tolist()
+        for row in map(tuple, rows + totals):
+            if row not in made:
+                made[row] = VirtualRep(table, row)
+        for (f, _), start, end, total in zip(good, at, at[1:], totals):
+            f.outcome = _flow_report(
+                f.partition, [made[tuple(d)] for d in rows[start:end]],
+                made[tuple(total)])
 
 
-def _flow_report(partition: CertifiedPartition, classes: list[VirtualRep],
-                 table: RealCharacterTable) -> SflReport:
-    # each segment's contribution is its right knot class less its left one,
-    # taken on the coefficient tuples so that each VirtualRep is built once
-    coeffs = [c.coeffs for c in classes]
-    diffs = [tuple(b - a for a, b in zip(left, right))
-             for left, right in zip(coeffs[::2], coeffs[1::2])]
-    contributions = tuple(VirtualRep(table, d) for d in diffs)
-    total = VirtualRep(table, tuple(map(sum, zip(*diffs))))
+def _flow_report(partition: CertifiedPartition, contributions: list[VirtualRep],
+                 klass: VirtualRep) -> SflReport:
     crossings = tuple(
         Crossing((partition.knots[i], partition.knots[i + 1]), i, c)
-        for i, (d, c) in enumerate(zip(diffs, contributions)) if any(d))
-    return SflReport(sfl_G=total, sfl=forgetful_F(total), partition=partition,
-                     segment_contributions=contributions, crossings=crossings)
+        for i, c in enumerate(contributions) if not c.is_zero())
+    return SflReport(sfl_G=klass, sfl=forgetful_F(klass), partition=partition,
+                     segment_contributions=tuple(contributions),
+                     crossings=crossings)
 
 
 def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
@@ -538,16 +536,17 @@ def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
     """sfl_G of each (path, action) request: its report, or in its place the
     error its own sfl_G call raises.
 
-    The requests share their work. Bisection runs in shared rounds
-    (_partitions); then the blocks at knots and midpoints of all flows of
-    one action are checked for equivariance in one stacked pass, and their
-    knot frames take their classes in another. partitions, when given, holds
-    one certificate per request to use instead of bisection, or None.
+    The requests of one block size share their work through one store of
+    eigendata. Bisection runs in shared rounds (_partitions); then the
+    blocks at knots and midpoints of all flows of one action are checked
+    for equivariance in one stacked pass, and their knot frames take their
+    classes in another. partitions, when given, holds one certificate per
+    request to use instead of bisection, or None.
     """
     opts = opts or FlowOptions()
-    flows = [_Flow(path, action, _SpectraCache(path, opts.tol_cluster), part)
-             for (path, action), part in zip(
-                 requests, partitions or [None] * len(requests))]
+    flows = [_Flow(path, action, part) for (path, action), part in zip(
+        requests, partitions or [None] * len(requests))]
+    by_dim: dict[int, list[_Flow]] = {}
     for f in flows:
         if f.action.dim != f.path.dim:
             f.outcome = DimensionMismatch(f"action dimension {f.action.dim} "
@@ -555,26 +554,40 @@ def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
         elif table.group != f.action.group:
             f.outcome = WrongGroup(
                 "character table and action belong to different groups")
-        elif f.partition is not None:
-            try:
-                _require_invertible_ends(f.cache, opts)
-            except SflowError as e:
-                f.outcome = e
-    bisect = [f for f in flows if f.outcome is None and f.partition is None]
-    for f, part in zip(bisect, _partitions([f.cache for f in bisect], opts)):
-        if isinstance(part, SflowError):
-            f.outcome = part
         else:
-            f.partition = part
-    by_action: dict[int, list[_Flow]] = {}
-    for f in flows:
-        if f.outcome is None:
-            by_action.setdefault(id(f.action), []).append(f)
-    for group in by_action.values():
-        _check_equivariance(group)
-        equivariant = [f for f in group if f.outcome is None]
-        if equivariant:
-            _take_classes(equivariant, table)
+            group = by_dim.setdefault(f.path.dim, [])
+            f.req = len(group)
+            group.append(f)
+    for group in by_dim.values():
+        store = _Eigendata([f.path for f in group], opts.tol_cluster)
+        given = [f for f in group if f.partition is not None]
+        if given:
+            lams = [[*f.partition.knots, *((a + b) / 2.0 for a, b in zip(
+                f.partition.knots, f.partition.knots[1:]))] for f in given]
+            rows = store.add(np.repeat([f.req for f in given], list(map(
+                len, lams))), np.concatenate(lams))
+            for f, ls in zip(given, lams):
+                f.rows, rows = rows[:len(ls)], rows[len(ls):]
+            ends = np.array([f.rows[[0, len(f.partition.knots) - 1]]
+                             for f in given])
+            for f, fault in zip(given, _end_faults(store, ends, opts.tol_invert)):
+                f.outcome = fault
+        bisect = [f for f in group if f.partition is None]
+        for f, part in zip(bisect, _partitions(store, [f.req for f in bisect],
+                                               opts) if bisect else []):
+            if isinstance(part, SflowError):
+                f.outcome = part
+            else:
+                f.partition, f.rows = part
+        by_action: dict[int, list[_Flow]] = {}
+        for f in group:
+            if f.outcome is None:
+                by_action.setdefault(id(f.action), []).append(f)
+        for same in by_action.values():
+            _check_equivariance(store, same)
+            equivariant = [f for f in same if f.outcome is None]
+            if equivariant:
+                _take_classes(store, equivariant, table)
     return [f.outcome for f in flows]
 
 
@@ -678,50 +691,35 @@ def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,
         requests.append((p, act))
         return len(requests) - 1
 
+    def path(i: int, draw: Callable = sampling.random_equivariant_path,
+             **kwargs) -> OperatorPath:
+        plus, minus = tail_cycle[i % 4]
+        return draw(action, rng, plus_tail=plus, minus_tail=minus, **kwargs)
+
     def draw_cases() -> None:
         for i in range(instances):
-            tails = tail_cycle[i % 4]
-            p = sampling.random_invertible_path(action, rng, plus_tail=tails[0],
-                                                minus_tail=tails[1])
             checks.append(("vanishing", f"instance {i}: invertible path has flow",
-                           [flow(p)], None))
-
+                           [flow(path(i, sampling.random_invertible_path))],
+                           None))
         for i in range(instances):
-            tails = tail_cycle[i % 4]
-            p = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
-                                                 minus_tail=tails[1])
-            q = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
-                                                 minus_tail=tails[1],
-                                                 start_block=p.block_at(1.0))
+            p = path(i)
+            q = path(i, start_block=p.block_at(1.0))
             checks.append(("concatenation", f"instance {i}: concatenation",
                            [flow(concatenate(p, q))], [flow(p), flow(q)]))
             checks.append(("concatenation", f"instance {i}: closed loop has flow",
                            [flow(concatenate(p, reverse(p)))], None))
-
         double = direct_sum_action(action, action)
         for i in range(instances):
-            tails_p = tail_cycle[i % 4]
-            tails_q = tail_cycle[(i + 1) % 4]
-            p = sampling.random_equivariant_path(action, rng, plus_tail=tails_p[0],
-                                                 minus_tail=tails_p[1])
-            q = sampling.random_equivariant_path(action, rng, plus_tail=tails_q[0],
-                                                 minus_tail=tails_q[1])
+            p, q = path(i), path(i + 1)
             checks.append(("direct_sum", f"instance {i}: direct sum",
                            [flow(direct_sum_paths(p, q), double)],
                            [flow(p), flow(q)]))
-
         for i in range(instances):
-            tails = tail_cycle[i % 4]
-            p = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
-                                                 minus_tail=tails[1], kind="affine")
-            q = sampling.reparametrize(p, rng)
+            p = path(i, kind="affine")
             checks.append(("reparametrization", f"instance {i}: reparametrization",
-                           [flow(q)], [flow(p)]))
-
+                           [flow(sampling.reparametrize(p, rng))], [flow(p)]))
         for i in range(instances):
-            tails = tail_cycle[i % 4]
-            p = sampling.random_equivariant_path(action, rng, plus_tail=tails[0],
-                                                 minus_tail=tails[1])
+            p = path(i)
             u = sampling.random_equivariant_orthogonal(action, rng)
             checks.append(("conjugation", f"instance {i}: conjugation",
                            [flow(sampling.conjugate_path(p, u))], [flow(p)]))

@@ -451,12 +451,22 @@ def subspace_classes(action: OrthogonalAction, table: RealCharacterTable,
     stack whose frame i is its first ks[i] columns. Frames are checked as
     many at a time as keep each temporary within HOMOMORPHISM_BATCH entries
     (at least one frame)."""
+    coeffs, faults = _class_rows(action, table, frames, ks)
+    return [f or VirtualRep(table, tuple(c))
+            for f, c in zip(faults, coeffs.tolist())]
+
+
+def _class_rows(action: OrthogonalAction, table: RealCharacterTable, frames,
+                ks: Sequence[int] | None = None
+                ) -> tuple[np.ndarray, list[SflowError | None]]:
+    # subspace_classes as a (F, irreps) array of integer-valued coefficient
+    # rows, each meaningful only where its frame has no error
     chi, faults = _characters(action, frames, ks)
     try:
-        classes = _multiplicities(chi, table)
+        coeffs, off = _multiplicities(chi, table)
     except TableMismatch as e:
-        classes = [e] * len(chi)
-    return [f or c for f, c in zip(faults, classes)]
+        return np.zeros((len(chi), table.n_irreps)), [f or e for f in faults]
+    return coeffs, [f or o for f, o in zip(faults, off)]
 
 
 def _characters(action: OrthogonalAction, frames, ks: Sequence[int] | None = None
@@ -490,7 +500,7 @@ def _characters(action: OrthogonalAction, frames, ks: Sequence[int] | None = Non
             comm[part] = opnorms_within(action.stack @ proj
                                         - proj @ action.stack, INVARIANCE_TOL)
             chi[part] = np.einsum("cij,fji->fc", reps, proj[:, 0])
-    worst = np.argmax(comm, axis=1)
+    worst = comm.argmax(axis=1)
     defect = comm[np.arange(len(pad)), worst]
     faults: list[SflowError | None] = [None] * len(pad)
     for i in np.flatnonzero((gram > FRAME_TOL) | (defect > INVARIANCE_TOL)):
@@ -504,8 +514,10 @@ def _characters(action: OrthogonalAction, frames, ks: Sequence[int] | None = Non
 
 
 def _multiplicities(chi: np.ndarray, table: RealCharacterTable
-                    ) -> list[VirtualRep | NonIntegralMultiplicity]:
-    # each row of a (k, classes) array resolved by one product with the table
+                    ) -> tuple[np.ndarray, list[NonIntegralMultiplicity | None]]:
+    # each row of a (k, classes) array resolved by one product with the
+    # table: the rounded coefficient rows, and the error of each row that is
+    # not within MULTIPLICITY_TOL of integers
     group = table.group
     if chi.shape[1] != group.n_classes:
         raise TableMismatch(
@@ -514,17 +526,13 @@ def _multiplicities(chi: np.ndarray, table: RealCharacterTable
     coeffs = np.round(raw)
     with np.errstate(invalid="ignore"):
         off = ~(np.abs(raw - coeffs) < MULTIPLICITY_TOL)  # NaN is off
-    out: list[VirtualRep | NonIntegralMultiplicity] = []
-    for r, c, bad, row in zip(raw.tolist(), coeffs.tolist(),
-                              off.any(axis=1).tolist(), off):
-        if bad:
-            j = int(np.argmax(row))
-            out.append(NonIntegralMultiplicity(
-                f"multiplicity of {table.irreps[j].name} is {r[j]}, not "
-                f"within {MULTIPLICITY_TOL} of an integer"))
-        else:
-            out.append(VirtualRep(table, tuple(c)))
-    return out
+    faults: list[NonIntegralMultiplicity | None] = [None] * len(chi)
+    for i in np.flatnonzero(off.any(axis=1)).tolist():
+        j = int(np.argmax(off[i]))
+        faults[i] = NonIntegralMultiplicity(
+            f"multiplicity of {table.irreps[j].name} is {float(raw[i, j])}, "
+            f"not within {MULTIPLICITY_TOL} of an integer")
+    return coeffs, faults
 
 
 def character_of_subspace(action: OrthogonalAction,
@@ -539,9 +547,10 @@ def character_of_subspace(action: OrthogonalAction,
 def multiplicity_vector(chi: Sequence[float],
                         table: RealCharacterTable) -> VirtualRep:
     """Resolve a character into integer multiplicities of the table's irreps."""
-    classes = _multiplicities(np.array(chi, dtype=float).reshape(1, -1), table)
-    raise_first(classes)
-    return classes[0]
+    coeffs, faults = _multiplicities(np.array(chi, dtype=float).reshape(1, -1),
+                                     table)
+    raise_first(faults)
+    return VirtualRep(table, tuple(coeffs[0].tolist()))
 
 
 def forgetful_F(a: VirtualRep) -> int:

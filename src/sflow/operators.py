@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,6 +68,8 @@ class CPS:
         b = np.asarray(self.block, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise DimensionMismatch(f"block must be square, got shape {b.shape}")
+        if not np.isfinite(b).all():
+            raise OutOfRange("block has non-finite entries")
         b = 0.5 * b + 0.5 * b.T
         b.flags.writeable = False
         object.__setattr__(self, "block", b)
@@ -114,21 +116,55 @@ class Spectrum:
         return float(np.min(np.abs(self.eigenvalues)))
 
 
-def block_spectra(blocks: np.ndarray,
-                  tol_cluster: float = CLUSTER_FACTOR) -> list[Spectrum]:
-    """One Spectrum per matrix of a (k, n, n) stack of symmetric blocks, from
-    one stacked eigensolve, with the clustering tolerance
-    tol_cluster * (1 + ||block||)."""
+def eigendata(blocks: np.ndarray, tol_cluster: float = CLUSTER_FACTOR
+              ) -> tuple[np.ndarray, ...]:
+    """(w, v, norm, tol, err) of a (k, n, n) stack of symmetric blocks, from
+    one stacked eigensolve: the (k, n) ascending eigenvalues, the (k, n, n)
+    eigenvector columns and, per block, the largest eigenvalue magnitude,
+    the clustering tolerance tol_cluster * (1 + norm) and the solver error
+    bound."""
     w, v = jacobi_eigh(blocks)
     # broadcast, so that a substitute bound returning one scalar (as tests
     # install) applies to every matrix
-    errs = np.broadcast_to(eigh_error(blocks, w, v), w.shape[:1]).tolist()
+    err = np.ones(len(w)) * eigh_error(blocks, w, v)
     # ascending, so the largest magnitude is at one end
     norms = (np.abs(w[:, [0, -1]]).max(axis=1) if w.shape[1]
              else np.zeros(len(w)))
-    tols = (tol_cluster * (1.0 + norms)).tolist()
-    return [Spectrum(wi, vi, norm, tol, err)
-            for wi, vi, norm, tol, err in zip(w, v, norms.tolist(), tols, errs)]
+    return w, v, norms, tol_cluster * (1.0 + norms), err
+
+
+def eigendata_each(blocks: np.ndarray, tol_cluster: float = CLUSTER_FACTOR
+                   ) -> tuple:
+    """(w, v, norm, tol, err, ok, errors): eigendata of a (k, n, n) stack in
+    which a block that fails to solve fails alone (solve_each). Its rows
+    stay zero, ok is false there, and errors maps its index to its
+    EigenFailure."""
+    k, n = len(blocks), blocks.shape[-1]
+    # one part for the whole stack, or one per block once it has failed
+    parts = solve_each(lambda s: [eigendata(s, tol_cluster)], blocks)
+    if not isinstance(parts[0], EigenFailure) and len(parts[0][0]) == k:
+        return (*parts[0], np.ones(k, dtype=bool), {})
+    out = [np.zeros((k, n)), np.zeros((k, n, n)), *np.zeros((3, k))]
+    ok, errors, at = np.zeros(k, dtype=bool), {}, 0
+    for part in parts:
+        if isinstance(part, EigenFailure):
+            errors[at] = part
+            at += 1
+            continue
+        for column, values in zip(out, part):
+            column[at:at + len(values)] = values
+        ok[at:at + len(part[0])] = True
+        at += len(part[0])
+    return (*out, ok, errors)
+
+
+def block_spectra(blocks: np.ndarray,
+                  tol_cluster: float = CLUSTER_FACTOR) -> list[Spectrum]:
+    """One Spectrum per matrix of a (k, n, n) stack of symmetric blocks, from
+    one eigendata call."""
+    w, v, *scalars = eigendata(blocks, tol_cluster)
+    return [Spectrum(*row)
+            for row in zip(w, v, *(s.tolist() for s in scalars))]
 
 
 def block_spectrum(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> Spectrum:
@@ -136,12 +172,17 @@ def block_spectrum(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> Spectrum:
     return block_spectra(op.block[None], tol_cluster)[0]
 
 
-def _singular_threshold(spec: Spectrum, tol_invert: float) -> float | None:
-    """The invertibility threshold tol_invert * (1 + ||block||) if the
-    smallest eigenvalue magnitude, less the solver error bound, is within
-    it, else None."""
-    threshold = tol_invert * (1.0 + spec.block_norm)
-    return threshold if spec.min_abs() - spec.err <= threshold else None
+def _singular_rows(w: np.ndarray, norms: np.ndarray, errs: np.ndarray,
+                  tol_invert: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(min_abs, threshold, singular) of each row of a (..., n) stack of
+    spectra with their block norms and solver error bounds: the smallest
+    eigenvalue magnitude (inf when n is 0), the invertibility threshold
+    tol_invert * (1 + norm), and whether min_abs less the error bound is
+    within it."""
+    min_abs = np.abs(w).min(axis=-1, initial=np.inf)
+    threshold = tol_invert * (1.0 + norms)
+    return min_abs, threshold, min_abs - errs <= threshold
 
 
 def cluster_values(w: np.ndarray,
@@ -156,15 +197,15 @@ def cluster_values(w: np.ndarray,
         starts[:, 1:] = w[:, 1:] - w[:, :-1] > tol[:, None]
     if starts.all():  # every run is one eigenvalue, valued at itself
         return starts, w
-    flat, first = w.reshape(-1), np.flatnonzero(starts)
-    size = np.diff(first, append=flat.size)
+    flat, first = w.reshape(-1), starts.reshape(-1).nonzero()[0]
+    size = np.append(first[1:], flat.size) - first
     # np.mean sums from +0.0, pairwise past seven terms; reduceat has its
     # bits on runs of one and two
     means = np.add.reduceat(flat, first)
     means = np.where(size > 1, means + 0.0, means) / size
-    for r in np.flatnonzero(size > 2).tolist():
+    for r in (size > 2).nonzero()[0].tolist():
         means[r] = np.mean(flat[first[r]:first[r] + size[r]])
-    return starts, np.repeat(means, size).reshape(w.shape)
+    return starts, means.repeat(size).reshape(w.shape)
 
 
 def interval_columns(values: np.ndarray, lower,
@@ -172,8 +213,8 @@ def interval_columns(values: np.ndarray, lower,
     """(lo, ncols) per row of a (k, n) cluster_values array: the clusters
     valued in [lower, upper] are the eigenvector columns lo..lo + ncols, as
     cluster values ascend. lower and upper are scalars or (k, 1) arrays."""
-    lo = np.count_nonzero(values < lower, axis=1)
-    return lo, np.count_nonzero(values <= upper, axis=1) - lo
+    lo = (values < lower).sum(axis=1)
+    return lo, (values <= upper).sum(axis=1) - lo
 
 
 def window_faults(w: np.ndarray, tol: np.ndarray, levels: Sequence[float],
@@ -310,35 +351,13 @@ class OperatorPath:
             raise OutOfRange(f"parameter {lams[outside][0]} outside [0, 1]")
         if self.kind == "affine":
             return self.mat_a + lams[:, None, None] * self.mat_b
-        stack = self._stack
-        i = np.minimum(np.searchsorted(self.knots, lams, side="right") - 1,
+        i = np.minimum(self.knots.searchsorted(lams, side="right") - 1,
                        self.knots.size - 2)
-        lo, hi = self.knots[i], self.knots[i + 1]
-        t = ((lams - lo) / (hi - lo))[:, None, None]
-        out = (1.0 - t) * stack[i] + t * stack[i + 1]
-        at_hi = lams == hi
-        out[at_hi] = stack[i[at_hi] + 1]
-        at_lo = lams == lo
-        out[at_lo] = stack[i[at_lo]]
-        return out
+        return _lerp(lams, self.knots[i], self.knots[i + 1], self._stack[i],
+                     self._stack[i + 1])
 
     def block_at(self, lam: float) -> np.ndarray:
         return self.blocks_at([lam])[0]
-
-    def segment_speeds(self, ends: np.ndarray) -> np.ndarray:
-        """Largest speed among the pieces that meet each segment of an
-        (m, 2) array of (left, right) ends, left < right: the piece holding
-        left from the right, the piece holding right from the left, and
-        every piece between."""
-        # each row becomes the half-open range of pieces [first, stop): first
-        # starts at the last knot at or below left, and stop is the knot at
-        # right, or the first knot past it
-        at = np.searchsorted(self.knots, ends, side="right") - 1
-        at[:, 1] += self.knots[at[:, 1]] != ends[:, 1]
-        # the odd reductions run between segments and are dropped; the
-        # appended entry lies past every kept range
-        return np.maximum.reduceat(np.append(self.speeds, 0.0),
-                                   at.reshape(-1))[::2]
 
     def at(self, lam: float) -> CPS:
         return CPS(self.block_at(lam), plus_tail=self.plus_tail,
@@ -348,6 +367,83 @@ class OperatorPath:
         return (f"OperatorPath(kind={self.kind!r}, dim={self.dim}, "
                 f"plus_tail={self.plus_tail}, minus_tail={self.minus_tail}, "
                 f"lipschitz={self.lipschitz:.4g})")
+
+
+def _lerp(lams: np.ndarray, lo: np.ndarray, hi: np.ndarray, s_lo: np.ndarray,
+          s_hi: np.ndarray) -> np.ndarray:
+    # (1 - t) s_lo + t s_hi at t = (lam - lo) / (hi - lo) for each parameter
+    # and its piece, where a parameter on a knot gets that knot's sample
+    t = ((lams - lo) / (hi - lo))[:, None, None]
+    out = np.where((lams == hi)[:, None, None], s_hi, (1.0 - t) * s_lo + t * s_hi)
+    return np.where((lams == lo)[:, None, None], s_lo, out)
+
+
+def _padded_knots(paths: Sequence[OperatorPath]) -> np.ndarray:
+    # the knots of each path as one row, padded with inf
+    knots = np.full((len(paths), max((p.knots.size for p in paths), default=0)),
+                    np.inf)
+    for row, p in zip(knots, paths):
+        row[:p.knots.size] = p.knots
+    return knots
+
+
+class PathStack:
+    """OperatorPaths of one dimension stacked, so that the blocks of many
+    (path, parameter) pairs are interpolated in one pass per kind of path,
+    with the bits of blocks_at: a block's bits depend on neither the other
+    parameters nor the other paths."""
+
+    def __init__(self, paths: Sequence[OperatorPath]):
+        n = paths[0].dim
+        self.affine = np.array([p.kind == "affine" for p in paths], dtype=bool)
+        # each path's place among the paths of its kind
+        self.place = np.where(self.affine, self.affine.cumsum(),
+                              (~self.affine).cumsum()) - 1
+        lines = [p for p in paths if p.kind == "affine"]
+        self.a = np.array([p.mat_a for p in lines]).reshape(-1, n, n)
+        self.b = np.array([p.mat_b for p in lines]).reshape(-1, n, n)
+        pieces = [p for p in paths if p.kind != "affine"]
+        self.knots = _padded_knots(pieces)
+        self.first = np.cumsum([0] + [p.knots.size for p in pieces])[:-1]
+        self.samples = np.concatenate([p._stack for p in pieces] or
+                                      [np.empty((0, n, n))])
+
+    def blocks(self, which: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        """The block of path which[j] at lams[j] in [0, 1], for each j."""
+        on, k = self.affine[which], self.place[which]
+        if on.all():
+            return self.a[k] + lams[:, None, None] * self.b[k]
+        out = np.empty((len(lams),) + self.samples.shape[1:])
+        if on.any():
+            out[on] = self.a[k[on]] + lams[on][:, None, None] * self.b[k[on]]
+            k, lam = k[~on], lams[~on]
+        else:
+            lam = lams
+        # the piece that holds lam, the first for lam = 0 and otherwise the
+        # one that lam ends where it is a knot
+        i = np.maximum((self.knots[k] < lam[:, None]).sum(axis=1) - 1, 0)
+        s = self.first[k] + i
+        out[~on] = _lerp(lam, self.knots[k, i], self.knots[k, i + 1],
+                         self.samples[s], self.samples[s + 1])
+        return out
+
+
+def segment_speeds(paths: Sequence[OperatorPath]
+                   ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The function of (which, ends) that gives, for segment j of an (m, 2)
+    array of (left, right) ends, left < right, the largest speed among the
+    pieces of paths[which[j]] that meet it: those that start before right
+    and end after left."""
+    knots = _padded_knots(paths)
+    speeds = np.zeros((len(paths), max(knots.shape[1] - 1, 0)))
+    for row, p in zip(speeds, paths):
+        row[:len(p.speeds)] = p.speeds
+
+    def of(which: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        k = knots[which]
+        meets = (k[:, :-1] < ends[:, 1:]) & (k[:, 1:] > ends[:, :1])
+        return np.where(meets, speeds[which], 0.0).max(axis=1, initial=0.0)
+    return of
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -491,7 +587,7 @@ def equivariance_defects(blocks: np.ndarray, action: OrthogonalAction,
             c = rho @ b - b @ rho
         norms = (opnorms(c) if tol is None else
                  opnorms_within(c, np.asarray(tol)[k0:k0 + step, None]))
-        defects[k0:k0 + step] = np.max(norms, axis=1)
+        defects[k0:k0 + step] = norms.max(axis=1)
     return defects
 
 
@@ -519,34 +615,30 @@ def morse_classes(blocks: np.ndarray, action: OrthogonalAction,
     equivariant blocks, from one stacked solve, one equivariance check and
     one subspace_classes call; the negative space is the column range of the
     clusters valued below 0. Raises the first error of morse_class run on
-    the blocks in order: WrongGroup, then for each block its failed solve,
-    NotEquivariant, NotInvertible, then its class checks."""
+    the blocks in order: WrongGroup, DimensionMismatch before any solve,
+    then for each block its failed solve, NotEquivariant, NotInvertible,
+    then its class checks."""
     if table.group != action.group:
         raise WrongGroup("character table and action belong to different groups")
-    specs = solve_each(lambda b: block_spectra(b, tol_cluster), blocks)
-    raise_first(specs[:1])
-    scales = [1.0 + s.block_norm if isinstance(s, Spectrum) else np.inf
-              for s in specs]
-    defects = equivariance_defects(
-        blocks, action, [EQUIVARIANCE_FACTOR * c for c in scales]).tolist()
-    good, fault = [], None
-    for spec, scale, defect in zip(specs, scales, defects):
-        if isinstance(spec, EigenFailure):
-            fault = spec
-        elif defect > EQUIVARIANCE_FACTOR * scale:
-            fault = NotEquivariant(f"commutator norm {defect:.3e} exceeds tolerance")
-        elif _singular_threshold(spec, tol_invert) is not None:
-            fault = NotInvertible(
-                f"eigenvalue {spec.min_abs():.3e} within invertibility threshold")
-        else:
-            good.append(spec)
-            continue
-        break
-    w = np.array([s.eigenvalues for s in good] or np.zeros((0, len(blocks[0]))))
-    values = cluster_values(w, np.array([s.tol for s in good]))[1]
+    if action.dim != blocks.shape[-1]:
+        raise DimensionMismatch(f"action dimension {action.dim} vs block "
+                                f"dimension {blocks.shape[-1]}")
+    w, v, norm, tol, err, ok, errors = eigendata_each(blocks, tol_cluster)
+    raise_first([errors.get(0)])
+    scale = EQUIVARIANCE_FACTOR * np.where(ok, 1.0 + norm, np.inf)
+    defects = equivariance_defects(blocks, action, scale)
+    min_abs, _, singular = _singular_rows(w, norm, err, tol_invert)
+    # the first block that fails its solve, equivariance or invertibility
+    bad = ~ok | (defects > scale) | singular
+    k = int(bad.argmax()) if bad.any() else len(blocks)
+    fault = None if k == len(blocks) else errors.get(k) or (
+        NotEquivariant(f"commutator norm {defects[k]:.3e} exceeds tolerance")
+        if defects[k] > scale[k] else NotInvertible(
+            f"eigenvalue {min_abs[k]:.3e} within invertibility threshold"))
     # the clusters valued below 0: up to the largest double below 0
-    _, ncols = interval_columns(values, -np.inf, np.nextafter(0.0, -1.0))
+    _, ncols = interval_columns(cluster_values(w[:k], tol[:k])[1], -np.inf,
+                                np.nextafter(0.0, -1.0))
     classes = subspace_classes(action, table, [
-        s.vectors[:, :k] for s, k in zip(good, ncols.tolist())])
+        v[i, :, :c] for i, c in enumerate(ncols.tolist())])
     raise_first([*classes, fault])
     return classes

@@ -482,7 +482,6 @@ class _NanPath:
 
     knots, speeds = np.array([0.0, 1.0]), np.array([1.0])
     _speeds = speeds
-    segment_speeds = OperatorPath.segment_speeds
     plus_tail = minus_tail = False
     dim = 2
 
@@ -967,3 +966,78 @@ def test_cogredient_errors_come_in_the_order_of_sequential_flows(transformed,
     assert want_kinds <= outcomes
     assert ("ok" in outcomes) == (transformed is None)
     assert ("OutOfRange" in outcomes) == (transformed is _transformed_raises)
+
+
+# --- matrix entries ------------------------------------------------------------
+
+
+def _walked_matrix(raw, where):
+    # the entry-by-entry check _matrix had before its one-pass fast path:
+    # the reference for every message and every converted bit
+    import math
+
+    def finite(x):
+        try:
+            return math.isfinite(x)
+        except OverflowError:
+            return False
+
+    if (not isinstance(raw, list) or not raw
+            or not all(isinstance(r, list) for r in raw)):
+        raise SchemaError(f"{where} must be a non-empty array of arrays")
+    out = []
+    for i, row in enumerate(raw):
+        if len(row) != len(raw):
+            raise SchemaError(f"{where}[{i}] has length {len(row)}, "
+                              f"expected {len(raw)}")
+        for x in row:
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
+                raise SchemaError(f"{where}[{i}] contains a non-number")
+            if not finite(x):
+                raise SchemaError(f"{where}[{i}] contains a non-finite number")
+        out.append([float(x) for x in row])
+    return out
+
+
+_BAD_ENTRIES = [True, False, "1.5", "nan", None, [1.0], [], {}, 10 ** 400,
+                -(10 ** 400), float("nan"), float("inf"), -float("inf"), 1e400]
+
+
+def _matrix_corpus():
+    # well-formed matrices, with integers past 2**53 and near the top of the
+    # float range, and each bad entry at the first, a middle and the last
+    # place of one; ragged, empty and non-list shapes
+    rng = np.random.default_rng(3)
+    good = [[[1, 2.5], [-0.0, 7]], [[2 ** 53 + 1, -(2 ** 63) - 5],
+                                    [10 ** 30 + 7, 1.7e308]], [[0]]]
+    good += [rng.standard_normal((n, n)).tolist() for n in (1, 3, 5)]
+    yield from good
+    for bad in _BAD_ENTRIES:
+        for n in (1, 3):
+            for i, j in {(0, 0), (n // 2, n - 1), (n - 1, n - 1)}:
+                m = np.arange(n * n, dtype=float).reshape(n, n).tolist()
+                m[i][j] = bad
+                yield m
+    yield from [[], [[]], [[1.0], [2.0]], [[1.0, 2.0], [3.0]],
+                [[1.0, 2.0], [3.0, 4.0, 5.0]], [[1.0, True], [3.0]],
+                [[1.0, 2.0], "row"], "matrix", None, [[1.0, 2.0], (3.0, 4.0)]]
+
+
+def test_matrix_fast_path_keeps_the_walks_messages_and_bits():
+    kinds = set()
+    for raw in _matrix_corpus():
+        try:
+            want = np.array(_walked_matrix(raw, "path.A"))
+        except SchemaError as e:
+            want = str(e)
+        try:
+            got = cli._matrix(raw, "path.A")
+        except SchemaError as e:
+            got = str(e)
+        kinds.add(type(want))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == float and np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert kinds == {str, np.ndarray}

@@ -49,6 +49,7 @@ from sflow.groups import (
 )
 from sflow.operators import (
     OperatorPath,
+    block_spectra,
     block_spectrum,
     check_equivariance,
     compress,
@@ -62,6 +63,7 @@ from sflow.sampling import (
     identity_action,
     preset_action,
     random_equivariant_path,
+    random_equivariant_symmetric,
 )
 
 
@@ -443,23 +445,33 @@ def test_stacked_reynolds_average_has_the_bits_of_the_loop():
 
 
 def _find_partition_recursive(path, opts):
-    # the depth-first recursion find_partition replaced: the reference its
-    # worklist must agree with on every partition and every failure
-    cache = flow._SpectraCache(path, opts.tol_cluster)
-    flow._require_invertible_ends(cache, opts)
+    # the depth-first recursion find_partition replaced, written with one
+    # block_spectra call per sample, in the order left end, midpoint, right
+    # end, and the radius from a scan of the pieces each segment meets: the
+    # reference the batched rounds must agree with on every partition and
+    # every failure (the paths given to it have invertible ends)
     knots, levels, margins = [0.0], [], []
+
+    def spectrum(lam):
+        block = path.blocks_at([lam])
+        return block_spectra(0.5 * block + 0.5 * block.swapaxes(1, 2),
+                             opts.tol_cluster)[0]
 
     def descend(left, right, depth):
         if depth >= opts.min_depth:
-            flow._fill_each([(cache, [left, (left + right) / 2.0, right])])
-            found = flow._certify_each([(cache, left, right)],
-                                       opts.tol_cluster)[0]
-            if isinstance(found, EigenFailure):
-                raise found
-            if found is not None:
+            specs = [spectrum(lam) for lam in (left, (left + right) / 2.0, right)]
+            speed = max(s for s, a, b in zip(path.speeds, path.knots,
+                                             path.knots[1:])
+                        if a < right and b > left)
+            ok, level, margin = flow._certify(
+                np.array([[s.eigenvalues for s in specs]]),
+                np.array([[s.err for s in specs]]),
+                np.array([speed * (right - left) / 2.0]),
+                np.array([path.plus_tail or path.minus_tail]), opts.tol_cluster)
+            if ok[0]:
                 knots.append(right)
-                levels.append(float(found[0]))
-                margins.append(float(found[1]))
+                levels.append(float(level[0]))
+                margins.append(float(margin[0]))
                 return
             if depth >= opts.max_depth:
                 raise CertificationFailed(
@@ -509,13 +521,13 @@ def test_uncertifiable_path_fails_leftmost_within_bounded_work(monkeypatch):
     path = OperatorPath.affine(np.diag([0.3, 0.7, 1e7]), np.zeros((3, 3)),
                                plus_tail=True, minus_tail=True)
     solved = []
-    stacked = flow.block_spectra
+    stacked = operators.eigendata
 
     def counting(blocks, tol):
         solved.append(len(blocks))
         return stacked(blocks, tol)
 
-    monkeypatch.setattr(flow, "block_spectra", counting)
+    monkeypatch.setattr(operators, "eigendata", counting)
     with pytest.raises(CertificationFailed) as info:
         find_partition(path)
     assert str(info.value) == ("no certified level on [0.0, 9.094947017729282e-13]"
@@ -528,11 +540,11 @@ def test_uncertifiable_path_fails_leftmost_within_bounded_work(monkeypatch):
 def test_certifiable_path_takes_one_round_per_two_levels(monkeypatch):
     rng = np.random.default_rng(17)
     rounds = []
-    tested = flow._certify_each
+    tested = flow._certify
 
-    def counting(segments, tol_cluster):
-        rounds.append(len(segments))
-        return tested(segments, tol_cluster)
+    def counting(w, *args):
+        rounds.append(len(w))
+        return tested(w, *args)
 
     deepest = 0
     for preset, n, dim in (("trivial", 1, 3), ("cyclic", 3, 4),
@@ -546,7 +558,7 @@ def test_certifiable_path_takes_one_round_per_two_levels(monkeypatch):
             d = max(int(-np.log2(b - a))
                     for a, b in zip(want.knots, want.knots[1:]))
             rounds.clear()
-            monkeypatch.setattr(flow, "_certify_each", counting)
+            monkeypatch.setattr(flow, "_certify", counting)
             assert find_partition(path) == want
             monkeypatch.undo()
             assert len(rounds) <= (d + 2) // 2
@@ -572,7 +584,6 @@ class _BadSolvePath:
     lipschitz = 0.0
     knots, speeds = np.array([0.0, 1.0]), np.array([0.0])
     _speeds = speeds  # solved already
-    segment_speeds = OperatorPath.segment_speeds
     plus_tail = minus_tail = True
     dim = 3
 
@@ -660,40 +671,46 @@ def test_piece_speeds_coarsen_the_partition_and_keep_the_classes():
 
 def test_a_failed_solve_belongs_to_its_own_parameter():
     class Stub:
+        dim = 2
+
         def blocks_at(self, lams):
             return np.stack([np.eye(2) * (np.nan if lam == 0.25 else lam)
                              for lam in lams])
 
-    cache = flow._SpectraCache(Stub(), 1e-8)
-    flow._fill_each([(cache, [0.5, 0.25, 0.75])])
-    assert cache.spectrum(0.5).eigenvalues.tolist() == [0.5, 0.5]
-    assert cache.spectrum(0.75).eigenvalues.tolist() == [0.75, 0.75]
-    for _ in range(2):
-        with pytest.raises(EigenFailure):
-            cache.spectrum(0.25)
+    store = flow._Eigendata([Stub()], 1e-8)
+    rows = store.add(np.zeros(3, dtype=np.intp), np.array([0.5, 0.25, 0.75]))
+    assert store.ok[rows].tolist() == [True, False, True]
+    assert store.w[rows[0]].tolist() == [0.5, 0.5]
+    assert store.w[rows[2]].tolist() == [0.75, 0.75]
+    assert list(store.errors) == [rows[1]]
+    assert isinstance(store.errors[rows[1]], EigenFailure)
 
 
-def test_cached_blocks_match_at_and_are_built_once(monkeypatch):
+def test_stacked_blocks_match_at_in_one_pass_per_call(monkeypatch):
+    # the blocks of affine and piecewise-linear paths at many parameters, in
+    # any order, interpolated in one pass and equal bit for bit to at(lam)
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal((2, 4, 4))
     knots = [0.0, 0.2, 0.55, 1.0]
     samples = rng.standard_normal((4, 4, 4))
     samples[1, 0, 0] = -0.0  # a knot keeps its sample, signed zeros too
     lams = knots + [0.1, 0.3, 0.5, 0.999, float(np.nextafter(0.55, 1.0))]
-    for path in (OperatorPath.affine(a, b, plus_tail=True),
-                 OperatorPath.piecewise_linear(knots, list(samples)),
-                 reverse(OperatorPath.piecewise_linear(knots, list(samples)))):
-        cache = flow._SpectraCache(path, 1e-8)
-        built = []
-        monkeypatch.setattr(path, "blocks_at",
-                            lambda lams, f=path.blocks_at: built.extend(lams) or f(lams))
-        flow._fill_each([(cache, lams[:5])])
-        blocks = cache.blocks(lams + lams[::-1])
-        assert sorted(built) == sorted(lams)
-        for lam, block in zip(lams + lams[::-1], blocks):
-            want = path.at(lam).block
-            assert np.array_equal(block, want)
-            assert np.array_equal(np.signbit(block), np.signbit(want))
+    paths = [OperatorPath.affine(a, b, plus_tail=True),
+             OperatorPath.piecewise_linear(knots, list(samples)),
+             reverse(OperatorPath.piecewise_linear(knots, list(samples)))]
+    which = rng.permutation(np.repeat(np.arange(3), len(lams)))
+    at = np.array([lams[k % len(lams)] for k in range(len(which))])
+    calls = []
+    real = operators.PathStack.blocks
+    monkeypatch.setattr(operators.PathStack, "blocks",
+                        lambda self, *args: calls.append(1) or real(self, *args))
+    store = flow._Eigendata(paths, 1e-8)
+    rows = store.add(which, at)
+    assert len(calls) == 1
+    for k, lam, row in zip(which, at, rows):
+        want = paths[k].at(lam).block
+        assert np.array_equal(store.blocks[row], want)
+        assert np.array_equal(np.signbit(store.blocks[row]), np.signbit(want))
 
 
 @pytest.mark.parametrize("batch", [1, 1 << 30])
@@ -941,14 +958,14 @@ def test_a_knot_that_fails_to_solve_fails_its_flow_only(monkeypatch):
         for k in (1, 2, 3)]
     part = CertifiedPartition((0.0, 0.5, 1.0), (0.1, 0.1), (0.01, 0.01))
     want = [sfl_G(p, action, table, partition=part) for p in paths]
-    real = flow.block_spectra
+    real = operators.eigendata
 
     def failing(blocks, tol):
         if any(b[0, 0] == 0.5 for b in blocks):
             raise EigenFailure("knot block refused")
         return real(blocks, tol)
 
-    monkeypatch.setattr(flow, "block_spectra", failing)
+    monkeypatch.setattr(operators, "eigendata", failing)
     got = sfl_G_each([(p, action) for p in paths], table, partitions=[part] * 3)
     assert isinstance(got[1], EigenFailure)
     assert str(got[1]) == "knot block refused"
@@ -1040,8 +1057,8 @@ def test_oracle_solves_both_endpoints_in_one_stack(monkeypatch):
                                     kind=("affine", "pl")[i // 4])
         for m in range(4):
             with monkeypatch.context() as mp:
-                mp.setattr(operators, "block_spectra",
-                           counting("solve", operators.block_spectra))
+                mp.setattr(operators, "eigendata",
+                           counting("solve", operators.eigendata))
                 mp.setattr(operators, "equivariance_defects",
                            counting("defects", operators.equivariance_defects))
                 mp.setattr(operators, "subspace_classes",
@@ -1094,11 +1111,25 @@ def test_oracle_rejects_a_table_of_another_group_before_solving(seed,
         with pytest.raises(WrongGroup, match=message):
             sfl_G(path, action, table)
         with monkeypatch.context() as mp:
-            mp.setattr(operators, "block_spectra", None)  # no solve
+            mp.setattr(operators, "eigendata", None)  # no solve
             with pytest.raises(WrongGroup, match=message):
                 morse_oracle_sfl_G(path, action, table)
             with pytest.raises(WrongGroup, match=message):
                 morse_class(path.at(0.0), action, table)
+
+
+def test_oracle_checks_the_action_dimension_before_solving(monkeypatch):
+    # as sfl_G does, but naming the blocks of the oracle, not the path
+    table, action = _trivial_setup(3)
+    path = OperatorPath.affine(np.diag([-1.0, 2.0]), np.eye(2))
+    solves = []
+    for name in ("block_spectra", "eigendata"):
+        monkeypatch.setattr(operators, name, lambda *args, real=getattr(
+            operators, name): solves.append(1) or real(*args))
+    with pytest.raises(DimensionMismatch,
+                       match="action dimension 3 vs block dimension 2"):
+        morse_oracle_sfl_G(path, action, table)
+    assert solves == []
 
 
 def test_flow_and_oracle_pay_the_eigensolver_error_at_the_ends(monkeypatch):
@@ -1190,13 +1221,13 @@ def test_each_request_gets_the_flow_of_its_own_call(opts):
 def test_shared_rounds_solve_the_same_blocks_in_fewer_stacks(monkeypatch):
     table, requests = _mixed_requests(np.random.default_rng(72))
     stacks = []
-    real = flow.block_spectra
+    real = operators.eigendata
 
     def counting(blocks, tol):
         stacks.append(len(blocks))
         return real(blocks, tol)
 
-    monkeypatch.setattr(flow, "block_spectra", counting)
+    monkeypatch.setattr(operators, "eigendata", counting)
     alone = []
     for path, action in requests:
         stacks.clear()
@@ -1487,3 +1518,41 @@ def test_certified_segments_keep_every_eigenvalue_off_the_level(preset, dim,
             scan_err = 16 * dim * EPS * (1.0 + np.abs(w).max(axis=1))
             distance = np.minimum(np.abs(w - level), np.abs(w + level)).min(axis=1)
             assert (distance >= margin - scan_err).all()
+
+
+# --- fixed-end homotopy ------------------------------------------------------
+
+
+def _homotopic_path(p, action, rng):
+    # p moved by sin^2(pi t) B on a grid holding p's knots, with its end
+    # blocks kept bit for bit: a fixed-end equivariant homotopy of p, whose
+    # bump B is an equivariant symmetric draw or +-0.8 I
+    grid = np.unique(np.concatenate([p.knots,
+                                     np.linspace(0.0, 1.0,
+                                                 int(rng.integers(3, 10)))]))
+    bump = (random_equivariant_symmetric(action, rng) if rng.random() < 0.5
+            else float(rng.choice([-0.8, 0.8])) * np.eye(action.dim))
+    samples = p.blocks_at(grid) + (np.sin(np.pi * grid) ** 2)[:, None, None] * bump
+    samples[0], samples[-1] = p.blocks_at([0.0, 1.0])
+    return OperatorPath.piecewise_linear(grid, list(samples),
+                                         plus_tail=p.plus_tail,
+                                         minus_tail=p.minus_tail)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([("trivial", 1), ("cyclic", 3), ("dihedral", 3),
+                        ("dihedral", 4)]),
+       st.integers(2, 6), st.sampled_from(_TAILS[1:]),
+       st.integers(0, 2 ** 32 - 1))
+def test_fixed_end_homotopy_keeps_the_flow(preset, dim, tails, seed):
+    # a path with tails is bisected, so its levels and crossing locations
+    # are tested, not only its endpoint data; the homotopic path has the
+    # same ends, so the same flow
+    rng = np.random.default_rng(seed)
+    table, action = preset_action(*preset, dim, rng, conjugate=True)
+    p = random_equivariant_path(action, rng, plus_tail=tails[0],
+                                minus_tail=tails[1])
+    q = _homotopic_path(p, action, rng)
+    assert np.array_equal(q.blocks_at([0.0, 1.0]), p.blocks_at([0.0, 1.0]))
+    want, got = sfl_G_each([(p, action), (q, action)], table)
+    assert got.sfl_G == want.sfl_G

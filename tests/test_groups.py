@@ -513,9 +513,10 @@ def test_the_class_pairing_is_computed_once_with_the_bits_of_the_loop(preset, n)
     assert table._pairing.tobytes() == pairing.tobytes()
     assert not table._pairing.flags.writeable
     chi = np.array([ir.values for ir in table.irreps])
-    assert [c.coeffs for c in groups._multiplicities(chi, table)] == [
-        tuple(float(i == j) for j in range(table.n_irreps))
-        for i in range(table.n_irreps)]
+    coeffs, faults = groups._multiplicities(chi, table)
+    assert faults == [None] * table.n_irreps
+    assert coeffs.tolist() == [[float(i == j) for j in range(table.n_irreps)]
+                               for i in range(table.n_irreps)]
 
 
 def _group_data_by_loops(table):

@@ -37,8 +37,10 @@ from sflow.operators import (
     equivariance_defects,
     interval_columns,
     morse_class,
+    morse_classes,
     negate,
     reverse,
+    segment_speeds,
     window_faults,
 )
 
@@ -213,8 +215,9 @@ def test_eigensolver_rejects_non_finite_blocks(bad):
     m[0, 1] = m[1, 0] = bad
     with pytest.raises(EigenFailure):
         jacobi_eigh(m)
-    with pytest.raises(EigenFailure):
-        block_spectrum(CPS(m))
+    # an operator cannot hold such a block at all
+    with pytest.raises(OutOfRange, match="block has non-finite entries"):
+        CPS(m)
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 3), (4, 8, 8), (6, 4, 4), (12, 8, 8),
@@ -761,9 +764,10 @@ def test_morse_class_rejections():
     # commutator norm 4e-8 against the tolerance 1e-8 (1 + 1 + 2e-8)
     with pytest.raises(NotEquivariant, match="commutator norm 4.000e-08"):
         morse_class(CPS(np.eye(2) + 2e-8 * np.diag([1.0, -1.0])), swap, table)
-    # a block that fails to solve fails before the action's dimension is read
-    with pytest.raises(EigenFailure):
-        morse_class(CPS(np.full((3, 3), np.nan)), diag, table)
+    # a block of another dimension fails before its solve, as sfl_G fails
+    with pytest.raises(DimensionMismatch,
+                       match="action dimension 2 vs block dimension 3"):
+        morse_classes(np.full((1, 3, 3), np.nan), diag, table)
 
 
 # --- stacked solves and blocks ----------------------------------------------
@@ -895,14 +899,15 @@ def test_segment_speeds_match_a_per_piece_loop(n):
         pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
         picks = rng.choice(len(pairs), size=min(len(pairs), 300), replace=False)
         ends = np.array([pairs[k] for k in picks])
-        for p in paths:
+        speed_of = segment_speeds(paths)
+        for k, p in enumerate(paths):
             assert p.speeds.shape == (p.knots.size - 1,)
             assert p.lipschitz == max(p.speeds.tolist(), default=0.0)
-            got = p.segment_speeds(ends)
+            got = speed_of(np.full(len(ends), k), ends)
             assert got.tolist() == [_segment_speed_loop(p, a, b)
                                     for a, b in ends]
-            assert p.segment_speeds(np.array([[0.0, 1.0]])).tolist() == [
-                p.lipschitz]
+            assert speed_of(np.array([k]),
+                            np.array([[0.0, 1.0]])).tolist() == [p.lipschitz]
             for (a, b), speed in list(zip(ends, got))[:40]:
                 # no pair of dense samples inside [a, b] moves faster, up to
                 # the rounding of the interpolated blocks themselves
