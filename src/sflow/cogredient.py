@@ -12,6 +12,7 @@ the pointwise symmetry factorization instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,11 +34,12 @@ MIN_SINGULAR = 1e-10
 COVER_SUBSTEPS = 8
 
 
-def _residual_bound(norm: float, tails: tuple[bool, bool]) -> float:
-    # residual tolerance for an operator whose block has two-norm norm; a
-    # tail contributes its unit norm
+def _residual_bound(norm: float | np.ndarray,
+                    tails: tuple[bool, bool]) -> float | np.ndarray:
+    # residual tolerance for an operator whose block has two-norm norm, or
+    # for each of an array of them; a tail contributes its unit norm
     if any(tails):
-        norm = max(norm, 1.0)
+        norm = np.maximum(norm, 1.0)
     return RESIDUAL_FACTOR * (1.0 + norm)
 
 
@@ -79,9 +81,38 @@ def split_positive(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> tuple[CPS, C
     return s, k
 
 
-def _eigh_pairs(blocks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    # jacobi_eigh of a stack as one (w, v) pair per matrix, for solve_each
-    return list(zip(*jacobi_eigh(blocks)))
+def _eigh_each(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(w, v, errors): jacobi_eigh of a (k, n, n) stack from one stacked
+    solve. Only if the stack fails is each matrix solved alone (solve_each),
+    so that a failure belongs to its own matrix: its rows of w and v are
+    NaN, and errors maps its index to its EigenFailure."""
+    try:
+        return (*jacobi_eigh(blocks), {})
+    except EigenFailure:
+        pairs = solve_each(lambda s: list(zip(*jacobi_eigh(s))), blocks)
+    errors = {i: p for i, p in enumerate(pairs) if isinstance(p, EigenFailure)}
+    nan = (np.full(blocks.shape[1:2], np.nan),
+           np.full(blocks.shape[1:], np.nan))
+    w, v = zip(*(nan if i in errors else p for i, p in enumerate(pairs)))
+    return np.array(w), np.array(v), errors
+
+
+def _raise_first_fault(bad: np.ndarray, errors: dict,
+                       fault: Callable[[int], Exception]) -> None:
+    """Raise the error of the first sample in order that failed to solve
+    (its errors entry) or fails a check (bad, a mask): its EigenFailure, or
+    fault of its index."""
+    bad = bad.copy()
+    bad[list(errors)] = True
+    if bad.any():
+        k = int(bad.argmax())
+        raise errors[k] if k in errors else fault(k)
+
+
+def _lowest(w: np.ndarray) -> np.ndarray:
+    # smallest eigenvalue of each row of a (k, n) ascending stack (1.0 for
+    # n = 0)
+    return w[:, 0] if w.shape[1] else np.ones(len(w))
 
 
 def _inv_sqrt(blocks: np.ndarray, margin: float) -> np.ndarray:
@@ -89,14 +120,10 @@ def _inv_sqrt(blocks: np.ndarray, margin: float) -> np.ndarray:
     (k, n, n) stack, from one stacked solve. The first matrix in order that
     cannot be solved, or whose smallest eigenvalue is at most margin,
     raises."""
-    pairs = solve_each(_eigh_pairs, blocks)
-    for pair in pairs:
-        if isinstance(pair, EigenFailure):
-            raise pair
-        if pair[0].size and float(pair[0][0]) <= margin:
-            raise NotPositive(f"eigenvalue {float(pair[0][0]):.3e} at or "
-                              f"below margin {margin:.3e}")
-    w, v = (np.stack(x) for x in zip(*pairs))
+    w, v, errors = _eigh_each(blocks)
+    low = _lowest(w)
+    _raise_first_fault(low <= margin, errors, lambda k: NotPositive(
+        f"eigenvalue {float(low[k]):.3e} at or below margin {margin:.3e}"))
     out = (v / np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)
     return 0.5 * out + 0.5 * out.swapaxes(1, 2)
 
@@ -107,7 +134,10 @@ class Parametrix:
     invertible block M[j] satisfies M' L M = sign * I + K[j] up to the
     residual bound, with K[j] symmetric of finite rank. The samples are the
     anchors of the blend, and anchor_corrections holds the frozen split at
-    each; the source path is kept for mid-sample evaluation."""
+    each; the source path is kept for mid-sample evaluation. residual is
+    the largest two-norm of M' L M - (sign I + K) over the samples, solved
+    together with the residual check, or the EigenFailure of the first
+    sample where it could not be solved."""
 
     sign: int
     lambdas: tuple[float, ...]
@@ -115,6 +145,7 @@ class Parametrix:
     K: tuple[np.ndarray, ...]
     anchor_corrections: tuple[np.ndarray, ...]
     path: OperatorPath
+    residual: float | EigenFailure
 
     def _hat_blend(self, lam: float) -> np.ndarray:
         grid = self.lambdas
@@ -140,29 +171,17 @@ class Parametrix:
         """Piecewise-linear path through sign * I + K at the samples. Its
         endpoints are the exact congruence images of the path's endpoints,
         which is all the flow of a one-sided path depends on."""
-        d = self.path.dim
-        samples = [self.sign * np.eye(d) + k for k in self.K]
+        samples = self.sign * np.eye(self.path.dim) + np.array(self.K)
         return OperatorPath.piecewise_linear(self.lambdas, samples,
                                              plus_tail=self.path.plus_tail,
                                              minus_tail=self.path.minus_tail)
 
-    def _residuals(self, blocks: np.ndarray, *, strict: bool) -> list:
-        # two-norm of M' L M - (sign I + K) at every sample, L from blocks,
-        # as solve_each returns them
-        m = np.stack(self.M)
-        target = self.sign * np.eye(self.path.dim) + np.stack(self.K)
-        return solve_each(spectral_norm_sym,
-                          m.swapaxes(1, 2) @ blocks @ m - target, strict=strict)
-
     def max_residual(self) -> float:
-        blocks = self.path.blocks_at(self.lambdas)
-        return float(np.max(self._residuals(blocks, strict=True), initial=0.0))
-
-
-def _lowest(blocks: np.ndarray) -> list[float]:
-    # smallest eigenvalue of each matrix of a stack (1.0 for a 0 x 0 one)
-    w, _ = jacobi_eigh(blocks)
-    return (w[:, 0] if w.shape[1] else np.ones(len(w))).tolist()
+        """Largest two-norm of M' L M - (sign I + K) over the samples, L
+        the path's block there, as solved when the parametrix was built."""
+        if isinstance(self.residual, EigenFailure):
+            raise self.residual
+        return self.residual
 
 
 def _check_cover(path: OperatorPath, anchors: np.ndarray,
@@ -171,29 +190,30 @@ def _check_cover(path: OperatorPath, anchors: np.ndarray,
     support of every anchor j. Positivity of both frozen neighbours on a
     segment makes every hat blend on it positive too.
 
-    The samples are solved in stacked chunks of as many blocks as there are
-    anchors, built one chunk at a time, and checked in the order anchor by
-    anchor, so the first failing sample raises."""
-    lip = path.lipschitz
-    grid = []  # (anchor index, parameter, slack) in checking order
-    for j in range(len(anchors)):
-        lo = anchors[max(j - 1, 0)]
-        hi = anchors[min(j + 1, len(anchors) - 1)]
-        step = (hi - lo) / COVER_SUBSTEPS
-        slack = lip * step / 2.0
-        grid += [(j, lo + i * step, slack) for i in range(COVER_SUBSTEPS + 1)]
-    for start in range(0, len(grid), len(anchors)):
-        chunk = grid[start:start + len(anchors)]
-        blocks = (path.blocks_at([lam for _, lam, _ in chunk])
-                  - corrections[[j for j, _, _ in chunk]])
-        for (j, lam, slack), low in zip(chunk, solve_each(_lowest, blocks)):
-            if isinstance(low, EigenFailure):
-                raise low
-            if low - slack <= POSITIVITY_MARGIN:
-                raise CoverFailure(
-                    f"frozen split at anchor {anchors[j]:.6g} loses "
-                    f"positivity near {lam:.6g} (eigenvalue {low:.3e}, "
-                    f"slack {slack:.3e}); refine samples")
+    The grid runs anchor by anchor. Its samples are solved in stacked
+    chunks of as many blocks as there are anchors, built one chunk at a
+    time, and each chunk is checked by one mask, so the first failing
+    sample in grid order raises: its CoverFailure, or its EigenFailure if
+    it cannot be solved."""
+    n = len(anchors)
+    j = np.arange(n)
+    lo = anchors[np.maximum(j - 1, 0)]
+    step = (anchors[np.minimum(j + 1, n - 1)] - lo) / COVER_SUBSTEPS
+    slack = (path.lipschitz * step / 2.0).repeat(COVER_SUBSTEPS + 1)
+    lams = (lo[:, None] + np.arange(COVER_SUBSTEPS + 1)
+            * step[:, None]).reshape(-1)
+    owner = j.repeat(COVER_SUBSTEPS + 1)
+    for start in range(0, len(lams), n):
+        c = slice(start, start + n)
+        w, _, errors = _eigh_each(path.blocks_at(lams[c])
+                                  - corrections[owner[c]])
+        low = _lowest(w)
+        _raise_first_fault(
+            low - slack[c] <= POSITIVITY_MARGIN, errors, lambda k: CoverFailure(
+                f"frozen split at anchor {float(anchors[owner[start + k]]):.6g}"
+                f" loses positivity near {float(lams[start + k]):.6g} "
+                f"(eigenvalue {float(low[k]):.3e}, slack "
+                f"{float(slack[start + k]):.3e}); refine samples"))
 
 
 def parametrix_fs_plus(path: OperatorPath, samples: int = 17) -> Parametrix:
@@ -205,6 +225,13 @@ def parametrix_fs_plus(path: OperatorPath, samples: int = 17) -> Parametrix:
     support, and returns the blended family. Raises CoverFailure when the
     grid is too coarse for the certificate.
     """
+    return _normal_form(path, samples, path, 1)
+
+
+def _normal_form(path: OperatorPath, samples: int, source: OperatorPath,
+                 sign: int) -> Parametrix:
+    # parametrix_fs_plus of path, returned as the parametrix of source =
+    # sign * path: sign I + sign K, with the worst residual of source
     if path.minus_tail:
         raise NotFSplus("path must have positive essential spectrum")
     if samples < 2:
@@ -213,45 +240,71 @@ def parametrix_fs_plus(path: OperatorPath, samples: int = 17) -> Parametrix:
     spacing = 1.0 / (samples - 1)
     drift = 4.0 * path.lipschitz * spacing
 
-    def correction(blocks: np.ndarray) -> np.ndarray:
-        w, v = jacobi_eigh(blocks)
-        norm = np.abs(w).max(axis=1, initial=0.0)
-        # absorb a near-zero band wide enough that eigenvalues entering it
-        # between anchors cannot drag the frozen positive part below zero
-        cut = np.maximum(2.0 * CLUSTER_FACTOR * (1.0 + norm), drift)
-        return _split_blocks(w, v, cut)[1]
-
     blocks = path.blocks_at(anchors)
-    corrections = solve_each(correction, blocks, strict=True)
+    w, v, errors = _eigh_each(blocks)
+    if errors:  # the first anchor that fails to solve
+        raise errors[min(errors)]
+    norms = np.abs(w).max(axis=1, initial=0.0)
+    # absorb a near-zero band wide enough that eigenvalues entering it
+    # between anchors cannot drag the frozen positive part below zero
+    cut = np.maximum(2.0 * CLUSTER_FACTOR * (1.0 + norms), drift)
+    corrections = _split_blocks(w, v, cut)[1]
     _check_cover(path, anchors, corrections)
 
     m = _inv_sqrt(blocks - corrections, POSITIVITY_MARGIN)
     k = m.swapaxes(1, 2) @ corrections @ m
-    px = Parametrix(sign=1, lambdas=tuple(float(a) for a in anchors),
-                    M=tuple(m), K=tuple(0.5 * k + 0.5 * k.swapaxes(1, 2)),
-                    anchor_corrections=tuple(corrections), path=path)
-    _check_residual(px, blocks)
-    return px
+    k = 0.5 * k + 0.5 * k.swapaxes(1, 2)
+    lambdas = tuple(anchors.tolist())
+    k_source = k if sign > 0 else -k
+    residual = _check_residual(
+        path, lambdas, m, k, blocks, norms,
+        m.swapaxes(1, 2) @ source.blocks_at(anchors) @ m
+        - (sign * np.eye(path.dim) + k_source))
+    return Parametrix(sign=sign, lambdas=lambdas, M=tuple(m),
+                      K=tuple(k_source), anchor_corrections=tuple(corrections),
+                      path=source, residual=residual)
 
 
-def _check_residual(px: Parametrix, b: np.ndarray) -> None:
-    # the checks of each sample in turn, b holding its block_at: its
-    # residual, then the smallest singular value of its M
-    blocks = 0.5 * b + 0.5 * b.swapaxes(1, 2)  # each path.at(lam).block
-    residuals = px._residuals(blocks, strict=False)
-    norms = solve_each(spectral_norm_sym, blocks)
-    smallest = np.linalg.svd(np.stack(px.M), compute_uv=False)[:, -1].tolist()
-    for lam, res, norm, sv in zip(px.lambdas, residuals, norms, smallest):
-        for value in (res, norm):
-            if isinstance(value, EigenFailure):
-                raise value
-        bound = _residual_bound(float(norm), px.path.tails)
-        if res > bound:
-            raise ResidualTooLarge(
-                f"residual {res:.3e} at sample {lam} exceeds {bound:.3e}")
-        if sv <= MIN_SINGULAR:
-            raise NotPositive(f"M at sample {lam} has singular value "
-                              f"{sv:.3e}")
+def _check_residual(path: OperatorPath, lambdas: tuple[float, ...],
+                    m: np.ndarray, k: np.ndarray, b: np.ndarray,
+                    norms: np.ndarray, reported: np.ndarray
+                    ) -> float | EigenFailure:
+    """Check each sample's residual M' L M - (I + K) against its bound, then
+    the smallest singular value of its M, by masks over the stack, so the
+    first failing sample in order raises. b holds the path's blocks at the
+    samples (exactly symmetric) and norms their two-norms from the anchor
+    solve: each path.at(lam).block is the symmetric part of b, whose
+    eigensolve is that anchor solve, bit for bit.
+
+    Returns the worst two-norm of the reported residual matrices, or the
+    EigenFailure of the first that cannot be solved. They are solved in the
+    same stack as the checked ones, unless they are the same bits. They
+    differ where symmetrizing b rounds a subnormal entry, and on the
+    negative side, whose matrices are negations of these: the eigensolver
+    need not give a negated matrix the negated eigenvalues to the bit."""
+    blocks = 0.5 * b + 0.5 * b.swapaxes(1, 2)
+    checked = m.swapaxes(1, 2) @ blocks @ m - (np.eye(path.dim) + k)
+    same = checked.tobytes() == reported.tobytes()
+    w, _, errors = _eigh_each(checked if same
+                              else np.concatenate([checked, reported]))
+    norm = np.abs(w).max(axis=1, initial=0.0)
+    res = norm[:len(b)]
+    bound = _residual_bound(norms, path.tails)
+    smallest = np.linalg.svd(m, compute_uv=False)[:, -1]
+    too_large = res > bound
+
+    def fault(i: int) -> Exception:
+        if too_large[i]:
+            return ResidualTooLarge(f"residual {float(res[i]):.3e} at sample "
+                                    f"{lambdas[i]} exceeds {float(bound[i]):.3e}")
+        return NotPositive(f"M at sample {lambdas[i]} has singular value "
+                           f"{float(smallest[i]):.3e}")
+
+    _raise_first_fault(too_large | (smallest <= MIN_SINGULAR),
+                       {i: e for i, e in errors.items() if i < len(b)}, fault)
+    if errors:  # only reported residuals are left
+        return errors[min(errors)]
+    return float(np.max(norm if same else norm[len(b):], initial=0.0))
 
 
 def parametrix(path: OperatorPath, samples: int = 17) -> Parametrix:
@@ -262,10 +315,7 @@ def parametrix(path: OperatorPath, samples: int = 17) -> Parametrix:
                         "parametrix")
     if not path.minus_tail:
         return parametrix_fs_plus(path, samples)
-    flipped = parametrix_fs_plus(negate(path), samples)
-    return Parametrix(sign=-1, lambdas=flipped.lambdas, M=flipped.M,
-                      K=tuple(-k for k in flipped.K),
-                      anchor_corrections=flipped.anchor_corrections, path=path)
+    return _normal_form(negate(path), samples, path, -1)
 
 
 @dataclass(frozen=True)

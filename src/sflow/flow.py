@@ -257,17 +257,28 @@ def _end_faults(store: _Eigendata, ends: np.ndarray, tol_invert: float
                 ) -> list[SflowError | None]:
     """Each request's first failed solve or EndpointNotInvertible, at 0 then
     at 1 (its row of ends): an eigenvalue that the solver error bound may
-    put within tol_invert * (1 + ||block||) of 0."""
+    put within tol_invert * (1 + ||block||) of 0, else a negative eigenvalue
+    within the cluster tolerance of 0. The knot windows close at -tol, so
+    such an eigenvalue would be counted with the nonnegative ones, against
+    its certified sign."""
+    w, tol = store.w[ends], store.tol[ends]
     min_abs, threshold, singular = _singular_rows(
-        store.w[ends], store.norm[ends], store.err[ends], tol_invert)
-    bad = ~store.ok[ends] | singular
+        w, store.norm[ends], store.err[ends], tol_invert)
+    near = (w < 0.0) & (w >= -tol[..., None])
+    bad = ~store.ok[ends] | singular | near.any(axis=2)
     faults: list[SflowError | None] = [None] * len(ends)
     for k in bad.any(axis=1).nonzero()[0].tolist():
         j = int(bad[k].argmax())
-        faults[k] = (store.errors[ends[k, j]] if not store.ok[ends[k, j]]
-                     else EndpointNotInvertible(
-                         f"eigenvalue {min_abs[k, j]:.3e} at endpoint "
-                         f"{float(j)} within threshold {threshold[k, j]:.3e}"))
+        if not store.ok[ends[k, j]]:
+            faults[k] = store.errors[ends[k, j]]
+        elif singular[k, j]:
+            faults[k] = EndpointNotInvertible(
+                f"eigenvalue {min_abs[k, j]:.3e} at endpoint {float(j)} "
+                f"within threshold {threshold[k, j]:.3e}")
+        else:
+            faults[k] = EndpointNotInvertible(
+                f"eigenvalue {w[k, j][near[k, j]][-1]:.3e} at endpoint "
+                f"{float(j)} within cluster tolerance {tol[k, j]:.3e} below 0")
     return faults
 
 

@@ -299,16 +299,26 @@ class OperatorPath:
             raise OutOfRange("knots must be strictly increasing")
         if len(samples) != knots.size:
             raise DimensionMismatch(f"{len(samples)} samples for {knots.size} knots")
-        mats = [_sym(np.asarray(s, dtype=float)) for s in samples]
-        dim = mats[0].shape[0]
-        for i, m in enumerate(mats):
-            if m.shape != (dim, dim):
-                raise DimensionMismatch(f"sample {i} has shape {m.shape}, "
-                                        f"expected ({dim}, {dim})")
+        try:
+            stack = np.asarray(samples, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            stack = None
+        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            # a stack of square samples of one shape is valid; otherwise the
+            # first bad sample raises its own error
+            mats = [_sym(np.asarray(s, dtype=float)) for s in samples]
+            dim = mats[0].shape[0]
+            for i, m in enumerate(mats):
+                if m.shape != (dim, dim):
+                    raise DimensionMismatch(f"sample {i} has shape {m.shape}, "
+                                            f"expected ({dim}, {dim})")
+            stack = np.stack(mats)
+        else:
+            stack = 0.5 * stack + 0.5 * stack.swapaxes(1, 2)
+        dim = stack.shape[1]
         self.kind = "piecewise_linear"
         self.mat_a = None
         self.mat_b = None
-        stack = np.stack(mats)
         self.knots = knots
         self._stack = stack
         self.samples = tuple(stack)

@@ -407,6 +407,35 @@ def test_exit_code_singular_endpoint():
     assert "endpoint 0.0" in report["error"]["message"]
 
 
+
+@pytest.mark.parametrize("a", [1e-9, 3e-9, 1e-8])
+@pytest.mark.parametrize("shape", ["scalar", "2x2", "tail"])
+def test_negative_end_eigenvalue_between_the_tolerances_exits_3(a, shape):
+    # |-a| clears the invertibility threshold 1e-10 (1 + ||A||) but not the
+    # cluster tolerance 1e-8 (1 + ||A||) at which the knot windows close, so
+    # the flow would count it with the nonnegative eigenvalues and report
+    # 0 where the oracle, n-(A(0)) - n-(A(1)), gives 1
+    doc = scalar_job()
+    doc["path"] = {"kind": "affine", "A": [[-a]], "B": [[2 * a]]}
+    if shape == "2x2":
+        doc["action"] = {"matrices": {"0": [[1, 0], [0, 1]]}}
+        doc["path"] = {"kind": "affine", "A": [[-a, 0], [0, 5]],
+                       "B": [[2 * a, 0], [0, 0]]}
+    if shape == "tail":
+        doc["tail"] = {"plus": True, "minus": False}
+    commands = ["sfl", "cogredient"] if shape == "tail" else ["sfl", "maslov"]
+    for command in commands:
+        doc["command"] = command
+        report, code = run(parse_job(json.dumps(doc)))
+        assert code == 3, command
+        assert report["error"]["message"].startswith(
+            f"EndpointNotInvertible: eigenvalue {-a:.3e} at endpoint 0.0 "
+            "within cluster tolerance")
+    doc["command"] = "oracle"
+    report, code = run(parse_job(json.dumps(doc)))
+    assert (code, report["sfl"]) == (0, 1)
+
+
 # an integer literal too large for a float is not finite either
 NON_FINITE = pytest.mark.parametrize(
     "spelling", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",

@@ -454,9 +454,11 @@ def test_cover_check_solves_in_chunks_of_at_most_samples(samples, monkeypatch):
                                             ({"minus_tail": True}, 1)])
 def test_normal_form_makes_a_fixed_number_of_solves(tails, negated,
                                                     monkeypatch):
-    # anchors 1, cover COVER_SUBSTEPS + 1, inverse roots 1, residual check
-    # 2, max_residual 1, and the negated path's Lipschitz bound on the
-    # negative side; the transformed path's speeds wait for their first read
+    # anchors 1 (their norms serve the residual bounds), cover
+    # COVER_SUBSTEPS + 1, inverse roots 1, residual check 1 (max_residual
+    # reports its worst residual), and the negated path's Lipschitz bound on
+    # the negative side; the transformed path's speeds wait for their first
+    # read
     rng = np.random.default_rng(5)
     table, action = preset_action("cyclic", 2, 3, rng)
     p = random_equivariant_path(action, rng, kind="pl", **tails)
@@ -468,4 +470,127 @@ def test_normal_form_makes_a_fixed_number_of_solves(tails, negated,
         px.max_residual()
         px.transformed_path()
         counts.append(len(sizes))
-    assert counts[0] == counts[1] == COVER_SUBSTEPS + 6 + negated
+    assert counts[0] == counts[1] == COVER_SUBSTEPS + 4 + negated
+
+
+def test_anchor_norms_are_the_bits_of_the_checked_blocks_norms(monkeypatch):
+    # the residual bounds take each block's norm from the anchor solve; the
+    # path's blocks are exactly symmetric, so that solve has the input, and
+    # the bits, of solving each path.at(lam).block for its norm
+    rng = np.random.default_rng(41)
+    seen = []
+    real = cogredient._check_residual
+
+    def check(path, lambdas, m, k, b, norms, reported):
+        seen.append((b, norms))
+        return real(path, lambdas, m, k, b, norms, reported)
+
+    monkeypatch.setattr(cogredient, "_check_residual", check)
+    for dim in (1, 2, 3, 4):
+        table, action = preset_action("cyclic", 2, dim, rng)
+        for kind in ("affine", "pl"):
+            for tails in ({"plus_tail": True}, {"minus_tail": True}):
+                p = random_equivariant_path(action, rng, kind=kind, **tails)
+                _outcome(lambda: parametrix(p, 33))
+    assert len(seen) == 16
+    for b, norms in seen:
+        assert np.array_equal(b, b.swapaxes(1, 2))
+        want = _eig.spectral_norm_sym(0.5 * b + 0.5 * b.swapaxes(1, 2))
+        assert norms.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tails", [{"plus_tail": True}, {"minus_tail": True}])
+def test_worst_residual_is_solved_with_the_check(tails, monkeypatch):
+    # at 1/2 the off-diagonal entry is the odd subnormal 5e-324, which the
+    # symmetric part rounds to 0, and on the negative side the residual
+    # matrices are negations of the checked ones: in both cases the path's
+    # own residuals differ from the checked bits, and are solved in the
+    # check's stack, so max_residual solves nothing and has the bits of
+    # solving them one sample at a time
+    speed = np.array([[1.0, 1e-323], [1e-323, 0.0]])
+    sign = 1 if "plus_tail" in tails else -1
+    p = OperatorPath.affine(sign * np.diag([1.0, 2.0]), sign * speed, **tails)
+    assert p.block_at(0.5)[0, 1] == sign * 5e-324
+    p.speeds
+    sizes = _count_solves(monkeypatch)
+    px = parametrix(p, samples=5)
+    worst = px.max_residual()
+    # the negated path's Lipschitz bound is solved on the negative side
+    assert len(sizes) == COVER_SUBSTEPS + 4 + (sign < 0)
+    assert sizes[-1] == 2 * 5
+    assert worst == _ref_parametrix(p, 5)[3]
+
+
+# --- masked checks against a per-sample loop ------------------------------------
+
+
+def _ref_check_residual(lambdas, m, k, b, norms, tails):
+    # the residual checks one sample at a time, in order
+    for lam, mj, kj, bj, norm in zip(lambdas, m, k, b, norms):
+        res = _ref_norm(mj.T @ (0.5 * bj + 0.5 * bj.T) @ mj
+                        - (np.eye(len(mj)) + kj))
+        bound = RESIDUAL_FACTOR * (1.0 + (max(norm, 1.0) if any(tails)
+                                          else norm))
+        if res > bound:
+            raise ResidualTooLarge(
+                f"residual {res:.3e} at sample {lam} exceeds {bound:.3e}")
+        sv = float(np.linalg.svd(mj, compute_uv=False)[-1])
+        if sv <= MIN_SINGULAR:
+            raise NotPositive(f"M at sample {lam} has singular value "
+                              f"{sv:.3e}")
+
+
+class _TailsOnly:
+    # the part of a path the residual check reads
+    dim, tails = 2, (True, False)
+
+
+# (m, k, b) of a sample that passes, or fails in one way: its residual is
+# too large, its M is nearly singular, or its residual cannot be solved
+_SAMPLES = {
+    "good": (np.eye(2), np.zeros((2, 2)), np.eye(2)),
+    "residual": (np.eye(2), np.zeros((2, 2)), np.diag([1.0 + 1e-3, 1.0])),
+    "singular": (np.diag([1e-11, 1.0]), np.diag([1e-22 - 1.0, 0.0]),
+                 np.eye(2)),
+    "unsolvable": (np.eye(2), np.zeros((2, 2)), np.diag([np.nan, 1.0])),
+}
+
+
+@pytest.mark.parametrize("first, second", [
+    ("residual", "singular"), ("singular", "residual"),
+    ("unsolvable", "residual"), ("residual", "unsolvable"),
+    ("unsolvable", "singular"), ("singular", "unsolvable")])
+def test_masked_residual_check_fails_as_the_loop(first, second):
+    order = ["good", first, "good", second, "good"]
+    m, k, b = (np.array(x) for x in zip(*(_SAMPLES[s] for s in order)))
+    lambdas = tuple(np.linspace(0.0, 1.0, len(order)).tolist())
+    norms = np.array([1.0, 2.0, 0.5, 3.0, 1.0])
+    want = _outcome(lambda: _ref_check_residual(lambdas, m, k, b, norms,
+                                                _TailsOnly.tails))
+    assert want[0] == {"residual": "ResidualTooLarge",
+                       "singular": "NotPositive",
+                       "unsolvable": "EigenFailure"}[first]
+    checked = m.swapaxes(1, 2) @ b @ m - (np.eye(2) + k)
+    got = _outcome(lambda: cogredient._check_residual(
+        _TailsOnly(), lambdas, m, k, b, norms, checked))
+    assert got == want
+
+
+def _ref_inv_sqrt_each(blocks, margin):
+    return [_ref_inv_sqrt(block, margin) for block in blocks]
+
+
+@pytest.mark.parametrize("first, second", [
+    ("low", "unsolvable"), ("unsolvable", "low")])
+def test_masked_inverse_roots_fail_as_the_loop(first, second):
+    # one block at the margin, one that cannot be solved, between good ones
+    kinds = {"good": np.diag([2.0, 3.0]), "low": np.diag([1e-9, 3.0]),
+             "unsolvable": np.diag([np.inf, 3.0])}
+    blocks = np.array([kinds[s] for s in ["good", first, second, "good"]])
+    want = _outcome(lambda: _ref_inv_sqrt_each(blocks, POSITIVITY_MARGIN))
+    assert want[0] == ("NotPositive" if first == "low" else "EigenFailure")
+    got = _outcome(lambda: cogredient._inv_sqrt(blocks, POSITIVITY_MARGIN))
+    assert got == want
+    good = blocks[[0, 3]]
+    assert _same_bits(cogredient._inv_sqrt(good, POSITIVITY_MARGIN),
+                      _ref_inv_sqrt_each(good, POSITIVITY_MARGIN))

@@ -198,6 +198,38 @@ def test_endpoint_not_invertible():
         find_partition(p)
 
 
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([("trivial", 1), ("cyclic", 3), ("dihedral", 3)]),
+       st.integers(2, 4), st.sampled_from([(False, False), (True, False),
+                                           (False, True)]),
+       st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]),
+       st.floats(0.05, 0.95), st.integers(0, 2 ** 32 - 1))
+def test_end_eigenvalues_between_the_two_tolerances_keep_the_oracle_class(
+        preset, dim, tails, s0, s1, u, seed):
+    # a trivially acted coordinate whose eigenvalue runs from s0 a0 to
+    # s1 a1, each a between the invertibility threshold 1e-10 (1 + ||A||)
+    # and the cluster tolerance 1e-8 (1 + ||A||): a negative one is refused,
+    # as the knot windows would count it on the wrong side; otherwise the
+    # flow is the oracle's class
+    rng = np.random.default_rng(seed)
+    table, action = preset_action(*preset, dim, rng, conjugate=True)
+    p = random_equivariant_path(action, rng, plus_tail=tails[0],
+                                minus_tail=tails[1])
+    norm = np.abs(np.linalg.eigvalsh(p.blocks_at([0.0, 1.0]))).max(axis=1)
+    a0, a1 = u * 1e-8 * (1.0 + norm)
+    q = direct_sum_paths(p, OperatorPath.affine([[s0 * a0]],
+                                                [[s1 * a1 - s0 * a0]]))
+    ext = action.extended(1)
+    want = morse_oracle_sfl_G(q, ext, table)
+    if min(s0, s1) < 0:
+        with pytest.raises(EndpointNotInvertible,
+                           match="within cluster tolerance"):
+            sfl_G(q, ext, table)
+    else:
+        assert sfl_G(q, ext, table).sfl_G == want
+
+
 def test_flat_zero_stretch_certifies():
     # eigenvalue sits exactly at 0 on the middle third; net flow is one
     p = OperatorPath.piecewise_linear(
@@ -937,16 +969,28 @@ def test_knot_pass_matches_frame_by_frame_selection(tol_cluster):
 
 
 def test_a_knot_eigenvalue_at_minus_tol_is_inside_the_frame():
-    # [0, level] is closed at -tol, so an eigenvalue of exactly -tol at a
-    # knot counts, and a crossing from -tol up to 1 is a flow of -1
+    # [0, level] is closed at -tol, so an eigenvalue of exactly -tol at an
+    # interior knot counts: the crossing from -1 up to 1 through -tol at
+    # 1/2 falls on the segment that ends there. At an endpoint the window
+    # would count that eigenvalue against its certified sign, so it is
+    # refused there
     table, action = _trivial_setup(2)
     tol = 1e-8 * (1.0 + 2.0)
     path = OperatorPath.piecewise_linear(
-        [0.0, 1.0], [np.diag([-tol, 2.0]), np.diag([1.0, 2.0])])
-    part = CertifiedPartition((0.0, 1.0), (0.5,), (1e-3,))
-    spec = block_spectrum(path.at(0.0))
+        [0.0, 0.5, 1.0],
+        [np.diag([-1.0, 2.0]), np.diag([-tol, 2.0]), np.diag([1.0, 2.0])])
+    part = CertifiedPartition((0.0, 0.5, 1.0), (0.5, 1.5), (1e-3, 1e-3))
+    spec = block_spectrum(path.at(0.5))
     assert spec.eigenvalues[0] == -spec.tol == -tol
-    assert sfl_G(path, action, table, partition=part).sfl == -1
+    report = sfl_G(path, action, table, partition=part)
+    assert report.sfl == 1
+    assert [forgetful_F(c) for c in report.segment_contributions] == [1, 0]
+    end = OperatorPath.piecewise_linear(
+        [0.0, 1.0], [np.diag([-tol, 2.0]), np.diag([1.0, 2.0])])
+    with pytest.raises(EndpointNotInvertible,
+                       match="-3.000e-08 at endpoint 0.0 within cluster"):
+        sfl_G(end, action, table,
+              partition=CertifiedPartition((0.0, 1.0), (0.5,), (1e-3,)))
 
 
 def test_a_knot_that_fails_to_solve_fails_its_flow_only(monkeypatch):
@@ -1554,5 +1598,49 @@ def test_fixed_end_homotopy_keeps_the_flow(preset, dim, tails, seed):
                                 minus_tail=tails[1])
     q = _homotopic_path(p, action, rng)
     assert np.array_equal(q.blocks_at([0.0, 1.0]), p.blocks_at([0.0, 1.0]))
+    want, got = sfl_G_each([(p, action), (q, action)], table)
+    assert got.sfl_G == want.sfl_G
+
+
+# --- free-end homotopy inside the invertibles ---------------------------------
+
+
+def _invertible_path_to(block, action, rng, *, reach_end, tails):
+    # an equivariant path of invertible blocks that ends at block (reach_end)
+    # or starts there: block plus equivariant bumps of two-norm below 0.9
+    # times its smallest eigenvalue magnitude, the bump at block 0, so Weyl
+    # keeps every interpolated block invertible
+    k = int(rng.integers(1, 4))
+    gap = np.abs(np.linalg.eigvalsh(block)).min()
+    bumps = random_equivariant_symmetric(action, rng, k)
+    bumps *= (0.9 * gap * rng.uniform(0.1, 1.0, k)
+              / np.linalg.norm(bumps, 2, axis=(1, 2)))[:, None, None]
+    samples = [*(block + bumps), block]
+    if not reach_end:
+        samples.reverse()
+    return OperatorPath.piecewise_linear(np.linspace(0.0, 1.0, k + 1),
+                                         samples, plus_tail=tails[0],
+                                         minus_tail=tails[1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([("trivial", 1), ("cyclic", 3), ("dihedral", 3),
+                        ("dihedral", 4)]),
+       st.integers(2, 6), st.sampled_from(_TAILS[1:]),
+       st.integers(0, 2 ** 32 - 1))
+def test_free_end_homotopy_inside_the_invertibles_keeps_the_flow(
+        preset, dim, tails, seed):
+    # a p b, with a ending at p(0) and b starting at p(1) through invertible
+    # equivariant blocks, is homotopic to p with its ends moving inside the
+    # invertibles, so it has p's flow although its end blocks are not p's
+    rng = np.random.default_rng(seed)
+    table, action = preset_action(*preset, dim, rng, conjugate=True)
+    p = random_equivariant_path(action, rng, plus_tail=tails[0],
+                                minus_tail=tails[1])
+    start, end = p.blocks_at([0.0, 1.0])
+    a = _invertible_path_to(start, action, rng, reach_end=True, tails=tails)
+    b = _invertible_path_to(end, action, rng, reach_end=False, tails=tails)
+    q = concatenate(concatenate(a, p), b)
+    assert not np.array_equal(q.block_at(0.0), start)
     want, got = sfl_G_each([(p, action), (q, action)], table)
     assert got.sfl_G == want.sfl_G
