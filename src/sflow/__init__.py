@@ -3,7 +3,7 @@ essential-spectrum tails: certified crossing counts valued in the integer
 lattice of a finite group's real irreducibles, plus the congruence normal
 forms and the Lagrangian-graph crossing index built on top."""
 
-from ._eig import jacobi_eigh, spectral_norm_sym
+from ._eig import jacobi_eigh
 from .cogredient import (
     Parametrix,
     PointwiseSection,
@@ -54,6 +54,7 @@ from .maslov import (
     fredholm_pair_dims,
     graph_lagrangian,
     horizontal_lagrangian,
+    maslov_flow,
     maslov_index_G,
     maslov_operator_spectrum,
     z2_example,

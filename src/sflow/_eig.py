@@ -63,15 +63,20 @@ def eigh_error(block: np.ndarray, w: np.ndarray,
     stand in for the 2-norms, terms for the rounding of both matrix products
     are added, and the sum is rounded up by a relative (n + 2)^2 eps that
     covers the norm sums. Each A is scaled by a power of two first, so no
-    intermediate overflows for finite input. Raises EigenFailure if a bound
-    is not finite.
+    intermediate overflows for finite input; a bound that lands among the
+    subnormals from a matrix of subnormals is rounded up. Raises
+    EigenFailure if a bound is not finite.
     """
     block = np.asarray(block, dtype=float)
     k, n = w.shape
     if n == 0 or k == 0:
         return np.zeros(k)
-    # frexp gives exponent 0 for a zero matrix, which then stays unscaled
+    # frexp gives exponent 0 for a zero matrix, which then stays unscaled; a
+    # matrix of subnormals is scaled as one whose largest entry is the
+    # smallest normal double, so that the scale stays finite
     exp = np.frexp(np.abs(block).max(axis=(1, 2)))[1]
+    tiny = exp < np.finfo(float).minexp + 1
+    exp[tiny] = np.finfo(float).minexp + 1
     half = np.ldexp(0.5, -exp)[:, None, None]  # exact: symmetrize and scale
     a = half * block + half * block.swapaxes(1, 2)
     ws = np.ldexp(w, -exp[:, None])
@@ -82,6 +87,9 @@ def eigh_error(block: np.ndarray, w: np.ndarray,
     bound = (res + gamma * vnorm * size
              + (orth + gamma * vnorm * vnorm) * size)
     err = np.ldexp(bound * (1.0 + (n + 2) ** 2 * EPS), exp)
+    # such a matrix's bound lands among the subnormals, where ldexp rounds
+    # to nearest: one step up keeps it an upper bound
+    err[tiny] = np.nextafter(err[tiny], np.inf)
     if not np.isfinite(err).all():
         bad = err[~np.isfinite(err)][0]
         raise EigenFailure(f"eigenvalue error bound is {float(bad)}")
@@ -132,14 +140,6 @@ def block_diag(*mats: np.ndarray) -> np.ndarray:
         out[r:r + m.shape[0], c:c + m.shape[1]] = m
         r, c = r + m.shape[0], c + m.shape[1]
     return out
-
-
-def spectral_norm_sym(block: np.ndarray) -> float | np.ndarray:
-    """Two-norm of a symmetric matrix via its eigenvalues, or an array of
-    them for a (k, n, n) stack; 0 for a 0 x 0 matrix."""
-    w, _ = jacobi_eigh(block)
-    norms = np.abs(w).max(axis=-1, initial=0.0)
-    return float(norms) if w.ndim == 1 else norms
 
 
 def solve_each(solve, blocks: np.ndarray, *, strict: bool = False):

@@ -52,7 +52,7 @@ from .groups import (
     forgetful_F,
     phi_Z2,
 )
-from .maslov import _checked_flow
+from .maslov import maslov_flow
 from .operators import CLUSTER_FACTOR, INVERT_FACTOR, OperatorPath
 
 logger = logging.getLogger("sflow")
@@ -445,7 +445,7 @@ def _dispatch(job: JobSpec) -> dict:
                        parametrix={"sign": px.sign, "samples": len(px.lambdas),
                                    "max_residual": px.max_residual()})
 
-    flow = (_checked_flow if job.command == "maslov" else sfl_G)(
+    flow = (maslov_flow if job.command == "maslov" else sfl_G)(
         path, action, table, opts)
     return _report(flow.sfl_G, flow)
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._eig import jacobi_eigh, solve_each, spectral_norm_sym
+from ._eig import jacobi_eigh, solve_each
 from .errors import (
     CoverFailure,
     EigenFailure,
@@ -26,7 +26,14 @@ from .errors import (
     OutOfRange,
     ResidualTooLarge,
 )
-from .operators import CLUSTER_FACTOR, CPS, FSComponent, OperatorPath, negate
+from .operators import (
+    CLUSTER_FACTOR,
+    CPS,
+    FSComponent,
+    OperatorPath,
+    _specnorm,
+    negate,
+)
 
 POSITIVITY_MARGIN = 1e-8
 RESIDUAL_FACTOR = 1e-9
@@ -355,10 +362,11 @@ def pointwise_section(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> Pointwise
 
     k_block = op.block - m_block @ q_block @ m_block.T
     k_block = 0.5 * k_block + 0.5 * k_block.T
-    res = spectral_norm_sym(op.block - (m_block @ q_block @ m_block.T + k_block))
-    bound = _residual_bound(spectral_norm_sym(op.block), op.tails)
     k0 = (v * np.where(in_kernel, 1.0, 0.0)) @ v.T
-    drift = spectral_norm_sym(k_block + k0)
+    res, block_norm, drift = _specnorm(np.array([
+        op.block - (m_block @ q_block @ m_block.T + k_block), op.block,
+        k_block + k0])).tolist()
+    bound = _residual_bound(block_norm, op.tails)
     if max(res, drift) > bound:
         raise ResidualTooLarge(f"factorization residual {max(res, drift):.3e} "
                                f"exceeds {bound:.3e}")

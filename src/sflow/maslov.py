@@ -3,9 +3,8 @@ index of a graph path against the horizontal subspace.
 
 The boundary-value operator behind the index is never discretized. For graph
 paths its spectrum inside (-pi/2, pi/2) is exactly the arctangent of the block
-spectrum, with the same eigenspaces, so the index is computed by running the
-flow machinery on the arctangent-transformed path and cross-checked against
-the flow of the original path.
+spectrum, with the same eigenspaces (maslov_operator_spectrum computes it), so
+the index of a graph path equals sfl_G of the path of blocks itself.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._eig import jacobi_eigh, opnorms_within, solve_each, spectral_norm_sym
+from ._eig import opnorms_within
 from .errors import (
     ConsistencyFailure,
     NotLagrangian,
@@ -22,7 +21,7 @@ from .errors import (
     NotSymmetric,
     TailMismatch,
 )
-from .flow import FlowOptions, SflReport, sfl_G, sfl_G_pair
+from .flow import FlowOptions, SflReport, sfl_G
 from .groups import (
     OrthogonalAction,
     RealCharacterTable,
@@ -34,6 +33,7 @@ from .operators import (
     CLUSTER_FACTOR,
     CPS,
     OperatorPath,
+    _specnorm,
     block_spectrum,
     cluster_values,
     direct_sum_paths,
@@ -60,7 +60,7 @@ class LagrangianFrame:
         if f.ndim != 2 or f.shape[0] != 2 * f.shape[1]:
             raise NotLagrangian(f"frame shape {f.shape}, need (2m, m)")
         gram = f.T @ f - np.eye(f.shape[1])
-        if f.shape[1] and spectral_norm_sym(0.5 * gram + 0.5 * gram.T) > ORTHONORMAL_TOL:
+        if _specnorm(gram[None])[0] > ORTHONORMAL_TOL:
             raise NotOrthonormal("frame columns are not orthonormal")
         if f.shape[1]:
             m = f.shape[1]
@@ -149,38 +149,14 @@ def maslov_operator_spectrum(block: np.ndarray,
             for i, j in zip(bounds, bounds[1:])]
 
 
-def _arctan_blocks(blocks: np.ndarray) -> np.ndarray:
-    # arctan of each symmetric matrix of a (k, n, n) stack
-    w, v = jacobi_eigh(blocks)
-    out = (v * np.arctan(w)[:, None, :]) @ v.swapaxes(1, 2)
-    return 0.5 * out + 0.5 * out.swapaxes(1, 2)
-
-
-def _arctan_path(path: OperatorPath, per_segment: int = 4) -> OperatorPath:
-    knots = list(path.knots)
-    grid: list[float] = []
-    for a, b in zip(knots, knots[1:]):
-        for i in range(per_segment):
-            grid.append(a + (b - a) * i / per_segment)
-    grid.append(1.0)
-    samples = solve_each(_arctan_blocks, path.blocks_at(grid), strict=True)
-    return OperatorPath.piecewise_linear(grid, samples)
-
-
-def _checked_flow(path: OperatorPath, action: OrthogonalAction,
-                  table: RealCharacterTable,
-                  opts: FlowOptions | None = None) -> SflReport:
-    # the flow of the path itself, once the arctangent route has given the
-    # same class
+def maslov_flow(path: OperatorPath, action: OrthogonalAction,
+                table: RealCharacterTable,
+                opts: FlowOptions | None = None) -> SflReport:
+    """sfl_G of a graph path, whose class is the crossing index: graph paths
+    live on a finite block, so a path with tails is refused."""
     if path.plus_tail or path.minus_tail:
         raise TailMismatch("graph paths live on a finite block, no tails")
-    direct, transformed = sfl_G_pair(path, lambda: _arctan_path(path), action,
-                                     table, opts)
-    if direct.sfl_G != transformed.sfl_G:
-        raise ConsistencyFailure(
-            f"index routes disagree: transformed {transformed.sfl_G.as_dict()} vs "
-            f"direct {direct.sfl_G.as_dict()}")
-    return direct
+    return sfl_G(path, action, table, opts)
 
 
 def maslov_index_G(path: OperatorPath, action: OrthogonalAction,
@@ -189,10 +165,11 @@ def maslov_index_G(path: OperatorPath, action: OrthogonalAction,
     """Equivariant crossing index of the graph path of `path` against the
     horizontal subspace.
 
-    Computed as the flow of the arctangent-transformed path, then compared
-    with the flow of the original path; the two must agree exactly.
+    The window spectrum of each graph is the arctangent of its block's
+    spectrum, with the same eigenspaces, so the index equals sfl_G of the
+    path (maslov_flow).
     """
-    return _checked_flow(path, action, table, opts).sfl_G
+    return maslov_flow(path, action, table, opts).sfl_G
 
 
 @dataclass(frozen=True)

@@ -626,8 +626,9 @@ def morse_classes(blocks: np.ndarray, action: OrthogonalAction,
     one subspace_classes call; the negative space is the column range of the
     clusters valued below 0. Raises the first error of morse_class run on
     the blocks in order: WrongGroup, DimensionMismatch before any solve,
-    then for each block its failed solve, NotEquivariant, NotInvertible,
-    then its class checks."""
+    then for each block its failed solve, NotEquivariant, NotInvertible (an
+    eigenvalue within the invertibility threshold of 0, else a negative one
+    within the cluster tolerance), then its class checks."""
     if table.group != action.group:
         raise WrongGroup("character table and action belong to different groups")
     if action.dim != blocks.shape[-1]:
@@ -638,13 +639,20 @@ def morse_classes(blocks: np.ndarray, action: OrthogonalAction,
     scale = EQUIVARIANCE_FACTOR * np.where(ok, 1.0 + norm, np.inf)
     defects = equivariance_defects(blocks, action, scale)
     min_abs, _, singular = _singular_rows(w, norm, err, tol_invert)
+    # a negative eigenvalue within tol of 0 can share a cluster with
+    # nonnegative ones and be counted with them, so it is refused, as the
+    # flow's end check refuses it
+    near = (w < 0.0) & (w >= -tol[:, None])
     # the first block that fails its solve, equivariance or invertibility
-    bad = ~ok | (defects > scale) | singular
+    bad = ~ok | (defects > scale) | singular | near.any(axis=1)
     k = int(bad.argmax()) if bad.any() else len(blocks)
     fault = None if k == len(blocks) else errors.get(k) or (
         NotEquivariant(f"commutator norm {defects[k]:.3e} exceeds tolerance")
-        if defects[k] > scale[k] else NotInvertible(
-            f"eigenvalue {min_abs[k]:.3e} within invertibility threshold"))
+        if defects[k] > scale[k] else
+        NotInvertible(f"eigenvalue {min_abs[k]:.3e} within invertibility "
+                      "threshold") if singular[k] else
+        NotInvertible(f"eigenvalue {w[k][near[k]][-1]:.3e} within cluster "
+                      f"tolerance {tol[k]:.3e} below 0"))
     # the clusters valued below 0: up to the largest double below 0
     _, ncols = interval_columns(cluster_values(w[:k], tol[:k])[1], -np.inf,
                                 np.nextafter(0.0, -1.0))

@@ -433,7 +433,47 @@ def test_negative_end_eigenvalue_between_the_tolerances_exits_3(a, shape):
             "within cluster tolerance")
     doc["command"] = "oracle"
     report, code = run(parse_job(json.dumps(doc)))
-    assert (code, report["sfl"]) == (0, 1)
+    assert code == 3
+    assert report["error"]["message"].startswith(
+        f"NotInvertible: eigenvalue {-a:.3e} within cluster tolerance")
+
+
+def test_oracle_refuses_a_negative_end_eigenvalue_near_0_as_sfl_does():
+    # -1e-9 and 1e-9 cluster to a mean of 0, so a negative space read from
+    # the clusters below 0 missed -1e-9 and the oracle reported 0, where
+    # n-(A(0)) - n-(A(1)) is 1
+    doc = dict(scalar_job("oracle"),
+               action={"matrices": {"0": [[1, 0], [0, 1]]}},
+               path={"kind": "affine", "A": [[-1e-9, 0], [0, 1e-9]],
+                     "B": [[2, 0], [0, 0]]})
+    report, code = run(parse_job(json.dumps(doc)))
+    assert code == 3
+    assert report["error"]["message"] == (
+        "NotInvertible: eigenvalue -1.000e-09 within cluster tolerance "
+        "1.000e-08 below 0")
+    # end magnitudes from below the invertibility threshold to past the
+    # cluster tolerance, at either end and beside a small or a unit
+    # eigenvalue of either sign
+    codes = set()
+    for a in np.geomspace(3e-11, 3e-8, 13):
+        for first, other in [([-a, 0], [a, 1]), ([-a, 0], [1, 1]),
+                             ([a, 0], [-1, 1]), ([1, 0], [-a, 1])]:
+            paths = [{"kind": "affine", "A": [first, [0, other[0]]],
+                      "B": [[2, 0], [0, other[1]]]}]
+            paths.append({"kind": "affine",
+                          "A": (np.array(paths[0]["A"])
+                                + np.array(paths[0]["B"])).tolist(),
+                          "B": (-np.array(paths[0]["B"])).tolist()})
+            for path in paths:
+                got = [run(parse_job(json.dumps(dict(doc, path=path,
+                                                     command=command))))
+                       for command in ("oracle", "sfl")]
+                (oracle, code), (flow, flow_code) = got
+                assert code == flow_code, (a, path)
+                if code == 0:
+                    assert oracle["sfl_G"] == flow["sfl_G"], (a, path)
+                codes.add(code)
+    assert codes == {0, 3}
 
 
 # an integer literal too large for a float is not finite either

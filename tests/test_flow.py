@@ -209,9 +209,9 @@ def test_end_eigenvalues_between_the_two_tolerances_keep_the_oracle_class(
         preset, dim, tails, s0, s1, u, seed):
     # a trivially acted coordinate whose eigenvalue runs from s0 a0 to
     # s1 a1, each a between the invertibility threshold 1e-10 (1 + ||A||)
-    # and the cluster tolerance 1e-8 (1 + ||A||): a negative one is refused,
-    # as the knot windows would count it on the wrong side; otherwise the
-    # flow is the oracle's class
+    # and the cluster tolerance 1e-8 (1 + ||A||): a negative one is refused
+    # by the flow and the oracle, as the knot windows and the clusters could
+    # count it on the wrong side; otherwise the flow is the oracle's class
     rng = np.random.default_rng(seed)
     table, action = preset_action(*preset, dim, rng, conjugate=True)
     p = random_equivariant_path(action, rng, plus_tail=tails[0],
@@ -221,13 +221,14 @@ def test_end_eigenvalues_between_the_two_tolerances_keep_the_oracle_class(
     q = direct_sum_paths(p, OperatorPath.affine([[s0 * a0]],
                                                 [[s1 * a1 - s0 * a0]]))
     ext = action.extended(1)
-    want = morse_oracle_sfl_G(q, ext, table)
     if min(s0, s1) < 0:
         with pytest.raises(EndpointNotInvertible,
                            match="within cluster tolerance"):
             sfl_G(q, ext, table)
+        with pytest.raises(NotInvertible, match="within cluster tolerance"):
+            morse_oracle_sfl_G(q, ext, table)
     else:
-        assert sfl_G(q, ext, table).sfl_G == want
+        assert sfl_G(q, ext, table).sfl_G == morse_oracle_sfl_G(q, ext, table)
 
 
 def test_flat_zero_stretch_certifies():

@@ -1,26 +1,26 @@
 """Lagrangian frames, crossing forms against the horizontal, the doubled path."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sflow import maslov
+from sflow import flow
 from sflow._eig import jacobi_eigh
+from sflow.cli import parse_job, run
 from sflow.errors import (
-    ConsistencyFailure,
-    EigenFailure,
     NotLagrangian,
     NotOrthonormal,
     NotSymmetric,
-    SflowError,
     TailMismatch,
 )
-from sflow.flow import FlowOptions, sfl_G
+from sflow.flow import sfl_G
 from sflow.groups import OrthogonalAction, build_group, multiplicity_vector
 from sflow.groups import character_of_subspace
 from sflow.maslov import (
     LagrangianFrame,
-    _arctan_path,
-    _checked_flow,
     fredholm_pair_dims,
     graph_lagrangian,
     horizontal_lagrangian,
@@ -29,7 +29,12 @@ from sflow.maslov import (
     z2_example,
 )
 from sflow.operators import OperatorPath
-from sflow.sampling import identity_action, reynolds_symmetric
+from sflow.sampling import (
+    identity_action,
+    preset_action,
+    random_equivariant_path,
+    reynolds_symmetric,
+)
 
 
 # --- frames ------------------------------------------------------------------
@@ -168,52 +173,64 @@ def test_index_refines_under_symmetry():
     assert vr.as_dict() == {"trivial": 1, "sign": -1}
 
 
-def _checked_flow_one_at_a_time(path, action, table, opts):
-    # the sequence _checked_flow replaced, one flow at a time: the reference
-    # for the first error raised
-    if path.plus_tail or path.minus_tail:
-        raise TailMismatch("graph paths live on a finite block, no tails")
-    direct = sfl_G(path, action, table, opts)
-    transformed = sfl_G(maslov._arctan_path(path), action, table, opts).sfl_G
-    if direct.sfl_G != transformed:
-        raise ConsistencyFailure("index routes disagree")
-    return direct
-
-
-def test_checked_flow_raises_the_error_a_one_at_a_time_run_raises(monkeypatch):
-    # a singular start fails the direct flow, and its error comes before
-    # that of an arctangent path that cannot be built
-    group, table = build_group("cyclic", 2)
-    action = OrthogonalAction(group, [np.eye(2), np.diag([1.0, -1.0])])
-    crossing = OperatorPath.affine(np.diag([-1.0, 1.0]), np.diag([2.0, -2.0]))
-    singular = OperatorPath.affine(np.diag([0.0, 1.0]), np.eye(2))
-    real = maslov._arctan_path
-    kinds = set()
-    for path in (crossing, singular):
-        for arctan_fails in (False, True):
-            def arctan(path, fails=arctan_fails):
-                if fails:
-                    raise EigenFailure("no arctangent path")
-                return real(path)
-
-            monkeypatch.setattr(maslov, "_arctan_path", arctan)
-            outcomes = []
-            for run in (_checked_flow, _checked_flow_one_at_a_time):
-                try:
-                    report = run(path, action, table, FlowOptions())
-                    outcomes.append(("ok", report.sfl_G, report.partition))
-                except SflowError as e:
-                    outcomes.append((type(e).__name__, str(e)))
-            assert outcomes[0] == outcomes[1]
-            kinds.add(outcomes[0][0])
-    assert kinds == {"ok", "EigenFailure", "EndpointNotInvertible"}
-
-
 def test_index_rejects_tails():
     group, table = build_group("trivial")
     p = OperatorPath.affine(np.eye(1), np.zeros((1, 1)), plus_tail=True)
     with pytest.raises(TailMismatch):
         maslov_index_G(p, identity_action(group, 1), table)
+
+
+def _arctan_path(path):
+    # the graph path's window operators, sampled: eigh at four grid points
+    # per piece and arctan of each eigenvalue on the same eigenvectors,
+    # joined as a piecewise-linear path
+    grid = np.concatenate([np.linspace(a, b, 4, endpoint=False)
+                           for a, b in zip(path.knots, path.knots[1:])]
+                          + [[1.0]])
+    w, v = np.linalg.eigh(path.blocks_at(grid))
+    samples = (v * np.arctan(w)[:, None, :]) @ v.swapaxes(1, 2)
+    return OperatorPath.piecewise_linear(
+        grid, list(0.5 * samples + 0.5 * samples.swapaxes(1, 2)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([("trivial", 1), ("cyclic", 3), ("dihedral", 3)]),
+       st.integers(1, 5), st.sampled_from(["affine", "pl"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_index_equals_the_flow_of_the_arctangent_path(preset, dim, kind, seed):
+    # arctan keeps each eigenvalue's sign and eigenspace, so the flow of the
+    # window operators is the index read from the path of blocks
+    rng = np.random.default_rng(seed)
+    table, action = preset_action(*preset, dim, rng, conjugate=True)
+    p = random_equivariant_path(action, rng, kind=kind)
+    assert maslov_index_G(p, action, table) == sfl_G(_arctan_path(p), action,
+                                                     table).sfl_G
+
+
+def test_a_maslov_job_certifies_one_flow(monkeypatch):
+    requests = []
+    real = flow.sfl_G_each
+
+    def each(reqs, *args, **kwargs):
+        requests.append(len(reqs))
+        return real(reqs, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "sfl_G_each", each)
+    group, table = build_group("cyclic", 2)
+    action = OrthogonalAction(group, [np.eye(2), np.diag([1.0, -1.0])])
+    p = OperatorPath.affine(np.diag([-1.0, 1.0]), np.diag([2.0, -2.0]))
+    assert maslov_index_G(p, action, table).as_dict() == {"trivial": 1,
+                                                          "sign": -1}
+    assert requests == [1]
+    job = parse_job(json.dumps({
+        "command": "maslov", "group": {"preset": "cyclic", "n": 2},
+        "action": {"matrices": {"0": [[1, 0], [0, 1]],
+                                "1": [[1, 0], [0, -1]]}},
+        "path": {"kind": "affine", "A": [[-1, 0], [0, 1]],
+                 "B": [[2, 0], [0, -2]]}}))
+    report, code = run(job)
+    assert code == 0 and report["sfl_G"] == {"trivial": 1, "sign": -1}
+    assert requests == [1, 1]
 
 
 # --- doubled path ------------------------------------------------------------------
@@ -277,29 +294,3 @@ def test_split_window_classes_add_up():
                                        table)
 
         assert klass(-a, a) - klass(0.0, a) == klass(-a, 0.0)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-def test_arctan_path_matches_one_block_at_a_time(dim):
-    rng = np.random.default_rng(300 + dim)
-    a = reynolds_symmetric(identity_action(build_group("trivial")[0], dim),
-                           rng.standard_normal((dim, dim)))
-    paths = [OperatorPath.affine(a, 3.0 * np.eye(dim) - a),
-             OperatorPath.piecewise_linear(
-                 [0.0, 0.3, 0.35, 1.0],
-                 [a, -a, 1e3 * np.eye(dim), rng.standard_normal((dim, dim))])]
-    for path in paths:
-        moved = _arctan_path(path)
-        grid = []
-        for lo, hi in zip(path.knots, path.knots[1:]):
-            grid += [lo + (hi - lo) * i / 4 for i in range(4)]
-        grid.append(1.0)
-        assert moved.knots.tolist() == grid
-        want = []
-        for lam in grid:
-            w, v = jacobi_eigh(path.block_at(lam))
-            out = (v * np.arctan(w)) @ v.T
-            out = 0.5 * out + 0.5 * out.T
-            want.append(0.5 * out + 0.5 * out.T)
-        assert all(x.tobytes() == y.tobytes()
-                   for x, y in zip(moved.samples, want, strict=True))

@@ -1,13 +1,14 @@
 """Block operators, spectra, interval eigenframes, and path algebra."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sflow import jacobi_eigh, operators, spectral_norm_sym
+from sflow import jacobi_eigh, operators
 from sflow._eig import EPS, eigh_error, opnorms, opnorms_within, solve_each
 from sflow.errors import (
     BoundaryHit,
@@ -138,12 +139,14 @@ def test_eigenvalue_perturbation_bound(a, e):
     # each sorted eigenvalue moves by at most the perturbation norm
     wa = np.linalg.eigvalsh(a)
     wp, _ = jacobi_eigh(a + e)
-    assert np.max(np.abs(wp - wa)) <= spectral_norm_sym(e) + 1e-9
+    assert np.max(np.abs(wp - wa)) <= operators._specnorm(e[None])[0] + 1e-9
 
 
 def test_spectral_norm_sym():
-    assert spectral_norm_sym(np.diag([3.0, -4.0])) == pytest.approx(4.0)
-    assert spectral_norm_sym(np.zeros((0, 0))) == 0.0
+    norms = operators._specnorm(np.array([np.diag([3.0, -4.0]), np.eye(2)]))
+    assert norms.tolist() == pytest.approx([4.0, 1.0])
+    assert (norms >= [4.0, 1.0]).all()
+    assert operators._specnorm(np.zeros((1, 0, 0))).tolist() == [0.0]
 
 
 def test_eigensolver_tolerates_roundoff_asymmetry():
@@ -207,6 +210,33 @@ def test_eigh_error_does_not_overflow_on_finite_input():
     assert np.isfinite(err)
     assert np.max(np.abs(w - 1e300 * exact)) <= err <= 1e-12 * 4e300
     assert _one_error(np.zeros((3, 3)), *jacobi_eigh(np.zeros((3, 3)))) == 0.0
+
+
+def test_eigh_error_stays_finite_and_an_upper_bound_on_subnormal_input():
+    # scaling a matrix of subnormals up to a unit largest entry would take a
+    # factor past the float range; the bound of such a velocity used to be
+    # nan, and lipschitz raised EigenFailure
+    speed = np.array([[0.0, 1e-323], [1e-323, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lipschitz = OperatorPath.affine(np.diag([1.0, 2.0]), speed).lipschitz
+        # exact spectra; halving 5e-324 rounds to 0, so the computed
+        # spectrum of the last matrix is 0 and its error 5e-324
+        for m, exact in [(speed, [-1e-323, 1e-323]),
+                         (np.diag([2e-310, -3e-320]), [-3e-320, 2e-310]),
+                         (np.diag([5e-324, -5e-324]), [-5e-324, 5e-324])]:
+            w, v = jacobi_eigh(m)
+            err = _one_error(m, w, v)
+            assert np.max(np.abs(w - exact)) <= err < 1e-300
+        # in units of the smallest subnormal this spectrum is -1 +- sqrt(61),
+        # which no double there holds; the scaled-back bound, rounded to
+        # nearest, is 0
+        k = np.array([[4.0, 6.0], [6.0, -6.0]])
+        w, v = jacobi_eigh(np.ldexp(k, -1074))
+        err = _one_error(np.ldexp(k, -1074), w, v)
+        assert (np.max(np.abs(np.ldexp(w, 1074) - np.linalg.eigvalsh(k)))
+                <= np.ldexp(err, 1074))
+    assert 1e-323 <= lipschitz < 1e-300
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -738,11 +768,13 @@ def test_morse_class_trivial_group():
     action = OrthogonalAction(group, [np.eye(2)])
     assert morse_class(CPS(np.diag([-2.0, 3.0])), action, table).coeffs == (1,)
     assert morse_class(CPS(np.diag([1.0, 2.0])), action, table).is_zero()
-    # a cluster straddling 0 has value 0.0, which is not below 0
+    # a cluster straddling 0 has value 0.0, which is not below 0, so its
+    # negative eigenvalue is refused rather than counted as nonnegative
     action = OrthogonalAction(group, [np.eye(3)])
     straddle = CPS(np.diag([-1e-9, 1e-9, 2.0]))
     assert [v for v, _ in _clusters(block_spectrum(straddle))] == [0.0, 2.0]
-    assert morse_class(straddle, action, table).is_zero()
+    with pytest.raises(NotInvertible, match="-1.000e-09 within cluster"):
+        morse_class(straddle, action, table)
 
 
 def test_morse_class_z2():
