@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._eig import block_diag
+from ._eig import EPS, block_diag
 from .errors import (
     CertificationFailed,
     DimensionMismatch,
@@ -48,7 +48,6 @@ from .operators import (
     interval_columns,
     morse_classes,
     segment_speeds,
-    solve_speeds,
     window_faults,
 )
 
@@ -85,11 +84,11 @@ class FlowOptions:
             if not math.isfinite(value) or value < 0.0:
                 raise OutOfRange(f"{name} must be finite and nonnegative, "
                                  f"got {value}")
+        if self.max_depth < 0 or self.min_depth < 0:
+            raise OutOfRange("depths must be nonnegative")
         if self.min_depth > self.max_depth:
             raise OutOfRange(
                 f"min_depth {self.min_depth} exceeds max_depth {self.max_depth}")
-        if self.max_depth < 0 or self.min_depth < 0:
-            raise OutOfRange("depths must be nonnegative")
         if self.max_depth > DEPTH_CAP:
             raise OutOfRange(
                 f"max_depth {self.max_depth} exceeds {DEPTH_CAP}")
@@ -173,43 +172,62 @@ class _Eigendata:
                 grown[:self.size] = getattr(self, name)[:self.size]
             setattr(self, name, grown)
 
-    def add(self, which: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    def add(self, which: np.ndarray, lams: np.ndarray,
+            speeds_of: Sequence[OperatorPath] = ()) -> np.ndarray:
         """Rows of the blocks of request which[j] at lams[j], interpolated
         together and solved in one stacked eigensolve; a block that fails
-        to solve fails alone (solve_each)."""
+        to solve fails alone (solve_each).
+
+        The piece differences of the OperatorPaths of speeds_of whose speeds
+        are not solved yet join that eigensolve as they are (symmetrizing
+        them again would change the bits of subnormal entries), and each
+        path whose differences all solve gets the speeds of its own solve,
+        the bound (norm + err) * (1 + 2 EPS) over its knot gaps."""
         b = (self.stack.blocks(self.place[which], lams) if self.stack
              else np.empty((len(lams),) + self.blocks.shape[1:]))
         for j in self.own[which].nonzero()[0].tolist():
             b[j] = self.paths[which[j]].blocks_at([lams[j]])[0]
         b = 0.5 * b + 0.5 * b.swapaxes(1, 2)
-        start = self.size
-        if start + len(b) > len(self.ok):
-            self._grow(max(2 * len(self.ok), start + len(b)))
-        self.size += len(b)
-        *data, errors = eigendata_each(b, self.tol_cluster)
+        unsolved = list({id(p): p for p in speeds_of if isinstance(
+            p, OperatorPath) and p._speeds is None}.values())
+        start, k = self.size, len(b)
+        if start + k > len(self.ok):
+            self._grow(max(2 * len(self.ok), start + k))
+        self.size += k
+        w, v, norm, tol, err, ok, errors = eigendata_each(np.concatenate(
+            [b, *(p._diffs for p in unsolved)]) if unsolved else b,
+            self.tol_cluster)
         for name, values in zip(("lam", "blocks", "w", "v", "norm", "tol",
-                                 "err", "ok"), (lams, b, *data)):
-            getattr(self, name)[start:self.size] = values
-        self.errors.update((start + i, e) for i, e in errors.items())
+                                 "err", "ok"), (lams, b, w, v, norm, tol, err, ok)):
+            getattr(self, name)[start:self.size] = values[:k]
+        self.errors.update((start + i, e) for i, e in errors.items() if i < k)
+        bound = (norm + err) * (1.0 + 2.0 * EPS)
+        for p in unsolved:
+            if ok[k:k + len(p._diffs)].all():
+                p._speeds = bound[k:k + len(p._diffs)] / np.diff(p.knots)
+            k += len(p._diffs)
         return np.arange(start, self.size)
 
 
 def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
-             tails: np.ndarray, tol_cluster: float
+             tails: np.ndarray, tol_cluster: float,
+             n: np.ndarray | None = None
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Look for one admissible level on each of S segments at once.
 
-    w is the (S, 3, n) array of the eigenvalues at the left end, midpoint and
+    w is the (S, 3, N) array of the eigenvalues at the left end, midpoint and
     right end of each segment, err the (S, 3) solver error bounds of those
     spectra, rad the Lipschitz radius of each segment and tails whether its
-    path has a tail. Returns (ok, level, margin): a segment is certified
-    where ok holds, at the middle of the first widest gap that the folded
-    envelopes leave in [0, cap] (cap is 1 with tails, else one past the top
-    envelope), when the gap's half width less the error clears the required
-    margin and the rank inside the level band is the same at the three
-    samples."""
+    path has a tail. Where n is given, segment s has n[s] eigenvalues and
+    its columns from n[s] on are padding, whatever they hold. Returns (ok,
+    level, margin): a segment is certified where ok holds, at the middle of
+    the first widest gap that the folded envelopes leave in [0, cap] (cap is
+    1 with tails, else one past the top envelope), when the gap's half width
+    less the error clears the required margin and the rank inside the level
+    band is the same at the three samples."""
     wl, wm, wr = w[:, 0], w[:, 1], w[:, 2]
     r = rad[:, None]
+    aw = np.abs(w)
     # an infinite radius (an overflowed Lipschitz bound) gives inf - inf only
     # in gaps that are not open, and an infinite required margin
     with np.errstate(over="ignore", invalid="ignore"):
@@ -223,6 +241,13 @@ def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
         neg, pos = hi <= 0.0, lo >= 0.0
         lo, hi = (np.where(neg, -hi, np.where(pos, lo, 0.0)),
                   np.where(neg, -lo, np.where(pos, hi, np.maximum(-lo, hi))))
+        if n is not None:
+            # a padding column's envelope lies past every gap and raises no
+            # top; its magnitude reads 0, which adds nothing to the norm and
+            # counts inside the band (level >= 0) at all three samples alike
+            pad = np.arange(w.shape[2]) >= n[:, None]
+            lo[pad], hi[pad] = np.inf, 0.0
+            aw[pad[:, None].repeat(3, axis=1)] = 0.0
         cap = np.where(tails, 1.0, hi.max(axis=1, initial=0.0) + 1.0)[:, None]
         # the gap below the j-th envelope in order of lower ends runs from
         # the highest upper end before it; where envelopes overlap it is
@@ -244,10 +269,10 @@ def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
         # up to err further in, which the margin pays for without moving the
         # level
         margin = width / 2.0 - err.max(axis=1)
-        norm_bound = np.abs(w).max(axis=(1, 2), initial=0.0) + rad
+        norm_bound = aw.max(axis=(1, 2), initial=0.0) + rad
         required = np.maximum(MARGIN_FLOOR,
                               2.0 * tol_cluster * (1.0 + norm_bound))
-        counts = (np.abs(w) <= level[:, None, None]).sum(axis=2)
+        counts = (aw <= level[:, None, None]).sum(axis=2)
     ok = (open_.any(axis=1) & (margin > required)
           & (counts == counts[:, :1]).all(axis=1))
     return ok, level, margin
@@ -290,38 +315,48 @@ _HALVES = np.array([0, 1, 1])
 _FIRST = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
-def _partitions(store: _Eigendata, reqs: list[int], opts: FlowOptions
+def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
+                opts: FlowOptions
                 ) -> list[tuple[CertifiedPartition, np.ndarray] | SflowError]:
-    """find_partition for the path of each request of one store, in shared
-    rounds, with the rows of each partition's knots, then its midpoints.
+    """find_partition for the path of each request of each (store,
+    requests) group in turn, in shared rounds over every block size, with
+    the rows of each partition's knots, then its midpoints, in its store.
 
     A pending segment is a row of (request, depth, rows of its left end, of
     its quarter points and of its right end, -1 where not solved yet), each
-    request's in order from the left. A round's candidates are its batch
-    segments, each followed by its two halves, and its accept and split
-    decisions are masks over them. Before the first round every path's
-    piece speeds are solved together (solve_speeds), and so are 0, 1/4,
-    1/2, 3/4 and 1 of every path."""
-    paths = [store.paths[r] for r in reqs]
-    out: list = [None] * len(reqs)
-    solve_speeds(paths)
-    first = store.add(np.repeat(reqs, 5),
-                      (np.zeros((len(reqs), 1)) + _FIRST).reshape(-1))
-    first = first.reshape(-1, 5)
-    for k, path in enumerate(paths):
-        try:
-            path.speeds  # raises if they failed to solve
-        except SflowError as e:
-            out[k] = e
-    live = [k for k in range(len(reqs)) if out[k] is None]
-    for k, fault in zip(live, _end_faults(store, first[live][:, ::4],
-                                          opts.tol_invert)):
-        out[k] = fault
-    live = [k for k in live if out[k] is None]
+    request's in order from the left. A round solves the new samples of
+    each store in one stacked eigensolve and tests all its candidates, its
+    batch segments each followed by its two halves, in one _certify call,
+    with the eigenvalue rows of smaller blocks padded to the largest; its
+    accept and split decisions are masks over them. The first solve of each
+    store holds 0, 1/4, 1/2, 3/4 and 1 of each of its paths, and the piece
+    differences of those whose speeds are not solved yet (_Eigendata.add)."""
+    stores = [store for store, _ in groups]
+    spans = np.cumsum([0] + [len(reqs) for _, reqs in groups]).tolist()
+    paths = [store.paths[r] for store, reqs in groups for r in reqs]
+    out: list = [None] * len(paths)
+    first = np.empty((len(paths), 5), dtype=np.intp)
+    for (store, reqs), a, b in zip(groups, spans, spans[1:]):
+        first[a:b] = store.add(np.repeat(reqs, 5), (
+            np.zeros((b - a, 1)) + _FIRST).reshape(-1), paths[a:b]).reshape(-1, 5)
+        for k in range(a, b):
+            try:
+                paths[k].speeds  # raises if they failed to solve
+            except SflowError as e:
+                out[k] = e
+        mine = [k for k in range(a, b) if out[k] is None]
+        for k, fault in zip(mine, _end_faults(store, first[mine][:, ::4],
+                                              opts.tol_invert)):
+            out[k] = fault
+    live = [k for k in range(len(paths)) if out[k] is None]
     if not live:
         return out
-    # from here on a request is its position in live
-    of = np.array(reqs, dtype=np.intp)[live]
+    # from here on a request is its position in live; the requests of each
+    # store come together, and so do their segments and candidates
+    of, sto = np.array([(r, s) for s, (_, reqs) in enumerate(groups)
+                        for r in reqs], dtype=np.intp)[live].T
+    dims, stops = np.array([s.paths[0].dim for s in stores]), np.arange(
+        len(stores) + 1)
     speed_of = segment_speeds([paths[k] for k in live])
     tails = np.array([paths[k].plus_tail or paths[k].minus_tail
                       for k in live], dtype=bool)
@@ -341,29 +376,43 @@ def _partitions(store: _Eigendata, reqs: list[int], opts: FlowOptions
         m = (e[:, 0] + e[:, 1]) / 2.0
         points = np.array([e[:, 0], (e[:, 0] + m) / 2.0, m,
                            (m + e[:, 1]) / 2.0, e[:, 1]]).T
+        # the batch segments of each store, from span[s] to span[s + 1]
+        span = sto[r].searchsorted(stops)
         need = at < 0
         if need.any():
             # a segment at the depth budget never splits, so the midpoints
             # of its halves are not needed
             need[:, 1::2] &= (d < opts.max_depth)[:, None]
-            at[need] = store.add(of[r].repeat(need.sum(axis=1)), points[need])
+            for store, a, b in zip(stores, span.tolist(), span[1:].tolist()):
+                if need[a:b].any():
+                    at[a:b][need[a:b]] = store.add(of[r[a:b]].repeat(
+                        need[a:b].sum(axis=1)), points[a:b][need[a:b]])
         # the candidates, as (left, midpoint, right) parameters and rows;
         # the halves of a segment at the depth budget are not tried
         pts = points[:, _CANDIDATES].reshape(-1, 3)
         rows = at[:, _CANDIDATES].reshape(-1, 3)
         cr, cd = r.repeat(3), (d[:, None] + _HALVES).reshape(-1)
         t = ((cd >= opts.min_depth) & (cd <= opts.max_depth)).nonzero()[0]
-        solved = store.ok[rows[t]].all(axis=1)
-        ts = t[solved]
+        # the eigendata of the tested candidates from their stores, the
+        # eigenvalue rows of smaller blocks padded with zeros to the largest
+        # size; a candidate with a failed solve is certified on the zeros of
+        # its rows, and fails
+        span, x = t.searchsorted(3 * span).tolist(), rows[t]
+        w = np.zeros((len(t), 3, dims.max()))
+        err, solved = np.empty((len(t), 3)), np.empty((len(t), 3), dtype=bool)
+        for store, n, a, b in zip(stores, dims.tolist(), span, span[1:]):
+            w[a:b, :, :n], err[a:b], solved[a:b] = (
+                store.w[x[a:b]], store.err[x[a:b]], store.ok[x[a:b]])
+        solved = solved.all(axis=1)
         ok, level, margin = _certify(
-            store.w[rows[ts]], store.err[rows[ts]],
-            speed_of(cr[ts], pts[ts][:, ::2]) * (pts[ts, 2] - pts[ts, 0]) / 2.0,
-            tails[cr[ts]], opts.tol_cluster)
+            w, err, speed_of(cr[t], pts[t][:, ::2]) * (pts[t, 2] - pts[t, 0]) / 2.0,
+            tails[cr[t]], opts.tol_cluster,
+            dims.repeat(np.diff(span)) if len(stores) > 1 else None)
         # each candidate is accepted (0), fails its request (1) or splits (2)
         code = np.full(len(cr), 2)
         code[t] = np.where(cd[t] < opts.max_depth, 2, 1)
         code[t[~solved]] = 1
-        code[ts[ok]] = 0
+        code[t[ok & solved]] = 0
         # the leaves in depth-first order: each batch segment that is
         # accepted or fails, else its two halves
         c = ((code[::3] < 2)[:, None] == (_HALVES == 0)).ravel().nonzero()[0]
@@ -376,6 +425,7 @@ def _partitions(store: _Eigendata, reqs: list[int], opts: FlowOptions
             c = c[before == np.repeat(before[start],
                                       np.diff(start, append=len(c)))]
             for i in c[code[c] == 1].tolist():
+                store = stores[sto[cr[i]]]
                 failure[int(cr[i])] = (
                     store.errors[rows[i, store.ok[rows[i]].argmin()]]
                     if not store.ok[rows[i]].all()
@@ -384,7 +434,7 @@ def _partitions(store: _Eigendata, reqs: list[int], opts: FlowOptions
                         f"{float(pts[i, 2])}] at depth {int(cd[i])}"))
             later &= ~np.isin(seg[:, 0], cr[c[code[c] == 1]])
         done, split = c[code[c] == 0], c[code[c] == 2]
-        k = ts.searchsorted(done)
+        k = t.searchsorted(done)
         accepted.append((cr[done], pts[done, 2], level[k], margin[k],
                          rows[done, 1], rows[done, 2]))
         # each split leaf leaves its two halves pending, before the
@@ -422,16 +472,17 @@ def find_partition(path: OperatorPath,
     otherwise it is bisected. Fails once a segment would need more than
     max_depth bisections.
 
-    Each round of bisection takes the leftmost BISECTION_BATCH pending
-    segments and both halves of each, solves their new samples in one
-    stacked eigensolve and tests them together; a segment that splits
-    resolves its halves from the same round. A failure is raised only once
-    no pending segment lies to its left, so the partition and the failure
-    are those of a depth-first recursion, and a path that cannot be
-    certified costs at most (max_depth + 2) // 2 rounds.
+    This is the one-store case of the rounds of _partitions: each round
+    takes the leftmost BISECTION_BATCH pending segments and both halves of
+    each, solves their new samples in one stacked eigensolve and tests them
+    together; a segment that splits resolves its halves from the same
+    round. A failure is raised only once no pending segment lies to its
+    left, so the partition and the failure are those of a depth-first
+    recursion, and a path that cannot be certified costs at most
+    (max_depth + 2) // 2 rounds.
     """
     opts = opts or FlowOptions()
-    parts = _partitions(_Eigendata([path], opts.tol_cluster), [0], opts)
+    parts = _partitions([(_Eigendata([path], opts.tol_cluster), [0])], opts)
     raise_first(parts)
     return parts[0][0]
 
@@ -548,11 +599,12 @@ def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
     error its own sfl_G call raises.
 
     The requests of one block size share their work through one store of
-    eigendata. Bisection runs in shared rounds (_partitions); then the
-    blocks at knots and midpoints of all flows of one action are checked
-    for equivariance in one stacked pass, and their knot frames take their
-    classes in another. partitions, when given, holds one certificate per
-    request to use instead of bisection, or None.
+    eigendata. Bisection runs in one loop of shared rounds over every block
+    size (_partitions); then the blocks at knots and midpoints of all flows
+    of one action are checked for equivariance in one stacked pass, and
+    their knot frames take their classes in another. partitions, when
+    given, holds one certificate per request to use instead of bisection,
+    or None.
     """
     opts = opts or FlowOptions()
     flows = [_Flow(path, action, part) for (path, action), part in zip(
@@ -569,10 +621,12 @@ def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
             group = by_dim.setdefault(f.path.dim, [])
             f.req = len(group)
             group.append(f)
-    for group in by_dim.values():
-        store = _Eigendata([f.path for f in group], opts.tol_cluster)
+    stores = {dim: _Eigendata([f.path for f in group], opts.tol_cluster)
+              for dim, group in by_dim.items()}
+    for dim, group in by_dim.items():
         given = [f for f in group if f.partition is not None]
         if given:
+            store = stores[dim]
             lams = [[*f.partition.knots, *((a + b) / 2.0 for a, b in zip(
                 f.partition.knots, f.partition.knots[1:]))] for f in given]
             rows = store.add(np.repeat([f.req for f in given], list(map(
@@ -583,22 +637,26 @@ def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
                              for f in given])
             for f, fault in zip(given, _end_faults(store, ends, opts.tol_invert)):
                 f.outcome = fault
-        bisect = [f for f in group if f.partition is None]
-        for f, part in zip(bisect, _partitions(store, [f.req for f in bisect],
-                                               opts) if bisect else []):
-            if isinstance(part, SflowError):
-                f.outcome = part
-            else:
-                f.partition, f.rows = part
+    bisect = [[f for f in group if f.partition is None]
+              for group in by_dim.values()]
+    bisect = [group for group in bisect if group]
+    for f, part in zip([f for group in bisect for f in group], _partitions(
+            [(stores[group[0].path.dim], [f.req for f in group])
+             for group in bisect], opts)):
+        if isinstance(part, SflowError):
+            f.outcome = part
+        else:
+            f.partition, f.rows = part
+    for dim, group in by_dim.items():
         by_action: dict[int, list[_Flow]] = {}
         for f in group:
             if f.outcome is None:
                 by_action.setdefault(id(f.action), []).append(f)
         for same in by_action.values():
-            _check_equivariance(store, same)
+            _check_equivariance(stores[dim], same)
             equivariant = [f for f in same if f.outcome is None]
             if equivariant:
-                _take_classes(store, equivariant, table)
+                _take_classes(stores[dim], equivariant, table)
     return [f.outcome for f in flows]
 
 

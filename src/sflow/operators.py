@@ -248,7 +248,8 @@ class OperatorPath:
     the Lipschitz bound, their maximum, are computed from the data and never
     trusted from the caller; certification downstream depends on them being
     true upper bounds for the block's spectral-norm velocity. They are
-    solved on first read, or for many paths at once by solve_speeds.
+    solved on first read, or in the first stacked solve of a bisection
+    (flow._Eigendata.add), with the bits of the path's own solve.
     """
 
     def __init__(self) -> None:
@@ -410,8 +411,8 @@ class PathStack:
         self.place = np.where(self.affine, self.affine.cumsum(),
                               (~self.affine).cumsum()) - 1
         lines = [p for p in paths if p.kind == "affine"]
-        self.a = np.array([p.mat_a for p in lines]).reshape(-1, n, n)
-        self.b = np.array([p.mat_b for p in lines]).reshape(-1, n, n)
+        self.a = np.array([p.mat_a for p in lines]).reshape(len(lines), n, n)
+        self.b = np.array([p.mat_b for p in lines]).reshape(len(lines), n, n)
         pieces = [p for p in paths if p.kind != "affine"]
         self.knots = _padded_knots(pieces)
         self.first = np.cumsum([0] + [p.knots.size for p in pieces])[:-1]
@@ -471,26 +472,6 @@ def _specnorm(m: np.ndarray) -> np.ndarray:
     w, v = jacobi_eigh(m)
     return ((np.abs(w).max(axis=1) + eigh_error(m, w, v))
             * (1.0 + 2.0 * EPS))
-
-
-def solve_speeds(paths: Sequence[OperatorPath]) -> None:
-    """Solve the piece speeds of every path not solved yet in one stacked
-    _specnorm per block size, each speed with the bits of its path's own
-    solve. A stack that fails to solve is left to each path's first read of
-    its speeds, so that the failure belongs to its own path."""
-    by_dim: dict[int, dict[int, OperatorPath]] = {}
-    for path in paths:
-        if path._speeds is None:
-            by_dim.setdefault(path.dim, {})[id(path)] = path
-    for group in by_dim.values():
-        diffs = [path._diffs for path in group.values()]
-        try:
-            norms = _specnorm(np.concatenate(diffs))
-        except EigenFailure:
-            continue
-        at = np.cumsum([0] + [len(d) for d in diffs])
-        for path, lo, hi in zip(group.values(), at, at[1:]):
-            path._speeds = norms[lo:hi] / np.diff(path.knots)
 
 
 def direct_sum(a: CPS, b: CPS) -> CPS:

@@ -929,6 +929,17 @@ def test_max_depth_above_the_cap_exits_2(monkeypatch, capsys):
     assert "max_depth 54 exceeds 53" in message
 
 
+def test_a_negative_max_depth_exits_2_as_a_negative_depth(monkeypatch, capsys):
+    doc = scalar_job()
+    doc["options"] = {"max_depth": -1}
+    with pytest.raises(OutOfRange, match="^depths must be nonnegative$"):
+        parse_job(json.dumps(doc))
+    code, message = main_error(doc, monkeypatch, capsys)
+    assert code == 2
+    assert "depths must be nonnegative" in message
+    assert "exceeds" not in message
+
+
 @pytest.mark.parametrize("preset", ["cyclic", "dihedral"])
 @pytest.mark.parametrize("n", [0, 128, 129, 100_000, 10 ** 40])
 def test_preset_group_size_outside_its_range_exits_2(preset, n, monkeypatch,

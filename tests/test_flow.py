@@ -43,6 +43,7 @@ from sflow.groups import (
     _preset_irreps,
     build_group,
     character_of_subspace,
+    direct_sum_action,
     forgetful_F,
     multiplicity_vector,
     subspace_classes,
@@ -89,10 +90,12 @@ def _scalar_up_path(**tails):
 def test_flow_options_validation():
     opts = FlowOptions()
     assert opts.max_depth == 40
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match="^min_depth 5 exceeds max_depth 3$"):
         FlowOptions(min_depth=5, max_depth=3)
-    with pytest.raises(OutOfRange):
-        FlowOptions(max_depth=-1)
+    # a negative depth is named as such, not as out of order
+    for depths in ({"max_depth": -1}, {"min_depth": -1}):
+        with pytest.raises(OutOfRange, match="^depths must be nonnegative$"):
+            FlowOptions(**depths)
 
 
 @pytest.mark.parametrize("field", ["tol_cluster", "tol_invert"])
@@ -1265,25 +1268,42 @@ def test_each_request_gets_the_flow_of_its_own_call(opts):
 
 def test_shared_rounds_solve_the_same_blocks_in_fewer_stacks(monkeypatch):
     table, requests = _mixed_requests(np.random.default_rng(72))
-    stacks = []
-    real = operators.eigendata
+    # the same draws, with their speeds not solved yet
+    _, twins = _mixed_requests(np.random.default_rng(72))
+    stacks, rounds = [], []
+    real, tested = operators.eigendata, flow._certify
 
     def counting(blocks, tol):
         stacks.append(len(blocks))
         return real(blocks, tol)
 
+    def certifying(w, *args):
+        rounds.append(len(w))
+        return tested(w, *args)
+
     monkeypatch.setattr(operators, "eigendata", counting)
-    alone = []
+    monkeypatch.setattr(flow, "_certify", certifying)
+    alone, alone_rounds = [], []
     for path, action in requests:
         stacks.clear()
+        rounds.clear()
         sfl_G(path, action, table)
         alone.append(list(stacks))
+        alone_rounds.append(len(rounds))
     stacks.clear()
-    sfl_G_each(requests, table)
-    # every dimension's rounds share one stacked solve each
+    rounds.clear()
+    sfl_G_each(twins, table)
+    # the first stack of each block size holds the first stacks of its
+    # paths' own calls, their piece differences included
+    assert all(a[0] > 5 for a in alone)
+    assert stacks[:8] == [sum(a[0] for a in alone[i:i + 4])
+                          for i in range(0, 32, 4)]
     assert sum(stacks) == sum(map(sum, alone))
+    # every block size solves once per round, and every round certifies
+    # all its candidates in one call
     assert len(stacks) <= 8 * max(map(len, alone))
     assert len(stacks) < sum(map(len, alone))
+    assert len(rounds) == max(alone_rounds)
 
 
 class _NanAt:
@@ -1337,6 +1357,52 @@ def test_each_request_gets_the_error_of_its_own_call():
         "SflReport", "DimensionMismatch", "WrongGroup"]
     for g, w in zip(got, want):
         assert _same_flow(g, w)
+
+
+@pytest.mark.parametrize("min_depth", range(3))
+def test_mixed_block_sizes_get_the_outcomes_of_their_own_calls(min_depth,
+                                                               monkeypatch):
+    # a D3 action on dim 3 and its direct sum on dim 6, in one loop of
+    # rounds, with a dim-6 path that no level certifies, a stub whose
+    # quarter point cannot be solved, and a path of 0 x 0 blocks, whose
+    # eigenvalue rows are all padding
+    rng = np.random.default_rng(74 + min_depth)
+    table, action = preset_action("dihedral", 3, 3, rng, conjugate=True)
+    double = direct_sum_action(action, action)
+    requests = []
+    for plus, minus in _TAILS:
+        p, q = (random_equivariant_path(action, rng, plus_tail=plus,
+                                        minus_tail=minus) for _ in "pq")
+        requests += [(p, action), (direct_sum_paths(p, q), double)]
+    stuck = OperatorPath.affine(np.diag([0.3, 0.7, 1e7] * 2), np.zeros((6, 6)),
+                                plus_tail=True, minus_tail=True)
+    requests[3:3] = [(stuck, double), (_NanAt(requests[3][0], 0.25), double)]
+    _, empty = preset_action("dihedral", 3, 0)
+    requests.append((OperatorPath.affine(np.zeros((0, 0)), np.zeros((0, 0)),
+                                         minus_tail=True), empty))
+    opts = FlowOptions(min_depth=min_depth, max_depth=6)
+    rounds = []
+    tested = flow._certify
+
+    def certifying(w, *args):
+        rounds.append(len(w))
+        return tested(w, *args)
+
+    monkeypatch.setattr(flow, "_certify", certifying)
+    want, own_rounds = [], []
+    for path, act in requests:
+        rounds.clear()
+        want.append(_own_call(path, act, table, opts))
+        own_rounds.append(len(rounds))
+    rounds.clear()
+    got = sfl_G_each(requests, table, opts)
+    assert [type(w).__name__ for w in want] == [
+        *["SflReport"] * 3, "CertificationFailed", "EigenFailure",
+        *["SflReport"] * 6]
+    for g, w in zip(got, want):
+        assert _same_flow(g, w)
+    # one _certify call per round, for both block sizes
+    assert len(rounds) == max(own_rounds)
 
 
 def _try_certify_one_segment(wl, wm, wr, errs, rad, has_tails, tol_cluster):
@@ -1393,7 +1459,7 @@ def _try_certify_one_segment(wl, wm, wr, errs, rad, has_tails, tol_cluster):
     return level, margin
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(9))
 def test_array_certifier_matches_the_scalar_one(n):
     # eigenvalues on a grid of eighths, so envelopes tie and touch, with
     # radii and errors that empty or narrow the gaps
@@ -1404,6 +1470,14 @@ def test_array_certifier_matches_the_scalar_one(n):
     err = rng.choice([0.0, 1e-9, 1.0 / 64.0], size=(count, 3))
     rad = rng.choice([0.0, 1.0 / 64.0, 1.0 / 16.0, 0.25, 2.0], size=count)
     tails = rng.random(count) < 0.5
+    # the same envelopes padded to 8 columns, as rows of a smaller block
+    # beside a larger one: one of their own columns repeated, or values
+    # from the grid (zeros in flat segments)
+    padded = rng.integers(-12, 13, size=(count, 3, 8)) / 8.0
+    padded[:40] = 0.0
+    padded[:, :, :n] = w
+    if n:
+        padded[200:, :, n:] = w[200:, :, rng.integers(n, size=1)]
     outcomes = set()
     for tol in (1e-8, 0.05):
         ok, level, margin = flow._certify(w, err, rad, tails, tol)
@@ -1414,6 +1488,9 @@ def test_array_certifier_matches_the_scalar_one(n):
             got = (float(level[s]), float(margin[s])) if ok[s] else None
             assert got == want
             outcomes.add(want is None)
+        got = flow._certify(padded, err, rad, tails, tol, np.full(count, n))
+        assert [x.tobytes() for x in (ok, level, margin)] == [
+            x.tobytes() for x in got]
     # without eigenvalues every segment certifies
     assert outcomes == ({False} if n == 0 else {True, False})
 

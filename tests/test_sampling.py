@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from sflow import flow, operators
-from sflow._eig import jacobi_eigh
+from sflow._eig import jacobi_eigh, solve_each
 from sflow.cogredient import parametrix
 from sflow.errors import EigenFailure
+from sflow.groups import direct_sum_action
 from sflow.operators import (
     OperatorPath,
     concatenate,
     direct_sum_paths,
     reverse,
-    solve_speeds,
 )
 from sflow.sampling import (
     CLAMP_DELTA,
@@ -120,65 +120,104 @@ def test_stacked_draws_match_drawing_one_matrix_at_a_time(preset, n,
 # --- deferred speeds ---------------------------------------------------------
 
 
-def _speeds_one(p):
-    # each piece's two-norm bound from its own solve, over its knot gap
-    diffs = ([p.mat_b] if p.kind == "affine"
-             else [b - a for a, b in zip(p.samples, p.samples[1:])])
-    return [operators._specnorm(d[None])[0] / (hi - lo)
-            for d, lo, hi in zip(diffs, p.knots, p.knots[1:])]
-
-
 def _paths(seed):
     rng = np.random.default_rng(seed)
-    _, action = preset_action("dihedral", 4, 4, rng, conjugate=True)
+    table, action = preset_action("dihedral", 4, 4, rng, conjugate=True)
     p = random_equivariant_path(action, rng, kind="pl", plus_tail=True)
     q = random_equivariant_path(action, rng, plus_tail=True,
                                 start_block=p.block_at(1.0))
     a = random_equivariant_path(action, rng, kind="affine", minus_tail=True)
     u = random_equivariant_orthogonal(action, rng)
-    return [p, a, concatenate(p, q), reverse(p), reverse(a),
-            direct_sum_paths(p, a), direct_sum_paths(a, a), conjugate_path(p, u),
-            conjugate_path(a, u), reparametrize(a, rng),
-            parametrix(p, 64).transformed_path(),
-            parametrix(a, 64).transformed_path()]
+    return table, action, [
+        p, a, concatenate(p, q), reverse(p), reverse(a), direct_sum_paths(p, a),
+        direct_sum_paths(a, a), conjugate_path(p, u), conjugate_path(a, u),
+        reparametrize(a, rng), parametrix(p, 64).transformed_path(),
+        parametrix(a, 64).transformed_path()]
+
+
+def _subnormal_paths():
+    # piece differences with subnormal off-diagonal entries: symmetrized
+    # once they hold one subnormal step, which a second symmetrization
+    # rounds to 0, so the bounds of their own solve would change
+    tiny = np.zeros((4, 4))
+    tiny[0, 1], tiny[1, 0], tiny[2, 3] = 5e-324, 1e-323, 1.5e-323
+    return [OperatorPath.affine(np.eye(4), tiny),
+            OperatorPath.piecewise_linear([0.0, 0.25, 1.0],
+                                          [np.eye(4), np.eye(4) + tiny,
+                                           np.eye(4) - tiny.T])]
 
 
 @pytest.mark.parametrize("seed", [3, 29])
-def test_speeds_solved_on_read_or_together_have_the_bits_of_their_own_solve(
+def test_speeds_solved_in_the_first_stack_have_the_bits_of_their_own_solve(
         seed):
-    alone, together = _paths(seed), _paths(seed)
+    table, action, paths = _paths(seed)
+    paths += _subnormal_paths()
+    # its difference has an eigenvalue past the largest double
+    big = np.full((4, 4), 0.4e308)
+    overflow = OperatorPath.piecewise_linear([0.0, 1.0], [-big, big])
+    double = direct_sum_action(action, action)
+    requests = [(p, action if p.dim == 4 else double)
+                for p in [*paths[:5], overflow, *paths[5:]]]
     # the first two fed parametrix, which read their speeds
-    assert all(p._speeds is None for p in alone[2:] + together[2:])
-    solve_speeds(together + together[:3])
-    for p, q in zip(alone, together):
-        want = _speeds_one(p)
-        assert p.speeds.tolist() == want
-        assert q.speeds.tolist() == want
-        assert p.lipschitz == q.lipschitz == max(want)
+    assert all(p._speeds is None for p in paths[2:] + [overflow])
+    reports = flow.sfl_G_each(requests, table)
+    for p in paths:
+        want = solve_each(operators._specnorm, p._diffs, strict=True)
+        assert p._speeds.tobytes() == (want / np.diff(p.knots)).tobytes()
+        assert p.lipschitz == max(want / np.diff(p.knots))
+    for p in _subnormal_paths():
+        twice = 0.5 * p._diffs + 0.5 * p._diffs.swapaxes(1, 2)
+        assert (operators._specnorm(twice).tobytes()
+                != operators._specnorm(p._diffs).tobytes())
+    # the path whose difference fails keeps its speeds unsolved, and gets
+    # the error of its own read of them
+    assert overflow._speeds is None
+    with pytest.raises(EigenFailure) as info:
+        overflow.speeds
+    assert str(info.value) == "eigenvalues overflowed"
+    assert type(reports[5]) is EigenFailure
+    assert str(reports[5]) == str(info.value)
+    assert all(isinstance(r, flow.SflReport) for r in reports[:5] + reports[6:])
 
 
 def test_a_verify_job_solves_its_speeds_once_per_block_size(monkeypatch):
     table, action = preset_action("dihedral", 3, 4, np.random.default_rng(8),
                                   conjugate=True)
-    paths, sizes = [], []
-    real_each, real_norm = flow.sfl_G_each, operators._specnorm
+    paths, stacks, alone = [], [], []
+    real_each, real_data = flow.sfl_G_each, operators.eigendata
+    real_norm = operators._specnorm
 
     def each(requests, *args, **kwargs):
         paths.extend(path for path, _ in requests)
         # no path solved its speeds while the cases were drawn
         assert all(path._speeds is None for path in paths)
-        sizes.append([])
+        stacks.append([])
         return real_each(requests, *args, **kwargs)
 
-    def counting(m):
-        if sizes:
-            sizes[-1].append(m.shape)
+    def counting(blocks, tol):
+        if stacks:
+            stacks[-1].append(blocks.shape)
+        return real_data(blocks, tol)
+
+    def solved_alone(m):
+        if stacks:
+            alone.append(m.shape)
         return real_norm(m)
 
     monkeypatch.setattr(flow, "sfl_G_each", each)
-    monkeypatch.setattr(operators, "_specnorm", counting)
+    monkeypatch.setattr(operators, "eigendata", counting)
+    monkeypatch.setattr(operators, "_specnorm", solved_alone)
     assert flow.verify_axioms(action, table, seed=4, instances=2).passed
-    assert [[shape[1:] for shape in call] for call in sizes] == [[(4, 4), (8, 8)]]
+    # the first stack of each block size holds 0, 1/4, 1/2, 3/4 and 1 of
+    # each of its flows and the piece differences of each of its paths
+    (call,) = stacks
+    for dim in (4, 8):
+        mine = [p for p in paths if p.dim == dim]
+        first = next(shape for shape in call if shape[1:] == (dim, dim))
+        assert first[0] == 5 * len(mine) + sum(
+            len(p._diffs) for p in {id(p): p for p in mine}.values())
+    assert [shape[1:] for shape in call[:2]] == [(4, 4), (8, 8)]
+    assert alone == []
     assert all(path._speeds is not None for path in paths)
 
 
