@@ -217,30 +217,32 @@ def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
 
     w is the (S, 3, N) array of the eigenvalues at the left end, midpoint and
     right end of each segment, err the (S, 3) solver error bounds of those
-    spectra, rad the Lipschitz radius of each segment and tails whether its
-    path has a tail. Where n is given, segment s has n[s] eigenvalues and
-    its columns from n[s] on are padding, whatever they hold. Returns (ok,
-    level, margin): a segment is certified where ok holds, at the middle of
-    the first widest gap that the folded envelopes leave in [0, cap] (cap is
-    1 with tails, else one past the top envelope), when the gap's half width
-    less the error clears the required margin and the rank inside the level
-    band is the same at the three samples."""
-    wl, wm, wr = w[:, 0], w[:, 1], w[:, 2]
-    r = rad[:, None]
+    spectra, rad the Lipschitz radius of each segment (speed times half
+    length) and tails whether its path has a tail. Where n is given, segment
+    s has n[s] eigenvalues and its columns from n[s] on are padding,
+    whatever they hold. An eigenvalue's envelope is the union over both
+    halves of [(x + y - rad) / 2, (x + y + rad) / 2], the range of a
+    rad-Lipschitz function through the half's samples x and y (Shubert).
+    Returns (ok, level, margin): a segment is certified where ok holds, at
+    the middle of the first widest gap that the folded envelopes leave in
+    [0, cap] (cap is 1 with tails, else one past the top envelope), when the
+    gap's half width less the error clears the required margin and the rank
+    inside the level band is the same at the three samples."""
+    x, m, y = w[:, 0], w[:, 1], w[:, 2]
     aw = np.abs(w)
     # an infinite radius (an overflowed Lipschitz bound) gives inf - inf only
     # in gaps that are not open, and an infinite required margin
     with np.errstate(over="ignore", invalid="ignore"):
-        # envelope of each eigenvalue over its segment: inside the midpoint
-        # tube and inside the union of the endpoint tubes
-        lo = np.maximum(wm, np.minimum(wl, wr)) - r
-        hi = np.minimum(wm, np.maximum(wl, wr)) + r
-        apart = lo > hi
-        lo, hi = np.where(apart, wm - r, lo), np.where(apart, wm + r, hi)
+        # halved samples and radius, so that no sum overflows; rounding is
+        # monotone, so the lower (upper) end over both halves is that of the
+        # smaller (larger) half mean, rounded outward by one step where r > 0
+        h, r = 0.5 * w, 0.5 * rad[:, None]
+        left, right = h[:, 0] + h[:, 1], h[:, 1] + h[:, 2]
+        lo, hi = np.minimum(left, right) - r, np.maximum(left, right) + r
+        lo = np.minimum(np.minimum(np.minimum(x, m), y), np.nextafter(lo, lo - r))
+        hi = np.maximum(np.maximum(np.maximum(x, m), y), np.nextafter(hi, hi + r))
         # their images under absolute value
-        neg, pos = hi <= 0.0, lo >= 0.0
-        lo, hi = (np.where(neg, -hi, np.where(pos, lo, 0.0)),
-                  np.where(neg, -lo, np.where(pos, hi, np.maximum(-lo, hi))))
+        lo, hi = np.maximum(np.maximum(lo, -hi), 0.0), np.maximum(-lo, hi)
         if n is not None:
             # a padding column's envelope lies past every gap and raises no
             # top; its magnitude reads 0, which adds nothing to the norm and
@@ -273,8 +275,8 @@ def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
         required = np.maximum(MARGIN_FLOOR,
                               2.0 * tol_cluster * (1.0 + norm_bound))
         counts = (aw <= level[:, None, None]).sum(axis=2)
-    ok = (open_.any(axis=1) & (margin > required)
-          & (counts == counts[:, :1]).all(axis=1))
+    # without an open gap the width is -inf, and so is the margin
+    ok = (margin > required) & (counts[:, :2] == counts[:, 1:]).all(axis=1)
     return ok, level, margin
 
 
@@ -377,13 +379,14 @@ def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
         points = np.array([e[:, 0], (e[:, 0] + m) / 2.0, m,
                            (m + e[:, 1]) / 2.0, e[:, 1]]).T
         # the batch segments of each store, from span[s] to span[s + 1]
-        span = sto[r].searchsorted(stops)
+        span = ([0, len(r)] if len(stores) == 1
+                else sto[r].searchsorted(stops).tolist())
         need = at < 0
         if need.any():
             # a segment at the depth budget never splits, so the midpoints
             # of its halves are not needed
             need[:, 1::2] &= (d < opts.max_depth)[:, None]
-            for store, a, b in zip(stores, span.tolist(), span[1:].tolist()):
+            for store, a, b in zip(stores, span, span[1:]):
                 if need[a:b].any():
                     at[a:b][need[a:b]] = store.add(of[r[a:b]].repeat(
                         need[a:b].sum(axis=1)), points[a:b][need[a:b]])
@@ -393,21 +396,25 @@ def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
         rows = at[:, _CANDIDATES].reshape(-1, 3)
         cr, cd = r.repeat(3), (d[:, None] + _HALVES).reshape(-1)
         t = ((cd >= opts.min_depth) & (cd <= opts.max_depth)).nonzero()[0]
-        # the eigendata of the tested candidates from their stores, the
-        # eigenvalue rows of smaller blocks padded with zeros to the largest
-        # size; a candidate with a failed solve is certified on the zeros of
-        # its rows, and fails
-        span, x = t.searchsorted(3 * span).tolist(), rows[t]
-        w = np.zeros((len(t), 3, dims.max()))
-        err, solved = np.empty((len(t), 3)), np.empty((len(t), 3), dtype=bool)
-        for store, n, a, b in zip(stores, dims.tolist(), span, span[1:]):
-            w[a:b, :, :n], err[a:b], solved[a:b] = (
-                store.w[x[a:b]], store.err[x[a:b]], store.ok[x[a:b]])
+        # the eigendata of the tested candidates from their stores, with
+        # several stores the eigenvalue rows of smaller blocks padded with
+        # zeros to the largest size; a candidate with a failed solve is
+        # certified on the zeros of its rows, and fails
+        x, n = rows[t], None
+        if len(stores) == 1:
+            w, err, solved = stores[0].w[x], stores[0].err[x], stores[0].ok[x]
+        else:
+            span = t.searchsorted(3 * np.array(span)).tolist()
+            w = np.zeros((len(t), 3, dims.max()))
+            err, solved = np.empty((len(t), 3)), np.empty((len(t), 3), dtype=bool)
+            for store, k, a, b in zip(stores, dims.tolist(), span, span[1:]):
+                w[a:b, :, :k], err[a:b], solved[a:b] = (
+                    store.w[x[a:b]], store.err[x[a:b]], store.ok[x[a:b]])
+            n = dims.repeat(np.diff(span))
         solved = solved.all(axis=1)
         ok, level, margin = _certify(
             w, err, speed_of(cr[t], pts[t][:, ::2]) * (pts[t, 2] - pts[t, 0]) / 2.0,
-            tails[cr[t]], opts.tol_cluster,
-            dims.repeat(np.diff(span)) if len(stores) > 1 else None)
+            tails[cr[t]], opts.tol_cluster, n)
         # each candidate is accepted (0), fails its request (1) or splits (2)
         code = np.full(len(cr), 2)
         code[t] = np.where(cd[t] < opts.max_depth, 2, 1)

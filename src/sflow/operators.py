@@ -375,9 +375,12 @@ class OperatorPath:
                    minus_tail=self.minus_tail)
 
     def __repr__(self) -> str:
+        # the Lipschitz bound only once solved: printing solves nothing
+        speed = ("" if self._speeds is None
+                 else f", lipschitz={self.lipschitz:.4g}")
         return (f"OperatorPath(kind={self.kind!r}, dim={self.dim}, "
-                f"plus_tail={self.plus_tail}, minus_tail={self.minus_tail}, "
-                f"lipschitz={self.lipschitz:.4g})")
+                f"plus_tail={self.plus_tail}, minus_tail={self.minus_tail}"
+                f"{speed})")
 
 
 def _lerp(lams: np.ndarray, lo: np.ndarray, hi: np.ndarray, s_lo: np.ndarray,

@@ -1,6 +1,7 @@
 """Certified partitions, the equivariant flow, the endpoint oracle, axioms."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -1376,7 +1377,7 @@ def test_mixed_block_sizes_get_the_outcomes_of_their_own_calls(min_depth,
         requests += [(p, action), (direct_sum_paths(p, q), double)]
     stuck = OperatorPath.affine(np.diag([0.3, 0.7, 1e7] * 2), np.zeros((6, 6)),
                                 plus_tail=True, minus_tail=True)
-    requests[3:3] = [(stuck, double), (_NanAt(requests[3][0], 0.25), double)]
+    requests[3:3] = [(stuck, double), (_NanAt(requests[5][0], 0.25), double)]
     _, empty = preset_action("dihedral", 3, 0)
     requests.append((OperatorPath.affine(np.zeros((0, 0)), np.zeros((0, 0)),
                                          minus_tail=True), empty))
@@ -1405,7 +1406,29 @@ def test_mixed_block_sizes_get_the_outcomes_of_their_own_calls(min_depth,
     assert len(rounds) == max(own_rounds)
 
 
-def _try_certify_one_segment(wl, wm, wr, errs, rad, has_tails, tol_cluster):
+def _half_range(wl, wm, wr, rad):
+    # the envelope the certifier takes: on each half, the range of a
+    # rad-Lipschitz function through the half's two samples x and y, from
+    # x / 2 + y / 2 -+ rad / 2, rounded outward by one step where rad > 0
+    # and holding the samples
+    lows, highs = [], []
+    for x, y in ((wl, wm), (wm, wr)):
+        mid, r = 0.5 * x + 0.5 * y, 0.5 * rad
+        lows += [x, y, math.nextafter(mid - r, mid - r - r)]
+        highs += [x, y, math.nextafter(mid + r, mid + r + r)]
+    return min(lows), max(highs)
+
+
+def _tube_range(wl, wm, wr, rad):
+    # the envelope the certifier took before: the midpoint tube inside the
+    # union of the endpoint tubes, each of radius rad
+    lo = max(wm, min(wl, wr)) - rad
+    hi = min(wm, max(wl, wr)) + rad
+    return (wm - rad, wm + rad) if lo > hi else (lo, hi)
+
+
+def _try_certify_one_segment(wl, wm, wr, errs, rad, has_tails, tol_cluster,
+                             envelope=_half_range):
     # the scalar certifier the array pass replaced, on the envelope data of
     # one segment: the reference its level and margin must match bit for bit
     def fold(lo, hi):
@@ -1417,11 +1440,7 @@ def _try_certify_one_segment(wl, wm, wr, errs, rad, has_tails, tol_cluster):
 
     folded = []
     for k in range(wl.size):
-        lo = max(wm[k], min(wl[k], wr[k])) - rad
-        hi = min(wm[k], max(wl[k], wr[k])) + rad
-        if lo > hi:
-            lo, hi = wm[k] - rad, wm[k] + rad
-        folded.append(fold(lo, hi))
+        folded.append(fold(*envelope(wl[k], wm[k], wr[k], rad)))
     forbidden = []
     for lo, hi in sorted(folded):
         if forbidden and lo <= forbidden[-1][1]:
@@ -1500,6 +1519,88 @@ def test_array_certifier_handles_an_infinite_radius():
     ok, _, _ = flow._certify(w, np.zeros((1, 3)), np.array([np.inf]),
                              np.array([False]), 1e-8)
     assert ok.tolist() == [False]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.sampled_from([1e-3, 0.25, 1.0, 4.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_envelope_holds_every_lipschitz_function_through_the_samples(
+        n, speed, seed):
+    # n piecewise-linear functions on [0, 1] with slopes of at most 0.999
+    # times speed, some at that bound, and breakpoints at the samples 0, 1/2
+    # and 1; the scan holds every breakpoint, so each function's extremes
+    rng = np.random.default_rng(seed)
+    t = np.unique(np.concatenate([[0.0, 0.5, 1.0],
+                                  rng.random(int(rng.integers(0, 12)))]))
+    slopes = speed * rng.choice(
+        [-0.999, 0.0, 0.999, *rng.uniform(-0.999, 0.999, 3)],
+        size=(n, len(t) - 1))
+    f = rng.uniform(-1.5, 1.5, (n, 1)) + np.concatenate(
+        [np.zeros((n, 1)), np.cumsum(slopes * np.diff(t), axis=1)], axis=1)
+    scan = np.concatenate([f, [np.interp(np.linspace(0.0, 1.0, 257), t, row)
+                               for row in f]], axis=1)
+    w = f[:, t.searchsorted([0.0, 0.5, 1.0])].T[None]
+    rad = speed * (1.0 - 0.0) / 2.0
+    for k in range(n):
+        lo, hi = _half_range(*w[0, :, k], rad)
+        assert lo <= scan[k].min() and scan[k].max() <= hi
+        tube_lo, tube_hi = _tube_range(*w[0, :, k], rad)
+        assert tube_lo <= lo and hi <= tube_hi
+    # the array certifier, bit for bit the scalar one off the grid of the
+    # test above, keeps every scanned value the margin away from the level,
+    # and certifies wherever the tube envelope did, with at least its margin
+    # (up to the rounding of a gap's width)
+    slack = 1e-15 * (1.0 + np.abs(scan).max())
+    for tails in (False, True):
+        ok, level, margin = flow._certify(w, np.zeros((1, 3)), np.array([rad]),
+                                          np.array([tails]), 0.0)
+        assert ((float(level[0]), float(margin[0])) if ok[0] else None) == (
+            _try_certify_one_segment(*w[0], [0.0] * 3, rad, tails, 0.0))
+        if ok[0]:
+            assert np.abs(np.abs(scan) - level[0]).min() >= margin[0] - slack
+        tube = _try_certify_one_segment(*w[0], [0.0] * 3, rad, tails, 0.0,
+                                        _tube_range)
+        if tube is not None:
+            assert ok[0] and margin[0] >= tube[1] - slack
+
+
+def _tube_certify(w, err, rad, tails, tol_cluster, n=None):
+    # flow._certify with the tube envelope, segment by segment through the
+    # scalar certifier
+    ok = np.zeros(len(w), dtype=bool)
+    level, margin = np.zeros(len(w)), np.zeros(len(w))
+    for s in range(len(w)):
+        k = w.shape[2] if n is None else n[s]
+        got = _try_certify_one_segment(
+            w[s, 0, :k], w[s, 1, :k], w[s, 2, :k], err[s].tolist(),
+            float(rad[s]), bool(tails[s]), tol_cluster, _tube_range)
+        if got is not None:
+            ok[s], (level[s], margin[s]) = True, got
+    return ok, level, margin
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from([("trivial", 1), ("cyclic", 3), ("dihedral", 3),
+                        ("dihedral", 4)]),
+       st.integers(1, 6), st.sampled_from(_TAILS[1:]),
+       st.integers(0, 2 ** 32 - 1))
+def test_half_ranges_coarsen_the_tube_partition_and_keep_the_classes(
+        preset, dim, tails, seed):
+    # paths with tails are bisected; every segment the tube envelope
+    # accepts, the half ranges accept too, so their knots are a subset
+    rng = np.random.default_rng(seed)
+    table, action = preset_action(*preset, dim, rng, conjugate=True)
+    requests = [(random_equivariant_path(action, rng, plus_tail=tails[0],
+                                         minus_tail=tails[1], kind=kind), action)
+                for kind in ("affine", "pl")]
+    new = sfl_G_each(requests, table)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flow, "_certify", _tube_certify)
+        old = sfl_G_each(requests, table)
+    for a, b in zip(new, old):
+        assert isinstance(a, SflReport) and isinstance(b, SflReport)
+        assert set(a.partition.knots) <= set(b.partition.knots)
+        assert a.sfl_G == b.sfl_G
 
 
 def _verify_axioms_case_by_case(action, table, *, seed, instances, opts):

@@ -594,6 +594,21 @@ def test_paths_reject_data_their_lipschitz_bound_cannot_cover(bad):
             OperatorPath.piecewise_linear([0.0, 0.5, 1.0], samples)
 
 
+def test_repr_solves_no_speeds():
+    # the piece difference overflows, so solving its speed would raise
+    big = np.full((4, 4), 0.4e308)
+    p = OperatorPath.piecewise_linear([0.0, 1.0], [-big, big])
+    assert repr(p) == ("OperatorPath(kind='piecewise_linear', dim=4, "
+                       "plus_tail=False, minus_tail=False)")
+    assert p._speeds is None
+    with pytest.raises(EigenFailure):
+        p.lipschitz
+    q = OperatorPath.affine(np.eye(2), 2.0 * np.eye(2))
+    assert "lipschitz" not in repr(q)
+    q.speeds
+    assert repr(q).endswith(", lipschitz=2)")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_affine_rejects_a_non_finite_offset(bad):
     # an input error, as for the velocity, not a failed eigensolve later
