@@ -40,7 +40,6 @@ from .flow import (
     SflReport,
     morse_oracle_sfl_G,
     sfl_G,
-    sfl_G_pair,
     verify_axioms,
 )
 from .groups import (
@@ -72,8 +71,9 @@ OPTION_DEFAULTS = {
 # FlowOptions bounds max_depth. The caps bound what one job allocates: m adds
 # 2m rows and columns to the oracle's block and to each action matrix (2 MiB
 # plus 8 KiB per block row at 256), a cogredient stack holds `samples` path
-# blocks, verify keeps up to six failure witnesses per instance, and a group
-# table is built and checked in time cubic in its order, at most 2n
+# blocks or 512 KiB, whichever is more, verify keeps up to six failure
+# witnesses per instance, and a group table is built and checked in time
+# cubic in its order, at most 2n
 _INT_RANGES = {"m": (0, 256), "seed": (0, math.inf), "samples": (2, 1024),
                "instances": (1, 1000), "n": (1, 128)}
 
@@ -435,12 +435,13 @@ def _dispatch(job: JobSpec) -> dict:
 
     if job.command == "cogredient":
         px = parametrix(path, samples=job.options["samples"])
-        direct, transformed = sfl_G_pair(path, px.transformed_path, action,
-                                         table, opts)
-        if direct.sfl_G != transformed.sfl_G:
+        direct = sfl_G(path, action, table, opts)
+        moved = px.flow_class(action, table, tol_cluster=opts.tol_cluster,
+                              tol_invert=opts.tol_invert)
+        if direct.sfl_G != moved:
             raise ConsistencyFailure(
                 "flow changed under the congruence: "
-                f"{direct.sfl_G.as_dict()} vs {transformed.sfl_G.as_dict()}")
+                f"{direct.sfl_G.as_dict()} vs {moved.as_dict()}")
         return _report(direct.sfl_G, direct,
                        parametrix={"sign": px.sign, "samples": len(px.lambdas),
                                    "max_residual": px.max_residual()})

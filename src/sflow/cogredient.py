@@ -20,18 +20,25 @@ from ._eig import jacobi_eigh, solve_each
 from .errors import (
     CoverFailure,
     EigenFailure,
+    NotEquivariant,
     NotFSi,
     NotFSplus,
     NotPositive,
     OutOfRange,
     ResidualTooLarge,
 )
+from .groups import OrthogonalAction, RealCharacterTable, VirtualRep
 from .operators import (
     CLUSTER_FACTOR,
     CPS,
+    EQUIVARIANCE_FACTOR,
+    INVERT_FACTOR,
     FSComponent,
     OperatorPath,
+    _negative_classes,
     _specnorm,
+    eigendata_each,
+    equivariance_defects,
     negate,
 )
 
@@ -39,6 +46,9 @@ POSITIVITY_MARGIN = 1e-8
 RESIDUAL_FACTOR = 1e-9
 MIN_SINGULAR = 1e-10
 COVER_SUBSTEPS = 8
+# block entries per stacked cover solve (512 KiB of floats), unless the
+# anchors alone hold more
+COVER_CHUNK = 1 << 16
 
 
 def _residual_bound(norm: float | np.ndarray,
@@ -183,6 +193,33 @@ class Parametrix:
                                              plus_tail=self.path.plus_tail,
                                              minus_tail=self.path.minus_tail)
 
+    def flow_class(self, action: OrthogonalAction, table: RealCharacterTable,
+                   *, tol_cluster: float = CLUSTER_FACTOR,
+                   tol_invert: float = INVERT_FACTOR) -> VirtualRep:
+        """The class of the flow of transformed_path, read from its samples
+        sign * I + K: the negative-space class at 0 less that at 1. In this
+        finite model a flow is endpoint data, so comparing it with the flow
+        of the path is the equivariant Sylvester law of inertia at the two
+        ends.
+
+        The samples are solved in one stack and checked for equivariance at
+        the flow's tolerance EQUIVARIANCE_FACTOR * (1 + norm), so the first
+        failing sample in order raises its EigenFailure or NotEquivariant;
+        then the two ends raise the errors of morse_classes past its
+        equivariance check."""
+        samples = self.sign * np.eye(self.path.dim) + np.array(self.K)
+        w, v, norm, tol, err, ok, errors = eigendata_each(samples, tol_cluster)
+        scale = EQUIVARIANCE_FACTOR * np.where(ok, 1.0 + norm, np.inf)
+        defects = equivariance_defects(samples, action, scale)
+        _raise_first_fault(defects > scale, errors, lambda k: NotEquivariant(
+            f"commutator norm {defects[k]:.3e} at sample {self.lambdas[k]} "
+            f"exceeds {scale[k]:.3e}"))
+        ends = [0, -1]
+        start, end = _negative_classes(action, table, w[ends], v[ends],
+                                       norm[ends], tol[ends], err[ends],
+                                       tol_invert)
+        return start - end
+
     def max_residual(self) -> float:
         """Largest two-norm of M' L M - (sign I + K) over the samples, L
         the path's block there, as solved when the parametrix was built."""
@@ -198,11 +235,13 @@ def _check_cover(path: OperatorPath, anchors: np.ndarray,
     segment makes every hat blend on it positive too.
 
     The grid runs anchor by anchor. Its samples are solved in stacked
-    chunks of as many blocks as there are anchors, built one chunk at a
-    time, and each chunk is checked by one mask, so the first failing
-    sample in grid order raises: its CoverFailure, or its EigenFailure if
-    it cannot be solved."""
+    chunks built one at a time, each of as many blocks as there are anchors
+    or as fit in COVER_CHUNK entries, whichever is more, so a chunk is no
+    larger than the parametrix's own arrays or COVER_CHUNK floats. Each
+    chunk is checked by one mask, so the first failing sample in grid order
+    raises: its CoverFailure, or its EigenFailure if it cannot be solved."""
     n = len(anchors)
+    chunk = max(n, COVER_CHUNK // max(1, corrections[0].size))
     j = np.arange(n)
     lo = anchors[np.maximum(j - 1, 0)]
     step = (anchors[np.minimum(j + 1, n - 1)] - lo) / COVER_SUBSTEPS
@@ -210,8 +249,8 @@ def _check_cover(path: OperatorPath, anchors: np.ndarray,
     lams = (lo[:, None] + np.arange(COVER_SUBSTEPS + 1)
             * step[:, None]).reshape(-1)
     owner = j.repeat(COVER_SUBSTEPS + 1)
-    for start in range(0, len(lams), n):
-        c = slice(start, start + n)
+    for start in range(0, len(lams), chunk):
+        c = slice(start, start + chunk)
         w, _, errors = _eigh_each(path.blocks_at(lams[c])
                                   - corrections[owner[c]])
         low = _lowest(w)

@@ -607,12 +607,10 @@ def morse_classes(blocks: np.ndarray, action: OrthogonalAction,
                   tol_invert: float = INVERT_FACTOR) -> list[VirtualRep]:
     """Classes of the negative eigenspaces of a (k, n, n) stack of invertible
     equivariant blocks, from one stacked solve, one equivariance check and
-    one subspace_classes call; the negative space is the column range of the
-    clusters valued below 0. Raises the first error of morse_class run on
+    one subspace_classes call. Raises the first error of morse_class run on
     the blocks in order: WrongGroup, DimensionMismatch before any solve,
-    then for each block its failed solve, NotEquivariant, NotInvertible (an
-    eigenvalue within the invertibility threshold of 0, else a negative one
-    within the cluster tolerance), then its class checks."""
+    then for each block its failed solve, NotEquivariant, then the errors
+    of _negative_classes."""
     if table.group != action.group:
         raise WrongGroup("character table and action belong to different groups")
     if action.dim != blocks.shape[-1]:
@@ -622,17 +620,36 @@ def morse_classes(blocks: np.ndarray, action: OrthogonalAction,
     raise_first([errors.get(0)])
     scale = EQUIVARIANCE_FACTOR * np.where(ok, 1.0 + norm, np.inf)
     defects = equivariance_defects(blocks, action, scale)
+    # the first block that fails its solve or equivariance; the faults of
+    # the blocks before it come first
+    bad = ~ok | (defects > scale)
+    k = int(bad.argmax()) if bad.any() else len(blocks)
+    classes = _negative_classes(action, table, w[:k], v[:k], norm[:k],
+                                tol[:k], err[:k], tol_invert)
+    if k < len(blocks):
+        raise errors.get(k) or NotEquivariant(
+            f"commutator norm {defects[k]:.3e} exceeds tolerance")
+    return classes
+
+
+def _negative_classes(action: OrthogonalAction, table: RealCharacterTable,
+                      w: np.ndarray, v: np.ndarray, norm: np.ndarray,
+                      tol: np.ndarray, err: np.ndarray,
+                      tol_invert: float) -> list[VirtualRep]:
+    """Classes of the negative eigenspaces of solved equivariant blocks,
+    from their eigendata rows (w, v, norm, tol, err as eigendata gives
+    them): the column range of the clusters valued below 0. Raises the
+    first error of a loop over the blocks in order, each checked for
+    NotInvertible (an eigenvalue within the invertibility threshold of 0,
+    else a negative one within the cluster tolerance), then classified."""
     min_abs, _, singular = _singular_rows(w, norm, err, tol_invert)
     # a negative eigenvalue within tol of 0 can share a cluster with
     # nonnegative ones and be counted with them, so it is refused, as the
     # flow's end check refuses it
     near = (w < 0.0) & (w >= -tol[:, None])
-    # the first block that fails its solve, equivariance or invertibility
-    bad = ~ok | (defects > scale) | singular | near.any(axis=1)
-    k = int(bad.argmax()) if bad.any() else len(blocks)
-    fault = None if k == len(blocks) else errors.get(k) or (
-        NotEquivariant(f"commutator norm {defects[k]:.3e} exceeds tolerance")
-        if defects[k] > scale[k] else
+    bad = singular | near.any(axis=1)
+    k = int(bad.argmax()) if bad.any() else len(w)
+    fault = None if k == len(w) else (
         NotInvertible(f"eigenvalue {min_abs[k]:.3e} within invertibility "
                       "threshold") if singular[k] else
         NotInvertible(f"eigenvalue {w[k][near[k]][-1]:.3e} within cluster "

@@ -1,6 +1,7 @@
 """Job parsing, report shapes, exit codes, determinism, the entry point."""
 
 import copy
+import dataclasses
 import io
 import json
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sflow
-from sflow import cli
+from sflow import cli, flow
 from sflow.cli import (
     COMMANDS,
     OPTION_DEFAULTS,
@@ -24,19 +25,33 @@ from sflow.cli import (
     parse_job,
     run,
 )
-from sflow.cogredient import Parametrix
 from sflow.errors import (
     BadAction,
+    ConsistencyFailure,
     DimensionMismatch,
     NonGroup,
+    NotEquivariant,
     OutOfRange,
     ParseError,
     SchemaError,
     SflowError,
     TableMismatch,
+    raise_first,
 )
+from sflow.cogredient import parametrix
 from sflow.flow import FlowOptions, sfl_G
-from sflow.operators import OperatorPath
+from sflow.operators import (
+    EQUIVARIANCE_FACTOR,
+    OperatorPath,
+    eigendata_each,
+    equivariance_defects,
+    morse_classes,
+)
+from sflow.sampling import (
+    preset_action,
+    random_equivariant_symmetric,
+    reynolds_symmetric,
+)
 
 
 def golden_job() -> dict:
@@ -992,32 +1007,68 @@ def test_repeated_main_calls_log_each_error_once(monkeypatch, capsys):
     assert late.getvalue() == "sflow ERROR: ParseError: late\n"
 
 
-def _pair_one_by_one(path, second, action, table, opts=None):
-    # the cogredient steps before its two flows shared rounds: the direct
-    # flow, then the transformed path, then its flow
-    direct = sfl_G(path, action, table, opts)
-    return direct, sfl_G(second(), action, table, opts)
+def _cogredient_one_by_one(job):
+    # the steps of a cogredient job one after the other, each sample on its
+    # own: the parametrix, the direct flow, each sample's solve and
+    # equivariance check, then the negative-space class of each end, and
+    # their difference against the direct class; the error message, or None
+    opts = job.opts
+    try:
+        px = cli.parametrix(job.path, samples=job.options["samples"])
+        direct = sfl_G(job.path, job.action, job.table, opts)
+        samples = px.sign * np.eye(job.path.dim) + np.array(px.K)
+        for lam, s in zip(px.lambdas, samples):
+            _, _, norm, _, _, _, errors = eigendata_each(s[None],
+                                                         opts.tol_cluster)
+            raise_first([errors.get(0)])
+            tol = EQUIVARIANCE_FACTOR * (1.0 + norm[0])
+            defect = equivariance_defects(s[None], job.action)[0]
+            if defect > tol:
+                raise NotEquivariant(f"commutator norm {defect:.3e} at sample "
+                                     f"{lam} exceeds {tol:.3e}")
+        start, end = [morse_classes(samples[[j]], job.action, job.table,
+                                    tol_cluster=opts.tol_cluster,
+                                    tol_invert=opts.tol_invert)[0]
+                      for j in (0, -1)]
+        if direct.sfl_G != start - end:
+            raise ConsistencyFailure(
+                "flow changed under the congruence: "
+                f"{direct.sfl_G.as_dict()} vs {(start - end).as_dict()}")
+        px.max_residual()
+    except SflowError as e:
+        return f"{type(e).__name__}: {e}"
+    return None
+
+
+def _with_sample(px, j, sample):
+    # the parametrix with its normal form sign I + K[j] replaced by sample
+    k = list(px.K)
+    k[j] = sample - px.sign * np.eye(px.path.dim)
+    return dataclasses.replace(px, K=tuple(k))
 
 
 def _transformed_raises(px):
-    raise OutOfRange("no transformed path")
+    # a normal-form sample that cannot be solved
+    return _with_sample(px, 1, np.full((px.path.dim,) * 2, np.nan))
 
 
 def _transformed_singular(px):
-    d = px.path.dim
-    return OperatorPath.affine(np.zeros((d, d)), np.eye(d),
-                               plus_tail=px.path.plus_tail,
-                               minus_tail=px.path.minus_tail)
+    # a normal form that is singular at 0
+    return _with_sample(px, 0, np.zeros((px.path.dim,) * 2))
 
 
 @pytest.mark.parametrize("transformed", [None, _transformed_raises,
                                          _transformed_singular])
 def test_cogredient_errors_come_in_the_order_of_sequential_flows(transformed,
                                                                   monkeypatch):
-    # the parametrix fails first, then the direct flow, then the transformed
-    # path and its flow, exactly as one step after the other
+    # the parametrix fails first, then the direct flow, then the normal
+    # form's samples in order, then its ends, exactly as one step after the
+    # other; transformed, when given, breaks the normal form of each
+    # parametrix
     if transformed is not None:
-        monkeypatch.setattr(Parametrix, "transformed_path", transformed)
+        real = cli.parametrix
+        monkeypatch.setattr(cli, "parametrix",
+                            lambda *a, **kw: transformed(real(*a, **kw)))
     paths = [
         {"kind": "piecewise_linear", "knots": [0, 0.4, 1],
          "samples": [[[3, 0], [0, -1]], [[-2, 0], [0, 0.5]],
@@ -1034,18 +1085,124 @@ def test_cogredient_errors_come_in_the_order_of_sequential_flows(transformed,
                 doc = dict(golden_job(), command="cogredient", path=path,
                            tail=tail, options=options)
                 job = parse_job(json.dumps(doc))
-                got = run(job)
-                with monkeypatch.context() as m:
-                    m.setattr(cli, "sfl_G_pair", _pair_one_by_one)
-                    want = run(job)
-                assert got == want
-                error = got[0]["error"]
+                report, code = run(job)
+                error = report["error"]
+                assert (error and error["message"]) == (
+                    _cogredient_one_by_one(job) or None)
+                assert code == (error["code"] if error else 0)
                 outcomes.add(error["message"].split(":")[0] if error else "ok")
     want_kinds = {"CertificationFailed", "EndpointNotInvertible", "NotFSplus",
                   "CoverFailure"}
     assert want_kinds <= outcomes
     assert ("ok" in outcomes) == (transformed is None)
-    assert ("OutOfRange" in outcomes) == (transformed is _transformed_raises)
+    assert ("EigenFailure" in outcomes) == (transformed is _transformed_raises)
+    assert ("NotInvertible" in outcomes) == (
+        transformed is _transformed_singular)
+
+
+def test_a_cogredient_job_certifies_one_flow(monkeypatch):
+    requests = []
+    real = flow.sfl_G_each
+
+    def each(reqs, *args, **kwargs):
+        requests.append(len(reqs))
+        return real(reqs, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "sfl_G_each", each)
+    for tail in ({"plus": True}, {"minus": True}):
+        doc = dict(golden_job(), command="cogredient", tail=tail)
+        report, code = run(parse_job(json.dumps(doc)))
+        assert code == 0 and report["sfl_G"] == {"trivial": 1, "sign": -1}
+    assert requests == [1, 1]
+
+
+def test_a_non_equivariant_sample_between_the_knots_exits_5(monkeypatch):
+    # a normal-form sample whose equivariance is broken where no knot or
+    # midpoint of the transformed path's partition lies between its
+    # neighbours: the flow of the transformed path never reads it, and
+    # agrees with the direct flow, but the check of every sample refuses it
+    doc = dict(golden_job(), command="cogredient", tail={"plus": True},
+               options={"samples": 33})
+    job = parse_job(json.dumps(doc))
+    px = cli.parametrix(job.path, samples=33)
+    knots = np.array(sfl_G(px.transformed_path(), job.action,
+                           job.table).partition.knots)
+    seen = np.concatenate([knots, (knots[1:] + knots[:-1]) / 2.0])
+    lam = px.lambdas
+    free = [j for j in range(1, len(lam) - 1)
+            if not ((seen > lam[j - 1]) & (seen < lam[j + 1])).any()]
+    assert free
+    j = free[0]
+    # the order-two element is diag(1, -1): this sample's commutator with
+    # it has two-norm 2e-3
+    broken = _with_sample(px, j, px.sign * np.eye(2) + px.K[j]
+                          + 1e-3 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    direct = sfl_G(job.path, job.action, job.table)
+    assert sfl_G(broken.transformed_path(), job.action,
+                 job.table).sfl_G == direct.sfl_G
+    monkeypatch.setattr(cli, "parametrix", lambda *a, **kw: broken)
+    report, code = run(job)
+    assert code == 5
+    assert report["error"]["message"].startswith(
+        f"NotEquivariant: commutator norm 2.000e-03 at sample {lam[j]} ")
+
+
+def _shaped_block(action, rng, shape, scale):
+    # an equivariant block with an eigenvalue within a relative 1e-12 to
+    # 1e-7 of 0 (a multiple of I moves it there), with its spectrum below
+    # 0.8 in magnitude pressed toward 0 (clusters near 0), or as drawn
+    b = random_equivariant_symmetric(action, rng)
+    w, v = np.linalg.eigh(b)
+    if shape == "near_singular":
+        delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -7.0)
+        x0 = w[np.abs(w).argmin()]
+        b = b - (x0 - delta * (1.0 + np.abs(w).max())) * np.eye(len(b))
+    elif shape == "cluster":
+        w = np.where(np.abs(w) < 0.8, w * 10.0 ** rng.uniform(-11.0, -6.0), w)
+        b = reynolds_symmetric(action, (v * w) @ v.T)
+    return scale * b
+
+
+def _second_flow_code(job):
+    # the exit code of the route that certified the flow of the transformed
+    # path beside the direct flow and compared their classes
+    try:
+        px = parametrix(job.path, samples=job.options["samples"])
+        direct = sfl_G(job.path, job.action, job.table, job.opts)
+        moved = sfl_G(px.transformed_path(), job.action, job.table, job.opts)
+        if direct.sfl_G != moved.sfl_G:
+            raise ConsistencyFailure("flow changed under the congruence")
+        px.max_residual()
+    except SflowError as e:
+        return e.exit_code
+    return 0
+
+
+_SHAPES = st.sampled_from(["near_singular", "cluster", "plain"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([("trivial", 1), ("cyclic", 3), ("dihedral", 3),
+                        ("dihedral", 4)]),
+       st.integers(1, 4), _SHAPES, _SHAPES, st.integers(0, 12),
+       st.integers(-4, -1), st.sampled_from(["plus", "minus"]),
+       st.integers(2, 8), st.integers(0, 2 ** 32 - 1))
+def test_cogredient_exits_as_the_flow_of_the_transformed_path(
+        preset, dim, start_shape, end_shape, scale, slow, tail, samples,
+        seed):
+    # near-singular ends, large norms, clusters near 0 and few samples: the
+    # check of the normal form's samples exits as the second flow did; the
+    # path ends 10**slow of the way to its drawn end, so that few samples
+    # can cover it
+    rng = np.random.default_rng(seed)
+    table, action = preset_action(*preset, dim, rng, conjugate=True)
+    start, end = (_shaped_block(action, rng, shape, 10.0 ** scale)
+                  for shape in (start_shape, end_shape))
+    end = start + 10.0 ** slow * (end - start)
+    path = OperatorPath.affine(start, end - start, **{f"{tail}_tail": True})
+    job = JobSpec("cogredient", table, action, path, FlowOptions(),
+                  dict(OPTION_DEFAULTS, samples=samples))
+    assert run(job)[1] == _second_flow_code(job)
 
 
 # --- matrix entries ------------------------------------------------------------

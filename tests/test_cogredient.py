@@ -6,6 +6,7 @@ import pytest
 from sflow import _eig, cogredient, operators
 from sflow._eig import EPS, eigh_error, jacobi_eigh
 from sflow.cogredient import (
+    COVER_CHUNK,
     COVER_SUBSTEPS,
     MIN_SINGULAR,
     POSITIVITY_MARGIN,
@@ -431,10 +432,9 @@ def _count_solves(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("samples", [33, 64, 100])
-def test_cover_check_solves_in_chunks_of_at_most_samples(samples, monkeypatch):
-    p = OperatorPath.affine(np.diag([-3.0, 2.0]), np.diag([6.0, 1.0]),
-                            plus_tail=True)
+def _cover_solves(monkeypatch):
+    # the stack size of each eigensolve of the cover check, and of every
+    # eigensolve of the normal form
     sizes = _count_solves(monkeypatch)
     in_cover = []
     real_cover = cogredient._check_cover
@@ -445,20 +445,44 @@ def test_cover_check_solves_in_chunks_of_at_most_samples(samples, monkeypatch):
         in_cover.extend(sizes[start:])
 
     monkeypatch.setattr(cogredient, "_check_cover", cover)
+    return in_cover, sizes
+
+
+@pytest.mark.parametrize("samples", [33, 64, 100])
+def test_cover_check_solves_in_chunks_of_at_most_samples(samples, monkeypatch):
+    # 48 x 48 blocks: COVER_CHUNK entries hold 28 of them, fewer than the
+    # anchors, so each chunk holds as many blocks as there are anchors
+    dim = 48
+    assert COVER_CHUNK // dim ** 2 < samples
+    p = OperatorPath.affine(np.diag(np.tile([-3.0, 2.0], dim // 2)),
+                            np.diag(np.tile([6.0, 1.0], dim // 2)),
+                            plus_tail=True)
+    in_cover, sizes = _cover_solves(monkeypatch)
     parametrix(p, samples=samples)
     assert in_cover == [samples] * (COVER_SUBSTEPS + 1)
     assert max(sizes) <= samples
+
+
+@pytest.mark.parametrize("samples", [33, 64, 100])
+def test_cover_grid_of_small_blocks_takes_one_solve(samples, monkeypatch):
+    # 2 x 2 blocks: the whole grid of samples x (COVER_SUBSTEPS + 1) blocks
+    # fits in COVER_CHUNK entries, 512 KiB of floats
+    p = OperatorPath.affine(np.diag([-3.0, 2.0]), np.diag([6.0, 1.0]),
+                            plus_tail=True)
+    in_cover, _ = _cover_solves(monkeypatch)
+    parametrix(p, samples=samples)
+    assert in_cover == [samples * (COVER_SUBSTEPS + 1)]
+    assert 4 * in_cover[0] <= COVER_CHUNK
 
 
 @pytest.mark.parametrize("tails, negated", [({"plus_tail": True}, 0),
                                             ({"minus_tail": True}, 1)])
 def test_normal_form_makes_a_fixed_number_of_solves(tails, negated,
                                                     monkeypatch):
-    # anchors 1 (their norms serve the residual bounds), cover
-    # COVER_SUBSTEPS + 1, inverse roots 1, residual check 1 (max_residual
-    # reports its worst residual), and the negated path's Lipschitz bound on
-    # the negative side; the transformed path's speeds wait for their first
-    # read
+    # anchors 1 (their norms serve the residual bounds), cover 1, inverse
+    # roots 1, residual check 1 (max_residual reports its worst residual),
+    # the samples of the flow class 1, and the negated path's Lipschitz
+    # bound on the negative side
     rng = np.random.default_rng(5)
     table, action = preset_action("cyclic", 2, 3, rng)
     p = random_equivariant_path(action, rng, kind="pl", **tails)
@@ -468,9 +492,9 @@ def test_normal_form_makes_a_fixed_number_of_solves(tails, negated,
         sizes = _count_solves(monkeypatch)
         px = parametrix(p, samples=samples)
         px.max_residual()
-        px.transformed_path()
+        px.flow_class(action, table)
         counts.append(len(sizes))
-    assert counts[0] == counts[1] == COVER_SUBSTEPS + 4 + negated
+    assert counts[0] == counts[1] == 5 + negated
 
 
 def test_anchor_norms_are_the_bits_of_the_checked_blocks_norms(monkeypatch):
@@ -516,8 +540,9 @@ def test_worst_residual_is_solved_with_the_check(tails, monkeypatch):
     sizes = _count_solves(monkeypatch)
     px = parametrix(p, samples=5)
     worst = px.max_residual()
-    # the negated path's Lipschitz bound is solved on the negative side
-    assert len(sizes) == COVER_SUBSTEPS + 4 + (sign < 0)
+    # anchors, cover, inverse roots and residual check, and the negated
+    # path's Lipschitz bound on the negative side
+    assert len(sizes) == 4 + (sign < 0)
     assert sizes[-1] == 2 * 5
     assert worst == _ref_parametrix(p, 5)[3]
 

@@ -1823,3 +1823,53 @@ def test_free_end_homotopy_inside_the_invertibles_keeps_the_flow(
     assert not np.array_equal(q.block_at(0.0), start)
     want, got = sfl_G_each([(p, action), (q, action)], table)
     assert got.sfl_G == want.sfl_G
+
+
+# --- isotypic oracle for the class pass -----------------------------------------
+
+
+def _isotypic_class(path, action, table):
+    # the flow read from the end blocks without the class pairing or the
+    # multiplicity solve: irrep nu occurs in the negative space V of a block
+    # tr(P_V P_nu) / degree(nu) times, P_nu its isotypical projection
+    projections = np.array([groups.isotypical_projection(action, table, nu)
+                            for nu in range(table.n_irreps)])
+    degrees = np.array([ir.degree for ir in table.irreps])
+    ends = []
+    for block in path.blocks_at([0.0, 1.0]):
+        w, v = np.linalg.eigh(block)
+        neg = v[:, w < 0.0]
+        ends.append(np.einsum("ij,nji->n", neg @ neg.T, projections) / degrees)
+    raw = ends[0] - ends[1]
+    coeffs = np.rint(raw)
+    assert np.abs(raw - coeffs).max() < 1e-6
+    return tuple(coeffs.astype(int).tolist())
+
+
+def test_isotypic_oracle_matches_the_flow_on_criterion_3_paths():
+    # the 200 paths of acceptance criterion 3, drawn alike: each group but C3
+    # has two irreps of degree 1, so a class pass that swapped them would
+    # disagree with this oracle, while the endpoint oracle, which reads the
+    # same pass, would not
+    rng = np.random.default_rng(20250819)
+    requests, tables = [], []
+    for preset, n in [("trivial", 1), ("cyclic", 2), ("cyclic", 3),
+                      ("cyclic", 4), ("dihedral", 3)]:
+        for i in range(40):
+            dim = int(rng.integers(1, 13))
+            table, action = preset_action(preset, n, dim, rng,
+                                          conjugate=bool(i % 2))
+            plus, minus = _TAILS[len(requests) % 4]
+            requests.append((random_equivariant_path(
+                action, rng, plus_tail=plus, minus_tail=minus,
+                kind="affine" if len(requests) % 2 == 0 else "pl"), action))
+            tables.append(table)
+    reports = [sfl_G(p, a, t) for (p, a), t in zip(requests, tables)]
+    telling = 0
+    for (p, a), t, report in zip(requests, tables, reports):
+        assert report.sfl_G.coeffs == _isotypic_class(p, a, t)
+        ones = [c for c, ir in zip(report.sfl_G.coeffs, t.irreps)
+                if ir.degree == 1]
+        telling += len(set(ones[:2])) == 2
+    # the classes that swapping the first two irreps of degree 1 changes
+    assert telling >= 50

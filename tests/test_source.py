@@ -64,6 +64,43 @@ def test_every_private_definition_has_a_caller_in_the_package():
     assert sorted(v for k, v in defined.items() if k not in used) == []
 
 
+# the public functions that no code in the package calls: entry points of
+# the Python API and of the tests alone. A new public function without a
+# caller fails the test below until it is listed here, or deleted.
+UNCALLED_PUBLIC = {
+    "cogredient.py": {"pointwise_section", "split_positive"},
+    "flow.py": {"find_partition"},
+    "groups.py": {"character_of_subspace", "isotypical_projection",
+                  "multiplicity_vector"},
+    "maslov.py": {"fredholm_pair_dims", "graph_lagrangian",
+                  "horizontal_lagrangian", "maslov_index_G",
+                  "maslov_operator_spectrum", "z2_example"},
+    "operators.py": {"check_equivariance", "compress", "direct_sum",
+                     "morse_class"},
+    "sampling.py": {"preset_action", "random_equivariant_invertible"},
+}
+
+
+def test_every_public_function_without_a_caller_is_listed():
+    # a re-export in __init__.py is not a call
+    defined, used = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(node, ast.FunctionDef):
+                own = node.name
+                if not own.startswith("_"):
+                    defined[own] = path.name
+            used |= _names(node) - {own}
+    uncalled: dict[str, set[str]] = {}
+    for name, module in defined.items():
+        if name not in used:
+            uncalled.setdefault(module, set()).add(name)
+    assert uncalled == UNCALLED_PUBLIC
+
+
 
 def _assigned(node: ast.AST):
     # (object, attribute) of every attribute a statement sets or deletes, or
