@@ -164,3 +164,19 @@ def solve_each(solve, blocks: np.ndarray, *, strict: bool = False):
                     raise
                 out.append(e)
         return out
+
+
+def eigh_each(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(w, v, errors): jacobi_eigh of a (k, n, n) stack from one stacked
+    solve. Only if the stack fails is each matrix solved alone (solve_each),
+    so that a failure belongs to its own matrix: its rows of w and v are
+    NaN, and errors maps its index to its EigenFailure."""
+    try:
+        return (*jacobi_eigh(blocks), {})
+    except EigenFailure:
+        pairs = solve_each(lambda s: list(zip(*jacobi_eigh(s))), blocks)
+    errors = {i: p for i, p in enumerate(pairs) if isinstance(p, EigenFailure)}
+    nan = (np.full(blocks.shape[1:2], np.nan),
+           np.full(blocks.shape[1:], np.nan))
+    w, v = zip(*(nan if i in errors else p for i, p in enumerate(pairs)))
+    return np.array(w), np.array(v), errors

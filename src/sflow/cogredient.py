@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._eig import jacobi_eigh, solve_each
+from ._eig import eigh_each, eigh_error, jacobi_eigh
 from .errors import (
     CoverFailure,
     EigenFailure,
@@ -37,7 +37,6 @@ from .operators import (
     OperatorPath,
     _negative_classes,
     _specnorm,
-    eigendata_each,
     equivariance_defects,
     negate,
 )
@@ -98,22 +97,6 @@ def split_positive(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> tuple[CPS, C
     return s, k
 
 
-def _eigh_each(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(w, v, errors): jacobi_eigh of a (k, n, n) stack from one stacked
-    solve. Only if the stack fails is each matrix solved alone (solve_each),
-    so that a failure belongs to its own matrix: its rows of w and v are
-    NaN, and errors maps its index to its EigenFailure."""
-    try:
-        return (*jacobi_eigh(blocks), {})
-    except EigenFailure:
-        pairs = solve_each(lambda s: list(zip(*jacobi_eigh(s))), blocks)
-    errors = {i: p for i, p in enumerate(pairs) if isinstance(p, EigenFailure)}
-    nan = (np.full(blocks.shape[1:2], np.nan),
-           np.full(blocks.shape[1:], np.nan))
-    w, v = zip(*(nan if i in errors else p for i, p in enumerate(pairs)))
-    return np.array(w), np.array(v), errors
-
-
 def _raise_first_fault(bad: np.ndarray, errors: dict,
                        fault: Callable[[int], Exception]) -> None:
     """Raise the error of the first sample in order that failed to solve
@@ -137,7 +120,7 @@ def _inv_sqrt(blocks: np.ndarray, margin: float) -> np.ndarray:
     (k, n, n) stack, from one stacked solve. The first matrix in order that
     cannot be solved, or whose smallest eigenvalue is at most margin,
     raises."""
-    w, v, errors = _eigh_each(blocks)
+    w, v, errors = eigh_each(blocks)
     low = _lowest(w)
     _raise_first_fault(low <= margin, errors, lambda k: NotPositive(
         f"eigenvalue {float(low[k]):.3e} at or below margin {margin:.3e}"))
@@ -205,19 +188,22 @@ class Parametrix:
         The samples are solved in one stack and checked for equivariance at
         the flow's tolerance EQUIVARIANCE_FACTOR * (1 + norm), so the first
         failing sample in order raises its EigenFailure or NotEquivariant;
-        then the two ends raise the errors of morse_classes past its
-        equivariance check."""
+        then the two ends, the only rows whose solver error bound is read,
+        raise the errors of morse_classes past its equivariance check."""
         samples = self.sign * np.eye(self.path.dim) + np.array(self.K)
-        w, v, norm, tol, err, ok, errors = eigendata_each(samples, tol_cluster)
-        scale = EQUIVARIANCE_FACTOR * np.where(ok, 1.0 + norm, np.inf)
+        w, v, errors = eigh_each(samples)
+        norm = np.abs(w).max(axis=1, initial=0.0)
+        scale = EQUIVARIANCE_FACTOR * (1.0 + norm)
+        scale[list(errors)] = np.inf
         defects = equivariance_defects(samples, action, scale)
         _raise_first_fault(defects > scale, errors, lambda k: NotEquivariant(
             f"commutator norm {defects[k]:.3e} at sample {self.lambdas[k]} "
             f"exceeds {scale[k]:.3e}"))
         ends = [0, -1]
-        start, end = _negative_classes(action, table, w[ends], v[ends],
-                                       norm[ends], tol[ends], err[ends],
-                                       tol_invert)
+        start, end = _negative_classes(
+            action, table, w[ends], v[ends], norm[ends],
+            tol_cluster * (1.0 + norm[ends]),
+            eigh_error(samples[ends], w[ends], v[ends]), tol_invert)
         return start - end
 
     def max_residual(self) -> float:
@@ -251,7 +237,7 @@ def _check_cover(path: OperatorPath, anchors: np.ndarray,
     owner = j.repeat(COVER_SUBSTEPS + 1)
     for start in range(0, len(lams), chunk):
         c = slice(start, start + chunk)
-        w, _, errors = _eigh_each(path.blocks_at(lams[c])
+        w, _, errors = eigh_each(path.blocks_at(lams[c])
                                   - corrections[owner[c]])
         low = _lowest(w)
         _raise_first_fault(
@@ -287,7 +273,7 @@ def _normal_form(path: OperatorPath, samples: int, source: OperatorPath,
     drift = 4.0 * path.lipschitz * spacing
 
     blocks = path.blocks_at(anchors)
-    w, v, errors = _eigh_each(blocks)
+    w, v, errors = eigh_each(blocks)
     if errors:  # the first anchor that fails to solve
         raise errors[min(errors)]
     norms = np.abs(w).max(axis=1, initial=0.0)
@@ -331,7 +317,7 @@ def _check_residual(path: OperatorPath, lambdas: tuple[float, ...],
     blocks = 0.5 * b + 0.5 * b.swapaxes(1, 2)
     checked = m.swapaxes(1, 2) @ blocks @ m - (np.eye(path.dim) + k)
     same = checked.tobytes() == reported.tobytes()
-    w, _, errors = _eigh_each(checked if same
+    w, _, errors = eigh_each(checked if same
                               else np.concatenate([checked, reported]))
     norm = np.abs(w).max(axis=1, initial=0.0)
     res = norm[:len(b)]

@@ -744,10 +744,15 @@ def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,
     reparametrization, and invariance under equivariant conjugation. Each
     suite runs `instances` randomized cases; failures carry a witness string.
 
-    Flows draw no random numbers, so every case is drawn first and all the
-    flows go to one sfl_G_each call. The error raised is the one a case by
-    case run raises first: if a draw fails, the first error among the flows
-    requested before it, else the draw's own.
+    The cases are drawn in two phases. First every random number of every
+    case is taken, in the order of a case by case run (a sampling.PathDraws
+    batch, a change of parameter, an equivariant orthogonal matrix). Then
+    the batch averages and clamps all its draws at once and builds its
+    paths, and each case builds its flows from them. Flows draw no random
+    numbers, so all of them go to one sfl_G_each call, and each check
+    compares their summed coefficient rows. The error raised is the one a
+    case by case run raises first: if a draw or a build fails, the first
+    error among the flows requested before it, else its own.
     """
     from . import sampling
     from .groups import direct_sum_action
@@ -756,65 +761,104 @@ def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,
     opts = opts or FlowOptions()
     rng = np.random.default_rng(seed)
     tail_cycle = [(False, False), (True, False), (False, True), (True, True)]
+    draws = sampling.PathDraws(action)
+    # (suite, instance, what the case drew): path indices into the batch,
+    # then a change of parameter or an orthogonal matrix
+    cases: list[tuple[str, int, tuple]] = []
     requests: list[tuple[OperatorPath, OrthogonalAction]] = []
     # (suite, witness prefix, flows summed on the left, on the right); a
     # right side of None asks for a zero class
     checks: list[tuple[str, str, list[int], list[int] | None]] = []
 
+    def path(i: int, draw: Callable = draws.equivariant, **kwargs) -> int:
+        plus, minus = tail_cycle[i % 4]
+        return draw(rng, plus_tail=plus, minus_tail=minus, **kwargs)
+
+    def draw_cases() -> None:
+        for i in range(instances):
+            cases.append(("vanishing", i, (path(i, draws.invertible),)))
+        for i in range(instances):
+            p = path(i)
+            cases.append(("concatenation", i, (p, path(i, start=p))))
+        for i in range(instances):
+            cases.append(("direct_sum", i, (path(i), path(i + 1))))
+        for i in range(instances):
+            cases.append(("reparametrization", i, (
+                path(i, kind="affine"), sampling._parameter_change(rng))))
+        for i in range(instances):
+            cases.append(("conjugation", i, (
+                path(i), sampling.random_equivariant_orthogonal(action, rng))))
+
     def flow(p: OperatorPath, act: OrthogonalAction = action) -> int:
         requests.append((p, act))
         return len(requests) - 1
 
-    def path(i: int, draw: Callable = sampling.random_equivariant_path,
-             **kwargs) -> OperatorPath:
-        plus, minus = tail_cycle[i % 4]
-        return draw(action, rng, plus_tail=plus, minus_tail=minus, **kwargs)
-
-    def draw_cases() -> None:
-        for i in range(instances):
-            checks.append(("vanishing", f"instance {i}: invertible path has flow",
-                           [flow(path(i, sampling.random_invertible_path))],
-                           None))
-        for i in range(instances):
-            p = path(i)
-            q = path(i, start_block=p.block_at(1.0))
-            checks.append(("concatenation", f"instance {i}: concatenation",
-                           [flow(concatenate(p, q))], [flow(p), flow(q)]))
-            checks.append(("concatenation", f"instance {i}: closed loop has flow",
-                           [flow(concatenate(p, reverse(p)))], None))
+    def build_cases() -> None:
+        paths = draws.build()
         double = direct_sum_action(action, action)
-        for i in range(instances):
-            p, q = path(i), path(i + 1)
-            checks.append(("direct_sum", f"instance {i}: direct sum",
-                           [flow(direct_sum_paths(p, q), double)],
-                           [flow(p), flow(q)]))
-        for i in range(instances):
-            p = path(i, kind="affine")
-            checks.append(("reparametrization", f"instance {i}: reparametrization",
-                           [flow(sampling.reparametrize(p, rng))], [flow(p)]))
-        for i in range(instances):
-            p = path(i)
-            u = sampling.random_equivariant_orthogonal(action, rng)
-            checks.append(("conjugation", f"instance {i}: conjugation",
-                           [flow(sampling.conjugate_path(p, u))], [flow(p)]))
+
+        def built(k: int) -> OperatorPath:
+            raise_first([paths[k]])
+            return paths[k]
+
+        for suite, i, drawn in cases:
+            if suite == "vanishing":
+                checks.append((suite, f"instance {i}: invertible path has flow",
+                               [flow(built(drawn[0]))], None))
+            elif suite == "concatenation":
+                p, q = map(built, drawn)
+                checks.append((suite, f"instance {i}: concatenation",
+                               [flow(concatenate(p, q))], [flow(p), flow(q)]))
+                checks.append((suite, f"instance {i}: closed loop has flow",
+                               [flow(concatenate(p, reverse(p)))], None))
+            elif suite == "direct_sum":
+                p, q = map(built, drawn)
+                checks.append((suite, f"instance {i}: direct sum",
+                               [flow(direct_sum_paths(p, q), double)],
+                               [flow(p), flow(q)]))
+            elif suite == "reparametrization":
+                p = built(drawn[0])
+                checks.append((suite, f"instance {i}: reparametrization",
+                               [flow(sampling._reparametrized(p, drawn[1]))],
+                               [flow(p)]))
+            else:
+                p = built(drawn[0])
+                checks.append((suite, f"instance {i}: conjugation",
+                               [flow(sampling.conjugate_path(p, drawn[1]))],
+                               [flow(p)]))
 
     fault: SflowError | None = None
-    try:
-        draw_cases()
-    except SflowError as e:
-        fault = e
+    for phase in (draw_cases, build_cases):
+        try:
+            phase()
+        except SflowError as e:
+            # a case that fails to build was drawn before any draw that
+            # failed
+            fault = e
     reports = sfl_G_each(requests, table, opts)
     raise_first([*reports, fault])
 
     def total(flows: list[int] | None) -> VirtualRep:
         return sum((reports[k].sfl_G for k in flows or []), VirtualRep.zero(table))
 
+    # each check's left side less its right side, over the flows' integer
+    # coefficient rows in one pass; a VirtualRep only for a failure witness
+    sides = [(lhs, rhs or []) for _, _, lhs, rhs in checks]
+    differ = np.zeros(len(checks), dtype=bool)
+    if checks:
+        rows = np.array([r.sfl_G.coeffs for r in reports], dtype=np.int64)
+        flows = [k for lhs, rhs in sides for k in (*lhs, *rhs)]
+        signs = [s for lhs, rhs in sides
+                 for s in (*[1] * len(lhs), *[-1] * len(rhs))]
+        starts = np.cumsum([0, *(len(lhs) + len(rhs) for lhs, rhs in sides)])
+        differ = np.add.reduceat(rows[flows] * np.array(signs)[:, None],
+                                 starts[:-1]).any(axis=1)
     names = ["vanishing", "concatenation", "direct_sum", "reparametrization",
              "conjugation"]
     failures: dict[str, list[str]] = {name: [] for name in names}
-    for suite, prefix, lhs, rhs in checks:
-        got, want = total(lhs), total(rhs)
-        if got != want:
+    for (suite, prefix, lhs, rhs), bad in zip(checks, differ):
+        if bad:
+            got, want = total(lhs), total(rhs)
             failures[suite].append(f"{prefix} {got}" if rhs is None
                                    else f"{prefix} {got} != {want}")
     return AxiomSuiteReport(tuple(AxiomResult(name, instances, tuple(failures[name]))

@@ -8,10 +8,12 @@ a spectral function of an equivariant matrix.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from ._eig import block_diag, jacobi_eigh
-from .errors import OutOfRange
+from ._eig import block_diag, eigh_each, jacobi_eigh
+from .errors import OutOfRange, SflowError, raise_first
 from .groups import (
     FiniteGroup,
     OrthogonalAction,
@@ -22,6 +24,8 @@ from .groups import (
 from .operators import OperatorPath
 
 CLAMP_DELTA = 0.3
+# entries of one stacked product of the group average (512 KiB of floats)
+REYNOLDS_CHUNK = 2 ** 16
 
 
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -41,15 +45,20 @@ def reynolds_symmetric(action: OrthogonalAction, x: np.ndarray) -> np.ndarray:
 
 
 def _reynolds(action: OrthogonalAction, x: np.ndarray) -> np.ndarray:
-    # every rho x rho^T from one stacked product, summed in element order
-    # from zero: the bits of a running sum over the elements (a reduction
-    # over the stack's axis would sum 1 x 1 products in another order); a
-    # stack of x gives each matrix the bits of its own average
-    rho = action.stack if x.ndim == 2 else action.stack[:, None]
-    avg = np.zeros_like(x, dtype=float)
-    for term in rho @ x @ rho.swapaxes(-1, -2):
-        avg += term
-    return avg / action.group.order
+    # every rho x rho^T of a chunk of x from one stacked product, summed in
+    # element order from zero: the bits of a running sum over the elements
+    # (a reduction over the stack's axis would sum 1 x 1 products in another
+    # order); each matrix of x gets the bits of its own average, and a
+    # product holds at most REYNOLDS_CHUNK entries, or one matrix's products
+    stack = x if x.ndim == 3 else x[None]
+    rho = action.stack[:, None]
+    avg = np.zeros_like(stack, dtype=float)
+    step = max(1, REYNOLDS_CHUNK // max(1, rho.size))
+    for lo in range(0, len(stack), step):
+        for term in rho @ stack[lo:lo + step] @ rho.swapaxes(-1, -2):
+            avg[lo:lo + step] += term
+    avg /= action.group.order
+    return avg if x.ndim == 3 else avg[0]
 
 
 def random_equivariant_symmetric(action: OrthogonalAction,
@@ -67,13 +76,14 @@ def clamp_spectrum(action: OrthogonalAction, block: np.ndarray,
     """Push eigenvalues in (-delta, delta) out to +-delta, zeros to +delta,
     then re-average to scrub roundoff from the reconstruction. A (k, d, d)
     stack is clamped in one eigensolve, each matrix as if alone."""
-    w, v = jacobi_eigh(block)
-    return reynolds_symmetric(action, _clamped(w, v, delta))
+    return _clamped(action, *jacobi_eigh(block), delta)
 
 
-def _clamped(w: np.ndarray, v: np.ndarray, delta: float) -> np.ndarray:
+def _clamped(action: OrthogonalAction, w: np.ndarray, v: np.ndarray,
+             delta: float) -> np.ndarray:
     clamped = np.where(np.abs(w) >= delta, w, np.where(w >= 0.0, delta, -delta))
-    return (v * clamped[..., None, :]) @ v.swapaxes(-1, -2)
+    return reynolds_symmetric(action,
+                              (v * clamped[..., None, :]) @ v.swapaxes(-1, -2))
 
 
 def random_equivariant_invertible(action: OrthogonalAction,
@@ -82,64 +92,157 @@ def random_equivariant_invertible(action: OrthogonalAction,
     return clamp_spectrum(action, random_equivariant_symmetric(action, rng), delta)
 
 
+class PathDraws:
+    """Random equivariant paths of one action, drawn in two phases so that
+    all of them share their averages and their solve.
+
+    The draw methods take every random number a path needs from rng, in
+    the order drawing it alone takes them, and return its index. build()
+    takes no random number: it averages every normal draw in one Reynolds
+    pass, solves every block to clamp, and every bump whose norm scales it,
+    in one eigensolve, averages the clamped blocks in a second pass, and
+    builds the paths in draw order, each with the numbers and bits of
+    drawing it alone. random_equivariant_path and random_invertible_path
+    are the case of one draw.
+    """
+
+    def __init__(self, action: OrthogonalAction, delta: float = CLAMP_DELTA):
+        self.action, self.delta = action, delta
+        self._normals: list[np.ndarray] = []  # raw (k, d, d) draws in order
+        self._rows = 0  # rows drawn so far
+        self._solve: list[int] = []  # rows to solve, in order
+        # per path: its rows of the solved stack, and what builds it from
+        # the averaged draws, the solved eigenvalues, the clamped blocks and
+        # the paths built before it
+        self._builds: list[tuple[range, Callable]] = []
+
+    def _draw(self, rng: np.random.Generator, k: int) -> range:
+        # k normal draws: their rows of the averaged stack
+        d = self.action.dim
+        self._normals.append(rng.standard_normal((k, d, d)))
+        self._rows += k
+        return range(self._rows - k, self._rows)
+
+    def _solved(self, rows: range) -> range:
+        # rows of the averaged stack to solve: their rows of the solved one
+        self._solve.extend(rows)
+        return range(len(self._solve) - len(rows), len(self._solve))
+
+    def equivariant(self, rng: np.random.Generator, *,
+                    plus_tail: bool = False, minus_tail: bool = False,
+                    kind: str | None = None,
+                    start: np.ndarray | int | None = None) -> int:
+        """Draw a path whose clamped endpoints are invertible and well
+        separated. kind is "affine", "pl" (1 to 3 interior samples drawn
+        as they are) or None for a coin flip. start pins the initial block,
+        for building concatenation chains: a block, trusted to be
+        equivariant and invertible, or the index of an earlier path of this
+        batch, whose block at 1 it takes."""
+        if kind is None:
+            kind = "affine" if rng.random() < 0.5 else "pl"
+        ends = self._solved(self._draw(rng, 1 if start is not None else 2))
+        if kind not in ("affine", "pl"):
+            raise OutOfRange(f"unknown path kind {kind!r}")
+        interior = (self._draw(rng, int(rng.integers(1, 4))) if kind == "pl"
+                    else None)
+        tails = {"plus_tail": plus_tail, "minus_tail": minus_tail}
+
+        def build(avg, w, clamped, paths):
+            if start is None:
+                first = clamped[ends[0]]
+            elif isinstance(start, int):
+                raise_first([paths[start]])
+                first = paths[start].block_at(1.0)
+            else:
+                first = start
+            last = clamped[ends[-1]]
+            if interior is None:
+                return OperatorPath.affine(first, last - first, **tails)
+            return OperatorPath.piecewise_linear(
+                np.linspace(0.0, 1.0, len(interior) + 2),
+                [first, *avg[interior.start:interior.stop], last], **tails)
+
+        self._builds.append((ends, build))
+        return len(self._builds) - 1
+
+    def invertible(self, rng: np.random.Generator, *,
+                   plus_tail: bool = False, minus_tail: bool = False) -> int:
+        """Draw a path invertible at every parameter: a clamped base plus a
+        perturbation kept strictly inside the spectral gap, so no
+        eigenvalue can reach zero, affine or, on a coin flip, piecewise
+        linear through 3 to 5 multiples of it."""
+        rows = self._draw(rng, 2)
+        pair = self._solved(rows)
+        scales = None
+        if self.action.dim and rng.random() >= 0.5:
+            scales = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 4)) + 2)
+        tails = {"plus_tail": plus_tail, "minus_tail": minus_tail}
+
+        def build(avg, w, clamped, paths):
+            # a bump's own row is clamped with the rest and left unread
+            base, bump = clamped[pair[0]], avg[rows[1]]
+            if self.action.dim == 0:
+                return OperatorPath.affine(base, np.zeros_like(base), **tails)
+            norm = float(np.abs(w[pair[1]]).max())
+            if norm > 0.0:
+                bump = bump * ((0.4 * self.delta) / norm)
+            if scales is None:
+                return OperatorPath.affine(base, bump, **tails)
+            return OperatorPath.piecewise_linear(
+                np.linspace(0.0, 1.0, len(scales)),
+                [base + s * bump for s in scales], **tails)
+
+        self._builds.append((pair, build))
+        return len(self._builds) - 1
+
+    def build(self) -> list[OperatorPath | SflowError]:
+        """Every path drawn, in draw order; a path whose solve or build
+        fails has in its place the error that drawing it alone raises."""
+        if not self._builds:
+            return []
+        avg = reynolds_symmetric(self.action, np.concatenate(self._normals))
+        w, v, errors = eigh_each(avg[self._solve])
+        clamped = _clamped(self.action, w, v, self.delta)
+        paths: list[OperatorPath | SflowError] = []
+        for rows, build in self._builds:
+            try:
+                raise_first([errors.get(r) for r in rows])
+                paths.append(build(avg, w, clamped, paths))
+            except SflowError as e:
+                paths.append(e)
+        return paths
+
+
+def _only(draws: PathDraws) -> OperatorPath:
+    (path,) = draws.build()
+    raise_first([path])
+    return path
+
+
 def random_equivariant_path(action: OrthogonalAction,
                             rng: np.random.Generator, *,
                             plus_tail: bool = False, minus_tail: bool = False,
                             kind: str | None = None,
                             start_block: np.ndarray | None = None,
                             delta: float = CLAMP_DELTA) -> OperatorPath:
-    """Random equivariant path with invertible, well separated endpoints.
-
-    kind is "affine", "pl", or None for a coin flip. start_block pins the
-    initial block exactly, for building concatenation chains; it is trusted
-    to be equivariant and invertible. The endpoints are drawn and clamped as
-    one stack and the interior samples drawn as another.
-    """
-    if kind is None:
-        kind = "affine" if rng.random() < 0.5 else "pl"
-    ends = clamp_spectrum(action, random_equivariant_symmetric(
-        action, rng, 1 if start_block is not None else 2), delta)
-    start = start_block if start_block is not None else ends[0]
-    end = ends[-1]
-    if kind == "affine":
-        return OperatorPath.affine(start, end - start, plus_tail=plus_tail,
-                                   minus_tail=minus_tail)
-    if kind != "pl":
-        raise OutOfRange(f"unknown path kind {kind!r}")
-    n_interior = int(rng.integers(1, 4))
-    knots = np.linspace(0.0, 1.0, n_interior + 2)
-    samples = [start, *random_equivariant_symmetric(action, rng, n_interior),
-               end]
-    return OperatorPath.piecewise_linear(knots, samples, plus_tail=plus_tail,
-                                         minus_tail=minus_tail)
+    """Random equivariant path with invertible, well separated endpoints
+    (PathDraws.equivariant): kind is "affine", "pl", or None for a coin
+    flip, and start_block pins the initial block exactly, trusted to be
+    equivariant and invertible."""
+    draws = PathDraws(action, delta)
+    draws.equivariant(rng, plus_tail=plus_tail, minus_tail=minus_tail,
+                      kind=kind, start=start_block)
+    return _only(draws)
 
 
 def random_invertible_path(action: OrthogonalAction,
                            rng: np.random.Generator, *,
                            plus_tail: bool = False, minus_tail: bool = False,
                            delta: float = CLAMP_DELTA) -> OperatorPath:
-    """Path invertible at every parameter: a clamped base plus a perturbation
-    kept strictly inside the spectral gap, so no eigenvalue can reach zero.
-    The base and the perturbation are drawn as one stack and solved in one
-    eigensolve."""
-    pair = random_equivariant_symmetric(action, rng, 2)
-    w, v = jacobi_eigh(pair)
-    base, bump = reynolds_symmetric(action, _clamped(w[0], v[0], delta)), pair[1]
-    if action.dim == 0:
-        return OperatorPath.affine(base, np.zeros_like(base),
-                                   plus_tail=plus_tail, minus_tail=minus_tail)
-    norm = float(np.abs(w[1]).max())
-    if norm > 0.0:
-        bump *= (0.4 * delta) / norm
-    if rng.random() < 0.5:
-        return OperatorPath.affine(base, bump, plus_tail=plus_tail,
-                                   minus_tail=minus_tail)
-    n_interior = int(rng.integers(1, 4))
-    knots = np.linspace(0.0, 1.0, n_interior + 2)
-    scales = rng.uniform(-1.0, 1.0, size=n_interior + 2)
-    samples = [base + s * bump for s in scales]
-    return OperatorPath.piecewise_linear(knots, samples, plus_tail=plus_tail,
-                                         minus_tail=minus_tail)
+    """Path invertible at every parameter (PathDraws.invertible)."""
+    draws = PathDraws(action, delta)
+    draws.invertible(rng, plus_tail=plus_tail, minus_tail=minus_tail)
+    return _only(draws)
 
 
 def reparametrize(path: OperatorPath, rng: np.random.Generator,
@@ -148,13 +251,26 @@ def reparametrize(path: OperatorPath, rng: np.random.Generator,
     of parameter fixing 0 and 1. The image is the same operator family."""
     if path.kind != "affine":
         raise OutOfRange("only affine paths are reparametrized here")
+    return _reparametrized(path, _parameter_change(rng, n_interior))
+
+
+def _parameter_change(rng: np.random.Generator, n_interior: int = 3
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    # knots and their values of a random increasing piecewise-linear map of
+    # [0, 1] onto itself
     gaps_t = rng.uniform(0.2, 1.0, size=n_interior + 1)
     knots = np.concatenate(([0.0], np.cumsum(gaps_t))) / np.sum(gaps_t)
     gaps_v = rng.uniform(0.2, 1.0, size=n_interior + 1)
     values = np.concatenate(([0.0], np.cumsum(gaps_v))) / np.sum(gaps_v)
+    return knots, values
+
+
+def _reparametrized(path: OperatorPath,
+                    change: tuple[np.ndarray, np.ndarray]) -> OperatorPath:
+    # an affine path run through a change of parameter
+    knots, values = change
     a, b = path.mat_a, path.mat_b
-    samples = [a + v * b for v in values]
-    return OperatorPath.piecewise_linear(knots, samples,
+    return OperatorPath.piecewise_linear(knots, [a + v * b for v in values],
                                          plus_tail=path.plus_tail,
                                          minus_tail=path.minus_tail)
 

@@ -1205,6 +1205,53 @@ def test_cogredient_exits_as_the_flow_of_the_transformed_path(
     assert run(job)[1] == _second_flow_code(job)
 
 
+def _flow_class_bounding_every_sample(px, action, table, *, tol_cluster,
+                                      tol_invert):
+    # Parametrix.flow_class as it bounded the solver error of every sample,
+    # though it reads that bound at the two ends only: the reference for
+    # every report and exit code of the check of the normal form
+    from sflow.cogredient import _raise_first_fault
+    from sflow.operators import _negative_classes
+
+    samples = px.sign * np.eye(px.path.dim) + np.array(px.K)
+    w, v, norm, tol, err, ok, errors = eigendata_each(samples, tol_cluster)
+    scale = EQUIVARIANCE_FACTOR * np.where(ok, 1.0 + norm, np.inf)
+    defects = equivariance_defects(samples, action, scale)
+    _raise_first_fault(defects > scale, errors, lambda k: NotEquivariant(
+        f"commutator norm {defects[k]:.3e} at sample {px.lambdas[k]} "
+        f"exceeds {scale[k]:.3e}"))
+    ends = [0, -1]
+    start, end = _negative_classes(action, table, w[ends], v[ends],
+                                   norm[ends], tol[ends], err[ends],
+                                   tol_invert)
+    return start - end
+
+
+@pytest.mark.parametrize("j", [0, 4, 8])
+@pytest.mark.parametrize("factor", [1e300, 6e307, 1.7e308])
+@pytest.mark.parametrize("shape", ["as_drawn", "flat", "off_equivariant"])
+def test_normal_form_samples_near_the_largest_double_exit_as_when_every_sample_was_bounded(
+        j, factor, shape, monkeypatch):
+    # one normal-form sample scaled toward the largest double: its solve may
+    # overflow, its error bound is no longer taken unless it is an end, and
+    # the report and exit code stay those of bounding every sample
+    doc = dict(golden_job(), command="cogredient", tail={"plus": True},
+               options={"samples": 9})
+    job = parse_job(json.dumps(doc))
+    px = cli.parametrix(job.path, samples=9)
+    sample = px.sign * np.eye(2) + px.K[j]
+    if shape == "flat":
+        sample = np.full((2, 2), 1.0)  # eigenvalue 2: overflows past 0.9e308
+    elif shape == "off_equivariant":
+        sample = sample + 1e-3 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    big = _with_sample(px, j, factor * sample)
+    monkeypatch.setattr(cli, "parametrix", lambda *a, **kw: big)
+    got = run(job)
+    monkeypatch.setattr(type(big), "flow_class",
+                        _flow_class_bounding_every_sample)
+    assert got == run(job)
+
+
 # --- matrix entries ------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1679,10 +1680,12 @@ def _verify_axioms_case_by_case(action, table, *, seed, instances, opts):
 
 def test_verify_axioms_raises_the_error_a_case_by_case_run_raises(monkeypatch):
     # with max_depth 0 some flows fail; a draw that fails comes first only if
-    # no flow requested before it failed
+    # no flow requested before it failed. Both runs draw their equivariant
+    # paths through PathDraws.equivariant, the one path sampler its case of
+    # one draw
     rng = np.random.default_rng(5)
     table, action = preset_action("cyclic", 3, 3, rng, conjugate=True)
-    real = sampling.random_equivariant_path
+    real = sampling.PathDraws.equivariant
     kinds = set()
     for max_depth in (0, flow.MAX_DEPTH):
         opts = FlowOptions(max_depth=max_depth)
@@ -1697,7 +1700,7 @@ def test_verify_axioms_raises_the_error_a_case_by_case_run_raises(monkeypatch):
                         raise OutOfRange(f"draw {fail_at} failed")
                     return real(*args, **kwargs)
 
-                monkeypatch.setattr(sampling, "random_equivariant_path", draw)
+                monkeypatch.setattr(sampling.PathDraws, "equivariant", draw)
                 try:
                     out = run(action, table, seed=3, instances=2, opts=opts)
                     outcomes.append(
@@ -1708,6 +1711,66 @@ def test_verify_axioms_raises_the_error_a_case_by_case_run_raises(monkeypatch):
             assert outcomes[0] == outcomes[1]
             kinds.add(outcomes[0][0] if isinstance(outcomes[0], tuple) else "ok")
     assert kinds == {"ok", "OutOfRange", "CertificationFailed"}
+
+
+def _requests_made(run, action, table, instances, monkeypatch):
+    # what run hands sfl_G_each, bit for bit: path kind, tails, knots, the
+    # samples or mat_a and mat_b, and the action; each flow reads as zero
+    made = []
+
+    def each(requests, table, *args, **kwargs):
+        for path, act in requests:
+            blocks = (np.stack([path.mat_a, path.mat_b])
+                      if path.kind == "affine" else np.stack(path.samples))
+            made.append((path.kind, path.tails, path.knots.tobytes(),
+                         blocks.tobytes(), act.stack.tobytes()))
+        return [SimpleNamespace(sfl_G=groups.VirtualRep.zero(table))
+                for _ in requests]
+
+    monkeypatch.setattr(flow, "sfl_G_each", each)
+    run(action, table, seed=instances, instances=instances, opts=None)
+    return made
+
+
+@pytest.mark.parametrize("preset", [("trivial", 1), ("cyclic", 3),
+                                    ("dihedral", 3), ("dihedral", 4),
+                                    ("dihedral", 6)])
+def test_verify_axioms_requests_the_flows_of_a_case_by_case_run(preset,
+                                                                 monkeypatch):
+    # the batch's stacked averages and clamp draw every path with the bits
+    # of drawing it alone, dim 0 (no bump to scale) included
+    for dim in range(7):
+        for instances in range(1, 6):
+            table, action = preset_action(*preset, dim, np.random.default_rng(
+                [dim, instances]), conjugate=True)
+            batched, alone = (
+                _requests_made(run, action, table, instances, monkeypatch)
+                for run in (verify_axioms, _verify_axioms_case_by_case))
+            assert len(batched) == 12 * instances
+            assert batched == alone
+
+
+def test_verify_axioms_clamps_every_case_in_one_solve(monkeypatch):
+    # one eigensolve before the flows, whatever instances is: every end,
+    # base and bump of the job in one stack
+    table, action = preset_action("dihedral", 4, 4, np.random.default_rng(2),
+                                  conjugate=True)
+    solves, before = [], []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: solves.append(a.shape) or real(a))
+
+    def each(requests, table, *args, **kwargs):
+        before.append(list(solves))
+        return [SimpleNamespace(sfl_G=groups.VirtualRep.zero(table))
+                for _ in requests]
+
+    monkeypatch.setattr(flow, "sfl_G_each", each)
+    for instances in (1, 2, 5, 20):
+        solves.clear()
+        verify_axioms(action, table, seed=7, instances=instances)
+        # 2 ends (1 for a pinned start) per path, and a base and a bump
+        assert before.pop() == [(13 * instances, 4, 4)]
 
 
 _PRESETS = [("trivial", 1), ("cyclic", 3), ("dihedral", 4), ("cyclic", 2)]

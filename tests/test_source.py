@@ -77,7 +77,9 @@ UNCALLED_PUBLIC = {
                   "maslov_operator_spectrum", "z2_example"},
     "operators.py": {"check_equivariance", "compress", "direct_sum",
                      "morse_class"},
-    "sampling.py": {"preset_action", "random_equivariant_invertible"},
+    "sampling.py": {"preset_action", "random_equivariant_invertible",
+                    "random_equivariant_path", "random_invertible_path",
+                    "reparametrize"},
 }
 
 
