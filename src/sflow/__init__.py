@@ -64,7 +64,6 @@ from .operators import (
     FSComponent,
     OperatorPath,
     Spectrum,
-    block_spectra,
     block_spectrum,
     check_equivariance,
     compress,

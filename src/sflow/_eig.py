@@ -1,9 +1,10 @@
-"""Dense symmetric eigensolver used for every block spectrum in the package.
+"""Kernels: the dense symmetric eigensolver, its error bound, two-norms.
 
 LAPACK's symmetric driver (through ``numpy.linalg.eigh``) computes the
 decomposition, and ``eigh_error`` turns its residual into a bound on the
 eigenvalue error that certificates add to their envelopes. Identical inputs
-give bit-identical output on the same machine and BLAS.
+give bit-identical output on the same machine and BLAS. The per-block
+fallback of a failed stack is ``operators.eigh_each``.
 """
 
 from __future__ import annotations
@@ -141,42 +142,3 @@ def block_diag(*mats: np.ndarray) -> np.ndarray:
         r, c = r + m.shape[0], c + m.shape[1]
     return out
 
-
-def solve_each(solve, blocks: np.ndarray, *, strict: bool = False):
-    """One result per matrix of a (k, n, n) stack from one stacked solve.
-
-    solve maps a stack to a sequence with one entry per matrix. When the
-    whole stack raises EigenFailure, each matrix is solved alone, so that a
-    failure belongs to its own matrix: with strict, the first failing
-    matrix's EigenFailure is raised, as a loop over the matrices would raise
-    it; otherwise it takes that matrix's place in the returned list, for
-    callers that interleave it with checks of their own.
-    """
-    try:
-        return solve(blocks)
-    except EigenFailure:
-        out = []
-        for block in blocks:
-            try:
-                out.extend(solve(block[None]))
-            except EigenFailure as e:
-                if strict:
-                    raise
-                out.append(e)
-        return out
-
-
-def eigh_each(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(w, v, errors): jacobi_eigh of a (k, n, n) stack from one stacked
-    solve. Only if the stack fails is each matrix solved alone (solve_each),
-    so that a failure belongs to its own matrix: its rows of w and v are
-    NaN, and errors maps its index to its EigenFailure."""
-    try:
-        return (*jacobi_eigh(blocks), {})
-    except EigenFailure:
-        pairs = solve_each(lambda s: list(zip(*jacobi_eigh(s))), blocks)
-    errors = {i: p for i, p in enumerate(pairs) if isinstance(p, EigenFailure)}
-    nan = (np.full(blocks.shape[1:2], np.nan),
-           np.full(blocks.shape[1:], np.nan))
-    w, v = zip(*(nan if i in errors else p for i, p in enumerate(pairs)))
-    return np.array(w), np.array(v), errors

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._eig import eigh_each, eigh_error, jacobi_eigh
+from ._eig import eigh_error, jacobi_eigh
 from .errors import (
     CoverFailure,
     EigenFailure,
@@ -37,6 +37,7 @@ from .operators import (
     OperatorPath,
     _negative_classes,
     _specnorm,
+    eigh_each,
     equivariance_defects,
     negate,
 )
@@ -194,7 +195,6 @@ class Parametrix:
         w, v, errors = eigh_each(samples)
         norm = np.abs(w).max(axis=1, initial=0.0)
         scale = EQUIVARIANCE_FACTOR * (1.0 + norm)
-        scale[list(errors)] = np.inf
         defects = equivariance_defects(samples, action, scale)
         _raise_first_fault(defects > scale, errors, lambda k: NotEquivariant(
             f"commutator norm {defects[k]:.3e} at sample {self.lambdas[k]} "

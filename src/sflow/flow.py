@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._eig import EPS, block_diag
+from ._eig import block_diag
 from .errors import (
     CertificationFailed,
     DimensionMismatch,
@@ -40,6 +40,7 @@ from .operators import (
     INVERT_FACTOR,
     OperatorPath,
     PathStack,
+    _norm_bound,
     _singular_rows,
     cluster_values,
     compression_tail,
@@ -176,13 +177,13 @@ class _Eigendata:
             speeds_of: Sequence[OperatorPath] = ()) -> np.ndarray:
         """Rows of the blocks of request which[j] at lams[j], interpolated
         together and solved in one stacked eigensolve; a block that fails
-        to solve fails alone (solve_each).
+        to solve fails alone (eigendata_each).
 
         The piece differences of the OperatorPaths of speeds_of whose speeds
         are not solved yet join that eigensolve as they are (symmetrizing
         them again would change the bits of subnormal entries), and each
         path whose differences all solve gets the speeds of its own solve,
-        the bound (norm + err) * (1 + 2 EPS) over its knot gaps."""
+        their _norm_bound over its knot gaps."""
         b = (self.stack.blocks(self.place[which], lams) if self.stack
              else np.empty((len(lams),) + self.blocks.shape[1:]))
         for j in self.own[which].nonzero()[0].tolist():
@@ -201,7 +202,7 @@ class _Eigendata:
                                  "err", "ok"), (lams, b, w, v, norm, tol, err, ok)):
             getattr(self, name)[start:self.size] = values[:k]
         self.errors.update((start + i, e) for i, e in errors.items() if i < k)
-        bound = (norm + err) * (1.0 + 2.0 * EPS)
+        bound = _norm_bound(norm, err)
         for p in unsolved:
             if ok[k:k + len(p._diffs)].all():
                 p._speeds = bound[k:k + len(p._diffs)] / np.diff(p.knots)

@@ -4,6 +4,7 @@ vectors of irreducible multiplicities that the flow takes values in."""
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -170,7 +171,9 @@ class RealCharacterTable:
             if len(ir.values) != g.n_classes:
                 raise BadCharacterTable(
                     f"{ir.name}: {len(ir.values)} values for {g.n_classes} classes")
-            if abs(ir.values[id_class] - ir.degree) > ORTHOGONALITY_TOL:
+            # a degree past the float range would overflow the difference
+            if (ir.degree > sys.float_info.max
+                    or abs(ir.values[id_class] - ir.degree) > ORTHOGONALITY_TOL):
                 raise BadCharacterTable(
                     f"{ir.name}: value at identity {ir.values[id_class]} "
                     f"!= degree {ir.degree}")

@@ -4,7 +4,9 @@ An operator here is a symmetric d x d block plus an optional infinite tail at
 +1 and an optional one at -1. The tails are where the essential spectrum
 lives; everything that moves is inside the block. Paths are affine or
 piecewise linear in the parameter and carry a recomputed Lipschitz bound that
-downstream certification relies on.
+downstream certification relies on. Every block spectrum, solver error
+bound and two-norm bound of the package comes from eigh_each, one stacked
+solve in which a block that fails fails alone, and eigendata_each on it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._eig import (EPS, block_diag, eigh_error, jacobi_eigh, opnorms,
-                   opnorms_within, solve_each)
+from ._eig import EPS, block_diag, eigh_error, jacobi_eigh, opnorms_within
 from .errors import (
     BoundaryHit,
     DimensionMismatch,
@@ -110,66 +111,72 @@ class Spectrum:
     tol: float
     err: float
 
-    def min_abs(self) -> float:
-        if self.eigenvalues.size == 0:
-            return np.inf
-        return float(np.min(np.abs(self.eigenvalues)))
 
-
-def eigendata(blocks: np.ndarray, tol_cluster: float = CLUSTER_FACTOR
-              ) -> tuple[np.ndarray, ...]:
-    """(w, v, norm, tol, err) of a (k, n, n) stack of symmetric blocks, from
-    one stacked eigensolve: the (k, n) ascending eigenvalues, the (k, n, n)
-    eigenvector columns and, per block, the largest eigenvalue magnitude,
-    the clustering tolerance tol_cluster * (1 + norm) and the solver error
-    bound."""
-    w, v = jacobi_eigh(blocks)
-    # broadcast, so that a substitute bound returning one scalar (as tests
-    # install) applies to every matrix
-    err = np.ones(len(w)) * eigh_error(blocks, w, v)
-    # ascending, so the largest magnitude is at one end
-    norms = (np.abs(w[:, [0, -1]]).max(axis=1) if w.shape[1]
-             else np.zeros(len(w)))
-    return w, v, norms, tol_cluster * (1.0 + norms), err
+def eigh_each(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(w, v, errors): jacobi_eigh of a (k, n, n) stack from one stacked
+    solve. Only if the stack fails is each matrix solved alone, so that a
+    failure belongs to its own matrix: its rows of w and v are zero, and
+    errors maps its index to its EigenFailure."""
+    try:
+        return (*jacobi_eigh(blocks), {})
+    except EigenFailure:
+        w, v, errors = np.zeros(blocks.shape[:2]), np.zeros(blocks.shape), {}
+    for i, block in enumerate(blocks):
+        try:
+            (w[i],), (v[i],) = jacobi_eigh(block[None])
+        except EigenFailure as e:
+            errors[i] = e
+    return w, v, errors
 
 
 def eigendata_each(blocks: np.ndarray, tol_cluster: float = CLUSTER_FACTOR
                    ) -> tuple:
-    """(w, v, norm, tol, err, ok, errors): eigendata of a (k, n, n) stack in
-    which a block that fails to solve fails alone (solve_each). Its rows
-    stay zero, ok is false there, and errors maps its index to its
-    EigenFailure."""
-    k, n = len(blocks), blocks.shape[-1]
-    # one part for the whole stack, or one per block once it has failed
-    parts = solve_each(lambda s: [eigendata(s, tol_cluster)], blocks)
-    if not isinstance(parts[0], EigenFailure) and len(parts[0][0]) == k:
-        return (*parts[0], np.ones(k, dtype=bool), {})
-    out = [np.zeros((k, n)), np.zeros((k, n, n)), *np.zeros((3, k))]
-    ok, errors, at = np.zeros(k, dtype=bool), {}, 0
-    for part in parts:
-        if isinstance(part, EigenFailure):
-            errors[at] = part
-            at += 1
-            continue
-        for column, values in zip(out, part):
-            column[at:at + len(values)] = values
-        ok[at:at + len(part[0])] = True
-        at += len(part[0])
-    return (*out, ok, errors)
+    """(w, v, norm, tol, err, ok, errors) of a (k, n, n) stack of symmetric
+    blocks: w and v of eigh_each and, per block, the largest eigenvalue
+    magnitude, the clustering tolerance tol_cluster * (1 + norm) and the
+    solver error bound. A block that fails to solve, or whose bound is not
+    finite, fails alone: its rows of w and v are zero, ok is false there,
+    and errors maps its index to its EigenFailure."""
+    w, v, errors = eigh_each(blocks)
+    ok = np.ones(len(w), dtype=bool)
+    ok[list(errors)] = False
+    # the whole stack as a view unless a block failed; a substitute bound
+    # returning one scalar (as tests install) applies to every matrix
+    solved = ok if errors else slice(None)
+    err = np.zeros(len(w))
+    try:
+        err[solved] = eigh_error(blocks[solved], w[solved], v[solved])
+    except EigenFailure:
+        for i in ok.nonzero()[0].tolist():
+            r = slice(i, i + 1)
+            try:
+                err[r] = eigh_error(blocks[r], w[r], v[r])
+            except EigenFailure as e:
+                errors[i], ok[i], w[i], v[i] = e, False, 0.0, 0.0
+        errors = dict(sorted(errors.items()))
+    norms = np.abs(w).max(axis=1, initial=0.0)
+    return w, v, norms, tol_cluster * (1.0 + norms), err, ok, errors
 
 
-def block_spectra(blocks: np.ndarray,
-                  tol_cluster: float = CLUSTER_FACTOR) -> list[Spectrum]:
-    """One Spectrum per matrix of a (k, n, n) stack of symmetric blocks, from
-    one eigendata call."""
-    w, v, *scalars = eigendata(blocks, tol_cluster)
-    return [Spectrum(*row)
-            for row in zip(w, v, *(s.tolist() for s in scalars))]
+def _norm_bound(norm: np.ndarray, err: np.ndarray) -> np.ndarray:
+    # upper bound on the two-norm of a symmetric matrix from its largest
+    # computed eigenvalue magnitude and solver error bound, rounded up
+    return (norm + err) * (1.0 + 2.0 * EPS)
+
+
+def _specnorm(m: np.ndarray) -> np.ndarray:
+    # _norm_bound of each symmetric matrix of a (k, n, n) stack; the first
+    # matrix in order that cannot be solved raises its EigenFailure
+    _, _, norm, _, err, _, errors = eigendata_each(m)
+    raise_first(errors.values())
+    return _norm_bound(norm, err)
 
 
 def block_spectrum(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> Spectrum:
-    """The one-block case of block_spectra."""
-    return block_spectra(op.block[None], tol_cluster)[0]
+    """The Spectrum of the operator's block, as eigendata_each gives it."""
+    w, v, *scalars, _, errors = eigendata_each(op.block[None], tol_cluster)
+    raise_first(errors.values())
+    return Spectrum(w[0], v[0], *(float(s[0]) for s in scalars))
 
 
 def _singular_rows(w: np.ndarray, norms: np.ndarray, errs: np.ndarray,
@@ -338,8 +345,7 @@ class OperatorPath:
     @property
     def speeds(self) -> np.ndarray:
         if self._speeds is None:
-            self._speeds = (solve_each(_specnorm, self._diffs, strict=True)
-                            / np.diff(self.knots))
+            self._speeds = _specnorm(self._diffs) / np.diff(self.knots)
         return self._speeds
 
     @property
@@ -466,17 +472,6 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * m.T
 
 
-def _specnorm(m: np.ndarray) -> np.ndarray:
-    # upper bound on the two-norm of each symmetric matrix of a (k, n, n)
-    # stack: the largest computed absolute eigenvalue plus the solver error,
-    # rounded up
-    if m.shape[-1] == 0:
-        return np.zeros(len(m))
-    w, v = jacobi_eigh(m)
-    return ((np.abs(w).max(axis=1) + eigh_error(m, w, v))
-            * (1.0 + 2.0 * EPS))
-
-
 def direct_sum(a: CPS, b: CPS) -> CPS:
     """Block-diagonal join; tail flags are merged."""
     return CPS(block_diag(a.block, b.block), plus_tail=a.plus_tail or b.plus_tail,
@@ -561,12 +556,12 @@ def compress(path: OperatorPath, m: int = 0) -> OperatorPath:
 
 
 def equivariance_defects(blocks: np.ndarray, action: OrthogonalAction,
-                         tol: Sequence[float] | None = None) -> np.ndarray:
+                         tol: Sequence[float]) -> np.ndarray:
     """Largest commutator norm between each block of a (k, n, n) stack and
     any action matrix, from stacked products over as many blocks at a time
     as keep each temporary within HOMOMORPHISM_BATCH entries (at least one
-    block), so memory stays near |G| n^2 for large explicit groups. Given a
-    tol per block, a defect is exact only where it exceeds its tol, as in
+    block), so memory stays near |G| n^2 for large explicit groups. A
+    defect is exact only where it exceeds its block's tol, as in
     opnorms_within."""
     if action.dim != blocks.shape[-1]:
         raise DimensionMismatch(f"action dimension {action.dim} vs block "
@@ -579,15 +574,15 @@ def equivariance_defects(blocks: np.ndarray, action: OrthogonalAction,
         # a commutator that overflows has norm inf and fails every check
         with np.errstate(over="ignore", invalid="ignore"):
             c = rho @ b - b @ rho
-        norms = (opnorms(c) if tol is None else
-                 opnorms_within(c, np.asarray(tol)[k0:k0 + step, None]))
+        norms = opnorms_within(c, np.asarray(tol)[k0:k0 + step, None])
         defects[k0:k0 + step] = norms.max(axis=1)
     return defects
 
 
 def check_equivariance(op: CPS, action: OrthogonalAction) -> float:
     """Largest commutator norm between the block and any action matrix."""
-    return float(equivariance_defects(op.block[None], action)[0])
+    # a tol of 0 passes only a zero commutator, whose norm is 0 either way
+    return float(equivariance_defects(op.block[None], action, [0.0])[0])
 
 
 def morse_class(op: CPS, action: OrthogonalAction, table: RealCharacterTable, *,
@@ -637,7 +632,7 @@ def _negative_classes(action: OrthogonalAction, table: RealCharacterTable,
                       tol: np.ndarray, err: np.ndarray,
                       tol_invert: float) -> list[VirtualRep]:
     """Classes of the negative eigenspaces of solved equivariant blocks,
-    from their eigendata rows (w, v, norm, tol, err as eigendata gives
+    from their eigendata rows (w, v, norm, tol, err as eigendata_each gives
     them): the column range of the clusters valued below 0. Raises the
     first error of a loop over the blocks in order, each checked for
     NotInvertible (an eigenvalue within the invertibility threshold of 0,

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._eig import block_diag, eigh_each, jacobi_eigh
+from ._eig import block_diag, jacobi_eigh
 from .errors import OutOfRange, SflowError, raise_first
 from .groups import (
     FiniteGroup,
@@ -21,7 +21,7 @@ from .groups import (
     _preset_irreps,
     build_group,
 )
-from .operators import OperatorPath
+from .operators import OperatorPath, eigh_each
 
 CLAMP_DELTA = 0.3
 # entries of one stacked product of the group average (512 KiB of floats)

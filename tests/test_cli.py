@@ -27,6 +27,7 @@ from sflow.cli import (
 )
 from sflow.errors import (
     BadAction,
+    BadCharacterTable,
     ConsistencyFailure,
     DimensionMismatch,
     NonGroup,
@@ -668,6 +669,19 @@ def test_explicit_group_job(monkeypatch, capsys):
     assert "TableMismatch" in message
 
 
+def test_degree_past_the_float_range_exits_2(monkeypatch, capsys):
+    # the degree is compared with the value at the identity, a float
+    doc = scalar_job()
+    doc["group"] = {"order": 1, "mult_table": [[0]], "classes": [[0]],
+                    "char_table": [{"name": "trivial", "degree": 10**400,
+                                    "schur": 1, "values": [1]}]}
+    with pytest.raises(BadCharacterTable, match="value at identity 1.0 != "):
+        parse_job(json.dumps(doc))
+    code, message = main_error(doc, monkeypatch, capsys)
+    assert code == 2
+    assert message.startswith("BadCharacterTable: trivial: value at identity")
+
+
 def test_oracle_command():
     doc = golden_job()
     doc["command"] = "oracle"
@@ -1022,7 +1036,7 @@ def _cogredient_one_by_one(job):
                                                          opts.tol_cluster)
             raise_first([errors.get(0)])
             tol = EQUIVARIANCE_FACTOR * (1.0 + norm[0])
-            defect = equivariance_defects(s[None], job.action)[0]
+            defect = equivariance_defects(s[None], job.action, [tol])[0]
             if defect > tol:
                 raise NotEquivariant(f"commutator norm {defect:.3e} at sample "
                                      f"{lam} exceeds {tol:.3e}")

@@ -52,12 +52,12 @@ from sflow.groups import (
 )
 from sflow.operators import (
     OperatorPath,
-    block_spectra,
     block_spectrum,
     check_equivariance,
     compress,
     concatenate,
     direct_sum_paths,
+    eigendata_each,
     morse_class,
     reverse,
 )
@@ -484,16 +484,20 @@ def test_stacked_reynolds_average_has_the_bits_of_the_loop():
 
 def _find_partition_recursive(path, opts):
     # the depth-first recursion find_partition replaced, written with one
-    # block_spectra call per sample, in the order left end, midpoint, right
+    # eigendata_each call per sample, in the order left end, midpoint, right
     # end, and the radius from a scan of the pieces each segment meets: the
     # reference the batched rounds must agree with on every partition and
     # every failure (the paths given to it have invertible ends)
     knots, levels, margins = [0.0], [], []
 
     def spectrum(lam):
+        # (eigenvalues, error bound) of the block, or its EigenFailure raised
         block = path.blocks_at([lam])
-        return block_spectra(0.5 * block + 0.5 * block.swapaxes(1, 2),
-                             opts.tol_cluster)[0]
+        w, _, _, _, err, _, errors = eigendata_each(
+            0.5 * block + 0.5 * block.swapaxes(1, 2), opts.tol_cluster)
+        if errors:
+            raise errors[0]
+        return w[0], err[0]
 
     def descend(left, right, depth):
         if depth >= opts.min_depth:
@@ -502,8 +506,8 @@ def _find_partition_recursive(path, opts):
                                              path.knots[1:])
                         if a < right and b > left)
             ok, level, margin = flow._certify(
-                np.array([[s.eigenvalues for s in specs]]),
-                np.array([[s.err for s in specs]]),
+                np.array([[w for w, _ in specs]]),
+                np.array([[err for _, err in specs]]),
                 np.array([speed * (right - left) / 2.0]),
                 np.array([path.plus_tail or path.minus_tail]), opts.tol_cluster)
             if ok[0]:
@@ -559,13 +563,13 @@ def test_uncertifiable_path_fails_leftmost_within_bounded_work(monkeypatch):
     path = OperatorPath.affine(np.diag([0.3, 0.7, 1e7]), np.zeros((3, 3)),
                                plus_tail=True, minus_tail=True)
     solved = []
-    stacked = operators.eigendata
+    stacked = operators.eigh_each
 
-    def counting(blocks, tol):
+    def counting(blocks):
         solved.append(len(blocks))
-        return stacked(blocks, tol)
+        return stacked(blocks)
 
-    monkeypatch.setattr(operators, "eigendata", counting)
+    monkeypatch.setattr(operators, "eigh_each", counting)
     with pytest.raises(CertificationFailed) as info:
         find_partition(path)
     assert str(info.value) == ("no certified level on [0.0, 9.094947017729282e-13]"
@@ -1008,14 +1012,14 @@ def test_a_knot_that_fails_to_solve_fails_its_flow_only(monkeypatch):
         for k in (1, 2, 3)]
     part = CertifiedPartition((0.0, 0.5, 1.0), (0.1, 0.1), (0.01, 0.01))
     want = [sfl_G(p, action, table, partition=part) for p in paths]
-    real = operators.eigendata
+    real = operators.jacobi_eigh
 
-    def failing(blocks, tol):
+    def failing(blocks):
         if any(b[0, 0] == 0.5 for b in blocks):
             raise EigenFailure("knot block refused")
-        return real(blocks, tol)
+        return real(blocks)
 
-    monkeypatch.setattr(operators, "eigendata", failing)
+    monkeypatch.setattr(operators, "jacobi_eigh", failing)
     got = sfl_G_each([(p, action) for p in paths], table, partitions=[part] * 3)
     assert isinstance(got[1], EigenFailure)
     assert str(got[1]) == "knot block refused"
@@ -1107,8 +1111,8 @@ def test_oracle_solves_both_endpoints_in_one_stack(monkeypatch):
                                     kind=("affine", "pl")[i // 4])
         for m in range(4):
             with monkeypatch.context() as mp:
-                mp.setattr(operators, "eigendata",
-                           counting("solve", operators.eigendata))
+                mp.setattr(operators, "eigh_each",
+                           counting("solve", operators.eigh_each))
                 mp.setattr(operators, "equivariance_defects",
                            counting("defects", operators.equivariance_defects))
                 mp.setattr(operators, "subspace_classes",
@@ -1161,7 +1165,7 @@ def test_oracle_rejects_a_table_of_another_group_before_solving(seed,
         with pytest.raises(WrongGroup, match=message):
             sfl_G(path, action, table)
         with monkeypatch.context() as mp:
-            mp.setattr(operators, "eigendata", None)  # no solve
+            mp.setattr(operators, "eigh_each", None)  # no solve
             with pytest.raises(WrongGroup, match=message):
                 morse_oracle_sfl_G(path, action, table)
             with pytest.raises(WrongGroup, match=message):
@@ -1173,9 +1177,9 @@ def test_oracle_checks_the_action_dimension_before_solving(monkeypatch):
     table, action = _trivial_setup(3)
     path = OperatorPath.affine(np.diag([-1.0, 2.0]), np.eye(2))
     solves = []
-    for name in ("block_spectra", "eigendata"):
-        monkeypatch.setattr(operators, name, lambda *args, real=getattr(
-            operators, name): solves.append(1) or real(*args))
+    real = operators.eigh_each
+    monkeypatch.setattr(operators, "eigh_each",
+                        lambda blocks: solves.append(1) or real(blocks))
     with pytest.raises(DimensionMismatch,
                        match="action dimension 3 vs block dimension 2"):
         morse_oracle_sfl_G(path, action, table)
@@ -1273,17 +1277,17 @@ def test_shared_rounds_solve_the_same_blocks_in_fewer_stacks(monkeypatch):
     # the same draws, with their speeds not solved yet
     _, twins = _mixed_requests(np.random.default_rng(72))
     stacks, rounds = [], []
-    real, tested = operators.eigendata, flow._certify
+    real, tested = operators.eigh_each, flow._certify
 
-    def counting(blocks, tol):
+    def counting(blocks):
         stacks.append(len(blocks))
-        return real(blocks, tol)
+        return real(blocks)
 
     def certifying(w, *args):
         rounds.append(len(w))
         return tested(w, *args)
 
-    monkeypatch.setattr(operators, "eigendata", counting)
+    monkeypatch.setattr(operators, "eigh_each", counting)
     monkeypatch.setattr(flow, "_certify", certifying)
     alone, alone_rounds = [], []
     for path, action in requests:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sflow import jacobi_eigh, operators
-from sflow._eig import EPS, eigh_error, opnorms, opnorms_within, solve_each
+from sflow._eig import EPS, eigh_error, opnorms, opnorms_within
 from sflow.errors import (
     BoundaryHit,
     DimensionMismatch,
@@ -27,7 +27,6 @@ from sflow.operators import (
     FSComponent,
     OperatorPath,
     Spectrum,
-    block_spectra,
     block_spectrum,
     check_equivariance,
     cluster_values,
@@ -35,6 +34,8 @@ from sflow.operators import (
     concatenate,
     direct_sum,
     direct_sum_paths,
+    eigendata_each,
+    eigh_each,
     equivariance_defects,
     interval_columns,
     morse_class,
@@ -91,7 +92,7 @@ def test_block_spectrum_known_two_by_two():
     spec = block_spectrum(CPS(np.array([[2.0, 1.0], [1.0, 2.0]])))
     assert np.allclose(spec.eigenvalues, [1.0, 3.0])
     assert spec.block_norm == pytest.approx(3.0)
-    assert spec.min_abs() == pytest.approx(1.0)
+    assert np.abs(spec.eigenvalues).min() == pytest.approx(1.0)
     for _, vectors in _clusters(spec):
         assert vectors.shape[1] == 1
 
@@ -394,13 +395,11 @@ def test_interval_frame_accepts_shared_spectrum():
     # own solve
     ops = [CPS(np.diag([0.3, -0.5])), CPS(np.diag([0.0, 0.5])),
            CPS(np.array([[0.2, 0.1], [0.1, 0.4]]))]
-    spectra = block_spectra(np.stack([op.block for op in ops]))
-    w = np.array([s.eigenvalues for s in spectra])
-    tol = np.array([s.tol for s in spectra])
+    w, v, _, tol, _, _, _ = eigendata_each(np.stack([op.block for op in ops]))
     assert window_faults(w, tol, [0.8] * 3, (False, False)) == [None] * 3
     lo, ncols = interval_columns(cluster_values(w, tol)[1], -tol[:, None], 0.8)
-    for op, spec, first, k in zip(ops, spectra, lo, ncols):
-        assert np.array_equal(spec.vectors[:, first:first + k], _window(op, 0.8))
+    for op, vectors, first, k in zip(ops, v, lo, ncols):
+        assert np.array_equal(vectors[:, first:first + k], _window(op, 0.8))
 
 
 def _loop_clusters(spec):
@@ -764,18 +763,19 @@ def test_equivariance_defects_in_bounded_chunks(batch, monkeypatch):
     want = [check_equivariance(CPS(b), action) for b in blocks]
 
     seen = []
-    real_opnorms = operators.opnorms
+    real_norms = operators.opnorms_within
 
-    def counting(m):
+    def counting(m, tol):
         seen.append(m.size)
-        return real_opnorms(m)
+        return real_norms(m, tol)
 
     monkeypatch.setattr(operators, "HOMOMORPHISM_BATCH", batch)
-    monkeypatch.setattr(operators, "opnorms", counting)
-    assert equivariance_defects(blocks, action).tolist() == want
+    monkeypatch.setattr(operators, "opnorms_within", counting)
+    # tol 0: every nonzero defect exact, as check_equivariance gives it
+    assert equivariance_defects(blocks, action, np.zeros(7)).tolist() == want
     assert max(seen) <= max(batch, 8 * 2 * 2)
     assert sum(seen) == 7 * 8 * 2 * 2
-    assert equivariance_defects(blocks[:0], action).shape == (0,)
+    assert equivariance_defects(blocks[:0], action, []).shape == (0,)
 
 
 def test_morse_class_trivial_group():
@@ -861,7 +861,7 @@ def test_stacked_eigensolve_matches_one_matrix_at_a_time(n):
     stack = _symmetric_stack(n, rng)
     w, v = jacobi_eigh(stack)
     errs = eigh_error(stack, w, v)
-    spectra = block_spectra(stack)
+    spectra = [Spectrum(*row) for row in zip(*eigendata_each(stack)[:5])]
     assert w.shape == (4, n) and v.shape == (4, n, n) and errs.shape == (4,)
     for i, block in enumerate(stack):
         wi, vi = jacobi_eigh(block)
@@ -888,7 +888,7 @@ def test_stacked_eigensolve_rejects_any_bad_matrix():
     with pytest.raises(EigenFailure):
         jacobi_eigh(stack)
     with pytest.raises(EigenFailure):
-        block_spectra(stack)
+        operators._specnorm(stack)
     with pytest.raises(ValueError):
         jacobi_eigh(np.zeros((2, 2, 3)))
 
@@ -967,24 +967,84 @@ def test_segment_speeds_match_a_per_piece_loop(n):
                         + 8 * (n + 1) * EPS * size).all()
 
 
-def test_solve_each_keeps_each_failure_with_its_matrix():
+def test_eigh_each_keeps_each_failure_with_its_matrix(monkeypatch):
     stack = np.stack([np.eye(2), np.full((2, 2), np.nan), 2.0 * np.eye(2),
                       np.full((2, 2), np.inf)])
+    real = operators.jacobi_eigh
 
-    def lowest(blocks):
+    def solve(blocks):
         if np.any(np.isnan(blocks)):  # a second message, for the NaN block
             raise EigenFailure("NaN block")
-        return jacobi_eigh(blocks)[0][:, 0].tolist()
+        return real(blocks)
 
-    got = solve_each(lowest, stack)
-    assert got[0] == 1.0 and got[2] == 2.0
-    assert str(got[1]) == "NaN block"
-    assert str(got[3]) == "block has non-finite entries"
+    monkeypatch.setattr(operators, "jacobi_eigh", solve)
+    w, v, errors = eigh_each(stack)
+    assert w[0, 0] == 1.0 and w[2, 0] == 2.0
+    assert list(errors) == [1, 3]
+    assert str(errors[1]) == "NaN block"
+    assert str(errors[3]) == "block has non-finite entries"
+    # a failed matrix's rows are zero, never NaN
+    assert not w[[1, 3]].any() and not v[[1, 3]].any()
+    # _specnorm raises the first failing matrix in order
     with pytest.raises(EigenFailure, match="NaN block"):
-        solve_each(lowest, stack, strict=True)
+        operators._specnorm(stack)
     with pytest.raises(EigenFailure, match="non-finite"):
-        solve_each(lowest, stack[[0, 3, 1]], strict=True)
-    assert solve_each(lowest, stack[[0, 2]]) == [1.0, 2.0]
+        operators._specnorm(stack[[0, 3, 1]])
+    w, _, errors = eigh_each(stack[[0, 2]])
+    assert w[:, 0].tolist() == [1.0, 2.0] and errors == {}
+
+
+def test_eigendata_each_solves_and_bounds_a_good_stack_once(monkeypatch):
+    # one stacked solve and one stacked bound, on the stack itself; with a
+    # failed block, the bound of the others only, so no NaN reaches it
+    stack = _symmetric_stack(3, np.random.default_rng(5))
+    calls = []
+    real_solve, real_bound = operators.jacobi_eigh, operators.eigh_error
+
+    def solve(blocks):
+        calls.append(("solve", len(blocks)))
+        return real_solve(blocks)
+
+    def bound(blocks, w, v):
+        calls.append(("bound", len(blocks), np.shares_memory(blocks, stack)))
+        return real_bound(blocks, w, v)
+
+    monkeypatch.setattr(operators, "jacobi_eigh", solve)
+    monkeypatch.setattr(operators, "eigh_error", bound)
+    w, v, norm, tol, err, ok, errors = eigendata_each(stack)
+    assert calls == [("solve", 4), ("bound", 4, True)]
+    assert ok.all() and errors == {}
+    assert err.tolist() == real_bound(stack, w, v).tolist()
+    assert norm.tolist() == np.abs(w).max(axis=1).tolist()
+    assert tol.tolist() == (operators.CLUSTER_FACTOR * (1.0 + norm)).tolist()
+    stack[2, 0, 0] = np.nan
+    calls.clear()
+    got = eigendata_each(stack)
+    assert calls == [("solve", 4), *[("solve", 1)] * 4, ("bound", 3, False)]
+    assert got[5].tolist() == [True, True, False, True]
+    assert got[4][[0, 1, 3]].tolist() == err[[0, 1, 3]].tolist()
+
+
+def test_a_non_finite_error_bound_fails_its_own_row(monkeypatch):
+    stack = np.stack([np.eye(2), 2.0 * np.eye(2), 3.0 * np.eye(2)])
+    real = operators.eigh_error
+
+    def bound(blocks, w, v):
+        if (blocks[:, 0, 0] == 2.0).any():
+            raise EigenFailure("eigenvalue error bound is inf")
+        return real(blocks, w, v)
+
+    monkeypatch.setattr(operators, "eigh_error", bound)
+    w, v, norm, tol, err, ok, errors = eigendata_each(stack)
+    assert ok.tolist() == [True, False, True]
+    assert list(errors) == [1]
+    assert str(errors[1]) == "eigenvalue error bound is inf"
+    assert not w[1].any() and not v[1].any()
+    assert w[2].tolist() == [3.0, 3.0] and norm[[0, 2]].tolist() == [1.0, 3.0]
+    assert err[[0, 2]].tolist() == real(stack[[0, 2]], w[[0, 2]],
+                                        v[[0, 2]]).tolist()
+    with pytest.raises(EigenFailure, match="bound is inf"):
+        operators._specnorm(stack)
 
 
 def _block_at_one_parameter(path, lam):

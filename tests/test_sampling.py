@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sflow import flow, operators
-from sflow._eig import jacobi_eigh, solve_each
+from sflow._eig import jacobi_eigh
 from sflow.cogredient import parametrix
 from sflow.errors import EigenFailure
 from sflow.groups import direct_sum_action
@@ -162,7 +162,7 @@ def test_speeds_solved_in_the_first_stack_have_the_bits_of_their_own_solve(
     assert all(p._speeds is None for p in paths[2:] + [overflow])
     reports = flow.sfl_G_each(requests, table)
     for p in paths:
-        want = solve_each(operators._specnorm, p._diffs, strict=True)
+        want = operators._specnorm(p._diffs)
         assert p._speeds.tobytes() == (want / np.diff(p.knots)).tobytes()
         assert p.lipschitz == max(want / np.diff(p.knots))
     for p in _subnormal_paths():
@@ -184,7 +184,7 @@ def test_a_verify_job_solves_its_speeds_once_per_block_size(monkeypatch):
     table, action = preset_action("dihedral", 3, 4, np.random.default_rng(8),
                                   conjugate=True)
     paths, stacks, alone = [], [], []
-    real_each, real_data = flow.sfl_G_each, operators.eigendata
+    real_each, real_solve = flow.sfl_G_each, operators.eigh_each
     real_norm = operators._specnorm
 
     def each(requests, *args, **kwargs):
@@ -194,10 +194,10 @@ def test_a_verify_job_solves_its_speeds_once_per_block_size(monkeypatch):
         stacks.append([])
         return real_each(requests, *args, **kwargs)
 
-    def counting(blocks, tol):
+    def counting(blocks):
         if stacks:
             stacks[-1].append(blocks.shape)
-        return real_data(blocks, tol)
+        return real_solve(blocks)
 
     def solved_alone(m):
         if stacks:
@@ -205,7 +205,7 @@ def test_a_verify_job_solves_its_speeds_once_per_block_size(monkeypatch):
         return real_norm(m)
 
     monkeypatch.setattr(flow, "sfl_G_each", each)
-    monkeypatch.setattr(operators, "eigendata", counting)
+    monkeypatch.setattr(operators, "eigh_each", counting)
     monkeypatch.setattr(operators, "_specnorm", solved_alone)
     assert flow.verify_axioms(action, table, seed=4, instances=2).passed
     # the first stack of each block size holds 0, 1/4, 1/2, 3/4 and 1 of

@@ -152,6 +152,19 @@ def test_nothing_in_the_package_modifies_a_group_or_a_character_table():
     assert found == []
 
 
+def test_only_operators_catches_a_failed_solve():
+    # eigh_each and eigendata_each in operators.py are the one per-block
+    # fallback of the package; a second one would bring back a second
+    # convention for the rows of a block that fails
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and "EigenFailure" in _names(node.type)):
+                found.add(path.name)
+    assert found == {"operators.py"}
+
+
 def test_every_name_the_benchmark_tracer_hooks_resolves():
     # perfbench/tracer.py wraps these (module, attribute) pairs by name and
     # reports a missing one as absent, so a deleted target would only read 0
