@@ -35,7 +35,6 @@ from .errors import (
     WrongGroup,
 )
 from .flow import (
-    MAX_DEPTH,
     FlowOptions,
     SflReport,
     morse_oracle_sfl_G,
@@ -52,16 +51,16 @@ from .groups import (
     phi_Z2,
 )
 from .maslov import maslov_flow
-from .operators import CLUSTER_FACTOR, INVERT_FACTOR, OperatorPath
+from .operators import OperatorPath
 
 logger = logging.getLogger("sflow")
 
 COMMANDS = ("sfl", "maslov", "cogredient", "oracle", "verify")
 
 OPTION_DEFAULTS = {
-    "tol_cluster": CLUSTER_FACTOR,
-    "tol_invert": INVERT_FACTOR,
-    "max_depth": MAX_DEPTH,
+    "tol_cluster": FlowOptions.tol_cluster,
+    "tol_invert": FlowOptions.tol_invert,
+    "max_depth": FlowOptions.max_depth,
     "m": 0,
     "seed": 0,
     "samples": 64,
@@ -166,46 +165,44 @@ def _elements(raw, order: int, where: str) -> list[int]:
     return list(raw)
 
 
-def _parse_group(raw, where: str = "group"):
+def _parse_group(raw):
     """Check a group object; returns the constructor of its group and
     character table."""
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where} must be an object")
     if "preset" in raw:
-        _no_extras(raw, {"preset", "n"}, where)
-        preset = _want(raw, "preset", str, where)
+        _no_extras(raw, {"preset", "n"}, "group")
+        preset = _want(raw, "preset", str, "group")
         if preset not in ("trivial", "cyclic", "dihedral"):
-            raise SchemaError(f"{where}.preset {preset!r} is not a preset")
+            raise SchemaError(f"group.preset {preset!r} is not a preset")
         n = None
         if preset != "trivial":
-            n = _want(raw, "n", int, where)
+            n = _want(raw, "n", int, "group")
             lo, hi = _INT_RANGES["n"]
             if not lo <= n <= hi:
-                raise SchemaError(f"{where}.n must be in {lo}..{hi}, got {n}")
+                raise SchemaError(f"group.n must be in {lo}..{hi}, got {n}")
         return lambda: build_group(preset, n)
-    _no_extras(raw, {"order", "mult_table", "classes", "char_table"}, where)
-    order = _want(raw, "order", int, where)
-    table = _want(raw, "mult_table", list, where)
+    _no_extras(raw, {"order", "mult_table", "classes", "char_table"}, "group")
+    order = _want(raw, "order", int, "group")
+    table = _want(raw, "mult_table", list, "group")
     if len(table) != order or any(not isinstance(r, list) or len(r) != order
                                   for r in table):
-        raise SchemaError(f"{where}.mult_table must be {order}x{order}")
-    table = [_elements(r, order, f"{where}.mult_table[{i}]")
+        raise SchemaError(f"group.mult_table must be {order}x{order}")
+    table = [_elements(r, order, f"group.mult_table[{i}]")
              for i, r in enumerate(table)]
-    classes = [_elements(c, order, f"{where}.classes[{i}]")
-               for i, c in enumerate(_want(raw, "classes", list, where))]
-    chars = _want(raw, "char_table", list, where)
+    classes = [_elements(c, order, f"group.classes[{i}]")
+               for i, c in enumerate(_want(raw, "classes", list, "group"))]
+    chars = _want(raw, "char_table", list, "group")
     out_chars = []
     for i, rec in enumerate(chars):
         if not isinstance(rec, dict):
-            raise SchemaError(f"{where}.char_table[{i}] must be an object")
-        _no_extras(rec, {"name", "degree", "schur", "values"}, f"{where}.char_table[{i}]")
+            raise SchemaError(f"group.char_table[{i}] must be an object")
+        _no_extras(rec, {"name", "degree", "schur", "values"}, f"group.char_table[{i}]")
         out_chars.append({
-            "name": _want(rec, "name", str, f"{where}.char_table[{i}]"),
-            "degree": _want(rec, "degree", int, f"{where}.char_table[{i}]"),
-            "schur": _want(rec, "schur", int, f"{where}.char_table[{i}]"),
-            "values": [_number(v, f"{where}.char_table[{i}].values")
+            "name": _want(rec, "name", str, f"group.char_table[{i}]"),
+            "degree": _want(rec, "degree", int, f"group.char_table[{i}]"),
+            "schur": _want(rec, "schur", int, f"group.char_table[{i}]"),
+            "values": [_number(v, f"group.char_table[{i}].values")
                        for v in _want(rec, "values", list,
-                                      f"{where}.char_table[{i}]")],
+                                      f"group.char_table[{i}]")],
         })
 
     def build() -> tuple[FiniteGroup, RealCharacterTable]:
@@ -220,83 +217,83 @@ def _parse_group(raw, where: str = "group"):
     return build
 
 
-def _parse_action(raw, where: str = "action"):
+def _parse_action(raw):
     """Check an action object; returns the size of its matrices and the
     constructor of the action of a group."""
     if not isinstance(raw, dict):
-        raise SchemaError(f"{where} must be an object")
-    _no_extras(raw, {"matrices"}, where)
+        raise SchemaError("action must be an object")
+    _no_extras(raw, {"matrices"}, "action")
     mats = {}
     dim = None
-    for key, val in _want(raw, "matrices", dict, where).items():
+    for key, val in _want(raw, "matrices", dict, "action").items():
         try:
             idx = int(key)
         except ValueError:
             idx = -1
         # only the spelling str(g) names element g, so no two keys collide
         if idx < 0 or str(idx) != key:
-            raise SchemaError(f"{where}.matrices key {key!r} is not an "
+            raise SchemaError(f"action.matrices key {key!r} is not an "
                               "element index")
-        mat = _matrix(val, f"{where}.matrices[{key}]")
+        mat = _matrix(val, f"action.matrices[{key}]")
         if dim is None:
             dim = len(mat)
         elif len(mat) != dim:
             raise DimensionMismatch(
-                f"{where}.matrices[{key}] is {len(mat)}x{len(mat)}, "
+                f"action.matrices[{key}] is {len(mat)}x{len(mat)}, "
                 f"others are {dim}x{dim}")
         mats[idx] = mat
     if not mats:
-        raise SchemaError(f"{where}.matrices is empty")
+        raise SchemaError("action.matrices is empty")
 
     def build(group: FiniteGroup) -> OrthogonalAction:
         missing = [g for g in range(group.order) if g not in mats]
         if missing:
-            raise SchemaError(f"{where}.matrices[{missing[0]}] is missing")
+            raise SchemaError(f"action.matrices[{missing[0]}] is missing")
         extra = sorted(g for g in mats if g >= group.order)
         if extra:
-            raise SchemaError(f"{where}.matrices[{extra[0]}] is not an element")
+            raise SchemaError(f"action.matrices[{extra[0]}] is not an element")
         return OrthogonalAction(group, [np.array(mats[g])
                                         for g in range(group.order)])
     return dim, build
 
 
-def _parse_path(raw, where: str = "path"):
+def _parse_path(raw):
     """Check a path object; returns the size of its blocks and the
     constructor of the path, which takes the tail flags."""
     if not isinstance(raw, dict):
-        raise SchemaError(f"{where} must be an object")
-    kind = _want(raw, "kind", str, where)
+        raise SchemaError("path must be an object")
+    kind = _want(raw, "kind", str, "path")
     if kind == "affine":
-        _no_extras(raw, {"kind", "A", "B"}, where)
-        a = _matrix(_want(raw, "A", list, where), f"{where}.A")
-        b = _matrix(_want(raw, "B", list, where), f"{where}.B")
+        _no_extras(raw, {"kind", "A", "B"}, "path")
+        a = _matrix(_want(raw, "A", list, "path"), "path.A")
+        b = _matrix(_want(raw, "B", list, "path"), "path.B")
         if len(a) != len(b):
-            raise DimensionMismatch(f"{where}.A is {len(a)}x{len(a)} but "
-                                    f"{where}.B is {len(b)}x{len(b)}")
+            raise DimensionMismatch(f"path.A is {len(a)}x{len(a)} but "
+                                    f"path.B is {len(b)}x{len(b)}")
         return len(a), partial(OperatorPath.affine, np.array(a), np.array(b))
     if kind == "piecewise_linear":
-        _no_extras(raw, {"kind", "knots", "samples"}, where)
-        knots = _want(raw, "knots", list, where)
+        _no_extras(raw, {"kind", "knots", "samples"}, "path")
+        knots = _want(raw, "knots", list, "path")
         if not all(isinstance(k, (int, float)) and not isinstance(k, bool)
                    for k in knots):
-            raise SchemaError(f"{where}.knots must be numbers")
+            raise SchemaError("path.knots must be numbers")
         if not all(_finite(k) for k in knots):
-            raise SchemaError(f"{where}.knots must be finite")
-        samples_raw = _want(raw, "samples", list, where)
-        samples = [_matrix(s, f"{where}.samples[{i}]")
+            raise SchemaError("path.knots must be finite")
+        samples_raw = _want(raw, "samples", list, "path")
+        samples = [_matrix(s, f"path.samples[{i}]")
                    for i, s in enumerate(samples_raw)]
         if len(samples) != len(knots):
-            raise SchemaError(f"{where} has {len(knots)} knots but "
+            raise SchemaError(f"path has {len(knots)} knots but "
                               f"{len(samples)} samples")
         if not samples:
-            raise SchemaError(f"{where}.samples is empty")
+            raise SchemaError("path.samples is empty")
         dims = {len(s) for s in samples}
         if len(dims) > 1:
-            raise DimensionMismatch(f"{where}.samples mix dimensions {sorted(dims)}")
+            raise DimensionMismatch(f"path.samples mix dimensions {sorted(dims)}")
         return len(samples[0]), partial(OperatorPath.piecewise_linear,
                                         [float(k) for k in knots],
                                         [np.array(s) for s in samples])
-    raise SchemaError(f"{where}.kind {kind!r} is not a path kind")
+    raise SchemaError(f"path.kind {kind!r} is not a path kind")
 
 
 def parse_job(text: str, *, command: str | None = None,

@@ -126,7 +126,6 @@ class Crossing:
     """One segment whose eigenspace class changed, with the change itself."""
 
     interval: tuple[float, float]
-    segment: int
     klass: VirtualRep
 
 
@@ -606,7 +605,7 @@ def _take_classes(store: _Eigendata, flows: list[_Flow],
 def _flow_report(partition: CertifiedPartition, contributions: list[VirtualRep],
                  klass: VirtualRep) -> SflReport:
     crossings = tuple(
-        Crossing((partition.knots[i], partition.knots[i + 1]), i, c)
+        Crossing((partition.knots[i], partition.knots[i + 1]), c)
         for i, c in enumerate(contributions) if not c.is_zero())
     return SflReport(sfl_G=klass, sfl=forgetful_F(klass), partition=partition,
                      segment_contributions=tuple(contributions),

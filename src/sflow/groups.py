@@ -26,7 +26,6 @@ from .errors import (
 )
 
 ORTHOGONALITY_TOL = 1e-9
-CHARACTER_CLASS_TOL = 1e-9
 MULTIPLICITY_TOL = 1e-6
 PROJECTION_TOL = 1e-8
 ACTION_ORTHOGONALITY_TOL = 1e-10
@@ -443,18 +442,16 @@ def _preset_group(preset: str, n: int | None
 
 
 def subspace_classes(action: OrthogonalAction, table: RealCharacterTable,
-                     frames: Sequence[np.ndarray] | np.ndarray,
-                     ks: Sequence[int] | None = None
+                     frames: Sequence[np.ndarray]
                      ) -> list[VirtualRep | SflowError]:
     """Class of the span of each frame's orthonormal columns or, in its
     place, the first error its checks raise: NotOrthonormal, NotInvariant
     (the projector F F^T must commute with every group matrix within
     INVARIANCE_TOL), then TableMismatch or NonIntegralMultiplicity. frames
-    is a sequence of (n, k) frames or, with ks, a zero-padded (F, n, kmax)
-    stack whose frame i is its first ks[i] columns. Frames are checked as
-    many at a time as keep each temporary within HOMOMORPHISM_BATCH entries
-    (at least one frame)."""
-    coeffs, faults = _class_rows(action, table, frames, ks)
+    is a sequence of (n, k) frames. Frames are checked as many at a time as
+    keep each temporary within HOMOMORPHISM_BATCH entries (at least one
+    frame)."""
+    coeffs, faults = _class_rows(action, table, frames)
     return [f or VirtualRep(table, tuple(c))
             for f, c in zip(faults, coeffs.tolist())]
 
@@ -463,7 +460,9 @@ def _class_rows(action: OrthogonalAction, table: RealCharacterTable, frames,
                 ks: Sequence[int] | None = None
                 ) -> tuple[np.ndarray, list[SflowError | None]]:
     # subspace_classes as a (F, irreps) array of integer-valued coefficient
-    # rows, each meaningful only where its frame has no error
+    # rows, each meaningful only where its frame has no error; with ks,
+    # frames is a zero-padded (F, n, kmax) stack whose frame i is its first
+    # ks[i] columns
     chi, faults = _characters(action, frames, ks)
     try:
         coeffs, off = _multiplicities(chi, table)

@@ -30,10 +30,8 @@ from .groups import (
     phi_Z2,
 )
 from .operators import (
-    CLUSTER_FACTOR,
     CPS,
     OperatorPath,
-    _specnorm,
     block_spectrum,
     cluster_values,
     direct_sum_paths,
@@ -60,7 +58,7 @@ class LagrangianFrame:
         if f.ndim != 2 or f.shape[0] != 2 * f.shape[1]:
             raise NotLagrangian(f"frame shape {f.shape}, need (2m, m)")
         gram = f.T @ f - np.eye(f.shape[1])
-        if _specnorm(gram[None])[0] > ORTHONORMAL_TOL:
+        if opnorms_within(gram, ORTHONORMAL_TOL) > ORTHONORMAL_TOL:
             raise NotOrthonormal("frame columns are not orthonormal")
         if f.shape[1]:
             m = f.shape[1]
@@ -136,12 +134,10 @@ class WindowEigenvalue:
     vectors: np.ndarray
 
 
-def maslov_operator_spectrum(block: np.ndarray,
-                             tol_cluster: float = CLUSTER_FACTOR
-                             ) -> list[WindowEigenvalue]:
+def maslov_operator_spectrum(block: np.ndarray) -> list[WindowEigenvalue]:
     """Window spectrum of the boundary-value operator of one graph: exactly
     arctan of each block eigenvalue, multiplicities preserved."""
-    spec = block_spectrum(CPS(_symmetric(block)), tol_cluster)
+    spec = block_spectrum(CPS(_symmetric(block)))
     starts, values = cluster_values(spec.eigenvalues[None], np.array([spec.tol]))
     bounds = [*np.flatnonzero(starts[0]).tolist(), spec.eigenvalues.size]
     return [WindowEigenvalue(float(np.arctan(values[0, i])), j - i,

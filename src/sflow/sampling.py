@@ -71,25 +71,23 @@ def random_equivariant_symmetric(action: OrthogonalAction,
     return reynolds_symmetric(action, rng.standard_normal(shape))
 
 
-def clamp_spectrum(action: OrthogonalAction, block: np.ndarray,
-                   delta: float = CLAMP_DELTA) -> np.ndarray:
-    """Push eigenvalues in (-delta, delta) out to +-delta, zeros to +delta,
-    then re-average to scrub roundoff from the reconstruction. A (k, d, d)
-    stack is clamped in one eigensolve, each matrix as if alone."""
-    return _clamped(action, *jacobi_eigh(block), delta)
-
-
-def _clamped(action: OrthogonalAction, w: np.ndarray, v: np.ndarray,
-             delta: float) -> np.ndarray:
-    clamped = np.where(np.abs(w) >= delta, w, np.where(w >= 0.0, delta, -delta))
+def _clamped(action: OrthogonalAction, w: np.ndarray, v: np.ndarray
+             ) -> np.ndarray:
+    # push eigenvalues in (-CLAMP_DELTA, CLAMP_DELTA) out to +-CLAMP_DELTA,
+    # zeros to +CLAMP_DELTA, then re-average to scrub roundoff from the
+    # reconstruction; a (k, d, d) stack is clamped each matrix as if alone
+    clamped = np.where(np.abs(w) >= CLAMP_DELTA, w,
+                       np.where(w >= 0.0, CLAMP_DELTA, -CLAMP_DELTA))
     return reynolds_symmetric(action,
                               (v * clamped[..., None, :]) @ v.swapaxes(-1, -2))
 
 
 def random_equivariant_invertible(action: OrthogonalAction,
-                                  rng: np.random.Generator,
-                                  delta: float = CLAMP_DELTA) -> np.ndarray:
-    return clamp_spectrum(action, random_equivariant_symmetric(action, rng), delta)
+                                  rng: np.random.Generator) -> np.ndarray:
+    """Random symmetric block in the commutant with its spectrum clamped
+    out of (-CLAMP_DELTA, CLAMP_DELTA)."""
+    return _clamped(action,
+                    *jacobi_eigh(random_equivariant_symmetric(action, rng)))
 
 
 class PathDraws:
@@ -106,8 +104,8 @@ class PathDraws:
     are the case of one draw.
     """
 
-    def __init__(self, action: OrthogonalAction, delta: float = CLAMP_DELTA):
-        self.action, self.delta = action, delta
+    def __init__(self, action: OrthogonalAction):
+        self.action = action
         self._normals: list[np.ndarray] = []  # raw (k, d, d) draws in order
         self._rows = 0  # rows drawn so far
         self._solve: list[int] = []  # rows to solve, in order
@@ -185,7 +183,7 @@ class PathDraws:
                 return OperatorPath.affine(base, np.zeros_like(base), **tails)
             norm = float(np.abs(w[pair[1]]).max())
             if norm > 0.0:
-                bump = bump * ((0.4 * self.delta) / norm)
+                bump = bump * ((0.4 * CLAMP_DELTA) / norm)
             if scales is None:
                 return OperatorPath.affine(base, bump, **tails)
             return OperatorPath.piecewise_linear(
@@ -202,7 +200,7 @@ class PathDraws:
             return []
         avg = reynolds_symmetric(self.action, np.concatenate(self._normals))
         w, v, errors = eigh_each(avg[self._solve])
-        clamped = _clamped(self.action, w, v, self.delta)
+        clamped = _clamped(self.action, w, v)
         paths: list[OperatorPath | SflowError] = []
         for rows, build in self._builds:
             try:
@@ -223,13 +221,13 @@ def random_equivariant_path(action: OrthogonalAction,
                             rng: np.random.Generator, *,
                             plus_tail: bool = False, minus_tail: bool = False,
                             kind: str | None = None,
-                            start_block: np.ndarray | None = None,
-                            delta: float = CLAMP_DELTA) -> OperatorPath:
+                            start_block: np.ndarray | None = None
+                            ) -> OperatorPath:
     """Random equivariant path with invertible, well separated endpoints
     (PathDraws.equivariant): kind is "affine", "pl", or None for a coin
     flip, and start_block pins the initial block exactly, trusted to be
     equivariant and invertible."""
-    draws = PathDraws(action, delta)
+    draws = PathDraws(action)
     draws.equivariant(rng, plus_tail=plus_tail, minus_tail=minus_tail,
                       kind=kind, start=start_block)
     return _only(draws)
@@ -237,30 +235,30 @@ def random_equivariant_path(action: OrthogonalAction,
 
 def random_invertible_path(action: OrthogonalAction,
                            rng: np.random.Generator, *,
-                           plus_tail: bool = False, minus_tail: bool = False,
-                           delta: float = CLAMP_DELTA) -> OperatorPath:
+                           plus_tail: bool = False, minus_tail: bool = False
+                           ) -> OperatorPath:
     """Path invertible at every parameter (PathDraws.invertible)."""
-    draws = PathDraws(action, delta)
+    draws = PathDraws(action)
     draws.invertible(rng, plus_tail=plus_tail, minus_tail=minus_tail)
     return _only(draws)
 
 
-def reparametrize(path: OperatorPath, rng: np.random.Generator,
-                  n_interior: int = 3) -> OperatorPath:
+def reparametrize(path: OperatorPath, rng: np.random.Generator
+                  ) -> OperatorPath:
     """Run an affine path through a random monotone piecewise-linear change
     of parameter fixing 0 and 1. The image is the same operator family."""
     if path.kind != "affine":
         raise OutOfRange("only affine paths are reparametrized here")
-    return _reparametrized(path, _parameter_change(rng, n_interior))
+    return _reparametrized(path, _parameter_change(rng))
 
 
-def _parameter_change(rng: np.random.Generator, n_interior: int = 3
+def _parameter_change(rng: np.random.Generator
                       ) -> tuple[np.ndarray, np.ndarray]:
     # knots and their values of a random increasing piecewise-linear map of
-    # [0, 1] onto itself
-    gaps_t = rng.uniform(0.2, 1.0, size=n_interior + 1)
+    # [0, 1] onto itself, through three interior knots
+    gaps_t = rng.uniform(0.2, 1.0, size=4)
     knots = np.concatenate(([0.0], np.cumsum(gaps_t))) / np.sum(gaps_t)
-    gaps_v = rng.uniform(0.2, 1.0, size=n_interior + 1)
+    gaps_v = rng.uniform(0.2, 1.0, size=4)
     values = np.concatenate(([0.0], np.cumsum(gaps_v))) / np.sum(gaps_v)
     return knots, values
 

@@ -222,6 +222,38 @@ def test_section_is_equivariant():
     assert check_equivariance(CPS(sec.K), action) <= 1e-8
 
 
+def test_section_measures_its_antisymmetric_residual(monkeypatch):
+    # K is the symmetric part of S - M Q M', so the residual S - (M Q M' + K)
+    # is antisymmetric, and a symmetric solve of it would read 0 however
+    # large it is; it is measured as it is, against the bound of the block
+    # spectrum's norm, with the drift K + kernel projection
+    rng = np.random.default_rng(53)
+    u = haar_orthogonal(6, rng)
+    w = np.concatenate([[0.0], 1e6 * rng.uniform(-1.0, 1.0, 5)])
+    op = CPS(u @ np.diag(w) @ u.T, plus_tail=True, minus_tail=True)
+    seen = []
+    real = cogredient.opnorms_within
+
+    def recording(m, tol):
+        seen.append((np.array(m), tol))
+        return real(m, tol)
+
+    monkeypatch.setattr(cogredient, "opnorms_within", recording)
+    sec = pointwise_section(op)
+    (((residual, drift), tol),) = seen
+    want = op.block - (sec.M @ sec.Q.block @ sec.M.T + sec.K)
+    assert np.array_equal(residual, want)
+    assert np.linalg.norm(residual, 2) > 0.0
+    assert np.allclose(residual, -residual.T, rtol=0.0, atol=1e-12)
+    assert real(residual, 0.0) == np.linalg.norm(want, 2)
+    spec = operators.block_spectrum(op)
+    kernel = np.abs(spec.eigenvalues) <= spec.tol
+    assert sec.kernel_dim == kernel.sum() == 1
+    k0 = (spec.vectors * kernel) @ spec.vectors.T
+    assert np.array_equal(drift, sec.K + k0)
+    assert tol == RESIDUAL_FACTOR * (1.0 + spec.block_norm)
+
+
 def test_section_rejects_one_sided_operators():
     with pytest.raises(NotFSi):
         pointwise_section(CPS(np.eye(1)))
@@ -427,7 +459,7 @@ def _count_solves(monkeypatch):
         sizes.append(1 if np.ndim(blocks) == 2 else len(blocks))
         return real(blocks)
 
-    for module in (_eig, cogredient, operators):
+    for module in (_eig, operators):
         monkeypatch.setattr(module, "jacobi_eigh", counting)
     return sizes
 
