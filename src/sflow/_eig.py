@@ -1,10 +1,13 @@
-"""Kernels: the dense symmetric eigensolver, its error bound, two-norms.
+"""Kernels: the dense symmetric eigensolver, its error bound, two-norms,
+and a verified lower bound on the smallest eigenvalue.
 
 LAPACK's symmetric driver (through ``numpy.linalg.eigh``) computes the
 decomposition, and ``eigh_error`` turns its residual into a bound on the
 eigenvalue error that certificates add to their envelopes. Identical inputs
 give bit-identical output on the same machine and BLAS. The per-block
-fallback of a failed stack is ``operators.eigh_each``.
+fallback of a failed stack is ``operators.eigh_each``. ``cholesky_above``
+proves eigenvalues above a floor from one Cholesky factorization, without
+an eigensolve.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numpy as np
 from .errors import EigenFailure
 
 EPS = float(np.finfo(float).eps)
+ETA = float(np.finfo(float).smallest_subnormal)
 
 
 def jacobi_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,6 +134,72 @@ def opnorms_within(m: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
     if exact.any():
         norms[exact] = opnorms(m[exact])
     return norms
+
+
+def _cholesky_error(blocks: np.ndarray) -> np.ndarray:
+    # c of cholesky_above for each matrix of a (k, n, n) stack, rounded up:
+    # the relative (n + 8) eps covers the sums and products that form it
+    n = blocks.shape[-1]
+    diag = np.diagonal(blocks, axis1=1, axis2=2)
+    gamma = (n + 1) * EPS / (1.0 - (n + 1) * EPS)  # gamma_(2n+2)
+    c = (gamma / (1.0 - gamma) * np.maximum(diag, 0.0).sum(axis=1)
+         + 2 * n * (n * ETA + 2.0 * ETA * diag.max(axis=1, initial=1.0)))
+    return np.nextafter(c * (1.0 + (n + 8) * EPS), np.inf)
+
+
+def cholesky_above(blocks: np.ndarray, t: float | np.ndarray,
+                   f: float | np.ndarray) -> np.ndarray:
+    """Whether a Cholesky factorization proves every eigenvalue above t, for
+    each matrix of a (k, n, n) stack: a (k,) mask. Block i stands for every
+    symmetric matrix within Frobenius distance f[i] of the symmetric matrix
+    of its lower triangle; t >= 0 and f >= 0 broadcast over the stack. One
+    factorization of the stack decides, and only if numpy.linalg.cholesky
+    refuses it is each block factored alone. A block with a non-finite entry
+    is refused, an empty block is certified, and no eigenvalue is computed.
+
+    Proof. Let A be a block, u = eps / 2, gamma_m = m u / (1 - m u) and eta
+    the smallest subnormal. The factored matrix M is A with A_ii - s on the
+    diagonal, rounded down, where s >= t + c + f rounds both sums up and
+    c = g max(tr A, 0) + 2 n (n + 2 d) eta, g = gamma_(2n+2) / (1 -
+    gamma_(2n+2)) and d = max(1, A_11, ..., A_nn), is rounded up. So A - s I
+    = M + D with D diagonal and nonnegative, and lambda_min(A) >=
+    s + lambda_min(M). If potrf completes with a finite factor R, then
+    R'R = M + E with |E| <= gamma_(n+1) |R'| |R| + e (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.3), where e covers
+    gradual underflow: each product or quotient that underflows is off by at
+    most eta / 2, so an entry of e is at most (n + 2 d) eta, as R_ii <= 2 d.
+    gamma_(2n+2) in place of gamma_(n+1) leaves room for blocked and
+    recursive potrf, which may split an inner product into partial sums and
+    divide through a reciprocal. Then ||E||_2 <= gamma ||R||_F^2 + n max e,
+    and ||R||_F^2 = tr(M + E) <= tr M + gamma ||R||_F^2 + n max e, so
+    ||E||_2 <= g max(tr M, 0) + 2 n max e <= c, as tr M <= tr A (s > 0). R
+    has a positive diagonal, so R'R is positive definite and lambda_min(M)
+    > -||E||_2 >= -c, hence lambda_min(A) > s - c >= t + f (Rump,
+    Verification of positive definiteness, BIT 46, 2006). By Weyl's
+    inequality a matrix within Frobenius, and so two-norm, distance f of A
+    has every eigenvalue above t."""
+    blocks = np.asarray(blocks, dtype=float)
+    n = blocks.shape[-1]
+    ok = np.isfinite(blocks).all(axis=(1, 2))
+    if n == 0 or not ok.any():
+        return ok
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.nextafter(np.nextafter(t + _cholesky_error(blocks), np.inf)
+                         + f, np.inf)
+        m = blocks.copy()
+        at = np.arange(n)
+        m[:, at, at] = np.nextafter(blocks[:, at, at] - s[:, None], -np.inf)
+    try:
+        if ok.all() and np.isfinite(np.linalg.cholesky(m)).all():
+            return ok
+    except np.linalg.LinAlgError:
+        pass
+    for i in ok.nonzero()[0]:
+        try:
+            ok[i] = np.isfinite(np.linalg.cholesky(m[i])).all()
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return ok
 
 
 def block_diag(*mats: np.ndarray) -> np.ndarray:

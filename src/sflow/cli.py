@@ -70,9 +70,9 @@ OPTION_DEFAULTS = {
 # FlowOptions bounds max_depth. The caps bound what one job allocates: m adds
 # 2m rows and columns to the oracle's block and to each action matrix (2 MiB
 # plus 8 KiB per block row at 256), a cogredient stack holds `samples` path
-# blocks or 512 KiB, whichever is more, verify keeps up to six failure
-# witnesses per instance, and a group table is built and checked in time
-# cubic in its order, at most 2n
+# blocks, or 2 `samples` plus two per interior path knot in the cover grid,
+# verify keeps up to six failure witnesses per instance, and a group table
+# is built and checked in time cubic in its order, at most 2n
 _INT_RANGES = {"m": (0, 256), "seed": (0, math.inf), "samples": (2, 1024),
                "instances": (1, 1000), "n": (1, 128)}
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._eig import eigh_error, opnorms_within
+from ._eig import EPS, ETA, cholesky_above, eigh_error, opnorms_within
 from .errors import (
     CoverFailure,
     EigenFailure,
@@ -45,10 +45,6 @@ from .operators import (
 POSITIVITY_MARGIN = 1e-8
 RESIDUAL_FACTOR = 1e-9
 MIN_SINGULAR = 1e-10
-COVER_SUBSTEPS = 8
-# block entries per stacked cover solve (512 KiB of floats), unless the
-# anchors alone hold more
-COVER_CHUNK = 1 << 16
 
 
 def _residual_bound(norm: float | np.ndarray,
@@ -115,17 +111,18 @@ def _lowest(w: np.ndarray) -> np.ndarray:
     return w[:, 0] if w.shape[1] else np.ones(len(w))
 
 
-def _inv_sqrt(blocks: np.ndarray, margin: float) -> np.ndarray:
+def _inv_sqrt(blocks: np.ndarray,
+              margin: float) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric inverse square root of each positive definite matrix of a
-    (k, n, n) stack, from one stacked solve. The first matrix in order that
-    cannot be solved, or whose smallest eigenvalue is at most margin,
-    raises."""
+    (k, n, n) stack, from one stacked solve, with the (k, n) ascending
+    eigenvalues it was built from. The first matrix in order that cannot be
+    solved, or whose smallest eigenvalue is at most margin, raises."""
     w, v, errors = eigh_each(blocks)
     low = _lowest(w)
     _raise_first_fault(low <= margin, errors, lambda k: NotPositive(
         f"eigenvalue {float(low[k]):.3e} at or below margin {margin:.3e}"))
     out = (v / np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)
-    return 0.5 * out + 0.5 * out.swapaxes(1, 2)
+    return 0.5 * out + 0.5 * out.swapaxes(1, 2), w
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,7 @@ class Parametrix:
         sgn = float(self.sign)
         block = sgn * self.path.block_at(lam)
         k_blend = self._hat_blend(lam)
-        (m,) = _inv_sqrt((block - k_blend)[None], POSITIVITY_MARGIN)
+        (m,), _ = _inv_sqrt((block - k_blend)[None], POSITIVITY_MARGIN)
         k = m.T @ k_blend @ m
         k = sgn * (0.5 * k + 0.5 * k.T)
         return m, k
@@ -213,38 +210,53 @@ class Parametrix:
         return self.residual
 
 
-def _check_cover(path: OperatorPath, anchors: np.ndarray,
+def _check_cover(path: OperatorPath, anchors: np.ndarray, blocks: np.ndarray,
                  corrections: np.ndarray) -> None:
-    """Certify L_lam - K_j positive definite with Weyl slack across the hat
-    support of every anchor j. Positivity of both frozen neighbours on a
-    segment makes every hat blend on it positive too.
+    """Certify lambda_min(L(p) - K_j) > POSITIVITY_MARGIN across the hat
+    support of every anchor j, L(p) the path's block and blocks its stack at
+    the anchors. Positivity of both frozen neighbours on a segment makes
+    every hat blend on it, a convex combination, positive too.
 
-    The grid runs anchor by anchor. Its samples are solved in stacked
-    chunks built one at a time, each of as many blocks as there are anchors
-    or as fit in COVER_CHUNK entries, whichever is more, so a chunk is no
-    larger than the parametrix's own arrays or COVER_CHUNK floats. Each
-    chunk is checked by one mask, so the first failing sample in grid order
-    raises: its CoverFailure, or its EigenFailure if it cannot be solved."""
-    n = len(anchors)
-    chunk = max(n, COVER_CHUNK // max(1, corrections[0].size))
+    On each path piece p -> L(p) - K_j is affine, so its smallest eigenvalue
+    is concave there and least at a piece end. The grid is therefore, anchor
+    by anchor in increasing parameter, the support's two ends (anchor
+    blocks) and every path knot strictly inside it (the path's own sample):
+    at most 2 samples blocks plus two per interior knot. One cholesky_above
+    verdict decides it, where f bounds the rounding that formed each grid
+    block B as d times a bound on its entries' error: eps |B| for subtracting
+    K_j, and at an anchor off the knots 4 eps (|s_i| + |s_(i+1)|) + eta for
+    interpolating the samples s of its piece (or a and a + b of an affine
+    path), at most 8 eps max|s| + eta. Only the first refused sample in grid
+    order is solved: it raises its EigenFailure if it cannot be solved, else
+    a CoverFailure with its smallest eigenvalue."""
+    n, d = len(anchors), corrections.shape[-1]
     j = np.arange(n)
-    lo = anchors[np.maximum(j - 1, 0)]
-    step = (anchors[np.minimum(j + 1, n - 1)] - lo) / COVER_SUBSTEPS
-    slack = (path.lipschitz * step / 2.0).repeat(COVER_SUBSTEPS + 1)
-    lams = (lo[:, None] + np.arange(COVER_SUBSTEPS + 1)
-            * step[:, None]).reshape(-1)
-    owner = j.repeat(COVER_SUBSTEPS + 1)
-    for start in range(0, len(lams), chunk):
-        c = slice(start, start + chunk)
-        w, _, errors = eigh_each(path.blocks_at(lams[c])
-                                  - corrections[owner[c]])
-        low = _lowest(w)
-        _raise_first_fault(
-            low - slack[c] <= POSITIVITY_MARGIN, errors, lambda k: CoverFailure(
-                f"frozen split at anchor {float(anchors[owner[start + k]]):.6g}"
-                f" loses positivity near {float(lams[start + k]):.6g} "
-                f"(eigenvalue {float(low[k]):.3e}, slack "
-                f"{float(slack[start + k]):.3e}); refine samples"))
+    lo, hi = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
+    samples = path.blocks_at(path.knots)
+    inner = path.knots[1:-1]
+    first = inner.searchsorted(anchors[lo], side="right")
+    size = inner.searchsorted(anchors[hi], side="left") - first + 2
+    owner = j.repeat(size)
+    at = np.arange(owner.size) - (np.cumsum(size) - size)[owner]
+    # rows of the anchor blocks followed by the knot samples
+    row = n + first[owner] + at
+    row[at == 0] = lo
+    row[at == size[owner] - 1] = hi
+    grid = np.concatenate([blocks, samples])[row] - corrections[owner]
+    interp = 8.0 * EPS * np.abs(samples).max(initial=0.0) + ETA
+    f = d * (EPS * np.abs(grid).max(axis=(1, 2), initial=0.0)
+             + np.where(row < n, interp, 0.0))
+    refused = ~cholesky_above(grid, POSITIVITY_MARGIN, np.nextafter(f, np.inf))
+    if refused.any():
+        i = int(refused.argmax())
+        w, _, errors = eigh_each(grid[i:i + 1])
+        if errors:
+            raise errors[0]
+        lam = np.concatenate([anchors, path.knots])[row[i]]
+        raise CoverFailure(
+            f"frozen split at anchor {float(anchors[owner[i]]):.6g} loses "
+            f"positivity at {float(lam):.6g} (eigenvalue "
+            f"{float(_lowest(w)[0]):.3e}); refine samples")
 
 
 def parametrix_fs_plus(path: OperatorPath, samples: int = 17) -> Parametrix:
@@ -280,9 +292,9 @@ def _normal_form(path: OperatorPath, samples: int, source: OperatorPath,
     # between anchors cannot drag the frozen positive part below zero
     cut = np.maximum(2.0 * CLUSTER_FACTOR * (1.0 + norms), drift)
     corrections = _split_blocks(w, v, cut)[1]
-    _check_cover(path, anchors, corrections)
+    _check_cover(path, anchors, blocks, corrections)
 
-    m = _inv_sqrt(blocks - corrections, POSITIVITY_MARGIN)
+    m, w = _inv_sqrt(blocks - corrections, POSITIVITY_MARGIN)
     k = m.swapaxes(1, 2) @ corrections @ m
     k = 0.5 * k + 0.5 * k.swapaxes(1, 2)
     lambdas = tuple(anchors.tolist())
@@ -290,7 +302,7 @@ def _normal_form(path: OperatorPath, samples: int, source: OperatorPath,
     residual = _check_residual(
         path, lambdas, m, k, blocks, norms,
         m.swapaxes(1, 2) @ source.blocks_at(anchors) @ m
-        - (sign * np.eye(path.dim) + k_source))
+        - (sign * np.eye(path.dim) + k_source), 1.0 / np.sqrt(w[:, -1]))
     return Parametrix(sign=sign, lambdas=lambdas, M=tuple(m),
                       K=tuple(k_source), anchor_corrections=tuple(corrections),
                       path=source, residual=residual)
@@ -298,14 +310,16 @@ def _normal_form(path: OperatorPath, samples: int, source: OperatorPath,
 
 def _check_residual(path: OperatorPath, lambdas: tuple[float, ...],
                     m: np.ndarray, k: np.ndarray, b: np.ndarray,
-                    norms: np.ndarray, reported: np.ndarray
-                    ) -> float | EigenFailure:
+                    norms: np.ndarray, reported: np.ndarray,
+                    smallest: np.ndarray) -> float | EigenFailure:
     """Check each sample's residual M' L M - (I + K) against its bound, then
     the smallest singular value of its M, by masks over the stack, so the
     first failing sample in order raises. b holds the path's blocks at the
     samples (exactly symmetric) and norms their two-norms from the anchor
     solve: each path.at(lam).block is the symmetric part of b, whose
-    eigensolve is that anchor solve, bit for bit.
+    eigensolve is that anchor solve, bit for bit. M is the inverse square
+    root of a matrix with eigenvalues w, so smallest, its least singular
+    value, is 1 / sqrt(max w).
 
     Returns the worst two-norm of the reported residual matrices, or the
     EigenFailure of the first that cannot be solved. They are solved in the
@@ -321,7 +335,6 @@ def _check_residual(path: OperatorPath, lambdas: tuple[float, ...],
     norm = np.abs(w).max(axis=1, initial=0.0)
     res = norm[:len(b)]
     bound = _residual_bound(norms, path.tails)
-    smallest = np.linalg.svd(m, compute_uv=False)[:, -1]
     too_large = res > bound
 
     def fault(i: int) -> Exception:

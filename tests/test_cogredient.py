@@ -6,8 +6,6 @@ import pytest
 from sflow import _eig, cogredient, operators
 from sflow._eig import EPS, eigh_error, jacobi_eigh
 from sflow.cogredient import (
-    COVER_CHUNK,
-    COVER_SUBSTEPS,
     MIN_SINGULAR,
     POSITIVITY_MARGIN,
     RESIDUAL_FACTOR,
@@ -291,21 +289,20 @@ def _ref_inv_sqrt(block, margin):
 
 
 def _ref_cover(path, anchors, corrections):
-    lip = path.lipschitz
+    # anchor by anchor, the two ends of the hat support and the path knots
+    # strictly inside it, in increasing parameter, one eigensolve each
     for j, k_j in enumerate(corrections):
         lo = anchors[max(j - 1, 0)]
         hi = anchors[min(j + 1, len(anchors) - 1)]
-        step = (hi - lo) / COVER_SUBSTEPS
-        slack = lip * step / 2.0
-        for i in range(COVER_SUBSTEPS + 1):
-            lam = lo + i * step
+        inner = [x for x in path.knots.tolist() if lo < x < hi]
+        for lam in [lo, *inner, hi]:
             w, _ = jacobi_eigh(path.block_at(lam) - k_j)
             low = float(w[0]) if w.size else 1.0
-            if low - slack <= POSITIVITY_MARGIN:
+            if low <= POSITIVITY_MARGIN:
                 raise CoverFailure(
                     f"frozen split at anchor {anchors[j]:.6g} loses "
-                    f"positivity near {lam:.6g} (eigenvalue {low:.3e}, "
-                    f"slack {slack:.3e}); refine samples")
+                    f"positivity at {lam:.6g} (eigenvalue {low:.3e}); "
+                    "refine samples")
 
 
 def _ref_parametrix(path, samples):
@@ -405,7 +402,7 @@ def test_stacked_parametrix_fails_as_one_sample_at_a_time(entry, tails):
 
 def test_late_cover_failure_names_the_first_failing_sample():
     # flat until 0.9, then the eigenvalue drops through zero: the cover fails
-    # near the end of the grid, in a later stacked chunk than the first
+    # near the end of the grid, first at the support end 15/16 of anchor 14/16
     p = OperatorPath.piecewise_linear([0.0, 0.9, 1.0],
                                       [np.eye(2), np.eye(2),
                                        np.diag([-3.0, 1.0])], plus_tail=True)
@@ -414,16 +411,35 @@ def test_late_cover_failure_names_the_first_failing_sample():
     with pytest.raises(CoverFailure) as info:
         parametrix(p, 17)
     assert str(info.value) == want[1]
-    anchor = float(want[1].split("anchor ")[1].split()[0])
-    assert anchor > 2.0 / 16  # past the anchors of the first chunk
+    assert "anchor 0.875 loses positivity at 0.9375 " in want[1]
+
+
+def test_cover_failure_at_an_interior_knot_names_the_knot():
+    # a dip to -1 at the knot 0.3, with every anchor block the identity: the
+    # frozen corrections are zero, and only the knot inside the supports of
+    # anchors 0.25 and 0.5 is not positive
+    knots = [0.0, 0.29, 0.3, 0.31, 1.0]
+    samples = [np.eye(1)] * 2 + [-np.eye(1)] + [np.eye(1)] * 2
+    p = OperatorPath.piecewise_linear(knots, samples, plus_tail=True)
+    want = _outcome(lambda: _ref_parametrix(p, 5))
+    assert want[0] == "CoverFailure"
+    with pytest.raises(CoverFailure) as info:
+        parametrix(p, 5)
+    assert str(info.value) == want[1]
+    assert str(info.value).startswith(
+        "frozen split at anchor 0.25 loses positivity at 0.3 (eigenvalue "
+        "-1.000e+00)")
 
 
 class _StubPath:
     """Cover-check input with one unsolvable sample: the block is the scalar
-    value of the parameter, NaN at bad, and 0 (failing the cover) at low."""
+    1, NaN at bad, and 0 (failing the cover) at low, with one interior knot
+    at 1/8."""
+
+    knots = np.array([0.0, 0.125, 1.0])
 
     def __init__(self, bad, low):
-        self.bad, self.low, self.lipschitz = bad, low, 0.0
+        self.bad, self.low = bad, low
 
     def block_at(self, lam):
         if lam == self.bad:
@@ -434,10 +450,10 @@ class _StubPath:
         return np.stack([self.block_at(lam) for lam in lams])
 
 
-# with 5 anchors the grid runs 0, 1/32, ..., 7/32, 1/4 around anchor 0, and
-# its 7th and 8th samples sit in the same stacked chunk
-@pytest.mark.parametrize("bad, low, raised", [(0.25, 0.21875, CoverFailure),
-                                              (0.21875, 0.25, EigenFailure)])
+# with 5 anchors the grid runs 0, 1/8, 1/4 around anchor 0, then 0, 1/8, 1/2
+# around anchor 1/4, all in one stacked factorization
+@pytest.mark.parametrize("bad, low, raised", [(0.25, 0.125, CoverFailure),
+                                              (0.25, 0.5, EigenFailure)])
 def test_unsolvable_sample_does_not_preempt_an_earlier_cover_failure(
         bad, low, raised):
     anchors = np.linspace(0.0, 1.0, 5)
@@ -446,7 +462,7 @@ def test_unsolvable_sample_does_not_preempt_an_earlier_cover_failure(
     want = _outcome(lambda: _ref_cover(stub, anchors, corrections))
     assert want[0] == raised.__name__
     with pytest.raises(raised) as info:
-        _check_cover(stub, anchors, corrections)
+        _check_cover(stub, anchors, stub.blocks_at(anchors), corrections)
     assert str(info.value) == want[1]
 
 
@@ -481,40 +497,43 @@ def _cover_solves(monkeypatch):
 
 
 @pytest.mark.parametrize("samples", [33, 64, 100])
-def test_cover_check_solves_in_chunks_of_at_most_samples(samples, monkeypatch):
-    # 48 x 48 blocks: COVER_CHUNK entries hold 28 of them, fewer than the
-    # anchors, so each chunk holds as many blocks as there are anchors
-    dim = 48
-    assert COVER_CHUNK // dim ** 2 < samples
-    p = OperatorPath.affine(np.diag(np.tile([-3.0, 2.0], dim // 2)),
-                            np.diag(np.tile([6.0, 1.0], dim // 2)),
-                            plus_tail=True)
+@pytest.mark.parametrize("dim, knots", [(2, []), (48, []), (2, [0.3, 0.7]),
+                                        (48, [0.3, 0.7])])
+def test_cover_grid_is_one_factorization_and_no_solve(samples, dim, knots,
+                                                      monkeypatch):
+    # the grid holds the two ends of every hat support and each knot strictly
+    # inside one; 0.3 and 0.7 fall between anchors, so each lies inside two
+    # supports. A grid that certifies is one stacked factorization of
+    # 2 samples + 2 x interior knots blocks and takes no eigensolve, and no
+    # other stack is larger than the anchors
+    lo = np.diag(np.tile([-3.0, 2.0], dim // 2))
+    hi = lo + np.diag(np.tile([6.0, 1.0], dim // 2))
+    ts = [0.0, *knots, 1.0]
+    p = OperatorPath.piecewise_linear(
+        ts, [(1.0 - t) * lo + t * hi for t in ts], plus_tail=True)
     in_cover, sizes = _cover_solves(monkeypatch)
+    factored = []
+    real = np.linalg.cholesky
+
+    def counting(m):
+        factored.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
     parametrix(p, samples=samples)
-    assert in_cover == [samples] * (COVER_SUBSTEPS + 1)
+    assert factored == [(2 * samples + 2 * len(knots), dim, dim)]
+    assert in_cover == []
     assert max(sizes) <= samples
-
-
-@pytest.mark.parametrize("samples", [33, 64, 100])
-def test_cover_grid_of_small_blocks_takes_one_solve(samples, monkeypatch):
-    # 2 x 2 blocks: the whole grid of samples x (COVER_SUBSTEPS + 1) blocks
-    # fits in COVER_CHUNK entries, 512 KiB of floats
-    p = OperatorPath.affine(np.diag([-3.0, 2.0]), np.diag([6.0, 1.0]),
-                            plus_tail=True)
-    in_cover, _ = _cover_solves(monkeypatch)
-    parametrix(p, samples=samples)
-    assert in_cover == [samples * (COVER_SUBSTEPS + 1)]
-    assert 4 * in_cover[0] <= COVER_CHUNK
 
 
 @pytest.mark.parametrize("tails, negated", [({"plus_tail": True}, 0),
                                             ({"minus_tail": True}, 1)])
 def test_normal_form_makes_a_fixed_number_of_solves(tails, negated,
                                                     monkeypatch):
-    # anchors 1 (their norms serve the residual bounds), cover 1, inverse
-    # roots 1, residual check 1 (max_residual reports its worst residual),
-    # the samples of the flow class 1, and the negated path's Lipschitz
-    # bound on the negative side
+    # anchors 1 (their norms serve the residual bounds), inverse roots 1,
+    # residual check 1 (max_residual reports its worst residual), the
+    # samples of the flow class 1, and the negated path's Lipschitz bound on
+    # the negative side; the cover is a factorization, not a solve
     rng = np.random.default_rng(5)
     table, action = preset_action("cyclic", 2, 3, rng)
     p = random_equivariant_path(action, rng, kind="pl", **tails)
@@ -526,7 +545,7 @@ def test_normal_form_makes_a_fixed_number_of_solves(tails, negated,
         px.max_residual()
         px.flow_class(action, table)
         counts.append(len(sizes))
-    assert counts[0] == counts[1] == 5 + negated
+    assert counts[0] == counts[1] == 4 + negated
 
 
 def test_anchor_norms_are_the_bits_of_the_checked_blocks_norms(monkeypatch):
@@ -537,9 +556,9 @@ def test_anchor_norms_are_the_bits_of_the_checked_blocks_norms(monkeypatch):
     seen = []
     real = cogredient._check_residual
 
-    def check(path, lambdas, m, k, b, norms, reported):
+    def check(path, lambdas, m, k, b, norms, reported, smallest):
         seen.append((b, norms))
-        return real(path, lambdas, m, k, b, norms, reported)
+        return real(path, lambdas, m, k, b, norms, reported, smallest)
 
     monkeypatch.setattr(cogredient, "_check_residual", check)
     for dim in (1, 2, 3, 4):
@@ -572,9 +591,9 @@ def test_worst_residual_is_solved_with_the_check(tails, monkeypatch):
     sizes = _count_solves(monkeypatch)
     px = parametrix(p, samples=5)
     worst = px.max_residual()
-    # anchors, cover, inverse roots and residual check, and the negated
-    # path's Lipschitz bound on the negative side
-    assert len(sizes) == 4 + (sign < 0)
+    # anchors, inverse roots and residual check, and the negated path's
+    # Lipschitz bound on the negative side
+    assert len(sizes) == 3 + (sign < 0)
     assert sizes[-1] == 2 * 5
     assert worst == _ref_parametrix(p, 5)[3]
 
@@ -582,9 +601,9 @@ def test_worst_residual_is_solved_with_the_check(tails, monkeypatch):
 # --- masked checks against a per-sample loop ------------------------------------
 
 
-def _ref_check_residual(lambdas, m, k, b, norms, tails):
+def _ref_check_residual(lambdas, m, k, b, norms, tails, smallest):
     # the residual checks one sample at a time, in order
-    for lam, mj, kj, bj, norm in zip(lambdas, m, k, b, norms):
+    for lam, mj, kj, bj, norm, sv in zip(lambdas, m, k, b, norms, smallest):
         res = _ref_norm(mj.T @ (0.5 * bj + 0.5 * bj.T) @ mj
                         - (np.eye(len(mj)) + kj))
         bound = RESIDUAL_FACTOR * (1.0 + (max(norm, 1.0) if any(tails)
@@ -592,7 +611,6 @@ def _ref_check_residual(lambdas, m, k, b, norms, tails):
         if res > bound:
             raise ResidualTooLarge(
                 f"residual {res:.3e} at sample {lam} exceeds {bound:.3e}")
-        sv = float(np.linalg.svd(mj, compute_uv=False)[-1])
         if sv <= MIN_SINGULAR:
             raise NotPositive(f"M at sample {lam} has singular value "
                               f"{sv:.3e}")
@@ -623,14 +641,17 @@ def test_masked_residual_check_fails_as_the_loop(first, second):
     m, k, b = (np.array(x) for x in zip(*(_SAMPLES[s] for s in order)))
     lambdas = tuple(np.linspace(0.0, 1.0, len(order)).tolist())
     norms = np.array([1.0, 2.0, 0.5, 3.0, 1.0])
+    # M is the inverse root of a matrix with eigenvalues w: its smallest
+    # singular value, 1 / sqrt(max w), is passed in
+    smallest = np.linalg.svd(m, compute_uv=False)[:, -1]
     want = _outcome(lambda: _ref_check_residual(lambdas, m, k, b, norms,
-                                                _TailsOnly.tails))
+                                                _TailsOnly.tails, smallest))
     assert want[0] == {"residual": "ResidualTooLarge",
                        "singular": "NotPositive",
                        "unsolvable": "EigenFailure"}[first]
     checked = m.swapaxes(1, 2) @ b @ m - (np.eye(2) + k)
     got = _outcome(lambda: cogredient._check_residual(
-        _TailsOnly(), lambdas, m, k, b, norms, checked))
+        _TailsOnly(), lambdas, m, k, b, norms, checked, smallest))
     assert got == want
 
 
@@ -650,5 +671,5 @@ def test_masked_inverse_roots_fail_as_the_loop(first, second):
     got = _outcome(lambda: cogredient._inv_sqrt(blocks, POSITIVITY_MARGIN))
     assert got == want
     good = blocks[[0, 3]]
-    assert _same_bits(cogredient._inv_sqrt(good, POSITIVITY_MARGIN),
+    assert _same_bits(cogredient._inv_sqrt(good, POSITIVITY_MARGIN)[0],
                       _ref_inv_sqrt_each(good, POSITIVITY_MARGIN))

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sflow import jacobi_eigh, operators
-from sflow._eig import EPS, eigh_error, opnorms, opnorms_within
+from sflow._eig import (
+    EPS,
+    _cholesky_error,
+    cholesky_above,
+    eigh_error,
+    opnorms,
+    opnorms_within,
+)
 from sflow.errors import (
     BoundaryHit,
     DimensionMismatch,
@@ -238,6 +245,72 @@ def test_eigh_error_stays_finite_and_an_upper_bound_on_subnormal_input():
         assert (np.max(np.abs(np.ldexp(w, 1074) - np.linalg.eigvalsh(k)))
                 <= np.ldexp(err, 1074))
     assert 1e-323 <= lipschitz < 1e-300
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+def test_cholesky_above_decides_at_the_known_smallest_eigenvalue(n, scale):
+    # a floor one ulp above the smallest eigenvalue is never certified; one
+    # 2c below it always is, c the kernel's own bound on the factorization's
+    # backward error, and so is one 4c below from within Frobenius distance c
+    a, exact = _toeplitz(n)
+    block = (scale * a)[None]
+    low = scale * exact[0]
+    c = _cholesky_error(block)[0]
+    assert 0.0 < c <= 1e-12 * scale
+    assert not cholesky_above(block, np.nextafter(low, np.inf), 0.0)[0]
+    assert cholesky_above(block, low - 2.0 * c, 0.0)[0]
+    assert cholesky_above(block, low - 4.0 * c, c)[0]
+    assert not cholesky_above(block, low - 2.0 * c, 2.0 * c)[0]
+
+
+def test_cholesky_above_on_empty_non_finite_and_subnormal_blocks():
+    assert cholesky_above(np.zeros((3, 0, 0)), 1.0, 0.0).tolist() == [True] * 3
+    assert cholesky_above(np.zeros((0, 2, 2)), 0.0, 0.0).shape == (0,)
+    # a factorization of [[inf]] completes, and one reads a single triangle,
+    # so non-finite blocks are refused before it
+    bad = np.array([np.eye(2)] * 5)
+    bad[0, 0, 1] = bad[0, 1, 0] = np.nan
+    bad[2, 1, 1] = np.inf
+    bad[3, 0, 0] = -np.inf
+    bad[4, 0, 1] = np.inf
+    assert cholesky_above(bad, 0.0, 0.0).tolist() == [False, True, False,
+                                                      False, False]
+    # a diagonal of subnormals 2^-1060 = 2^14 eta is certified above 0, as
+    # c is a few eta; a floor or a distance at that eigenvalue is not
+    tiny = np.ldexp(np.eye(3), -1060)[None]
+    assert _cholesky_error(tiny)[0] < np.ldexp(1.0, -1066)
+    assert cholesky_above(tiny, 0.0, 0.0)[0]
+    assert not cholesky_above(-tiny, 0.0, 0.0)[0]
+    assert not cholesky_above(tiny, np.ldexp(1.0, -1060), 0.0)[0]
+    assert not cholesky_above(tiny, 0.0, np.ldexp(1.0, -1060))[0]
+
+
+def test_cholesky_above_gives_each_block_its_own_verdict(monkeypatch):
+    # one block of five has its smallest eigenvalue below the floor: the
+    # stacked factorization is refused, and each block is then factored
+    # alone, one floor and one distance per block
+    a, exact = _toeplitz(4)
+    stack = np.array([a, a, a - 2.0 * exact[0] * np.eye(4), a, 1e6 * a])
+    calls = []
+    real = np.linalg.cholesky
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    assert cholesky_above(stack, 0.0, 0.0).tolist() == [True, True, False,
+                                                        True, True]
+    assert calls == [(5, 4, 4)] + [(4, 4)] * 5
+    good = stack[[0, 1, 3, 4]]
+    floor = np.array([0.0, exact[0], 0.0, 0.0])
+    dist = np.array([0.0, 0.0, exact[0], 0.0])
+    assert cholesky_above(good, floor, dist).tolist() == [True, False, False,
+                                                          True]
+    calls.clear()
+    assert cholesky_above(good, 0.0, 0.0).all()
+    assert calls == [(4, 4, 4)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
