@@ -101,29 +101,17 @@ def eigh_error(block: np.ndarray, w: np.ndarray,
     return err
 
 
-def opnorms(m: np.ndarray) -> np.ndarray:
-    """Two-norm of each matrix in a (..., r, c) stack, from one batched SVD.
-    Zero-size matrices have norm 0, and a matrix with a non-finite entry,
-    such as a product that overflowed, has norm inf."""
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return np.zeros(m.shape[:-2])
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    if finite.all():
-        return np.linalg.norm(m, 2, axis=(-2, -1))
-    out = np.full(finite.shape, np.inf)
-    out[finite] = opnorms(m[finite])
-    return out
-
-
 def opnorms_within(m: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
-    """opnorms of a (..., r, c) stack as far as each is compared with its tol
-    (broadcast over the stack): an entry is <= tol exactly when its opnorms
-    value is, and every entry above tol is that exact value. ||X||_2 <=
-    ||X||_F (Golub & Van Loan, Matrix Computations, 2.3), so only matrices
-    whose Frobenius norm, rounded up by 1 + 4 (r c + 2) eps, exceeds tol get
-    an SVD. That factor covers the rounding of the r c squares summed and of
-    the square root, and LAPACK's SVD error, a modest multiple of eps."""
+    """Two-norm of each matrix of a (..., r, c) stack as far as it is
+    compared with its tol (broadcast over the stack): an entry is <= tol
+    exactly when the two-norm is, and every entry above tol is the two-norm
+    itself, from one batched SVD. Zero-size matrices have norm 0, and a
+    matrix with a non-finite entry, such as a product that overflowed, has
+    norm inf. ||X||_2 <= ||X||_F (Golub & Van Loan, Matrix Computations,
+    2.3), so only matrices whose Frobenius norm, rounded up by 1 + 4 (r c +
+    2) eps, exceeds tol get an SVD. That factor covers the rounding of the
+    r c squares summed and of the square root, and LAPACK's SVD error, a
+    modest multiple of eps."""
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return np.zeros(m.shape[:-2])
@@ -132,7 +120,10 @@ def opnorms_within(m: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
         norms *= 1.0 + 4 * (m.shape[-1] * m.shape[-2] + 2) * EPS
     exact = ~(norms <= tol)  # NaN fails the screen
     if exact.any():
-        norms[exact] = opnorms(m[exact])
+        norms[exact] = np.inf
+        exact &= np.isfinite(m).all(axis=(-2, -1))
+        if exact.any():
+            norms[exact] = np.linalg.norm(m[exact], 2, axis=(-2, -1))
     return norms
 
 
@@ -203,12 +194,13 @@ def cholesky_above(blocks: np.ndarray, t: float | np.ndarray,
 
 
 def block_diag(*mats: np.ndarray) -> np.ndarray:
-    """Matrix with the given matrices along its diagonal and zeros elsewhere."""
-    out = np.zeros((sum(m.shape[0] for m in mats),
-                    sum(m.shape[1] for m in mats)))
+    """Matrix with the given matrices along its diagonal and zeros elsewhere;
+    given (k, n, n) stacks, and matrices that join each of their k, a stack."""
+    out = np.zeros(np.broadcast_shapes(*(m.shape[:-2] for m in mats))
+                   + (sum(m.shape[-2] for m in mats),
+                      sum(m.shape[-1] for m in mats)))
     r = c = 0
     for m in mats:
-        out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        r, c = r + m.shape[0], c + m.shape[1]
+        out[..., r:r + m.shape[-2], c:c + m.shape[-1]] = m
+        r, c = r + m.shape[-2], c + m.shape[-1]
     return out
-

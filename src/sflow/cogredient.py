@@ -35,6 +35,7 @@ from .operators import (
     INVERT_FACTOR,
     FSComponent,
     OperatorPath,
+    _finite,
     _negative_classes,
     block_spectrum,
     eigh_each,
@@ -169,9 +170,8 @@ class Parametrix:
         endpoints are the exact congruence images of the path's endpoints,
         which is all the flow of a one-sided path depends on."""
         samples = self.sign * np.eye(self.path.dim) + np.array(self.K)
-        return OperatorPath.piecewise_linear(self.lambdas, samples,
-                                             plus_tail=self.path.plus_tail,
-                                             minus_tail=self.path.minus_tail)
+        return OperatorPath._through(np.array(self.lambdas), _finite(samples),
+                                     self.path.tails)
 
     def flow_class(self, action: OrthogonalAction, table: RealCharacterTable,
                    *, tol_cluster: float = CLUSTER_FACTOR,
@@ -302,7 +302,8 @@ def _normal_form(path: OperatorPath, samples: int, source: OperatorPath,
     residual = _check_residual(
         path, lambdas, m, k, blocks, norms,
         m.swapaxes(1, 2) @ source.blocks_at(anchors) @ m
-        - (sign * np.eye(path.dim) + k_source), 1.0 / np.sqrt(w[:, -1]))
+        - (sign * np.eye(path.dim) + k_source),
+        (1.0 / np.sqrt(w[:, -1:])).min(axis=1, initial=np.inf))
     return Parametrix(sign=sign, lambdas=lambdas, M=tuple(m),
                       K=tuple(k_source), anchor_corrections=tuple(corrections),
                       path=source, residual=residual)
@@ -319,7 +320,7 @@ def _check_residual(path: OperatorPath, lambdas: tuple[float, ...],
     solve: each path.at(lam).block is the symmetric part of b, whose
     eigensolve is that anchor solve, bit for bit. M is the inverse square
     root of a matrix with eigenvalues w, so smallest, its least singular
-    value, is 1 / sqrt(max w).
+    value, is 1 / sqrt(max w), and inf for a 0 x 0 M.
 
     Returns the worst two-norm of the reported residual matrices, or the
     EigenFailure of the first that cannot be solved. They are solved in the

@@ -152,12 +152,7 @@ class _Eigendata:
 
     def __init__(self, paths: Sequence[OperatorPath], tol_cluster: float):
         self.paths, self.tol_cluster = list(paths), tol_cluster
-        # the blocks of OperatorPaths are interpolated together; any other
-        # path object gives its own
-        self.own = np.array([not isinstance(p, OperatorPath) for p in paths])
-        self.stack = (None if self.own.all() else PathStack(
-            [p for p, own in zip(paths, self.own) if not own]))
-        self.place = np.cumsum(~self.own) - 1
+        self.stack = PathStack(self.paths)
         self.size, self.errors = 0, {}
         self._grow(16 + 8 * len(self.paths))
 
@@ -178,18 +173,14 @@ class _Eigendata:
         together and solved in one stacked eigensolve; a block that fails
         to solve fails alone (eigendata_each).
 
-        The piece differences of the OperatorPaths of speeds_of whose speeds
-        are not solved yet join that eigensolve as they are (symmetrizing
-        them again would change the bits of subnormal entries), and each
-        path whose differences all solve gets the speeds of its own solve,
-        their _norm_bound over its knot gaps."""
-        b = (self.stack.blocks(self.place[which], lams) if self.stack
-             else np.empty((len(lams),) + self.blocks.shape[1:]))
-        for j in self.own[which].nonzero()[0].tolist():
-            b[j] = self.paths[which[j]].blocks_at([lams[j]])[0]
+        The piece differences of the paths of speeds_of whose speeds are not
+        solved yet join that eigensolve as they are (symmetrizing them again
+        would change the bits of subnormal entries), and each path whose
+        differences all solve gets the speeds of its own solve, their
+        _norm_bound over its knot gaps."""
+        b = self.stack.blocks(which, lams)
         b = 0.5 * b + 0.5 * b.swapaxes(1, 2)
-        unsolved = list({id(p): p for p in speeds_of if isinstance(
-            p, OperatorPath) and p._speeds is None}.values())
+        unsolved = list({id(p): p for p in speeds_of if p._speeds is None}.values())
         start, k = self.size, len(b)
         if start + k > len(self.ok):
             self._grow(max(2 * len(self.ok), start + k))
@@ -704,7 +695,7 @@ def morse_oracle_sfl_G(path: OperatorPath, action: OrthogonalAction,
     """
     opts = opts or FlowOptions()
     tail = compression_tail(path, m)
-    blocks = np.array([block_diag(b, tail) for b in path.blocks_at([0.0, 1.0])])
+    blocks = block_diag(path.blocks_at([0.0, 1.0]), tail)
     start, end = morse_classes(blocks, action.extended(len(tail)), table,
                                tol_cluster=opts.tol_cluster,
                                tol_invert=opts.tol_invert)

@@ -296,15 +296,13 @@ class OperatorPath:
                          plus_tail: bool = False,
                          minus_tail: bool = False) -> "OperatorPath":
         """Path interpolating the given blocks linearly between knots."""
-        self = cls._new()
         knots = np.asarray([float(k) for k in knots])
         if knots.ndim != 1 or knots.size < 2:
             raise OutOfRange("need at least the two endpoint knots")
         if abs(knots[0]) > 1e-12 or abs(knots[-1] - 1.0) > 1e-12:
             raise OutOfRange(f"knots must run from 0 to 1, got {knots[0]}..{knots[-1]}")
         knots[0], knots[-1] = 0.0, 1.0
-        if np.any(np.diff(knots) <= 0):
-            raise OutOfRange("knots must be strictly increasing")
+        _increasing(knots)
         if len(samples) != knots.size:
             raise DimensionMismatch(f"{len(samples)} samples for {knots.size} knots")
         try:
@@ -320,25 +318,30 @@ class OperatorPath:
                 if m.shape != (dim, dim):
                     raise DimensionMismatch(f"sample {i} has shape {m.shape}, "
                                             f"expected ({dim}, {dim})")
-            stack = np.stack(mats)
-        else:
-            stack = 0.5 * stack + 0.5 * stack.swapaxes(1, 2)
-        dim = stack.shape[1]
+            stack = np.array([np.asarray(s, dtype=float) for s in samples])
+        return cls._through(knots, _finite(stack), (plus_tail, minus_tail))
+
+    @classmethod
+    def _through(cls, knots: np.ndarray, samples: np.ndarray,
+                 tails: tuple[bool, bool]) -> "OperatorPath":
+        """Path through the symmetric parts of a finite (k, d, d) stack at k
+        strictly increasing knots from exactly 0 to 1, checking only their
+        differences. A derived path passes what its piecewise_linear call
+        would get: a second symmetrization rounds odd subnormal entries."""
+        stack = 0.5 * samples + 0.5 * samples.swapaxes(1, 2)  # cannot overflow
+        with np.errstate(over="ignore"):
+            diffs = stack[1:] - stack[:-1]
+        if not np.isfinite(diffs).all():
+            raise EigenFailure("block has non-finite entries")
+        self = cls._new()
         self.kind = "piecewise_linear"
         self.mat_a = None
         self.mat_b = None
         self.knots = knots
         self._stack = stack
         self.samples = tuple(stack)
-        self.plus_tail = bool(plus_tail)
-        self.minus_tail = bool(minus_tail)
-        self.dim = dim
-        if not np.isfinite(stack).all():  # and from the sample differences
-            raise OutOfRange("samples have non-finite entries")
-        with np.errstate(over="ignore"):
-            diffs = stack[1:] - stack[:-1]
-        if not np.isfinite(diffs).all():  # as solving its speed would raise
-            raise EigenFailure("block has non-finite entries")
+        self.plus_tail, self.minus_tail = map(bool, tails)
+        self.dim = stack.shape[1]
         self._diffs, self._speeds = diffs, None
         return self
 
@@ -472,6 +475,19 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * m.T
 
 
+def _finite(stack: np.ndarray) -> np.ndarray:
+    if not np.isfinite(stack).all():
+        raise OutOfRange("samples have non-finite entries")
+    return stack
+
+
+def _increasing(knots: np.ndarray) -> np.ndarray:
+    # a knot computed from valid ones (k / 2, 1 - k) can round onto another
+    if np.any(np.diff(knots) <= 0):
+        raise OutOfRange("knots must be strictly increasing")
+    return knots
+
+
 def direct_sum(a: CPS, b: CPS) -> CPS:
     """Block-diagonal join; tail flags are merged."""
     return CPS(block_diag(a.block, b.block), plus_tail=a.plus_tail or b.plus_tail,
@@ -487,9 +503,9 @@ def direct_sum_paths(p: OperatorPath, q: OperatorPath) -> OperatorPath:
                                    block_diag(p.mat_b, q.mat_b),
                                    plus_tail=plus, minus_tail=minus)
     ts = np.unique(np.concatenate([p.knots, q.knots]))
-    samples = [block_diag(a, b) for a, b in zip(p.blocks_at(ts), q.blocks_at(ts))]
-    return OperatorPath.piecewise_linear(ts, samples, plus_tail=plus,
-                                         minus_tail=minus)
+    with np.errstate(over="ignore"):  # an overflowed block is refused
+        stack = block_diag(p.blocks_at(ts), q.blocks_at(ts))
+    return OperatorPath._through(ts, _finite(stack), (plus, minus))
 
 
 def concatenate(p: OperatorPath, q: OperatorPath) -> OperatorPath:
@@ -499,29 +515,27 @@ def concatenate(p: OperatorPath, q: OperatorPath) -> OperatorPath:
         raise TailMismatch(f"tails {p.tails} vs {q.tails}")
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimensions {p.dim} and {q.dim} differ")
-    end, start = p.block_at(1.0), q.block_at(0.0)
-    if not np.array_equal(end, start):  # equal blocks are 0 apart
-        (junction_gap,) = _specnorm((end - start)[None])
+    with np.errstate(over="ignore"):  # an overflowed block is refused
+        ps, qs = (x.blocks_at(x.knots) if x.kind == "affine" else x._stack
+                  for x in (p, q))
+    if not np.array_equal(ps[-1], qs[0]):  # equal blocks are 0 apart
+        (junction_gap,) = _specnorm((ps[-1] - qs[0])[None])
         if junction_gap > JUNCTION_TOL:
             raise EndpointMismatch(
                 f"p(1) and q(0) differ by {junction_gap:.3e} > {JUNCTION_TOL}")
-    knots_p = [k / 2.0 for k in p.knots]
-    knots_q = [0.5 + k / 2.0 for k in q.knots]
-    samples = [*p.blocks_at(p.knots), *q.blocks_at(q.knots[1:])]
-    return OperatorPath.piecewise_linear(
-        knots_p + knots_q[1:], samples,
-        plus_tail=p.plus_tail, minus_tail=p.minus_tail)
+    knots = _increasing(np.concatenate([p.knots / 2.0, 0.5 + q.knots[1:] / 2.0]))
+    return OperatorPath._through(knots, _finite(np.concatenate([ps, qs[1:]])),
+                                 p.tails)
 
 
 def reverse(p: OperatorPath) -> OperatorPath:
     """The path run backwards: lambda -> p(1 - lambda)."""
     if p.kind == "affine":
-        return OperatorPath.affine(p.mat_a + p.mat_b, -p.mat_b,
-                                   plus_tail=p.plus_tail, minus_tail=p.minus_tail)
-    knots = [1.0 - k for k in reversed(p.knots)]
-    samples = list(p.blocks_at(p.knots)[::-1])
-    return OperatorPath.piecewise_linear(knots, samples, plus_tail=p.plus_tail,
-                                         minus_tail=p.minus_tail)
+        with np.errstate(over="ignore"):  # an overflowed a is refused
+            return OperatorPath.affine(p.mat_a + p.mat_b, -p.mat_b,
+                                       plus_tail=p.plus_tail, minus_tail=p.minus_tail)
+    return OperatorPath._through(_increasing(1.0 - p.knots[::-1]),
+                                 p._stack[::-1], p.tails)
 
 
 def negate(p: OperatorPath) -> OperatorPath:
@@ -529,10 +543,7 @@ def negate(p: OperatorPath) -> OperatorPath:
     if p.kind == "affine":
         return OperatorPath.affine(-p.mat_a, -p.mat_b, plus_tail=p.minus_tail,
                                    minus_tail=p.plus_tail)
-    samples = list(-p.blocks_at(p.knots))
-    return OperatorPath.piecewise_linear(p.knots, samples,
-                                         plus_tail=p.minus_tail,
-                                         minus_tail=p.plus_tail)
+    return OperatorPath._through(p.knots, -p._stack, p.tails[::-1])
 
 
 def compression_tail(path: OperatorPath, m: int = 0) -> np.ndarray:
@@ -551,8 +562,8 @@ def compress(path: OperatorPath, m: int = 0) -> OperatorPath:
     if path.kind == "affine":
         return OperatorPath.affine(block_diag(path.mat_a, tail),
                                    block_diag(path.mat_b, np.zeros_like(tail)))
-    samples = [block_diag(b, tail) for b in path.blocks_at(path.knots)]
-    return OperatorPath.piecewise_linear(path.knots, samples)
+    return OperatorPath._through(path.knots, block_diag(path._stack, tail),
+                                 (False, False))
 
 
 def equivariance_defects(blocks: np.ndarray, action: OrthogonalAction,

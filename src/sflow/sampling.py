@@ -21,7 +21,7 @@ from .groups import (
     _preset_irreps,
     build_group,
 )
-from .operators import OperatorPath, eigh_each
+from .operators import OperatorPath, _finite, eigh_each
 
 CLAMP_DELTA = 0.3
 # entries of one stacked product of the group average (512 KiB of floats)
@@ -156,9 +156,12 @@ class PathDraws:
             last = clamped[ends[-1]]
             if interior is None:
                 return OperatorPath.affine(first, last - first, **tails)
-            return OperatorPath.piecewise_linear(
-                np.linspace(0.0, 1.0, len(interior) + 2),
-                [first, *avg[interior.start:interior.stop], last], **tails)
+            knots = np.linspace(0.0, 1.0, len(interior) + 2)
+            samples = [first, *avg[interior.start:interior.stop], last]
+            if start is None or isinstance(start, int):  # all finite
+                return OperatorPath._through(knots, np.array(samples),
+                                             (plus_tail, minus_tail))
+            return OperatorPath.piecewise_linear(knots, samples, **tails)
 
         self._builds.append((ends, build))
         return len(self._builds) - 1
@@ -186,9 +189,9 @@ class PathDraws:
                 bump = bump * ((0.4 * CLAMP_DELTA) / norm)
             if scales is None:
                 return OperatorPath.affine(base, bump, **tails)
-            return OperatorPath.piecewise_linear(
+            return OperatorPath._through(
                 np.linspace(0.0, 1.0, len(scales)),
-                [base + s * bump for s in scales], **tails)
+                base + scales[:, None, None] * bump, (plus_tail, minus_tail))
 
         self._builds.append((pair, build))
         return len(self._builds) - 1
@@ -265,10 +268,11 @@ def _parameter_change(rng: np.random.Generator
 
 def _reparametrized(path: OperatorPath,
                     change: tuple[np.ndarray, np.ndarray]) -> OperatorPath:
-    # an affine path run through a change of parameter
+    # an affine path run through a change of parameter: all of it is new
     knots, values = change
-    a, b = path.mat_a, path.mat_b
-    return OperatorPath.piecewise_linear(knots, [a + v * b for v in values],
+    with np.errstate(over="ignore"):  # an overflowed sample is refused
+        samples = path.mat_a + np.asarray(values)[:, None, None] * path.mat_b
+    return OperatorPath.piecewise_linear(knots, samples,
                                          plus_tail=path.plus_tail,
                                          minus_tail=path.minus_tail)
 
@@ -291,15 +295,14 @@ def random_equivariant_orthogonal(action: OrthogonalAction,
 
 def conjugate_path(path: OperatorPath, u: np.ndarray) -> OperatorPath:
     """Transport a path by an orthogonal change of frame on the block part."""
-    if path.kind == "affine":
-        return OperatorPath.affine(u.T @ path.mat_a @ u,
-                                   u.T @ path.mat_b @ u,
-                                   plus_tail=path.plus_tail,
-                                   minus_tail=path.minus_tail)
-    samples = [u.T @ s @ u for s in path.samples]
-    return OperatorPath.piecewise_linear(path.knots, samples,
-                                         plus_tail=path.plus_tail,
-                                         minus_tail=path.minus_tail)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused if so
+        if path.kind == "affine":
+            return OperatorPath.affine(u.T @ path.mat_a @ u,
+                                       u.T @ path.mat_b @ u,
+                                       plus_tail=path.plus_tail,
+                                       minus_tail=path.minus_tail)
+        stack = u.T @ path._stack @ u
+    return OperatorPath._through(path.knots, _finite(stack), path.tails)
 
 
 # --- concrete actions for the preset groups --------------------------------

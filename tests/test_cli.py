@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sflow
-from sflow import cli, flow
+from sflow import cli, flow, operators
 from sflow.cli import (
     COMMANDS,
     OPTION_DEFAULTS,
@@ -561,25 +561,11 @@ def test_exit_code_certification_failed():
     assert "CertificationFailed" in report["error"]["message"]
 
 
-class _NanPath:
-    """Path of 2 x 2 blocks holding NaN, which the path constructors reject:
-    lambda -> [[NaN, 0], [0, 1]] + lambda I, with its speed solved already."""
-
-    knots, speeds = np.array([0.0, 1.0]), np.array([1.0])
-    _speeds = speeds
-    plus_tail = minus_tail = False
-    dim = 2
-
-    def blocks_at(self, lams):
-        return np.stack([np.array([[np.nan, 0.0], [0.0, 1.0]]) + lam * np.eye(2)
-                         for lam in lams])
-
-
-def test_exit_code_nan_block():
+def test_exit_code_nan_block(monkeypatch):
     # a NaN block has no spectrum; it must fail the eigensolve with exit 4,
     # never carry NaN eigenvalues into a report or exit 1. The JSON boundary
-    # and the path constructors reject NaN, so the parsed job gets a stub
-    # path whose blocks hold one.
+    # and the path constructors reject NaN, so the flow's block source puts
+    # one in: lambda -> [[NaN, 0], [0, 1]] + lambda I.
     with pytest.raises(OutOfRange, match="a has non-finite entries"):
         OperatorPath.affine(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
     doc = scalar_job()
@@ -587,7 +573,14 @@ def test_exit_code_nan_block():
     doc["path"] = {"kind": "affine", "A": [[0, 0], [0, 1]],
                    "B": [[1, 0], [0, 1]]}
     job = parse_job(json.dumps(doc))
-    job.path = _NanPath()
+    blocks = operators.PathStack.blocks
+
+    def nan_blocks(self, which, lams):
+        out = blocks(self, which, lams)
+        out[:, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(operators.PathStack, "blocks", nan_blocks)
     report, code = run(job)
     assert code == 4
     assert report["error"]["code"] == 4

@@ -163,6 +163,22 @@ def test_transformed_path_keeps_tails():
     assert np.allclose(t.block_at(0.0), np.diag([-1.0, 1.0]))
 
 
+@pytest.mark.parametrize("plus", [True, False])
+def test_parametrix_of_a_path_of_empty_blocks_is_trivial(plus):
+    # the flow of a 0 x 0 path is the zero class, and so is its normal
+    # form's, with no residual
+    path = OperatorPath.affine(np.zeros((0, 0)), np.zeros((0, 0)),
+                               plus_tail=plus, minus_tail=not plus)
+    table, action = preset_action("cyclic", 3, 0)
+    px = parametrix(path)
+    assert px.sign == (1 if plus else -1)
+    assert px.max_residual() == 0.0
+    moved = px.flow_class(action, table)
+    assert moved.is_zero()
+    assert moved == sfl_G(path, action, table).sfl_G
+    assert px.transformed_path().dim == 0
+
+
 # --- pointwise sections ---------------------------------------------------------
 
 

@@ -619,62 +619,72 @@ def test_max_depth_is_capped_where_midpoints_stay_inside():
         right = mid
 
 
-class _BadSolvePath:
-    """Constant block that no level certifies (see the test above), except
-    that the solve fails on the parameters in (bad_lo, bad_hi)."""
+def _refuse(monkeypatch, refused):
+    """Make the blocks of each path of refused, a list of (OperatorPath,
+    mask) pairs where mask maps an array of parameters to a mask of those
+    refused, NaN there, as read through blocks_at and through the PathStack
+    of a flow: blocks that no path constructor accepts, whose solve fails."""
+    masks = {id(p): mask for p, mask in refused}
+    blocks_at = OperatorPath.blocks_at
 
-    lipschitz = 0.0
-    knots, speeds = np.array([0.0, 1.0]), np.array([0.0])
-    _speeds = speeds  # solved already
-    plus_tail = minus_tail = True
-    dim = 3
+    def refusing_blocks_at(self, lams):
+        out = blocks_at(self, lams)
+        if id(self) in masks:
+            out[masks[id(self)](np.asarray(lams, dtype=float).reshape(-1))] = np.nan
+        return out
 
-    def __init__(self, bad_lo, bad_hi):
-        self.bad = (bad_lo, bad_hi)
+    class Refusing(operators.PathStack):
+        def __init__(self, paths):
+            super().__init__(paths)
+            self.masks = [masks.get(id(p)) for p in paths]
 
-    def block_at(self, lam):
-        block = np.diag([0.3, 0.7, 1e7])
-        if self.bad[0] < lam < self.bad[1]:
-            block[:] = np.nan
-        return block
+        def blocks(self, which, lams):
+            out = super().blocks(which, lams)
+            for j, k in enumerate(which.tolist()):
+                if self.masks[k] is not None and self.masks[k](lams[j:j + 1])[0]:
+                    out[j] = np.nan
+            return out
 
-    def blocks_at(self, lams):
-        return np.stack([self.block_at(lam) for lam in lams])
+    monkeypatch.setattr(OperatorPath, "blocks_at", refusing_blocks_at)
+    monkeypatch.setattr(flow, "PathStack", Refusing)
+
+
+def _constant_path(diagonal):
+    return OperatorPath.affine(np.diag(diagonal), np.zeros((3, 3)),
+                               plus_tail=True, minus_tail=True)
 
 
 @pytest.mark.parametrize("bad", [(0.6, 0.7), (0.1, 0.2)])
-def test_a_failed_solve_is_raised_in_depth_first_order(bad):
-    # on (0.6, 0.7) the failed solve comes up while segments to its left are
-    # still pending, and one of them fails certification first
+def test_a_failed_solve_is_raised_in_depth_first_order(bad, monkeypatch):
+    # a constant block that no level certifies (see the test above), whose
+    # solve fails on the parameters in bad: on (0.6, 0.7) the failed solve
+    # comes up while segments to its left are still pending, and one of
+    # them fails certification first
+    path = _constant_path([0.3, 0.7, 1e7])
+    _refuse(monkeypatch, [(path, lambda lams: (bad[0] < lams) & (lams < bad[1]))])
     opts = FlowOptions(max_depth=4)
-    want = _outcome(_find_partition_recursive, _BadSolvePath(*bad), opts)
+    want = _outcome(_find_partition_recursive, path, opts)
     assert want[0] == ("CertificationFailed" if bad[0] > 0.5 else "EigenFailure")
-    assert _outcome(find_partition, _BadSolvePath(*bad), opts) == want
+    assert _outcome(find_partition, path, opts) == want
 
 
-class _CertifiableBadSolvePath(_BadSolvePath):
-    """Constant block that certifies on [0, 1] at depth 0 (level 1/2 in a
-    gap of width 1), except that the solve fails near 1/4 and 3/4."""
+def test_a_look_ahead_sample_never_fails_a_flow(monkeypatch):
+    # a constant block that certifies on [0, 1] at depth 0 (level 1/2 in a
+    # gap of width 1), whose solve fails near 1/4 and 3/4: the halves of
+    # [0, 1] are tried in the first round, and their midpoints 1/4 and 3/4
+    # fail to solve, but [0, 1] itself certifies
+    path, asked = _constant_path([1.0, 2.0, 4.0]), []
 
-    def __init__(self):
-        self.asked = []
+    def refused(lams):
+        asked.extend(lams.tolist())
+        return ((0.2 < lams) & (lams < 0.3)) | ((0.7 < lams) & (lams < 0.8))
 
-    def block_at(self, lam):
-        self.asked.append(lam)
-        block = np.diag([1.0, 2.0, 4.0])
-        if 0.2 < lam < 0.3 or 0.7 < lam < 0.8:
-            block[:] = np.nan
-        return block
-
-
-def test_a_look_ahead_sample_never_fails_a_flow():
-    # the halves of [0, 1] are tried in the first round, and their
-    # midpoints 1/4 and 3/4 fail to solve, but [0, 1] itself certifies
-    want = _find_partition_recursive(_CertifiableBadSolvePath(), FlowOptions())
+    _refuse(monkeypatch, [(path, refused)])
+    want = _find_partition_recursive(path, FlowOptions())
     assert want.knots == (0.0, 1.0)
-    path = _CertifiableBadSolvePath()
+    asked.clear()
     assert find_partition(path) == want
-    assert {0.25, 0.75} <= set(path.asked)
+    assert {0.25, 0.75} <= set(asked)
 
 
 def _at_global_speed(path):
@@ -711,15 +721,10 @@ def test_piece_speeds_coarsen_the_partition_and_keep_the_classes():
     assert fewer > len(requests) // 2
 
 
-def test_a_failed_solve_belongs_to_its_own_parameter():
-    class Stub:
-        dim = 2
-
-        def blocks_at(self, lams):
-            return np.stack([np.eye(2) * (np.nan if lam == 0.25 else lam)
-                             for lam in lams])
-
-    store = flow._Eigendata([Stub()], 1e-8)
+def test_a_failed_solve_belongs_to_its_own_parameter(monkeypatch):
+    path = OperatorPath.affine(np.zeros((2, 2)), np.eye(2))
+    _refuse(monkeypatch, [(path, lambda lams: lams == 0.25)])
+    store = flow._Eigendata([path], 1e-8)
     rows = store.add(np.zeros(3, dtype=np.intp), np.array([0.5, 0.25, 0.75]))
     assert store.ok[rows].tolist() == [True, False, True]
     assert store.w[rows[0]].tolist() == [0.5, 0.5]
@@ -1312,22 +1317,7 @@ def test_shared_rounds_solve_the_same_blocks_in_fewer_stacks(monkeypatch):
     assert len(rounds) == max(alone_rounds)
 
 
-class _NanAt:
-    """A path whose block at one parameter cannot be solved."""
-
-    def __init__(self, path, bad):
-        self.path, self.bad = path, bad
-
-    def __getattr__(self, name):
-        return getattr(self.path, name)
-
-    def blocks_at(self, lams):
-        blocks = self.path.blocks_at(lams)
-        blocks[np.asarray(lams) == self.bad] = np.nan
-        return blocks
-
-
-def test_each_request_gets_the_error_of_its_own_call():
+def test_each_request_gets_the_error_of_its_own_call(monkeypatch):
     rng = np.random.default_rng(73)
     group, table = build_group("cyclic", 2)
     action = OrthogonalAction(group, [np.eye(3), np.diag([1.0, -1.0, 1.0])])
@@ -1345,10 +1335,12 @@ def test_each_request_gets_the_error_of_its_own_call():
                             np.array([[2.0, 0.1, 0.0], [0.1, -2.0, 0.0],
                                       [0.0, 0.0, 0.0]])),
         # the first round's midpoint cannot be solved
-        _NanAt(good[0], 0.5),
+        copy.copy(good[0]),
         # a sample deeper down cannot be solved
-        _NanAt(good[1], 0.25),
+        copy.copy(good[1]),
     ]
+    _refuse(monkeypatch, [(bad[3], lambda lams: lams == 0.5),
+                          (bad[4], lambda lams: lams == 0.25)])
     requests = [(good[0], action), (bad[0], action), (good[1], action),
                 (bad[1], action), (bad[2], action), (good[2], action),
                 (bad[3], action), (bad[4], action), (good[3], action),
@@ -1369,7 +1361,7 @@ def test_each_request_gets_the_error_of_its_own_call():
 def test_mixed_block_sizes_get_the_outcomes_of_their_own_calls(min_depth,
                                                                monkeypatch):
     # a D3 action on dim 3 and its direct sum on dim 6, in one loop of
-    # rounds, with a dim-6 path that no level certifies, a stub whose
+    # rounds, with a dim-6 path that no level certifies, a path whose
     # quarter point cannot be solved, and a path of 0 x 0 blocks, whose
     # eigenvalue rows are all padding
     rng = np.random.default_rng(74 + min_depth)
@@ -1382,7 +1374,9 @@ def test_mixed_block_sizes_get_the_outcomes_of_their_own_calls(min_depth,
         requests += [(p, action), (direct_sum_paths(p, q), double)]
     stuck = OperatorPath.affine(np.diag([0.3, 0.7, 1e7] * 2), np.zeros((6, 6)),
                                 plus_tail=True, minus_tail=True)
-    requests[3:3] = [(stuck, double), (_NanAt(requests[5][0], 0.25), double)]
+    refused = copy.copy(requests[5][0])
+    _refuse(monkeypatch, [(refused, lambda lams: lams == 0.25)])
+    requests[3:3] = [(stuck, double), (refused, double)]
     _, empty = preset_action("dihedral", 3, 0)
     requests.append((OperatorPath.affine(np.zeros((0, 0)), np.zeros((0, 0)),
                                          minus_tail=True), empty))

@@ -14,7 +14,6 @@ from sflow._eig import (
     _cholesky_error,
     cholesky_above,
     eigh_error,
-    opnorms,
     opnorms_within,
 )
 from sflow.errors import (
@@ -326,21 +325,21 @@ def test_eigensolver_rejects_non_finite_blocks(bad):
 
 @pytest.mark.parametrize("shape", [(2, 3, 3), (4, 8, 8), (6, 4, 4), (12, 8, 8),
                                    (1, 5, 5), (3, 2, 4, 3), (3, 0, 0), (2, 3, 0)])
-def test_opnorms_matches_one_norm_per_matrix(shape):
+def test_unscreened_norms_match_one_norm_per_matrix(shape):
     rng = np.random.default_rng(sum(shape))
     m = rng.standard_normal(shape)
-    got = opnorms(m)
+    got = opnorms_within(m, -np.inf)
     assert got.shape == shape[:-2]
     flat = m.reshape((int(np.prod(shape[:-2])),) + shape[-2:])
     want = [np.linalg.norm(x, 2) if x.size else 0.0 for x in flat]
     assert got.ravel().tolist() == want  # bit for bit, not approximately
-    assert float(opnorms(flat[0])) == want[0]
+    assert float(opnorms_within(flat[0], -np.inf)) == want[0]
 
 
 def _assert_screen_contract(m, tol):
     # an entry passes exactly when its exact norm does, and a failing entry
     # is the exact norm itself
-    exact = opnorms(m)
+    exact = opnorms_within(m, -np.inf)
     got = opnorms_within(m, tol)
     tol = np.broadcast_to(tol, exact.shape)
     assert got.shape == exact.shape
@@ -356,7 +355,7 @@ def test_screen_is_exact_at_the_edge_of_rank_one_stacks(shape):
     rng = np.random.default_rng(shape[0] * 10 + shape[1])
     m = (rng.standard_normal((200, shape[0], 1))
          @ rng.standard_normal((200, 1, shape[1])))
-    exact = opnorms(m)
+    exact = opnorms_within(m, -np.inf)
     _assert_screen_contract(m, exact)
     _assert_screen_contract(m, np.nextafter(exact, 0.0))
     assert np.array_equal(opnorms_within(m, np.nextafter(exact, 0.0)), exact)
@@ -365,12 +364,12 @@ def test_screen_is_exact_at_the_edge_of_rank_one_stacks(shape):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5),
        st.integers(0, 2 ** 32 - 1), st.floats(0.0, 2.0))
-def test_screen_matches_opnorms_on_random_stacks(r, c, k, seed, scale):
+def test_screen_matches_unscreened_norms_on_random_stacks(r, c, k, seed, scale):
     # per-matrix tolerances around the norms: some pass on the Frobenius
     # bound, some only on the exact norm, some fail
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((k, r, c)) * rng.uniform(0.0, 1.0, (k, 1, 1))
-    exact = opnorms(m)
+    exact = opnorms_within(m, -np.inf)
     _assert_screen_contract(m, exact * rng.uniform(0.0, scale, k))
     _assert_screen_contract(m, exact)
     _assert_screen_contract(m, float(exact[0]))
@@ -390,7 +389,8 @@ def test_screen_gives_non_finite_matrices_an_infinite_norm():
     # the Frobenius sum of 1e200-sized finite entries overflows; the matrix
     # still gets its exact norm
     big = np.full((1, 2, 2), 1e200)
-    assert opnorms_within(big, 1.0).tolist() == opnorms(big).tolist()
+    assert (opnorms_within(big, 1.0).tolist()
+            == opnorms_within(big, -np.inf).tolist())
     assert opnorms_within(np.zeros((3, 0, 2)), 1.0).tolist() == [0.0] * 3
 
 
