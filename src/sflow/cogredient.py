@@ -35,7 +35,6 @@ from .operators import (
     INVERT_FACTOR,
     FSComponent,
     OperatorPath,
-    _finite,
     _negative_classes,
     block_spectrum,
     eigh_each,
@@ -170,8 +169,9 @@ class Parametrix:
         endpoints are the exact congruence images of the path's endpoints,
         which is all the flow of a one-sided path depends on."""
         samples = self.sign * np.eye(self.path.dim) + np.array(self.K)
-        return OperatorPath._through(np.array(self.lambdas), _finite(samples),
-                                     self.path.tails)
+        return OperatorPath.piecewise_linear(self.lambdas, samples,
+                                             plus_tail=self.path.plus_tail,
+                                             minus_tail=self.path.minus_tail)
 
     def flow_class(self, action: OrthogonalAction, table: RealCharacterTable,
                    *, tol_cluster: float = CLUSTER_FACTOR,

@@ -21,7 +21,7 @@ from .groups import (
     _preset_irreps,
     build_group,
 )
-from .operators import OperatorPath, _finite, eigh_each
+from .operators import OperatorPath, eigh_each
 
 CLAMP_DELTA = 0.3
 # entries of one stacked product of the group average (512 KiB of floats)
@@ -156,12 +156,9 @@ class PathDraws:
             last = clamped[ends[-1]]
             if interior is None:
                 return OperatorPath.affine(first, last - first, **tails)
-            knots = np.linspace(0.0, 1.0, len(interior) + 2)
-            samples = [first, *avg[interior.start:interior.stop], last]
-            if start is None or isinstance(start, int):  # all finite
-                return OperatorPath._through(knots, np.array(samples),
-                                             (plus_tail, minus_tail))
-            return OperatorPath.piecewise_linear(knots, samples, **tails)
+            return OperatorPath.piecewise_linear(
+                np.linspace(0.0, 1.0, len(interior) + 2),
+                [first, *avg[interior.start:interior.stop], last], **tails)
 
         self._builds.append((ends, build))
         return len(self._builds) - 1
@@ -189,9 +186,9 @@ class PathDraws:
                 bump = bump * ((0.4 * CLAMP_DELTA) / norm)
             if scales is None:
                 return OperatorPath.affine(base, bump, **tails)
-            return OperatorPath._through(
+            return OperatorPath.piecewise_linear(
                 np.linspace(0.0, 1.0, len(scales)),
-                base + scales[:, None, None] * bump, (plus_tail, minus_tail))
+                [base + s * bump for s in scales], **tails)
 
         self._builds.append((pair, build))
         return len(self._builds) - 1
@@ -301,8 +298,10 @@ def conjugate_path(path: OperatorPath, u: np.ndarray) -> OperatorPath:
                                        u.T @ path.mat_b @ u,
                                        plus_tail=path.plus_tail,
                                        minus_tail=path.minus_tail)
-        stack = u.T @ path._stack @ u
-    return OperatorPath._through(path.knots, _finite(stack), path.tails)
+        samples = u.T @ path._stack @ u
+    return OperatorPath.piecewise_linear(path.knots, samples,
+                                         plus_tail=path.plus_tail,
+                                         minus_tail=path.minus_tail)
 
 
 # --- concrete actions for the preset groups --------------------------------

@@ -2,6 +2,7 @@
 bits, and the refusals, of building each through OperatorPath.piecewise_linear
 from the blocks at its knots."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from sflow import operators, sampling
 from sflow._eig import block_diag
 from sflow.cogredient import parametrix
-from sflow.errors import EigenFailure, OutOfRange
+from sflow.errors import DimensionMismatch, EigenFailure, OutOfRange
 from sflow.operators import (
     OperatorPath,
     compress,
@@ -153,6 +154,21 @@ def test_a_transformed_path_keeps_the_bits_of_piecewise_linear():
         want = _piecewise(px.lambdas, px.sign * np.eye(3) + np.array(px.K),
                           tails)
         assert _bits(px.transformed_path()) == _bits(want)
+
+
+def test_a_hand_built_parametrix_has_its_lambdas_checked():
+    px = parametrix(OperatorPath.affine(np.diag([1.0, 2.0]), np.eye(2),
+                                        plus_tail=True), 5)
+    lam = px.lambdas
+    for lambdas, error in [
+            ((lam[0], lam[2], lam[1], *lam[3:]),
+             (OutOfRange, "knots must be strictly increasing")),
+            ((*lam[:-1], 1.5), (OutOfRange, "knots must run from 0 to 1, "
+                                            "got 0.0..1.5")),
+            ((lam[0], *lam[2:]), (DimensionMismatch, f"{len(lam)} samples for "
+                                           f"{len(lam) - 1} knots"))]:
+        bad = dataclasses.replace(px, lambdas=lambdas)
+        assert _error(bad.transformed_path) == error
 
 
 def _error(build):

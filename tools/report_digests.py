@@ -1,8 +1,8 @@
 """Digests that show whether a change to sflow keeps its output bit for bit.
 
-For each workload of ``perfbench/gen.py`` and each seed, every job runs in
-this process (``parse_job``, ``run``, ``emit_report``), and two sha256
-digests are printed:
+For each workload of ``perfbench/gen.py`` and each of the seeds 1, 5, 7 and
+23, every job runs in this process (``parse_job``, ``run``,
+``emit_report``), and two sha256 digests are printed:
 
 - ``reports``: over every report text and exit code, in job order;
 - ``verify_paths``: over every path a ``verify`` job hands to the flow, in
@@ -11,14 +11,13 @@ digests are printed:
 
 Run it against each checkout and compare the lines:
 
-    PYTHONPATH=<checkout>/src python tools/report_digests.py --seeds 1 5 7 23
+    PYTHONPATH=<checkout>/src python tools/report_digests.py
 
 ``gen.py`` is imported as it is, so both checkouts run the same jobs.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -29,6 +28,8 @@ import gen  # noqa: E402
 import numpy as np  # noqa: E402
 import sflow.cli as cli  # noqa: E402
 import sflow.flow as flow  # noqa: E402
+
+SEEDS = (1, 5, 7, 23)
 
 
 def path_bytes(path) -> bytes:
@@ -64,14 +65,9 @@ def digests(workload: str, seed: int) -> tuple[str, str, int]:
     return reports.hexdigest(), paths.hexdigest(), len(jobs)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 5, 7, 23])
-    parser.add_argument("--workloads", nargs="+", default=list(gen.WORKLOADS),
-                        choices=list(gen.WORKLOADS))
-    args = parser.parse_args(argv)
-    for workload in args.workloads:
-        for seed in args.seeds:
+def main() -> int:
+    for workload in gen.WORKLOADS:
+        for seed in SEEDS:
             reports, paths, n = digests(workload, seed)
             print(f"{workload} seed={seed} jobs={n} reports={reports} "
                   f"verify_paths={paths}")
