@@ -1,5 +1,5 @@
-"""Kernels: the dense symmetric eigensolver, its error bound, two-norms,
-and a verified lower bound on the smallest eigenvalue.
+"""Kernels: the symmetric part, the dense symmetric eigensolver, its error
+bound, two-norms, and a verified lower bound on the smallest eigenvalue.
 
 LAPACK's symmetric driver (through ``numpy.linalg.eigh``) computes the
 decomposition, and ``eigh_error`` turns its residual into a bound on the
@@ -20,6 +20,12 @@ EPS = float(np.finfo(float).eps)
 ETA = float(np.finfo(float).smallest_subnormal)
 
 
+def symmetric_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^T) / 2 of a matrix, or of each matrix of a stack, as
+    0.5 m + 0.5 m^T: halving first cannot overflow."""
+    return 0.5 * m + 0.5 * m.swapaxes(-1, -2)
+
+
 def jacobi_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a
     symmetric matrix, or of each matrix in a (k, n, n) stack.
@@ -36,9 +42,9 @@ def jacobi_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(block).all():
         raise EigenFailure("block has non-finite entries")
     # eigh reads one triangle only; average away roundoff asymmetry so the
-    # spectrum is that of the symmetric part (halving first cannot overflow)
+    # spectrum is that of the symmetric part
     try:
-        w, v = np.linalg.eigh(0.5 * block + 0.5 * block.swapaxes(-1, -2))
+        w, v = np.linalg.eigh(symmetric_part(block))
     except np.linalg.LinAlgError as e:
         raise EigenFailure(f"LAPACK eigh failed: {e}") from None
     if not np.isfinite(w).all():

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._eig import EPS, ETA, cholesky_above, eigh_error, opnorms_within
+from ._eig import (EPS, ETA, cholesky_above, eigh_error, opnorms_within,
+                   symmetric_part)
 from .errors import (
     CoverFailure,
     EigenFailure,
@@ -31,14 +32,13 @@ from .groups import OrthogonalAction, RealCharacterTable, VirtualRep
 from .operators import (
     CLUSTER_FACTOR,
     CPS,
-    EQUIVARIANCE_FACTOR,
     INVERT_FACTOR,
     FSComponent,
     OperatorPath,
+    _equivariance_rows,
     _negative_classes,
     block_spectrum,
     eigh_each,
-    equivariance_defects,
     negate,
 )
 
@@ -67,8 +67,7 @@ def _split_blocks(w: np.ndarray, v: np.ndarray,
     vt = np.swapaxes(v, -1, -2)
     s = (v * s_eigs) @ vt
     k = (v * k_eigs) @ vt
-    return (0.5 * s + 0.5 * np.swapaxes(s, -1, -2),
-            0.5 * k + 0.5 * np.swapaxes(k, -1, -2))
+    return symmetric_part(s), symmetric_part(k)
 
 
 def split_positive(op: CPS) -> tuple[CPS, CPS]:
@@ -121,8 +120,7 @@ def _inv_sqrt(blocks: np.ndarray,
     low = _lowest(w)
     _raise_first_fault(low <= margin, errors, lambda k: NotPositive(
         f"eigenvalue {float(low[k]):.3e} at or below margin {margin:.3e}"))
-    out = (v / np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)
-    return 0.5 * out + 0.5 * out.swapaxes(1, 2), w
+    return symmetric_part((v / np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)), w
 
 
 @dataclass(frozen=True)
@@ -160,9 +158,7 @@ class Parametrix:
         block = sgn * self.path.block_at(lam)
         k_blend = self._hat_blend(lam)
         (m,), _ = _inv_sqrt((block - k_blend)[None], POSITIVITY_MARGIN)
-        k = m.T @ k_blend @ m
-        k = sgn * (0.5 * k + 0.5 * k.T)
-        return m, k
+        return m, sgn * symmetric_part(m.T @ k_blend @ m)
 
     def transformed_path(self) -> OperatorPath:
         """Piecewise-linear path through sign * I + K at the samples. Its
@@ -183,16 +179,16 @@ class Parametrix:
         ends.
 
         The samples are solved in one stack and checked for equivariance at
-        the flow's tolerance EQUIVARIANCE_FACTOR * (1 + norm), so the first
+        the flow's tolerance (operators._equivariance_rows), so the first
         failing sample in order raises its EigenFailure or NotEquivariant;
         then the two ends, the only rows whose solver error bound is read,
         raise the errors of morse_classes past its equivariance check."""
         samples = self.sign * np.eye(self.path.dim) + np.array(self.K)
         w, v, errors = eigh_each(samples)
-        norm = np.abs(w).max(axis=1, initial=0.0)
-        scale = EQUIVARIANCE_FACTOR * (1.0 + norm)
-        defects = equivariance_defects(samples, action, scale)
-        _raise_first_fault(defects > scale, errors, lambda k: NotEquivariant(
+        norm, ok = np.abs(w).max(axis=1, initial=0.0), np.ones(len(w), bool)
+        ok[list(errors)] = False
+        defects, scale, bad = _equivariance_rows(samples, action, norm, ok)
+        _raise_first_fault(bad, errors, lambda k: NotEquivariant(
             f"commutator norm {defects[k]:.3e} at sample {self.lambdas[k]} "
             f"exceeds {scale[k]:.3e}"))
         ends = [0, -1]
@@ -295,8 +291,7 @@ def _normal_form(path: OperatorPath, samples: int, source: OperatorPath,
     _check_cover(path, anchors, blocks, corrections)
 
     m, w = _inv_sqrt(blocks - corrections, POSITIVITY_MARGIN)
-    k = m.swapaxes(1, 2) @ corrections @ m
-    k = 0.5 * k + 0.5 * k.swapaxes(1, 2)
+    k = symmetric_part(m.swapaxes(1, 2) @ corrections @ m)
     lambdas = tuple(anchors.tolist())
     k_source = k if sign > 0 else -k
     residual = _check_residual(
@@ -328,8 +323,7 @@ def _check_residual(path: OperatorPath, lambdas: tuple[float, ...],
     differ where symmetrizing b rounds a subnormal entry, and on the
     negative side, whose matrices are negations of these: the eigensolver
     need not give a negated matrix the negated eigenvalues to the bit."""
-    blocks = 0.5 * b + 0.5 * b.swapaxes(1, 2)
-    checked = m.swapaxes(1, 2) @ blocks @ m - (np.eye(path.dim) + k)
+    checked = m.swapaxes(1, 2) @ symmetric_part(b) @ m - (np.eye(path.dim) + k)
     same = checked.tobytes() == reported.tobytes()
     w, _, errors = eigh_each(checked if same
                               else np.concatenate([checked, reported]))
@@ -392,13 +386,9 @@ def pointwise_section(op: CPS) -> PointwiseSection:
 
     w_v = np.where(in_kernel, 1.0, w)
     q_eigs = np.where(w_v > 0.0, 1.0, -1.0)
-    q_block = (v * q_eigs) @ v.T
-    m_block = (v * np.sqrt(np.abs(w_v))) @ v.T
-    q_block = 0.5 * q_block + 0.5 * q_block.T
-    m_block = 0.5 * m_block + 0.5 * m_block.T
-
-    k_block = op.block - m_block @ q_block @ m_block.T
-    k_block = 0.5 * k_block + 0.5 * k_block.T
+    q_block = symmetric_part((v * q_eigs) @ v.T)
+    m_block = symmetric_part((v * np.sqrt(np.abs(w_v))) @ v.T)
+    k_block = symmetric_part(op.block - m_block @ q_block @ m_block.T)
     k0 = (v * np.where(in_kernel, 1.0, 0.0)) @ v.T
     # the residual is antisymmetric (K is the symmetric part of what it
     # leaves), so it is measured as it is, not through a symmetric solve

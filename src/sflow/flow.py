@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._eig import block_diag
+from . import sampling
+from ._eig import block_diag, symmetric_part
 from .errors import (
     CertificationFailed,
     DimensionMismatch,
@@ -32,22 +33,26 @@ from .groups import (
     RealCharacterTable,
     VirtualRep,
     _class_rows,
+    direct_sum_action,
     forgetful_F,
 )
 from .operators import (
     CLUSTER_FACTOR,
-    EQUIVARIANCE_FACTOR,
     INVERT_FACTOR,
     OperatorPath,
     PathStack,
+    _equivariance_rows,
+    _increasing,
     _norm_bound,
     _singular_rows,
     cluster_values,
     compression_tail,
+    concatenate,
+    direct_sum_paths,
     eigendata_each,
-    equivariance_defects,
     interval_columns,
     morse_classes,
+    reverse,
     segment_speeds,
     window_faults,
 )
@@ -85,7 +90,7 @@ class FlowOptions:
             if not math.isfinite(value) or value < 0.0:
                 raise OutOfRange(f"{name} must be finite and nonnegative, "
                                  f"got {value}")
-        if self.max_depth < 0 or self.min_depth < 0:
+        if not (self.max_depth >= 0 and self.min_depth >= 0):  # NaN fails
             raise OutOfRange("depths must be nonnegative")
         if self.min_depth > self.max_depth:
             raise OutOfRange(
@@ -108,16 +113,16 @@ class CertifiedPartition:
     def __post_init__(self) -> None:
         if len(self.knots) < 2 or self.knots[0] != 0.0 or self.knots[-1] != 1.0:
             raise OutOfRange(f"knots must run from 0 to 1, got {self.knots}")
-        if any(b <= a for a, b in zip(self.knots, self.knots[1:])):
-            raise OutOfRange("knots must be strictly increasing")
+        _increasing(np.asarray(self.knots, dtype=float))
         if len(self.levels) != len(self.knots) - 1:
             raise OutOfRange(f"{len(self.levels)} levels for "
                              f"{len(self.knots) - 1} segments")
         if len(self.margins) != len(self.levels):
             raise OutOfRange("one margin per level required")
-        if any(a <= 0.0 for a in self.levels):
+        # NaN fails both
+        if not all(a > 0.0 for a in self.levels):
             raise OutOfRange("levels must be positive")
-        if any(m <= 0.0 for m in self.margins):
+        if not all(m > 0.0 for m in self.margins):
             raise OutOfRange("margins must be positive")
 
 
@@ -178,8 +183,7 @@ class _Eigendata:
         would change the bits of subnormal entries), and each path whose
         differences all solve gets the speeds of its own solve, their
         _norm_bound over its knot gaps."""
-        b = self.stack.blocks(which, lams)
-        b = 0.5 * b + 0.5 * b.swapaxes(1, 2)
+        b = symmetric_part(self.stack.blocks(which, lams))
         unsolved = list({id(p): p for p in speeds_of if p._speeds is None}.values())
         start, k = self.size, len(b)
         if start + k > len(self.ok):
@@ -288,15 +292,11 @@ def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
 def _end_faults(store: _Eigendata, ends: np.ndarray, tol_invert: float
                 ) -> list[SflowError | None]:
     """Each request's first failed solve or EndpointNotInvertible, at 0 then
-    at 1 (its row of ends): an eigenvalue that the solver error bound may
-    put within tol_invert * (1 + ||block||) of 0, else a negative eigenvalue
-    within the cluster tolerance of 0. The knot windows close at -tol, so
-    such an eigenvalue would be counted with the nonnegative ones, against
-    its certified sign."""
+    at 1 (its row of ends): a singular end, else one with a negative
+    eigenvalue within the cluster tolerance of 0 (_singular_rows)."""
     w, tol = store.w[ends], store.tol[ends]
-    min_abs, threshold, singular = _singular_rows(
-        w, store.norm[ends], store.err[ends], tol_invert)
-    near = (w < 0.0) & (w >= -tol[..., None])
+    min_abs, threshold, singular, near = _singular_rows(
+        w, store.norm[ends], store.err[ends], tol, tol_invert)
     bad = ~store.ok[ends] | singular | near.any(axis=2)
     faults: list[SflowError | None] = [None] * len(ends)
     for k in bad.any(axis=1).nonzero()[0].tolist():
@@ -520,10 +520,8 @@ def _check_equivariance(store: _Eigendata, flows: list[_Flow]) -> None:
     tolerance, becomes its outcome."""
     rows = np.concatenate([f.rows for f in flows])
     ok = store.ok[rows]
-    # a parameter whose solve failed gets tol inf, and its EigenFailure
-    tols = np.where(ok, EQUIVARIANCE_FACTOR * (1.0 + store.norm[rows]), np.inf)
-    defects = equivariance_defects(store.blocks[rows], flows[0].action, tols)
-    bad = ~ok | (defects > tols)
+    defects, tols, bad = _equivariance_rows(store.blocks[rows], flows[0].action,
+                                            store.norm[rows], ok)
     for f, end in zip(flows, np.cumsum([len(f.rows) for f in flows]).tolist()):
         i = end - len(f.rows) + int(bad[end - len(f.rows):end].argmax())
         if bad[i]:
@@ -616,7 +614,7 @@ def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
     of one action are checked for equivariance in one stacked pass, and
     their knot frames take their classes in another. partitions, when
     given, holds one certificate per request to use instead of bisection,
-    or None.
+    or None: a test seam, trusted and not certified again.
     """
     opts = opts or FlowOptions()
     flows = [_Flow(path, action, part) for (path, action), part in zip(
@@ -678,7 +676,8 @@ def sfl_G(path: OperatorPath, action: OrthogonalAction,
     """Equivariant spectral flow of an equivariant path with invertible ends.
 
     Returns the virtual class together with the certificate. The plain
-    integer flow is the forgetful image of the class.
+    integer flow is the forgetful image of the class. A partition given is
+    used in place of bisection, trusted and not certified again.
     """
     reports = sfl_G_each([(path, action)], table, opts, partitions=[partition])
     raise_first(reports)
@@ -745,10 +744,6 @@ def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,
     case by case run raises first: if a draw or a build fails, the first
     error among the flows requested before it, else its own.
     """
-    from . import sampling
-    from .groups import direct_sum_action
-    from .operators import concatenate, direct_sum_paths, reverse
-
     opts = opts or FlowOptions()
     rng = np.random.default_rng(seed)
     tail_cycle = [(False, False), (True, False), (False, True), (True, True)]

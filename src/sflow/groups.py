@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._eig import block_diag, jacobi_eigh, opnorms_within
+from ._eig import block_diag, jacobi_eigh, opnorms_within, symmetric_part
 from .errors import (
     BadAction,
     BadCharacterTable,
@@ -18,6 +18,7 @@ from .errors import (
     NonIntegralMultiplicity,
     NotInvariant,
     NotOrthonormal,
+    OutOfRange,
     ProjectionResidual,
     SflowError,
     TableMismatch,
@@ -152,6 +153,19 @@ class RealCharacterTable:
              for s, v in zip(group.class_sizes, ir.values)]
             for ir in self.irreps]).T
         self._pairing.flags.writeable = False
+        # the first orthogonality relations, where NaN fails: row i pairs
+        # with row j to the Schur norm of row i if i == j, else to 0
+        schur = np.array([ir.schur_norm for ir in self.irreps], dtype=float)
+        want = np.diag(schur)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = np.array([ir.values for ir in self.irreps]) @ self._pairing * schur
+            bad = np.argwhere(~(np.abs(got - want) <= ORTHOGONALITY_TOL))
+        if bad.size:
+            i, j = bad[0]
+            raise BadCharacterTable(
+                f"orthogonality fails for ({self.irreps[i].name}, "
+                f"{self.irreps[j].name}): pairing {float(got[i, j])}, "
+                f"expected {float(want[i, j])}")
 
     def _validate(self) -> None:
         g = self.group
@@ -170,26 +184,13 @@ class RealCharacterTable:
             if len(ir.values) != g.n_classes:
                 raise BadCharacterTable(
                     f"{ir.name}: {len(ir.values)} values for {g.n_classes} classes")
-            # a degree past the float range would overflow the difference
+            # a degree past the float range would overflow the difference;
+            # NaN fails
             if (ir.degree > sys.float_info.max
-                    or abs(ir.values[id_class] - ir.degree) > ORTHOGONALITY_TOL):
+                    or not abs(ir.values[id_class] - ir.degree) <= ORTHOGONALITY_TOL):
                 raise BadCharacterTable(
                     f"{ir.name}: value at identity {ir.values[id_class]} "
                     f"!= degree {ir.degree}")
-        for i, a in enumerate(self.irreps):
-            for j, b in enumerate(self.irreps):
-                p = self.pair(a.values, b.values)
-                want = float(a.schur_norm) if i == j else 0.0
-                if abs(p - want) > ORTHOGONALITY_TOL:
-                    raise BadCharacterTable(
-                        f"orthogonality fails for ({a.name}, {b.name}): "
-                        f"pairing {p}, expected {want}")
-
-    def pair(self, x: Sequence[float], y: Sequence[float]) -> float:
-        """Class-function pairing (1/|G|) sum of size * x * y over classes."""
-        sizes = self.group.class_sizes
-        return float(sum(s * float(a) * float(b)
-                         for s, a, b in zip(sizes, x, y)) / self.group.order)
 
     @property
     def n_irreps(self) -> int:
@@ -199,7 +200,7 @@ class RealCharacterTable:
         for i, ir in enumerate(self.irreps):
             if ir.name == name:
                 return i
-        raise KeyError(name)
+        raise OutOfRange(f"unknown irrep {name!r}")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, RealCharacterTable)
@@ -588,17 +589,16 @@ def isotypical_projection(action: OrthogonalAction, table: RealCharacterTable,
                           nu: int | str) -> np.ndarray:
     """Orthogonal projection onto the isotypical component of irrep `nu`."""
     if table.group != action.group:
-        raise TableMismatch("character table and action have different groups")
+        raise WrongGroup("character table and action belong to different groups")
     if isinstance(nu, str):
         nu = table.index_of(nu)
     if not 0 <= nu < table.n_irreps:
-        raise WrongGroup(f"irrep index {nu} out of range")
+        raise OutOfRange(f"irrep index {nu} out of range")
     ir = table.irreps[nu]
     coef = np.asarray(ir.values)[list(action.group.class_of)]
     # summed in element order, as a running sum over the elements would be
     acc = (coef[:, None, None] * action.stack).sum(axis=0)
-    proj = acc * (ir.degree / (ir.schur_norm * action.group.order))
-    proj = 0.5 * proj + 0.5 * proj.T
+    proj = symmetric_part(acc * (ir.degree / (ir.schur_norm * action.group.order)))
 
     def _ok(p: np.ndarray) -> bool:
         checks = np.concatenate([(p @ p - p)[None],

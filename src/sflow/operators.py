@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._eig import EPS, block_diag, eigh_error, jacobi_eigh, opnorms_within
+from ._eig import (EPS, block_diag, eigh_error, jacobi_eigh, opnorms_within,
+                   symmetric_part)
 from .errors import (
     BoundaryHit,
     DimensionMismatch,
@@ -71,7 +72,7 @@ class CPS:
             raise DimensionMismatch(f"block must be square, got shape {b.shape}")
         if not np.isfinite(b).all():
             raise OutOfRange("block has non-finite entries")
-        b = 0.5 * b + 0.5 * b.T
+        b = symmetric_part(b)
         b.flags.writeable = False
         object.__setattr__(self, "block", b)
 
@@ -180,16 +181,18 @@ def block_spectrum(op: CPS, tol_cluster: float = CLUSTER_FACTOR) -> Spectrum:
 
 
 def _singular_rows(w: np.ndarray, norms: np.ndarray, errs: np.ndarray,
-                  tol_invert: float
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(min_abs, threshold, singular) of each row of a (..., n) stack of
-    spectra with their block norms and solver error bounds: the smallest
-    eigenvalue magnitude (inf when n is 0), the invertibility threshold
-    tol_invert * (1 + norm), and whether min_abs less the error bound is
-    within it."""
+                  tol: np.ndarray, tol_invert: float) -> tuple[np.ndarray, ...]:
+    """(min_abs, threshold, singular, near) of each row of a (..., n) stack
+    of spectra with their block norms, clustering tolerances and solver
+    error bounds: the smallest eigenvalue magnitude (inf when n is 0), the
+    invertibility threshold tol_invert * (1 + norm), whether min_abs less
+    the error bound is within it or NaN, and the mask of the negative
+    eigenvalues within tol of 0. A window closed at -tol would count such
+    an eigenvalue with the nonnegative ones, so an end is refused for it."""
     min_abs = np.abs(w).min(axis=-1, initial=np.inf)
     threshold = tol_invert * (1.0 + norms)
-    return min_abs, threshold, min_abs - errs <= threshold
+    near = (w < 0.0) & (w >= -tol[..., None])
+    return min_abs, threshold, ~(min_abs - errs > threshold), near
 
 
 def cluster_values(w: np.ndarray,
@@ -299,7 +302,7 @@ class OperatorPath:
         knots = np.asarray([float(k) for k in knots])
         if knots.ndim != 1 or knots.size < 2:
             raise OutOfRange("need at least the two endpoint knots")
-        if abs(knots[0]) > 1e-12 or abs(knots[-1] - 1.0) > 1e-12:
+        if not (abs(knots[0]) <= 1e-12 and abs(knots[-1] - 1.0) <= 1e-12):
             raise OutOfRange(f"knots must run from 0 to 1, got {knots[0]}..{knots[-1]}")
         knots[0], knots[-1] = 0.0, 1.0
         _increasing(knots)
@@ -328,7 +331,7 @@ class OperatorPath:
         strictly increasing knots from exactly 0 to 1, checking only their
         differences. A derived path passes what its piecewise_linear call
         would get: a second symmetrization rounds odd subnormal entries."""
-        stack = 0.5 * samples + 0.5 * samples.swapaxes(1, 2)  # cannot overflow
+        stack = symmetric_part(samples)
         with np.errstate(over="ignore"):
             diffs = stack[1:] - stack[:-1]
         if not np.isfinite(diffs).all():
@@ -472,7 +475,7 @@ def segment_speeds(paths: Sequence[OperatorPath]
 def _sym(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return 0.5 * m + 0.5 * m.T
+    return symmetric_part(m)
 
 
 def _finite(stack: np.ndarray) -> np.ndarray:
@@ -482,8 +485,9 @@ def _finite(stack: np.ndarray) -> np.ndarray:
 
 
 def _increasing(knots: np.ndarray) -> np.ndarray:
-    # a knot computed from valid ones (k / 2, 1 - k) can round onto another
-    if np.any(np.diff(knots) <= 0):
+    # a knot computed from valid ones (k / 2, 1 - k) can round onto another;
+    # a NaN knot fails
+    if not np.all(np.diff(knots) > 0):
         raise OutOfRange("knots must be strictly increasing")
     return knots
 
@@ -590,6 +594,17 @@ def equivariance_defects(blocks: np.ndarray, action: OrthogonalAction,
     return defects
 
 
+def _equivariance_rows(blocks: np.ndarray, action: OrthogonalAction,
+                       norm: np.ndarray, ok: np.ndarray) -> tuple:
+    """(defects, tol, bad) of a (k, n, n) stack of blocks whose largest
+    eigenvalue magnitudes are norm: equivariance_defects at the tolerance
+    EQUIVARIANCE_FACTOR * (1 + norm), inf where the solve failed (ok is
+    false), and whether a block failed its solve or its check, NaN too."""
+    tol = EQUIVARIANCE_FACTOR * np.where(ok, 1.0 + norm, np.inf)
+    defects = equivariance_defects(blocks, action, tol)
+    return defects, tol, ~ok | ~(defects <= tol)
+
+
 def check_equivariance(op: CPS, action: OrthogonalAction) -> float:
     """Largest commutator norm between the block and any action matrix."""
     # a tol of 0 passes only a zero commutator, whose norm is 0 either way
@@ -624,11 +639,9 @@ def morse_classes(blocks: np.ndarray, action: OrthogonalAction,
                                 f"dimension {blocks.shape[-1]}")
     w, v, norm, tol, err, ok, errors = eigendata_each(blocks, tol_cluster)
     raise_first([errors.get(0)])
-    scale = EQUIVARIANCE_FACTOR * np.where(ok, 1.0 + norm, np.inf)
-    defects = equivariance_defects(blocks, action, scale)
+    defects, _, bad = _equivariance_rows(blocks, action, norm, ok)
     # the first block that fails its solve or equivariance; the faults of
     # the blocks before it come first
-    bad = ~ok | (defects > scale)
     k = int(bad.argmax()) if bad.any() else len(blocks)
     classes = _negative_classes(action, table, w[:k], v[:k], norm[:k],
                                 tol[:k], err[:k], tol_invert)
@@ -648,11 +661,7 @@ def _negative_classes(action: OrthogonalAction, table: RealCharacterTable,
     first error of a loop over the blocks in order, each checked for
     NotInvertible (an eigenvalue within the invertibility threshold of 0,
     else a negative one within the cluster tolerance), then classified."""
-    min_abs, _, singular = _singular_rows(w, norm, err, tol_invert)
-    # a negative eigenvalue within tol of 0 can share a cluster with
-    # nonnegative ones and be counted with them, so it is refused, as the
-    # flow's end check refuses it
-    near = (w < 0.0) & (w >= -tol[:, None])
+    min_abs, _, singular, near = _singular_rows(w, norm, err, tol, tol_invert)
     bad = singular | near.any(axis=1)
     k = int(bad.argmax()) if bad.any() else len(w)
     fault = None if k == len(w) else (

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._eig import block_diag, jacobi_eigh
+from ._eig import block_diag, jacobi_eigh, symmetric_part
 from .errors import OutOfRange, SflowError, raise_first
 from .groups import (
     FiniteGroup,
@@ -40,8 +40,7 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 def reynolds_symmetric(action: OrthogonalAction, x: np.ndarray) -> np.ndarray:
     """Group average of x, or of each matrix of a (k, d, d) stack,
     symmetrized. Lands in the commutant exactly."""
-    avg = _reynolds(action, x)
-    return 0.5 * avg + 0.5 * avg.swapaxes(-1, -2)
+    return symmetric_part(_reynolds(action, x))
 
 
 def _reynolds(action: OrthogonalAction, x: np.ndarray) -> np.ndarray:

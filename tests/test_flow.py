@@ -1,7 +1,9 @@
 """Certified partitions, the equivariant flow, the endpoint oracle, axioms."""
 
 import copy
+import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -119,19 +121,52 @@ def test_nan_cluster_tolerance_cannot_hide_a_crossing():
               FlowOptions(tol_cluster=float("nan")))
 
 
+@pytest.mark.parametrize("field", ["max_depth", "min_depth"])
+def test_a_nan_depth_is_refused(field):
+    # NaN fails every comparison: accepted, it left every segment untested
+    # and bisection never ended
+    with pytest.raises(OutOfRange, match="^depths must be nonnegative$"):
+        FlowOptions(**{field: math.nan})
+
+
 def test_partition_invariants():
+    # the refusals, with their messages, are in
+    # test_partition_checks_name_the_bad_input
     good = CertifiedPartition((0.0, 0.5, 1.0), (0.3, 0.4), (0.1, 0.1))
     assert len(good.levels) == 2
-    with pytest.raises(OutOfRange):
-        CertifiedPartition((0.0, 0.5), (0.3,), (0.1,))  # must end at 1
-    with pytest.raises(OutOfRange):
-        CertifiedPartition((0.0, 0.5, 0.5, 1.0), (0.3,) * 3, (0.1,) * 3)
-    with pytest.raises(OutOfRange):
-        CertifiedPartition((0.0, 1.0), (-0.3,), (0.1,))
-    with pytest.raises(OutOfRange):
-        CertifiedPartition((0.0, 1.0), (0.3,), (0.0,))
-    with pytest.raises(OutOfRange):
-        CertifiedPartition((0.0, 1.0), (0.3, 0.4), (0.1, 0.1))
+
+
+@pytest.mark.parametrize("knots, levels, margins, message", [
+    ((0.0, 1.0), (math.nan,), (0.1,), "levels must be positive"),
+    ((0.0, 1.0), (0.5,), (math.nan,), "margins must be positive"),
+    ((0.0, math.nan, 1.0), (0.5, 0.5), (0.1, 0.1),
+     "knots must be strictly increasing"),
+])
+def test_a_nan_in_a_partition_is_refused(knots, levels, margins, message):
+    # NaN fails every comparison: accepted, a NaN level made the flow of
+    # this path, 1 by bisection and by the oracle, read 0
+    table, action = _trivial_setup(1)
+    p = OperatorPath.affine(-np.eye(1), 2 * np.eye(1))
+    assert sfl_G(p, action, table).sfl == 1
+    assert forgetful_F(morse_oracle_sfl_G(p, action, table)) == 1
+    with pytest.raises(OutOfRange, match=f"^{message}$") as info:
+        sfl_G(p, action, table,
+              partition=CertifiedPartition(knots, levels, margins))
+    assert info.value.exit_code == 2
+
+
+@pytest.mark.parametrize("knots, levels, margins, message", [
+    ((0.0, 0.5), (0.3,), (0.1,), "knots must run from 0 to 1, got (0.0, 0.5)"),
+    ((0.0, 0.5, 0.5, 1.0), (0.3,) * 3, (0.1,) * 3,
+     "knots must be strictly increasing"),
+    ((0.0, 1.0), (0.3, 0.4), (0.1, 0.1), "2 levels for 1 segments"),
+    ((0.0, 0.5, 1.0), (0.3, 0.4), (0.1,), "one margin per level required"),
+    ((0.0, 1.0), (-0.3,), (0.1,), "levels must be positive"),
+    ((0.0, 1.0), (0.3,), (0.0,), "margins must be positive"),
+])
+def test_partition_checks_name_the_bad_input(knots, levels, margins, message):
+    with pytest.raises(OutOfRange, match=rf"^{re.escape(message)}$"):
+        CertifiedPartition(knots, levels, margins)
 
 
 # --- certification -----------------------------------------------------------
@@ -450,6 +485,32 @@ def test_verify_axioms_passes():
     assert all(r.instances == 3 for r in report.results)
     by_name = {r.name: r for r in report.results}
     assert by_name["concatenation"].failures == ()
+
+
+def test_verify_axioms_reports_the_witness_of_each_failed_check(monkeypatch):
+    # one more trivial in the first two flows: the invertible path of the
+    # vanishing case, and the concatenation of the first concatenation case
+    table, action = preset_action("cyclic", 2, 2, np.random.default_rng(0))
+    real, one = sfl_G_each, groups.VirtualRep(table, (1, 0))
+
+    def shifted(requests, table, *args, **kwargs):
+        reports = real(requests, table, *args, **kwargs)
+        for i in (0, 1):
+            reports[i] = dataclasses.replace(reports[i],
+                                             sfl_G=reports[i].sfl_G + one)
+        return reports
+
+    monkeypatch.setattr(flow, "sfl_G_each", shifted)
+    report = verify_axioms(action, table, seed=0, instances=1)
+    assert report.passed is False
+    assert {r.name: r.failures for r in report.results} == {
+        "vanishing": ("instance 0: invertible path has flow "
+                      "VirtualRep(1*trivial)",),
+        "concatenation": ("instance 0: concatenation VirtualRep(1*trivial) "
+                          "!= VirtualRep(0)",),
+        "direct_sum": (), "reparametrization": (), "conjugation": ()}
+    assert [r.passed for r in report.results] == [False, False, True, True,
+                                                  True]
 
 
 def _looped_reynolds(action, x):
@@ -806,7 +867,9 @@ def _reference_class(action, table, frame):
     # one frame at a time, from the trace of F^T rho F and the class pairing
     reps = action.stack[list(table.group.class_representatives())]
     chi = np.trace(frame.T @ reps @ frame, axis1=1, axis2=2)
-    return tuple(round(table.pair(chi, ir.values) / ir.schur_norm)
+    sizes, order = table.group.class_sizes, table.group.order
+    return tuple(round(sum(s * float(a) * b for s, a, b in
+                           zip(sizes, chi, ir.values)) / order / ir.schur_norm)
                  for ir in table.irreps)
 
 

@@ -1,5 +1,6 @@
 """Group presets, character tables, multiplicity vectors, projections."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from sflow.errors import (
     NonIntegralMultiplicity,
     NotInvariant,
     NotOrthonormal,
+    OutOfRange,
     TableMismatch,
     WrongGroup,
 )
@@ -205,6 +207,68 @@ def test_bad_character_tables():
         build_group("explicit", mult_table=group.mult_table, char_table=[
             {"name": "trivial", "degree": 1, "schur": 3, "values": [1, 1]},
         ])
+
+
+@pytest.mark.parametrize("where", [0, 1])
+def test_a_nan_character_value_is_a_bad_table(where):
+    # NaN passed both checks, and the job failed later with exit 4 as a
+    # NonIntegralMultiplicity; it is invalid input, at construction
+    group, _ = build_group("cyclic", 2)
+    values = [1.0, 1.0]
+    values[where] = float("nan")
+    message = ("trivial: value at identity nan != degree 1" if where == 0
+               else "orthogonality fails for (trivial, trivial): pairing nan, "
+                    "expected 1.0")
+    with pytest.raises(BadCharacterTable, match=rf"^{re.escape(message)}$") as info:
+        build_group("explicit", mult_table=group.mult_table, char_table=[
+            {"name": "trivial", "degree": 1, "schur": 1, "values": values}])
+    assert info.value.exit_code == 2
+
+
+def test_orthogonality_failure_names_the_first_pair():
+    group, _ = build_group("cyclic", 2)
+    with pytest.raises(BadCharacterTable, match=r"^orthogonality fails for "
+                       r"\(trivial, sign\): pairing -0\.5, expected 0\.0$"):
+        build_group("explicit", mult_table=group.mult_table, char_table=[
+            {"name": "trivial", "degree": 1, "schur": 1, "values": [1, 1]},
+            {"name": "sign", "degree": 1, "schur": 1, "values": [1, -2]}])
+
+
+def _odd_z2_table():
+    # an order-2 table that passes validation but is not the standard one:
+    # a quaternionic-type row of degree 2 next to the sign
+    group, _ = build_group("cyclic", 2)
+    return groups.RealCharacterTable(group, [
+        Irrep("a", 2, 4, (2.0, 2.0)), Irrep("b", 1, 1, (1.0, -1.0))])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: FiniteGroup(()), NonGroup, "empty multiplication table"),
+    (lambda: FiniteGroup(((0, 1), (1,))), NonGroup,
+     "row 1 has length 1, expected 2"),
+    (lambda: groups.RealCharacterTable(build_group("trivial")[0], []),
+     BadCharacterTable, "no irreducible characters given"),
+    (lambda: groups.RealCharacterTable(build_group("trivial")[0], [
+        Irrep("a", 0, 1, (1.0,))]), BadCharacterTable, "a: degree 0 < 1"),
+    (lambda: groups.RealCharacterTable(build_group("trivial")[0], [
+        Irrep("a", 1, 1, (1.0, 1.0))]), BadCharacterTable,
+     "a: 2 values for 1 classes"),
+    (lambda: OrthogonalAction(build_group("trivial")[0], [np.ones((1, 2))]),
+     BadAction, "matrix for element 0 is not square: (1, 2)"),
+    (lambda: OrthogonalAction(build_group("cyclic", 2)[0],
+                              [np.eye(1), np.eye(2)]),
+     BadAction, "matrix for element 1 has dimension 2, expected 1"),
+    (lambda: build_group("explicit", mult_table=[[0]],
+                         char_table=[{"name": "a"}]),
+     BadCharacterTable, "bad irrep record {'name': 'a'}"),
+    (lambda: character_of_subspace(_z2_diag_action()[2], np.ones((3, 1))),
+     NotOrthonormal, "basis shape (3, 1) does not match action dimension 2"),
+    (lambda: phi_Z2(VirtualRep.zero(_odd_z2_table())), WrongGroup,
+     "character table is not the standard order-2 table"),
+])
+def test_input_checks_name_the_bad_input(build, error, message):
+    with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+        build()
 
 
 # --- orthogonal actions ----------------------------------------------------
@@ -472,13 +536,18 @@ def test_isotypical_resolution_of_identity():
 
 
 def test_isotypical_rejects_mismatched_table():
+    # another group's table is a WrongGroup, as in the flow; a bad index or
+    # name is an OutOfRange, inside the exit-code contract
     _, _, action = _z2_diag_action()
     _, table3 = build_group("cyclic", 3)
-    with pytest.raises(TableMismatch):
+    with pytest.raises(WrongGroup, match="^character table and action belong "
+                                         "to different groups$"):
         isotypical_projection(action, table3, 0)
     _, table = build_group("cyclic", 2)
-    with pytest.raises(WrongGroup):
+    with pytest.raises(OutOfRange, match="^irrep index 5 out of range$"):
         isotypical_projection(action, table, 5)
+    with pytest.raises(OutOfRange, match="^unknown irrep 'plane_1'$"):
+        isotypical_projection(action, table, "plane_1")
 
 
 def test_irrep_dataclass_is_frozen():

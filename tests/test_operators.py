@@ -1,6 +1,8 @@
 """Block operators, spectra, interval eigenframes, and path algebra."""
 
 import dataclasses
+import math
+import re
 import warnings
 
 import numpy as np
@@ -624,6 +626,18 @@ def test_piecewise_linear_path():
     assert p.block_at(0.5) == pytest.approx(np.array([[1.0]]))
     # endpoint returns the final sample exactly, no interpolation residue
     assert float(p.block_at(1.0)[0, 0]) == 0.0
+
+
+@pytest.mark.parametrize("knots", [[math.nan, 0.5, 1.0], [0.0, 0.5, math.nan],
+                                   [0.0, math.nan, 1.0]])
+def test_piecewise_linear_refuses_a_nan_knot(knots):
+    # an end knot of NaN was snapped to 0 or 1, and an interior one built a
+    # path of NaN speeds whose flow failed later with exit 4
+    message = ("knots must be strictly increasing" if math.isnan(knots[1])
+               else f"knots must run from 0 to 1, got {knots[0]}..{knots[-1]}")
+    with pytest.raises(OutOfRange, match=rf"^{re.escape(message)}$") as info:
+        OperatorPath.piecewise_linear(knots, [np.eye(1), -np.eye(1), np.eye(1)])
+    assert info.value.exit_code == 2
 
 
 def test_piecewise_linear_validation():

@@ -1,12 +1,14 @@
 """Stacked random draws and the deferred solve of path speeds."""
 
+import re
+
 import numpy as np
 import pytest
 
 from sflow import flow, operators
 from sflow._eig import jacobi_eigh
 from sflow.cogredient import parametrix
-from sflow.errors import EigenFailure
+from sflow.errors import EigenFailure, OutOfRange
 from sflow.groups import direct_sum_action
 from sflow.operators import (
     OperatorPath,
@@ -16,6 +18,7 @@ from sflow.operators import (
 )
 from sflow.sampling import (
     CLAMP_DELTA,
+    PathDraws,
     conjugate_path,
     preset_action,
     random_equivariant_orthogonal,
@@ -26,6 +29,19 @@ from sflow.sampling import (
 
 _GROUPS = [("trivial", 1), ("cyclic", 5), ("dihedral", 3), ("dihedral", 4),
            ("dihedral", 6)]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda action, rng: PathDraws(action).equivariant(rng, kind="cubic"),
+     "unknown path kind 'cubic'"),
+    (lambda action, rng: reparametrize(OperatorPath.piecewise_linear(
+        [0.0, 1.0], [np.eye(1), -np.eye(1)]), rng),
+     "only affine paths are reparametrized here"),
+])
+def test_input_checks_name_the_bad_input(build, message):
+    table, action = preset_action("trivial", 1, 1)
+    with pytest.raises(OutOfRange, match=rf"^{re.escape(message)}$"):
+        build(action, np.random.default_rng(0))
 
 
 # --- the sampler as it drew one matrix at a time ---------------------------

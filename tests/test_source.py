@@ -299,3 +299,48 @@ def test_every_name_the_benchmark_tracer_hooks_resolves():
         if owner is None:
             missing.append(f"{module}.{attribute}")
     assert targets and missing == []
+
+
+def _transposed(node: ast.AST) -> str | None:
+    # the source of the matrix a node transposes (m.T, m.swapaxes(...),
+    # m.transpose(...), np.swapaxes(m, ...) or np.transpose(m, ...)), or None
+    if isinstance(node, ast.Attribute) and node.attr == "T":
+        return ast.unparse(node.value)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("swapaxes", "transpose")):
+        owner = ast.unparse(node.func.value)
+        if owner not in ("np", "numpy"):
+            return owner
+        return ast.unparse(node.args[0]) if node.args else None
+    return None
+
+
+def test_only_eig_writes_out_the_symmetric_part():
+    # 0.5 * m + 0.5 * m^T, in either order, is written once, as
+    # _eig.symmetric_part, which every symmetrization of the package calls
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+                continue
+            halves = [side.right for side in (node.left, node.right)
+                      if isinstance(side, ast.BinOp)
+                      and isinstance(side.op, ast.Mult)
+                      and ast.unparse(side.left) == "0.5"]
+            if len(halves) == 2 and (
+                    _transposed(halves[1]) == ast.unparse(halves[0])
+                    or _transposed(halves[0]) == ast.unparse(halves[1])):
+                found.append(path.name)
+    assert found == ["_eig.py"]
+
+
+def test_only_operators_names_the_equivariance_factor():
+    # the equivariance tolerance is operators._equivariance_rows' rule: no
+    # other module, and no other function there, names its factor
+    found = {path.name for path in PACKAGE.glob("*.py")
+             if "EQUIVARIANCE_FACTOR" in path.read_text(encoding="utf-8")}
+    tree = ast.parse((PACKAGE / "operators.py").read_text(encoding="utf-8"))
+    users = {node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and "EQUIVARIANCE_FACTOR" in _names(node)}
+    assert found == {"operators.py"} and users == {"_equivariance_rows"}
