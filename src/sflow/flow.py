@@ -11,6 +11,7 @@ flow is then the telescoping sum of the classes of the eigenspaces in
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -147,7 +148,7 @@ class SflReport:
 
 
 class _Eigendata:
-    """Blocks and eigendata of the requests of one sfl_G_each call that
+    """Blocks and eigendata of the requests of one _flow_rows call that
     share a block size, at one cluster tolerance.
 
     Each (request, parameter) pair solved is one row of growing arrays: the
@@ -323,11 +324,11 @@ _FIRST = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
-                opts: FlowOptions
-                ) -> list[tuple[CertifiedPartition, np.ndarray] | SflowError]:
+                opts: FlowOptions) -> list[tuple[tuple, np.ndarray] | SflowError]:
     """find_partition for the path of each request of each (store,
-    requests) group in turn, in shared rounds over every block size, with
-    the rows of each partition's knots, then its midpoints, in its store.
+    requests) group in turn, in shared rounds over every block size, as
+    the arrays of its knots, levels and margins, with the rows of its knots,
+    then its midpoints, in its store.
 
     A pending segment is a row of (request, depth, rows of its left end, of
     its quarter points and of its right end, -1 where not solved yet), each
@@ -468,8 +469,7 @@ def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
     for p, k in enumerate(live):
         i = order[bounds[p]:bounds[p + 1]]
         out[k] = failure.get(p) or (
-            CertifiedPartition((0.0, *right[i].tolist()), tuple(level[i].tolist()),
-                               tuple(margin[i].tolist())),
+            (np.concatenate([[0.0], right[i]]), level[i], margin[i]),
             np.concatenate([first[k, :1], end[i], mid[i]]))
     return out
 
@@ -496,19 +496,26 @@ def find_partition(path: OperatorPath,
     opts = opts or FlowOptions()
     parts = _partitions([(_Eigendata([path], opts.tol_cluster), [0])], opts)
     raise_first(parts)
-    return parts[0][0]
+    return CertifiedPartition(*(tuple(x.tolist()) for x in parts[0][0]))
+
+
+# one certified flow of _flow_rows: its partition's knots, levels and margins
+# (arrays, or the tuples of a given partition), the integer coefficient row
+# of each segment's contribution, and their total
+_FlowRows = namedtuple("_FlowRows", "knots levels margins contributions total")
 
 
 @dataclass
 class _Flow:
-    """One request of sfl_G_each on its way to a report or an error: req
-    is its request in the eigendata of its block size, and rows are the
-    rows of its partition's knots, then of its midpoints."""
+    """One request of _flow_rows on its way to its rows or an error: part
+    is its partition's (knots, levels, margins), arrays or the tuples of a
+    given partition, req its request in the eigendata of its block size, and
+    rows are the rows of its partition's knots, then of its midpoints."""
 
     path: OperatorPath
     action: OrthogonalAction
-    partition: CertifiedPartition | None
-    outcome: SflReport | SflowError | None = None
+    part: tuple | None
+    outcome: _FlowRows | SflowError | None = None
     req: int = -1
     rows: np.ndarray | None = None
 
@@ -532,21 +539,21 @@ def _check_equivariance(store: _Eigendata, flows: list[_Flow]) -> None:
 
 def _take_classes(store: _Eigendata, flows: list[_Flow],
                   table: RealCharacterTable) -> None:
-    """Report of each flow from the classes of the frames of [0, level] at
+    """Rows of each flow from the classes of the frames of [0, level] at
     the left and right knot of each of its segments, for every flow of one
     action in one array pass over the stacked knot eigendata, with the left
     edge closed at -tol. The distinct (knot, columns) frames go to one
     class pass as one padded stack. Each flow's first failure is that of a
     per-frame loop; _check_equivariance has solved every knot."""
-    knots = np.concatenate([f.rows[:len(f.partition.knots)] for f in flows])
+    knots = np.concatenate([f.rows[:len(f.part[0])] for f in flows])
     w, tol = store.w[knots], store.tol[knots]
     # frames 2i and 2i + 1 of a flow are the left and right knot of segment
     # i: at gives each frame its place in knots
-    size = np.array([len(f.partition.levels) for f in flows])
+    size = np.array([len(f.part[1]) for f in flows])
     spans = np.cumsum(2 * size)
     at = (np.arange(spans[-1]) + 1) // 2 + np.repeat(np.arange(len(flows)),
                                                      2 * size)
-    levels = [lv for f in flows for lv in f.partition.levels for _ in "lr"]
+    levels = [lv for f in flows for lv in f.part[1] for _ in "lr"]
     # the window [0, level] is closed at -tol, as a kernel vector is inside
     faults = window_faults(w[at], tol[at], levels, np.array(
         [f.path.tails for f in flows]).repeat(2 * size, axis=0))
@@ -576,49 +583,31 @@ def _take_classes(store: _Eigendata, flows: list[_Flow],
     if good:
         # each segment's contribution is its right knot class less its left
         # one, taken on the integer-valued coefficient rows of every flow
-        # at once; equal rows share one VirtualRep, as they are immutable
+        # at once
         c = coeffs[[i for _, picked in good for i in picked]]
-        diffs = c[1::2] - c[::2]
+        diffs = (c[1::2] - c[::2]).astype(np.int64)
         at = np.cumsum([0] + [len(picked) // 2 for _, picked in good])
-        made: dict[tuple, VirtualRep] = {}
-        rows, totals = diffs.tolist(), np.add.reduceat(diffs, at[:-1]).tolist()
-        for row in map(tuple, rows + totals):
-            if row not in made:
-                made[row] = VirtualRep(table, row)
+        totals = np.add.reduceat(diffs, at[:-1])
         for (f, _), start, end, total in zip(good, at, at[1:], totals):
-            f.outcome = _flow_report(
-                f.partition, [made[tuple(d)] for d in rows[start:end]],
-                made[tuple(total)])
+            f.outcome = _FlowRows(*f.part, diffs[start:end], total)
 
 
-def _flow_report(partition: CertifiedPartition, contributions: list[VirtualRep],
-                 klass: VirtualRep) -> SflReport:
-    crossings = tuple(
-        Crossing((partition.knots[i], partition.knots[i + 1]), c)
-        for i, c in enumerate(contributions) if not c.is_zero())
-    return SflReport(sfl_G=klass, sfl=forgetful_F(klass), partition=partition,
-                     segment_contributions=tuple(contributions),
-                     crossings=crossings)
-
-
-def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
+def _flow_rows(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
                table: RealCharacterTable, opts: FlowOptions | None = None, *,
                partitions: Sequence[CertifiedPartition | None] | None = None
-               ) -> list[SflReport | SflowError]:
-    """sfl_G of each (path, action) request: its report, or in its place the
-    error its own sfl_G call raises.
+               ) -> list[_FlowRows | SflowError]:
+    """The certifier of sfl_G_each: the rows of each request's flow, or in
+    their place the error its own sfl_G call raises.
 
     The requests of one block size share their work through one store of
     eigendata. Bisection runs in one loop of shared rounds over every block
     size (_partitions); then the blocks at knots and midpoints of all flows
     of one action are checked for equivariance in one stacked pass, and
-    their knot frames take their classes in another. partitions, when
-    given, holds one certificate per request to use instead of bisection,
-    or None: a test seam, trusted and not certified again.
-    """
+    their knot frames take their classes in another."""
     opts = opts or FlowOptions()
-    flows = [_Flow(path, action, part) for (path, action), part in zip(
-        requests, partitions or [None] * len(requests))]
+    flows = [_Flow(path, action, None if part is None else (
+        part.knots, part.levels, part.margins)) for (path, action), part in zip(
+            requests, partitions or [None] * len(requests))]
     by_dim: dict[int, list[_Flow]] = {}
     for f in flows:
         if f.action.dim != f.path.dim:
@@ -634,20 +623,19 @@ def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
     stores = {dim: _Eigendata([f.path for f in group], opts.tol_cluster)
               for dim, group in by_dim.items()}
     for dim, group in by_dim.items():
-        given = [f for f in group if f.partition is not None]
+        given = [f for f in group if f.part is not None]
         if given:
             store = stores[dim]
-            lams = [[*f.partition.knots, *((a + b) / 2.0 for a, b in zip(
-                f.partition.knots, f.partition.knots[1:]))] for f in given]
+            lams = [[*k, *((a + b) / 2.0 for a, b in zip(k, k[1:]))]
+                    for k, _, _ in (f.part for f in given)]
             rows = store.add(np.repeat([f.req for f in given], list(map(
                 len, lams))), np.concatenate(lams))
             for f, ls in zip(given, lams):
                 f.rows, rows = rows[:len(ls)], rows[len(ls):]
-            ends = np.array([f.rows[[0, len(f.partition.knots) - 1]]
-                             for f in given])
+            ends = np.array([f.rows[[0, len(f.part[0]) - 1]] for f in given])
             for f, fault in zip(given, _end_faults(store, ends, opts.tol_invert)):
                 f.outcome = fault
-    bisect = [[f for f in group if f.partition is None]
+    bisect = [[f for f in group if f.part is None]
               for group in by_dim.values()]
     bisect = [group for group in bisect if group]
     for f, part in zip([f for group in bisect for f in group], _partitions(
@@ -656,7 +644,7 @@ def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
         if isinstance(part, SflowError):
             f.outcome = part
         else:
-            f.partition, f.rows = part
+            f.part, f.rows = part
     for dim, group in by_dim.items():
         by_action: dict[int, list[_Flow]] = {}
         for f in group:
@@ -668,6 +656,42 @@ def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
             if equivariant:
                 _take_classes(stores[dim], equivariant, table)
     return [f.outcome for f in flows]
+
+
+def sfl_G_each(requests: Sequence[tuple[OperatorPath, OrthogonalAction]],
+               table: RealCharacterTable, opts: FlowOptions | None = None, *,
+               partitions: Sequence[CertifiedPartition | None] | None = None
+               ) -> list[SflReport | SflowError]:
+    """sfl_G of each (path, action) request: its report, built from the rows
+    _flow_rows certifies, or in its place the error its own sfl_G call
+    raises. partitions, when given, holds one certificate per request to use
+    instead of bisection, or None: a test seam, trusted and not certified
+    again."""
+    made: dict[tuple[int, ...], VirtualRep] = {}  # equal rows share one
+
+    def klass(row: list[int]) -> VirtualRep:
+        key = tuple(row)
+        if key not in made:
+            made[key] = VirtualRep(table, key)
+        return made[key]
+
+    reports: list[SflReport | SflowError] = []
+    partitions = partitions or [None] * len(requests)
+    for got, given in zip(_flow_rows(requests, table, opts,
+                                     partitions=partitions), partitions):
+        if isinstance(got, SflowError):
+            reports.append(got)
+            continue
+        part = given or CertifiedPartition(*(tuple(x.tolist()) for x in got[:3]))
+        contributions = [klass(row) for row in got.contributions.tolist()]
+        total = klass(got.total.tolist())
+        reports.append(SflReport(
+            sfl_G=total, sfl=forgetful_F(total), partition=part,
+            segment_contributions=tuple(contributions),
+            crossings=tuple(Crossing((part.knots[i], part.knots[i + 1]), c)
+                            for i, c in enumerate(contributions)
+                            if not c.is_zero())))
+    return reports
 
 
 def sfl_G(path: OperatorPath, action: OrthogonalAction,
@@ -739,10 +763,10 @@ def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,
     batch, a change of parameter, an equivariant orthogonal matrix). Then
     the batch averages and clamps all its draws at once and builds its
     paths, and each case builds its flows from them. Flows draw no random
-    numbers, so all of them go to one sfl_G_each call, and each check
-    compares their summed coefficient rows. The error raised is the one a
-    case by case run raises first: if a draw or a build fails, the first
-    error among the flows requested before it, else its own.
+    numbers, so all of them go to one _flow_rows call, and each check
+    compares their summed total rows; no report is built. The error raised
+    is the one a case by case run raises first: if a draw or a build fails,
+    the first error among the flows requested before it, else its own.
     """
     opts = opts or FlowOptions()
     rng = np.random.default_rng(seed)
@@ -821,18 +845,15 @@ def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,
             # a case that fails to build was drawn before any draw that
             # failed
             fault = e
-    reports = sfl_G_each(requests, table, opts)
-    raise_first([*reports, fault])
-
-    def total(flows: list[int] | None) -> VirtualRep:
-        return sum((reports[k].sfl_G for k in flows or []), VirtualRep.zero(table))
-
+    out = _flow_rows(requests, table, opts)
+    raise_first([*out, fault])
+    rows = np.array([o.total for o in out], dtype=np.int64).reshape(
+        -1, table.n_irreps)
     # each check's left side less its right side, over the flows' integer
-    # coefficient rows in one pass; a VirtualRep only for a failure witness
+    # total rows in one pass; a VirtualRep only for a failure witness
     sides = [(lhs, rhs or []) for _, _, lhs, rhs in checks]
     differ = np.zeros(len(checks), dtype=bool)
     if checks:
-        rows = np.array([r.sfl_G.coeffs for r in reports], dtype=np.int64)
         flows = [k for lhs, rhs in sides for k in (*lhs, *rhs)]
         signs = [s for lhs, rhs in sides
                  for s in (*[1] * len(lhs), *[-1] * len(rhs))]
@@ -844,7 +865,8 @@ def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,
     failures: dict[str, list[str]] = {name: [] for name in names}
     for (suite, prefix, lhs, rhs), bad in zip(checks, differ):
         if bad:
-            got, want = total(lhs), total(rhs)
+            got, want = (VirtualRep(table, rows[k or []].sum(axis=0).tolist())
+                         for k in (lhs, rhs))
             failures[suite].append(f"{prefix} {got}" if rhs is None
                                    else f"{prefix} {got} != {want}")
     return AxiomSuiteReport(tuple(AxiomResult(name, instances, tuple(failures[name]))

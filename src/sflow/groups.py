@@ -4,6 +4,7 @@ vectors of irreducible multiplicities that the flow takes values in."""
 from __future__ import annotations
 
 import functools
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -31,7 +32,7 @@ MULTIPLICITY_TOL = 1e-6
 PROJECTION_TOL = 1e-8
 ACTION_ORTHOGONALITY_TOL = 1e-10
 HOMOMORPHISM_TOL = 1e-9
-HOMOMORPHISM_BATCH = 1 << 12
+HOMOMORPHISM_BATCH = 1 << 16
 FRAME_TOL = 1e-8
 INVARIANCE_TOL = 1e-7
 
@@ -54,17 +55,21 @@ class FiniteGroup:
     class_of: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        table = tuple(tuple(int(x) for x in row) for row in self.mult_table)
-        self.mult_table = table
-        n = len(table)
+        n = len(self.mult_table)
         if n == 0:
             raise NonGroup("empty multiplication table")
-        for i, row in enumerate(table):
+        for i, row in enumerate(self.mult_table):
             if len(row) != n:
                 raise NonGroup(f"row {i} has length {len(row)}, expected {n}")
             for x in row:
-                if not 0 <= x < n:
-                    raise NonGroup(f"entry {x} in row {i} out of range 0..{n - 1}")
+                # an integer, or a float of integer value; not a bool or NaN
+                whole = isinstance(x, numbers.Integral) or (
+                    isinstance(x, numbers.Real) and float(x).is_integer())
+                if isinstance(x, (bool, np.bool_)) or not (whole and 0 <= x < n):
+                    raise NonGroup(f"entry {x!r} in row {i} is not an element "
+                                   f"index 0..{n - 1}")
+        self.mult_table = table = tuple(tuple(int(x) for x in row)
+                                        for row in self.mult_table)
 
         t, elems = np.array(table, dtype=np.intp), np.arange(n)
         two_sided = ((t == elems) & (t.T == elems)).all(axis=1)
@@ -323,8 +328,8 @@ class OrthogonalAction:
         action, appended after the existing ones."""
         if extra == 0:
             return self
-        return object.__new__(OrthogonalAction)._adopt(self.group, np.array(
-            [block_diag(m, np.eye(extra)) for m in self.matrices]))
+        return object.__new__(OrthogonalAction)._adopt(
+            self.group, block_diag(self.stack, np.eye(extra)))
 
     def __repr__(self) -> str:
         return f"OrthogonalAction(order={self.group.order}, dim={self.dim})"
@@ -334,8 +339,8 @@ def direct_sum_action(a: OrthogonalAction, b: OrthogonalAction) -> OrthogonalAct
     """Block-diagonal join of two actions of the same group."""
     if a.group != b.group:
         raise WrongGroup("direct sum of actions of different groups")
-    return object.__new__(OrthogonalAction)._adopt(a.group, np.array(
-        [block_diag(ma, mb) for ma, mb in zip(a.matrices, b.matrices)]))
+    return object.__new__(OrthogonalAction)._adopt(a.group,
+                                                   block_diag(a.stack, b.stack))
 
 
 # --- preset groups -------------------------------------------------------
@@ -415,6 +420,11 @@ def build_group(preset: str, n: int | None = None, *,
                 except (KeyError, TypeError, ValueError) as exc:
                     raise BadCharacterTable(f"bad irrep record {item!r}") from exc
         return group, RealCharacterTable(group, irreps)
+    if preset in ("cyclic", "dihedral"):
+        # n is the cache key, so a float or a bool is refused before it
+        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+            raise NonGroup(f"{preset} preset needs an integer n >= 1, got {n!r}")
+        n = int(n)
     return _preset_group(preset, None if preset == "trivial" else n)
 
 
@@ -424,8 +434,6 @@ def _preset_group(preset: str, n: int | None
     if preset == "trivial":
         group = FiniteGroup(((0,),), name="trivial")
     elif preset in ("cyclic", "dihedral"):
-        if n is None or n < 1:
-            raise NonGroup(f"{preset} preset needs n >= 1, got {n}")
         # dihedral(1) has order 2; same abstract group as cyclic(2)
         flips = preset == "dihedral" and n > 1
         mult = _rotation_table(n if preset == "cyclic" or flips else 2, flips)

@@ -1,10 +1,8 @@
 """Certified partitions, the equivariant flow, the endpoint oracle, axioms."""
 
 import copy
-import dataclasses
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -491,16 +489,15 @@ def test_verify_axioms_reports_the_witness_of_each_failed_check(monkeypatch):
     # one more trivial in the first two flows: the invertible path of the
     # vanishing case, and the concatenation of the first concatenation case
     table, action = preset_action("cyclic", 2, 2, np.random.default_rng(0))
-    real, one = sfl_G_each, groups.VirtualRep(table, (1, 0))
+    real = flow._flow_rows
 
     def shifted(requests, table, *args, **kwargs):
-        reports = real(requests, table, *args, **kwargs)
+        rows = real(requests, table, *args, **kwargs)
         for i in (0, 1):
-            reports[i] = dataclasses.replace(reports[i],
-                                             sfl_G=reports[i].sfl_G + one)
-        return reports
+            rows[i] = rows[i]._replace(total=rows[i].total + [1, 0])
+        return rows
 
-    monkeypatch.setattr(flow, "sfl_G_each", shifted)
+    monkeypatch.setattr(flow, "_flow_rows", shifted)
     report = verify_axioms(action, table, seed=0, instances=1)
     assert report.passed is False
     assert {r.name: r.failures for r in report.results} == {
@@ -1774,9 +1771,16 @@ def test_verify_axioms_raises_the_error_a_case_by_case_run_raises(monkeypatch):
     assert kinds == {"ok", "OutOfRange", "CertificationFailed"}
 
 
+def _zero_rows(table):
+    # the rows of a flow of class zero on a partition of one segment
+    zero = np.zeros((1, table.n_irreps), dtype=np.int64)
+    return flow._FlowRows(np.array([0.0, 1.0]), np.array([0.5]),
+                          np.array([0.25]), zero, zero[0])
+
+
 def _requests_made(run, action, table, instances, monkeypatch):
-    # what run hands sfl_G_each, bit for bit: path kind, tails, knots, the
-    # samples or mat_a and mat_b, and the action; each flow reads as zero
+    # what run hands the certifier, bit for bit: path kind, tails, knots,
+    # the samples or mat_a and mat_b, and the action; each flow reads as zero
     made = []
 
     def each(requests, table, *args, **kwargs):
@@ -1785,10 +1789,9 @@ def _requests_made(run, action, table, instances, monkeypatch):
                       if path.kind == "affine" else np.stack(path.samples))
             made.append((path.kind, path.tails, path.knots.tobytes(),
                          blocks.tobytes(), act.stack.tobytes()))
-        return [SimpleNamespace(sfl_G=groups.VirtualRep.zero(table))
-                for _ in requests]
+        return [_zero_rows(table) for _ in requests]
 
-    monkeypatch.setattr(flow, "sfl_G_each", each)
+    monkeypatch.setattr(flow, "_flow_rows", each)
     run(action, table, seed=instances, instances=instances, opts=None)
     return made
 
@@ -1811,6 +1814,35 @@ def test_verify_axioms_requests_the_flows_of_a_case_by_case_run(preset,
             assert batched == alone
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_the_certifier_rows_are_those_of_the_reports(n, monkeypatch):
+    # the flows of a seeded verify job of the dihedral group of order 2n at
+    # dim 4: verify reads the certifier's rows, sfl_G_each builds reports
+    table, action = preset_action("dihedral", n, 4, np.random.default_rng(n),
+                                  conjugate=True)
+    requests, real = [], flow._flow_rows
+
+    def recording(reqs, *args, **kwargs):
+        requests.extend(reqs)
+        return real(reqs, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "_flow_rows", recording)
+    assert verify_axioms(action, table, seed=n, instances=4).passed
+    monkeypatch.undo()
+    rows, reports = real(requests, table), sfl_G_each(requests, table)
+    assert len(rows) == len(reports) == 48
+    for got, report in zip(rows, reports):
+        assert isinstance(report, SflReport)
+        assert got.total.dtype == np.int64
+        assert tuple(got.total.tolist()) == report.sfl_G.coeffs
+        assert [tuple(c) for c in got.contributions.tolist()] == [
+            c.coeffs for c in report.segment_contributions]
+        part = report.partition
+        assert [x.tobytes() for x in got[:3]] == [
+            np.array(x).tobytes() for x in (part.knots, part.levels, part.margins)]
+    assert any(got.total.any() for got in rows)
+
+
 def test_verify_axioms_clamps_every_case_in_one_solve(monkeypatch):
     # one eigensolve before the flows, whatever instances is: every end,
     # base and bump of the job in one stack
@@ -1823,10 +1855,9 @@ def test_verify_axioms_clamps_every_case_in_one_solve(monkeypatch):
 
     def each(requests, table, *args, **kwargs):
         before.append(list(solves))
-        return [SimpleNamespace(sfl_G=groups.VirtualRep.zero(table))
-                for _ in requests]
+        return [_zero_rows(table) for _ in requests]
 
-    monkeypatch.setattr(flow, "sfl_G_each", each)
+    monkeypatch.setattr(flow, "_flow_rows", each)
     for instances in (1, 2, 5, 20):
         solves.clear()
         verify_axioms(action, table, seed=7, instances=instances)

@@ -287,7 +287,7 @@ def test_action_validation():
         OrthogonalAction(group, [np.eye(2), rot60])
 
 
-@pytest.mark.parametrize("batch", [1, 1 << 12])
+@pytest.mark.parametrize("batch", [1, groups.HOMOMORPHISM_BATCH])
 def test_action_errors_name_their_witness(batch, monkeypatch):
     # batch 1 checks one row of the table at a time, the default all at once
     monkeypatch.setattr("sflow.groups.HOMOMORPHISM_BATCH", batch)
@@ -331,6 +331,62 @@ def test_direct_sum_action():
     other = OrthogonalAction(group3, [np.eye(1)] * 3)
     with pytest.raises(WrongGroup):
         direct_sum_action(diag, other)
+
+
+@pytest.mark.parametrize("preset, dims", [
+    (("trivial", 1), (0, 3)), (("cyclic", 3), (2, 5)), (("dihedral", 4), (4, 4)),
+    (("dihedral", 6), (3, 1))])
+def test_stacked_direct_sum_has_the_bits_of_the_per_element_join(preset, dims):
+    # the actions are conjugated by Haar matrices, so every entry counts
+    from sflow._eig import block_diag
+    from sflow.sampling import preset_action
+
+    rng = np.random.default_rng(list(dims))
+    (_, a), (_, b) = (preset_action(*preset, d, rng, conjugate=True)
+                      for d in dims)
+    want = np.array([block_diag(ma, mb) for ma, mb in zip(a.matrices, b.matrices)])
+    got = direct_sum_action(a, b)
+    assert got.stack.shape == want.shape and got.dim == sum(dims)
+    assert got.stack.tobytes() == want.tobytes()
+    assert [m.tobytes() for m in got.matrices] == [m.tobytes() for m in want]
+    other = preset_action("cyclic", 2, dims[1], rng)[1]
+    with pytest.raises(WrongGroup, match="^direct sum of actions of different "
+                       "groups$"):
+        direct_sum_action(a, other)
+
+
+@pytest.mark.parametrize("table, message", [
+    (((0, 1), (1, float("nan"))), "entry nan in row 1"),
+    (((0, 1), (1, 0.5)), "entry 0.5 in row 1"),
+    (((True, 1), (1, 0)), "entry True in row 0"),
+    (((0, 1), (1, np.bool_(False))), f"entry {np.bool_(False)!r} in row 1"),
+    (((0, 1), (1, float("inf"))), "entry inf in row 1")])
+def test_a_table_entry_that_is_not_an_element_index_is_not_a_group(table,
+                                                                   message):
+    # NaN and 0.5 were truncated or raised a bare ValueError, True read as 1
+    with pytest.raises(NonGroup, match=rf"^{re.escape(message)} is not an "
+                       r"element index 0\.\.1$"):
+        FiniteGroup(table)
+
+
+def test_integral_table_entries_of_any_number_type_are_elements():
+    group = FiniteGroup(((np.int64(0), 1.0), (1, np.float32(0.0))))
+    assert group.mult_table == ((0, 1), (1, 0))
+    assert all(type(x) is int for row in group.mult_table for x in row)
+
+
+@pytest.mark.parametrize("preset", ["cyclic", "dihedral"])
+@pytest.mark.parametrize("n", [float("nan"), 2.5, 3.0, True, None, 0, "3"])
+def test_a_preset_size_that_is_not_a_positive_integer_is_refused(preset, n):
+    # refused before the preset cache sees it: a bool or float key would
+    # hash like the integer it equals
+    groups._preset_group.cache_clear()
+    with pytest.raises(NonGroup, match=f"^{preset} preset needs an integer "
+                       rf"n >= 1, got {re.escape(repr(n))}$"):
+        build_group(preset, n)
+    assert groups._preset_group.cache_info().currsize == 0
+    group, _ = build_group(preset, np.int64(3))
+    assert group.name == f"{preset}_3" and group == build_group(preset, 3)[0]
 
 
 def test_combined_actions_are_adopted_without_revalidation(monkeypatch):

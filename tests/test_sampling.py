@@ -200,7 +200,7 @@ def test_a_verify_job_solves_its_speeds_once_per_block_size(monkeypatch):
     table, action = preset_action("dihedral", 3, 4, np.random.default_rng(8),
                                   conjugate=True)
     paths, stacks, alone = [], [], []
-    real_each, real_solve = flow.sfl_G_each, operators.eigh_each
+    real_each, real_solve = flow._flow_rows, operators.eigh_each
     real_norm = operators._specnorm
 
     def each(requests, *args, **kwargs):
@@ -220,7 +220,7 @@ def test_a_verify_job_solves_its_speeds_once_per_block_size(monkeypatch):
             alone.append(m.shape)
         return real_norm(m)
 
-    monkeypatch.setattr(flow, "sfl_G_each", each)
+    monkeypatch.setattr(flow, "_flow_rows", each)
     monkeypatch.setattr(operators, "eigh_each", counting)
     monkeypatch.setattr(operators, "_specnorm", solved_alone)
     assert flow.verify_axioms(action, table, seed=4, instances=2).passed

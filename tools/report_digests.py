@@ -2,12 +2,19 @@
 
 For each workload of ``perfbench/gen.py`` and each of the seeds 1, 5, 7 and
 23, every job runs in this process (``parse_job``, ``run``,
-``emit_report``), and two sha256 digests are printed:
+``emit_report``), and three sha256 digests are printed:
 
 - ``reports``: over every report text and exit code, in job order;
 - ``verify_paths``: over every path a ``verify`` job hands to the flow, in
   request order: its kind, knots, samples or affine coefficients, piece
-  differences and tails.
+  differences and tails;
+- ``verify_flows``: over what the flow returns for each of those paths, in
+  request order: its error's class and message, or its partition's knots,
+  levels and margins and its class's coefficient row. A ``verify`` report
+  shows only pass or fail, so this digest is what shows its flows.
+
+A ``verify`` job's requests are recorded where it hands them over:
+``flow._flow_rows``, where the checkout has it, else ``flow.sfl_G_each``.
 
 Run it against each checkout and compare the lines:
 
@@ -42,17 +49,31 @@ def path_bytes(path) -> bytes:
     return b"\0".join(parts)
 
 
-def digests(workload: str, seed: int) -> tuple[str, str, int]:
-    reports, paths = hashlib.sha256(), hashlib.sha256()
-    each, command = flow.sfl_G_each, None
+def flow_bytes(out) -> bytes:
+    if isinstance(out, Exception):
+        return f"{type(out).__name__}: {out}".encode()
+    # a report of sfl_G_each, or the rows of _flow_rows
+    part = getattr(out, "partition", out)
+    total = out.sfl_G.coeffs if hasattr(out, "sfl_G") else out.total
+    return b"\0".join([*(np.asarray(x, dtype=float).tobytes() for x in (
+        part.knots, part.levels, part.margins)),
+        np.asarray(total, dtype=np.int64).tobytes()])
+
+
+def digests(workload: str, seed: int) -> tuple[str, str, str, int]:
+    reports, paths, flows = (hashlib.sha256() for _ in range(3))
+    name = "_flow_rows" if hasattr(flow, "_flow_rows") else "sfl_G_each"
+    each, command = getattr(flow, name), None
 
     def recording(requests, *args, **kwargs):
+        out = each(requests, *args, **kwargs)
         if command == "verify":
-            for path, _ in requests:
+            for (path, _), got in zip(requests, out):
                 paths.update(path_bytes(path))
-        return each(requests, *args, **kwargs)
+                flows.update(flow_bytes(got))
+        return out
 
-    flow.sfl_G_each = recording
+    setattr(flow, name, recording)
     try:
         jobs = gen.generate(workload, seed)
         for text in jobs:
@@ -61,16 +82,16 @@ def digests(workload: str, seed: int) -> tuple[str, str, int]:
             report, code = cli.run(job)
             reports.update(f"{code}\n{cli.emit_report(report)}\n".encode())
     finally:
-        flow.sfl_G_each = each
-    return reports.hexdigest(), paths.hexdigest(), len(jobs)
+        setattr(flow, name, each)
+    return reports.hexdigest(), paths.hexdigest(), flows.hexdigest(), len(jobs)
 
 
 def main() -> int:
     for workload in gen.WORKLOADS:
         for seed in SEEDS:
-            reports, paths, n = digests(workload, seed)
+            reports, paths, flows, n = digests(workload, seed)
             print(f"{workload} seed={seed} jobs={n} reports={reports} "
-                  f"verify_paths={paths}")
+                  f"verify_paths={paths} verify_flows={flows}")
     return 0
 
 
