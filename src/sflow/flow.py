@@ -65,6 +65,8 @@ DEPTH_CAP = 53
 # pending segments of each path tried per bisection round (_partitions), with
 # one stacked eigensolve
 BISECTION_BATCH = 64
+# levels that the first bisection round of a path with a tail tries at once
+LOOK = 3
 
 
 @dataclass(frozen=True)
@@ -222,8 +224,8 @@ def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
     Returns (ok, level, margin): a segment is certified where ok holds, at
     the middle of the first widest gap that the folded envelopes leave in
     [0, cap] (cap is 1 with tails, else one past the top envelope), when the
-    gap's half width less the error clears the required margin and the rank
-    inside the level band is the same at the three samples.
+    gap's half width less the error clears the required margin (_required)
+    and the rank inside the level band is the same at the three samples.
 
     err bounds the solve of each computed sample, and covers the rounding
     that formed it too. A sample on a knot is that knot's block; elsewhere
@@ -281,13 +283,21 @@ def _certify(w: np.ndarray, err: np.ndarray, rad: np.ndarray,
         # up to err further in, which the margin pays for without moving the
         # level
         margin = width / 2.0 - err.max(axis=1)
-        norm_bound = aw.max(axis=(1, 2), initial=0.0) + rad
-        required = np.maximum(MARGIN_FLOOR,
-                              2.0 * tol_cluster * (1.0 + norm_bound))
+        required = _required(aw, rad, tol_cluster)
         counts = (aw <= level[:, None, None]).sum(axis=2)
     # without an open gap the width is -inf, and so is the margin
     ok = (margin > required) & (counts[:, :2] == counts[:, 1:]).all(axis=1)
     return ok, level, margin
+
+
+def _required(aw: np.ndarray, rad: np.ndarray, tol_cluster: float
+              ) -> np.ndarray:
+    """The margin each segment of _certify must exceed, from the magnitudes
+    aw of its sampled eigenvalues and its radius rad: twice the cluster
+    tolerance at the largest norm the segment can reach, and at least
+    MARGIN_FLOOR."""
+    return np.maximum(MARGIN_FLOOR, 2.0 * tol_cluster * (
+        1.0 + aw.max(axis=(1, 2), initial=0.0) + rad))
 
 
 def _end_faults(store: _Eigendata, ends: np.ndarray, tol_invert: float
@@ -315,12 +325,56 @@ def _end_faults(store: _Eigendata, ends: np.ndarray, tol_invert: float
     return faults
 
 
-# the samples of the candidates of one batch segment [a, b] with midpoint m
-# and halves' midpoints q and p, from its points (a, q, m, p, b): the
-# segment (a, m, b) and its halves (a, q, m) and (m, p, b)
-_CANDIDATES = np.array([[0, 2, 4], [0, 1, 2], [2, 3, 4]])
-_HALVES = np.array([0, 1, 1])
-_FIRST = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+# the dyadic tree of a pending segment down to LOOK levels below it, in
+# depth-first order, over the segment's 2 ** (LOOK + 1) + 1 grid points
+# (_grid): each node's level, its parent and the grid columns of its left
+# end, midpoint and right end. A segment that looks look levels ahead
+# (_look) tries the nodes of levels 0 to look, whose samples are every
+# 2 ** (LOOK - look)-th grid point
+def _tree(level: int, left: int, width: int, parent: int, nodes: list) -> list:
+    nodes.append((level, parent, left, left + width // 2, left + width))
+    here = len(nodes) - 1
+    if level < LOOK:
+        for start in (left, left + width // 2):
+            _tree(level + 1, start, width // 2, here, nodes)
+    return nodes
+
+
+_TREE = np.array(_tree(0, 0, 2 ** (LOOK + 1), -1, []))
+_LEVEL, _PARENT, _COLS = _TREE[:, 0], _TREE[:, 1], _TREE[:, 2:]
+_BELOW_ROOT = [np.flatnonzero(_LEVEL == k) for k in range(1, LOOK + 1)]
+_WIDTH = 2 ** (LOOK + 1) + 1
+# the grid points sampled by a look of 0, 1, ..., LOOK levels
+_USED = np.arange(_WIDTH) % 2 ** (LOOK - np.arange(LOOK + 1))[:, None] == 0
+
+
+def _grid(ends: np.ndarray, look: int) -> np.ndarray:
+    """The grid points of each segment (a, b) of ends that a look of look
+    levels samples, in their columns of _WIDTH (the others are not set),
+    each the midpoint of its two neighbours one level up: the bits of the
+    midpoints of a depth-first bisection."""
+    grid = np.empty((len(ends), _WIDTH))
+    grid[:, [0, -1]] = ends
+    step = _WIDTH - 1
+    for _ in range(look + 1):
+        grid[:, step // 2::step] = (grid[:, :-1:step] + grid[:, step::step]) / 2.0
+        step //= 2
+    return grid
+
+
+# the grid of [0, 1], the first pending segment of every path
+_UNIT = _grid(np.array([[0.0, 1.0]]), LOOK)[0]
+
+
+def _look(tails: np.ndarray, depth: np.ndarray, opts: FlowOptions
+          ) -> np.ndarray:
+    """How many levels below each pending segment its round tries: LOOK
+    below the first segment of a path with a tail; none at min_depth
+    without tails, where the cap above the top envelope leaves a gap of
+    width 1; else one. Never past max_depth."""
+    return np.minimum(np.where(tails & (depth == 0), LOOK,
+                               (depth != opts.min_depth) | tails),
+                      opts.max_depth - depth)
 
 
 def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
@@ -330,30 +384,39 @@ def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
     the arrays of its knots, levels and margins, with the rows of its knots,
     then its midpoints, in its store.
 
-    A pending segment is a row of (request, depth, rows of its left end, of
-    its quarter points and of its right end, -1 where not solved yet), each
-    request's in order from the left. A round solves the new samples of
-    each store in one stacked eigensolve and tests all its candidates, its
-    batch segments each followed by its two halves, in one _certify call,
+    A pending segment is a row of (request, depth, rows of its _WIDTH grid
+    points, -1 where not solved yet), each request's in order from the
+    left. A round solves the new samples of each store in one stacked
+    eigensolve and tests all its candidates, the nodes of each batch
+    segment's tree down to its look-ahead (_look), in one _certify call,
     with the eigenvalue rows of smaller blocks padded to the largest; its
-    accept and split decisions are masks over them. The first solve of each
-    store holds 0, 1/4, 1/2, 3/4 and 1 of each of its paths, and the piece
-    differences of those whose speeds are not solved yet (_Eigendata.add)."""
+    accept and split decisions are masks over them, walked level by level.
+    The first round tests depths 0 to LOOK of a path with a tail and each
+    later round two levels, so such a path that cannot be certified costs
+    at most 1 + ceil((max_depth - LOOK) / 2) rounds (one if max_depth <=
+    LOOK). The first solve of each store holds the grid points that the
+    first round of each of its paths samples (_look), at the default depths
+    all 2 ** (LOOK + 1) + 1 of a path with a tail and 0, 1/2 and 1 of one
+    without, and the piece differences of those whose speeds are not
+    solved yet (_Eigendata.add)."""
     stores = [store for store, _ in groups]
     spans = np.cumsum([0] + [len(reqs) for _, reqs in groups]).tolist()
     paths = [store.paths[r] for store, reqs in groups for r in reqs]
     out: list = [None] * len(paths)
-    first = np.empty((len(paths), 5), dtype=np.intp)
+    tails = np.array([p.plus_tail or p.minus_tail for p in paths], dtype=bool)
+    used = _USED[_look(tails, np.zeros(len(paths), dtype=np.intp), opts)]
+    first = np.full((len(paths), _WIDTH), -1)
     for (store, reqs), a, b in zip(groups, spans, spans[1:]):
-        first[a:b] = store.add(np.repeat(reqs, 5), (
-            np.zeros((b - a, 1)) + _FIRST).reshape(-1), paths[a:b]).reshape(-1, 5)
+        first[a:b][used[a:b]] = store.add(
+            np.repeat(reqs, used[a:b].sum(axis=1)),
+            _UNIT[used[a:b].nonzero()[1]], paths[a:b])
         for k in range(a, b):
             try:
                 paths[k].speeds  # raises if they failed to solve
             except SflowError as e:
                 out[k] = e
         mine = [k for k in range(a, b) if out[k] is None]
-        for k, fault in zip(mine, _end_faults(store, first[mine][:, ::4],
+        for k, fault in zip(mine, _end_faults(store, first[mine][:, [0, -1]],
                                               opts.tol_invert)):
             out[k] = fault
     live = [k for k in range(len(paths)) if out[k] is None]
@@ -366,8 +429,7 @@ def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
     dims, stops = np.array([s.paths[0].dim for s in stores]), np.arange(
         len(stores) + 1)
     speed_of = segment_speeds([paths[k] for k in live])
-    tails = np.array([paths[k].plus_tail or paths[k].minus_tail
-                      for k in live], dtype=bool)
+    tails = tails[live]
     failure: dict[int, SflowError] = {}
     accepted = []
     seg = np.concatenate([np.arange(len(live))[:, None],
@@ -381,27 +443,25 @@ def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
             later = np.arange(len(seg)) - np.repeat(
                 start, np.diff(start, append=len(seg))) >= BISECTION_BATCH
         r, d, at, e = seg[~later, 0], seg[~later, 1], seg[~later, 2:], ends[~later]
-        m = (e[:, 0] + e[:, 1]) / 2.0
-        points = np.array([e[:, 0], (e[:, 0] + m) / 2.0, m,
-                           (m + e[:, 1]) / 2.0, e[:, 1]]).T
+        look = _look(tails[r], d, opts)
+        deepest = int(look.max())
+        points = _grid(e, deepest)
         # the batch segments of each store, from span[s] to span[s + 1]
         span = ([0, len(r)] if len(stores) == 1
                 else sto[r].searchsorted(stops).tolist())
-        need = at < 0
+        need = (at < 0) & _USED[look]
         if need.any():
-            # a segment at the depth budget never splits, so the midpoints
-            # of its halves are not needed
-            need[:, 1::2] &= (d < opts.max_depth)[:, None]
             for store, a, b in zip(stores, span, span[1:]):
                 if need[a:b].any():
                     at[a:b][need[a:b]] = store.add(of[r[a:b]].repeat(
                         need[a:b].sum(axis=1)), points[a:b][need[a:b]])
-        # the candidates, as (left, midpoint, right) parameters and rows;
-        # the halves of a segment at the depth budget are not tried
-        pts = points[:, _CANDIDATES].reshape(-1, 3)
-        rows = at[:, _CANDIDATES].reshape(-1, 3)
-        cr, cd = r.repeat(3), (d[:, None] + _HALVES).reshape(-1)
-        t = ((cd >= opts.min_depth) & (cd <= opts.max_depth)).nonzero()[0]
+        # the candidates, as (left, midpoint, right) parameters and rows:
+        # the nodes of each segment's tree, segment by segment
+        tree = _LEVEL <= look[:, None]
+        s, node = tree.nonzero()
+        pts, rows = points[s[:, None], _COLS[node]], at[s[:, None], _COLS[node]]
+        cr, cd = r[s], d[s] + _LEVEL[node]
+        t = (cd >= opts.min_depth).nonzero()[0]
         # the eigendata of the tested candidates from their stores, with
         # several stores the eigenvalue rows of smaller blocks padded with
         # zeros to the largest size; a candidate with a failed solve is
@@ -410,7 +470,7 @@ def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
         if len(stores) == 1:
             w, err, solved = stores[0].w[x], stores[0].err[x], stores[0].ok[x]
         else:
-            span = t.searchsorted(3 * np.array(span)).tolist()
+            span = t.searchsorted(s.searchsorted(span)).tolist()
             w = np.zeros((len(t), 3, dims.max()))
             err, solved = np.empty((len(t), 3)), np.empty((len(t), 3), dtype=bool)
             for store, k, a, b in zip(stores, dims.tolist(), span, span[1:]):
@@ -418,17 +478,24 @@ def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
                     store.w[x[a:b]], store.err[x[a:b]], store.ok[x[a:b]])
             n = dims.repeat(np.diff(span))
         solved = solved.all(axis=1)
-        ok, level, margin = _certify(
-            w, err, speed_of(cr[t], pts[t][:, ::2]) * (pts[t, 2] - pts[t, 0]) / 2.0,
-            tails[cr[t]], opts.tol_cluster, n)
+        rad = speed_of(cr[t], pts[t][:, ::2]) * (pts[t, 2] - pts[t, 0]) / 2.0
+        ok, level, margin = _certify(w, err, rad, tails[cr[t]],
+                                     opts.tol_cluster, n)
         # each candidate is accepted (0), fails its request (1) or splits (2)
         code = np.full(len(cr), 2)
         code[t] = np.where(cd[t] < opts.max_depth, 2, 1)
         code[t[~solved]] = 1
         code[t[ok & solved]] = 0
-        # the leaves in depth-first order: each batch segment that is
-        # accepted or fails, else its two halves
-        c = ((code[::3] < 2)[:, None] == (_HALVES == 0)).ravel().nonzero()[0]
+        # the leaves in depth-first order, one level of the trees at a time:
+        # the reached nodes, those below ancestors that all split, that are
+        # accepted, fail, or split at the bottom of their tree
+        splits = np.zeros(tree.shape, dtype=bool)
+        splits[tree] = code == 2
+        reached = tree.copy()
+        for below in _BELOW_ROOT[:deepest]:
+            up = _PARENT[below]
+            reached[:, below] &= reached[:, up] & splits[:, up]
+        c = np.flatnonzero((reached & (~splits | (_LEVEL == look[:, None])))[tree])
         if (code[c] == 1).any():
             # a request's first failing leaf ends its round: the leaves and
             # the pending segments to its right go
@@ -438,13 +505,16 @@ def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
             c = c[before == np.repeat(before[start],
                                       np.diff(start, append=len(c)))]
             for i in c[code[c] == 1].tolist():
-                store = stores[sto[cr[i]]]
+                store, k = stores[sto[cr[i]]], t.searchsorted(i)
+                required = _required(np.abs(w[k:k + 1]), rad[k:k + 1],
+                                     opts.tol_cluster)[0]
                 failure[int(cr[i])] = (
                     store.errors[rows[i, store.ok[rows[i]].argmin()]]
                     if not store.ok[rows[i]].all()
                     else CertificationFailed(
                         f"no certified level on [{float(pts[i, 0])}, "
-                        f"{float(pts[i, 2])}] at depth {int(cd[i])}"))
+                        f"{float(pts[i, 2])}] at depth {int(cd[i])}: best "
+                        f"margin {float(margin[k])}, required {float(required)}"))
             later &= ~np.isin(seg[:, 0], cr[c[code[c] == 1]])
         done, split = c[code[c] == 0], c[code[c] == 2]
         k = t.searchsorted(done)
@@ -452,9 +522,9 @@ def _partitions(groups: Sequence[tuple[_Eigendata, Sequence[int]]],
                          rows[done, 1], rows[done, 2]))
         # each split leaf leaves its two halves pending, before the
         # segments that were not in the batch
-        halves = np.full((2 * len(split), 7), -1)
+        halves = np.full((2 * len(split), 2 + _WIDTH), -1)
         halves[:, :2] = np.array([cr[split], cd[split] + 1]).T.repeat(2, 0)
-        halves[:, [2, 6]] = rows[split][:, [0, 1, 1, 2]].reshape(-1, 2)
+        halves[:, [2, -1]] = rows[split][:, [0, 1, 1, 2]].reshape(-1, 2)
         halves_ends = pts[split][:, [0, 1, 1, 2]].reshape(-1, 2)
         if later.any():
             order = np.concatenate([halves[:, 0], seg[later, 0]]).argsort(
@@ -485,13 +555,16 @@ def find_partition(path: OperatorPath,
     max_depth bisections.
 
     This is the one-store case of the rounds of _partitions: each round
-    takes the leftmost BISECTION_BATCH pending segments and both halves of
-    each, solves their new samples in one stacked eigensolve and tests them
-    together; a segment that splits resolves its halves from the same
-    round. A failure is raised only once no pending segment lies to its
+    takes the leftmost BISECTION_BATCH pending segments, solves the new
+    samples of their dyadic trees in one stacked eigensolve and tests every
+    node together. The tree is LOOK levels deep under [0, 1] of a path with
+    a tail, one segment alone at min_depth of a path without tails (whose
+    cap leaves a gap of width 1), and a segment with its two halves
+    otherwise. A failure is raised only once no pending segment lies to its
     left, so the partition and the failure are those of a depth-first
-    recursion, and a path that cannot be certified costs at most
-    (max_depth + 2) // 2 rounds.
+    recursion, and a path with a tail that cannot be certified costs one
+    round if max_depth <= LOOK, else at most 1 + ceil((max_depth - LOOK) / 2)
+    rounds.
     """
     opts = opts or FlowOptions()
     parts = _partitions([(_Eigendata([path], opts.tol_cluster), [0])], opts)

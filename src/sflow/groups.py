@@ -233,10 +233,6 @@ class VirtualRep:
                 f"{len(self.coeffs)} coefficients for {self.table.n_irreps} irreps")
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
-    @classmethod
-    def zero(cls, table: RealCharacterTable) -> "VirtualRep":
-        return cls(table, (0,) * table.n_irreps)
-
     def _check(self, other: "VirtualRep") -> None:
         if self.table != other.table:
             raise TableMismatch("virtual representations over different tables")

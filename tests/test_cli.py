@@ -989,7 +989,8 @@ def test_max_depth_at_the_cap_fails_on_the_leftmost_segment():
     assert code == 4
     assert report["error"]["message"] == (
         "CertificationFailed: no certified level on "
-        "[0.0, 1.1102230246251565e-16] at depth 53")
+        "[0.0, 1.1102230246251565e-16] at depth 53: best margin "
+        "0.19999989492736478, required 0.20000002")
 
 
 def test_repeated_main_calls_log_each_error_once(monkeypatch, capsys):

@@ -563,10 +563,10 @@ def _find_partition_recursive(path, opts):
             speed = max(s for s, a, b in zip(path.speeds, path.knots,
                                              path.knots[1:])
                         if a < right and b > left)
+            w = np.array([[x for x, _ in specs]])
+            rad = np.array([speed * (right - left) / 2.0])
             ok, level, margin = flow._certify(
-                np.array([[w for w, _ in specs]]),
-                np.array([[err for _, err in specs]]),
-                np.array([speed * (right - left) / 2.0]),
+                w, np.array([[err for _, err in specs]]), rad,
                 np.array([path.plus_tail or path.minus_tail]), opts.tol_cluster)
             if ok[0]:
                 knots.append(right)
@@ -574,8 +574,11 @@ def _find_partition_recursive(path, opts):
                 margins.append(float(margin[0]))
                 return
             if depth >= opts.max_depth:
+                required = flow._required(np.abs(w), rad, opts.tol_cluster)
                 raise CertificationFailed(
-                    f"no certified level on [{left}, {right}] at depth {depth}")
+                    f"no certified level on [{left}, {right}] at depth {depth}: "
+                    f"best margin {float(margin[0])}, "
+                    f"required {float(required[0])}")
         mid = (left + right) / 2.0
         descend(left, mid, depth + 1)
         descend(mid, right, depth + 1)
@@ -601,7 +604,8 @@ def test_batched_bisection_matches_the_recursion(preset, n, dim, monkeypatch):
     for i in range(8):
         path = random_equivariant_path(action, rng, plus_tail=tails[i % 4][0],
                                        minus_tail=tails[i % 4][1])
-        for min_depth in range(4):
+        # depth budgets on both sides of the first round's look-ahead
+        for min_depth in range(flow.LOOK + 2):
             # small depth budgets fail part of the way through, with pending
             # segments on both sides of the failure
             for max_depth in (min_depth, min_depth + 2, 40):
@@ -631,10 +635,13 @@ def test_uncertifiable_path_fails_leftmost_within_bounded_work(monkeypatch):
     with pytest.raises(CertificationFailed) as info:
         find_partition(path)
     assert str(info.value) == ("no certified level on [0.0, 9.094947017729282e-13]"
-                               " at depth 40")
+                               " at depth 40: best margin 0.19999989492736478, "
+                               "required 0.20000002")
     assert sum(solved) <= 3 * flow.BISECTION_BATCH * 41
-    # each round tests two levels: depths 0 to 40 in 21 stacked solves
-    assert len(solved) <= 21
+    # the first solve holds the first round's grid, which tests depths 0 to
+    # LOOK, and each later round tests two levels: depths 0 to 40 in 20
+    # stacked solves
+    assert len(solved) == 20
 
 
 def test_certifiable_path_takes_one_round_per_two_levels(monkeypatch):
@@ -661,7 +668,9 @@ def test_certifiable_path_takes_one_round_per_two_levels(monkeypatch):
             monkeypatch.setattr(flow, "_certify", counting)
             assert find_partition(path) == want
             monkeypatch.undo()
-            assert len(rounds) <= (d + 2) // 2
+            # the first round tests depths 0 to LOOK, each later one two
+            assert len(rounds) == (1 if d <= flow.LOOK else
+                                   1 + math.ceil((d - flow.LOOK) / 2))
             deepest = max(deepest, d)
     assert deepest >= 4
 
@@ -743,6 +752,33 @@ def test_a_look_ahead_sample_never_fails_a_flow(monkeypatch):
     asked.clear()
     assert find_partition(path) == want
     assert {0.25, 0.75} <= set(asked)
+
+
+@pytest.mark.parametrize("depth", [0, flow.LOOK + 1])
+def test_a_refused_sample_under_a_certified_segment_never_fails_a_flow(
+        depth, monkeypatch):
+    # the constant block of the test above certifies on every segment; at
+    # min_depth = depth its partition has the segments of that depth, and
+    # every parameter off their samples fails to solve: at depth 0 the
+    # first round's grid under [0, 1] (all of 0, 1/16, ..., 1 but 0, 1/2
+    # and 1), at depth LOOK + 1 the quarter points of the segments the
+    # second round tests, tried one level ahead
+    path, asked = _constant_path([1.0, 2.0, 4.0]), []
+
+    def refused(lams):
+        asked.extend(lams.tolist())
+        return lams * 2.0 ** (depth + 1) % 1.0 != 0.0
+
+    _refuse(monkeypatch, [(path, refused)])
+    opts = FlowOptions(min_depth=depth)
+    want = _find_partition_recursive(path, opts)
+    assert len(want.knots) == 2 ** depth + 1
+    asked.clear()
+    assert find_partition(path, opts) == want
+    ahead = flow.LOOK if depth == 0 else 1
+    step = 2.0 ** -(depth + ahead + 1)
+    assert {(2 * k + 1) * step
+            for k in range(2 ** (depth + ahead))} <= set(asked)
 
 
 def _at_global_speed(path):
@@ -1365,8 +1401,11 @@ def test_shared_rounds_solve_the_same_blocks_in_fewer_stacks(monkeypatch):
     rounds.clear()
     sfl_G_each(twins, table)
     # the first stack of each block size holds the first stacks of its
-    # paths' own calls, their piece differences included
-    assert all(a[0] > 5 for a in alone)
+    # paths' own calls: the grid of each first round, 2 ** (LOOK + 1) + 1
+    # points with a tail and 3 without, and the piece differences
+    assert [a[0] for a in alone] == [
+        (2 ** (flow.LOOK + 1) + 1 if path.plus_tail or path.minus_tail else 3)
+        + len(path._diffs) for path, _ in requests]
     assert stacks[:8] == [sum(a[0] for a in alone[i:i + 4])
                           for i in range(0, 32, 4)]
     assert sum(stacks) == sum(map(sum, alone))

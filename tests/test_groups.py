@@ -263,7 +263,7 @@ def _odd_z2_table():
      BadCharacterTable, "bad irrep record {'name': 'a'}"),
     (lambda: character_of_subspace(_z2_diag_action()[2], np.ones((3, 1))),
      NotOrthonormal, "basis shape (3, 1) does not match action dimension 2"),
-    (lambda: phi_Z2(VirtualRep.zero(_odd_z2_table())), WrongGroup,
+    (lambda: phi_Z2(VirtualRep(_odd_z2_table(), (0, 0))), WrongGroup,
      "character table is not the standard order-2 table"),
 ])
 def test_input_checks_name_the_bad_input(build, error, message):
@@ -515,12 +515,12 @@ def test_virtual_rep_arithmetic():
     assert (a + b).coeffs == (3, 2)
     assert (a - b).coeffs == (-1, -4)
     assert (-a).coeffs == (-1, 1)
-    assert VirtualRep.zero(table).is_zero()
+    assert VirtualRep(table, (0,) * table.n_irreps).is_zero()
     assert not a.is_zero()
     assert a.as_dict() == {"trivial": 1, "sign": -1}
     _, table3 = build_group("cyclic", 3)
     with pytest.raises(TableMismatch):
-        a + VirtualRep.zero(table3)
+        a + VirtualRep(table3, (0,) * table3.n_irreps)
     with pytest.raises(TableMismatch):
         VirtualRep(table, (1, 2, 3))
 
@@ -548,10 +548,10 @@ def test_phi_z2():
     _, table = build_group("cyclic", 2)
     assert phi_Z2(VirtualRep(table, (1, -1))) == (0, 1)
     assert phi_Z2(VirtualRep(table, (2, 1))) == (3, 2)
-    assert phi_Z2(VirtualRep.zero(table)) == (0, 0)
+    assert phi_Z2(VirtualRep(table, (0,) * table.n_irreps)) == (0, 0)
     _, table3 = build_group("cyclic", 3)
     with pytest.raises(WrongGroup):
-        phi_Z2(VirtualRep.zero(table3))
+        phi_Z2(VirtualRep(table3, (0,) * table3.n_irreps))
 
 
 # --- isotypical projections ------------------------------------------------

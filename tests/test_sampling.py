@@ -224,13 +224,15 @@ def test_a_verify_job_solves_its_speeds_once_per_block_size(monkeypatch):
     monkeypatch.setattr(operators, "eigh_each", counting)
     monkeypatch.setattr(operators, "_specnorm", solved_alone)
     assert flow.verify_axioms(action, table, seed=4, instances=2).passed
-    # the first stack of each block size holds 0, 1/4, 1/2, 3/4 and 1 of
-    # each of its flows and the piece differences of each of its paths
+    # the first stack of each block size holds the grid of the first round
+    # of each of its flows, 0, 1/16, ..., 1 with a tail and 0, 1/2 and 1
+    # without, and the piece differences of each of its paths
     (call,) = stacks
     for dim in (4, 8):
         mine = [p for p in paths if p.dim == dim]
         first = next(shape for shape in call if shape[1:] == (dim, dim))
-        assert first[0] == 5 * len(mine) + sum(
+        assert first[0] == sum(17 if p.plus_tail or p.minus_tail else 3
+                               for p in mine) + sum(
             len(p._diffs) for p in {id(p): p for p in mine}.values())
     assert [shape[1:] for shape in call[:2]] == [(4, 4), (8, 8)]
     assert alone == []
