@@ -9,7 +9,6 @@ check, then the construction of the group, options, action and path.
 
 from __future__ import annotations
 
-import argparse
 import json
 import logging
 import math
@@ -23,7 +22,6 @@ from itertools import chain
 
 import numpy as np
 
-from .cogredient import parametrix
 from .errors import (
     ConsistencyFailure,
     DimensionMismatch,
@@ -34,13 +32,7 @@ from .errors import (
     TableMismatch,
     WrongGroup,
 )
-from .flow import (
-    FlowOptions,
-    SflReport,
-    morse_oracle_sfl_G,
-    sfl_G,
-    verify_axioms,
-)
+from .flow import FlowOptions, SflReport, morse_oracle_sfl_G, sfl_G
 from .groups import (
     FiniteGroup,
     OrthogonalAction,
@@ -50,7 +42,6 @@ from .groups import (
     forgetful_F,
     phi_Z2,
 )
-from .maslov import maslov_flow
 from .operators import OperatorPath
 
 logger = logging.getLogger("sflow")
@@ -413,7 +404,12 @@ def run(job: JobSpec) -> tuple[dict, int]:
 
 def _dispatch(job: JobSpec) -> dict:
     action, table, opts, path = job.action, job.table, job.opts, job.path
+    # verify, cogredient and maslov import their entry points in their own
+    # branch, so a job loads cogredient, maslov or sampling only when its
+    # command runs them
     if job.command == "verify":
+        from .flow import verify_axioms
+
         suite = verify_axioms(action, table, seed=job.options["seed"],
                               instances=job.options["instances"], opts=opts)
         return {
@@ -431,6 +427,8 @@ def _dispatch(job: JobSpec) -> dict:
                                           m=job.options["m"], opts=opts))
 
     if job.command == "cogredient":
+        from .cogredient import parametrix
+
         px = parametrix(path, samples=job.options["samples"])
         direct = sfl_G(path, action, table, opts)
         moved = px.flow_class(action, table, tol_cluster=opts.tol_cluster,
@@ -443,8 +441,12 @@ def _dispatch(job: JobSpec) -> dict:
                        parametrix={"sign": px.sign, "samples": len(px.lambdas),
                                    "max_residual": px.max_residual()})
 
-    flow = (maslov_flow if job.command == "maslov" else sfl_G)(
-        path, action, table, opts)
+    if job.command == "maslov":
+        from .maslov import maslov_flow
+
+        flow = maslov_flow(path, action, table, opts)
+    else:
+        flow = sfl_G(path, action, table, opts)
     return _report(flow.sfl_G, flow)
 
 
@@ -485,13 +487,14 @@ def _setup_logging() -> None:
         logger.error("SFLOW_LOG=%s not recognized, using 'error'", level_name)
 
 
-class _Parser(argparse.ArgumentParser):
-    # an argument error becomes a report like any other invalid input
-    def error(self, message: str):
-        raise InvalidInput(message)
-
-
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # here, not at the top: library callers never parse argv
+
+    class _Parser(argparse.ArgumentParser):
+        # an argument error becomes a report like any other invalid input
+        def error(self, message: str):
+            raise InvalidInput(message)
+
     parser = _Parser(
         prog="sflow",
         description="equivariant spectral flow of symmetric operator paths")

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer rule of its
+input checks (whole_number).
 
 Every error carries the process exit code the command line front end maps it
 to: 2 invalid input, 3 endpoint not invertible, 4 certification or numerical
@@ -7,6 +8,7 @@ verification failed, 5 equivariance or invariance violated.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable
 
 
@@ -22,6 +24,17 @@ def raise_first(results: Iterable) -> None:
     for result in results:
         if isinstance(result, SflowError):
             raise result
+
+
+def whole_number(x) -> int | None:
+    """x as an int when it is an integer, or a real of integer value such as
+    3.0 or a numpy integer; None for a bool, NaN, an infinity, a fraction or
+    a non-number."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return None
+    if isinstance(x, numbers.Integral) or float(x).is_integer():
+        return int(x)
+    return None
 
 
 class InvalidInput(SflowError):

@@ -11,13 +11,13 @@ flow is then the telescoping sum of the classes of the eigenspaces in
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import sampling
 from ._eig import block_diag, symmetric_part
 from .errors import (
     CertificationFailed,
@@ -28,6 +28,7 @@ from .errors import (
     SflowError,
     WrongGroup,
     raise_first,
+    whole_number,
 )
 from .groups import (
     OrthogonalAction,
@@ -78,7 +79,9 @@ class FlowOptions:
     before a segment may be accepted, which is how independence of the result
     from the partition is exercised. max_depth is at most DEPTH_CAP = 53:
     every midpoint down to that depth is a double strictly inside its
-    segment. Both tolerances must be finite and nonnegative.
+    segment. Both tolerances must be finite and nonnegative reals, and both
+    depths nonnegative integers (3.0 and numpy integers count, bools do
+    not); they are kept as floats and ints.
     """
 
     tol_cluster: float = CLUSTER_FACTOR
@@ -90,11 +93,19 @@ class FlowOptions:
         for name in ("tol_cluster", "tol_invert"):
             value = getattr(self, name)
             # NaN fails every comparison, so it must be rejected explicitly
-            if not math.isfinite(value) or value < 0.0:
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0.0):
                 raise OutOfRange(f"{name} must be finite and nonnegative, "
-                                 f"got {value}")
-        if not (self.max_depth >= 0 and self.min_depth >= 0):  # NaN fails
-            raise OutOfRange("depths must be nonnegative")
+                                 f"got {value!r}")
+            object.__setattr__(self, name, float(value))
+        for name in ("max_depth", "min_depth"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Real) and not value >= 0:  # NaN fails
+                raise OutOfRange("depths must be nonnegative")
+            depth = whole_number(value)
+            if depth is None:
+                raise OutOfRange(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, depth)
         if self.min_depth > self.max_depth:
             raise OutOfRange(
                 f"min_depth {self.min_depth} exceeds max_depth {self.max_depth}")
@@ -830,6 +841,8 @@ def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,
     (including closed loops), additivity under direct sums, invariance under
     reparametrization, and invariance under equivariant conjugation. Each
     suite runs `instances` randomized cases; failures carry a witness string.
+    instances must be an integer >= 1 and seed one >= 0 (3.0 and numpy
+    integers count, bools do not); anything else raises OutOfRange.
 
     The cases are drawn in two phases. First every random number of every
     case is taken, in the order of a case by case run (a sampling.PathDraws
@@ -841,6 +854,14 @@ def verify_axioms(action: OrthogonalAction, table: RealCharacterTable, *,
     is the one a case by case run raises first: if a draw or a build fails,
     the first error among the flows requested before it, else its own.
     """
+    for name, value, least in (("instances", instances, 1), ("seed", seed, 0)):
+        whole = whole_number(value)
+        if whole is None or whole < least:
+            raise OutOfRange(f"{name} must be an integer >= {least}, "
+                             f"got {value!r}")
+    instances, seed = int(instances), int(seed)
+    from . import sampling  # only verify draws cases: other jobs skip it
+
     opts = opts or FlowOptions()
     rng = np.random.default_rng(seed)
     tail_cycle = [(False, False), (True, False), (False, True), (True, True)]

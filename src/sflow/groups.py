@@ -25,6 +25,7 @@ from .errors import (
     TableMismatch,
     WrongGroup,
     raise_first,
+    whole_number,
 )
 
 ORTHOGONALITY_TOL = 1e-9
@@ -62,10 +63,8 @@ class FiniteGroup:
             if len(row) != n:
                 raise NonGroup(f"row {i} has length {len(row)}, expected {n}")
             for x in row:
-                # an integer, or a float of integer value; not a bool or NaN
-                whole = isinstance(x, numbers.Integral) or (
-                    isinstance(x, numbers.Real) and float(x).is_integer())
-                if isinstance(x, (bool, np.bool_)) or not (whole and 0 <= x < n):
+                k = whole_number(x)
+                if k is None or not 0 <= k < n:
                     raise NonGroup(f"entry {x!r} in row {i} is not an element "
                                    f"index 0..{n - 1}")
         self.mult_table = table = tuple(tuple(int(x) for x in row)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sflow
-from sflow import cli, flow, operators
+from sflow import cli, cogredient, flow, operators
 from sflow.cli import (
     COMMANDS,
     OPTION_DEFAULTS,
@@ -925,6 +925,56 @@ def test_cli_subprocess_smoke():
     assert "sflow INFO" in proc.stderr
 
 
+_LOADED_AFTER_EACH_JOB = """
+import json, sys
+import sflow.cli as cli
+
+optional = ("sflow.cogredient", "sflow.maslov", "sflow.sampling", "argparse")
+for doc in json.load(sys.stdin):
+    report, code = cli.run(cli.parse_job(json.dumps(doc)))
+    print(json.dumps([code, [m for m in optional if m in sys.modules]]))
+"""
+
+
+def test_a_job_imports_only_the_modules_its_command_runs():
+    # started as test_cli_subprocess_smoke starts the CLI: a fresh process
+    # with a bare environment, which here also leaves no bytecode cache
+    src = Path(sflow.__file__).resolve().parent.parent
+    jobs = [scalar_job("sfl"), scalar_job("oracle"), scalar_job("verify"),
+            dict(scalar_job("cogredient"), tail={"plus": True})]
+    jobs[2]["options"] = {"instances": 1}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_EACH_JOB],
+        input=json.dumps(jobs), capture_output=True, text=True, timeout=120,
+        check=False, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src),
+                          "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        [0, []],
+        [0, []],
+        [0, ["sflow.sampling"]],
+        [0, ["sflow.cogredient", "sflow.sampling"]],
+    ]
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    # import sflow resolves its names on first use, each from its module
+    names = {}
+    exec("from sflow import *", names)
+    assert sorted(set(names) - {"__builtins__"}) == sorted(sflow.__all__)
+    for name in sflow.__all__:
+        value = getattr(sflow, name)
+        assert names[name] is value
+        if isinstance(value, type(sflow)):
+            assert value is sys.modules[f"sflow.{name}"]
+        else:
+            assert vars(sys.modules[value.__module__])[name] is value
+    assert set(sflow.__all__) <= set(dir(sflow))
+    with pytest.raises(AttributeError):
+        sflow.no_such_name  # noqa: B018
+
+
 @pytest.mark.parametrize("entry", [1.7e308, -1.7e308, 1e308])
 @pytest.mark.parametrize("tail", [{"plus": True, "minus": False},
                                   {"plus": False, "minus": True}])
@@ -1022,7 +1072,7 @@ def _cogredient_one_by_one(job):
     # their difference against the direct class; the error message, or None
     opts = job.opts
     try:
-        px = cli.parametrix(job.path, samples=job.options["samples"])
+        px = cogredient.parametrix(job.path, samples=job.options["samples"])
         direct = sfl_G(job.path, job.action, job.table, opts)
         samples = px.sign * np.eye(job.path.dim) + np.array(px.K)
         for lam, s in zip(px.lambdas, samples):
@@ -1074,8 +1124,8 @@ def test_cogredient_errors_come_in_the_order_of_sequential_flows(transformed,
     # other; transformed, when given, breaks the normal form of each
     # parametrix
     if transformed is not None:
-        real = cli.parametrix
-        monkeypatch.setattr(cli, "parametrix",
+        real = cogredient.parametrix
+        monkeypatch.setattr(cogredient, "parametrix",
                             lambda *a, **kw: transformed(real(*a, **kw)))
     paths = [
         {"kind": "piecewise_linear", "knots": [0, 0.4, 1],
@@ -1132,7 +1182,7 @@ def test_a_non_equivariant_sample_between_the_knots_exits_5(monkeypatch):
     doc = dict(golden_job(), command="cogredient", tail={"plus": True},
                options={"samples": 33})
     job = parse_job(json.dumps(doc))
-    px = cli.parametrix(job.path, samples=33)
+    px = cogredient.parametrix(job.path, samples=33)
     knots = np.array(sfl_G(px.transformed_path(), job.action,
                            job.table).partition.knots)
     seen = np.concatenate([knots, (knots[1:] + knots[:-1]) / 2.0])
@@ -1148,7 +1198,7 @@ def test_a_non_equivariant_sample_between_the_knots_exits_5(monkeypatch):
     direct = sfl_G(job.path, job.action, job.table)
     assert sfl_G(broken.transformed_path(), job.action,
                  job.table).sfl_G == direct.sfl_G
-    monkeypatch.setattr(cli, "parametrix", lambda *a, **kw: broken)
+    monkeypatch.setattr(cogredient, "parametrix", lambda *a, **kw: broken)
     report, code = run(job)
     assert code == 5
     assert report["error"]["message"].startswith(
@@ -1246,14 +1296,14 @@ def test_normal_form_samples_near_the_largest_double_exit_as_when_every_sample_w
     doc = dict(golden_job(), command="cogredient", tail={"plus": True},
                options={"samples": 9})
     job = parse_job(json.dumps(doc))
-    px = cli.parametrix(job.path, samples=9)
+    px = cogredient.parametrix(job.path, samples=9)
     sample = px.sign * np.eye(2) + px.K[j]
     if shape == "flat":
         sample = np.full((2, 2), 1.0)  # eigenvalue 2: overflows past 0.9e308
     elif shape == "off_equivariant":
         sample = sample + 1e-3 * np.array([[0.0, 1.0], [1.0, 0.0]])
     big = _with_sample(px, j, factor * sample)
-    monkeypatch.setattr(cli, "parametrix", lambda *a, **kw: big)
+    monkeypatch.setattr(cogredient, "parametrix", lambda *a, **kw: big)
     got = run(job)
     monkeypatch.setattr(type(big), "flow_class",
                         _flow_class_bounding_every_sample)

@@ -127,6 +127,41 @@ def test_a_nan_depth_is_refused(field):
         FlowOptions(**{field: math.nan})
 
 
+@pytest.mark.parametrize("field,value", [
+    # an IndexError in the bisection, a TypeError, a half level bisected, a
+    # bool run as depth 1
+    ("max_depth", 2.5), ("max_depth", "3"), ("min_depth", 0.5),
+    ("max_depth", True), ("min_depth", False), ("max_depth", np.True_)])
+def test_a_depth_that_is_not_an_integer_is_refused(field, value):
+    with pytest.raises(OutOfRange) as info:
+        FlowOptions(**{field: value})
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
+    assert info.value.exit_code == 2
+
+
+@pytest.mark.parametrize("field", ["tol_cluster", "tol_invert"])
+@pytest.mark.parametrize("value", [True, False, "1e-8", None])
+def test_a_tolerance_that_is_not_a_real_number_is_refused(field, value):
+    with pytest.raises(OutOfRange) as info:
+        FlowOptions(**{field: value})
+    assert str(info.value) == (f"{field} must be finite and nonnegative, "
+                               f"got {value!r}")
+
+
+def test_integer_valued_depths_count_and_are_kept_as_ints():
+    # a float of integer value, or a numpy integer, counts as that integer
+    table, action = _trivial_setup(1)
+    opts = FlowOptions(max_depth=3.0, min_depth=np.int64(2),
+                       tol_cluster=np.float64(1e-8), tol_invert=0)
+    assert opts == FlowOptions(max_depth=3, min_depth=2, tol_invert=0.0)
+    assert [type(getattr(opts, f)) for f in ("tol_cluster", "tol_invert",
+                                             "max_depth", "min_depth")] == [
+        float, float, int, int]
+    want = sfl_G(_scalar_up_path(), action, table,
+                 FlowOptions(max_depth=3, min_depth=2))
+    assert sfl_G(_scalar_up_path(), action, table, opts) == want
+
+
 def test_partition_invariants():
     # the refusals, with their messages, are in
     # test_partition_checks_name_the_bad_input
@@ -485,6 +520,30 @@ def test_verify_axioms_passes():
     assert by_name["concatenation"].failures == ()
 
 
+@pytest.mark.parametrize("field,value", [
+    # passed over zero cases, passed over zero cases, TypeError, TypeError,
+    # ValueError; bools ran as 1 and 0
+    ("instances", 0), ("instances", -2), ("instances", 1.5), ("seed", 1.5),
+    ("seed", -1), ("instances", True), ("seed", False), ("seed", "0")])
+def test_verify_axioms_refuses_a_bad_count_or_seed(field, value):
+    table, action = preset_action("cyclic", 2, 2, np.random.default_rng(0))
+    least = 1 if field == "instances" else 0
+    with pytest.raises(OutOfRange) as info:
+        verify_axioms(action, table, **{field: value})
+    assert str(info.value) == (f"{field} must be an integer >= {least}, "
+                               f"got {value!r}")
+    assert info.value.exit_code == 2
+
+
+def test_verify_axioms_takes_integer_valued_counts_and_seeds():
+    table, action = preset_action("cyclic", 2, 2, np.random.default_rng(0))
+    want = verify_axioms(action, table, seed=3, instances=2)
+    assert want.passed
+    for seed, instances in ((3.0, 2.0), (np.int64(3), np.int32(2))):
+        assert verify_axioms(action, table, seed=seed,
+                             instances=instances) == want
+
+
 def test_verify_axioms_reports_the_witness_of_each_failed_check(monkeypatch):
     # one more trivial in the first two flows: the invertible path of the
     # vanishing case, and the concatenation of the first concatenation case
@@ -540,22 +599,31 @@ def test_stacked_reynolds_average_has_the_bits_of_the_loop():
 # --- batched bisection --------------------------------------------------------
 
 
-def _find_partition_recursive(path, opts):
+def _find_partition_recursive(path, opts, solved=None):
     # the depth-first recursion find_partition replaced, written with one
     # eigendata_each call per sample, in the order left end, midpoint, right
     # end, and the radius from a scan of the pieces each segment meets: the
     # reference the batched rounds must agree with on every partition and
-    # every failure (the paths given to it have invertible ends)
+    # every failure (the paths given to it have invertible ends). solved,
+    # a dict kept per path, holds each parameter's outcome, so a node's ends
+    # and midpoint, which its children sample again, are solved once
     knots, levels, margins = [0.0], [], []
+    solved = {} if solved is None else solved
 
-    def spectrum(lam):
-        # (eigenvalues, error bound) of the block, or its EigenFailure raised
+    def solve(lam):
+        # (eigenvalues, error bound) of the block, or its EigenFailure
         block = path.blocks_at([lam])
         w, _, _, _, err, _, errors = eigendata_each(
             0.5 * block + 0.5 * block.swapaxes(1, 2), opts.tol_cluster)
-        if errors:
-            raise errors[0]
-        return w[0], err[0]
+        return errors[0] if errors else (w[0], err[0])
+
+    def spectrum(lam):
+        key = (lam, opts.tol_cluster)
+        if key not in solved:
+            solved[key] = solve(lam)
+        if isinstance(solved[key], EigenFailure):
+            raise solved[key]
+        return solved[key]
 
     def descend(left, right, depth):
         if depth >= opts.min_depth:
@@ -604,13 +672,14 @@ def test_batched_bisection_matches_the_recursion(preset, n, dim, monkeypatch):
     for i in range(8):
         path = random_equivariant_path(action, rng, plus_tail=tails[i % 4][0],
                                        minus_tail=tails[i % 4][1])
+        solved = {}
         # depth budgets on both sides of the first round's look-ahead
         for min_depth in range(flow.LOOK + 2):
             # small depth budgets fail part of the way through, with pending
             # segments on both sides of the failure
             for max_depth in (min_depth, min_depth + 2, 40):
                 opts = FlowOptions(min_depth=min_depth, max_depth=max_depth)
-                want = _outcome(_find_partition_recursive, path, opts)
+                want = _outcome(_find_partition_recursive, path, opts, solved)
                 # also with rounds too small to hold one bisection level
                 for batch in (flow.BISECTION_BATCH, 1, 3):
                     monkeypatch.setattr(flow, "BISECTION_BATCH", batch)
